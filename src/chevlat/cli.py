@@ -15,7 +15,6 @@ import json
 import random
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 from . import calculus, lattice, models, relroots, rootsys
@@ -54,7 +53,7 @@ class RunConfig:
     suite: str
     models: list[ModelSpec] = field(default_factory=list)
     cap: int = DEFAULT_CAP
-    jobs: int = 1
+    jobs: int = 1  # accepted and echoed; closures run in one thread
     out: str | None = None
 
     def validate(self):
@@ -395,7 +394,7 @@ def suite_group(rec: Recorder, spec: ModelSpec, cap: int):
                 lattice.gauss_brute_force_agrees(ctx), False, model=model.name())
 
 
-def suite_sandwich(rec: Recorder, spec: ModelSpec, cap: int, jobs: int = 1):
+def suite_sandwich(rec: Recorder, spec: ModelSpec, cap: int):
     model = spec.build()
     name = model.name()
     ctx = lattice.get_context(model, cap)
@@ -403,11 +402,6 @@ def suite_sandwich(rec: Recorder, spec: ModelSpec, cap: int, jobs: int = 1):
     expect = spec.expect_violation or not hyp.main_ok
     rec.add("hypotheses", "Theorem main", hyp.main_ok, expect, model=name,
             witness=hyp.as_dict())
-
-    _, reps = ctx.orbits()
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            list(pool.map(ctx.orbit_closure, reps))
 
     results = lattice.sandwich_classify(ctx, strict=False)
     all_unique = all(r.verdict == "unique" for r in results)
@@ -500,7 +494,7 @@ def run(cfg: RunConfig) -> tuple[dict, int]:
                 suite_group(rec, spec, cfg.cap)
         if cfg.suite in ("sandwich", "all"):
             for spec in specs:
-                suite_sandwich(rec, spec, cfg.cap, cfg.jobs)
+                suite_sandwich(rec, spec, cfg.cap)
     except SizeCapError as exc:
         raise ConfigError(str(exc)) from exc
 
@@ -544,7 +538,9 @@ def _build_argparser() -> argparse.ArgumentParser:
         sp.add_argument("--blocks", help="block composition like 1,1,1 (SL) or "
                                          "borel|line|siegel (Sp)")
         sp.add_argument("--cap", type=int, help=f"element cap (default {DEFAULT_CAP})")
-        sp.add_argument("--jobs", type=int, help="parallel closure workers")
+        sp.add_argument("--jobs", type=int,
+                        help="accepted and echoed in the report, but ignored: "
+                             "closures build on each other and run in one thread")
         sp.add_argument("--out", help="report path (default: stdout)")
         sp.add_argument("--expect-violation", action="store_true",
                         help="mark the model as a negative control")

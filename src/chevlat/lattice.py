@@ -1,19 +1,34 @@
 """Subgroup lattice computations and the theorem-level verifications.
 
 Subgroups are bitsets over the element table.  Closures run a batched BFS
-on indices; normal closures iterate closure and conjugation-stability until
-the bitset is a fixed point of every generator conjugation, which is also
-the correctness certificate.  The sandwich classification checks, for one
-seed per conjugation orbit, which ideals q satisfy
-E(R,q) <= closure <= C(R,q); on a model satisfying the main hypotheses
-exactly one ideal must pass.
+on indices.  `normal_closure` is the plain engine: it iterates closure and
+conjugation-stability until the bitset is a fixed point of every generator
+conjugation, which is also the correctness certificate.
 
-Per-cyclic-closure verification suffices: every subgroup normalized by the
-elementary subgroup is the join of the cyclic closures of its elements,
-joins of subgroups go to sums of ideals on both bounds, and the bounds are
-monotone in q, so uniqueness and the two inclusions for all cyclic closures
-pin down the sandwich of any join.  The join-compatibility sampler spot
-checks this reduction.
+Each element table has one registry of certified E-normal closures, shared
+by every context (parabolic, sibling) built on it.  It holds the E-orbits
+and the orbit closure cl(r) of each orbit computed so far, and it builds
+every other closure from them:
+
+* While cl(r) grows, each new BFS frontier is checked for an element x
+  whose orbit closure K is already known and contains r.  Then cl(r) = K:
+  K = cl(x) <= cl(r) because cl(r) is E-normal and contains x, and
+  cl(r) <= K because K is E-normal and contains r.  The first closure of
+  each kind runs `normal_closure` to its fixed point.
+* The join of two E-normal subgroups A and B is the plain subgroup they
+  generate, which is again E-normal.  It is grown from A's bitset by B's
+  generators, with no conjugation loop, and checked to be a fixed point of
+  every generator conjugation before it is cached under both bitsets.
+* The closure of a seed set (E(R,q), commutator subgroups) is the join of
+  the orbit closures of the seeds' orbits.
+
+The sandwich classification checks, for one seed per conjugation orbit,
+which ideals q satisfy E(R,q) <= closure <= C(R,q); on a model satisfying
+the main hypotheses exactly one ideal must pass.  Every subgroup normalized
+by the elementary subgroup is the join of the orbit closures of its
+elements, so closing the distinct orbit closures under joins gives the
+whole lattice of E-normal subgroups (`enormal_lattice`), and the sandwich
+can be checked on every member of it directly.
 """
 
 from __future__ import annotations
@@ -68,14 +83,22 @@ class _IncrementalClosure:
 
     The member set stays closed under right multiplication by every
     generator added so far, which certifies it is the generated subgroup.
+    It may start from a subgroup `base` whose gens generate it.  A `stop`
+    hook sees every new BFS frontier; the first subgroup it returns is kept
+    in `found` and ends the growth.
     """
 
-    def __init__(self, table: ElementTable):
+    def __init__(self, table: ElementTable, base: Subgroup | None = None, stop=None):
         self.table = table
-        self.member = np.zeros(table.N, dtype=bool)
-        self.member[table.identity_idx] = True
-        self.gens: list[int] = []
-        self._gen_set: set[int] = set()
+        if base is None:
+            base = Subgroup(table, np.arange(table.N) == table.identity_idx)
+        elif base.order > 1 and not base.gens:
+            raise ValueError("a base subgroup needs its generators")
+        self.member = base.member.copy()
+        self.gens: list[int] = list(base.gens)
+        self._gen_set: set[int] = set(self.gens)
+        self.stop = stop
+        self.found: Subgroup | None = None
 
     def _products(self, frontier: np.ndarray, gen_mats: np.ndarray) -> np.ndarray:
         """New indices reached from the frontier, chunked to bound memory.
@@ -101,19 +124,23 @@ class _IncrementalClosure:
             found.append(new)
         return np.concatenate(found) if found else np.empty(0, dtype=np.int64)
 
+    def _stopped(self, frontier: np.ndarray) -> bool:
+        if self.stop is not None and frontier.size:
+            self.found = self.stop(frontier)
+        return self.found is not None
+
     def _advance(self, frontier: np.ndarray, gen_mats: np.ndarray):
         frontier = self._products(frontier, gen_mats)
         all_gens = self.table.mats[self._all_gen_idx()].astype(np.int64)
-        while frontier.size:
+        while frontier.size and not self._stopped(frontier):
             frontier = self._products(frontier, all_gens)
 
     def _all_gen_idx(self) -> list[int]:
         return sorted(self._gen_set | {int(self.table.inv[i]) for i in self._gen_set})
 
     def add_gens(self, new_idxs) -> None:
-        fresh = sorted(
-            {int(i) for i in new_idxs if int(i) != self.table.identity_idx} - self._gen_set
-        )
+        # members are already generated; skipping them keeps the gens short
+        fresh = sorted({int(i) for i in new_idxs if not self.member[int(i)]})
         if not fresh:
             return
         self.gens.extend(fresh)
@@ -127,26 +154,28 @@ class _IncrementalClosure:
         return Subgroup(self.table, self.member.copy(), list(self.gens))
 
 
-def subgroup_closure(table: ElementTable, seed_idxs) -> Subgroup:
-    """Smallest subgroup containing the seeds."""
-    closure = _IncrementalClosure(table)
+def subgroup_closure(table: ElementTable, seed_idxs, base: Subgroup | None = None) -> Subgroup:
+    """Smallest subgroup containing the seeds (and `base`, a subgroup whose
+    gens generate it)."""
+    closure = _IncrementalClosure(table, base)
     closure.add_gens(seed_idxs)
     return closure.subgroup()
 
 
-def normal_closure(table: ElementTable, seed_idxs, conj_perms=None) -> Subgroup:
-    """Smallest subgroup containing the seeds and stable under the given
-    conjugations (by default, conjugation by every elementary generator).
+def normal_closure(table: ElementTable, seed_idxs, stop=None) -> Subgroup:
+    """Smallest subgroup containing the seeds and stable under conjugation
+    by every elementary generator.
 
     Seeds are absorbed in small batches so the multiplier set stays small;
     the returned bitset is a fixed point of every conjugation permutation,
-    which is checked before returning."""
+    which is checked before returning.  `stop`, if given, is called with
+    every new BFS frontier; a subgroup it returns is returned at once, and
+    the caller is responsible for its certificate."""
     seeds = sorted({int(i) for i in seed_idxs if int(i) != table.identity_idx})
     if not seeds:
         return subgroup_closure(table, [])
-    if conj_perms is None:
-        conj_perms = table.egen_conj_perms()
-    closure = _IncrementalClosure(table)
+    conj_perms = table.egen_conj_perms()
+    closure = _IncrementalClosure(table, stop=stop)
     if len(seeds) <= 4:
         # a couple of conjugates usually make the first closure stable
         first = set(seeds)
@@ -161,7 +190,7 @@ def normal_closure(table: ElementTable, seed_idxs, conj_perms=None) -> Subgroup:
                 continue
             break
         closure.add_gens(sorted(first))
-    while True:
+    while closure.found is None:
         if closure.member.all():
             return closure.subgroup()  # the whole group: stability is vacuous
         missing = [s for s in seeds if not closure.member[s]]
@@ -176,10 +205,15 @@ def normal_closure(table: ElementTable, seed_idxs, conj_perms=None) -> Subgroup:
             if bad.size:
                 added.update(np.unique(bad)[:8].tolist())
         if not added:
-            sub = closure.subgroup()
-            sub.gens = list(closure.gens)
-            return sub
+            return closure.subgroup()
         closure.add_gens(sorted(added))
+    return closure.found
+
+
+def is_enormal(sub: Subgroup) -> bool:
+    """Whether the bitset is a fixed point of every generator conjugation."""
+    s_idx = sub.indices()
+    return all(bool(sub.member[perm[s_idx]].all()) for perm in sub.table.egen_conj_perms())
 
 
 def e_conjugacy_orbits(table: ElementTable) -> np.ndarray:
@@ -252,38 +286,101 @@ class LevelReport:
         }
 
 
+class _ClosureRegistry:
+    """Certified E-normal closures of one element table: its E-orbits, the
+    orbit closure of each orbit computed so far, and the joins built from
+    them.  Every closure here depends on the group only, so every context
+    on the table shares one registry."""
+
+    def __init__(self, table: ElementTable):
+        self.table = table
+        self._orbits: tuple[np.ndarray, list[int]] | None = None
+        self._by_orbit: dict[int, Subgroup] = {}  # orbit id -> cl(rep)
+        self._joins: dict[tuple[bytes, bytes], Subgroup] = {}
+
+    def orbits(self) -> tuple[np.ndarray, list[int]]:
+        if self._orbits is None:
+            orbit = e_conjugacy_orbits(self.table)
+            reps = [int(np.nonzero(orbit == k)[0][0]) for k in range(int(orbit.max()) + 1)]
+            self._orbits = (orbit, reps)
+        return self._orbits
+
+    def orbit_closure(self, idx: int) -> Subgroup:
+        orbit, reps = self.orbits()
+        k = int(orbit[idx])
+        if k not in self._by_orbit:
+            rep = reps[k]
+            self._by_orbit[k] = normal_closure(self.table, [rep], stop=self._known_closure(rep))
+        return self._by_orbit[k]
+
+    def _known_closure(self, rep: int):
+        """Stop hook for cl(rep): the known closure K of a frontier element's
+        orbit, if K contains rep; then K = cl(rep) (see the module notes)."""
+        orbit, reps = self.orbits()
+        hit = np.zeros(len(reps), dtype=bool)
+        for k, closure in self._by_orbit.items():
+            hit[k] = closure.member[rep]
+        if not hit.any():
+            return None
+
+        def stop(frontier: np.ndarray) -> Subgroup | None:
+            ks = orbit[frontier]
+            ks = ks[hit[ks]]
+            return self._by_orbit[int(ks[0])] if ks.size else None
+
+        return stop
+
+    def join(self, a: Subgroup, b: Subgroup) -> Subgroup:
+        """The subgroup generated by two E-normal subgroups, itself E-normal."""
+        if b.issubset(a):
+            return a
+        if a.issubset(b):
+            return b
+        key = tuple(sorted((a.key(), b.key())))
+        if key not in self._joins:
+            joined = subgroup_closure(self.table, b.gens, base=a)
+            if not is_enormal(joined):
+                raise RuntimeError("join of E-normal subgroups is not E-normal")
+            self._joins[key] = joined
+        return self._joins[key]
+
+
 _CONTEXTS: dict[tuple, "GroupContext"] = {}
-_TABLES: dict[tuple, ElementTable] = {}
+_REGISTRIES: dict[tuple, _ClosureRegistry] = {}
 
 
-def _shared_table(model: GroupModel, cap: int) -> ElementTable:
-    # the table does not depend on the parabolic, only on the group
+def _shared_registry(model: GroupModel, cap: int) -> _ClosureRegistry:
+    # the table and its closures do not depend on the parabolic, only on the group
     key = (model.kind, model.degree, model.m, cap)
-    if key not in _TABLES:
-        _TABLES[key] = ElementTable(model, cap)
-    return _TABLES[key]
+    if key not in _REGISTRIES:
+        _REGISTRIES[key] = _ClosureRegistry(ElementTable(model, cap))
+    return _REGISTRIES[key]
 
 
 def get_context(model: GroupModel, cap: int = DEFAULT_CAP) -> "GroupContext":
     key = (model, cap)
     if key not in _CONTEXTS:
-        _CONTEXTS[key] = GroupContext(model, cap, table=_shared_table(model, cap))
+        _CONTEXTS[key] = GroupContext(model, cap, closures=_shared_registry(model, cap))
     return _CONTEXTS[key]
 
 
 class GroupContext:
-    """A model, its element table, and cached lattice data."""
+    """A model, its element table with the table's closure registry, and
+    cached lattice data of the model's parabolic."""
 
-    def __init__(self, model: GroupModel, cap: int = DEFAULT_CAP, table: ElementTable | None = None):
+    def __init__(self, model: GroupModel, cap: int = DEFAULT_CAP,
+                 closures: _ClosureRegistry | None = None):
         self.model = model
         self.cap = cap
-        self.table = table if table is not None else ElementTable(model, cap)
+        self.closures = closures if closures is not None else _ClosureRegistry(
+            ElementTable(model, cap))
+        self.table = self.closures.table
         self.hypotheses = hypothesis_check(model)
         self._cache: dict = {}
 
     def sibling(self, blocks) -> "GroupContext":
-        """Same group, different parabolic; the element table is shared."""
-        return GroupContext(self.model.with_blocks(blocks), self.cap, table=self.table)
+        """Same group, different parabolic; table and closures are shared."""
+        return GroupContext(self.model.with_blocks(blocks), self.cap, closures=self.closures)
 
     @property
     def ideals(self) -> list[ZmIdeal]:
@@ -380,20 +477,32 @@ class GroupContext:
                 for v in self.model.v_tuples(alpha, q):
                     if any(v):
                         seeds.append(int(self.table.lookup_one(self.model.x(alpha, v))))
-            return normal_closure(self.table, seeds)
+            return self.closure_of(seeds)
 
         return self._memo(("relative_elementary", self.model.blocks, q.d), build)
 
+    def sandwich_ideals(self, sub: Subgroup) -> list[int]:
+        """Generators d of the ideals q with E(R,q) <= sub <= C(R,q)."""
+        return [q.d for q in self.ideals
+                if self.relative_elementary(q).issubset(sub)
+                and sub.issubset(self.full_congruence(q))]
+
     def orbits(self) -> tuple[np.ndarray, list[int]]:
-        def build():
-            orbit = e_conjugacy_orbits(self.table)
-            reps = [int(np.nonzero(orbit == k)[0][0]) for k in range(int(orbit.max()) + 1)]
-            return orbit, reps
+        return self.closures.orbits()
 
-        return self._memo("orbits", build)
+    def orbit_closure(self, idx: int) -> Subgroup:
+        """cl(idx), the same subgroup for every element of an E-orbit."""
+        return self.closures.orbit_closure(idx)
 
-    def orbit_closure(self, rep: int) -> Subgroup:
-        return self._memo(("orbit_closure", int(rep)), lambda: normal_closure(self.table, [rep]))
+    def closure_of(self, seeds) -> Subgroup:
+        """Normal closure in E of the seeds: the join of the orbit closures
+        of their orbits, largest first."""
+        orbit, reps = self.orbits()
+        closures = [self.orbit_closure(reps[k]) for k in sorted({int(orbit[s]) for s in seeds})]
+        sub = subgroup_closure(self.table, [])
+        for closure in sorted(closures, key=lambda c: -c.order):
+            sub = self.closures.join(sub, closure)
+        return sub
 
     def commutator_subgroup(self, x_gens, y_gens) -> Subgroup:
         """[X, Y] for subgroups normal in the group, from generating sets or
@@ -405,7 +514,7 @@ class GroupContext:
             for b in y_gens:
                 c = calculus.commutator(self.table.mat(int(a)), self.table.mat(int(b)), self.model)
                 seeds.add(int(self.table.lookup_one(c)))
-        return normal_closure(self.table, seeds)
+        return self.closure_of(seeds)
 
     def _as_gens(self, obj) -> list[int]:
         if isinstance(obj, Subgroup):
@@ -417,20 +526,14 @@ class GroupContext:
 
 def sandwich_classify(ctx: GroupContext, strict: bool = True) -> list[SandwichResult]:
     orbit, reps = ctx.orbits()
-    lower = {q.d: ctx.relative_elementary(q) for q in ctx.ideals}
-    upper = {q.d: ctx.full_congruence(q) for q in ctx.ideals}
     results = []
     for rep in reps:
         sub = ctx.orbit_closure(rep)
-        admissible = [
-            q.d for q in ctx.ideals
-            if lower[q.d].issubset(sub) and sub.issubset(upper[q.d])
-        ]
         res = SandwichResult(
             seed_index=rep,
             orbit_size=int((orbit == orbit[rep]).sum()),
             closure_order=sub.order,
-            admissible=admissible,
+            admissible=ctx.sandwich_ideals(sub),
         )
         results.append(res)
         if strict and res.verdict != "unique":
@@ -442,13 +545,37 @@ def sandwich_classify(ctx: GroupContext, strict: bool = True) -> list[SandwichRe
     return results
 
 
+def enormal_lattice(ctx: GroupContext) -> list[tuple[Subgroup, list[int]]]:
+    """Every subgroup normalized by E, smallest first, with the ideals whose
+    sandwich holds it.
+
+    Every E-normal subgroup is the join of the orbit closures of its
+    elements, so closing the distinct orbit closures under joins until
+    nothing new appears gives the whole lattice."""
+    _, reps = ctx.orbits()
+    members: dict[bytes, Subgroup] = {}
+    for rep in reps:
+        sub = ctx.orbit_closure(rep)
+        members.setdefault(sub.key(), sub)
+    frontier = list(members.values())
+    while frontier:
+        new = []
+        for a in frontier:
+            for b in list(members.values()):
+                joined = ctx.closures.join(a, b)
+                if joined.key() not in members:
+                    members[joined.key()] = joined
+                    new.append(joined)
+        frontier = new
+    ordered = sorted(members.values(), key=lambda sub: sub.order)
+    return [(sub, ctx.sandwich_ideals(sub)) for sub in ordered]
+
+
 def verify_level_theorem(ctx: GroupContext, sub: Subgroup, q: ZmIdeal,
                          seed_index: int = -1, strict: bool = True) -> LevelReport:
     """H cap X_alpha(V_alpha) = X_alpha(q V_alpha) for every relative root."""
-    s_idx = sub.indices()
-    for perm in ctx.table.egen_conj_perms():
-        if not sub.member[perm[s_idx]].all():
-            raise ValueError("subgroup is not normalized by the elementary subgroup")
+    if not is_enormal(sub):
+        raise ValueError("subgroup is not normalized by the elementary subgroup")
     per_root = []
     equal = True
     for alpha, (vs, idxs) in ctx.root_element_indices().items():
@@ -519,9 +646,7 @@ def verify_structure_theorems(ctx: GroupContext, strict: bool = True) -> dict:
     stabilization of [H, E] for every orbit-seeded H."""
     table = ctx.table
     e_sub = ctx.elementary()
-    perms = table.egen_conj_perms()
-    e_idx = e_sub.indices()
-    e_normal = all(bool(e_sub.member[perm[e_idx]].all()) for perm in perms)
+    e_normal = is_enormal(e_sub)
 
     cent_e = ctx.centralizer(e_sub) if e_sub.order < table.N else ctx.center()
     scheme = {int(table.lookup_one(z)) for z in scheme_center_elements(ctx.model)}
@@ -644,26 +769,17 @@ def _is_prime(m: int) -> bool:
 
 def join_compatibility(ctx: GroupContext, pairs: int, rng, strict: bool = True) -> dict:
     """level(<g, g'>^E) = level(g) + level(g') on sampled pairs."""
-    orbit, reps = ctx.orbits()
-    lower = {q.d: ctx.relative_elementary(q) for q in ctx.ideals}
-    upper = {q.d: ctx.full_congruence(q) for q in ctx.ideals}
 
     def level_of(sub: Subgroup) -> int | None:
-        adm = [q.d for q in ctx.ideals
-               if lower[q.d].issubset(sub) and sub.issubset(upper[q.d])]
+        adm = ctx.sandwich_ideals(sub)
         return adm[0] if len(adm) == 1 else None
 
-    rep_levels = {rep: level_of(ctx.orbit_closure(rep)) for rep in reps}
     checked, mismatches = 0, []
-    join_cache: dict[tuple[int, int], int | None] = {}
     for _ in range(pairs):
         g = rng.randrange(ctx.table.N)
         h = rng.randrange(ctx.table.N)
-        ra, rb = reps[orbit[g]], reps[orbit[h]]
-        key = (min(ra, rb), max(ra, rb))
-        if key not in join_cache:
-            join_cache[key] = level_of(normal_closure(ctx.table, [ra, rb]))
-        la, lb, lj = rep_levels[ra], rep_levels[rb], join_cache[key]
+        a, b = ctx.orbit_closure(g), ctx.orbit_closure(h)
+        la, lb, lj = level_of(a), level_of(b), level_of(ctx.closures.join(a, b))
         checked += 1
         if None in (la, lb, lj) or math.gcd(la, lb) != lj:
             mismatches.append({"g": g, "h": h, "levels": [la, lb, lj]})

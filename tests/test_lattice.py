@@ -253,3 +253,73 @@ def test_centralizer_beta_needs_rank_two():
 def test_gauss_brute_force(sl3_2, sl3_3):
     assert lattice.gauss_brute_force_agrees(sl3_2)
     assert lattice.gauss_brute_force_agrees(sl3_3)
+
+
+def test_enormal_lattice_sl3_4(sl3_4):
+    members = lattice.enormal_lattice(sl3_4)
+    assert [sub.order for sub, _ in members] == [1, 256, 43008]
+    assert all(len(adm) == 1 for _, adm in members)
+    level = {sub.key(): adm[0] for sub, adm in members}
+    for a, (la,) in members:
+        for b, (lb,) in members:
+            assert level[sl3_4.closures.join(a, b).key()] == math.gcd(la, lb)
+
+
+def test_enormal_lattice_sp4_2_has_non_unique_member(sp4_2):
+    members = lattice.enormal_lattice(sp4_2)
+    assert all(lattice.is_enormal(sub) for sub, _ in members)
+    assert any(len(adm) != 1 for _, adm in members)
+
+
+@pytest.fixture
+def sl2_6():
+    # Z/6 has incomparable ideals, so joins of orbit closures are not all inclusions
+    return ctx_for("SL", 2, 6, (1, 1))
+
+
+@pytest.fixture(params=["sl3_4", "sp4_2", "sl2_6"])
+def registry_ctx(request):
+    return request.getfixturevalue(request.param)
+
+
+def test_registry_orbit_closures_match_plain_engine(registry_ctx):
+    ctx = registry_ctx
+    for rep in ctx.orbits()[1]:
+        assert ctx.orbit_closure(rep) == lattice.normal_closure(ctx.table, [rep])
+
+
+def test_registry_relative_elementary_matches_plain_engine(registry_ctx):
+    ctx = registry_ctx
+    for q in ctx.ideals:
+        seeds = [ctx.table.lookup_one(ctx.model.x(alpha, v))
+                 for alpha in ctx.model.rel_roots
+                 for v in ctx.model.v_tuples(alpha, q) if any(v)]
+        assert ctx.relative_elementary(q) == lattice.normal_closure(ctx.table, seeds)
+
+
+def test_registry_join_matches_plain_engine(registry_ctx):
+    ctx = registry_ctx
+    reps = {}
+    for rep in ctx.orbits()[1]:
+        reps.setdefault(ctx.orbit_closure(rep).key(), rep)
+    distinct = sorted(reps.values())
+    assert len(distinct) >= 2
+    for i, ra in enumerate(distinct):
+        for rb in distinct[i + 1:]:
+            joined = ctx.closures.join(ctx.orbit_closure(ra), ctx.orbit_closure(rb))
+            assert joined == lattice.normal_closure(ctx.table, [ra, rb])
+
+
+def test_sibling_reuses_orbits_and_closures(sl3_4, monkeypatch):
+    orbits = sl3_4.orbits()
+    closures = {rep: sl3_4.orbit_closure(rep) for rep in orbits[1]}
+
+    def recomputed(*args, **kwargs):
+        raise AssertionError("recomputed on a sibling context")
+
+    monkeypatch.setattr(lattice, "e_conjugacy_orbits", recomputed)
+    monkeypatch.setattr(lattice, "normal_closure", recomputed)
+    sib = sl3_4.sibling((1, 2))
+    assert sib.table is sl3_4.table
+    assert sib.orbits() is orbits
+    assert all(sib.orbit_closure(rep) is sub for rep, sub in closures.items())
