@@ -237,16 +237,14 @@ def e_conjugacy_orbits(table: ElementTable) -> np.ndarray:
 
 def generating_set(table: ElementTable, sub: Subgroup) -> list[int]:
     """A small generating set of a given subgroup, built greedily."""
-    gens: list[int] = []
-    covered = subgroup_closure(table, gens)
+    closure = _IncrementalClosure(table)
     for idx in sub.indices().tolist():
-        if not covered.member[idx]:
-            gens.append(idx)
-            covered = subgroup_closure(table, gens)
-            if covered == sub:
+        if not closure.member[idx]:
+            closure.add_gens([idx])
+            if np.array_equal(closure.member, sub.member):
                 break
-    assert covered == sub
-    return gens
+    assert np.array_equal(closure.member, sub.member)
+    return closure.gens
 
 
 @dataclass
@@ -419,9 +417,7 @@ class GroupContext:
         m = self.model.m
         for g in mats:
             g = np.asarray(g, dtype=np.int64) % m
-            left = np.einsum("kij,jl->kil", all_mats, g) % m
-            right = np.einsum("ij,kjl->kil", g, all_mats) % m
-            member &= (left == right).all(axis=(1, 2))
+            member &= ((all_mats @ g) % m == (g @ all_mats) % m).all(axis=(1, 2))
         return member
 
     def center(self) -> Subgroup:
@@ -507,14 +503,14 @@ class GroupContext:
     def commutator_subgroup(self, x_gens, y_gens) -> Subgroup:
         """[X, Y] for subgroups normal in the group, from generating sets or
         Subgroup values."""
-        x_gens = self._as_gens(x_gens)
-        y_gens = self._as_gens(y_gens)
-        seeds = set()
-        for a in x_gens:
-            for b in y_gens:
-                c = calculus.commutator(self.table.mat(int(a)), self.table.mat(int(b)), self.model)
-                seeds.add(int(self.table.lookup_one(c)))
-        return self.closure_of(seeds)
+        t = self.table
+        x_gens = np.asarray(self._as_gens(x_gens), dtype=np.int64)
+        y_gens = np.asarray(self._as_gens(y_gens), dtype=np.int64)
+        a, b = np.repeat(x_gens, len(y_gens)), np.tile(y_gens, len(x_gens))
+        x, y, xinv, yinv = (t.mats[i].astype(np.int64) for i in (a, b, t.inv[a], t.inv[b]))
+        seeds = t.lookup(xinv @ yinv @ x @ y)  # every [x, y] = x^-1 y^-1 x y at once
+        assert (seeds >= 0).all()
+        return self.closure_of(seeds.tolist())
 
     def _as_gens(self, obj) -> list[int]:
         if isinstance(obj, Subgroup):

@@ -22,7 +22,7 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from . import relroots, rootsys
-from .rings import ZmIdeal, ZmRing, det_int, identity_mat, mat_inverse_mod, mat_mul
+from .rings import ZmIdeal, ZmRing, adjugate_int, det_int, identity_mat, mat_inverse_mod, mat_mul
 
 Vec = tuple[int, ...]
 
@@ -235,19 +235,24 @@ class GroupModel:
         ]
 
     def inverse(self, g: np.ndarray) -> np.ndarray:
+        """Inverse of one group element or of a (..., n, n) stack of them."""
+        g = np.asarray(g, dtype=np.int64)
         if self.kind == "SL":
-            from .rings import adjugate_int
-
             return adjugate_int(g) % self.m  # det = 1
-        return (-SP4_FORM @ g.T.astype(np.int64) @ SP4_FORM) % self.m
+        return (-SP4_FORM @ g.swapaxes(-1, -2) @ SP4_FORM) % self.m
 
     # -- membership ----------------------------------------------------------
 
-    def is_element(self, g: np.ndarray) -> bool:
+    def is_element(self, g: np.ndarray):
+        """Membership of one matrix (a bool) or of a (..., n, n) stack (a
+        bool array)."""
+        g = np.asarray(g, dtype=np.int64)
         if self.kind == "SL":
-            return det_int(g) % self.m == 1
-        lhs = (g.T.astype(np.int64) @ SP4_FORM @ g.astype(np.int64)) % self.m
-        return bool((lhs == SP4_FORM % self.m).all())
+            ok = det_int(g) % self.m == 1
+        else:
+            lhs = (g.swapaxes(-1, -2) @ SP4_FORM @ g) % self.m
+            ok = (lhs == SP4_FORM % self.m).all(axis=(-2, -1))
+        return bool(ok) if g.ndim == 2 else ok
 
     def _block_of(self, idx: int) -> int:
         for b, r in enumerate(self.block_sizes):

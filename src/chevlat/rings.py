@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -104,34 +105,37 @@ def mat_mul(a: np.ndarray, b: np.ndarray, m: int) -> np.ndarray:
     return (a.astype(np.int64) @ b.astype(np.int64)) % m
 
 
-def det_int(mat) -> int:
-    """Exact integer determinant by Laplace expansion (n <= 4 in practice)."""
-    a = [[int(x) for x in row] for row in mat]
-    n = len(a)
+@lru_cache(maxsize=None)
+def _minor_index(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Indices and cofactor signs of the n x n minors: a[..., rows, cols] is
+    the (..., n, n, n-1, n-1) stack of every minor M_ij of a."""
+    keep = np.array([[k for k in range(n) if k != i] for i in range(n)], dtype=np.intp)
+    signs = (-1) ** np.add.outer(np.arange(n), np.arange(n))
+    return keep[:, None, :, None], keep[None, :, None, :], signs
+
+
+def _det(a: np.ndarray) -> np.ndarray:
+    n = a.shape[-1]
     if n == 0:
-        return 1  # empty minor, needed when adjugating a 1x1 matrix
-    if n == 1:
-        return a[0][0]
+        return np.ones(a.shape[:-2], dtype=np.int64)  # empty minor of a 1x1 matrix
     if n == 2:
-        return a[0][0] * a[1][1] - a[0][1] * a[1][0]
-    total = 0
-    for j in range(n):
-        if a[0][j] == 0:
-            continue
-        minor = [row[:j] + row[j + 1:] for row in a[1:]]
-        total += (-1) ** j * a[0][j] * det_int(minor)
-    return total
+        return a[..., 0, 0] * a[..., 1, 1] - a[..., 0, 1] * a[..., 1, 0]
+    rows, cols, signs = _minor_index(n)
+    return (signs[0] * a[..., 0, :] * _det(a[..., rows[0], cols[0]])).sum(axis=-1)
+
+
+def det_int(mat):
+    """Exact integer determinant of one matrix (an int) or of a (..., n, n)
+    stack (an int64 array), by Laplace expansion along the first row."""
+    d = _det(np.asarray(mat, dtype=np.int64))
+    return int(d) if d.ndim == 0 else d
 
 
 def adjugate_int(mat) -> np.ndarray:
+    """Exact integer adjugate of one matrix or of a (..., n, n) stack."""
     a = np.asarray(mat, dtype=np.int64)
-    n = a.shape[0]
-    adj = np.zeros((n, n), dtype=np.int64)
-    for i in range(n):
-        for j in range(n):
-            minor = np.delete(np.delete(a, i, axis=0), j, axis=1)
-            adj[j, i] = (-1) ** (i + j) * det_int(minor)
-    return adj
+    rows, cols, signs = _minor_index(a.shape[-1])
+    return (signs * _det(a[..., rows, cols])).swapaxes(-1, -2)
 
 
 def scalar_inverse(a: int, m: int) -> int | None:
@@ -141,10 +145,12 @@ def scalar_inverse(a: int, m: int) -> int | None:
         return None
 
 
-def mat_inverse_mod(mat: np.ndarray, m: int) -> np.ndarray | None:
-    """Inverse mod m via the adjugate; None when the determinant is not a unit."""
-    d = det_int(mat) % m
-    dinv = scalar_inverse(d, m)
-    if dinv is None:
+def mat_inverse_mod(mat, m: int) -> np.ndarray | None:
+    """Inverse mod m of one matrix or of a (..., n, n) stack, via the
+    adjugate; None when a determinant is not a unit."""
+    a = np.asarray(mat, dtype=np.int64)
+    unit_inv = np.array([scalar_inverse(x, m) or 0 for x in range(m)], dtype=np.int64)
+    dinv = unit_inv[_det(a) % m]  # 0 marks a non-unit
+    if not dinv.all():
         return None
-    return (adjugate_int(mat) * dinv) % m
+    return (adjugate_int(a) * dinv[..., None, None]) % m

@@ -13,10 +13,11 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import SizeCapError
-from .models import SP4_FORM, GroupModel, order_formula
+from .models import GroupModel, order_formula
 
 DEFAULT_CAP = 2_000_000
 _SCAN_LIMIT = 400_000  # m**(n*n) bound for the brute-force predicate scan
+_CHUNK = 8192  # matrices per kernel call; bounds the minor stacks of a 4x4 adjugate to ~25 MiB
 
 
 class ElementTable:
@@ -84,29 +85,15 @@ class ElementTable:
 
     def _predicate_scan(self) -> np.ndarray:
         n, m = self.n, self.m
-        total = m ** (n * n)
-        nums = np.arange(total, dtype=np.int64)
-        digits = np.empty((total, n * n), dtype=np.int64)
-        for t in range(n * n):
-            digits[:, t] = (nums // m**t) % m
-        mats = digits.reshape(total, n, n)
-        if self.model.kind == "SL":
-            good = _batch_det(mats, m) == 1
-        else:
-            lhs = np.einsum("kji,jl,klo->kio", mats, SP4_FORM % m, mats) % m
-            good = (lhs == SP4_FORM % m).all(axis=(1, 2))
-        return nums[good]
+        nums = np.arange(m ** (n * n), dtype=np.int64)
+        good = [self.model.is_element((c[:, None] // self._powers % m).reshape(-1, n, n))
+                for c in _chunks(nums)]
+        return nums[np.concatenate(good)]
 
     def _all_inverses(self) -> np.ndarray:
-        mats = self.mats.astype(np.int64)
-        if self.model.kind == "SL":
-            inv_mats = _batch_adjugate(mats, self.m)  # det = 1
-        else:
-            F = SP4_FORM.astype(np.int64)
-            inv_mats = np.einsum("ij,klj,lo->kio", -F, mats, F) % self.m
-        idx = self.lookup(inv_mats)
+        idx = np.concatenate([self.lookup(self.model.inverse(c)) for c in _chunks(self.mats)])
         assert (idx >= 0).all()
-        return idx.astype(np.int64)
+        return idx
 
     # -- lookup ---------------------------------------------------------------
 
@@ -142,53 +129,14 @@ class ElementTable:
         if gen_idx not in self._conj_perms:
             g = self.mat(gen_idx)
             ginv = self.mat(int(self.inv[gen_idx]))
-            mats = self.mats.astype(np.int64)
-            conj = np.einsum("ij,kjl,lo->kio", ginv, mats, g) % self.m
-            perm = self.lookup(conj)
+            perm = self.lookup(ginv @ self.mats.astype(np.int64) @ g)
             assert (perm >= 0).all()
-            self._conj_perms[gen_idx] = perm.astype(np.int64)
+            self._conj_perms[gen_idx] = perm
         return self._conj_perms[gen_idx]
 
     def egen_conj_perms(self) -> list[np.ndarray]:
         return [self.conj_perm(i) for i in self.gen_idxs.tolist()]
 
 
-def _batch_det(mats: np.ndarray, m: int) -> np.ndarray:
-    n = mats.shape[1]
-    a = mats.astype(np.int64)
-    if n == 2:
-        d = a[:, 0, 0] * a[:, 1, 1] - a[:, 0, 1] * a[:, 1, 0]
-    elif n == 3:
-        d = (
-            a[:, 0, 0] * (a[:, 1, 1] * a[:, 2, 2] - a[:, 1, 2] * a[:, 2, 1])
-            - a[:, 0, 1] * (a[:, 1, 0] * a[:, 2, 2] - a[:, 1, 2] * a[:, 2, 0])
-            + a[:, 0, 2] * (a[:, 1, 0] * a[:, 2, 1] - a[:, 1, 1] * a[:, 2, 0])
-        )
-    elif n == 4:
-        d = np.zeros(len(a), dtype=np.int64)
-        cols = [0, 1, 2, 3]
-        for j in range(4):
-            rest = [c for c in cols if c != j]
-            minor = a[:, 1:, :][:, :, rest]
-            d += (-1) ** j * a[:, 0, j] * _batch_det(minor, m)
-        d %= m
-        return d
-    else:
-        raise NotImplementedError(n)
-    return d % m
-
-
-def _batch_adjugate(mats: np.ndarray, m: int) -> np.ndarray:
-    n = mats.shape[1]
-    a = mats.astype(np.int64)
-    adj = np.zeros_like(a)
-    rows = list(range(n))
-    for i in range(n):
-        for j in range(n):
-            rr = [r for r in rows if r != i]
-            cc = [c for c in rows if c != j]
-            minor = a[:, rr, :][:, :, cc]
-            adj[:, j, i] = (-1) ** (i + j) * (
-                _batch_det(minor, m) if n > 2 else minor[:, 0, 0]
-            )
-    return adj % m
+def _chunks(a: np.ndarray) -> list[np.ndarray]:
+    return np.split(a, range(_CHUNK, len(a), _CHUNK))

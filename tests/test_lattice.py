@@ -124,6 +124,13 @@ def test_commutator_subgroup(sl3_2, sp4_2):
     assert trivial.order == 1
 
 
+def test_generating_set_generates_congruence_subgroup(sl3_4):
+    sub = sl3_4.congruence(ideal(sl3_4, 2))
+    gens = lattice.generating_set(sl3_4.table, sub)
+    assert gens and all(g in sub for g in gens)
+    assert lattice.subgroup_closure(sl3_4.table, gens) == sub
+
+
 def test_sandwich_classify_sl3_4(sl3_4):
     results = lattice.sandwich_classify(sl3_4)
     assert all(r.verdict == "unique" for r in results)

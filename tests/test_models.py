@@ -209,3 +209,21 @@ def test_sp4_rel_roots_by_parabolic():
     assert sp(3, "line").v_dim((1,)) == 2
     assert sp(3, "line").v_dim((2,)) == 1
     assert sp(3, "siegel").v_dim((1,)) == 3
+
+
+def test_inverse_and_membership_on_stacks(sl3_4, sp4_3):
+    rng = np.random.default_rng(11)
+    for ctx in (sl3_4, sp4_3):
+        model, t = ctx.model, ctx.table
+        elements = t.mats[rng.integers(0, t.N, size=24)].astype(np.int64)
+        others = rng.integers(0, model.m, size=(24, model.n, model.n))
+        stack = np.stack([elements, others])  # a (2, 24, n, n) stack
+        member = model.is_element(stack)
+        assert member.shape == (2, 24) and member[0].all()
+        assert member.tolist() == [[model.is_element(g) for g in row] for row in stack]
+        assert all(type(model.is_element(g)) is bool for g in others)
+        inv = model.inverse(elements)
+        for g, gi in zip(elements, inv):
+            assert (gi == model.inverse(g)).all()
+            assert ((g @ gi) % model.m == np.eye(model.n, dtype=np.int64)).all()
+        assert (model.inverse(stack[None])[0, 0] == inv).all()

@@ -75,10 +75,14 @@ def det_by_permutations(mat):
 @settings(max_examples=120)
 @given(st.integers(2, 4), st.data())
 def test_det_matches_leibniz(n, data):
-    mat = [
-        [data.draw(st.integers(-5, 5)) for _ in range(n)] for _ in range(n)
-    ]
+    mat, other = (
+        [[data.draw(st.integers(-5, 5)) for _ in range(n)] for _ in range(n)]
+        for _ in range(2)
+    )
     assert det_int(mat) == det_by_permutations(mat)
+    stacked = det_int([[mat], [other]])  # a (2, 1, n, n) stack
+    assert stacked.shape == (2, 1)
+    assert stacked[:, 0].tolist() == [det_by_permutations(mat), det_by_permutations(other)]
 
 
 @settings(max_examples=80)
@@ -90,6 +94,10 @@ def test_adjugate_identity(n, data):
     )
     adj = adjugate_int(mat)
     assert (mat @ adj == det_int(mat) * np.eye(n, dtype=np.int64)).all()
+    stack = np.stack([mat, mat.T, -mat])
+    adjs = adjugate_int(stack)
+    assert (adjs[0] == adj).all() and (adjs[1] == adj.T).all()
+    assert (stack @ adjs == det_int(stack)[:, None, None] * np.eye(n, dtype=np.int64)).all()
 
 
 @settings(max_examples=60)
@@ -101,10 +109,14 @@ def test_matrix_inverse_mod(m, data):
     )
     inv = mat_inverse_mod(mat, m)
     unit = scalar_inverse(det_int(mat), m) is not None
+    stack = np.stack([np.eye(3, dtype=np.int64), mat, mat.T])
+    invs = mat_inverse_mod(stack, m)
     if not unit:
-        assert inv is None
+        assert inv is None and invs is None
     else:
         assert ((mat @ inv) % m == np.eye(3, dtype=np.int64)).all()
+        assert (invs[1] == inv).all() and (invs[2] == inv.T).all()
+        assert ((stack @ invs) % m == np.eye(3, dtype=np.int64)).all()
 
 
 def test_modulus_one_rejected():
