@@ -108,6 +108,7 @@ def _multiple_cone(model: GroupModel, alpha: Vec) -> tuple[Vec, ...]:
     return tuple(out)
 
 
+@lru_cache(maxsize=None)
 def _pair_cone(model: GroupModel, alpha: Vec, beta: Vec) -> tuple[Vec, ...]:
     out = set()
     for i in range(1, 7):
@@ -118,6 +119,7 @@ def _pair_cone(model: GroupModel, alpha: Vec, beta: Vec) -> tuple[Vec, ...]:
     return tuple(canonical_root_order(out))
 
 
+@lru_cache(maxsize=None)
 def opposed_multiples(alpha: Vec, beta: Vec) -> bool:
     """True when m*alpha = -k*beta for some positive m, k."""
     for i in range(1, 5):
@@ -128,20 +130,42 @@ def opposed_multiples(alpha: Vec, beta: Vec) -> bool:
 
 
 def commutator(x: np.ndarray, y: np.ndarray, model: GroupModel) -> np.ndarray:
+    """[x, y] = x^-1 y^-1 x y of two elements or of two (..., n, n) stacks."""
     m = model.m
     return mat_mul(
         mat_mul(model.inverse(x), model.inverse(y), m), mat_mul(x, y, m), m
     )
 
 
-def commutator_identity_check(model: GroupModel, x, y, z) -> bool:
-    """[x, yz]^(z^-1) = [z^-1, x] [x, y], an identity in any group."""
+def commutator_identity_check(model: GroupModel, x, y, z):
+    """[x, yz]^(z^-1) = [z^-1, x] [x, y], an identity in any group.
+
+    x, y, z are elements (a bool result) or (k, n, n) stacks (a bool array,
+    one verdict per triple)."""
     m = model.m
     zinv = model.inverse(z)
     lhs = commutator(x, mat_mul(y, z, m), model)
     lhs = mat_mul(mat_mul(z, lhs, m), zinv, m)  # conjugation by z^-1
     rhs = mat_mul(commutator(zinv, x, model), commutator(x, y, model), m)
-    return bool((lhs == rhs).all())
+    ok = (lhs == rhs).all(axis=(-2, -1))
+    return bool(ok) if ok.ndim == 0 else ok
+
+
+def sampled_identity_check(model: GroupModel, mats, count: int, rng) -> bool:
+    """commutator_identity_check on `count` triples (x, y, z) drawn from mats
+    with rng.randrange, x, y, z in turn, all checked as one stack.  rng is
+    left as a triple-by-triple check stopping at the first failure leaves it."""
+    mats = np.stack(mats)
+    state = rng.getstate()
+    drawn = mats[[rng.randrange(len(mats)) for _ in range(3 * count)]]
+    triples = drawn.reshape(count, 3, *mats.shape[1:])
+    held = commutator_identity_check(model, triples[:, 0], triples[:, 1], triples[:, 2])
+    if held.all():
+        return True
+    rng.setstate(state)
+    for _ in range(3 * (int(np.argmin(held)) + 1)):
+        rng.randrange(len(mats))
+    return False
 
 
 def chevalley_commutator_decompose(
@@ -298,8 +322,11 @@ def lemma_const_check(model: GroupModel, alpha: Vec, beta: Vec) -> bool:
     return _additive_closure(values, model.v_dim(target), m) == m ** model.v_dim(target)
 
 
+@lru_cache(maxsize=None)
 def cone_degrees(model: GroupModel, alpha: Vec, beta: Vec) -> dict[Vec, tuple[int, int]]:
-    """Roots i*alpha + j*beta whose (i, j) representation is unique."""
+    """Roots i*alpha + j*beta whose (i, j) representation is unique.
+
+    Cached: every caller shares the returned dict, which must not be changed."""
     reps: dict[Vec, list[tuple[int, int]]] = {}
     for gamma in _pair_cone(model, alpha, beta):
         for i in range(1, 7):
@@ -309,41 +336,83 @@ def cone_degrees(model: GroupModel, alpha: Vec, beta: Vec) -> dict[Vec, tuple[in
     return {g: ij[0] for g, ij in reps.items() if len(ij) == 1}
 
 
+@lru_cache(maxsize=None)
+def _root_elements(model: GroupModel, alpha: Vec) -> np.ndarray:
+    """X_alpha(v) for every v of V_alpha, indexed by v read as a base-m number."""
+    return np.stack([model.x(alpha, v) for v in model.v_tuples(alpha)])
+
+
+def _x_stack(model: GroupModel, alpha: Vec, vs: np.ndarray) -> np.ndarray:
+    """X_alpha(v) for a (..., d) array of values v, entries in [0, m)."""
+    digits = model.m ** np.arange(vs.shape[-1] - 1, -1, -1, dtype=np.int64)
+    return _root_elements(model, alpha)[vs @ digits]
+
+
+def _check_homogeneity_sample(model, cone, degrees, u, v, left, right):
+    """The degree comparisons of one sample, in the order of a scalar loop:
+    the base decomposition, then for each r the two scaled decompositions
+    and their comparisons.  left[r] and right[r] are the chart components of
+    [X_alpha(r u), X_beta(v)] and [X_alpha(u), X_beta(r v)], None where the
+    commutator is off the chart; r = 1 gives the base."""
+    m = model.m
+    lost = ("commutator left the expected unipotent group" if cone
+            else "commutator is not trivial over an empty cone")
+    if left[1] is None:
+        raise RuntimeError(lost)
+    base = dict(zip(cone, left[1]))
+    for r in range(m):
+        if left[r] is None or right[r] is None:
+            raise RuntimeError(lost)
+        got = dict(zip(cone, left[r])), dict(zip(cone, right[r]))
+        for gamma, (i, j) in degrees.items():
+            zero = (0,) * model.v_dim(gamma)
+            base_val = base.get(gamma, zero)
+            for side, arg, deg in ((0, "first", i), (1, "second", j)):
+                if got[side].get(gamma, zero) != _scale(pow(r, deg, m), base_val, m):
+                    raise TheoremViolation(
+                        "eq. (eq:Chev)",
+                        f"{arg}-argument degree {deg} fails at {gamma} on {model.name()}",
+                        witness={"u": u, "v": v, "r": r},
+                    )
+
+
 def check_chevalley_homogeneity(
     model: GroupModel, alpha: Vec, beta: Vec, samples: int, rng
 ) -> int:
     """Scaling u by r multiplies the (i,j) component by r^i, and scaling v
     by r multiplies it by r^j; checked for every r in Z/m on sampled (u, v).
+
+    The commutators [X_alpha(r u), X_beta(v)] and [X_alpha(u), X_beta(r v)]
+    of every sample and every r are formed as one stack.  On a failure at
+    sample k, rng is left as a sample-by-sample loop leaves it: after
+    drawing k+1 samples.
     """
-    m = model.m
+    if not (model.is_rel_root(alpha) and model.is_rel_root(beta)):
+        raise ValueError("alpha and beta must be relative roots")
+    if opposed_multiples(alpha, beta):
+        raise ValueError("opposite multiples are excluded")
+    m, n = model.m, model.degree
     degrees = cone_degrees(model, alpha, beta)
-    checked = 0
     da, db = model.v_dim(alpha), model.v_dim(beta)
-    for _ in range(samples):
-        u = tuple(rng.randrange(m) for _ in range(da))
-        v = tuple(rng.randrange(m) for _ in range(db))
-        base = dict(chevalley_commutator_decompose(model, alpha, u, beta, v))
-        for r in range(m):
-            left = dict(
-                chevalley_commutator_decompose(model, alpha, _scale(r, u, m), beta, v)
-            )
-            right = dict(
-                chevalley_commutator_decompose(model, alpha, u, beta, _scale(r, v, m))
-            )
-            for gamma, (i, j) in degrees.items():
-                zero = (0,) * model.v_dim(gamma)
-                base_val = base.get(gamma, zero)
-                if left.get(gamma, zero) != _scale(pow(r, i, m), base_val, m):
-                    raise TheoremViolation(
-                        "eq. (eq:Chev)",
-                        f"first-argument degree {i} fails at {gamma} on {model.name()}",
-                        witness={"u": u, "v": v, "r": r},
-                    )
-                if right.get(gamma, zero) != _scale(pow(r, j, m), base_val, m):
-                    raise TheoremViolation(
-                        "eq. (eq:Chev)",
-                        f"second-argument degree {j} fails at {gamma} on {model.name()}",
-                        witness={"u": u, "v": v, "r": r},
-                    )
-            checked += 1
-    return checked
+    state = rng.getstate()
+    drawn = [rng.randrange(m) for _ in range(samples * (da + db))]
+    uv = np.array(drawn, dtype=np.int64).reshape(samples, da + db)
+    scale = np.arange(m, dtype=np.int64)[None, :, None]
+    xa = _x_stack(model, alpha, scale * uv[:, None, :da] % m)  # (samples, m, n, n)
+    xb = _x_stack(model, beta, scale * uv[:, None, da:] % m)
+    x = np.concatenate([xa, np.broadcast_to(xa[:, 1:2], xa.shape)], axis=1)
+    y = np.concatenate([np.broadcast_to(xb[:, 1:2], xb.shape), xb], axis=1)
+    cone = _pair_cone(model, alpha, beta)
+    by_key = chart(model, cone).by_key
+    comps = [by_key.get(tuple(k)) for k in commutator(x, y, model).reshape(-1, n * n).tolist()]
+    for k in range(samples):
+        row, at = drawn[k * (da + db):(k + 1) * (da + db)], 2 * m * k
+        try:
+            _check_homogeneity_sample(model, cone, degrees, tuple(row[:da]), tuple(row[da:]),
+                                      comps[at:at + m], comps[at + m:at + 2 * m])
+        except (RuntimeError, TheoremViolation):
+            rng.setstate(state)
+            for _ in range((k + 1) * (da + db)):
+                rng.randrange(m)
+            raise
+    return samples * m

@@ -205,8 +205,8 @@ def suite_roots(rec: Recorder):
         autos = rootsys.diagram_automorphisms(sys)
         preserve = all(
             rootsys.perm_on_root(p, a) in sys.roots
-            and sys.pairing(rootsys.perm_on_root(p, a), rootsys.perm_on_root(p, b))
-            == sys.pairing(a, b)
+            and sys.pairing2(rootsys.perm_on_root(p, a), rootsys.perm_on_root(p, b))
+            == sys.pairing2(a, b)
             for p in autos
             for a in sys.roots
             for b in sys.simple_roots
@@ -269,14 +269,9 @@ def _group_calculus_checks(rec: Recorder, model: GroupModel, rng, expect: bool):
     )
     rec.add("generators_in_group", "eq. (Xalpha-prod)", gens_ok and sampled, False, model=name)
 
-    ident_ok = True
     mats = [model.x(a, tuple(rng.randrange(model.m) for _ in range(model.v_dim(a))))
             for a in model.rel_roots for _ in range(4)]
-    for _ in range(1000):
-        x, y, z = (mats[rng.randrange(len(mats))] for _ in range(3))
-        if not calculus.commutator_identity_check(model, x, y, z):
-            ident_ok = False
-            break
+    ident_ok = calculus.sampled_identity_check(model, mats, 1000, rng)
     rec.add("commutator_identity", "eq. (xyzz-1)", ident_ok, False, model=name)
 
     hom_ok, hom_checked = True, 0

@@ -42,7 +42,7 @@ from . import calculus
 from .errors import TheoremViolation
 from .models import (
     GroupModel,
-    gauss_cell_membership,
+    gauss_cell_factors,
     hypothesis_check,
     scheme_center_elements,
 )
@@ -421,9 +421,14 @@ class GroupContext:
         return member
 
     def center(self) -> Subgroup:
+        """Common fixed points of the generator conjugations."""
+
         def build():
-            gens = [self.table.mat(int(i)) for i in self.table.gen_idxs]
-            return Subgroup(self.table, self.centralizer_of_mats(gens))
+            fixed = np.arange(self.table.N)
+            member = np.ones(self.table.N, dtype=bool)
+            for perm in self.table.egen_conj_perms():
+                member &= perm == fixed
+            return Subgroup(self.table, member)
 
         return self._memo("center", build)
 
@@ -468,12 +473,11 @@ class GroupContext:
         """Normal closure in E of the q-valued relative root elements."""
 
         def build():
-            seeds = []
-            for alpha in self.model.rel_roots:
-                for v in self.model.v_tuples(alpha, q):
-                    if any(v):
-                        seeds.append(int(self.table.lookup_one(self.model.x(alpha, v))))
-            return self.closure_of(seeds)
+            mats = [self.model.x(alpha, v) for alpha in self.model.rel_roots
+                    for v in self.model.v_tuples(alpha, q) if any(v)]
+            return self.closure_of(
+                _element_indices(self.table, mats, f"a root element with values in {q}").tolist()
+            )
 
         return self._memo(("relative_elementary", self.model.blocks, q.d), build)
 
@@ -645,7 +649,8 @@ def verify_structure_theorems(ctx: GroupContext, strict: bool = True) -> dict:
     e_normal = is_enormal(e_sub)
 
     cent_e = ctx.centralizer(e_sub) if e_sub.order < table.N else ctx.center()
-    scheme = {int(table.lookup_one(z)) for z in scheme_center_elements(ctx.model)}
+    scheme = set(_element_indices(table, scheme_center_elements(ctx.model),
+                                  "a point of the center subscheme").tolist())
     center_match = set(cent_e.indices().tolist()) == scheme
 
     egens = table.gen_idxs.tolist()
@@ -914,19 +919,22 @@ def verify_centralizer_lemmas(ctx: GroupContext, strict: bool = True) -> dict:
 def gauss_brute_force_agrees(ctx: GroupContext) -> bool:
     """Cell membership verdicts against direct enumeration of U L U^-."""
     model = ctx.model
-    m = model.m
+    m, n = model.m, model.degree
     up = calculus.radical_chart(model, negative=False)
     down = calculus.radical_chart(model, negative=True)
-    members = set()
-    for ukey in up.by_key:
-        u = np.array(ukey, dtype=np.int64).reshape(model.degree, model.degree)
-        for l in model.levi_elements():
-            ul = (u @ l) % m
-            for vkey in down.by_key:
-                v = np.array(vkey, dtype=np.int64).reshape(model.degree, model.degree)
-                members.add(int(ctx.table.lookup_one((ul @ v) % m)))
-    for i in range(ctx.table.N):
-        in_cell = gauss_cell_membership(model, ctx.table.mat(i)) is not None
-        if in_cell != (i in members):
-            return False
-    return True
+    u = np.array(list(up.by_key), dtype=np.int64).reshape(-1, 1, 1, n, n)
+    l = np.stack(model.levi_elements())[None, :, None]
+    v = np.array(list(down.by_key), dtype=np.int64).reshape(1, 1, -1, n, n)
+    cell = _element_indices(ctx.table, (u @ l % m) @ v % m, "a product u*l*v of the main cell")
+    members = np.zeros(ctx.table.N, dtype=bool)
+    members[cell] = True
+    return bool((gauss_cell_factors(model, ctx.table.mats)[0] == members).all())
+
+
+def _element_indices(table: ElementTable, mats, what: str) -> np.ndarray:
+    """Table indices of matrices that must be group elements; a RuntimeError
+    naming `what` when one is not."""
+    idx = table.lookup(np.asarray(mats, dtype=np.int64).reshape(-1, table.n, table.n))
+    if (idx < 0).any():
+        raise RuntimeError(f"{table.model.name()}: {what} is not in the element table")
+    return idx

@@ -22,7 +22,9 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from . import relroots, rootsys
-from .rings import ZmIdeal, ZmRing, adjugate_int, det_int, identity_mat, mat_inverse_mod, mat_mul
+from .rings import (
+    ZmIdeal, ZmRing, adjugate_int, det_int, identity_mat, mat_inverse_mod, mat_mul, unit_inverses,
+)
 
 Vec = tuple[int, ...]
 
@@ -331,8 +333,11 @@ class GroupModel:
         return out
 
 
-def gauss_cell_membership(model: GroupModel, g: np.ndarray):
-    """Factor g = u * l * v over the main cell U_P L_P U_{P^-}, or None.
+def gauss_cell_factors(model: GroupModel, mats: np.ndarray):
+    """Main-cell factorization g = u * l * v over U_P L_P U_{P^-} of a
+    (k, n, n) stack: (member, u, l, v), where member[i] says whether g[i]
+    lies in the cell and u[i], l[i], v[i] are its factors when it does
+    (and meaningless when it does not).
 
     Membership is decided by invertibility of the trailing block pivots
     (equivalently of the trailing principal minors); the factorization is
@@ -342,38 +347,44 @@ def gauss_cell_membership(model: GroupModel, g: np.ndarray):
     n = model.degree
     sizes = model.block_sizes
     starts = model._block_starts
-    S = np.array(g, dtype=np.int64) % m
-    u = identity_mat(n)
-    v = identity_mat(n)
-    pivots = []
+    g = np.asarray(mats, dtype=np.int64) % m
+    S = g.copy()
+    u = np.broadcast_to(identity_mat(n), g.shape).copy()
+    v = u.copy()
+    member = np.ones(len(g), dtype=bool)
+    l = np.zeros_like(g)
     for t in range(len(sizes) - 1, 0, -1):
         s, e = starts[t], starts[t] + sizes[t]
-        D = S[s:e, s:e]
-        Dinv = mat_inverse_mod(D, m)
-        if Dinv is None:
-            return None
-        B = S[0:s, s:e]
-        C = S[s:e, 0:s]
-        U = identity_mat(n)
-        U[0:s, s:e] = (B @ Dinv) % m
-        V = identity_mat(n)
-        V[s:e, 0:s] = (Dinv @ C) % m
+        D = S[:, s:e, s:e]
+        dinv = unit_inverses(m)[det_int(D) % m]  # 0 marks a non-unit
+        member &= dinv != 0
+        Dinv = (adjugate_int(D) * dinv[:, None, None]) % m
+        B = S[:, 0:s, s:e]
+        C = S[:, s:e, 0:s]
+        U = np.broadcast_to(identity_mat(n), g.shape).copy()
+        U[:, 0:s, s:e] = (B @ Dinv) % m
+        V = np.broadcast_to(identity_mat(n), g.shape).copy()
+        V[:, s:e, 0:s] = (Dinv @ C) % m
         u = mat_mul(u, U, m)
         v = mat_mul(V, v, m)
-        pivots.append(np.array(D))
-        S[0:s, 0:s] = (S[0:s, 0:s] - B @ Dinv @ C) % m
-    l = np.zeros((n, n), dtype=np.int64)
-    l[0:starts[1], 0:starts[1]] = S[0:starts[1], 0:starts[1]]
-    for t, D in zip(range(len(sizes) - 1, 0, -1), pivots):
-        s, e = starts[t], starts[t] + sizes[t]
-        l[s:e, s:e] = D
-    assert (mat_mul(mat_mul(u, l, m), v, m) == np.array(g) % m).all()
+        l[:, s:e, s:e] = D
+        S[:, 0:s, 0:s] = (S[:, 0:s, 0:s] - B @ Dinv @ C) % m
+    l[:, 0:starts[1], 0:starts[1]] = S[:, 0:starts[1], 0:starts[1]]
+    cell = u[member], l[member], v[member]
+    assert (mat_mul(mat_mul(cell[0], cell[1], m), cell[2], m) == g[member]).all()
     if model.kind == "Sp":
         # the GL-level factors of a symplectic point must land in the group
-        for f in (u, l, v):
-            if not model.is_element(f):
+        for f in cell:
+            if not model.is_element(f).all():
                 raise RuntimeError("Gauss factors left the symplectic group")
-    return u, l, v
+    return member, u, l, v
+
+
+def gauss_cell_membership(model: GroupModel, g: np.ndarray):
+    """Factor one matrix g = u * l * v over the main cell U_P L_P U_{P^-}, or
+    None when g is outside it; see gauss_cell_factors."""
+    member, u, l, v = gauss_cell_factors(model, np.asarray(g)[None, :, :])
+    return (u[0], l[0], v[0]) if member[0] else None
 
 
 @dataclass(frozen=True)

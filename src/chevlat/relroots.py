@@ -173,9 +173,11 @@ def check_adjacent_simple(rel: RelativeRootSystem, a: Coords, b: Coords) -> bool
 def _sigma_direct(rel: RelativeRootSystem, b: Coords, mode: str) -> frozenset[Coords]:
     base = rel.datum.base
     fiber_sum = tuple(sum(col) for col in zip(*rel.fiber(b)))
+    # sign of (mu, fiber_sum) = sign of sum_i mu_i * 2(alpha_i, fiber_sum)
+    form = [base.pairing2(e, fiber_sum) for e in base.simple_roots]
     out = set()
     for a in rel.rel_roots:
-        vals = [base.pairing(mu, fiber_sum) >= 0 for mu in rel.fiber(a)]
+        vals = [sum(x * f for x, f in zip(mu, form)) >= 0 for mu in rel.fiber(a)]
         if (all(vals) if mode == "all" else any(vals)):
             out.add(a)
     return frozenset(out)

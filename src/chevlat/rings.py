@@ -145,12 +145,19 @@ def scalar_inverse(a: int, m: int) -> int | None:
         return None
 
 
+@lru_cache(maxsize=None)
+def unit_inverses(m: int) -> np.ndarray:
+    """Read-only table x -> x^-1 mod m, with 0 where x is not a unit."""
+    table = np.array([scalar_inverse(x, m) or 0 for x in range(m)], dtype=np.int64)
+    table.flags.writeable = False
+    return table
+
+
 def mat_inverse_mod(mat, m: int) -> np.ndarray | None:
     """Inverse mod m of one matrix or of a (..., n, n) stack, via the
     adjugate; None when a determinant is not a unit."""
     a = np.asarray(mat, dtype=np.int64)
-    unit_inv = np.array([scalar_inverse(x, m) or 0 for x in range(m)], dtype=np.int64)
-    dinv = unit_inv[_det(a) % m]  # 0 marks a non-unit
+    dinv = unit_inverses(m)[_det(a) % m]  # 0 marks a non-unit
     if not dinv.all():
         return None
     return (adjugate_int(a) * dinv[..., None, None]) % m

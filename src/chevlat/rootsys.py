@@ -1,10 +1,13 @@
 """Irreducible crystallographic root systems in simple-root coordinates.
 
 A root is an integer coordinate vector over the simple roots (Bourbaki
-numbering).  The geometry lives in an exact rational Gram matrix, so every
-computation here is integer or Fraction arithmetic; there are no floats.
-Reflection data comes straight from the Cartan matrix, which makes root
-generation purely combinatorial.
+numbering).  The geometry lives in the doubled Gram matrix
+2(alpha_i, alpha_j) = C_ij (alpha_j, alpha_j), an integer matrix because the
+squared root lengths are integers (1, 2, 4 or 6), so pairings, Cartan
+integers and sign tests are integer sums.  Only `RootSystem.pairing` builds
+a `Fraction`, once per call, for callers that want (u, v) itself; there
+are no floats.  Reflection data comes straight from the Cartan matrix, which
+makes root generation purely combinatorial.
 """
 
 from __future__ import annotations
@@ -109,7 +112,7 @@ class RootSystem:
     simple_roots: tuple[Coords, ...]
     roots: frozenset[Coords]
     cartan: tuple[tuple[int, ...], ...]
-    gram: tuple[tuple[Fraction, ...], ...] = field(repr=False)
+    gram2: tuple[tuple[int, ...], ...] = field(repr=False)  # doubled Gram, 2(alpha_i, alpha_j)
 
     @property
     def rank(self) -> int:
@@ -118,22 +121,24 @@ class RootSystem:
     def is_simply_laced(self) -> bool:
         return self.rtype.family in "ADE"
 
+    def pairing2(self, u: Coords, v: Coords) -> int:
+        """Doubled scalar product 2(u, v) of two root-lattice vectors, an integer."""
+        total = 0
+        for ui, row in zip(u, self.gram2):
+            if ui:
+                total += ui * sum(g * vj for g, vj in zip(row, v))
+        return total
+
     def pairing(self, u: Coords, v: Coords) -> Fraction:
         """Scalar product (u, v) of two root-lattice vectors."""
-        total = Fraction(0)
-        for i, ui in enumerate(u):
-            if ui:
-                row = self.gram[i]
-                for j, vj in enumerate(v):
-                    if vj:
-                        total += ui * vj * row[j]
-        return total
+        return Fraction(self.pairing2(u, v), 2)
 
     def cartan_int(self, u: Coords, v: Coords) -> int:
         """Cartan integer <u, v^vee> = 2(u,v)/(v,v); v must be a root."""
-        val = 2 * self.pairing(u, v) / self.pairing(v, v)
-        assert val.denominator == 1
-        return int(val)
+        c, rem = divmod(2 * self.pairing2(u, v), self.pairing2(v, v))
+        if rem:
+            raise ValueError(f"<{u}, {v}^vee> is not an integer; is {v} a root?")
+        return c
 
     def reflect(self, u: Coords, beta: Coords) -> Coords:
         """Reflection s_beta(u) = u - <u, beta^vee> beta."""
@@ -158,9 +163,7 @@ def build_root_system(rtype: RootSystemType) -> RootSystem:
     r = rtype.rank
     C, lengths = _cartan_and_lengths(rtype.family, r)
     simple = tuple(tuple(1 if j == i else 0 for j in range(r)) for i in range(r))
-    gram = tuple(
-        tuple(Fraction(C[i][j] * lengths[j], 2) for j in range(r)) for i in range(r)
-    )
+    gram2 = tuple(tuple(C[i][j] * lengths[j] for j in range(r)) for i in range(r))
 
     def pair_sr(u: Coords, j: int) -> int:
         # <u, alpha_j^vee> directly from the Cartan matrix
@@ -190,7 +193,7 @@ def build_root_system(rtype: RootSystemType) -> RootSystem:
         simple_roots=simple,
         roots=frozenset(roots),
         cartan=tuple(tuple(row) for row in C),
-        gram=gram,
+        gram2=gram2,
     )
     return sys
 

@@ -31,14 +31,13 @@ class ElementTable:
 
         self._powers = (self.m ** np.arange(self.n * self.n, dtype=np.int64))
         gen_mats = model.generator_mats()
-        mats, index = self._bfs(gen_mats)
+        mats = self._bfs(gen_mats)
         if len(mats) != expected:
             raise RuntimeError(
                 f"{model.name()}: enumerated {len(mats)} elements, order formula gives {expected}"
             )
         self.N = len(mats)
         self.mats = mats
-        self._index = index
         keys = self.encode(mats)
         self._order = np.argsort(keys).astype(np.int64)
         self._keys_sorted = keys[self._order]
@@ -48,7 +47,7 @@ class ElementTable:
             # direct-address lookup; 0 marks a non-element
             self._dense = np.zeros(keyspace, dtype=np.int32)
             self._dense[keys] = np.arange(self.N, dtype=np.int32) + 1
-        self.identity_idx = int(self.lookup_one(model.identity()))
+        self.identity_idx = 0  # the BFS starts from the identity
         self.gen_idxs = self.lookup(np.stack(gen_mats))
         self.inv = self._all_inverses()
         self._conj_perms: dict[int, np.ndarray] = {}
@@ -63,25 +62,25 @@ class ElementTable:
         flat = mats.reshape(-1, self.n * self.n).astype(np.int64)
         return flat @ self._powers
 
-    def _bfs(self, gen_mats) -> tuple[np.ndarray, dict[int, int]]:
+    def _bfs(self, gen_mats) -> np.ndarray:
+        """Breadth-first enumeration from the identity.  Each level keeps
+        the products not seen before, in order of first occurrence, so an
+        element's index is its position in the scan of frontier x generator
+        products."""
         n, m = self.n, self.m
-        ident = np.eye(n, dtype=np.int64)
-        mats_list = [ident]
-        index = {int(self.encode(ident[None, :, :])[0]): 0}
         gens = np.stack([g % m for g in gen_mats]).astype(np.int64)
-        frontier = ident[None, :, :]
+        frontier = np.eye(n, dtype=np.int64)[None, :, :]
+        levels = [frontier]
+        seen = self.encode(frontier)  # sorted
         while len(frontier):
-            prods = (frontier[:, None, :, :] @ gens[None, :, :, :]) % m
-            prods = prods.reshape(-1, n, n)
-            keys = self.encode(prods)
-            new = []
-            for k, mat in zip(keys.tolist(), prods):
-                if k not in index:
-                    index[k] = len(mats_list)
-                    mats_list.append(mat)
-                    new.append(mat)
-            frontier = np.stack(new) if new else np.empty((0, n, n), dtype=np.int64)
-        return np.stack(mats_list).astype(np.int16), index
+            prods = ((frontier[:, None, :, :] @ gens[None, :, :, :]) % m).reshape(-1, n, n)
+            keys, first = np.unique(self.encode(prods), return_index=True)
+            pos = np.minimum(np.searchsorted(seen, keys), len(seen) - 1)
+            fresh = seen[pos] != keys
+            frontier = prods[np.sort(first[fresh])]
+            levels.append(frontier)
+            seen = np.sort(np.concatenate([seen, keys[fresh]]))
+        return np.concatenate(levels).astype(np.int16)
 
     def _predicate_scan(self) -> np.ndarray:
         n, m = self.n, self.m

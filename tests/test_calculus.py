@@ -227,3 +227,108 @@ def test_cone_degrees():
     model = sp(3, "borel")
     degs = calculus.cone_degrees(model, (1, 0), (0, 1))
     assert degs == {(1, 1): (1, 1), (2, 1): (2, 1)}
+
+
+def _scalar_homogeneity(model, alpha, beta, samples, rng):
+    """Sample-by-sample reference for check_chevalley_homogeneity."""
+    m = model.m
+
+    def scale(r, v):
+        return tuple((r * x) % m for x in v)
+
+    degrees = calculus.cone_degrees(model, alpha, beta)
+    checked = 0
+    da, db = model.v_dim(alpha), model.v_dim(beta)
+    for _ in range(samples):
+        u = tuple(rng.randrange(m) for _ in range(da))
+        v = tuple(rng.randrange(m) for _ in range(db))
+        base = dict(calculus.chevalley_commutator_decompose(model, alpha, u, beta, v))
+        for r in range(m):
+            left = dict(calculus.chevalley_commutator_decompose(model, alpha, scale(r, u), beta, v))
+            right = dict(calculus.chevalley_commutator_decompose(model, alpha, u, beta, scale(r, v)))
+            for gamma, (i, j) in degrees.items():
+                zero = (0,) * model.v_dim(gamma)
+                base_val = base.get(gamma, zero)
+                if left.get(gamma, zero) != scale(pow(r, i, m), base_val):
+                    raise TheoremViolation(
+                        "eq. (eq:Chev)",
+                        f"first-argument degree {i} fails at {gamma} on {model.name()}",
+                        witness={"u": u, "v": v, "r": r},
+                    )
+                if right.get(gamma, zero) != scale(pow(r, j, m), base_val):
+                    raise TheoremViolation(
+                        "eq. (eq:Chev)",
+                        f"second-argument degree {j} fails at {gamma} on {model.name()}",
+                        witness={"u": u, "v": v, "r": r},
+                    )
+            checked += 1
+    return checked
+
+
+def _homogeneity_run(check, model, samples, seed):
+    """Outcome and rng state after each non-opposed pair, one rng throughout."""
+    rng = random.Random(seed)
+    out = []
+    for alpha in model.rel_roots:
+        for beta in model.rel_roots:
+            if calculus.opposed_multiples(alpha, beta):
+                continue
+            try:
+                result = check(model, alpha, beta, samples, rng)
+            except TheoremViolation as exc:
+                result = (str(exc), exc.witness)
+            out.append((alpha, beta, result, rng.getstate()))
+    return out
+
+
+HOMOGENEITY_MODELS = [sl(3, 4), sp(3, "line"), sp(2, "borel")]
+
+
+@pytest.mark.parametrize("model", HOMOGENEITY_MODELS, ids=lambda mo: mo.name())
+def test_stacked_homogeneity_matches_scalar_reference(model):
+    stacked = _homogeneity_run(calculus.check_chevalley_homogeneity, model, 6, 41)
+    assert stacked == _homogeneity_run(_scalar_homogeneity, model, 6, 41)
+    assert all(res == 6 * model.m for _, _, res, _ in stacked)
+
+
+@pytest.mark.parametrize("model", HOMOGENEITY_MODELS, ids=lambda mo: mo.name())
+def test_stacked_homogeneity_failure_matches_scalar_reference(model, monkeypatch):
+    # degree 0 in the first argument claims [X_alpha(0), X_beta(v)] = base,
+    # which fails at the first sample with a nonzero base component
+    true_degrees = calculus.cone_degrees
+    monkeypatch.setattr(calculus, "cone_degrees", lambda model, a, b: {
+        g: (0, j) for g, (i, j) in true_degrees(model, a, b).items()})
+    stacked = _homogeneity_run(calculus.check_chevalley_homogeneity, model, 6, 43)
+    assert stacked == _homogeneity_run(_scalar_homogeneity, model, 6, 43)
+    failures = [res for _, _, res, _ in stacked if isinstance(res, tuple)]
+    assert failures and all("first-argument degree 0 fails" in msg for msg, _ in failures)
+
+
+def test_stacked_identity_check_matches_scalar():
+    rng = np.random.default_rng(11)
+    for model in (sl(3, 4), sp(3, "line")):
+        gens = np.stack(model.all_elementary_generators())
+        # group elements satisfy the identity; random matrices mostly do not
+        pool = np.concatenate([gens, rng.integers(0, model.m, size=(12, model.degree, model.degree))])
+        x, y, z = (pool[rng.integers(0, len(pool), size=200)] for _ in range(3))
+        held = calculus.commutator_identity_check(model, x, y, z)
+        assert held.shape == (200,) and held.dtype == bool
+        assert held.tolist() == [calculus.commutator_identity_check(model, *t) for t in zip(x, y, z)]
+        assert held.any() and not held.all()
+
+
+def test_sampled_identity_check_leaves_rng_like_a_scalar_loop():
+    model = sl(3, 4)
+    elems = model.all_elementary_generators()
+    singular = [np.diag([1, 2, 2]).astype(np.int64)]
+    for mats, expect in ((elems, True), (elems + singular, False)):
+        rng, ref = random.Random(5), random.Random(5)
+        assert calculus.sampled_identity_check(model, mats, 300, rng) is expect
+        ok = True
+        for _ in range(300):
+            x, y, z = (mats[ref.randrange(len(mats))] for _ in range(3))
+            if not calculus.commutator_identity_check(model, x, y, z):
+                ok = False
+                break
+        assert ok is expect
+        assert rng.getstate() == ref.getstate()

@@ -330,3 +330,10 @@ def test_sibling_reuses_orbits_and_closures(sl3_4, monkeypatch):
     assert sib.table is sl3_4.table
     assert sib.orbits() is orbits
     assert all(sib.orbit_closure(rep) is sub for rep, sub in closures.items())
+
+
+def test_element_indices_names_what_is_missing(sl3_2):
+    t = sl3_2.table
+    assert lattice._element_indices(t, [t.mat(5), t.mat(7)], "x").tolist() == [5, 7]
+    with pytest.raises(RuntimeError, match="a singular matrix is not in the element table"):
+        lattice._element_indices(t, [t.mat(5), np.zeros((3, 3))], "a singular matrix")

@@ -4,6 +4,7 @@ import pytest
 from chevlat.models import (
     GroupModel,
     SP4_FORM,
+    gauss_cell_factors,
     gauss_cell_membership,
     hypothesis_check,
     order_formula,
@@ -124,6 +125,22 @@ def test_gauss_cell_roundtrip_random():
                 assert ((u @ l @ v) % model.m == g).all()
                 assert model.in_levi(l)
                 assert model.in_parabolic(u) and model.in_parabolic(v, negative=True)
+
+
+def test_gauss_cell_factors_of_a_stack_match_one_by_one():
+    rng = np.random.default_rng(12)
+    for model in (sl(3, 4), sl(4, 2, (1, 1, 2)), sp(3, "line")):
+        pool = np.stack(model.all_elementary_generators())
+        # products of a few generators; transposed positions mix in non-members
+        stack = pool[rng.integers(len(pool), size=(40, 3))]
+        stack = (stack[:, 0] @ stack[:, 1] @ stack[:, 2]) % model.m
+        member, u, l, v = gauss_cell_factors(model, stack)
+        assert member.any() and not member.all()
+        for i, g in enumerate(stack):
+            fac = gauss_cell_membership(model, g)
+            assert member[i] == (fac is not None)
+            if fac is not None:
+                assert all((a == b).all() for a, b in zip(fac, (u[i], l[i], v[i])))
 
 
 def test_levi_elements_borel_torus():

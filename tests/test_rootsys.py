@@ -169,3 +169,22 @@ def test_invalid_types_rejected():
     for family, rank in [("A", 0), ("B", 1), ("D", 2), ("E", 5), ("E", 9), ("F", 3), ("G", 3), ("H", 2)]:
         with pytest.raises(ValueError):
             RootSystemType(family, rank)
+
+
+def test_integer_pairing_is_twice_the_fraction_pairing():
+    from chevlat.cli import STANDARD_TYPES
+
+    for family, rank in STANDARD_TYPES:
+        sys = build_root_system(RootSystemType(family, rank))
+        # reference: the rational Gram (alpha_i, alpha_j) = C_ij (alpha_j, alpha_j) / 2
+        cartan, lengths = rootsys._cartan_and_lengths(family, rank)
+        gram = [[Fraction(cartan[i][j] * lengths[j], 2) for j in range(rank)]
+                for i in range(rank)]
+        roots = sorted(sys.roots)
+        for b in roots:
+            gram_b = [sum(g * x for g, x in zip(row, b)) for row in gram]
+            for a in roots:
+                expected = sum(x * g for x, g in zip(a, gram_b))
+                assert sys.pairing2(a, b) == 2 * expected
+            for a in sys.simple_roots:
+                assert sys.pairing(a, b) == sum(x * g for x, g in zip(a, gram_b))

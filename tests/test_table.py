@@ -61,3 +61,29 @@ def test_size_cap_names_cap():
         ElementTable(model, cap=100_000)
     assert "100000" in str(err.value)
     assert err.value.needed == 5630688
+
+
+def _scalar_bfs(t):
+    """Element order of a breadth-first scan with one dict lookup per product."""
+    n, m = t.n, t.m
+    gens = np.stack([g % m for g in t.model.generator_mats()]).astype(np.int64)
+    ident = np.eye(n, dtype=np.int64)
+    mats, index = [ident], {int(t.encode(ident[None])[0])}
+    frontier = ident[None]
+    while len(frontier):
+        prods = ((frontier[:, None] @ gens[None]) % m).reshape(-1, n, n)
+        new = []
+        for k, mat in zip(t.encode(prods).tolist(), prods):
+            if k not in index:
+                index.add(k)
+                mats.append(mat)
+                new.append(mat)
+        frontier = np.stack(new) if new else np.empty((0, n, n), dtype=np.int64)
+    return np.stack(mats)
+
+
+def test_bfs_order_matches_scalar_scan(sl3_3, sp4_2):
+    for ctx in (sl3_3, sp4_2):
+        t = ctx.table
+        assert np.array_equal(t.mats, _scalar_bfs(t))
+        assert t.identity_idx == t.lookup_one(ctx.model.identity())
