@@ -168,6 +168,53 @@ def sampled_identity_check(model: GroupModel, mats, count: int, rng) -> bool:
     return False
 
 
+def sampled_homogeneity_check(model: GroupModel, samples: int, rng) -> tuple[bool, int]:
+    """check_chevalley_homogeneity on every pair of relative roots that are
+    not opposed multiples, in the order of model.rel_roots: (ok, samples
+    times scales checked).  A counterexample ends the sweep with ok False."""
+    checked = 0
+    try:
+        for alpha in model.rel_roots:
+            for beta in model.rel_roots:
+                if not opposed_multiples(alpha, beta):
+                    checked += check_chevalley_homogeneity(model, alpha, beta, samples, rng)
+    except TheoremViolation:
+        return False, checked
+    return True, checked
+
+
+def sampled_sum_formula_check(model: GroupModel, samples: int, rng) -> bool:
+    """For `samples` pairs (v, w) per relative root alpha, the product of the
+    sum-formula factors X_alpha(v+w) prod_i X_{i alpha}(h_i) is
+    X_alpha(v) X_alpha(w)."""
+    m = model.m
+    ok = True
+    for alpha in model.rel_roots:
+        d = model.v_dim(alpha)
+        for _ in range(samples):
+            v = tuple(rng.randrange(m) for _ in range(d))
+            w = tuple(rng.randrange(m) for _ in range(d))
+            first, higher = sum_formula_decompose(model, alpha, v, w)
+            g = model.x(alpha, first)
+            for i, val in sorted(higher.items()):
+                g = mat_mul(g, model.x(tuple(i * c for c in alpha), val), m)
+            ok &= bool((g == mat_mul(model.x(alpha, v), model.x(alpha, w), m)).all())
+    return ok
+
+
+def sampled_roundtrip_check(model: GroupModel, samples: int, rng) -> tuple[bool, int]:
+    """Random components over the positive radical, multiplied out and
+    factored back through the radical chart: (ok, radical order)."""
+    ch = radical_chart(model)
+    ok = True
+    for _ in range(samples):
+        comps = tuple(
+            tuple(rng.randrange(model.m) for _ in range(model.v_dim(a))) for a in ch.roots
+        )
+        ok &= ch.components(ch.product(comps)) == comps
+    return ok, len(ch)
+
+
 def chevalley_commutator_decompose(
     model: GroupModel, alpha: Vec, u: Vec, beta: Vec, v: Vec
 ) -> list[tuple[Vec, Vec]]:

@@ -4,7 +4,8 @@ Subcommands select a suite (roots, relroots, group, sandwich, all); the run
 produces a single JSON report with a stable key order, so re-running an
 identical configuration reproduces the report byte for byte apart from the
 timing block.  Exit codes: 0 all asserted checks passed, 1 a theorem-level
-check failed (a counterexample), 2 configuration or size error.
+check failed (a counterexample), 2 configuration or size error, 3 internal
+error (a RuntimeError or AssertionError inside the run; no report is written).
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ from dataclasses import dataclass, field
 
 from . import calculus, lattice, models, relroots, rootsys
 from .errors import ConfigError, SizeCapError, TheoremViolation
-from .models import GroupModel, hypothesis_check
 from .rings import ZmRing
 from .table import DEFAULT_CAP
 
@@ -44,8 +44,8 @@ class ModelSpec:
     blocks: tuple | str
     expect_violation: bool = False
 
-    def build(self) -> GroupModel:
-        return GroupModel(self.kind, self.degree, ZmRing(self.modulus), self.blocks)
+    def build(self) -> models.GroupModel:
+        return models.GroupModel(self.kind, self.degree, ZmRing(self.modulus), self.blocks)
 
 
 @dataclass
@@ -53,7 +53,6 @@ class RunConfig:
     suite: str
     models: list[ModelSpec] = field(default_factory=list)
     cap: int = DEFAULT_CAP
-    jobs: int = 1  # accepted and echoed; closures run in one thread
     out: str | None = None
 
     def validate(self):
@@ -61,8 +60,6 @@ class RunConfig:
             raise ConfigError(f"unknown suite {self.suite!r}; valid: {', '.join(SUITES)}")
         if self.cap < 1:
             raise ConfigError("cap must be positive")
-        if self.jobs < 1:
-            raise ConfigError("jobs must be positive")
         for spec in self.models:
             if spec.modulus < 2:
                 raise ConfigError("modulus must be at least 2")
@@ -117,7 +114,6 @@ def parse_config(data: bytes) -> RunConfig:
     cfg = RunConfig(
         suite=run.get("suite", "all"),
         cap=int(run.get("cap", DEFAULT_CAP)),
-        jobs=int(run.get("jobs", 1)),
         out=run.get("out") or None,
     )
     for section in parser.sections():
@@ -220,12 +216,7 @@ def suite_roots(rec: Recorder):
 
 
 def suite_relroots(rec: Recorder):
-    totals: dict[str, int] = {}
-    for datum in relroots.sweep_data(5):
-        rel = relroots.build_relative(datum)
-        counts = relroots.check_datum(rel)
-        for k, v in counts.items():
-            totals[k] = totals.get(k, 0) + v
+    totals = relroots.sweep_totals(5)
     failures = {k: v for k, v in totals.items() if k.endswith("failed") and v}
     rec.add("relative_lemma_sweep", "Lemma adj-simple-roots",
             not failures, False, witness=_jsonable(totals))
@@ -235,30 +226,14 @@ def suite_relroots(rec: Recorder):
         "Phi union {0}, excluding alpha = -beta, which the half-space "
         "formula also rejects",
     )
-    folds = [
-        (("A", 3), ("C", 2), (2, 1, 0)),
-        (("A", 5), ("C", 3), (4, 3, 2, 1, 0)),
-        (("D", 5), ("B", 4), (0, 1, 2, 4, 3)),
-        (("D", 4), ("G", 2), (2, 1, 3, 0)),
-        (("E", 6), ("F", 4), (5, 1, 4, 3, 2, 0)),
-    ]
-    for (bf, br), (tf, tr), gen in folds:
-        base = rootsys.build_root_system(rootsys.RootSystemType(bf, br))
-        gamma = {tuple(range(br)), gen}
-        while True:
-            new = {rootsys.perm_compose(a, b) for a in gamma for b in gamma}
-            if new <= gamma:
-                break
-            gamma |= new
-        rel = relroots.fold(base, tuple(sorted(gamma)))
-        target = rootsys.build_root_system(rootsys.RootSystemType(tf, tr))
-        ok = relroots.match_coordinates(rel.rel_roots, target) is not None
-        rec.add(f"fold_{bf}{br}_to_{tf}{tr}", "Lemma parab-centr-root", ok, False)
+    for (bf, br), (tf, tr), gen in relroots.FOLDS:
+        rec.add(f"fold_{bf}{br}_to_{tf}{tr}", "Lemma parab-centr-root",
+                relroots.fold_matches((bf, br), (tf, tr), gen), False)
 
 
-def _group_calculus_checks(rec: Recorder, model: GroupModel, rng, expect: bool):
+def _group_calculus_checks(rec: Recorder, model: models.GroupModel, rng, expect: bool):
     name = model.name()
-    hyp = hypothesis_check(model)
+    hyp = models.hypothesis_check(model)
     rec.add("hypotheses", "Theorem main", hyp.main_ok, expect or not hyp.main_ok,
             model=name, witness=hyp.as_dict())
 
@@ -274,36 +249,12 @@ def _group_calculus_checks(rec: Recorder, model: GroupModel, rng, expect: bool):
     ident_ok = calculus.sampled_identity_check(model, mats, 1000, rng)
     rec.add("commutator_identity", "eq. (xyzz-1)", ident_ok, False, model=name)
 
-    hom_ok, hom_checked = True, 0
-    try:
-        for alpha in model.rel_roots:
-            for beta in model.rel_roots:
-                if calculus.opposed_multiples(alpha, beta):
-                    continue
-                hom_checked += calculus.check_chevalley_homogeneity(
-                    model, alpha, beta, samples=8, rng=rng
-                )
-    except TheoremViolation:
-        hom_ok = False
+    hom_ok, hom_checked = calculus.sampled_homogeneity_check(model, 8, rng)
     rec.add("chevalley_homogeneity", "eq. (eq:Chev)", hom_ok, False, model=name,
             witness={"checked": hom_checked})
 
-    sum_ok = True
-    for alpha in model.rel_roots:
-        d = model.v_dim(alpha)
-        for _ in range(32):
-            v = tuple(rng.randrange(model.m) for _ in range(d))
-            w = tuple(rng.randrange(model.m) for _ in range(d))
-            first, higher = calculus.sum_formula_decompose(model, alpha, v, w)
-            # reconstruct the product from the decomposition
-            g = model.x(alpha, first)
-            for i, val in sorted(higher.items()):
-                ia = tuple(i * c for c in alpha)
-                g = (g.astype("int64") @ model.x(ia, val)) % model.m
-            lhs = (model.x(alpha, v).astype("int64") @ model.x(alpha, w)) % model.m
-            if not (g == lhs).all():
-                sum_ok = False
-    rec.add("sum_formula", "eq. (eq:sum)", sum_ok, False, model=name)
+    rec.add("sum_formula", "eq. (eq:sum)", calculus.sampled_sum_formula_check(model, 32, rng),
+            False, model=name)
 
     levi_ok = True
     levis = model.levi_elements()
@@ -322,17 +273,9 @@ def _group_calculus_checks(rec: Recorder, model: GroupModel, rng, expect: bool):
                         levi_ok = False
     rec.add("levi_conjugation", "Lemma rootels (ii)", levi_ok, False, model=name)
 
-    pos = calculus.radical_roots(model)
-    ch = calculus.chart(model, pos)
-    round_ok = True
-    for _ in range(64):
-        comps = tuple(
-            tuple(rng.randrange(model.m) for _ in range(model.v_dim(a))) for a in ch.roots
-        )
-        if ch.components(ch.product(comps)) != comps:
-            round_ok = False
+    round_ok, radical_order = calculus.sampled_roundtrip_check(model, 64, rng)
     rec.add("unipotent_roundtrip", "Lemma rootels (iv)", round_ok, False, model=name,
-            witness={"radical_order": len(ch)})
+            witness={"radical_order": radical_order})
 
     abe_ok, abe_checked = True, 0
     const_ok, const_checked = True, 0
@@ -357,21 +300,8 @@ def _group_calculus_checks(rec: Recorder, model: GroupModel, rng, expect: bool):
     rec.add("leading_values_generate", "Lemma const", const_ok, expect, model=name,
             witness={"checked": const_checked})
 
-    gauss_ok = True
-    ident = model.identity()
-    fac = models.gauss_cell_membership(model, ident)
-    gauss_ok &= fac is not None
-    for _ in range(128):
-        g = ident.copy()
-        for _step in range(4):
-            p = model.generator_positions()[rng.randrange(len(model.generator_positions()))]
-            g = (g @ model.elementary_generator(p, rng.randrange(model.m))) % model.m
-        fac = models.gauss_cell_membership(model, g)
-        if fac is not None:
-            u, l, v = fac
-            if not ((u.astype("int64") @ l @ v) % model.m == g).all():
-                gauss_ok = False
-    rec.add("gauss_cell_roundtrip", "Lemma open-fields", gauss_ok, False, model=name)
+    rec.add("gauss_cell_roundtrip", "Lemma open-fields",
+            models.sampled_gauss_roundtrip_check(model, 128, rng), False, model=name)
 
 
 def suite_group(rec: Recorder, spec: ModelSpec, cap: int):
@@ -398,7 +328,7 @@ def suite_sandwich(rec: Recorder, spec: ModelSpec, cap: int):
     rec.add("hypotheses", "Theorem main", hyp.main_ok, expect, model=name,
             witness=hyp.as_dict())
 
-    results = lattice.sandwich_classify(ctx, strict=False)
+    results = lattice.sandwich_classify(ctx)
     all_unique = all(r.verdict == "unique" for r in results)
     rec.add("sandwich_classification", "Theorem main (ii)", all_unique, expect,
             model=name, witness={"orbits": len(results),
@@ -412,24 +342,24 @@ def suite_sandwich(rec: Recorder, spec: ModelSpec, cap: int):
             continue
         q = next(q for q in ctx.ideals if q.d == r.admissible[0])
         rep = lattice.verify_level_theorem(
-            ctx, ctx.orbit_closure(r.seed_index), q, r.seed_index, strict=False
+            ctx, ctx.orbit_closure(r.seed_index), q, r.seed_index
         )
         level_reports.append(rep.as_dict())
         levels_ok &= rep.equal
     rec.add("level_computation", "Theorem cong-N", levels_ok, expect, model=name,
             witness={"reports": level_reports})
 
-    cf = lattice.verify_commutator_formula(ctx, strict=False)
+    cf = lattice.verify_commutator_formula(ctx)
     rec.add("commutator_formula", "Theorem main (i)", all(r["equal"] for r in cf),
             expect, model=name, witness={"per_ideal": cf})
 
     if model.kind == "SL" and model.degree >= 3:
         other = [(1, model.degree - 1)] if model.degree == 3 else [(2, 2), (1, 1, 2)]
-        pi = lattice.verify_parabolic_independence(ctx, other, strict=False)
+        pi = lattice.verify_parabolic_independence(ctx, other)
         rec.add("parabolic_independence", "Lemma E_P", all(r["equal"] for r in pi),
                 expect, model=name, witness={"per_ideal": pi})
 
-    st = lattice.verify_structure_theorems(ctx, strict=False)
+    st = lattice.verify_structure_theorems(ctx)
     rec.add("elementary_normal", "Theorem EE", st["e_normal"], expect, model=name)
     rec.add("centralizer_is_center", "Theorem E-cent",
             st["centralizer_matches_center"], expect, model=name,
@@ -442,32 +372,29 @@ def suite_sandwich(rec: Recorder, spec: ModelSpec, cap: int):
             not st["hall_witt_failures"], not perfect_expected, model=name,
             witness={"failures": st["hall_witt_failures"]})
 
-    ue = lattice.verify_unipotent_extraction(ctx, strict=False)
+    ue = lattice.verify_unipotent_extraction(ctx)
     rec.add("unipotent_extraction", "Lemma InP",
             not ue["failures"] and not ue["radical_failures"], expect, model=name,
             witness=ue)
 
-    jc = lattice.join_compatibility(ctx, 100, random.Random(RNG_SEED), strict=False)
+    jc = lattice.join_compatibility(ctx, 100, random.Random(RNG_SEED))
     rec.add("join_compatibility", "Theorem main (ii)", not jc["mismatches"], expect,
             model=name, witness={"checked": jc["checked"],
                                  "mismatches": len(jc["mismatches"])})
 
     if lattice._is_prime(model.m):
-        ucf = lattice.verify_u_cent_field(ctx, strict=False)
+        cl = lattice.verify_centralizer_lemmas(ctx)
+        ucf = cl["u_cent_field"]
         rec.add("radical_centralizer_in_parabolic", "Lemma u-cent-field",
                 not ucf["failures"], expect, model=name,
                 witness={"centralizing": ucf["centralizing"]})
-        lemma_model = model if lattice._rel_rank(model) >= 2 else model.with_blocks(
-            "borel" if model.kind == "Sp" else (1,) * model.degree
-        )
-        if lattice._rel_rank(lemma_model) >= 2:
-            cb = lattice.verify_centralizer_beta(lemma_model, strict=False)
-            rec.add("centralizer_support", "Lemma centr-beta", not cb["failures"],
-                    expect, model=name, witness={"checked": cb["checked"]})
-            slb = lattice.verify_small_levi_b(lemma_model, strict=False)
-            rec.add("small_levi_conclusion", "Lemma small-levi-b", not slb["failures"],
-                    expect, model=name, witness={"checked": slb["checked"]})
-        si = lattice.simplicity_check(ctx, strict=False)
+        if "centr_beta" in cl:
+            rec.add("centralizer_support", "Lemma centr-beta", not cl["centr_beta"]["failures"],
+                    expect, model=name, witness={"checked": cl["centr_beta"]["checked"]})
+            rec.add("small_levi_conclusion", "Lemma small-levi-b",
+                    not cl["small_levi_b"]["failures"], expect, model=name,
+                    witness={"checked": cl["small_levi_b"]["checked"]})
+        si = lattice.simplicity_check(ctx)
         rec.add("central_quotient_simple", "Tits simplicity", not si["failures"],
                 expect, model=name,
                 witness={"noncentral_elements": si["noncentral_elements"]})
@@ -501,7 +428,6 @@ def run(cfg: RunConfig) -> tuple[dict, int]:
         "config": {
             "suite": cfg.suite,
             "cap": cfg.cap,
-            "jobs": cfg.jobs,
             "models": [
                 {"kind": s.kind, "degree": s.degree, "mod": s.modulus,
                  "blocks": list(s.blocks) if isinstance(s.blocks, tuple) else s.blocks,
@@ -533,9 +459,6 @@ def _build_argparser() -> argparse.ArgumentParser:
         sp.add_argument("--blocks", help="block composition like 1,1,1 (SL) or "
                                          "borel|line|siegel (Sp)")
         sp.add_argument("--cap", type=int, help=f"element cap (default {DEFAULT_CAP})")
-        sp.add_argument("--jobs", type=int,
-                        help="accepted and echoed in the report, but ignored: "
-                             "closures build on each other and run in one thread")
         sp.add_argument("--out", help="report path (default: stdout)")
         sp.add_argument("--expect-violation", action="store_true",
                         help="mark the model as a negative control")
@@ -562,14 +485,15 @@ def main(argv=None) -> int:
             ]
         if args.cap is not None:
             cfg.cap = args.cap
-        if args.jobs is not None:
-            cfg.jobs = args.jobs
         if args.out is not None:
             cfg.out = args.out
         report, code = run(cfg)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
+    except (RuntimeError, AssertionError) as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return 3
     text = json.dumps(report, sort_keys=True, indent=2) + "\n"
     if cfg.out:
         with open(cfg.out, "w", encoding="utf-8") as fh:

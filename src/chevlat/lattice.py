@@ -39,7 +39,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import calculus
-from .errors import TheoremViolation
 from .models import (
     GroupModel,
     gauss_cell_factors,
@@ -366,12 +365,10 @@ class GroupContext:
     """A model, its element table with the table's closure registry, and
     cached lattice data of the model's parabolic."""
 
-    def __init__(self, model: GroupModel, cap: int = DEFAULT_CAP,
-                 closures: _ClosureRegistry | None = None):
+    def __init__(self, model: GroupModel, cap: int, closures: _ClosureRegistry):
         self.model = model
         self.cap = cap
-        self.closures = closures if closures is not None else _ClosureRegistry(
-            ElementTable(model, cap))
+        self.closures = closures
         self.table = self.closures.table
         self.hypotheses = hypothesis_check(model)
         self._cache: dict = {}
@@ -524,24 +521,17 @@ class GroupContext:
 
 # -- sandwich classification -------------------------------------------------
 
-def sandwich_classify(ctx: GroupContext, strict: bool = True) -> list[SandwichResult]:
+def sandwich_classify(ctx: GroupContext) -> list[SandwichResult]:
     orbit, reps = ctx.orbits()
     results = []
     for rep in reps:
         sub = ctx.orbit_closure(rep)
-        res = SandwichResult(
+        results.append(SandwichResult(
             seed_index=rep,
             orbit_size=int((orbit == orbit[rep]).sum()),
             closure_order=sub.order,
             admissible=ctx.sandwich_ideals(sub),
-        )
-        results.append(res)
-        if strict and res.verdict != "unique":
-            raise TheoremViolation(
-                "Theorem main (ii)",
-                f"seed {rep} on {ctx.model.name()} admits {res.verdict} sandwich",
-                witness=res.as_dict(),
-            )
+        ))
     return results
 
 
@@ -572,7 +562,7 @@ def enormal_lattice(ctx: GroupContext) -> list[tuple[Subgroup, list[int]]]:
 
 
 def verify_level_theorem(ctx: GroupContext, sub: Subgroup, q: ZmIdeal,
-                         seed_index: int = -1, strict: bool = True) -> LevelReport:
+                         seed_index: int = -1) -> LevelReport:
     """H cap X_alpha(V_alpha) = X_alpha(q V_alpha) for every relative root."""
     if not is_enormal(sub):
         raise ValueError("subgroup is not normalized by the elementary subgroup")
@@ -584,17 +574,10 @@ def verify_level_theorem(ctx: GroupContext, sub: Subgroup, q: ZmIdeal,
         per_root.append((str(alpha), len(got), len(want)))
         if got != want:
             equal = False
-    report = LevelReport(seed_index=seed_index, level=q.d, per_root=per_root, equal=equal)
-    if strict and not equal:
-        raise TheoremViolation(
-            "Theorem cong-N",
-            f"level {q.d} root intersections differ on {ctx.model.name()}",
-            witness=report.as_dict(),
-        )
-    return report
+    return LevelReport(seed_index=seed_index, level=q.d, per_root=per_root, equal=equal)
 
 
-def verify_commutator_formula(ctx: GroupContext, strict: bool = True) -> list[dict]:
+def verify_commutator_formula(ctx: GroupContext) -> list[dict]:
     """[G(R,q), E(R)] = E(R,q) for every ideal q."""
     egens = ctx.table.gen_idxs.tolist()
     out = []
@@ -608,19 +591,12 @@ def verify_commutator_formula(ctx: GroupContext, strict: bool = True) -> list[di
             x_gens = generating_set(ctx.table, cong)
         comm = ctx.commutator_subgroup(x_gens, egens)
         rel = ctx.relative_elementary(q)
-        ok = comm == rel
         out.append({"ideal": q.d, "commutator_order": comm.order,
-                    "relative_elementary_order": rel.order, "equal": ok})
-        if strict and not ok:
-            raise TheoremViolation(
-                "Theorem main (i)",
-                f"[G(R,({q.d})), E] != E(R,({q.d})) on {ctx.model.name()}",
-                witness=out[-1],
-            )
+                    "relative_elementary_order": rel.order, "equal": comm == rel})
     return out
 
 
-def verify_parabolic_independence(ctx: GroupContext, other_blocks, strict: bool = True) -> list[dict]:
+def verify_parabolic_independence(ctx: GroupContext, other_blocks) -> list[dict]:
     """E(R,q) agrees across block compositions."""
     if ctx.model.kind != "SL":
         raise ValueError("block comparison only applies to SL models")
@@ -628,27 +604,19 @@ def verify_parabolic_independence(ctx: GroupContext, other_blocks, strict: bool 
     for blocks in other_blocks:
         sib = ctx.sibling(tuple(blocks))
         for q in ctx.ideals:
-            a = ctx.relative_elementary(q)
-            b = sib.relative_elementary(q)
-            ok = a == b
-            results.append({"ideal": q.d, "blocks": list(blocks), "equal": ok})
-            if strict and not ok:
-                raise TheoremViolation(
-                    "Lemma E_P",
-                    f"E(R,({q.d})) differs between {ctx.model.blocks} and {blocks}",
-                    witness=results[-1],
-                )
+            equal = ctx.relative_elementary(q) == sib.relative_elementary(q)
+            results.append({"ideal": q.d, "blocks": list(blocks), "equal": equal})
     return results
 
 
-def verify_structure_theorems(ctx: GroupContext, strict: bool = True) -> dict:
+def verify_structure_theorems(ctx: GroupContext) -> dict:
     """Normality of E, its centralizer, perfectness, and the derived-length
     stabilization of [H, E] for every orbit-seeded H."""
     table = ctx.table
     e_sub = ctx.elementary()
     e_normal = is_enormal(e_sub)
 
-    cent_e = ctx.centralizer(e_sub) if e_sub.order < table.N else ctx.center()
+    cent_e = ctx.center()  # E is the whole group: elementary() raises otherwise
     scheme = set(_element_indices(table, scheme_center_elements(ctx.model),
                                   "a point of the center subscheme").tolist())
     center_match = set(cent_e.indices().tolist()) == scheme
@@ -672,7 +640,7 @@ def verify_structure_theorems(ctx: GroupContext, strict: bool = True) -> dict:
         if k1 != k2:
             hall_witt_failures.append(rep)
 
-    result = {
+    return {
         "e_normal": e_normal,
         "e_order": e_sub.order,
         "centralizer_matches_center": center_match,
@@ -682,20 +650,6 @@ def verify_structure_theorems(ctx: GroupContext, strict: bool = True) -> dict:
         "perfect_expected": ctx.hypotheses.perfect_ok,
         "hall_witt_failures": hall_witt_failures,
     }
-    if strict:
-        if not e_normal:
-            raise TheoremViolation("Theorem EE", f"E not normal on {ctx.model.name()}")
-        if not center_match:
-            raise TheoremViolation("Theorem E-cent", f"centralizer(E) != center on {ctx.model.name()}")
-        if ctx.hypotheses.perfect_ok and not perfect:
-            raise TheoremViolation(
-                "Theorem perfect", f"E not perfect on {ctx.model.name()}", witness=result
-            )
-        if ctx.hypotheses.perfect_ok and hall_witt_failures:
-            raise TheoremViolation(
-                "Lemma HallWitt", f"[[H,E],E] != [H,E] at seeds {hall_witt_failures}"
-            )
-    return result
 
 
 def extract_unipotent(ctx: GroupContext, sub: Subgroup):
@@ -707,7 +661,7 @@ def extract_unipotent(ctx: GroupContext, sub: Subgroup):
     return None
 
 
-def verify_unipotent_extraction(ctx: GroupContext, strict: bool = True) -> dict:
+def verify_unipotent_extraction(ctx: GroupContext) -> dict:
     """Every noncentral orbit closure contains a root unipotent; the same
     holds for closures meeting the radical congruence subgroup noncentrally."""
     center = ctx.center()
@@ -726,17 +680,11 @@ def verify_unipotent_extraction(ctx: GroupContext, strict: bool = True) -> dict:
         meets_rad = Subgroup(ctx.table, sub.member & rad_sub.member)
         if not meets_rad.issubset(center) and found is None:
             rad_failures.append(rep)
-    result = {"noncentral_closures": noncentral, "failures": failures,
-              "radical_failures": rad_failures}
-    if strict and (failures or rad_failures):
-        raise TheoremViolation(
-            "Lemma InP", f"noncentral closures without root unipotents: {failures}",
-            witness=result,
-        )
-    return result
+    return {"noncentral_closures": noncentral, "failures": failures,
+            "radical_failures": rad_failures}
 
 
-def simplicity_check(ctx: GroupContext, strict: bool = True) -> dict:
+def simplicity_check(ctx: GroupContext) -> dict:
     """Over a prime field: every noncentral normal closure is everything."""
     if not _is_prime(ctx.model.m):
         raise ValueError("simplicity check runs over prime fields only")
@@ -755,20 +703,15 @@ def simplicity_check(ctx: GroupContext, strict: bool = True) -> dict:
         checked_elements += size
         if sub.order != full:
             failures.append(rep)
-    result = {"noncentral_elements": checked_elements, "group_order": full,
-              "failures": failures}
-    if strict and failures:
-        raise TheoremViolation(
-            "Tits simplicity", f"proper noncentral closures at {failures}", witness=result
-        )
-    return result
+    return {"noncentral_elements": checked_elements, "group_order": full,
+            "failures": failures}
 
 
 def _is_prime(m: int) -> bool:
     return m >= 2 and all(m % d for d in range(2, int(m**0.5) + 1))
 
 
-def join_compatibility(ctx: GroupContext, pairs: int, rng, strict: bool = True) -> dict:
+def join_compatibility(ctx: GroupContext, pairs: int, rng) -> dict:
     """level(<g, g'>^E) = level(g) + level(g') on sampled pairs."""
 
     def level_of(sub: Subgroup) -> int | None:
@@ -784,10 +727,7 @@ def join_compatibility(ctx: GroupContext, pairs: int, rng, strict: bool = True) 
         checked += 1
         if None in (la, lb, lj) or math.gcd(la, lb) != lj:
             mismatches.append({"g": g, "h": h, "levels": [la, lb, lj]})
-    result = {"checked": checked, "mismatches": mismatches}
-    if strict and mismatches:
-        raise TheoremViolation("Theorem main (ii)", "join levels do not add", witness=result)
-    return result
+    return {"checked": checked, "mismatches": mismatches}
 
 
 # -- centralizer lemmas -------------------------------------------------------
@@ -812,26 +752,24 @@ def _commutes_with_all(model: GroupModel, x: np.ndarray, mats) -> bool:
     )
 
 
-def verify_u_cent_field(ctx: GroupContext, strict: bool = True) -> dict:
-    """Anything commuting with the whole positive radical lies in the parabolic."""
+def verify_u_cent_field(ctx: GroupContext) -> dict:
+    """Anything commuting with the whole positive radical lies in the parabolic.
+
+    The radical is generated by the X_alpha(e) over the positive relative
+    roots alpha and the unit vectors e of V_alpha, so commuting with those
+    is commuting with all of it."""
     model = ctx.model
-    gens = [model.x(a, v) for a in model.positive_rel_roots for v in model.v_tuples(a)]
+    gens = [model.x(a, e) for a in model.positive_rel_roots for e in model.v_basis(a)]
     member = ctx.centralizer_of_mats(gens)
     mats = ctx.table.mats.astype(np.int64)
     failures = []
     for i in np.nonzero(member)[0].tolist():
         if not model.in_parabolic(mats[i]):
             failures.append(i)
-    result = {"centralizing": int(member.sum()), "failures": failures}
-    if strict and failures:
-        raise TheoremViolation(
-            "Lemma u-cent-field", f"centralizer escapes the parabolic at {failures}",
-            witness=result,
-        )
-    return result
+    return {"centralizing": int(member.sum()), "failures": failures}
 
 
-def verify_centralizer_beta(model: GroupModel, strict: bool = True) -> dict:
+def verify_centralizer_beta(model: GroupModel) -> dict:
     """Radical elements commuting with a simple root family factor over the
     roots alpha with alpha+beta neither a relative root nor zero."""
     if _rel_rank(model) < 2:
@@ -855,15 +793,10 @@ def verify_centralizer_beta(model: GroupModel, strict: bool = True) -> dict:
                             {"beta": beta, "x_support": support, "bad_root": a}
                         )
                         break
-    if strict and results["failures"]:
-        raise TheoremViolation(
-            "Lemma centr-beta", f"support condition fails on {model.name()}",
-            witness=results,
-        )
     return results
 
 
-def verify_small_levi_b(model: GroupModel, strict: bool = True) -> dict:
+def verify_small_levi_b(model: GroupModel) -> dict:
     """Elements of U_(beta) L U_(-beta) commuting with X_beta(V_beta) lie in
     X_{m beta}(V) L, with m beta the largest multiple of beta."""
     if _rel_rank(model) < 2:
@@ -894,25 +827,22 @@ def verify_small_levi_b(model: GroupModel, strict: bool = True) -> dict:
                     results["checked"] += 1
                     if tuple(int(t) for t in x.flatten()) not in allowed:
                         results["failures"].append({"beta": beta})
-    if strict and results["failures"]:
-        raise TheoremViolation(
-            "Lemma small-levi-b", f"conclusion fails on {model.name()}", witness=results
-        )
     return results
 
 
-def verify_centralizer_lemmas(ctx: GroupContext, strict: bool = True) -> dict:
+def verify_centralizer_lemmas(ctx: GroupContext) -> dict:
     """The three centralizer statements together: the whole-radical one over
-    the context's parabolic, the other two over a rank >= 2 parabolic."""
+    the context's parabolic ("u_cent_field"), and "centr_beta" and
+    "small_levi_b" over a rank >= 2 parabolic of the same group, the Borel
+    when the context's parabolic has rank 1.  The last two are left out
+    when the group has no rank >= 2 parabolic (SL_2)."""
     model = ctx.model
-    out = {"u_cent_field": verify_u_cent_field(ctx, strict)}
-    lemma_model = model
+    out = {"u_cent_field": verify_u_cent_field(ctx)}
     if _rel_rank(model) < 2:
-        lemma_model = model.with_blocks(
-            "borel" if model.kind == "Sp" else (1,) * model.degree
-        )
-    out["centr_beta"] = verify_centralizer_beta(lemma_model, strict)
-    out["small_levi_b"] = verify_small_levi_b(lemma_model, strict)
+        model = model.with_blocks("borel" if model.kind == "Sp" else (1,) * model.degree)
+    if _rel_rank(model) >= 2:
+        out["centr_beta"] = verify_centralizer_beta(model)
+        out["small_levi_b"] = verify_small_levi_b(model)
     return out
 
 

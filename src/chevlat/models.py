@@ -387,6 +387,25 @@ def gauss_cell_membership(model: GroupModel, g: np.ndarray):
     return (u[0], l[0], v[0]) if member[0] else None
 
 
+def sampled_gauss_roundtrip_check(model: GroupModel, samples: int, rng) -> bool:
+    """The identity lies in the main cell, and every sampled product of four
+    random elementary generators that lies in it is the product u*l*v of
+    its factors."""
+    m = model.m
+    positions = model.generator_positions()
+    ok = gauss_cell_membership(model, model.identity()) is not None
+    for _ in range(samples):
+        g = model.identity()
+        for _step in range(4):
+            p = positions[rng.randrange(len(positions))]
+            g = mat_mul(g, model.elementary_generator(p, rng.randrange(m)), m)
+        fac = gauss_cell_membership(model, g)
+        if fac is not None:
+            u, l, v = fac
+            ok &= bool((mat_mul(mat_mul(u, l, m), v, m) == g).all())
+    return ok
+
+
 @dataclass(frozen=True)
 class HypothesisReport:
     model: str

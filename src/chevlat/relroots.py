@@ -400,3 +400,36 @@ def check_datum(rel: RelativeRootSystem) -> dict[str, int]:
             if sigma != sigma_set(rel, b, "some"):
                 counts["sigma_forms_failed"] += 1
     return counts
+
+
+def sweep_totals(max_rank: int = 5) -> dict[str, int]:
+    """The check_datum counters summed over sweep_data(max_rank)."""
+    totals: dict[str, int] = {}
+    for datum in sweep_data(max_rank):
+        for k, v in check_datum(build_relative(datum)).items():
+            totals[k] = totals.get(k, 0) + v
+    return totals
+
+
+# Foldings of simply laced systems: (base type, folded type, a diagram
+# automorphism generating Gamma).
+FOLDS = (
+    (("A", 3), ("C", 2), (2, 1, 0)),
+    (("A", 5), ("C", 3), (4, 3, 2, 1, 0)),
+    (("D", 5), ("B", 4), (0, 1, 2, 4, 3)),
+    (("D", 4), ("G", 2), (2, 1, 3, 0)),
+    (("E", 6), ("F", 4), (5, 1, 4, 3, 2, 0)),
+)
+
+
+def fold_matches(base: tuple[str, int], target: tuple[str, int], gen: Perm) -> bool:
+    """Whether folding the base system by the group Gamma generated by gen
+    gives the target system, up to a permutation of coordinates."""
+    gamma = {tuple(range(base[1])), gen}
+    while True:
+        new = {perm_compose(a, b) for a in gamma for b in gamma}
+        if new <= gamma:
+            break
+        gamma |= new
+    rel = fold(build_root_system(RootSystemType(*base)), tuple(sorted(gamma)))
+    return match_coordinates(rel.rel_roots, build_root_system(RootSystemType(*target))) is not None

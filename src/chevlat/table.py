@@ -21,7 +21,7 @@ _CHUNK = 8192  # matrices per kernel call; bounds the minor stacks of a 4x4 adju
 
 
 class ElementTable:
-    def __init__(self, model: GroupModel, cap: int = DEFAULT_CAP, cross_check: bool = True):
+    def __init__(self, model: GroupModel, cap: int = DEFAULT_CAP):
         self.model = model
         self.n = model.degree
         self.m = model.m
@@ -51,7 +51,7 @@ class ElementTable:
         self.gen_idxs = self.lookup(np.stack(gen_mats))
         self.inv = self._all_inverses()
         self._conj_perms: dict[int, np.ndarray] = {}
-        if cross_check and self.m ** (self.n * self.n) <= _SCAN_LIMIT:
+        if self.m ** (self.n * self.n) <= _SCAN_LIMIT:
             scanned = self._predicate_scan()
             if not np.array_equal(np.sort(scanned), np.sort(keys)):
                 raise RuntimeError(f"{model.name()}: BFS and predicate scan disagree")

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -10,7 +11,6 @@ def test_parse_config_minimal_defaults():
     cfg = cli.parse_config(b"[model]\nname = SL3\nmod = 4\n")
     assert cfg.suite == "all"
     assert cfg.cap == cli.DEFAULT_CAP
-    assert cfg.jobs == 1
     spec = cfg.models[0]
     assert (spec.kind, spec.degree, spec.modulus) == ("SL", 3, 4)
     assert spec.blocks == (1, 1, 1)
@@ -34,7 +34,7 @@ mod = 2
 blocks = 2,2
 """
     cfg = cli.parse_config(text)
-    assert cfg.suite == "sandwich" and cfg.cap == 999999 and cfg.jobs == 2
+    assert cfg.suite == "sandwich" and cfg.cap == 999999
     assert len(cfg.models) == 2
     assert cfg.models[0].blocks == "borel" and cfg.models[0].expect_violation
     assert cfg.models[1].blocks == (2, 2)
@@ -131,3 +131,25 @@ def test_main_reads_config(tmp_path):
     out = tmp_path / "out.json"
     assert cli.main(["group", "--config", str(cfg), "--out", str(out)]) == 0
     assert json.loads(out.read_text())["summary"]["suite_verdict"] == "pass"
+
+
+@pytest.mark.parametrize("exc", [RuntimeError("lookup failed"), AssertionError("bad index")])
+def test_main_internal_error_exit_code(monkeypatch, capsys, tmp_path, exc):
+    def broken(rec):
+        raise exc
+
+    monkeypatch.setattr(cli, "suite_roots", broken)
+    out = tmp_path / "r.json"
+    assert cli.main(["roots", "--out", str(out)]) == 3
+    assert f"internal error: {exc}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_all_suite_report_is_pinned():
+    # any change to a verdict, a witness or the record order of `chevlat all`
+    # on the default models changes this digest
+    report, code = cli.run(cli.RunConfig(suite="all"))
+    assert code == 0
+    text = json.dumps({"checks": report["checks"], "summary": report["summary"]}, sort_keys=True)
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == (
+        "bd76134d1ce931594d18bb79cf94e307e1d7abce9a0b16a3e21144ba5280421c")

@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from chevlat import lattice
-from chevlat.errors import TheoremViolation
 from chevlat.models import GroupModel
 from chevlat.rings import ZmIdeal, ZmRing
 
@@ -147,10 +146,8 @@ def test_sandwich_classify_sl3_4(sl3_4):
 
 
 def test_sandwich_violations_on_sp4_f2(sp4_2):
-    results = lattice.sandwich_classify(sp4_2, strict=False)
+    results = lattice.sandwich_classify(sp4_2)
     assert any(r.verdict != "unique" for r in results)
-    with pytest.raises(TheoremViolation):
-        lattice.sandwich_classify(sp4_2, strict=True)
 
 
 def test_level_theorem_example(sl3_4):
@@ -181,7 +178,7 @@ def test_structure_theorems(sl3_2, sp4_2):
     st = lattice.verify_structure_theorems(sl3_2)
     assert st["e_normal"] and st["perfect"] and st["centralizer_matches_center"]
     assert not st["hall_witt_failures"]
-    st2 = lattice.verify_structure_theorems(sp4_2, strict=False)
+    st2 = lattice.verify_structure_theorems(sp4_2)
     assert st2["derived_index"] == 2
     assert not st2["perfect_expected"]
 
@@ -242,6 +239,30 @@ def test_centralizer_lemmas(sl3_2, sl3_3, sp4_3):
     assert not lattice.verify_u_cent_field(ctx_borel)["failures"]
     assert not lattice.verify_centralizer_beta(borel)["failures"]
     assert not lattice.verify_small_levi_b(borel)["failures"]
+
+
+@pytest.mark.parametrize("spec", [
+    ("SL", 3, 2, (1, 1, 1)), ("SL", 3, 3, (1, 1, 1)),
+    ("SL", 4, 2, (1, 1, 1, 1)), ("SL", 4, 2, (2, 2)),
+    ("Sp", 4, 2, "line"), ("Sp", 4, 2, "borel"),
+    ("Sp", 4, 3, "line"), ("Sp", 4, 3, "borel"),
+])
+def test_radical_centralizer_from_generators(spec):
+    # the generators lie in the radical, so their centralizer contains the
+    # radical's; equal orders make the two the same subgroup
+    ctx = ctx_for(*spec)
+    model = ctx.model
+    radical = [model.x(a, v) for a in model.positive_rel_roots for v in model.v_tuples(a)]
+    full = int(ctx.centralizer_of_mats(radical).sum())
+    assert lattice.verify_u_cent_field(ctx)["centralizing"] == full
+
+
+def test_centralizer_lemmas_without_rank_two_parabolic():
+    out = lattice.verify_centralizer_lemmas(ctx_for("SL", 2, 5, (1, 1)))
+    assert list(out) == ["u_cent_field"] and not out["u_cent_field"]["failures"]
+    out = lattice.verify_centralizer_lemmas(ctx_for("Sp", 4, 3, "line"))
+    assert not any(r["failures"] for r in out.values())
+    assert out["centr_beta"]["checked"] and out["small_levi_b"]["checked"]
 
 
 def test_centralizer_beta_over_z4_and_z9():
