@@ -99,23 +99,16 @@ class _IncrementalClosure:
         self.stop = stop
         self.found: Subgroup | None = None
 
-    def _products(self, frontier: np.ndarray, gen_mats: np.ndarray) -> np.ndarray:
-        """New indices reached from the frontier, chunked to bound memory.
-
-        The matrix products run in float64, which is exact here (entries
-        below m <= 9 keep dot products far under 2**53) and lets BLAS do
-        the batched multiplication.
-        """
+    def _products(self, frontier: np.ndarray, gen_idxs) -> np.ndarray:
+        """New indices reached from the frontier by right multiplication with
+        the generators: one row-table gather and one lookup per chunk, the
+        chunks bounding memory."""
         table = self.table
-        n, m = table.n, table.m
-        gens_f = gen_mats.astype(np.float64)
-        chunk = max(1, 65536 // max(1, len(gen_mats)))
+        tables = table.row_tables(table.mats[gen_idxs])
+        chunk = max(1, 65536 // max(1, len(tables)))
         found = []
         for lo in range(0, frontier.size, chunk):
-            F = table.mats[frontier[lo:lo + chunk]].astype(np.float64)
-            prods = np.rint(F[:, None, :, :] @ gens_f[None, :, :, :]).astype(np.int64)
-            prods %= m
-            idx = table.lookup_keys(prods.reshape(-1, n * n) @ table.powers)
+            idx = table.lookup_keys(table.product_keys(frontier[lo:lo + chunk], tables))
             assert idx.min(initial=0) >= 0  # products of members are members
             cand = idx[~self.member[idx]]
             new = np.unique(cand)
@@ -128,9 +121,9 @@ class _IncrementalClosure:
             self.found = self.stop(frontier)
         return self.found is not None
 
-    def _advance(self, frontier: np.ndarray, gen_mats: np.ndarray):
-        frontier = self._products(frontier, gen_mats)
-        all_gens = self.table.mats[self._all_gen_idx()].astype(np.int64)
+    def _advance(self, frontier: np.ndarray, gen_idxs: list[int]):
+        frontier = self._products(frontier, gen_idxs)
+        all_gens = self._all_gen_idx()
         while frontier.size and not self._stopped(frontier):
             frontier = self._products(frontier, all_gens)
 
@@ -145,9 +138,8 @@ class _IncrementalClosure:
         self.gens.extend(fresh)
         self._gen_set.update(fresh)
         new_idx = sorted(set(fresh) | {int(self.table.inv[i]) for i in fresh})
-        new_mats = self.table.mats[new_idx].astype(np.int64)
         # every current member times each new generator, then full BFS
-        self._advance(np.nonzero(self.member)[0], new_mats)
+        self._advance(np.nonzero(self.member)[0], new_idx)
 
     def subgroup(self) -> Subgroup:
         return Subgroup(self.table, self.member.copy(), list(self.gens))
@@ -408,31 +400,18 @@ class GroupContext:
 
         return self._memo(("congruence", q.d), build)
 
-    def centralizer_of_mats(self, mats: list[np.ndarray]) -> np.ndarray:
-        all_mats = self.table.mats.astype(np.int64)
+    def centralizer(self, idxs) -> Subgroup:
+        """Elements commuting with every element in idxs: the common fixed
+        points of their conjugations (xg = gx exactly when g^-1 x g = x)."""
         member = np.ones(self.table.N, dtype=bool)
-        m = self.model.m
-        for g in mats:
-            g = np.asarray(g, dtype=np.int64) % m
-            member &= ((all_mats @ g) % m == (g @ all_mats) % m).all(axis=(1, 2))
-        return member
+        fixed = np.arange(self.table.N)
+        for g in idxs:
+            member &= self.table.conj_perm(g) == fixed
+        return Subgroup(self.table, member)
 
     def center(self) -> Subgroup:
-        """Common fixed points of the generator conjugations."""
-
-        def build():
-            fixed = np.arange(self.table.N)
-            member = np.ones(self.table.N, dtype=bool)
-            for perm in self.table.egen_conj_perms():
-                member &= perm == fixed
-            return Subgroup(self.table, member)
-
-        return self._memo("center", build)
-
-    def centralizer(self, sub: Subgroup) -> Subgroup:
-        gens = sub.gens or generating_set(self.table, sub)
-        mats = [self.table.mat(i) for i in gens]
-        return Subgroup(self.table, self.centralizer_of_mats(mats))
+        """The centralizer of the elementary generators, which generate the group."""
+        return self._memo("center", lambda: self.centralizer(self.table.gen_idxs.tolist()))
 
     def full_congruence(self, q: ZmIdeal) -> Subgroup:
         """Preimage of the center of the quotient group."""
@@ -760,13 +739,9 @@ def verify_u_cent_field(ctx: GroupContext) -> dict:
     is commuting with all of it."""
     model = ctx.model
     gens = [model.x(a, e) for a in model.positive_rel_roots for e in model.v_basis(a)]
-    member = ctx.centralizer_of_mats(gens)
-    mats = ctx.table.mats.astype(np.int64)
-    failures = []
-    for i in np.nonzero(member)[0].tolist():
-        if not model.in_parabolic(mats[i]):
-            failures.append(i)
-    return {"centralizing": int(member.sum()), "failures": failures}
+    cent = ctx.centralizer(_element_indices(ctx.table, gens, "a radical generator").tolist())
+    failures = [i for i in cent.indices().tolist() if not model.in_parabolic(ctx.table.mat(i))]
+    return {"centralizing": cent.order, "failures": failures}
 
 
 def verify_centralizer_beta(model: GroupModel) -> dict:

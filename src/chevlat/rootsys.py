@@ -4,9 +4,8 @@ A root is an integer coordinate vector over the simple roots (Bourbaki
 numbering).  The geometry lives in the doubled Gram matrix
 2(alpha_i, alpha_j) = C_ij (alpha_j, alpha_j), an integer matrix because the
 squared root lengths are integers (1, 2, 4 or 6), so pairings, Cartan
-integers and sign tests are integer sums.  Only `RootSystem.pairing` builds
-a `Fraction`, once per call, for callers that want (u, v) itself; there
-are no floats.  Reflection data comes straight from the Cartan matrix, which
+integers and sign tests are integer sums; there are no fractions and no
+floats.  Reflection data comes straight from the Cartan matrix, which
 makes root generation purely combinatorial.
 """
 
@@ -14,7 +13,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import lru_cache
 
 Coords = tuple[int, ...]
@@ -128,10 +126,6 @@ class RootSystem:
             if ui:
                 total += ui * sum(g * vj for g, vj in zip(row, v))
         return total
-
-    def pairing(self, u: Coords, v: Coords) -> Fraction:
-        """Scalar product (u, v) of two root-lattice vectors."""
-        return Fraction(self.pairing2(u, v), 2)
 
     def cartan_int(self, u: Coords, v: Coords) -> int:
         """Cartan integer <u, v^vee> = 2(u,v)/(v,v); v must be a root."""

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from chevlat import lattice, models
@@ -7,6 +8,12 @@ from chevlat.rings import ZmRing
 def ctx_for(kind, degree, m, blocks):
     """Contexts are cached process-wide, so tests share element tables."""
     return lattice.get_context(models.GroupModel(kind, degree, ZmRing(m), blocks))
+
+
+def index_of(table, mat):
+    """Table index of one matrix, None if it is not a group element."""
+    idx = int(table.lookup(np.asarray(mat)[None])[0])
+    return None if idx < 0 else idx
 
 
 @pytest.fixture(scope="session")

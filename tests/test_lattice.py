@@ -8,7 +8,7 @@ from chevlat import lattice
 from chevlat.models import GroupModel
 from chevlat.rings import ZmIdeal, ZmRing
 
-from conftest import ctx_for
+from conftest import ctx_for, index_of
 
 
 def ideal(ctx, d):
@@ -28,13 +28,13 @@ def test_subgroup_closure_generators_give_whole_group(sl3_2):
 
 def test_subgroup_closure_cyclic(sl3_4):
     # (e + 2e_12)^2 = e mod 4, so the closure is cyclic of order 2
-    idx = sl3_4.table.lookup_one(sl3_4.model.elementary_generator((0, 1), 2))
+    idx = index_of(sl3_4.table, sl3_4.model.elementary_generator((0, 1), 2))
     sub = lattice.subgroup_closure(sl3_4.table, [idx])
     assert sub.order == 2
 
 
 def test_normal_closure_of_transvection_is_everything(sl3_2):
-    idx = sl3_2.table.lookup_one(sl3_2.model.elementary_generator((0, 1), 1))
+    idx = index_of(sl3_2.table, sl3_2.model.elementary_generator((0, 1), 1))
     sub = lattice.normal_closure(sl3_2.table, [idx])
     assert sub.order == 168
 
@@ -45,7 +45,7 @@ def test_normal_closure_identity_trivial(sl3_2):
 
 
 def test_normal_closure_level_two(sl3_4):
-    idx = sl3_4.table.lookup_one(sl3_4.model.elementary_generator((0, 1), 2))
+    idx = index_of(sl3_4.table, sl3_4.model.elementary_generator((0, 1), 2))
     sub = lattice.normal_closure(sl3_4.table, [idx])
     cong = sl3_4.congruence(ideal(sl3_4, 2))
     assert sub.issubset(cong)
@@ -53,7 +53,7 @@ def test_normal_closure_level_two(sl3_4):
 
 
 def test_normal_closure_is_fixed_point(sl3_4):
-    idx = sl3_4.table.lookup_one(sl3_4.model.elementary_generator((0, 2), 2))
+    idx = index_of(sl3_4.table, sl3_4.model.elementary_generator((0, 2), 2))
     sub = lattice.normal_closure(sl3_4.table, [idx])
     for perm in sl3_4.table.egen_conj_perms():
         assert np.array_equal(sub.member[perm], sub.member)
@@ -103,14 +103,28 @@ def test_monotonicity_in_the_ideal(sl3_4):
                 assert sl3_4.full_congruence(qa).issubset(sl3_4.full_congruence(qb))
 
 
+def matmul_centralizer(table, mats):
+    """Reference centralizer: the elements x with x g = g x for every g,
+    from matrix products over the whole table."""
+    all_mats = table.mats.astype(np.int64)
+    member = np.ones(table.N, dtype=bool)
+    for g in mats:
+        g = np.asarray(g, dtype=np.int64) % table.m
+        member &= ((all_mats @ g) % table.m == (g @ all_mats) % table.m).all(axis=(1, 2))
+    return member
+
+
 def test_center(sl3_4, sp4_3):
     assert sl3_4.center().order == 1
     assert sp4_3.center().order == 2
     sl2_7 = ctx_for("SL", 2, 7, (1, 1))
     assert sl2_7.center().order == 2  # {+-1}, the square roots of 1 mod 7
-    # centralizer of the whole group equals the center
+    for ctx in (sl3_4, sp4_3, sl2_7):
+        egens = [ctx.table.mat(i) for i in ctx.table.gen_idxs]
+        assert np.array_equal(ctx.center().member, matmul_centralizer(ctx.table, egens))
+    # centralizer of another generating set of the whole group equals the center
     full = lattice.subgroup_closure(sp4_3.table, sp4_3.table.gen_idxs.tolist())
-    assert sp4_3.centralizer(full) == sp4_3.center()
+    assert sp4_3.centralizer(full.gens) == sp4_3.center()
 
 
 def test_commutator_subgroup(sl3_2, sp4_2):
@@ -137,7 +151,7 @@ def test_sandwich_classify_sl3_4(sl3_4):
     by_orbit = {orbit[r.seed_index]: r for r in results}
 
     def level_of(mat):
-        idx = sl3_4.table.lookup_one(mat)
+        idx = index_of(sl3_4.table, mat)
         return by_orbit[orbit[idx]].admissible[0]
 
     assert level_of(sl3_4.model.elementary_generator((0, 1), 2)) == 2
@@ -151,7 +165,7 @@ def test_sandwich_violations_on_sp4_f2(sp4_2):
 
 
 def test_level_theorem_example(sl3_4):
-    idx = sl3_4.table.lookup_one(sl3_4.model.elementary_generator((0, 2), 2))
+    idx = index_of(sl3_4.table, sl3_4.model.elementary_generator((0, 2), 2))
     sub = lattice.normal_closure(sl3_4.table, [idx])
     rep = lattice.verify_level_theorem(sl3_4, sub, ideal(sl3_4, 2))
     assert rep.equal
@@ -184,7 +198,7 @@ def test_structure_theorems(sl3_2, sp4_2):
 
 
 def test_extract_unipotent(sl3_4):
-    idx = sl3_4.table.lookup_one(sl3_4.model.elementary_generator((0, 1), 2))
+    idx = index_of(sl3_4.table, sl3_4.model.elementary_generator((0, 1), 2))
     sub = lattice.normal_closure(sl3_4.table, [idx])
     found = lattice.extract_unipotent(sl3_4, sub)
     assert found is not None
@@ -219,8 +233,8 @@ def test_join_compatibility(sl3_4):
 
 def test_join_level_is_gcd_handpicked(sl3_4):
     t = sl3_4.table
-    g = t.lookup_one(sl3_4.model.elementary_generator((0, 1), 2))  # level 2
-    h = t.lookup_one(sl3_4.model.elementary_generator((1, 2), 1))  # level 1
+    g = index_of(t, sl3_4.model.elementary_generator((0, 1), 2))  # level 2
+    h = index_of(t, sl3_4.model.elementary_generator((1, 2), 1))  # level 1
     join = lattice.normal_closure(t, [g, h])
     lower = {q.d: sl3_4.relative_elementary(q) for q in sl3_4.ideals}
     upper = {q.d: sl3_4.full_congruence(q) for q in sl3_4.ideals}
@@ -248,13 +262,16 @@ def test_centralizer_lemmas(sl3_2, sl3_3, sp4_3):
     ("Sp", 4, 3, "line"), ("Sp", 4, 3, "borel"),
 ])
 def test_radical_centralizer_from_generators(spec):
-    # the generators lie in the radical, so their centralizer contains the
-    # radical's; equal orders make the two the same subgroup
+    # the X_alpha(e) generate the radical, so their centralizer is the one of
+    # the whole radical, taken here by matrix products over the table
     ctx = ctx_for(*spec)
     model = ctx.model
     radical = [model.x(a, v) for a in model.positive_rel_roots for v in model.v_tuples(a)]
-    full = int(ctx.centralizer_of_mats(radical).sum())
-    assert lattice.verify_u_cent_field(ctx)["centralizing"] == full
+    full = matmul_centralizer(ctx.table, radical)
+    gens = [model.x(a, e) for a in model.positive_rel_roots for e in model.v_basis(a)]
+    cent = ctx.centralizer(ctx.table.lookup(np.stack(gens)).tolist())
+    assert np.array_equal(cent.member, full)
+    assert lattice.verify_u_cent_field(ctx)["centralizing"] == int(full.sum())
 
 
 def test_centralizer_lemmas_without_rank_two_parabolic():
@@ -319,7 +336,7 @@ def test_registry_orbit_closures_match_plain_engine(registry_ctx):
 def test_registry_relative_elementary_matches_plain_engine(registry_ctx):
     ctx = registry_ctx
     for q in ctx.ideals:
-        seeds = [ctx.table.lookup_one(ctx.model.x(alpha, v))
+        seeds = [index_of(ctx.table, ctx.model.x(alpha, v))
                  for alpha in ctx.model.rel_roots
                  for v in ctx.model.v_tuples(alpha, q) if any(v)]
         assert ctx.relative_elementary(q) == lattice.normal_closure(ctx.table, seeds)

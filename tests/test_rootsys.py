@@ -153,7 +153,7 @@ def test_automorphisms_preserve_roots_and_pairing(family, rank):
             pa = rootsys.perm_on_root(p, a)
             assert pa in sys.roots
             for b in sys.simple_roots:
-                assert sys.pairing(pa, rootsys.perm_on_root(p, b)) == sys.pairing(a, b)
+                assert sys.pairing2(pa, rootsys.perm_on_root(p, b)) == sys.pairing2(a, b)
 
 
 def test_gram_matches_cartan():
@@ -161,7 +161,7 @@ def test_gram_matches_cartan():
         sys = build_root_system(RootSystemType(family, rank))
         for i, a in enumerate(sys.simple_roots):
             for j, b in enumerate(sys.simple_roots):
-                expected = Fraction(2) * sys.pairing(a, b) / sys.pairing(b, b)
+                expected = Fraction(2 * sys.pairing2(a, b), sys.pairing2(b, b))
                 assert expected == sys.cartan[i][j]
 
 
@@ -186,5 +186,3 @@ def test_integer_pairing_is_twice_the_fraction_pairing():
             for a in roots:
                 expected = sum(x * g for x, g in zip(a, gram_b))
                 assert sys.pairing2(a, b) == 2 * expected
-            for a in sys.simple_roots:
-                assert sys.pairing(a, b) == sum(x * g for x, g in zip(a, gram_b))

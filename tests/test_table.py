@@ -6,6 +6,8 @@ from chevlat.models import GroupModel
 from chevlat.rings import ZmRing
 from chevlat.table import ElementTable
 
+from conftest import index_of
+
 
 def test_orders_match_frozen_counts(sl3_2, sl3_4, sp4_2, sl4_2, sp4_3, sl3_3):
     assert sl3_2.table.N == 168
@@ -41,18 +43,40 @@ def test_lookup_rejects_non_elements(sl3_2):
     t = sl3_2.table
     bad = np.zeros((1, 3, 3), dtype=np.int64)  # det 0
     assert t.lookup(bad)[0] == -1
+    # a shuffled batch with repeats and zero matrices: the sorted search
+    # must scatter every answer back to its own query
+    rng = np.random.default_rng(3)
+    want = rng.integers(0, t.N, size=300)
+    want[rng.integers(0, want.size, size=40)] = -1
+    mats = np.where(want[:, None, None] >= 0, t.mats[want], 0)
+    assert np.array_equal(t.lookup(mats), want)
 
 
-def test_conj_perm_matches_direct(sl3_4):
-    t = sl3_4.table
-    g_idx = int(t.gen_idxs[0])
-    perm = t.conj_perm(g_idx)
-    g = t.mat(g_idx)
-    ginv = t.mat(int(t.inv[g_idx]))
-    rng = np.random.default_rng(9)
-    for i in rng.integers(0, t.N, size=32):
-        expect = (ginv @ t.mat(int(i)) @ g) % t.m
-        assert int(perm[int(i)]) == t.lookup_one(expect)
+def test_conj_perm_matches_direct(sl3_4, sp4_3, sl4_2):
+    for ctx in (sl3_4, sp4_3, sl4_2):
+        t = ctx.table
+        rng = np.random.default_rng(9)
+        egens = set(t.gen_idxs.tolist()) | {t.identity_idx}
+        other = next(int(i) for i in rng.integers(0, t.N, size=100) if int(i) not in egens)
+        xs = rng.integers(0, t.N, size=64)
+        for g_idx in (int(t.gen_idxs[0]), other):
+            perm = t.conj_perm(g_idx)
+            g = t.mat(g_idx)
+            ginv = t.mat(int(t.inv[g_idx]))
+            for i in xs[:32]:
+                expect = (ginv @ t.mat(int(i)) @ g) % t.m
+                assert int(perm[int(i)]) == index_of(t, expect)
+            # the row-table kernel: right multiplication by g
+            right = t.lookup_keys(t.product_keys(xs, t.row_tables(g))[0])
+            assert np.array_equal(right, t.lookup((t.mats[xs] @ g) % t.m))
+
+
+def test_table_has_no_keyspace_sized_array():
+    # Sp4(Z/3) has 3**16 possible keys; a direct-address lookup array over
+    # them alone took 164 MiB
+    t = ElementTable(GroupModel("Sp", 4, ZmRing(3), "line"))
+    arrays = [a for a in vars(t).values() if isinstance(a, np.ndarray)]
+    assert sum(a.nbytes for a in arrays) < 16 * 2**20
 
 
 def test_size_cap_names_cap():
@@ -86,4 +110,4 @@ def test_bfs_order_matches_scalar_scan(sl3_3, sp4_2):
     for ctx in (sl3_3, sp4_2):
         t = ctx.table
         assert np.array_equal(t.mats, _scalar_bfs(t))
-        assert t.identity_idx == t.lookup_one(ctx.model.identity())
+        assert t.identity_idx == index_of(t, ctx.model.identity())
