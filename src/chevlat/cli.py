@@ -186,26 +186,24 @@ def suite_roots(rec: Recorder):
     for family, rank in STANDARD_TYPES:
         rtype = rootsys.RootSystemType(family, rank)
         sys = rootsys.build_root_system(rtype)
+        idx = sys.index
+        roots, gram2 = idx.coords, idx.gram2
         count_ok = len(sys.roots) == rootsys.classical_root_count(rtype)
         # reflection stability over all pairs, in integer arithmetic:
-        # <a, b^vee> = sum_i a_i <alpha_i, b^vee>
-        coroot_rows = {
-            b: [sys.cartan_int(e, b) for e in sys.simple_roots] for b in sys.roots
-        }
-        stable = True
-        for b, row in coroot_rows.items():
-            for a in sys.roots:
-                c = sum(x * y for x, y in zip(a, row))
-                if tuple(x - c * y for x, y in zip(a, b)) not in sys.roots:
-                    stable = False
+        # s_b(a) = a - <a, b^vee> b with <a, b^vee> = 2 * 2(a, b) / 2(b, b)
+        pair2 = roots @ gram2 @ roots.T
+        twice, norm2 = 2 * pair2, pair2.diagonal()
+        if (twice % norm2).any():
+            raise ValueError(f"{rtype}: a Cartan value <a, b^vee> is not an integer")
+        cartan = twice // norm2
+        reflected = roots[:, None] - cartan[:, :, None] * roots[None]
+        stable = bool((idx.lookup(reflected) >= 0).all())
         autos = rootsys.diagram_automorphisms(sys)
+        # p permutes the roots and keeps the pairing iff it keeps the Gram
         preserve = all(
-            rootsys.perm_on_root(p, a) in sys.roots
-            and sys.pairing2(rootsys.perm_on_root(p, a), rootsys.perm_on_root(p, b))
-            == sys.pairing2(a, b)
+            (idx.lookup(roots[:, list(rootsys.perm_inverse(p))]) >= 0).all()
+            and (gram2[list(p)][:, list(p)] == gram2).all()
             for p in autos
-            for a in sys.roots
-            for b in sys.simple_roots
         )
         rec.add(
             f"root_system_{rtype}", "root system construction",

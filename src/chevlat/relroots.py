@@ -3,49 +3,60 @@
 The projection kills the simple roots outside a chosen set J and identifies
 the orbits of a diagram automorphism group Gamma acting on J.  The image of
 the root set, minus zero, is the relative root system; it may be non-reduced
-(BC type).  Fibers of the projection are stored eagerly since the
-combinatorial checks below query them in inner loops.
+(BC type).  Fibers of the projection are stored eagerly as sets of root
+tuples, the form `models` reads.
+
+The checks run on a cached integer index of each relative system
+(`RelativeRootSystem.index`): the relative roots as a `VectorIndex` with
+their addition and negation tables, the label of every absolute root (the id
+of its relative root, or -1 when it projects to 0), and the split table
+split[s, a], true when every root over s is a root over a plus a root.
+Fiber additivity for a pair (a, b) is split[a + b, a]; a sigma set is a
+count of sign tests per label, run over the labels of the simply-laced
+cover for a multiply-laced base; its properties are lookups in the addition
+table.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from functools import cached_property
+
+import numpy as np
 
 from .rootsys import (
+    COEFF_BOUND,
     Coords,
     Perm,
     RootSystem,
+    RootIndex,
     RootSystemType,
+    VectorIndex,
     automorphism_subgroups,
     build_root_system,
     diagram_automorphisms,
-    is_positive,
     perm_compose,
-    perm_inverse,
     perm_on_root,
 )
 
 
 def _gamma_orbits(indices: frozenset[int], gamma: tuple[Perm, ...]) -> list[tuple[int, ...]]:
-    """Gamma-orbits of a set of simple-root indices, sorted by least member."""
-    seen = set()
-    orbits = []
-    for i in sorted(indices):
-        if i in seen:
-            continue
-        orb = {i}
-        frontier = [i]
-        while frontier:
-            j = frontier.pop()
-            for p in gamma:
-                k = p[j]
-                if k not in orb:
-                    orb.add(k)
-                    frontier.append(k)
-        orbits.append(tuple(sorted(orb)))
-        seen |= orb
-    return orbits
+    """Gamma-orbits of a set of simple-root indices, sorted by least member.
+
+    gamma is a group (RelativeDatum checks it), so the orbit of i is
+    {p[i] for p in gamma}.
+    """
+    return sorted({tuple(sorted({p[i] for p in gamma})) for i in indices})
+
+
+def _generated_group(gen: Perm) -> tuple[Perm, ...]:
+    """The cyclic group generated by one permutation, sorted."""
+    group, p = [tuple(range(len(gen)))], gen
+    while p != group[0]:
+        group.append(p)
+        p = perm_compose(gen, p)
+    return tuple(sorted(group))
 
 
 @dataclass(frozen=True)
@@ -90,26 +101,72 @@ class RelativeRootSystem:
     def fiber(self, a: Coords) -> frozenset[Coords]:
         return self.fibers[a]
 
-    def positive_rel_roots(self) -> list[Coords]:
-        return sorted(a for a in self.rel_roots if is_positive(a))
+    @cached_property
+    def index(self) -> RelativeIndex:
+        return RelativeIndex(self)
+
+    @cached_property
+    def _cover(self) -> tuple[RootIndex, np.ndarray]:
+        """For a multiply-laced base: the index of its simply-laced cover
+        and the label of each cover root, the id of the relative root it
+        lands on here through the fold and the projection (-1 for none).
+
+        Exactly the relative roots must be hit, which is asserted.
+        """
+        if len(self.datum.gamma) != 1:
+            raise ValueError("multiply-laced bases have no nontrivial diagram automorphisms")
+        cover, cover_gamma, coord_perm = unfold(self.datum.base)
+        # fold orbit t of the cover becomes simple root coord_perm[t] of the base
+        to_base = np.zeros((self.datum.base.rank, cover.rank), dtype=np.int64)
+        for t, orb in enumerate(_gamma_orbits(frozenset(range(cover.rank)), cover_gamma)):
+            to_base[coord_perm[t], list(orb)] = 1
+        image = cover.index.coords @ (self.index.proj @ to_base).T
+        label = self.index.lookup(image)
+        hit = set(label.tolist()) - {-1}
+        if (label[image.any(axis=1)] < 0).any() or hit != set(range(len(self.index.coords))):
+            raise RuntimeError("cover projection disagrees with the direct one")
+        return cover.index, label
+
+
+class RelativeIndex(VectorIndex):
+    """The relative roots as a VectorIndex, tied to the index of the base.
+
+    label[mu] is the id of the relative root under absolute root mu, or -1
+    when mu projects to 0; simple lists the ids of the relative simple roots.
+    """
+
+    def __init__(self, rel: RelativeRootSystem):
+        datum = rel.datum
+        # A relative coordinate sums the absolute coefficients over one orbit.
+        bound = COEFF_BOUND * max((len(orb) for orb in rel.orbits), default=1)
+        super().__init__(f"{datum.base.rtype} relative to J={sorted(datum.J)}",
+                         rel.rel_roots, rel.rank, bound)
+        self.base = datum.base.index
+        self.proj = np.array(rel.projection, dtype=np.int64).reshape(rel.rank, datum.base.rank)
+        self.label = self.lookup(self.base.coords @ self.proj.T)
+        self.simple = sorted(set(self.lookup(self.proj.T[sorted(datum.J)]).tolist()))
+
+    @cached_property
+    def split(self) -> np.ndarray:
+        """split[s, a]: every root over s is a root over a plus a root."""
+        over = self.label[:, None] == np.arange(len(self.coords))  # one-hot labels
+        diff_ok = self.base.add[:, self.base.neg] >= 0  # root_mu - root_nu is a root
+        partner = diff_ok @ over  # [mu, a]: some root over a leaves a root
+        return ~(over.T @ ~partner)
 
 
 def build_relative(datum: RelativeDatum) -> RelativeRootSystem:
     base = datum.base
     orbits = _gamma_orbits(datum.J, datum.gamma)
-    k = len(orbits)
     proj = tuple(
         tuple(1 if i in orb else 0 for i in range(base.rank)) for orb in orbits
     )
-
-    def project(v: Coords) -> Coords:
-        return tuple(sum(row[i] * v[i] for i in range(len(v))) for row in proj)
-
-    fibers: dict[Coords, set[Coords]] = {}
-    for mu in base.roots:
-        a = project(mu)
+    coords = base.index.coords
+    image = coords @ np.array(proj, dtype=np.int64).reshape(len(orbits), base.rank).T
+    fibers: dict[Coords, list[Coords]] = {}
+    for mu, a in zip(map(tuple, coords.tolist()), map(tuple, image.tolist())):
         if any(a):
-            fibers.setdefault(a, set()).add(mu)
+            fibers.setdefault(a, []).append(mu)
     return RelativeRootSystem(
         datum=datum,
         orbits=tuple(orbits),
@@ -121,66 +178,57 @@ def build_relative(datum: RelativeDatum) -> RelativeRootSystem:
 
 def relative_simple_roots(rel: RelativeRootSystem) -> set[Coords]:
     """Images of the simple roots that survive the projection."""
-    out = set()
-    for i in sorted(rel.datum.J):
-        a = rel.project(tuple(1 if j == i else 0 for j in range(rel.datum.base.rank)))
-        if any(a):
-            out.add(a)
-    return out
+    idx = rel.index
+    return set(map(tuple, idx.coords[idx.simple].tolist()))
 
 
-def _vec_add(a: Coords, b: Coords) -> Coords:
-    return tuple(x + y for x, y in zip(a, b))
-
-
-def _vec_neg(a: Coords) -> Coords:
-    return tuple(-x for x in a)
-
-
-def _vec_scale(j: int, a: Coords) -> Coords:
-    return tuple(j * x for x in a)
+def _root_ids(rel: RelativeRootSystem, vecs) -> np.ndarray:
+    """Ids of the given coordinate vectors among the relative roots, -1 where
+    a vector is not one (or has the wrong length)."""
+    arr = np.array(vecs, dtype=np.int64)
+    if arr.ndim != 2 or arr.shape[1] != rel.rank:
+        return np.full(len(vecs), -1)
+    return rel.index.lookup(arr)
 
 
 def check_fiber_additivity(rel: RelativeRootSystem, a: Coords, b: Coords) -> bool:
     """Every root over a+b splits as a root over a plus a root over b."""
-    s = _vec_add(a, b)
-    for v in (a, b, s):
-        if v not in rel.rel_roots:
+    s = tuple(x + y for x, y in zip(a, b))
+    ids = _root_ids(rel, [a, b, s])
+    for v, i in zip((a, b, s), ids):
+        if i < 0:
             raise ValueError(f"{v} is not a relative root")
-    fa, fb = rel.fiber(a), rel.fiber(b)
-    for mu in rel.fiber(s):
-        if not any(tuple(m - x for m, x in zip(mu, m1)) in fb for m1 in fa):
-            return False
-    return True
+    # mu - nu is a root for mu over a+b and nu over a, so it lies over b.
+    return bool(rel.index.split[ids[2], ids[0]])
 
 
 def check_adjacent_simple(rel: RelativeRootSystem, a: Coords, b: Coords) -> bool:
     """If a, b are simple relative roots with a+b a relative root, then
     a + j*b is a relative root for every j with j*b a relative root."""
-    simples = relative_simple_roots(rel)
-    if a not in simples or b not in simples:
+    idx = rel.index
+    ia, ib = _root_ids(rel, [a, b])
+    if ia not in idx.simple or ib not in idx.simple:
         raise ValueError("a and b must be simple relative roots")
-    if _vec_add(a, b) not in rel.rel_roots:
+    if idx.add[ia, ib] < 0:
         raise ValueError("a+b must be a relative root")
+    va, vb = idx.coords[ia], idx.coords[ib]
     j = 1
-    while _vec_scale(j, b) in rel.rel_roots:
-        if _vec_add(a, _vec_scale(j, b)) not in rel.rel_roots:
+    while idx.lookup(j * vb) >= 0:
+        if idx.lookup(va + j * vb) < 0:
             return False
         j += 1
     return True
 
 
-def _sigma_direct(rel: RelativeRootSystem, b: Coords, mode: str) -> frozenset[Coords]:
-    base = rel.datum.base
-    fiber_sum = tuple(sum(col) for col in zip(*rel.fiber(b)))
+def _sigma_mask(roots: RootIndex, label: np.ndarray, n: int, b: int, mode: str) -> np.ndarray:
+    """Mask of the n relative roots whose fibers, read through label, pair
+    nonnegatively (all of the fiber, or some of it) with the summed fiber of
+    relative root b."""
+    coords, over = roots.coords, label >= 0
     # sign of (mu, fiber_sum) = sign of sum_i mu_i * 2(alpha_i, fiber_sum)
-    form = [base.pairing2(e, fiber_sum) for e in base.simple_roots]
-    out = set()
-    for a in rel.rel_roots:
-        vals = [sum(x * f for x, f in zip(mu, form)) >= 0 for mu in rel.fiber(a)]
-        if (all(vals) if mode == "all" else any(vals)):
-            out.add(a)
-    return frozenset(out)
+    form = roots.gram2 @ coords[label == b].sum(axis=0)
+    hits = np.bincount(label[over & (coords @ form >= 0)], minlength=n)
+    return hits == np.bincount(label[over], minlength=n) if mode == "all" else hits > 0
 
 
 # Simply-laced covers of the multiply-laced families.  The automorphism
@@ -240,13 +288,7 @@ def unfold(sys: RootSystem) -> tuple[RootSystem, tuple[Perm, ...], Perm]:
         return _UNFOLD_CACHE[sys.rtype]
     cover_type, generator = _unfold_recipe(sys.rtype)
     cover = build_root_system(cover_type)
-    gamma_set = {tuple(range(cover.rank)), generator}
-    while True:
-        new = {perm_compose(a, b) for a in gamma_set for b in gamma_set}
-        if new <= gamma_set:
-            break
-        gamma_set |= new
-    gamma = tuple(sorted(gamma_set))
+    gamma = _generated_group(generator)
     rel = fold(cover, gamma)
     p = match_coordinates(rel.rel_roots, sys)
     if p is None:
@@ -259,40 +301,17 @@ def sigma_set(rel: RelativeRootSystem, b: Coords, mode: str = "all") -> frozense
     """Parabolic subset attached to a simple relative root b.
 
     For a simply-laced base this is the half-space cut out by pairing
-    against the summed fiber of b.  For a multiply-laced base the system is
-    rewritten over its simply-laced cover first and the same computation
-    runs there; the composite projection has the same relative roots, which
-    is asserted, and the result is carried back along the coordinate match.
+    against the summed fiber of b.  For a multiply-laced base the same
+    computation runs on the roots of its simply-laced cover, each labelled
+    with the relative root here that it folds and projects onto.
     """
-    if b not in relative_simple_roots(rel):
+    idx = rel.index
+    (ib,) = _root_ids(rel, [b])
+    if ib not in idx.simple:
         raise ValueError(f"{b} is not a simple relative root")
-    base = rel.datum.base
-    if base.is_simply_laced():
-        return _sigma_direct(rel, b, mode)
-
-    if len(rel.datum.gamma) != 1:
-        raise ValueError("multiply-laced bases have no nontrivial diagram automorphisms")
-    cover, cover_gamma, coord_perm = unfold(base)
-    fold_orbits = _gamma_orbits(frozenset(range(cover.rank)), cover_gamma)
-    # Simple roots of the cover whose folded image lies in J.
-    j2 = frozenset(
-        i for orb_idx, orb in enumerate(fold_orbits) if coord_perm[orb_idx] in rel.datum.J
-        for i in orb
-    )
-    rel2 = build_relative(RelativeDatum(cover, j2, cover_gamma))
-    sorted_j = sorted(rel.datum.J)
-    # rel2 coordinate -> rel coordinate, through the folded simple root.
-    coord_map = []
-    for orb in rel2.orbits:
-        fold_idx = next(i for i, o in enumerate(fold_orbits) if orb[0] in o)
-        coord_map.append(sorted_j.index(coord_perm[fold_idx]))
-    as_perm = tuple(coord_map)
-    remapped = {perm_on_root(as_perm, v) for v in rel2.rel_roots}
-    if remapped != rel.rel_roots:
-        raise RuntimeError("cover projection disagrees with the direct one")
-    b2 = perm_on_root(perm_inverse(as_perm), b)
-    sigma2 = _sigma_direct(rel2, b2, mode)
-    return frozenset(perm_on_root(as_perm, v) for v in sigma2)
+    roots, label = (idx.base, idx.label) if rel.datum.base.is_simply_laced() else rel._cover
+    mask = _sigma_mask(roots, label, len(idx.coords), ib, mode)
+    return frozenset(map(tuple, idx.coords[mask].tolist()))
 
 
 def sigma_properties(rel: RelativeRootSystem, b: Coords,
@@ -300,25 +319,21 @@ def sigma_properties(rel: RelativeRootSystem, b: Coords,
     """The properties a sigma set must satisfy, each checked exhaustively."""
     if sigma is None:
         sigma = sigma_set(rel, b)
-    roots = rel.rel_roots
-    additively_closed = all(
-        _vec_add(x, y) in sigma
-        for x in sigma
-        for y in sigma
-        if _vec_add(x, y) in roots
-    )
-    covers = sigma | {_vec_neg(v) for v in sigma} == roots
-    proper = sigma != roots
-    required = {
-        a for a in roots
-        if _vec_add(a, b) not in roots and any(x + y for x, y in zip(a, b))
-    }
-    contains_required = required <= sigma
+    idx = rel.index
+    (ib,) = _root_ids(rel, [b])
+    ids = _root_ids(rel, sorted(sigma))
+    if ib < 0 or (ids < 0).any():
+        raise ValueError("b and the members of sigma must be relative roots")
+    inside = np.zeros(len(idx.coords), dtype=bool)
+    inside[ids] = True
+    sums = idx.add[np.ix_(inside, inside)]
+    # a + b is not a root and not 0 (a = -b is excluded)
+    required = (idx.add[:, ib] < 0) & (np.arange(len(idx.coords)) != idx.neg[ib])
     return {
-        "additively_closed": additively_closed,
-        "covers_with_negation": covers,
-        "proper": proper,
-        "contains_non_addable": contains_required,
+        "additively_closed": bool(inside[sums[sums >= 0]].all()),
+        "covers_with_negation": bool((inside | inside[idx.neg]).all()),
+        "proper": not inside.all(),
+        "contains_non_addable": bool(inside[required].all()),
     }
 
 
@@ -372,30 +387,27 @@ def check_datum(rel: RelativeRootSystem) -> dict[str, int]:
         "sigma_forms_checked": 0, "sigma_forms_failed": 0,
         "gamma_invariance_failed": 0,
     }
-    base = rel.datum.base
+    idx = rel.index
     for p in rel.datum.gamma:
-        for mu in base.roots:
-            if rel.project(perm_on_root(p, mu)) != rel.project(mu):
-                counts["gamma_invariance_failed"] += 1
-    simples = relative_simple_roots(rel)
-    for a in simples:
-        for b in simples:
-            if a != b and _vec_add(a, b) in rel.rel_roots:
+        # project(p . mu) - project(mu) = mu @ (P[:, p] - P)^T
+        moved = idx.base.coords @ (idx.proj[:, list(p)] - idx.proj).T
+        counts["gamma_invariance_failed"] += int(moved.any(axis=1).sum())
+    simples = [tuple(v) for v in idx.coords[idx.simple].tolist()]
+    for ia, a in zip(idx.simple, simples):
+        for ib, b in zip(idx.simple, simples):
+            if ia != ib and idx.add[ia, ib] >= 0:
                 counts["adjacent_checked"] += 1
                 if not check_adjacent_simple(rel, a, b):
                     counts["adjacent_failed"] += 1
-    for a in rel.rel_roots:
-        for b in rel.rel_roots:
-            if _vec_add(a, b) in rel.rel_roots:
-                counts["fiber_checked"] += 1
-                if not check_fiber_additivity(rel, a, b):
-                    counts["fiber_failed"] += 1
+    ia, ib = np.nonzero(idx.add >= 0)
+    counts["fiber_checked"] = len(ia)
+    counts["fiber_failed"] = int((~idx.split[idx.add[ia, ib], ia]).sum())
     for b in simples:
         sigma = sigma_set(rel, b)
         counts["sigma_checked"] += 1
         if not all(sigma_properties(rel, b, sigma).values()):
             counts["sigma_failed"] += 1
-        if base.is_simply_laced():
+        if rel.datum.base.is_simply_laced():
             counts["sigma_forms_checked"] += 1
             if sigma != sigma_set(rel, b, "some"):
                 counts["sigma_forms_failed"] += 1
@@ -425,11 +437,5 @@ FOLDS = (
 def fold_matches(base: tuple[str, int], target: tuple[str, int], gen: Perm) -> bool:
     """Whether folding the base system by the group Gamma generated by gen
     gives the target system, up to a permutation of coordinates."""
-    gamma = {tuple(range(base[1])), gen}
-    while True:
-        new = {perm_compose(a, b) for a in gamma for b in gamma}
-        if new <= gamma:
-            break
-        gamma |= new
-    rel = fold(build_root_system(RootSystemType(*base)), tuple(sorted(gamma)))
+    rel = fold(build_root_system(RootSystemType(*base)), _generated_group(gen))
     return match_coordinates(rel.rel_roots, build_root_system(RootSystemType(*target))) is not None

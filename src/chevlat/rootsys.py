@@ -7,18 +7,31 @@ squared root lengths are integers (1, 2, 4 or 6), so pairings, Cartan
 integers and sign tests are integer sums; there are no fractions and no
 floats.  Reflection data comes straight from the Cartan matrix, which
 makes root generation purely combinatorial.
+
+Each system is indexed once (`RootSystem.index`): an (N, r) int64 array of
+its roots in sorted order, a sorted-key lookup from coordinate vectors to
+root ids, the addition table add[i, j] (the id of root_i + root_j, or -1),
+the negation map and the doubled Gram as an array.  Checks over all roots
+or all pairs of roots are integer array operations on that index.  Diagram
+automorphisms are found by backtracking over the Cartan matrix.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
+
+import numpy as np
 
 Coords = tuple[int, ...]
 Perm = tuple[int, ...]
 
 FAMILIES = "ABCDEFG"
+
+# Largest |coefficient| of a root over the simple roots in any irreducible
+# system: the highest root of E8 has coefficient 6.  It sizes the key digits.
+COEFF_BOUND = 6
 
 # Rank cap 9, not 8: type A_9 is needed to unfold C_5, see relroots.unfold.
 _RANK_RANGE = {
@@ -104,6 +117,49 @@ def _cartan_and_lengths(family: str, r: int) -> tuple[list[list[int]], list[int]
     return C, lengths
 
 
+class VectorIndex:
+    """Ids of a set of integer vectors, with their addition and negation.
+
+    The vectors are stored as an (N, width) int64 array in sorted order.
+    A vector's key reads its coordinates, shifted by `bound`, as the digits
+    of a base-(2*bound + 1) number, first coordinate most significant, so
+    sorted vectors have increasing keys and an id is a binary search.
+    add[i, j] is the id of vector i + vector j and neg[i] the id of
+    -vector i, -1 where the result is not in the set.
+    """
+
+    def __init__(self, name: str, vectors, width: int, bound: int):
+        base = 2 * bound + 1
+        if base ** width > 2 ** 63:
+            raise ValueError(
+                f"{name}: base-{base} keys of {width} coordinates could pass 2**63"
+            )
+        vectors = sorted(vectors)
+        coords = np.array(vectors, dtype=np.int64).reshape(len(vectors), width)
+        if coords.size and np.abs(coords).max() > bound:
+            raise ValueError(
+                f"{name}: coordinate {int(np.abs(coords).max())} outside the key "
+                f"digit range [-{bound}, {bound}]"
+            )
+        self.coords = coords
+        self.bound = bound
+        self.weights = base ** np.arange(width - 1, -1, -1, dtype=np.int64)
+        self.keys = (coords + bound) @ self.weights
+        self.add = self.lookup(coords[:, None] + coords[None])
+        self.neg = self.lookup(-coords)
+
+    def lookup(self, vecs: np.ndarray) -> np.ndarray:
+        """Ids of the vectors along the last axis of vecs, -1 where absent."""
+        # The key of a vector outside the digit range is meaningless (it may
+        # even wrap), so such vectors are masked out, not looked up.
+        inside = (np.abs(vecs) <= self.bound).all(axis=-1)
+        keys = (vecs + self.bound) @ self.weights
+        if not len(self.keys):
+            return np.full(keys.shape, -1, dtype=np.int64)
+        pos = np.minimum(np.searchsorted(self.keys, keys), len(self.keys) - 1)
+        return np.where(inside & (self.keys[pos] == keys), pos, -1)
+
+
 @dataclass(frozen=True)
 class RootSystem:
     rtype: RootSystemType
@@ -119,31 +175,17 @@ class RootSystem:
     def is_simply_laced(self) -> bool:
         return self.rtype.family in "ADE"
 
-    def pairing2(self, u: Coords, v: Coords) -> int:
-        """Doubled scalar product 2(u, v) of two root-lattice vectors, an integer."""
-        total = 0
-        for ui, row in zip(u, self.gram2):
-            if ui:
-                total += ui * sum(g * vj for g, vj in zip(row, v))
-        return total
+    @cached_property
+    def index(self) -> RootIndex:
+        return RootIndex(self)
 
-    def cartan_int(self, u: Coords, v: Coords) -> int:
-        """Cartan integer <u, v^vee> = 2(u,v)/(v,v); v must be a root."""
-        c, rem = divmod(2 * self.pairing2(u, v), self.pairing2(v, v))
-        if rem:
-            raise ValueError(f"<{u}, {v}^vee> is not an integer; is {v} a root?")
-        return c
 
-    def reflect(self, u: Coords, beta: Coords) -> Coords:
-        """Reflection s_beta(u) = u - <u, beta^vee> beta."""
-        c = self.cartan_int(u, beta)
-        return tuple(ui - c * bi for ui, bi in zip(u, beta))
+class RootIndex(VectorIndex):
+    """The roots of a system as a VectorIndex, with the doubled Gram array."""
 
-    def positive_roots(self) -> list[Coords]:
-        return sorted(r for r in self.roots if is_positive(r))
-
-    def highest_root(self) -> Coords:
-        return max(self.positive_roots(), key=lambda v: (sum(v), v))
+    def __init__(self, sys: RootSystem):
+        super().__init__(str(sys.rtype), sys.roots, sys.rank, COEFF_BOUND)
+        self.gram2 = np.array(sys.gram2, dtype=np.int64)
 
 
 def is_positive(coords: Coords) -> bool:
@@ -192,14 +234,6 @@ def build_root_system(rtype: RootSystemType) -> RootSystem:
     return sys
 
 
-def root_sum(sys: RootSystem, a: Coords, b: Coords) -> Coords | None:
-    """a + b if it is a root, else None."""
-    if a not in sys.roots or b not in sys.roots:
-        raise ValueError("arguments must be roots")
-    s = tuple(x + y for x, y in zip(a, b))
-    return s if s in sys.roots else None
-
-
 def structure_constant_primes(sys: RootSystem) -> set[int]:
     """Primes among the structure constants of the commutator formulas."""
     f = sys.rtype.family
@@ -234,25 +268,36 @@ _AUTOS_CACHE: dict[RootSystemType, list[Perm]] = {}
 
 
 def diagram_automorphisms(sys: RootSystem) -> list[Perm]:
-    """All permutations of the simple roots preserving the Cartan matrix."""
+    """All permutations of the simple roots preserving the Cartan matrix,
+    in sorted order.
+
+    Backtracking: node k is sent to an unused node v only when the Cartan
+    entries between v and the images of nodes 0..k-1 equal those between k
+    and nodes 0..k-1, so every partial map is a partial automorphism, and
+    when the rows of k and v hold the same entries (an automorphism permutes
+    each row), which cuts dead branches early.
+    """
     if sys.rtype in _AUTOS_CACHE:
         return list(_AUTOS_CACHE[sys.rtype])
     r = sys.rank
     C = sys.cartan
+    row_entries = [sorted(row) for row in C]
     autos = []
-    for p in itertools.permutations(range(r)):
-        ok = True
-        for i in range(r):
-            for j in range(r):
-                if C[p[i]][p[j]] != C[i][j]:
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
-            autos.append(p)
-    _AUTOS_CACHE[sys.rtype] = sorted(autos)
-    return list(_AUTOS_CACHE[sys.rtype])
+
+    def extend(p: list[int]) -> None:
+        k = len(p)
+        if k == r:
+            autos.append(tuple(p))
+            return
+        for v in range(r):
+            if v not in p and row_entries[v] == row_entries[k] and all(
+                C[v][p[j]] == C[k][j] and C[p[j]][v] == C[j][k] for j in range(k)
+            ):
+                extend(p + [v])
+
+    extend([])
+    _AUTOS_CACHE[sys.rtype] = autos
+    return list(autos)
 
 
 def automorphism_subgroups(autos: list[Perm]) -> list[tuple[Perm, ...]]:

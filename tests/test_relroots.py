@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 
 from chevlat import relroots, rootsys
@@ -19,6 +21,124 @@ def closed_group(rank, gens):
 
 
 REV3 = (2, 1, 0)
+
+
+# -- tuple-level reference for check_datum --------------------------------------
+# Every gamma, adjacency, fiber and sigma check on Python tuples, straight
+# from the definitions, with no use of the relative index.
+
+def _add(a, b):
+    return tuple(x + y for x, y in zip(a, b))
+
+
+def _neg(a):
+    return tuple(-x for x in a)
+
+
+def ref_fiber_additivity(rel, a, b):
+    fa, fb = rel.fiber(a), rel.fiber(b)
+    return all(
+        any(tuple(m - x for m, x in zip(mu, m1)) in fb for m1 in fa)
+        for mu in rel.fiber(_add(a, b))
+    )
+
+
+def ref_adjacent_simple(rel, a, b):
+    j = 1
+    while tuple(j * x for x in b) in rel.rel_roots:
+        if _add(a, tuple(j * x for x in b)) not in rel.rel_roots:
+            return False
+        j += 1
+    return True
+
+
+def _ref_sigma_direct(rel, b, mode):
+    base = rel.datum.base
+    fiber_sum = tuple(sum(col) for col in zip(*rel.fiber(b)))
+    form = [sum(g * f for g, f in zip(row, fiber_sum)) for row in base.gram2]
+    out = set()
+    for a in rel.rel_roots:
+        vals = [sum(x * f for x, f in zip(mu, form)) >= 0 for mu in rel.fiber(a)]
+        if (all(vals) if mode == "all" else any(vals)):
+            out.add(a)
+    return frozenset(out)
+
+
+def ref_sigma_set(rel, b, mode="all"):
+    base = rel.datum.base
+    if base.is_simply_laced():
+        return _ref_sigma_direct(rel, b, mode)
+    cover, cover_gamma, coord_perm = relroots.unfold(base)
+    fold_orbits = relroots._gamma_orbits(frozenset(range(cover.rank)), cover_gamma)
+    j2 = frozenset(
+        i for k, orb in enumerate(fold_orbits) if coord_perm[k] in rel.datum.J for i in orb
+    )
+    rel2 = build_relative(RelativeDatum(cover, j2, cover_gamma))
+    sorted_j = sorted(rel.datum.J)
+    as_perm = tuple(
+        sorted_j.index(coord_perm[next(i for i, o in enumerate(fold_orbits) if orb[0] in o)])
+        for orb in rel2.orbits
+    )
+    assert {rootsys.perm_on_root(as_perm, v) for v in rel2.rel_roots} == rel.rel_roots
+    b2 = rootsys.perm_on_root(rootsys.perm_inverse(as_perm), b)
+    return frozenset(rootsys.perm_on_root(as_perm, v) for v in _ref_sigma_direct(rel2, b2, mode))
+
+
+def ref_sigma_properties(rel, b, sigma):
+    roots = rel.rel_roots
+    required = {a for a in roots if _add(a, b) not in roots and any(_add(a, b))}
+    return {
+        "additively_closed": all(
+            _add(x, y) in sigma for x in sigma for y in sigma if _add(x, y) in roots
+        ),
+        "covers_with_negation": sigma | {_neg(v) for v in sigma} == roots,
+        "proper": sigma != roots,
+        "contains_non_addable": required <= sigma,
+    }
+
+
+def ref_check_datum(rel):
+    counts = dict.fromkeys((
+        "adjacent_checked", "adjacent_failed", "fiber_checked", "fiber_failed",
+        "sigma_checked", "sigma_failed", "sigma_forms_checked", "sigma_forms_failed",
+        "gamma_invariance_failed",
+    ), 0)
+    base = rel.datum.base
+    for p in rel.datum.gamma:
+        for mu in base.roots:
+            if rel.project(rootsys.perm_on_root(p, mu)) != rel.project(mu):
+                counts["gamma_invariance_failed"] += 1
+    simples = {
+        a for a in (rel.project(e) for i, e in enumerate(base.simple_roots) if i in rel.datum.J)
+        if any(a)
+    }
+    for a in simples:
+        for b in simples:
+            if a != b and _add(a, b) in rel.rel_roots:
+                counts["adjacent_checked"] += 1
+                counts["adjacent_failed"] += not ref_adjacent_simple(rel, a, b)
+    for a in rel.rel_roots:
+        for b in rel.rel_roots:
+            if _add(a, b) in rel.rel_roots:
+                counts["fiber_checked"] += 1
+                counts["fiber_failed"] += not ref_fiber_additivity(rel, a, b)
+    for b in simples:
+        sigma = ref_sigma_set(rel, b)
+        counts["sigma_checked"] += 1
+        counts["sigma_failed"] += not all(ref_sigma_properties(rel, b, sigma).values())
+        if base.is_simply_laced():
+            counts["sigma_forms_checked"] += 1
+            counts["sigma_forms_failed"] += sigma != ref_sigma_set(rel, b, "some")
+    return counts
+
+
+def broken_b3():
+    """B3 with the roots +-(a2 + a3) taken out, over J = {a3}: the root
+    a2 + 2a3 over 2 no longer splits as a root over 1 plus a root, while
+    a1 + a2 + 2a3 = a3 + (a1 + a2 + a3) still does."""
+    b3 = sys_of("B", 3)
+    bad = dataclasses.replace(b3, roots=b3.roots - {(0, 1, 1), (0, -1, -1)})
+    return build_relative(RelativeDatum(bad, frozenset({2}), ()))
 
 
 def test_a2_single_node():
@@ -216,3 +336,37 @@ def test_sweep_counts_zero_failures_rank4():
     assert totals["sigma_forms_failed"] == 0
     assert totals["gamma_invariance_failed"] == 0
     assert totals["fiber_checked"] > 1000
+
+
+def test_sweep_totals_pinned_exactly():
+    totals = relroots.sweep_totals(5)
+    assert totals == {
+        "adjacent_checked": 736, "adjacent_failed": 0,
+        "fiber_checked": 25800, "fiber_failed": 0,
+        "sigma_checked": 678, "sigma_failed": 0,
+        "sigma_forms_checked": 386, "sigma_forms_failed": 0,
+        "gamma_invariance_failed": 0,
+    }
+    assert all(type(v) is int for v in totals.values())
+
+
+def test_check_datum_matches_tuple_reference():
+    data = relroots.sweep_data(4)
+    # the reversal-folded E6 data: 2^4 subsets of the orbits {1,6}, {3,5}, {2}, {4}
+    assert sum(d.base.rtype == RootSystemType("E", 6) for d in data) == 16
+    for datum in data:
+        rel = build_relative(datum)
+        got = relroots.check_datum(rel)
+        assert got == ref_check_datum(rel), (datum.base.rtype, sorted(datum.J), datum.gamma)
+        assert all(type(v) is int for v in got.values())
+
+
+def test_split_table_catches_a_partial_fiber_failure():
+    rel = broken_b3()
+    assert rel.fiber((2,)) == {(0, 1, 2), (1, 1, 2), (1, 2, 2)}
+    assert not relroots.check_fiber_additivity(rel, (1,), (1,))
+    assert not ref_fiber_additivity(rel, (1,), (1,))
+    counts = relroots.check_datum(rel)
+    assert counts["fiber_failed"] > 0
+    assert counts == ref_check_datum(rel)
+
