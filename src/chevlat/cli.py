@@ -5,7 +5,8 @@ produces a single JSON report with a stable key order, so re-running an
 identical configuration reproduces the report byte for byte apart from the
 timing block.  Exit codes: 0 all asserted checks passed, 1 a theorem-level
 check failed (a counterexample), 2 configuration or size error, 3 internal
-error (a RuntimeError or AssertionError inside the run; no report is written).
+error (a RuntimeError, AssertionError or ValueError inside the run; no report
+is written).
 """
 
 from __future__ import annotations
@@ -111,11 +112,11 @@ def parse_config(data: bytes) -> RunConfig:
     except (UnicodeDecodeError, configparser.Error) as exc:
         raise ConfigError(f"cannot parse config: {exc}") from exc
     run = parser["run"] if parser.has_section("run") else {}
-    cfg = RunConfig(
-        suite=run.get("suite", "all"),
-        cap=int(run.get("cap", DEFAULT_CAP)),
-        out=run.get("out") or None,
-    )
+    try:
+        cap = int(run.get("cap", DEFAULT_CAP))
+    except ValueError as exc:
+        raise ConfigError(f"[run] cap: {exc}") from exc
+    cfg = RunConfig(suite=run.get("suite", "all"), cap=cap, out=run.get("out") or None)
     for section in parser.sections():
         if section != "model" and not section.startswith("model."):
             if section != "run":
@@ -125,16 +126,13 @@ def parse_config(data: bytes) -> RunConfig:
         if "name" not in spec:
             raise ConfigError(f"[{section}] needs a name, e.g. name = SL3")
         kind, degree = _parse_model_name(spec["name"])
-        modulus = int(spec.get("mod", "0"))
-        cfg.models.append(
-            ModelSpec(
-                kind,
-                degree,
-                modulus,
-                _parse_blocks(kind, degree, spec.get("blocks")),
-                spec.getboolean("expect_violation", fallback=False),
-            )
-        )
+        try:
+            modulus = int(spec.get("mod", "0"))
+            expect = spec.getboolean("expect_violation", fallback=False)
+        except ValueError as exc:
+            raise ConfigError(f"[{section}]: {exc}") from exc
+        blocks = _parse_blocks(kind, degree, spec.get("blocks"))
+        cfg.models.append(ModelSpec(kind, degree, modulus, blocks, expect))
     cfg.validate()
     return cfg
 
@@ -489,7 +487,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (RuntimeError, AssertionError) as exc:
+    except (RuntimeError, AssertionError, ValueError) as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return 3
     text = json.dumps(report, sort_keys=True, indent=2) + "\n"

@@ -1,24 +1,28 @@
 """Subgroup lattice computations and the theorem-level verifications.
 
-Subgroups are bitsets over the element table.  Closures run a batched BFS
-on indices.  `normal_closure` is the plain engine: it iterates closure and
-conjugation-stability until the bitset is a fixed point of every generator
-conjugation, which is also the correctness certificate.
+Subgroups are bitsets over the element table.  One engine builds them,
+`subgroup_closure`: a batched BFS on indices that turns each seed not yet
+a member into a generator and stops when the bitset is closed under right
+multiplication by every generator, so its generators generate the result.
 
 Each element table has one registry of certified E-normal closures, shared
 by every context (parabolic, sibling) built on it.  It holds the E-orbits
 and the orbit closure cl(r) of each orbit computed so far, and it builds
 every other closure from them:
 
+* cl(r), the normal closure of r under E, is generated by the E-conjugates
+  of r, which are the E-orbit of r.  So cl(r) is the subgroup its orbit
+  generates, and it is certified as a fixed point of every generator
+  conjugation (`is_enormal`).
 * While cl(r) grows, each new BFS frontier is checked for an element x
   whose orbit closure K is already known and contains r.  Then cl(r) = K:
   K = cl(x) <= cl(r) because cl(r) is E-normal and contains x, and
-  cl(r) <= K because K is E-normal and contains r.  The first closure of
-  each kind runs `normal_closure` to its fixed point.
+  cl(r) <= K because K is E-normal and contains r.  K was certified when
+  it was built.
 * The join of two E-normal subgroups A and B is the plain subgroup they
   generate, which is again E-normal.  It is grown from A's bitset by B's
-  generators, with no conjugation loop, and checked to be a fixed point of
-  every generator conjugation before it is cached under both bitsets.
+  generators and checked to be a fixed point of every generator
+  conjugation before it is cached under both bitsets.
 * The closure of a seed set (E(R,q), commutator subgroups) is the join of
   the orbit closures of the seeds' orbits.
 
@@ -77,128 +81,55 @@ class Subgroup:
         return self.member.tobytes()
 
 
-class _IncrementalClosure:
-    """Grows a subgroup bitset as generators are added, without restarting.
-
-    The member set stays closed under right multiplication by every
-    generator added so far, which certifies it is the generated subgroup.
-    It may start from a subgroup `base` whose gens generate it.  A `stop`
-    hook sees every new BFS frontier; the first subgroup it returns is kept
-    in `found` and ends the growth.
-    """
-
-    def __init__(self, table: ElementTable, base: Subgroup | None = None, stop=None):
-        self.table = table
-        if base is None:
-            base = Subgroup(table, np.arange(table.N) == table.identity_idx)
-        elif base.order > 1 and not base.gens:
-            raise ValueError("a base subgroup needs its generators")
-        self.member = base.member.copy()
-        self.gens: list[int] = list(base.gens)
-        self._gen_set: set[int] = set(self.gens)
-        self.stop = stop
-        self.found: Subgroup | None = None
-
-    def _products(self, frontier: np.ndarray, gen_idxs) -> np.ndarray:
-        """New indices reached from the frontier by right multiplication with
-        the generators: one row-table gather and one lookup per chunk, the
-        chunks bounding memory."""
-        table = self.table
-        tables = table.row_tables(table.mats[gen_idxs])
-        chunk = max(1, 65536 // max(1, len(tables)))
-        found = []
-        for lo in range(0, frontier.size, chunk):
-            idx = table.lookup_keys(table.product_keys(frontier[lo:lo + chunk], tables))
-            assert idx.min(initial=0) >= 0  # products of members are members
-            cand = idx[~self.member[idx]]
-            new = np.unique(cand)
-            self.member[new] = True
-            found.append(new)
-        return np.concatenate(found) if found else np.empty(0, dtype=np.int64)
-
-    def _stopped(self, frontier: np.ndarray) -> bool:
-        if self.stop is not None and frontier.size:
-            self.found = self.stop(frontier)
-        return self.found is not None
-
-    def _advance(self, frontier: np.ndarray, gen_idxs: list[int]):
-        frontier = self._products(frontier, gen_idxs)
-        all_gens = self._all_gen_idx()
-        while frontier.size and not self._stopped(frontier):
-            frontier = self._products(frontier, all_gens)
-
-    def _all_gen_idx(self) -> list[int]:
-        return sorted(self._gen_set | {int(self.table.inv[i]) for i in self._gen_set})
-
-    def add_gens(self, new_idxs) -> None:
-        # members are already generated; skipping them keeps the gens short
-        fresh = sorted({int(i) for i in new_idxs if not self.member[int(i)]})
-        if not fresh:
-            return
-        self.gens.extend(fresh)
-        self._gen_set.update(fresh)
-        new_idx = sorted(set(fresh) | {int(self.table.inv[i]) for i in fresh})
-        # every current member times each new generator, then full BFS
-        self._advance(np.nonzero(self.member)[0], new_idx)
-
-    def subgroup(self) -> Subgroup:
-        return Subgroup(self.table, self.member.copy(), list(self.gens))
+def _products(table: ElementTable, member: np.ndarray, frontier: np.ndarray,
+              gen_idxs) -> np.ndarray:
+    """New indices reached from the frontier by right multiplication with
+    the generators, marked in `member`: one row-table gather and one lookup
+    per chunk, the chunks bounding memory."""
+    tables = table.row_tables(table.mats[gen_idxs])
+    chunk = max(1, 65536 // max(1, len(tables)))
+    found = []
+    for lo in range(0, frontier.size, chunk):
+        idx = table.lookup_keys(table.product_keys(frontier[lo:lo + chunk], tables))
+        assert idx.min(initial=0) >= 0  # products of members are members
+        new = np.unique(idx[~member[idx]])
+        member[new] = True
+        found.append(new)
+    return np.concatenate(found) if found else np.empty(0, dtype=np.int64)
 
 
-def subgroup_closure(table: ElementTable, seed_idxs, base: Subgroup | None = None) -> Subgroup:
-    """Smallest subgroup containing the seeds (and `base`, a subgroup whose
-    gens generate it)."""
-    closure = _IncrementalClosure(table, base)
-    closure.add_gens(seed_idxs)
-    return closure.subgroup()
+def subgroup_closure(table: ElementTable, seed_idxs, base: Subgroup | None = None,
+                     stop=None) -> Subgroup:
+    """Smallest subgroup containing the seeds and `base`, a subgroup whose
+    gens generate it.
 
-
-def normal_closure(table: ElementTable, seed_idxs, stop=None) -> Subgroup:
-    """Smallest subgroup containing the seeds and stable under conjugation
-    by every elementary generator.
-
-    Seeds are absorbed in small batches so the multiplier set stays small;
-    the returned bitset is a fixed point of every conjugation permutation,
-    which is checked before returning.  `stop`, if given, is called with
-    every new BFS frontier; a subgroup it returns is returned at once, and
-    the caller is responsible for its certificate."""
-    seeds = sorted({int(i) for i in seed_idxs if int(i) != table.identity_idx})
-    if not seeds:
-        return subgroup_closure(table, [])
-    conj_perms = table.egen_conj_perms()
-    closure = _IncrementalClosure(table, stop=stop)
-    if len(seeds) <= 4:
-        # a couple of conjugates usually make the first closure stable
-        first = set(seeds)
-        for s in seeds:
-            for perm in conj_perms:
-                img = int(perm[s])
-                if img not in first:
-                    first.add(img)
-                if len(first) >= len(seeds) + 3:
-                    break
-            else:
-                continue
-            break
-        closure.add_gens(sorted(first))
-    while closure.found is None:
-        if closure.member.all():
-            return closure.subgroup()  # the whole group: stability is vacuous
-        missing = [s for s in seeds if not closure.member[s]]
-        if missing:
-            closure.add_gens(missing[:8])
-            continue
-        added: set[int] = set()
-        s_idx = np.nonzero(closure.member)[0]
-        for perm in conj_perms:
-            img = perm[s_idx]
-            bad = img[~closure.member[img]]
-            if bad.size:
-                added.update(np.unique(bad)[:8].tolist())
-        if not added:
-            return closure.subgroup()
-        closure.add_gens(sorted(added))
-    return closure.found
+    Each seed that is not yet a member becomes a generator: every member is
+    multiplied by it and its inverse, then a BFS over all generators and
+    their inverses runs until no new element appears.  The member set is
+    then closed under right multiplication by every generator, which
+    certifies it is the generated subgroup, and its gens generate it.  A
+    `stop` hook sees every new BFS frontier; the first subgroup it returns
+    is returned at once."""
+    if base is None:
+        base = Subgroup(table, np.arange(table.N) == table.identity_idx)
+    elif base.order > 1 and not base.gens:
+        raise ValueError("a base subgroup needs its generators")
+    member = base.member.copy()
+    gens = list(base.gens)
+    seeds = np.asarray(seed_idxs, dtype=np.int64)
+    # members are already generated; skipping them keeps the gens short
+    while (pending := seeds[~member[seeds]]).size:
+        seed = int(pending[0])
+        gens.append(seed)
+        frontier = _products(table, member, np.nonzero(member)[0],
+                             sorted({seed, int(table.inv[seed])}))
+        all_gens = sorted(set(gens) | {int(table.inv[g]) for g in gens})
+        while frontier.size:
+            found = stop(frontier) if stop is not None else None
+            if found is not None:
+                return found
+            frontier = _products(table, member, frontier, all_gens)
+    return Subgroup(table, member, gens)
 
 
 def is_enormal(sub: Subgroup) -> bool:
@@ -228,13 +159,8 @@ def e_conjugacy_orbits(table: ElementTable) -> np.ndarray:
 
 def generating_set(table: ElementTable, sub: Subgroup) -> list[int]:
     """A small generating set of a given subgroup, built greedily."""
-    closure = _IncrementalClosure(table)
-    for idx in sub.indices().tolist():
-        if not closure.member[idx]:
-            closure.add_gens([idx])
-            if np.array_equal(closure.member, sub.member):
-                break
-    assert np.array_equal(closure.member, sub.member)
+    closure = subgroup_closure(table, sub.indices())
+    assert closure == sub
     return closure.gens
 
 
@@ -298,8 +224,12 @@ class _ClosureRegistry:
         orbit, reps = self.orbits()
         k = int(orbit[idx])
         if k not in self._by_orbit:
-            rep = reps[k]
-            self._by_orbit[k] = normal_closure(self.table, [rep], stop=self._known_closure(rep))
+            sub = subgroup_closure(self.table, np.nonzero(orbit == k)[0],
+                                   stop=self._known_closure(reps[k]))
+            # a known closure the stop hook returns was certified when it was built
+            if all(sub is not c for c in self._by_orbit.values()) and not is_enormal(sub):
+                raise RuntimeError("the subgroup generated by an E-orbit is not E-normal")
+            self._by_orbit[k] = sub
         return self._by_orbit[k]
 
     def _known_closure(self, rep: int):
@@ -481,21 +411,15 @@ class GroupContext:
         return sub
 
     def commutator_subgroup(self, x_gens, y_gens) -> Subgroup:
-        """[X, Y] for subgroups normal in the group, from generating sets or
-        Subgroup values."""
+        """[X, Y] for subgroups normal in the group, from generating sets."""
         t = self.table
-        x_gens = np.asarray(self._as_gens(x_gens), dtype=np.int64)
-        y_gens = np.asarray(self._as_gens(y_gens), dtype=np.int64)
+        x_gens = np.asarray(x_gens, dtype=np.int64)
+        y_gens = np.asarray(y_gens, dtype=np.int64)
         a, b = np.repeat(x_gens, len(y_gens)), np.tile(y_gens, len(x_gens))
         x, y, xinv, yinv = (t.mats[i].astype(np.int64) for i in (a, b, t.inv[a], t.inv[b]))
         seeds = t.lookup(xinv @ yinv @ x @ y)  # every [x, y] = x^-1 y^-1 x y at once
         assert (seeds >= 0).all()
         return self.closure_of(seeds.tolist())
-
-    def _as_gens(self, obj) -> list[int]:
-        if isinstance(obj, Subgroup):
-            return obj.gens or generating_set(self.table, obj)
-        return list(obj)
 
 
 # -- sandwich classification -------------------------------------------------
@@ -615,7 +539,7 @@ def verify_structure_theorems(ctx: GroupContext) -> dict:
             continue
         seen_keys[k] = rep
         k1 = ctx.commutator_subgroup(sub.gens, egens)
-        k2 = ctx.commutator_subgroup(k1.gens or generating_set(table, k1), egens)
+        k2 = ctx.commutator_subgroup(k1.gens, egens)
         if k1 != k2:
             hall_witt_failures.append(rep)
 

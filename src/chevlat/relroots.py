@@ -211,6 +211,11 @@ def check_adjacent_simple(rel: RelativeRootSystem, a: Coords, b: Coords) -> bool
         raise ValueError("a and b must be simple relative roots")
     if idx.add[ia, ib] < 0:
         raise ValueError("a+b must be a relative root")
+    return _adjacent_ok(idx, ia, ib)
+
+
+def _adjacent_ok(idx: RelativeIndex, ia: int, ib: int) -> bool:
+    """`check_adjacent_simple` on relative root ids."""
     va, vb = idx.coords[ia], idx.coords[ib]
     j = 1
     while idx.lookup(j * vb) >= 0:
@@ -220,11 +225,16 @@ def check_adjacent_simple(rel: RelativeRootSystem, a: Coords, b: Coords) -> bool
     return True
 
 
-def _sigma_mask(roots: RootIndex, label: np.ndarray, n: int, b: int, mode: str) -> np.ndarray:
-    """Mask of the n relative roots whose fibers, read through label, pair
-    nonnegatively (all of the fiber, or some of it) with the summed fiber of
-    relative root b."""
-    coords, over = roots.coords, label >= 0
+def _sigma_mask(rel: RelativeRootSystem, b: int, mode: str) -> np.ndarray:
+    """Mask of the relative roots whose fibers pair nonnegatively (all of
+    the fiber, or some of it) with the summed fiber of relative root id b.
+
+    For a multiply-laced base the fibers are read on its simply-laced
+    cover, each cover root labelled with the relative root it folds and
+    projects onto."""
+    idx = rel.index
+    roots, label = (idx.base, idx.label) if rel.datum.base.is_simply_laced() else rel._cover
+    n, coords, over = len(idx.coords), roots.coords, label >= 0
     # sign of (mu, fiber_sum) = sign of sum_i mu_i * 2(alpha_i, fiber_sum)
     form = roots.gram2 @ coords[label == b].sum(axis=0)
     hits = np.bincount(label[over & (coords @ form >= 0)], minlength=n)
@@ -298,20 +308,13 @@ def unfold(sys: RootSystem) -> tuple[RootSystem, tuple[Perm, ...], Perm]:
 
 
 def sigma_set(rel: RelativeRootSystem, b: Coords, mode: str = "all") -> frozenset[Coords]:
-    """Parabolic subset attached to a simple relative root b.
-
-    For a simply-laced base this is the half-space cut out by pairing
-    against the summed fiber of b.  For a multiply-laced base the same
-    computation runs on the roots of its simply-laced cover, each labelled
-    with the relative root here that it folds and projects onto.
-    """
+    """Parabolic subset attached to a simple relative root b: the half-space
+    cut out by pairing against the summed fiber of b (see `_sigma_mask`)."""
     idx = rel.index
     (ib,) = _root_ids(rel, [b])
     if ib not in idx.simple:
         raise ValueError(f"{b} is not a simple relative root")
-    roots, label = (idx.base, idx.label) if rel.datum.base.is_simply_laced() else rel._cover
-    mask = _sigma_mask(roots, label, len(idx.coords), ib, mode)
-    return frozenset(map(tuple, idx.coords[mask].tolist()))
+    return frozenset(map(tuple, idx.coords[_sigma_mask(rel, int(ib), mode)].tolist()))
 
 
 def sigma_properties(rel: RelativeRootSystem, b: Coords,
@@ -326,6 +329,11 @@ def sigma_properties(rel: RelativeRootSystem, b: Coords,
         raise ValueError("b and the members of sigma must be relative roots")
     inside = np.zeros(len(idx.coords), dtype=bool)
     inside[ids] = True
+    return _sigma_checks(idx, int(ib), inside)
+
+
+def _sigma_checks(idx: RelativeIndex, ib: int, inside: np.ndarray) -> dict[str, bool]:
+    """`sigma_properties` on the id of b and the mask of sigma."""
     sums = idx.add[np.ix_(inside, inside)]
     # a + b is not a root and not 0 (a = -b is excluded)
     required = (idx.add[:, ib] < 0) & (np.arange(len(idx.coords)) != idx.neg[ib])
@@ -392,24 +400,23 @@ def check_datum(rel: RelativeRootSystem) -> dict[str, int]:
         # project(p . mu) - project(mu) = mu @ (P[:, p] - P)^T
         moved = idx.base.coords @ (idx.proj[:, list(p)] - idx.proj).T
         counts["gamma_invariance_failed"] += int(moved.any(axis=1).sum())
-    simples = [tuple(v) for v in idx.coords[idx.simple].tolist()]
-    for ia, a in zip(idx.simple, simples):
-        for ib, b in zip(idx.simple, simples):
+    for ia in idx.simple:
+        for ib in idx.simple:
             if ia != ib and idx.add[ia, ib] >= 0:
                 counts["adjacent_checked"] += 1
-                if not check_adjacent_simple(rel, a, b):
+                if not _adjacent_ok(idx, ia, ib):
                     counts["adjacent_failed"] += 1
     ia, ib = np.nonzero(idx.add >= 0)
     counts["fiber_checked"] = len(ia)
     counts["fiber_failed"] = int((~idx.split[idx.add[ia, ib], ia]).sum())
-    for b in simples:
-        sigma = sigma_set(rel, b)
+    for b in idx.simple:
+        sigma = _sigma_mask(rel, b, "all")
         counts["sigma_checked"] += 1
-        if not all(sigma_properties(rel, b, sigma).values()):
+        if not all(_sigma_checks(idx, b, sigma).values()):
             counts["sigma_failed"] += 1
         if rel.datum.base.is_simply_laced():
             counts["sigma_forms_checked"] += 1
-            if sigma != sigma_set(rel, b, "some"):
+            if not np.array_equal(sigma, _sigma_mask(rel, b, "some")):
                 counts["sigma_forms_failed"] += 1
     return counts
 

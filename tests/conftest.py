@@ -16,6 +16,19 @@ def index_of(table, mat):
     return None if idx < 0 else idx
 
 
+def plain_normal_closure(table, seeds):
+    """Reference normal closure under E: grow the generated subgroup until
+    the bitset is a fixed point of every generator conjugation."""
+    sub = lattice.subgroup_closure(table, seeds)
+    while True:
+        members = sub.indices()
+        images = np.concatenate([perm[members] for perm in table.egen_conj_perms()])
+        missing = np.unique(images[~sub.member[images]])
+        if not missing.size:
+            return sub
+        sub = lattice.subgroup_closure(table, missing, base=sub)
+
+
 @pytest.fixture(scope="session")
 def sl3_2():
     return ctx_for("SL", 3, 2, (1, 1, 1))

@@ -123,6 +123,11 @@ def test_main_exit_codes(tmp_path):
     assert cli.main(["group", "--model", "SL3", "--mod", "1"]) == 2
     assert cli.main(["group", "--model", "SL3", "--mod", "7", "--cap", "1000"]) == 2
     assert cli.main(["group", "--model", "XX7", "--mod", "2"]) == 2
+    for bad in ("[run]\ncap = abc\n", "[model]\nname = SL3\nmod = x\n",
+                "[model]\nname = SL3\nmod = 2\nexpect_violation = maybe\n"):
+        cfg = tmp_path / "bad.ini"
+        cfg.write_text(bad)
+        assert cli.main(["group", "--config", str(cfg)]) == 2
 
 
 def test_main_reads_config(tmp_path):
@@ -133,7 +138,8 @@ def test_main_reads_config(tmp_path):
     assert json.loads(out.read_text())["summary"]["suite_verdict"] == "pass"
 
 
-@pytest.mark.parametrize("exc", [RuntimeError("lookup failed"), AssertionError("bad index")])
+@pytest.mark.parametrize("exc", [RuntimeError("lookup failed"), AssertionError("bad index"),
+                                 ValueError("key out of range")])
 def test_main_internal_error_exit_code(monkeypatch, capsys, tmp_path, exc):
     def broken(rec):
         raise exc

@@ -8,7 +8,7 @@ from chevlat import lattice
 from chevlat.models import GroupModel
 from chevlat.rings import ZmIdeal, ZmRing
 
-from conftest import ctx_for, index_of
+from conftest import ctx_for, index_of, plain_normal_closure
 
 
 def ideal(ctx, d):
@@ -35,18 +35,18 @@ def test_subgroup_closure_cyclic(sl3_4):
 
 def test_normal_closure_of_transvection_is_everything(sl3_2):
     idx = index_of(sl3_2.table, sl3_2.model.elementary_generator((0, 1), 1))
-    sub = lattice.normal_closure(sl3_2.table, [idx])
+    sub = sl3_2.closure_of([idx])
     assert sub.order == 168
 
 
 def test_normal_closure_identity_trivial(sl3_2):
-    sub = lattice.normal_closure(sl3_2.table, [sl3_2.table.identity_idx])
+    sub = sl3_2.closure_of([sl3_2.table.identity_idx])
     assert sub.order == 1
 
 
 def test_normal_closure_level_two(sl3_4):
     idx = index_of(sl3_4.table, sl3_4.model.elementary_generator((0, 1), 2))
-    sub = lattice.normal_closure(sl3_4.table, [idx])
+    sub = sl3_4.closure_of([idx])
     cong = sl3_4.congruence(ideal(sl3_4, 2))
     assert sub.issubset(cong)
     assert sub.order == 256  # equals the level-2 congruence subgroup here
@@ -54,7 +54,7 @@ def test_normal_closure_level_two(sl3_4):
 
 def test_normal_closure_is_fixed_point(sl3_4):
     idx = index_of(sl3_4.table, sl3_4.model.elementary_generator((0, 2), 2))
-    sub = lattice.normal_closure(sl3_4.table, [idx])
+    sub = sl3_4.closure_of([idx])
     for perm in sl3_4.table.egen_conj_perms():
         assert np.array_equal(sub.member[perm], sub.member)
 
@@ -166,7 +166,7 @@ def test_sandwich_violations_on_sp4_f2(sp4_2):
 
 def test_level_theorem_example(sl3_4):
     idx = index_of(sl3_4.table, sl3_4.model.elementary_generator((0, 2), 2))
-    sub = lattice.normal_closure(sl3_4.table, [idx])
+    sub = sl3_4.closure_of([idx])
     rep = lattice.verify_level_theorem(sl3_4, sub, ideal(sl3_4, 2))
     assert rep.equal
     # H cap X_(1,2)(V) = {0, 2} as values
@@ -199,7 +199,7 @@ def test_structure_theorems(sl3_2, sp4_2):
 
 def test_extract_unipotent(sl3_4):
     idx = index_of(sl3_4.table, sl3_4.model.elementary_generator((0, 1), 2))
-    sub = lattice.normal_closure(sl3_4.table, [idx])
+    sub = sl3_4.closure_of([idx])
     found = lattice.extract_unipotent(sl3_4, sub)
     assert found is not None
     alpha, v = found
@@ -235,7 +235,7 @@ def test_join_level_is_gcd_handpicked(sl3_4):
     t = sl3_4.table
     g = index_of(t, sl3_4.model.elementary_generator((0, 1), 2))  # level 2
     h = index_of(t, sl3_4.model.elementary_generator((1, 2), 1))  # level 1
-    join = lattice.normal_closure(t, [g, h])
+    join = plain_normal_closure(t, [g, h])
     lower = {q.d: sl3_4.relative_elementary(q) for q in sl3_4.ideals}
     upper = {q.d: sl3_4.full_congruence(q) for q in sl3_4.ideals}
     adm = [q.d for q in sl3_4.ideals
@@ -310,6 +310,19 @@ def test_enormal_lattice_sl3_4(sl3_4):
             assert level[sl3_4.closures.join(a, b).key()] == math.gcd(la, lb)
 
 
+def test_enormal_lattice_sl3_6():
+    # Z/6 has the incomparable ideals (2) and (3) on a rank-2 group
+    ctx = ctx_for("SL", 3, 6, (1, 1, 1))
+    members = lattice.enormal_lattice(ctx)
+    assert [sub.order for sub, _ in members] == [1, 168, 5616, 943488]
+    assert [adm for _, adm in members] == [[6], [3], [2], [1]]
+    level = {sub.key(): adm[0] for sub, adm in members}
+    for a, (la,) in members:
+        for b, (lb,) in members:
+            assert level[ctx.closures.join(a, b).key()] == math.gcd(la, lb)
+    assert ctx.closures.join(members[1][0], members[2][0]) == members[3][0]
+
+
 def test_enormal_lattice_sp4_2_has_non_unique_member(sp4_2):
     members = lattice.enormal_lattice(sp4_2)
     assert all(lattice.is_enormal(sub) for sub, _ in members)
@@ -322,7 +335,7 @@ def sl2_6():
     return ctx_for("SL", 2, 6, (1, 1))
 
 
-@pytest.fixture(params=["sl3_4", "sp4_2", "sl2_6"])
+@pytest.fixture(params=["sl3_4", "sp4_2", "sl2_6", "sl4_2"])
 def registry_ctx(request):
     return request.getfixturevalue(request.param)
 
@@ -330,7 +343,7 @@ def registry_ctx(request):
 def test_registry_orbit_closures_match_plain_engine(registry_ctx):
     ctx = registry_ctx
     for rep in ctx.orbits()[1]:
-        assert ctx.orbit_closure(rep) == lattice.normal_closure(ctx.table, [rep])
+        assert ctx.orbit_closure(rep) == plain_normal_closure(ctx.table, [rep])
 
 
 def test_registry_relative_elementary_matches_plain_engine(registry_ctx):
@@ -339,7 +352,7 @@ def test_registry_relative_elementary_matches_plain_engine(registry_ctx):
         seeds = [index_of(ctx.table, ctx.model.x(alpha, v))
                  for alpha in ctx.model.rel_roots
                  for v in ctx.model.v_tuples(alpha, q) if any(v)]
-        assert ctx.relative_elementary(q) == lattice.normal_closure(ctx.table, seeds)
+        assert ctx.relative_elementary(q) == plain_normal_closure(ctx.table, seeds)
 
 
 def test_registry_join_matches_plain_engine(registry_ctx):
@@ -352,7 +365,14 @@ def test_registry_join_matches_plain_engine(registry_ctx):
     for i, ra in enumerate(distinct):
         for rb in distinct[i + 1:]:
             joined = ctx.closures.join(ctx.orbit_closure(ra), ctx.orbit_closure(rb))
-            assert joined == lattice.normal_closure(ctx.table, [ra, rb])
+            assert joined == plain_normal_closure(ctx.table, [ra, rb])
+
+
+def test_orbit_closure_without_certificate_raises(sl3_4, monkeypatch):
+    registry = lattice._ClosureRegistry(sl3_4.table)
+    monkeypatch.setattr(lattice, "is_enormal", lambda sub: False)
+    with pytest.raises(RuntimeError, match="not E-normal"):
+        registry.orbit_closure(sl3_4.orbits()[1][1])
 
 
 def test_sibling_reuses_orbits_and_closures(sl3_4, monkeypatch):
@@ -363,7 +383,7 @@ def test_sibling_reuses_orbits_and_closures(sl3_4, monkeypatch):
         raise AssertionError("recomputed on a sibling context")
 
     monkeypatch.setattr(lattice, "e_conjugacy_orbits", recomputed)
-    monkeypatch.setattr(lattice, "normal_closure", recomputed)
+    monkeypatch.setattr(lattice, "subgroup_closure", recomputed)
     sib = sl3_4.sibling((1, 2))
     assert sib.table is sl3_4.table
     assert sib.orbits() is orbits
