@@ -338,34 +338,21 @@ def lemma_const_check(model: GroupModel, alpha: Vec, beta: Vec) -> bool:
     target = _vadd(alpha, beta)
     if not model.is_rel_root(target) or opposed_multiples(alpha, beta):
         raise ValueError("need alpha+beta a relative root and no opposition")
-    m = model.m
-    values = []
-    for u in model.v_tuples(alpha):
-        for v in model.v_tuples(beta):
-            comp = component_at(
-                chevalley_commutator_decompose(model, alpha, u, beta, v), target
-            )
-            if comp is not None:
-                values.append(comp)
+    pairs = [(alpha, beta)]
     diff = tuple(a - b for a, b in zip(alpha, beta))
     if model.is_rel_root(diff):
         two_beta = tuple(2 * b for b in beta)
         if model.is_rel_root(two_beta):
-            for u in model.v_tuples(diff):
-                for v in model.v_tuples(two_beta):
-                    comp = component_at(
-                        chevalley_commutator_decompose(model, diff, u, two_beta, v),
-                        target,
-                    )
-                    if comp is not None:
-                        values.append(comp)
-        for u in model.v_tuples(diff):
-            for v in model.v_tuples(beta):
-                comp = component_at(
-                    chevalley_commutator_decompose(model, diff, u, beta, v), target
-                )
+            pairs.append((diff, two_beta))
+        pairs.append((diff, beta))
+    values = []
+    for a, b in pairs:
+        for u in model.v_tuples(a):
+            for v in model.v_tuples(b):
+                comp = component_at(chevalley_commutator_decompose(model, a, u, b, v), target)
                 if comp is not None:
                     values.append(comp)
+    m = model.m
     return _additive_closure(values, model.v_dim(target), m) == m ** model.v_dim(target)
 
 

@@ -4,9 +4,11 @@ Subcommands select a suite (roots, relroots, group, sandwich, all); the run
 produces a single JSON report with a stable key order, so re-running an
 identical configuration reproduces the report byte for byte apart from the
 timing block.  Exit codes: 0 all asserted checks passed, 1 a theorem-level
-check failed (a counterexample), 2 configuration or size error, 3 internal
-error (a RuntimeError, AssertionError or ValueError inside the run; no report
-is written).
+check failed (a counterexample), 2 configuration, size or file error (an
+unreadable --config; an --out whose directory does not exist, refused before
+anything runs; a report that cannot be written), 3 internal error (a
+RuntimeError, AssertionError or ValueError inside the run; no report is
+written).
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ from __future__ import annotations
 import argparse
 import configparser
 import json
+import os
 import random
 import sys
 import time
@@ -465,8 +468,12 @@ def main(argv=None) -> int:
     args = _build_argparser().parse_args(argv)
     try:
         if args.config:
-            with open(args.config, "rb") as fh:
-                cfg = parse_config(fh.read())
+            try:
+                with open(args.config, "rb") as fh:
+                    data = fh.read()
+            except OSError as exc:
+                raise ConfigError(f"cannot read config: {exc}") from exc
+            cfg = parse_config(data)
             cfg.suite = args.suite
         else:
             cfg = RunConfig(suite=args.suite)
@@ -483,6 +490,8 @@ def main(argv=None) -> int:
             cfg.cap = args.cap
         if args.out is not None:
             cfg.out = args.out
+        if cfg.out and not os.path.isdir(os.path.dirname(os.path.abspath(cfg.out))):
+            raise ConfigError(f"cannot write the report to {cfg.out}: no such directory")
         report, code = run(cfg)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
@@ -492,8 +501,12 @@ def main(argv=None) -> int:
         return 3
     text = json.dumps(report, sort_keys=True, indent=2) + "\n"
     if cfg.out:
-        with open(cfg.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(cfg.out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            print(f"cannot write report: {exc}", file=sys.stderr)
+            return 2
     else:
         sys.stdout.write(text)
     return code

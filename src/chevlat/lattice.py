@@ -139,22 +139,20 @@ def is_enormal(sub: Subgroup) -> bool:
 
 
 def e_conjugacy_orbits(table: ElementTable) -> np.ndarray:
-    """Orbit id per element under conjugation by the elementary subgroup."""
+    """Orbit id per element under conjugation by the elementary subgroup,
+    orbits numbered by their least member.  Label propagation: each label
+    starts as the element's index; a pass lowers it to the least label of
+    the element's generator images, then jumps it to its label's label,
+    until a pass changes nothing."""
     perms = table.egen_conj_perms()
-    orbit = np.full(table.N, -1, dtype=np.int64)
-    next_id = 0
-    for start in range(table.N):
-        if orbit[start] >= 0:
-            continue
-        orbit[start] = next_id
-        frontier = np.array([start], dtype=np.int64)
-        while frontier.size:
-            images = np.unique(np.concatenate([perm[frontier] for perm in perms]))
-            new = images[orbit[images] < 0]
-            orbit[new] = next_id
-            frontier = new
-        next_id += 1
-    return orbit
+    label = np.arange(table.N)
+    while True:
+        before = label.copy()
+        for perm in perms:
+            np.minimum(label, label[perm], out=label)
+        label = label[label]
+        if np.array_equal(label, before):
+            return np.unique(label, return_inverse=True)[1]
 
 
 def generating_set(table: ElementTable, sub: Subgroup) -> list[int]:
@@ -216,8 +214,7 @@ class _ClosureRegistry:
     def orbits(self) -> tuple[np.ndarray, list[int]]:
         if self._orbits is None:
             orbit = e_conjugacy_orbits(self.table)
-            reps = [int(np.nonzero(orbit == k)[0][0]) for k in range(int(orbit.max()) + 1)]
-            self._orbits = (orbit, reps)
+            self._orbits = (orbit, np.unique(orbit, return_index=True)[1].tolist())
         return self._orbits
 
     def orbit_closure(self, idx: int) -> Subgroup:
@@ -635,12 +632,6 @@ def join_compatibility(ctx: GroupContext, pairs: int, rng) -> dict:
 
 # -- centralizer lemmas -------------------------------------------------------
 
-def _rel_rank(model: GroupModel) -> int:
-    if model.kind == "SL":
-        return len(model.blocks) - 1
-    return {"borel": 2, "line": 1, "siegel": 1}[model.blocks]
-
-
 def _simple_rel_roots(model: GroupModel) -> list[Vec]:
     """Positive relative roots that are not sums of two positive ones."""
     pos = model.positive_rel_roots
@@ -664,14 +655,15 @@ def verify_u_cent_field(ctx: GroupContext) -> dict:
     model = ctx.model
     gens = [model.x(a, e) for a in model.positive_rel_roots for e in model.v_basis(a)]
     cent = ctx.centralizer(_element_indices(ctx.table, gens, "a radical generator").tolist())
-    failures = [i for i in cent.indices().tolist() if not model.in_parabolic(ctx.table.mat(i))]
+    idx = cent.indices()
+    failures = idx[~model.in_parabolic(ctx.table.mats[idx])].tolist()
     return {"centralizing": cent.order, "failures": failures}
 
 
 def verify_centralizer_beta(model: GroupModel) -> dict:
     """Radical elements commuting with a simple root family factor over the
     roots alpha with alpha+beta neither a relative root nor zero."""
-    if _rel_rank(model) < 2:
+    if len(_simple_rel_roots(model)) < 2:
         raise ValueError("needs an irreducible relative system of rank >= 2")
     results = {"checked": 0, "failures": []}
     roots = set(model.rel_roots)
@@ -698,7 +690,7 @@ def verify_centralizer_beta(model: GroupModel) -> dict:
 def verify_small_levi_b(model: GroupModel) -> dict:
     """Elements of U_(beta) L U_(-beta) commuting with X_beta(V_beta) lie in
     X_{m beta}(V) L, with m beta the largest multiple of beta."""
-    if _rel_rank(model) < 2:
+    if len(_simple_rel_roots(model)) < 2:
         raise ValueError("needs an irreducible relative system of rank >= 2")
     m = model.m
     levi = model.levi_elements()
@@ -737,9 +729,9 @@ def verify_centralizer_lemmas(ctx: GroupContext) -> dict:
     when the group has no rank >= 2 parabolic (SL_2)."""
     model = ctx.model
     out = {"u_cent_field": verify_u_cent_field(ctx)}
-    if _rel_rank(model) < 2:
+    if len(_simple_rel_roots(model)) < 2:
         model = model.with_blocks("borel" if model.kind == "Sp" else (1,) * model.degree)
-    if _rel_rank(model) >= 2:
+    if len(_simple_rel_roots(model)) >= 2:
         out["centr_beta"] = verify_centralizer_beta(model)
         out["small_levi_b"] = verify_small_levi_b(model)
     return out

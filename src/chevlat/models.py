@@ -6,6 +6,11 @@ vector supported on the crossed block boundaries i..j-1, which matches the
 projection of A_{n-1} killing the interior simple roots.  For Sp_4 the
 relative data is taken from the abstract projection of C_2.
 
+The parabolic P is its block composition alone, as one block number per row
+and column: P, its opposite P^- and the Levi subgroup L_P are the elements
+vanishing below, above and off the block diagonal, tested as masks, and L_P
+is enumerated by `elements_on`, the one scan of the elements on a support.
+
 A relative root element X_alpha(v) is the product, in a fixed order, of the
 one-parameter root elements of the fiber of alpha; any polynomial
 corrections appearing in products and commutators are read off numerically
@@ -23,7 +28,7 @@ import numpy as np
 
 from . import relroots, rootsys
 from .rings import (
-    ZmIdeal, ZmRing, adjugate_int, det_int, identity_mat, mat_inverse_mod, mat_mul, unit_inverses,
+    ZmIdeal, ZmRing, adjugate_int, det_int, identity_mat, mat_mul, unit_inverses,
 )
 
 Vec = tuple[int, ...]
@@ -125,11 +130,7 @@ class GroupModel:
 
     @cached_property
     def _block_starts(self) -> tuple[int, ...]:
-        starts, s = [], 0
-        for b in self.block_sizes:
-            starts.append(s)
-            s += b
-        return tuple(starts)
+        return tuple(itertools.accumulate(self.block_sizes[:-1], initial=0))
 
     def block_range(self, i: int) -> range:
         s = self._block_starts[i]
@@ -256,81 +257,54 @@ class GroupModel:
             ok = (lhs == SP4_FORM % self.m).all(axis=(-2, -1))
         return bool(ok) if g.ndim == 2 else ok
 
-    def _block_of(self, idx: int) -> int:
-        for b, r in enumerate(self.block_sizes):
-            if idx < self._block_starts[b] + r:
-                return b
-        raise IndexError(idx)
+    @cached_property
+    def _block_index(self) -> np.ndarray:
+        """Block number of each row and column index."""
+        return np.repeat(np.arange(len(self.block_sizes)), self.block_sizes)
 
-    def in_parabolic(self, g: np.ndarray, negative: bool = False) -> bool:
-        if not self.is_element(g):
-            return False
-        n = self.degree
-        for r in range(n):
-            for c in range(n):
-                br, bc = self._block_of(r), self._block_of(c)
-                if (br > bc if not negative else br < bc) and g[r, c] % self.m:
-                    return False
-        return True
+    def in_parabolic(self, g: np.ndarray, negative: bool = False):
+        """Membership of P (of the opposite P^- when negative): a group
+        element with no nonzero entry below (above) the block diagonal.  One
+        matrix gives a bool, a (..., n, n) stack a bool array."""
+        g = np.asarray(g, dtype=np.int64)
+        b = self._block_index
+        outside = b[:, None] < b[None, :] if negative else b[:, None] > b[None, :]
+        ok = self.is_element(g) & ~(g % self.m * outside).any(axis=(-2, -1))
+        return bool(ok) if g.ndim == 2 else ok
 
-    def in_levi(self, g: np.ndarray) -> bool:
-        return self.in_parabolic(g) and self.in_parabolic(g, negative=True)
+    def in_levi(self, g: np.ndarray):
+        return self.in_parabolic(g) & self.in_parabolic(g, negative=True)
 
     def levi_elements(self) -> list[np.ndarray]:
-        """Full enumeration of the Levi subgroup."""
-        m = self.m
-        if self.kind == "SL":
-            per_block = []
-            for size in self.block_sizes:
-                gls = []
-                for entries in itertools.product(range(m), repeat=size * size):
-                    b = np.array(entries, dtype=np.int64).reshape(size, size)
-                    d = det_int(b) % m
-                    if math.gcd(d, m) == 1:
-                        gls.append((b, d))
-                per_block.append(gls)
-            out = []
-            for combo in itertools.product(*per_block):
-                d = 1
-                for _, dd in combo:
-                    d = d * dd % m
-                if d != 1:
-                    continue
-                g = np.zeros((self.degree, self.degree), dtype=np.int64)
-                for (b, _), i in zip(combo, range(len(self.block_sizes))):
-                    r = self.block_range(i)
-                    g[r.start:r.stop, r.start:r.stop] = b
-                out.append(g)
-            return out
-        units = self.ring.units()
-        out = []
-        if self.blocks == "borel":
-            for t, u in itertools.product(units, repeat=2):
-                out.append(np.diag([t, u, pow(u, -1, m), pow(t, -1, m)]).astype(np.int64))
-        elif self.blocks == "line":
-            for t in units:
-                for entries in itertools.product(range(m), repeat=4):
-                    sl2 = np.array(entries, dtype=np.int64).reshape(2, 2)
-                    if det_int(sl2) % m != 1:
-                        continue
-                    g = np.zeros((4, 4), dtype=np.int64)
-                    g[0, 0] = t
-                    g[1:3, 1:3] = sl2
-                    g[3, 3] = pow(t, -1, m)
-                    out.append(g)
-        else:  # siegel
-            K = np.array([[0, 1], [1, 0]], dtype=np.int64)
-            for entries in itertools.product(range(m), repeat=4):
-                a = np.array(entries, dtype=np.int64).reshape(2, 2)
-                ainv = mat_inverse_mod(a, m)
-                if ainv is None:
-                    continue
-                g = np.zeros((4, 4), dtype=np.int64)
-                g[0:2, 0:2] = a
-                g[2:4, 2:4] = (K @ ainv.T @ K) % m
-                out.append(g)
-        assert all(self.in_levi(g) for g in out)
-        return out
+        """Full enumeration of the Levi subgroup: the group elements on the
+        block diagonal."""
+        b = self._block_index
+        return list(elements_on(self, b[:, None] == b[None, :]))
+
+
+_CHUNK = 8192  # matrices per kernel call; bounds the minor stacks of a 4x4 adjugate to ~25 MiB
+
+
+def _chunks(a: np.ndarray) -> list[np.ndarray]:
+    return np.split(a, range(_CHUNK, len(a), _CHUNK))
+
+
+def elements_on(model: GroupModel, support: np.ndarray) -> np.ndarray:
+    """Every group element whose entries are 0 off an (n, n) bool support, as
+    a (k, n, n) stack in lexicographic order of the supported entries read
+    row by row: all m**s fillings of the s supported entries, tested with
+    is_element in chunks, so memory stays bounded however many there are."""
+    m, n = model.m, model.degree
+    pos = np.flatnonzero(support)
+    weights = m ** np.arange(len(pos) - 1, -1, -1, dtype=np.int64)  # first entry most significant
+    found, total = [], m ** len(pos)
+    for lo in range(0, total, _CHUNK):
+        c = np.arange(lo, min(lo + _CHUNK, total), dtype=np.int64)
+        mats = np.zeros((len(c), n * n), dtype=np.int64)
+        mats[:, pos] = c[:, None] // weights % m
+        mats = mats.reshape(-1, n, n)
+        found.append(mats[model.is_element(mats)])
+    return np.concatenate(found)
 
 
 def gauss_cell_factors(model: GroupModel, mats: np.ndarray):
@@ -390,20 +364,18 @@ def gauss_cell_membership(model: GroupModel, g: np.ndarray):
 def sampled_gauss_roundtrip_check(model: GroupModel, samples: int, rng) -> bool:
     """The identity lies in the main cell, and every sampled product of four
     random elementary generators that lies in it is the product u*l*v of
-    its factors."""
-    m = model.m
+    its factors.  The samples are drawn as a sample-by-sample loop would
+    draw them (per step: the position, then the parameter) and factored as
+    one stack."""
+    m, n = model.m, model.degree
     positions = model.generator_positions()
     ok = gauss_cell_membership(model, model.identity()) is not None
-    for _ in range(samples):
-        g = model.identity()
-        for _step in range(4):
-            p = positions[rng.randrange(len(positions))]
-            g = mat_mul(g, model.elementary_generator(p, rng.randrange(m)), m)
-        fac = gauss_cell_membership(model, g)
-        if fac is not None:
-            u, l, v = fac
-            ok &= bool((mat_mul(mat_mul(u, l, m), v, m) == g).all())
-    return ok
+    steps = [(positions[rng.randrange(len(positions))], rng.randrange(m))
+             for _ in range(4 * samples)]
+    gens = np.array([model.elementary_generator(p, t) for p, t in steps]).reshape(samples, 4, n, n)
+    g = gens[:, 0] @ gens[:, 1] % m @ gens[:, 2] % m @ gens[:, 3] % m
+    member, u, l, v = gauss_cell_factors(model, g)
+    return ok and bool((mat_mul(mat_mul(u[member], l[member], m), v[member], m) == g[member]).all())
 
 
 @dataclass(frozen=True)

@@ -14,6 +14,10 @@ weighted sum, with no matrix products over the table.  Conjugation by an
 element is cached as an index permutation built from right multiplication
 by it; subgroup and normal-closure computations in lattice.py run
 entirely on indices.
+
+When there are at most _SCAN_LIMIT n x n matrices over Z/m, the BFS is
+cross-checked against the predicate scan of all of them
+(`models.elements_on` with every entry supported).
 """
 
 from __future__ import annotations
@@ -21,11 +25,10 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import SizeCapError
-from .models import GroupModel, order_formula
+from .models import GroupModel, _chunks, elements_on, order_formula
 
 DEFAULT_CAP = 2_000_000
 _SCAN_LIMIT = 400_000  # m**(n*n) bound for the brute-force predicate scan
-_CHUNK = 8192  # matrices per kernel call; bounds the minor stacks of a 4x4 adjugate to ~25 MiB
 
 
 class ElementTable:
@@ -57,8 +60,8 @@ class ElementTable:
         self.inv = self._all_inverses()
         self._conj_perms: dict[int, np.ndarray] = {}
         if m ** (n * n) <= _SCAN_LIMIT:
-            scanned = self._predicate_scan()
-            if not np.array_equal(np.sort(scanned), np.sort(keys)):
+            scanned = self.encode(elements_on(model, np.ones((n, n), dtype=bool)))
+            if not np.array_equal(np.sort(scanned), self._keys_sorted):
                 raise RuntimeError(f"{model.name()}: BFS and predicate scan disagree")
 
     # -- construction ---------------------------------------------------------
@@ -89,12 +92,6 @@ class ElementTable:
             levels.append(frontier)
             seen = np.sort(np.concatenate([seen, keys[fresh]]))
         return np.concatenate(levels)
-
-    def _predicate_scan(self) -> np.ndarray:
-        nums = np.arange(self.m ** (self.n * self.n), dtype=np.int64)
-        good = [self.model.is_element(self._decode(c[:, None] // self._row_w % self.m ** self.n))
-                for c in _chunks(nums)]
-        return nums[np.concatenate(good)]
 
     def _all_inverses(self) -> np.ndarray:
         idx = np.concatenate([self.lookup(self.model.inverse(c)) for c in _chunks(self.mats)])
@@ -149,7 +146,3 @@ class ElementTable:
 
     def egen_conj_perms(self) -> list[np.ndarray]:
         return [self.conj_perm(i) for i in self.gen_idxs.tolist()]
-
-
-def _chunks(a: np.ndarray) -> list[np.ndarray]:
-    return np.split(a, range(_CHUNK, len(a), _CHUNK))

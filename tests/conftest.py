@@ -29,6 +29,27 @@ def plain_normal_closure(table, seeds):
         sub = lattice.subgroup_closure(table, missing, base=sub)
 
 
+def bfs_orbits(table):
+    """Reference E-orbits: one BFS over the generator conjugations per
+    element not yet reached, orbits numbered in order of their least
+    member."""
+    perms = table.egen_conj_perms()
+    orbit = np.full(table.N, -1, dtype=np.int64)
+    next_id = 0
+    for start in range(table.N):
+        if orbit[start] >= 0:
+            continue
+        orbit[start] = next_id
+        frontier = np.array([start], dtype=np.int64)
+        while frontier.size:
+            images = np.unique(np.concatenate([perm[frontier] for perm in perms]))
+            new = images[orbit[images] < 0]
+            orbit[new] = next_id
+            frontier = new
+        next_id += 1
+    return orbit
+
+
 @pytest.fixture(scope="session")
 def sl3_2():
     return ctx_for("SL", 3, 2, (1, 1, 1))

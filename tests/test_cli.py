@@ -115,7 +115,7 @@ def test_checks_carry_anchor_strings():
     assert all(c.get("anchor") for c in report["checks"])
 
 
-def test_main_exit_codes(tmp_path):
+def test_main_exit_codes(tmp_path, monkeypatch, capsys):
     out = tmp_path / "r.json"
     assert cli.main(["group", "--model", "SL3", "--mod", "2", "--out", str(out)]) == 0
     data = json.loads(out.read_text())
@@ -128,6 +128,17 @@ def test_main_exit_codes(tmp_path):
         cfg = tmp_path / "bad.ini"
         cfg.write_text(bad)
         assert cli.main(["group", "--config", str(cfg)]) == 2
+    assert cli.main(["group", "--config", str(tmp_path / "missing.ini")]) == 2
+    ran = []
+    monkeypatch.setattr(cli, "suite_roots", ran.append)
+    # an --out without a directory is refused before the run, a failed write after it
+    assert cli.main(["roots", "--out", str(tmp_path / "missing" / "r.json")]) == 2
+    assert not ran
+    assert cli.main(["roots", "--out", str(tmp_path)]) == 2
+    assert len(ran) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert [line.split(":")[0] for line in err[-3:]] == [
+        "config error", "config error", "cannot write report"]
 
 
 def test_main_reads_config(tmp_path):

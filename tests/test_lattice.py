@@ -8,7 +8,7 @@ from chevlat import lattice
 from chevlat.models import GroupModel
 from chevlat.rings import ZmIdeal, ZmRing
 
-from conftest import ctx_for, index_of, plain_normal_closure
+from conftest import bfs_orbits, ctx_for, index_of, plain_normal_closure
 
 
 def ideal(ctx, d):
@@ -338,6 +338,15 @@ def sl2_6():
 @pytest.fixture(params=["sl3_4", "sp4_2", "sl2_6", "sl4_2"])
 def registry_ctx(request):
     return request.getfixturevalue(request.param)
+
+
+@pytest.mark.parametrize("name", ["sl3_4", "sp4_2", "sp4_3", "sl2_6"])
+def test_e_conjugacy_orbits_match_bfs(request, name):
+    ctx = request.getfixturevalue(name)
+    orbit = lattice.e_conjugacy_orbits(ctx.table)
+    assert np.array_equal(orbit, bfs_orbits(ctx.table))
+    reps = ctx.orbits()[1]
+    assert reps == [int(np.nonzero(orbit == k)[0][0]) for k in range(len(reps))]
 
 
 def test_registry_orbit_closures_match_plain_engine(registry_ctx):

@@ -1,16 +1,22 @@
+import itertools
+import math
+import random
+
 import numpy as np
 import pytest
 
 from chevlat.models import (
     GroupModel,
     SP4_FORM,
+    elements_on,
     gauss_cell_factors,
     gauss_cell_membership,
     hypothesis_check,
     order_formula,
+    sampled_gauss_roundtrip_check,
     scheme_center_elements,
 )
-from chevlat.rings import ZmRing, det_int
+from chevlat.rings import ZmRing, det_int, mat_inverse_mod, mat_mul
 
 
 def sl(n, m, blocks=None):
@@ -157,6 +163,142 @@ def test_levi_elements_borel_torus():
     assert len(levis) == count
     sp_levis = sp(3).levi_elements()
     assert len(sp_levis) == 4  # units^2 for the symplectic diagonal torus
+
+
+def reference_levi_elements(model):
+    """The Levi subgroup as block products: for SL_n one GL enumeration per
+    block and the determinant condition on the product, for Sp_4 the torus,
+    GL_1 x SL_2 and GL_2 written out per parabolic."""
+    m = model.m
+    if model.kind == "SL":
+        per_block = []
+        for size in model.block_sizes:
+            gls = []
+            for entries in itertools.product(range(m), repeat=size * size):
+                b = np.array(entries, dtype=np.int64).reshape(size, size)
+                d = det_int(b) % m
+                if math.gcd(d, m) == 1:
+                    gls.append((b, d))
+            per_block.append(gls)
+        out = []
+        for combo in itertools.product(*per_block):
+            if math.prod(d for _, d in combo) % m != 1:
+                continue
+            g = np.zeros((model.n, model.n), dtype=np.int64)
+            for i, (b, _) in enumerate(combo):
+                r = model.block_range(i)
+                g[r.start:r.stop, r.start:r.stop] = b
+            out.append(g)
+        return out
+    units = model.ring.units()
+    out = []
+    if model.blocks == "borel":
+        for t, u in itertools.product(units, repeat=2):
+            out.append(np.diag([t, u, pow(u, -1, m), pow(t, -1, m)]).astype(np.int64))
+    elif model.blocks == "line":
+        for t in units:
+            for entries in itertools.product(range(m), repeat=4):
+                sl2 = np.array(entries, dtype=np.int64).reshape(2, 2)
+                if det_int(sl2) % m != 1:
+                    continue
+                g = np.zeros((4, 4), dtype=np.int64)
+                g[0, 0], g[1:3, 1:3], g[3, 3] = t, sl2, pow(t, -1, m)
+                out.append(g)
+    else:  # siegel
+        K = np.array([[0, 1], [1, 0]], dtype=np.int64)
+        for entries in itertools.product(range(m), repeat=4):
+            a = np.array(entries, dtype=np.int64).reshape(2, 2)
+            ainv = mat_inverse_mod(a, m)
+            if ainv is None:
+                continue
+            g = np.zeros((4, 4), dtype=np.int64)
+            g[0:2, 0:2], g[2:4, 2:4] = a, (K @ ainv.T @ K) % m
+            out.append(g)
+    return out
+
+
+LEVI_CASES = (
+    [sl(2, m) for m in range(2, 7)]
+    + [sl(3, m, b) for m in range(2, 7) for b in ((1, 1, 1), (1, 2), (2, 1))]
+    + [sl(4, m, b) for m in (2, 3)
+       for b in ((1, 1, 1, 1), (1, 1, 2), (1, 2, 1), (2, 1, 1), (2, 2), (1, 3), (3, 1))]
+    + [sp(m, p) for m in range(2, 6) for p in ("borel", "line", "siegel")]
+)
+
+
+@pytest.mark.parametrize("model", LEVI_CASES, ids=lambda model: model.name())
+def test_levi_elements_match_block_products_in_order(model):
+    levis = model.levi_elements()
+    ref = reference_levi_elements(model)
+    assert len(levis) == len(ref)
+    assert all(np.array_equal(a, b) for a, b in zip(levis, ref))
+
+
+def loop_in_parabolic(model, g, negative=False):
+    """Per-entry reference: a group element whose entries vanish in every
+    block below (above, when negative) the diagonal blocks."""
+    block = [b for b, size in enumerate(model.block_sizes) for _ in range(size)]
+    return model.is_element(g) and not any(
+        (block[r] < block[c] if negative else block[r] > block[c]) and g[r, c] % model.m
+        for r in range(model.n) for c in range(model.n)
+    )
+
+
+@pytest.mark.parametrize("model", [sl(3, 4), sl(4, 2, (1, 1, 2)), sl(4, 3, (2, 2)), sp(2),
+                                   sp(3, "line"), sp(3, "siegel")], ids=lambda m: m.name())
+def test_stacked_parabolic_tests_match_the_entry_loop(model):
+    rng = np.random.default_rng(13)
+    pool = np.stack(model.all_elementary_generators())
+    words = pool[rng.integers(len(pool), size=(200, 2))]
+    products = (words[:, 0] @ words[:, 1]) % model.m
+    member, u, l, v = gauss_cell_factors(model, products)
+    others = rng.integers(0, model.m, size=(100, model.n, model.n))
+    stack = np.concatenate([products, u[member], l[member], v[member], others])
+    for negative in (False, True):
+        got = model.in_parabolic(stack, negative=negative)
+        assert got.tolist() == [loop_in_parabolic(model, g, negative) for g in stack]
+        assert got.any() and not got.all()
+    levi = model.in_levi(stack)
+    assert levi.tolist() == [loop_in_parabolic(model, g) and loop_in_parabolic(model, g, True)
+                             for g in stack]
+    assert levi.any() and not levi.all()
+    assert type(model.in_parabolic(stack[0])) is bool and type(model.in_levi(stack[0])) is bool
+
+
+def loop_gauss_roundtrip(model, samples, rng):
+    """Sample-by-sample reference of sampled_gauss_roundtrip_check."""
+    m = model.m
+    positions = model.generator_positions()
+    ok = gauss_cell_membership(model, model.identity()) is not None
+    for _ in range(samples):
+        g = model.identity()
+        for _step in range(4):
+            p = positions[rng.randrange(len(positions))]
+            g = mat_mul(g, model.elementary_generator(p, rng.randrange(m)), m)
+        fac = gauss_cell_membership(model, g)
+        if fac is not None:
+            u, l, v = fac
+            ok &= bool((mat_mul(mat_mul(u, l, m), v, m) == g).all())
+    return ok
+
+
+@pytest.mark.parametrize("model", [sl(3, 2), sl(3, 4), sl(4, 2), sl(4, 3, (1, 3)), sp(2),
+                                   sp(3, "line"), sp(5, "siegel")], ids=lambda m: m.name())
+def test_gauss_roundtrip_draws_like_the_sample_loop(model):
+    for samples in (0, 40):
+        stacked, looped = random.Random(7), random.Random(7)
+        verdict = sampled_gauss_roundtrip_check(model, samples, stacked)
+        assert verdict == loop_gauss_roundtrip(model, samples, looped)
+        assert stacked.getstate() == looped.getstate()
+
+
+def test_elements_on_everything_is_the_table(sl3_2, sp4_2):
+    for ctx in (sl3_2, sp4_2):
+        n, t = ctx.model.n, ctx.table
+        scanned = elements_on(ctx.model, np.ones((n, n), dtype=bool))
+        assert np.array_equal(np.sort(t.encode(scanned)), np.sort(t.encode(t.mats)))
+        flat = scanned.reshape(len(scanned), -1).tolist()
+        assert flat == sorted(flat)  # lexicographic, row by row
 
 
 def test_scheme_center():
