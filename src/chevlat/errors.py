@@ -10,6 +10,16 @@ class SizeCapError(RuntimeError):
         super().__init__(f"{what} has {needed} elements, exceeding the cap of {cap}")
 
 
+class TableBoundError(SizeCapError):
+    """Raised when an element table's keys or indices would not fit their
+    integer type; `needed` is the size asked for, `cap` the bound."""
+
+    def __init__(self, needed: int, cap: int, message: str):
+        self.needed = needed
+        self.cap = cap
+        RuntimeError.__init__(self, message)
+
+
 class TheoremViolation(AssertionError):
     """A verified statement failed on a model that satisfies its hypotheses."""
 

@@ -4,6 +4,9 @@ Subgroups are bitsets over the element table.  One engine builds them,
 `subgroup_closure`: a batched BFS on indices that turns each seed not yet
 a member into a generator and stops when the bitset is closed under right
 multiplication by every generator, so its generators generate the result.
+Its products come from `ElementTable.right_mult`: gathers from the table's
+BFS permutations for the E generators and their inverses (so closing E(R)
+itself is gathers only), the row kernel and a lookup for other generators.
 
 Each element table has one registry of certified E-normal closures, shared
 by every context (parabolic, sibling) built on it.  It holds the E-orbits
@@ -12,8 +15,9 @@ every other closure from them:
 
 * cl(r), the normal closure of r under E, is generated by the E-conjugates
   of r, which are the E-orbit of r.  So cl(r) is the subgroup its orbit
-  generates, and it is certified as a fixed point of every generator
-  conjugation (`is_enormal`).
+  generates, and it is certified E-normal by `is_enormal`: every E
+  generator conjugation maps its gens into its bitset, which is exact
+  because the gens generate it.
 * While cl(r) grows, each new BFS frontier is checked for an element x
   whose orbit closure K is already known and contains r.  Then cl(r) = K:
   K = cl(x) <= cl(r) because cl(r) is E-normal and contains x, and
@@ -21,8 +25,8 @@ every other closure from them:
   it was built.
 * The join of two E-normal subgroups A and B is the plain subgroup they
   generate, which is again E-normal.  It is grown from A's bitset by B's
-  generators and checked to be a fixed point of every generator
-  conjugation before it is cached under both bitsets.
+  generators and certified by `is_enormal` on its gens before it is
+  cached under both bitsets.
 * The closure of a seed set (E(R,q), commutator subgroups) is the join of
   the orbit closures of the seeds' orbits.
 
@@ -84,13 +88,12 @@ class Subgroup:
 def _products(table: ElementTable, member: np.ndarray, frontier: np.ndarray,
               gen_idxs) -> np.ndarray:
     """New indices reached from the frontier by right multiplication with
-    the generators, marked in `member`: one row-table gather and one lookup
-    per chunk, the chunks bounding memory."""
-    tables = table.row_tables(table.mats[gen_idxs])
-    chunk = max(1, 65536 // max(1, len(tables)))
+    the generators, marked in `member`, in chunks of at most 65,536 products
+    that bound memory."""
+    chunk = max(1, 65536 // max(1, len(gen_idxs)))
     found = []
     for lo in range(0, frontier.size, chunk):
-        idx = table.lookup_keys(table.product_keys(frontier[lo:lo + chunk], tables))
+        idx = table.right_mult(frontier[lo:lo + chunk], gen_idxs)
         assert idx.min(initial=0) >= 0  # products of members are members
         new = np.unique(idx[~member[idx]])
         member[new] = True
@@ -133,9 +136,13 @@ def subgroup_closure(table: ElementTable, seed_idxs, base: Subgroup | None = Non
 
 
 def is_enormal(sub: Subgroup) -> bool:
-    """Whether the bitset is a fixed point of every generator conjugation."""
-    s_idx = sub.indices()
-    return all(bool(sub.member[perm[s_idx]].all()) for perm in sub.table.egen_conj_perms())
+    """Whether every generator conjugation maps the subgroup into itself.
+    `gens`, when given, generate the bitset (subgroup_closure guarantees
+    it), and a conjugate of the subgroup is generated by the conjugated
+    gens, so only their images are checked; a subgroup without gens has its
+    whole bitset checked."""
+    probe = np.asarray(sub.gens, dtype=np.int64) if sub.gens else sub.indices()
+    return all(bool(sub.member[perm[probe]].all()) for perm in sub.table.egen_conj_perms())
 
 
 def e_conjugacy_orbits(table: ElementTable) -> np.ndarray:
@@ -320,9 +327,9 @@ class GroupContext:
 
     def congruence(self, q: ZmIdeal) -> Subgroup:
         def build():
-            mats = self.table.mats.astype(np.int64)
-            diff = (mats - np.eye(self.table.n, dtype=np.int64)) % self.model.m
-            member = (diff % q.d == 0).all(axis=(1, 2))
+            # entries lie in [0, m) and q.d divides m: x = I mod q exactly when x % q.d = I % q.d
+            eye = np.eye(self.table.n, dtype=self.table.mats.dtype)
+            member = (self.table.mats % q.d == eye % q.d).all(axis=(1, 2))
             return Subgroup(self.table, member)
 
         return self._memo(("congruence", q.d), build)
@@ -408,13 +415,15 @@ class GroupContext:
         return sub
 
     def commutator_subgroup(self, x_gens, y_gens) -> Subgroup:
-        """[X, Y] for subgroups normal in the group, from generating sets."""
+        """[X, Y] for subgroups normal in the group, from generating sets.
+        Each [x, y] = x^-1 (y^-1 x y) takes the conjugate from y's cached
+        conjugation permutation, so it is one matrix product; the callers'
+        y are the E generators, whose permutations are gathers."""
         t = self.table
         x_gens = np.asarray(x_gens, dtype=np.int64)
-        y_gens = np.asarray(y_gens, dtype=np.int64)
-        a, b = np.repeat(x_gens, len(y_gens)), np.tile(y_gens, len(x_gens))
-        x, y, xinv, yinv = (t.mats[i].astype(np.int64) for i in (a, b, t.inv[a], t.inv[b]))
-        seeds = t.lookup(xinv @ yinv @ x @ y)  # every [x, y] = x^-1 y^-1 x y at once
+        conj = np.concatenate([t.conj_perm(y)[x_gens] for y in y_gens])
+        xinv = np.tile(t.inv[x_gens], len(y_gens))
+        seeds = t.lookup(t.mats[xinv].astype(np.int64) @ t.mats[conj])
         assert (seeds >= 0).all()
         return self.closure_of(seeds.tolist())
 

@@ -282,11 +282,7 @@ class GroupModel:
         return list(elements_on(self, b[:, None] == b[None, :]))
 
 
-_CHUNK = 8192  # matrices per kernel call; bounds the minor stacks of a 4x4 adjugate to ~25 MiB
-
-
-def _chunks(a: np.ndarray) -> list[np.ndarray]:
-    return np.split(a, range(_CHUNK, len(a), _CHUNK))
+_CHUNK = 8192  # matrices per is_element call in elements_on, bounding its stacks
 
 
 def elements_on(model: GroupModel, support: np.ndarray) -> np.ndarray:

@@ -151,13 +151,3 @@ def unit_inverses(m: int) -> np.ndarray:
     table = np.array([scalar_inverse(x, m) or 0 for x in range(m)], dtype=np.int64)
     table.flags.writeable = False
     return table
-
-
-def mat_inverse_mod(mat, m: int) -> np.ndarray | None:
-    """Inverse mod m of one matrix or of a (..., n, n) stack, via the
-    adjugate; None when a determinant is not a unit."""
-    a = np.asarray(mat, dtype=np.int64)
-    dinv = unit_inverses(m)[_det(a) % m]  # 0 marks a non-unit
-    if not dinv.all():
-        return None
-    return (adjugate_int(a) * dinv[..., None, None]) % m

@@ -3,32 +3,44 @@
 Each element is stored by its n row keys: row i of a matrix, read as a
 base-m number (`rows`, an (N, n) int64 array).  The element's key is the
 row keys read as base m**n digits, the same as the matrix read as n*n
-base-m digits, which stays below 2**63 for m <= 9 and n <= 4.  Lookup is
-one binary search of the sorted queries over the sorted element keys.
+base-m digits.  Lookup is one binary search of the sorted queries over the
+sorted element keys.
 
-Every product of table elements goes through one kernel resting on
-row_i(x g) = row_i(x) g: a row table of g, with one entry per possible row
-(m**n of them), maps a row key to the row key of that row times g, so the
-keys of all x g for a batch of x and a set of g are one gather and one
-weighted sum, with no matrix products over the table.  Conjugation by an
-element is cached as an index permutation built from right multiplication
-by it; subgroup and normal-closure computations in lattice.py run
-entirely on indices.
+The enumeration is a BFS from the identity over right multiplication by
+the k elementary generators e, and it keeps the Cayley graph it walks: the
+index of every x e (a (k, N) int32 array of permutations) and its spanning
+tree.  Right multiplication by e^-1 is the inverse permutation.  An element
+x = e_1 ... e_d on the tree has x^-1 = e_d^-1 ... e_1^-1, so the inverses
+are one vectorized walk up the tree (the Schreier-vector trick; Butler,
+Fundamental Algorithms for Permutation Groups, LNCS 559).
 
-When there are at most _SCAN_LIMIT n x n matrices over Z/m, the BFS is
-cross-checked against the predicate scan of all of them
-(`models.elements_on` with every entry supported).
+`right_mult` is the one entry point for products.  It gathers from those
+permutations for a generator or its inverse; any other g goes through the
+kernel resting on row_i(x g) = row_i(x) g: a row table of g, with one entry
+per possible row (m**n of them), maps a row key to the row key of that row
+times g, so the keys of all x g are one gather and one weighted sum.
+Conjugation by an element is cached as an index permutation built from
+right multiplication by it, gathers only for a generator; subgroup and
+normal-closure computations in lattice.py run entirely on indices.
+
+Before enumerating, the table refuses (SizeCapError) a group over the
+element cap, one whose base-m keys could pass 2**63 - 1 and one whose
+indices do not fit int32.  When there are at most _SCAN_LIMIT n x n
+matrices over Z/m, the BFS is cross-checked against the predicate scan of
+all of them (`models.elements_on` with every entry supported).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .errors import SizeCapError
-from .models import GroupModel, _chunks, elements_on, order_formula
+from .errors import SizeCapError, TableBoundError
+from .models import GroupModel, elements_on, order_formula
 
 DEFAULT_CAP = 2_000_000
 _SCAN_LIMIT = 400_000  # m**(n*n) bound for the brute-force predicate scan
+_KEY_BOUND = 2**63 - 1  # keys are int64
+_INDEX_BOUND = 2**31 - 1  # permutation entries are int32
 
 
 class ElementTable:
@@ -39,25 +51,37 @@ class ElementTable:
         expected = order_formula(model)
         if expected > cap:
             raise SizeCapError(expected, cap, model.name())
+        if m ** (n * n) > _KEY_BOUND:
+            raise TableBoundError(
+                m ** (n * n), _KEY_BOUND,
+                f"{model.name()}: base-{m} keys of {n}x{n} matrices reach {m}**{n * n}, "
+                f"past the int64 bound 2**63 - 1")
+        if expected > _INDEX_BOUND:
+            raise TableBoundError(
+                expected, _INDEX_BOUND,
+                f"{model.name()} has {expected} elements, past the int32 index bound 2**31 - 1")
 
         self._digit = m ** np.arange(n, dtype=np.int64)  # entry weights in a row key
         self._row_w = (m ** n) ** np.arange(n, dtype=np.int64)  # row-key weights in a key
         self._row_vecs = self._decode(np.arange(m ** n, dtype=np.int64))  # every row, by key
-        gen_mats = model.generator_mats()
-        rows = self._bfs(gen_mats)
+        rows, right, parent, gen = self._bfs(model.generator_mats())
         if len(rows) != expected:
             raise RuntimeError(
                 f"{model.name()}: enumerated {len(rows)} elements, order formula gives {expected}"
             )
         self.N = len(rows)
         self.rows = rows
-        self.mats = self._decode(rows).astype(np.int16)
+        self.mats = self._row_vecs.astype(np.int16)[rows]
         keys = rows @ self._row_w
         self._order = np.argsort(keys).astype(np.int64)
         self._keys_sorted = keys[self._order]
         self.identity_idx = 0  # the BFS starts from the identity
-        self.gen_idxs = self.lookup(np.stack(gen_mats))
-        self.inv = self._all_inverses()
+        self.gen_idxs = right[:, 0].astype(np.int64)
+        right_inv = np.empty_like(right)  # x -> x e^-1 inverts x -> x e
+        right_inv[np.arange(len(right))[:, None], right] = np.arange(self.N, dtype=np.int32)
+        # x -> x e and x -> x e^-1 for every generator e, by the index of e and of e^-1
+        self._right = {int(p[0]): p for p in (*right, *right_inv)}
+        self.inv = self._tree_inverses(right_inv, parent, gen)
         self._conj_perms: dict[int, np.ndarray] = {}
         if m ** (n * n) <= _SCAN_LIMIT:
             scanned = self.encode(elements_on(model, np.ones((n, n), dtype=bool)))
@@ -73,30 +97,60 @@ class ElementTable:
         """The rows (one more trailing axis of n entries) of row keys."""
         return row_keys[..., None] // self._digit % self.m
 
-    def _bfs(self, gen_mats) -> np.ndarray:
+    def _bfs(self, gen_mats):
         """Breadth-first enumeration from the identity, as row keys.  Each
         level keeps the products not seen before, in order of first
         occurrence, so an element's index is its position in the scan of
-        frontier x generator products."""
-        n = self.n
+        frontier x generator products.  Also returns the (k, N) int32 array
+        whose entry [j, x] is the index of x e_j, and the spanning tree: each
+        element's parent and the j of the e_j that reached it (-1 for the
+        identity)."""
         tables = self.row_tables(np.stack(gen_mats))
+        k = len(tables)
         frontier = self._digit[None, :]  # the identity's rows
-        levels = [frontier]
-        seen = frontier @ self._row_w  # sorted
+        levels, images = [frontier], []
+        parents, gens = [np.array([-1])], [np.array([-1])]
+        seen = frontier @ self._row_w  # sorted keys of the elements found so far
+        seen_idx = np.zeros(1, dtype=np.int64)  # their indices
+        lo = 0  # index of frontier[0]
         while len(frontier):
-            prods = tables[:, frontier].transpose(1, 0, 2).reshape(-1, n)
-            keys, first = np.unique(prods @ self._row_w, return_index=True)
-            pos = np.minimum(np.searchsorted(seen, keys), len(seen) - 1)
-            fresh = seen[pos] != keys
-            frontier = prods[np.sort(first[fresh])]
+            # keys of frontier[f] e_j, scanned f-major: one (k, F) gather per row
+            keys = sum(w * tables[:, frontier[:, i]] for i, w in enumerate(self._row_w.tolist()))
+            keys, first, where = _unique_first(keys.T.ravel())
+            at = np.searchsorted(seen, keys)
+            old = seen[np.minimum(at, len(seen) - 1)] == keys
+            fresh = np.flatnonzero(~old)
+            by_scan = np.argsort(first[fresh])
+            born = first[fresh][by_scan]  # scan positions of the new elements, in order
+            hi = lo + len(frontier)
+            idx = np.empty(len(keys), dtype=np.int64)
+            idx[old] = seen_idx[at[old]]
+            idx[fresh[by_scan]] = np.arange(hi, hi + len(fresh))
+            images.append(idx.astype(np.int32)[where].reshape(-1, k))
+            parents.append(lo + born // k)
+            gens.append(born % k)
+            seen = np.insert(seen, at[fresh], keys[fresh])
+            seen_idx = np.insert(seen_idx, at[fresh], idx[fresh])
+            frontier, lo = tables[(born % k)[:, None], frontier[born // k]], hi
             levels.append(frontier)
-            seen = np.sort(np.concatenate([seen, keys[fresh]]))
-        return np.concatenate(levels)
+        right = np.ascontiguousarray(np.concatenate(images).T)
+        return np.concatenate(levels), right, np.concatenate(parents), np.concatenate(gens)
 
-    def _all_inverses(self) -> np.ndarray:
-        idx = np.concatenate([self.lookup(self.model.inverse(c)) for c in _chunks(self.mats)])
-        assert (idx >= 0).all()
-        return idx
+    def _tree_inverses(self, right_inv: np.ndarray, parent: np.ndarray,
+                       gen: np.ndarray) -> np.ndarray:
+        """inv[x] for every x: walking from x up the BFS tree through the
+        generators e_d, ..., e_1 of its path, the identity times e_d^-1 ...
+        e_1^-1, one step for all unfinished elements at a time."""
+        inv = np.zeros(self.N, dtype=np.int64)  # the identity's index
+        node = np.arange(self.N)
+        lo = 1  # the unfinished elements, deeper than the steps taken so far, are [lo, N)
+        while lo < self.N:
+            inv[lo:] = right_inv[gen[node[lo:]], inv[lo:]]
+            node[lo:] = parent[node[lo:]]
+            # one level deeper: parents are nondecreasing in BFS order, so
+            # the elements whose parent is unfinished are again a suffix
+            lo = int(np.searchsorted(parent, lo))
+        return inv
 
     # -- lookup ---------------------------------------------------------------
 
@@ -119,7 +173,7 @@ class ElementTable:
     def mat(self, idx: int) -> np.ndarray:
         return self.mats[idx].astype(np.int64)
 
-    # -- the product kernel ---------------------------------------------------
+    # -- products -------------------------------------------------------------
 
     def row_tables(self, mats: np.ndarray) -> np.ndarray:
         """Row tables of a stack of k matrices g, shape (k, m**n): entry v is
@@ -132,13 +186,31 @@ class ElementTable:
         the k matrices g whose row tables are given."""
         return tables[:, self.rows[idx]] @ self._row_w
 
+    def right_mult(self, idx: np.ndarray, gens) -> np.ndarray:
+        """Indices of x g, an int32 array of shape (len(gens), len(idx)), for
+        the elements x in idx and the elements g with indices in gens: a
+        gather from the BFS's permutation where g is a generator or the
+        inverse of one, the row kernel and one lookup for the others."""
+        idx = np.asarray(idx, dtype=np.int64)
+        out = np.empty((len(gens), idx.size), dtype=np.int32)
+        rest = []
+        for i, g in enumerate(gens):
+            perm = self._right.get(int(g))
+            if perm is None:
+                rest.append(i)
+            else:
+                out[i] = perm[idx]
+        if rest:
+            tables = self.row_tables(self.mats[np.asarray(gens, dtype=np.int64)[rest]])
+            out[rest] = self.lookup_keys(self.product_keys(idx, tables))
+        return out
+
     def conj_perm(self, g_idx: int) -> np.ndarray:
         """Index permutation of x -> g^-1 x g.  With R the right
         multiplication by g, x -> x^-1 g -> g^-1 x -> g^-1 x g."""
         g_idx = int(g_idx)
         if g_idx not in self._conj_perms:
-            keys = self.product_keys(np.arange(self.N), self.row_tables(self.mats[g_idx]))
-            right = self.lookup_keys(keys[0])
+            right = self.right_mult(np.arange(self.N), [g_idx])[0]
             assert (right >= 0).all()
             inv = self.inv
             self._conj_perms[g_idx] = right[inv[right[inv]]]
@@ -146,3 +218,18 @@ class ElementTable:
 
     def egen_conj_perms(self) -> list[np.ndarray]:
         return [self.conj_perm(i) for i in self.gen_idxs.tolist()]
+
+
+def _unique_first(keys: np.ndarray):
+    """np.unique(keys, return_index=True, return_inverse=True) on one
+    unstable argsort: the first occurrence of a key is the least position
+    in its run of the sorted order."""
+    perm = np.argsort(keys)
+    ordered = keys[perm]
+    head = np.empty(ordered.size, dtype=bool)
+    head[:1] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=head[1:])
+    starts = np.flatnonzero(head)
+    where = np.empty(ordered.size, dtype=np.int64)
+    where[perm] = np.cumsum(head) - 1
+    return ordered[starts], np.minimum.reduceat(perm, starts), where

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from chevlat import lattice, models
-from chevlat.rings import ZmRing
+from chevlat.rings import ZmRing, adjugate_int, det_int, unit_inverses
 
 
 def ctx_for(kind, degree, m, blocks):
@@ -14,6 +14,16 @@ def index_of(table, mat):
     """Table index of one matrix, None if it is not a group element."""
     idx = int(table.lookup(np.asarray(mat)[None])[0])
     return None if idx < 0 else idx
+
+
+def mat_inverse_mod(mat, m):
+    """Inverse mod m of one matrix or of a (..., n, n) stack, via the
+    adjugate; None when a determinant is not a unit."""
+    a = np.asarray(mat, dtype=np.int64)
+    dinv = unit_inverses(m)[np.asarray(det_int(a)) % m]  # 0 marks a non-unit
+    if not dinv.all():
+        return None
+    return (adjugate_int(a) * dinv[..., None, None]) % m
 
 
 def plain_normal_closure(table, seeds):

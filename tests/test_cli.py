@@ -141,6 +141,13 @@ def test_main_exit_codes(tmp_path, monkeypatch, capsys):
         "config error", "config error", "cannot write report"]
 
 
+def test_main_refuses_table_past_key_bound(capsys):
+    # a raised cap lets SL2(Z/2**16) past the element cap; its 2x2 keys reach 2**64
+    assert cli.main(["sandwich", "--model", "SL2", "--mod", str(2**16), "--cap", str(10**15)]) == 2
+    err = capsys.readouterr().err
+    assert "SL2(Z/65536)" in err and "2**63 - 1" in err
+
+
 def test_main_reads_config(tmp_path):
     cfg = tmp_path / "run.ini"
     cfg.write_text("[run]\nsuite = group\n[model]\nname = SL3\nmod = 2\n")

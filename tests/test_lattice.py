@@ -329,6 +329,22 @@ def test_enormal_lattice_sp4_2_has_non_unique_member(sp4_2):
     assert any(len(adm) != 1 for _, adm in members)
 
 
+@pytest.mark.parametrize("name", ["sl3_4", "sp4_2"])
+def test_is_enormal_on_gens_agrees_with_bitset_scan(name, request):
+    # is_enormal checks the images of a subgroup's gens; a Subgroup built
+    # from the bitset alone has every member checked
+    ctx = request.getfixturevalue(name)
+    for sub, _ in lattice.enormal_lattice(ctx):
+        assert sub.gens or sub.order == 1
+        assert lattice.is_enormal(sub)
+        assert lattice.is_enormal(lattice.Subgroup(ctx.table, sub.member))
+    # the subgroup one root element X_alpha(1) generates is not E-normal
+    root = lattice.subgroup_closure(ctx.table, [int(ctx.table.gen_idxs[0])])
+    assert root.gens and 1 < root.order < ctx.table.N
+    assert not lattice.is_enormal(root)
+    assert not lattice.is_enormal(lattice.Subgroup(ctx.table, root.member))
+
+
 @pytest.fixture
 def sl2_6():
     # Z/6 has incomparable ideals, so joins of orbit closures are not all inclusions

@@ -16,7 +16,9 @@ from chevlat.models import (
     sampled_gauss_roundtrip_check,
     scheme_center_elements,
 )
-from chevlat.rings import ZmRing, det_int, mat_inverse_mod, mat_mul
+from chevlat.rings import ZmRing, det_int, mat_mul
+
+from conftest import mat_inverse_mod
 
 
 def sl(n, m, blocks=None):

@@ -11,10 +11,11 @@ from chevlat.rings import (
     adjugate_int,
     det_int,
     jacobson_radical,
-    mat_inverse_mod,
     ring_ideals,
     scalar_inverse,
 )
+
+from conftest import mat_inverse_mod
 
 
 def test_ring_ideals():

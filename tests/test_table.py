@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from chevlat.errors import SizeCapError
+from chevlat.errors import SizeCapError, TableBoundError
 from chevlat.models import GroupModel
 from chevlat.rings import ZmRing
 from chevlat.table import ElementTable
@@ -29,14 +29,35 @@ def test_congruence_kernel_count_oracle(sl3_4):
     assert sl3_4.table.N == 168 * count
 
 
-def test_inverses(sl3_4, sp4_3):
-    for ctx in (sl3_4, sp4_3):
+def test_inverses(sl3_2, sl3_3, sl3_4, sl4_2, sp4_2, sp4_3):
+    # exhaustive: every element times its tree-walk inverse, as one stacked product
+    for ctx in (sl3_2, sl3_3, sl3_4, sl4_2, sp4_2, sp4_3):
         t = ctx.table
-        rng = np.random.default_rng(5)
-        for i in rng.integers(0, t.N, size=64):
-            g = t.mat(int(i))
-            gi = t.mat(int(t.inv[int(i)]))
-            assert ((g @ gi) % t.m == np.eye(t.n, dtype=np.int64)).all()
+        prods = (t.mats.astype(np.int64) @ t.mats[t.inv]) % t.m
+        assert (prods == np.eye(t.n, dtype=np.int64)).all()
+        assert np.array_equal(t.inv[t.inv], np.arange(t.N))
+
+
+@pytest.mark.parametrize("name", ["sl3_2", "sl3_3", "sl3_4", "sl4_2", "sp4_2", "sp4_3"])
+def test_cached_generator_perms_match_kernel(name, request, monkeypatch):
+    # right multiplication by each E generator and its inverse is a gather
+    # from the BFS's permutations, equal to the row-kernel products
+    t = request.getfixturevalue(name).table
+    everything = np.arange(t.N)
+    want = {}
+    for g in t.gen_idxs.tolist():
+        for h in (g, int(t.inv[g])):
+            want[h] = t.lookup_keys(t.product_keys(everything, t.row_tables(t.mat(h))))[0]
+    assert np.array_equal(t.gen_idxs, t.lookup(np.stack(t.model.generator_mats())))
+
+    def no_lookup(keys):
+        raise AssertionError("a generator product went through the lookup")
+
+    monkeypatch.setattr(t, "lookup_keys", no_lookup)
+    for h, right in want.items():
+        assert np.array_equal(t.right_mult(everything, [h])[0], right)
+    gens = sorted(want)
+    assert np.array_equal(t.right_mult(everything[::7], gens), np.stack([want[h][::7] for h in gens]))
 
 
 def test_lookup_rejects_non_elements(sl3_2):
@@ -85,6 +106,30 @@ def test_size_cap_names_cap():
         ElementTable(model, cap=100_000)
     assert "100000" in str(err.value)
     assert err.value.needed == 5630688
+
+
+def test_table_refuses_keys_past_int64_before_enumerating(monkeypatch):
+    # SL2(Z/2**16): the 2x2 base-m keys reach 2**64
+    def enumeration(*args):
+        raise AssertionError("the table started enumerating")
+
+    monkeypatch.setattr(ElementTable, "_bfs", enumeration)
+    monkeypatch.setattr(ElementTable, "_decode", enumeration)
+    model = GroupModel("SL", 2, ZmRing(2**16), (1, 1))
+    with pytest.raises(TableBoundError) as err:
+        ElementTable(model, cap=10**15)
+    assert isinstance(err.value, SizeCapError)
+    assert model.name() in str(err.value) and "2**63 - 1" in str(err.value)
+    assert err.value.needed == 2**64 and err.value.cap == 2**63 - 1
+
+
+def test_table_refuses_order_past_int32(monkeypatch):
+    monkeypatch.setattr(ElementTable, "_bfs", lambda *args: pytest.fail("enumeration started"))
+    model = GroupModel("SL", 3, ZmRing(17), (1, 1, 1))
+    with pytest.raises(TableBoundError) as err:
+        ElementTable(model, cap=10**12)
+    assert model.name() in str(err.value) and "2**31 - 1" in str(err.value)
+    assert err.value.needed > 2**31 - 1
 
 
 def _scalar_bfs(t):
