@@ -82,16 +82,6 @@ def radical_chart(model: GroupModel, negative: bool = False) -> UnipotentChart:
     return chart(model, radical_roots(model, negative))
 
 
-def unipotent_factor(model: GroupModel, psi, g: np.ndarray) -> dict[Vec, Vec]:
-    """Components of g as an ordered product over psi; error if g is not in
-    the corresponding unipotent group."""
-    ch = chart(model, tuple(psi))
-    comps = ch.components(g)
-    if comps is None:
-        raise ValueError("matrix is not a product over the given root set")
-    return dict(zip(ch.roots, comps))
-
-
 def _multiple_cone(model: GroupModel, alpha: Vec) -> tuple[Vec, ...]:
     out = []
     i = 1

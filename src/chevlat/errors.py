@@ -4,10 +4,10 @@
 class SizeCapError(RuntimeError):
     """Raised when a requested enumeration would exceed the element cap."""
 
-    def __init__(self, needed: int, cap: int, what: str = "group"):
+    def __init__(self, needed: int, cap: int, what: str = "group", unit: str = "elements"):
         self.needed = needed
         self.cap = cap
-        super().__init__(f"{what} has {needed} elements, exceeding the cap of {cap}")
+        super().__init__(f"{what} has {needed} {unit}, exceeding the cap of {cap}")
 
 
 class TableBoundError(SizeCapError):

@@ -42,7 +42,7 @@ can be checked on every member of it directly.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -181,13 +181,7 @@ class SandwichResult:
         self.verdict = {0: "none", 1: "unique"}.get(len(self.admissible), "multiple")
 
     def as_dict(self) -> dict:
-        return {
-            "seed_index": self.seed_index,
-            "orbit_size": self.orbit_size,
-            "closure_order": self.closure_order,
-            "admissible": self.admissible,
-            "verdict": self.verdict,
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -392,10 +386,12 @@ class GroupContext:
         return self._memo(("relative_elementary", self.model.blocks, q.d), build)
 
     def sandwich_ideals(self, sub: Subgroup) -> list[int]:
-        """Generators d of the ideals q with E(R,q) <= sub <= C(R,q)."""
-        return [q.d for q in self.ideals
-                if self.relative_elementary(q).issubset(sub)
-                and sub.issubset(self.full_congruence(q))]
+        """Generators d of the ideals q with E(R,q) <= sub <= C(R,q), decided
+        once per distinct subgroup; each call returns a fresh list."""
+        return list(self._memo(("sandwich", sub.key()), lambda: [
+            q.d for q in self.ideals
+            if self.relative_elementary(q).issubset(sub) and sub.issubset(self.full_congruence(q))
+        ]))
 
     def orbits(self) -> tuple[np.ndarray, list[int]]:
         return self.closures.orbits()

@@ -10,6 +10,9 @@ The parabolic P is its block composition alone, as one block number per row
 and column: P, its opposite P^- and the Levi subgroup L_P are the elements
 vanishing below, above and off the block diagonal, tested as masks, and L_P
 is enumerated by `elements_on`, the one scan of the elements on a support.
+The scan decides every filling of the support by the defining equation,
+factored so that fillings share work: the first-row cofactors of det for
+SL_n, a pairing table per pair of columns for Sp_4.
 
 A relative root element X_alpha(v) is the product, in a fixed order, of the
 one-parameter root elements of the fiber of alpha; any polynomial
@@ -21,14 +24,16 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import cached_property, lru_cache
 
 import numpy as np
 
 from . import relroots, rootsys
+from .errors import SizeCapError
 from .rings import (
-    ZmIdeal, ZmRing, adjugate_int, det_int, identity_mat, mat_mul, unit_inverses,
+    ZmIdeal, ZmRing, adjugate_int, det_int, factorize, first_row_cofactors, identity_mat,
+    mat_mul, unit_inverses,
 )
 
 Vec = tuple[int, ...]
@@ -282,25 +287,73 @@ class GroupModel:
         return list(elements_on(self, b[:, None] == b[None, :]))
 
 
-_CHUNK = 8192  # matrices per is_element call in elements_on, bounding its stacks
+SCAN_BOUND = 1 << 22  # fillings elements_on decides; a larger scan is refused up front
+_CHUNK = 8192  # fillings of rows 1..n-1 per cofactor stack in elements_on
+_BLOCK = 1 << 20  # fillings decided per block of elements_on, bounding its arrays
 
 
 def elements_on(model: GroupModel, support: np.ndarray) -> np.ndarray:
     """Every group element whose entries are 0 off an (n, n) bool support, as
     a (k, n, n) stack in lexicographic order of the supported entries read
-    row by row: all m**s fillings of the s supported entries, tested with
-    is_element in chunks, so memory stays bounded however many there are."""
+    row by row.  Every one of the m**s fillings of the s supported entries
+    is decided in exact int64 arithmetic, in blocks that bound memory: for
+    SL_n, det g = sum_j g_0j C_0j with the cofactors C_0j computed once per
+    filling of rows 1..n-1; for Sp_4, (g^T J g)_ab = c_a^T J c_b over the
+    columns c_a, one table of column fillings per pair a < b (c^T J c = 0 =
+    J_aa, as J is antisymmetric).  More than SCAN_BOUND fillings are refused
+    (SizeCapError) up front."""
     m, n = model.m, model.degree
     pos = np.flatnonzero(support)
-    weights = m ** np.arange(len(pos) - 1, -1, -1, dtype=np.int64)  # first entry most significant
-    found, total = [], m ** len(pos)
-    for lo in range(0, total, _CHUNK):
-        c = np.arange(lo, min(lo + _CHUNK, total), dtype=np.int64)
-        mats = np.zeros((len(c), n * n), dtype=np.int64)
-        mats[:, pos] = c[:, None] // weights % m
-        mats = mats.reshape(-1, n, n)
-        found.append(mats[model.is_element(mats)])
-    return np.concatenate(found)
+    if m ** len(pos) > SCAN_BOUND:
+        raise SizeCapError(m ** len(pos), SCAN_BOUND, f"{model.name()} predicate scan", "fillings")
+    mats = np.concatenate(list(_sl_scan(m, n, pos) if model.kind == "SL" else _sp_scan(m, support)))
+    codes = mats.reshape(-1, n * n)[:, pos] @ m ** np.arange(len(pos) - 1, -1, -1)
+    return mats[np.argsort(codes)]
+
+
+def _fill(codes: np.ndarray, pos: np.ndarray, m: int, size: int) -> np.ndarray:
+    """The (k, size) arrays holding the base-m digits of codes at the
+    positions pos, first position most significant, and 0 elsewhere."""
+    out = np.zeros((len(codes), size), dtype=np.int64)
+    out[:, pos] = codes[:, None] // m ** np.arange(len(pos) - 1, -1, -1, dtype=np.int64) % m
+    return out
+
+
+def _sl_scan(m: int, n: int, pos: np.ndarray):
+    """Blocks of the fillings of the supported positions pos with det = 1."""
+    first, rest = pos[pos < n], pos[pos >= n]
+    n_first, n_rest = m ** len(first), m ** len(rest)
+    unit_det = np.arange(n * (m - 1) ** 2 + 1) % m == 1  # every value top @ cof can take
+    for lo in range(0, n_rest, _CHUNK):
+        lower = _fill(np.arange(lo, min(lo + _CHUNK, n_rest)), rest, m, n * n).reshape(-1, n, n)
+        cof = first_row_cofactors(lower).T % m  # lower's first row is 0 and is not read
+        step = max(1, _BLOCK // len(lower))
+        for f_lo in range(0, n_first, step):
+            top = _fill(np.arange(f_lo, min(f_lo + step, n_first)), first, m, n)
+            i, j = np.divmod(np.flatnonzero(unit_det[top @ cof]), len(lower))
+            g = lower[j]
+            g[:, 0] = top[i]
+            yield g
+
+
+def _sp_scan(m: int, support: np.ndarray):
+    """Blocks of the fillings of the support with g^T J g = J."""
+    n = len(support)
+    cols = [_fill(np.arange(m ** support[:, a].sum()), np.flatnonzero(support[:, a]), m, n)
+            for a in range(n)]  # every filling of each column
+    pairs = [(a, b, (cols[a] @ SP4_FORM @ cols[b].T) % m == SP4_FORM[a, b] % m)
+             for a, b in itertools.combinations(range(n), 2)]
+    sizes = [len(c) for c in cols]
+    step = max(1, _BLOCK // math.prod(sizes[1:]))
+    for lo in range(0, sizes[0], step):
+        alive = np.ones((min(step, sizes[0] - lo), *sizes[1:]), dtype=bool)
+        for a, b, ok in pairs:
+            ok = ok[lo:lo + len(alive)] if a == 0 else ok
+            shape = [1] * n
+            shape[a], shape[b] = ok.shape
+            alive &= ok.reshape(shape)
+        idx = np.nonzero(alive)
+        yield np.stack([cols[0][lo + idx[0]], *(cols[a][idx[a]] for a in range(1, n))], axis=-1)
 
 
 def gauss_cell_factors(model: GroupModel, mats: np.ndarray):
@@ -390,18 +443,8 @@ class HypothesisReport:
         return self.irreducible and self.primes_invertible and self.rank_ok
 
     def as_dict(self) -> dict:
-        d = {
-            "model": self.model,
-            "absolute_type": self.absolute_type,
-            "irreducible": self.irreducible,
-            "structure_primes": list(self.structure_primes),
-            "primes_invertible": self.primes_invertible,
-            "isotropic_rank": self.isotropic_rank,
-            "rank_ok": self.rank_ok,
-            "perfect_ok": self.perfect_ok,
-            "main_ok": self.main_ok,
-        }
-        return d
+        return {**asdict(self), "structure_primes": list(self.structure_primes),
+                "main_ok": self.main_ok}
 
 
 def hypothesis_check(model: GroupModel) -> HypothesisReport:
@@ -426,20 +469,7 @@ def hypothesis_check(model: GroupModel) -> HypothesisReport:
 
 def order_formula(model: GroupModel) -> int:
     """Exact group order, multiplicative over the prime powers of m."""
-    order = 1
-    m = model.m
-    d = 2
-    while d * d <= m:
-        if m % d == 0:
-            k = 0
-            while m % d == 0:
-                m //= d
-                k += 1
-            order *= _prime_power_order(model, d, k)
-        d += 1
-    if m > 1:
-        order *= _prime_power_order(model, m, 1)
-    return order
+    return math.prod(_prime_power_order(model, p, k) for p, k in factorize(model.m).items())
 
 
 def _prime_power_order(model: GroupModel, p: int, k: int) -> int:

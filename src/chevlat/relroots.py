@@ -176,12 +176,6 @@ def build_relative(datum: RelativeDatum) -> RelativeRootSystem:
     )
 
 
-def relative_simple_roots(rel: RelativeRootSystem) -> set[Coords]:
-    """Images of the simple roots that survive the projection."""
-    idx = rel.index
-    return set(map(tuple, idx.coords[idx.simple].tolist()))
-
-
 def _root_ids(rel: RelativeRootSystem, vecs) -> np.ndarray:
     """Ids of the given coordinate vectors among the relative roots, -1 where
     a vector is not one (or has the wrong length)."""
@@ -189,17 +183,6 @@ def _root_ids(rel: RelativeRootSystem, vecs) -> np.ndarray:
     if arr.ndim != 2 or arr.shape[1] != rel.rank:
         return np.full(len(vecs), -1)
     return rel.index.lookup(arr)
-
-
-def check_fiber_additivity(rel: RelativeRootSystem, a: Coords, b: Coords) -> bool:
-    """Every root over a+b splits as a root over a plus a root over b."""
-    s = tuple(x + y for x, y in zip(a, b))
-    ids = _root_ids(rel, [a, b, s])
-    for v, i in zip((a, b, s), ids):
-        if i < 0:
-            raise ValueError(f"{v} is not a relative root")
-    # mu - nu is a root for mu over a+b and nu over a, so it lies over b.
-    return bool(rel.index.split[ids[2], ids[0]])
 
 
 def check_adjacent_simple(rel: RelativeRootSystem, a: Coords, b: Coords) -> bool:

@@ -13,17 +13,16 @@ def _divisors(m: int) -> list[int]:
     return sorted(d for d in range(1, m + 1) if m % d == 0)
 
 
-def _prime_factors(m: int) -> list[int]:
-    out = []
-    d = 2
+def factorize(m: int) -> dict[int, int]:
+    """The prime factorization of m, as {p: k} with p increasing."""
+    out, d = {}, 2
     while d * d <= m:
-        if m % d == 0:
-            out.append(d)
-            while m % d == 0:
-                m //= d
+        while m % d == 0:
+            out[d] = out.get(d, 0) + 1
+            m //= d
         d += 1
     if m > 1:
-        out.append(m)
+        out[m] = 1
     return out
 
 
@@ -37,9 +36,6 @@ class ZmRing:
 
     def elements(self) -> range:
         return range(self.modulus)
-
-    def units(self) -> list[int]:
-        return [a for a in range(1, self.modulus) if math.gcd(a, self.modulus) == 1]
 
     def __str__(self):
         return f"Z/{self.modulus}"
@@ -55,11 +51,6 @@ class ZmIdeal:
     def __post_init__(self):
         if self.ring.modulus % self.d != 0 or not 1 <= self.d <= self.ring.modulus:
             raise ValueError(f"{self.d} does not divide {self.ring.modulus}")
-
-    @classmethod
-    def generated_by(cls, ring: ZmRing, x: int) -> "ZmIdeal":
-        g = math.gcd(x % ring.modulus, ring.modulus)
-        return cls(ring, g if g else ring.modulus)
 
     def contains(self, x: int) -> bool:
         return (x % self.ring.modulus) % self.d == 0
@@ -89,10 +80,7 @@ def ring_ideals(ring: ZmRing) -> list[ZmIdeal]:
 
 def jacobson_radical(ring: ZmRing) -> ZmIdeal:
     """Generated by the product of the distinct primes dividing the modulus."""
-    prod = 1
-    for p in _prime_factors(ring.modulus):
-        prod *= p
-    return ZmIdeal(ring, prod)
+    return ZmIdeal(ring, math.prod(factorize(ring.modulus)))
 
 
 # -- exact matrix arithmetic mod m ------------------------------------------
@@ -120,8 +108,14 @@ def _det(a: np.ndarray) -> np.ndarray:
         return np.ones(a.shape[:-2], dtype=np.int64)  # empty minor of a 1x1 matrix
     if n == 2:
         return a[..., 0, 0] * a[..., 1, 1] - a[..., 0, 1] * a[..., 1, 0]
-    rows, cols, signs = _minor_index(n)
-    return (signs[0] * a[..., 0, :] * _det(a[..., rows[0], cols[0]])).sum(axis=-1)
+    return (a[..., 0, :] * first_row_cofactors(a)).sum(axis=-1)
+
+
+def first_row_cofactors(a: np.ndarray) -> np.ndarray:
+    """Cofactors C_0j of the first row of an (..., n, n) stack, an (..., n)
+    array; they read rows 1..n-1 only, and det = sum_j a_0j C_0j."""
+    rows, cols, signs = _minor_index(a.shape[-1])
+    return signs[0] * _det(a[..., rows[0], cols[0]])
 
 
 def det_int(mat):

@@ -26,8 +26,10 @@ normal-closure computations in lattice.py run entirely on indices.
 Before enumerating, the table refuses (SizeCapError) a group over the
 element cap, one whose base-m keys could pass 2**63 - 1 and one whose
 indices do not fit int32.  When there are at most _SCAN_LIMIT n x n
-matrices over Z/m, the BFS is cross-checked against the predicate scan of
-all of them (`models.elements_on` with every entry supported).
+matrices over Z/m, the sorted keys of the BFS must equal those of the
+predicate scan that decides every one of them by its defining equation
+(`models.elements_on` with every entry supported: det through first-row
+cofactors shared between matrices for SL_n, column pairings for Sp_4).
 """
 
 from __future__ import annotations

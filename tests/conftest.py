@@ -1,8 +1,10 @@
+import math
+
 import numpy as np
 import pytest
 
-from chevlat import lattice, models
-from chevlat.rings import ZmRing, adjugate_int, det_int, unit_inverses
+from chevlat import calculus, lattice, models, relroots
+from chevlat.rings import ZmIdeal, ZmRing, adjugate_int, det_int, unit_inverses
 
 
 def ctx_for(kind, degree, m, blocks):
@@ -24,6 +26,61 @@ def mat_inverse_mod(mat, m):
     if not dinv.all():
         return None
     return (adjugate_int(a) * dinv[..., None, None]) % m
+
+
+def units(m):
+    """The units of Z/m."""
+    return [a for a in range(1, m) if math.gcd(a, m) == 1]
+
+
+def ideal_generated_by(ring, x):
+    """The ideal (x) of Z/m, as (gcd(x, m))."""
+    g = math.gcd(x % ring.modulus, ring.modulus)
+    return ZmIdeal(ring, g if g else ring.modulus)
+
+
+def relative_simple_roots(rel):
+    """Images of the simple roots that survive the projection."""
+    idx = rel.index
+    return set(map(tuple, idx.coords[idx.simple].tolist()))
+
+
+def check_fiber_additivity(rel, a, b):
+    """Every root over a+b splits as a root over a plus a root over b."""
+    s = tuple(x + y for x, y in zip(a, b))
+    ids = relroots._root_ids(rel, [a, b, s])
+    for v, i in zip((a, b, s), ids):
+        if i < 0:
+            raise ValueError(f"{v} is not a relative root")
+    # mu - nu is a root for mu over a+b and nu over a, so it lies over b.
+    return bool(rel.index.split[ids[2], ids[0]])
+
+
+def unipotent_factor(model, psi, g):
+    """Components of g as an ordered product over psi; error if g is not in
+    the corresponding unipotent group."""
+    ch = calculus.chart(model, tuple(psi))
+    comps = ch.components(g)
+    if comps is None:
+        raise ValueError("matrix is not a product over the given root set")
+    return dict(zip(ch.roots, comps))
+
+
+def reference_elements_on(model, support, chunk=8192):
+    """Reference predicate scan: every filling of the support decided one by
+    one by is_element, in chunks, in lexicographic order of the supported
+    entries read row by row."""
+    m, n = model.m, model.degree
+    pos = np.flatnonzero(support)
+    weights = m ** np.arange(len(pos) - 1, -1, -1, dtype=np.int64)  # first entry most significant
+    found, total = [], m ** len(pos)
+    for lo in range(0, total, chunk):
+        c = np.arange(lo, min(lo + chunk, total), dtype=np.int64)
+        mats = np.zeros((len(c), n * n), dtype=np.int64)
+        mats[:, pos] = c[:, None] // weights % m
+        mats = mats.reshape(-1, n, n)
+        found.append(mats[model.is_element(mats)])
+    return np.concatenate(found)
 
 
 def plain_normal_closure(table, seeds):

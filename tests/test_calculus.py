@@ -8,6 +8,8 @@ from chevlat.errors import TheoremViolation
 from chevlat.models import GroupModel
 from chevlat.rings import ZmRing
 
+from conftest import unipotent_factor
+
 
 def sl(n, m, blocks=None):
     return GroupModel("SL", n, ZmRing(m), blocks or (1,) * n)
@@ -22,13 +24,13 @@ def test_unipotent_factor_example():
     x = np.eye(3, dtype=np.int64)
     x[0, 1] = 2
     x[0, 2] = 3
-    comps = calculus.unipotent_factor(model, model.positive_rel_roots, x)
+    comps = unipotent_factor(model, model.positive_rel_roots, x)
     assert comps == {(1, 0): (2,), (1, 1): (3,), (0, 1): (0,)}
 
 
 def test_unipotent_factor_identity():
     model = sl(3, 4)
-    comps = calculus.unipotent_factor(
+    comps = unipotent_factor(
         model, model.positive_rel_roots, model.identity()
     )
     assert all(v == (0,) for v in comps.values())
@@ -39,13 +41,13 @@ def test_unipotent_factor_rejects_outsiders():
     g = model.identity()
     g[1, 0] = 1  # lower, not in the positive radical
     with pytest.raises(ValueError):
-        calculus.unipotent_factor(model, model.positive_rel_roots, g)
+        unipotent_factor(model, model.positive_rel_roots, g)
 
 
 def test_unipotent_factor_sp4_line():
     model = sp(3)
     g = (model.x((1,), (1, 2)) @ model.x((2,), (2,))) % 3
-    comps = calculus.unipotent_factor(model, model.positive_rel_roots, g)
+    comps = unipotent_factor(model, model.positive_rel_roots, g)
     assert comps[(1,)] == (1, 2)
     assert comps[(2,)] == (2,)
 

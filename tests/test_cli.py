@@ -148,6 +148,28 @@ def test_main_refuses_table_past_key_bound(capsys):
     assert "SL2(Z/65536)" in err and "2**63 - 1" in err
 
 
+def test_main_refuses_an_oversized_levi_scan_first(monkeypatch, capsys):
+    # the diagonal Levi support of SL2(Z/2**16) has 2**32 fillings: the group
+    # suite's predicate scan refuses them before any other check runs
+    def no_work(self):
+        raise AssertionError("a check ran before the size check")
+
+    monkeypatch.setattr(cli.models.GroupModel, "all_elementary_generators", no_work)
+    assert cli.main(["group", "--model", "SL2", "--mod", str(2**16)]) == 2
+    err = capsys.readouterr().err
+    assert "SL2(Z/65536)" in err and "predicate scan has 4294967296 fillings" in err
+
+
+def test_group_suite_outside_the_hypotheses_reports_no_counterexample(capsys):
+    # 2 is not invertible in Z/4, so the theorem does not apply to Sp4(Z/4):
+    # its lemma records are expected to fail, as in the sandwich suite
+    assert cli.main(["group", "--model", "Sp4", "--mod", "4"]) == 0
+    checks = json.loads(capsys.readouterr().out)["checks"]
+    assert "fail" not in {c["verdict"] for c in checks}
+    verdicts = {c["name"]: c["verdict"] for c in checks}
+    assert verdicts["hypotheses"] == verdicts["pairing_witness"] == "expected-exception"
+
+
 def test_main_reads_config(tmp_path):
     cfg = tmp_path / "run.ini"
     cfg.write_text("[run]\nsuite = group\n[model]\nname = SL3\nmod = 2\n")

@@ -5,7 +5,10 @@ import random
 import numpy as np
 import pytest
 
+from chevlat.cli import DEFAULT_MODELS
+from chevlat.errors import SizeCapError
 from chevlat.models import (
+    SCAN_BOUND,
     GroupModel,
     SP4_FORM,
     elements_on,
@@ -17,8 +20,9 @@ from chevlat.models import (
     scheme_center_elements,
 )
 from chevlat.rings import ZmRing, det_int, mat_mul
+from chevlat.table import _SCAN_LIMIT
 
-from conftest import mat_inverse_mod
+from conftest import mat_inverse_mod, reference_elements_on, units
 
 
 def sl(n, m, blocks=None):
@@ -192,13 +196,13 @@ def reference_levi_elements(model):
                 g[r.start:r.stop, r.start:r.stop] = b
             out.append(g)
         return out
-    units = model.ring.units()
+    unit_group = units(m)
     out = []
     if model.blocks == "borel":
-        for t, u in itertools.product(units, repeat=2):
+        for t, u in itertools.product(unit_group, repeat=2):
             out.append(np.diag([t, u, pow(u, -1, m), pow(t, -1, m)]).astype(np.int64))
     elif model.blocks == "line":
-        for t in units:
+        for t in unit_group:
             for entries in itertools.product(range(m), repeat=4):
                 sl2 = np.array(entries, dtype=np.int64).reshape(2, 2)
                 if det_int(sl2) % m != 1:
@@ -301,6 +305,63 @@ def test_elements_on_everything_is_the_table(sl3_2, sp4_2):
         assert np.array_equal(np.sort(t.encode(scanned)), np.sort(t.encode(t.mats)))
         flat = scanned.reshape(len(scanned), -1).tolist()
         assert flat == sorted(flat)  # lexicographic, row by row
+
+
+SCANNED_DEFAULTS = [spec.build() for spec in DEFAULT_MODELS
+                    if spec.modulus ** (spec.degree ** 2) <= _SCAN_LIMIT]
+
+
+def levi_support(model):
+    b = model._block_index
+    return b[:, None] == b[None, :]
+
+
+def assert_scan_matches_reference(model, support):
+    got, want = elements_on(model, support), reference_elements_on(model, support)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert np.array_equal(got, want)  # the same elements in the same order
+
+
+@pytest.mark.parametrize("model", SCANNED_DEFAULTS + [sl(2, 3)], ids=lambda m: m.name())
+def test_elements_on_full_support_matches_the_reference_scan(model):
+    assert_scan_matches_reference(model, np.ones((model.n, model.n), dtype=bool))
+
+
+def test_scanned_defaults_are_the_table_cross_checked_models():
+    assert [m.name() for m in SCANNED_DEFAULTS] == [
+        "SL3(Z/2)[(1, 1, 1)]", "SL3(Z/3)[(1, 1, 1)]", "SL3(Z/4)[(1, 1, 1)]",
+        "SL4(Z/2)[(1, 1, 1, 1)]", "Sp4(Z/2)[borel]"]
+
+
+@pytest.mark.parametrize("model", LEVI_CASES, ids=lambda model: model.name())
+def test_elements_on_levi_support_matches_the_reference_scan(model):
+    assert_scan_matches_reference(model, levi_support(model))
+
+
+@pytest.mark.parametrize("model", [sl(3, 3), sl(4, 2, (2, 2)), sp(3), sp(3, "siegel")],
+                         ids=lambda m: m.name())
+def test_elements_on_with_nothing_in_the_first_row_or_column(model):
+    # no filling of the first row (SL) or first column (Sp) is left to share:
+    # every matrix is singular, so the scan is empty
+    for support in (np.ones((model.n, model.n), dtype=bool), levi_support(model)):
+        support = support.copy()
+        if model.kind == "SL":
+            support[0] = False
+        else:
+            support[:, 0] = False
+        if model.m ** support.sum() <= 10**5:
+            assert_scan_matches_reference(model, support)
+        assert elements_on(model, support).shape == (0, model.n, model.n)
+
+
+def test_elements_on_refuses_too_many_fillings_up_front():
+    model = sl(2, 2**16)
+    with pytest.raises(SizeCapError, match="scan has 18446744073709551616 fillings") as info:
+        elements_on(model, np.ones((2, 2), dtype=bool))
+    assert info.value.cap == SCAN_BOUND and info.value.needed == 2**64
+    # exactly SCAN_BOUND fillings pass: the diagonal of SL2(Z/2048), a d = 1
+    assert SCAN_BOUND == 2048**2
+    assert len(elements_on(sl(2, 2048), np.eye(2, dtype=bool))) == 1024
 
 
 def test_scheme_center():

@@ -6,6 +6,8 @@ from chevlat import relroots, rootsys
 from chevlat.relroots import RelativeDatum, build_relative, fold, sigma_set
 from chevlat.rootsys import RootSystemType, build_root_system
 
+from conftest import check_fiber_additivity, relative_simple_roots
+
 
 def sys_of(family, rank):
     return build_root_system(RootSystemType(family, rank))
@@ -145,7 +147,7 @@ def test_a2_single_node():
     rel = build_relative(RelativeDatum(sys_of("A", 2), frozenset({0}), ()))
     assert rel.rel_roots == {(1,), (-1,)}
     assert rel.fiber((1,)) == {(1, 0), (1, 1)}
-    assert relroots.relative_simple_roots(rel) == {(1,)}
+    assert relative_simple_roots(rel) == {(1,)}
 
 
 def test_a3_bc1():
@@ -153,7 +155,7 @@ def test_a3_bc1():
     assert rel.rel_roots == {(1,), (2,), (-1,), (-2,)}
     assert rel.fiber((1,)) == {(1, 0, 0), (0, 0, 1), (1, 1, 0), (0, 1, 1)}
     assert rel.fiber((2,)) == {(1, 1, 1)}
-    assert relroots.relative_simple_roots(rel) == {(1,)}
+    assert relative_simple_roots(rel) == {(1,)}
 
 
 def test_identity_projection():
@@ -161,7 +163,7 @@ def test_identity_projection():
     rel = build_relative(RelativeDatum(c2, frozenset({0, 1}), ()))
     assert rel.rel_roots == c2.roots
     assert all(len(rel.fiber(a)) == 1 for a in rel.rel_roots)
-    assert relroots.relative_simple_roots(rel) == {(1, 0), (0, 1)}
+    assert relative_simple_roots(rel) == {(1, 0), (0, 1)}
 
 
 def test_projection_is_linear_and_gamma_invariant():
@@ -201,23 +203,23 @@ def test_gamma_not_a_group_rejected():
 
 def test_fiber_additivity_bc1():
     rel = build_relative(RelativeDatum(sys_of("A", 3), frozenset({0, 2}), (REV3,)))
-    assert relroots.check_fiber_additivity(rel, (1,), (1,))
+    assert check_fiber_additivity(rel, (1,), (1,))
 
 
 def test_fiber_additivity_singleton_fibers():
     rel = build_relative(RelativeDatum(sys_of("A", 2), frozenset({0, 1}), ()))
-    assert relroots.check_fiber_additivity(rel, (1, 0), (0, 1))
+    assert check_fiber_additivity(rel, (1, 0), (0, 1))
 
 
 def test_fiber_additivity_vacuous_rank_one():
     rel = build_relative(RelativeDatum(sys_of("A", 2), frozenset({0}), ()))
     with pytest.raises(ValueError):
-        relroots.check_fiber_additivity(rel, (1,), (1,))  # (2,) is not a root here
+        check_fiber_additivity(rel, (1,), (1,))  # (2,) is not a root here
 
 
 def test_adjacent_simple_c3():
     rel = build_relative(RelativeDatum(sys_of("C", 3), frozenset({0, 1}), ()))
-    simples = relroots.relative_simple_roots(rel)
+    simples = relative_simple_roots(rel)
     for a in simples:
         for b in simples:
             if a != b and tuple(x + y for x, y in zip(a, b)) in rel.rel_roots:
@@ -229,7 +231,7 @@ def test_adjacent_simple_a4_reversal_bc2():
     rev = (3, 2, 1, 0)
     rel = build_relative(RelativeDatum(sys_of("A", 4), frozenset({0, 1, 2, 3}), (rev,)))
     assert (0, 2) in rel.rel_roots and (1, 2) in rel.rel_roots  # 2b and a+2b
-    simples = sorted(relroots.relative_simple_roots(rel))
+    simples = sorted(relative_simple_roots(rel))
     assert len(simples) == 2
     found = False
     for a in simples:
@@ -243,7 +245,7 @@ def test_adjacent_simple_a4_reversal_bc2():
 def test_adjacent_simple_vacuous_in_rank_one():
     rev = (3, 2, 1, 0)
     rel = build_relative(RelativeDatum(sys_of("A", 4), frozenset({0, 3}), (rev,)))
-    assert relroots.relative_simple_roots(rel) == {(1,)}
+    assert relative_simple_roots(rel) == {(1,)}
 
 
 def test_sigma_a2_by_hand():
@@ -264,14 +266,14 @@ def test_sigma_forms_agree_simply_laced():
         if not datum.base.is_simply_laced():
             continue
         rel = build_relative(datum)
-        for b in relroots.relative_simple_roots(rel):
+        for b in relative_simple_roots(rel):
             assert sigma_set(rel, b, "all") == sigma_set(rel, b, "some")
 
 
 def test_sigma_properties_hold_rank4():
     for datum in relroots.sweep_data(4):
         rel = build_relative(datum)
-        for b in relroots.relative_simple_roots(rel):
+        for b in relative_simple_roots(rel):
             props = relroots.sigma_properties(rel, b)
             assert all(props.values()), (datum.base.rtype, sorted(datum.J), b, props)
 
@@ -364,7 +366,7 @@ def test_check_datum_matches_tuple_reference():
 def test_split_table_catches_a_partial_fiber_failure():
     rel = broken_b3()
     assert rel.fiber((2,)) == {(0, 1, 2), (1, 1, 2), (1, 2, 2)}
-    assert not relroots.check_fiber_additivity(rel, (1,), (1,))
+    assert not check_fiber_additivity(rel, (1,), (1,))
     assert not ref_fiber_additivity(rel, (1,), (1,))
     counts = relroots.check_datum(rel)
     assert counts["fiber_failed"] > 0

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from chevlat import table as table_mod
 from chevlat.errors import SizeCapError, TableBoundError
 from chevlat.models import GroupModel
 from chevlat.rings import ZmRing
@@ -98,6 +99,17 @@ def test_table_has_no_keyspace_sized_array():
     t = ElementTable(GroupModel("Sp", 4, ZmRing(3), "line"))
     arrays = [a for a in vars(t).values() if isinstance(a, np.ndarray)]
     assert sum(a.nbytes for a in arrays) < 16 * 2**20
+
+
+def test_table_refuses_a_scan_that_misses_an_element(monkeypatch):
+    scan = table_mod.elements_on
+
+    def scan_dropping_one(model, support):
+        return scan(model, support)[1:]
+
+    monkeypatch.setattr(table_mod, "elements_on", scan_dropping_one)
+    with pytest.raises(RuntimeError, match="BFS and predicate scan disagree"):
+        ElementTable(GroupModel("SL", 3, ZmRing(2), (1, 1, 1)))
 
 
 def test_size_cap_names_cap():
