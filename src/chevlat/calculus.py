@@ -2,73 +2,92 @@
 
 A chart enumerates the product map (v_alpha)_alpha -> prod X_alpha(v_alpha)
 over an additively closed set of relative roots, in the canonical
-height-then-lex order, and inverts it by table lookup.  Bijectivity of this
-map is asserted during construction, which is the parametrization statement
-itself.  Everything downstream (sum formulas, conjugation and commutator
+height-then-lex order, as one stack of products, and inverts it by one
+binary search over their matrix keys.  Bijectivity of this map is asserted
+during construction, which is the parametrization statement itself.
+Everything downstream (sum formulas, conjugation and commutator
 decompositions, the nondegeneracy and generation lemmas) factors matrices
-through a chart and reads the polynomial values off numerically.
+through a chart, whole stacks at a time, and reads the polynomial values
+off numerically.
 """
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from .errors import TheoremViolation
-from .models import GroupModel, Vec
+from .errors import SizeCapError, TheoremViolation
+from .models import SCAN_BOUND, GroupModel, Vec
 from .rings import mat_mul
+from .table import check_key_bound, matrix_keys
 
 
 def canonical_root_order(roots) -> list[Vec]:
     return sorted(roots, key=lambda v: (sum(v), v))
 
 
-def _scale(r: int, v: Vec, m: int) -> Vec:
-    return tuple((r * x) % m for x in v)
-
-
 def _vadd(a: Vec, b: Vec) -> Vec:
     return tuple(x + y for x, y in zip(a, b))
 
 
-@dataclass(frozen=True)
+def _digits(codes, m: int, width: int) -> np.ndarray:
+    """The base-m digits of codes along one more trailing axis, first most significant."""
+    return np.asarray(codes, dtype=np.int64)[..., None] // m ** np.arange(
+        width - 1, -1, -1, dtype=np.int64) % m
+
+
 class UnipotentChart:
-    model: GroupModel
-    roots: tuple[Vec, ...]
-    by_key: dict
+    """The product map (v_alpha)_alpha -> prod X_alpha(v_alpha) over `roots`,
+    in their order, as arrays.  A code reads the values as one base-m
+    number, first root and first coordinate most significant (the order of
+    itertools.product over the value tuples): mats[code] is the product.
+    `lookup` inverts the map by a binary search over the products' keys."""
 
-    def components(self, g: np.ndarray) -> tuple[Vec, ...] | None:
-        key = tuple(int(x) % self.model.m for x in np.asarray(g).flatten())
-        return self.by_key.get(key)
-
-    def product(self, components) -> np.ndarray:
-        g = self.model.identity()
-        for alpha, v in zip(self.roots, components):
-            g = mat_mul(g, self.model.x(alpha, v), self.model.m)
-        return g
+    def __init__(self, model: GroupModel, roots: tuple[Vec, ...]):
+        m, n = model.m, model.degree
+        self.model, self.roots = model, roots
+        self.dims = [model.v_dim(a) for a in roots]
+        check_key_bound(model)
+        if m ** sum(self.dims) > SCAN_BOUND:
+            raise SizeCapError(m ** sum(self.dims), SCAN_BOUND,
+                               f"{model.name()} chart over {roots}", "products")
+        mats = model.identity()[None]
+        for alpha in roots:
+            mats = mat_mul(mats[:, None], _root_elements(model, alpha)[None], m).reshape(-1, n, n)
+        self.mats = mats
+        keys = matrix_keys(mats, m)
+        self._order = np.argsort(keys)
+        self._keys = keys[self._order]
+        if (self._keys[1:] == self._keys[:-1]).any():
+            raise RuntimeError(f"product map not injective over {roots}")
 
     def __len__(self):
-        return len(self.by_key)
+        return len(self.mats)
+
+    def lookup(self, mats) -> np.ndarray:
+        """Codes of a (..., n, n) stack of matrices, -1 off the chart."""
+        keys = matrix_keys(mats, self.model.m)
+        pos = np.minimum(np.searchsorted(self._keys, keys), len(self._keys) - 1)
+        return np.where(self._keys[pos] == keys, self._order[pos], -1)
+
+    def components(self, codes) -> list[np.ndarray]:
+        """Per root, the (..., d) values that codes encode (zeros for a code -1)."""
+        digits = _digits(np.maximum(codes, 0), self.model.m, sum(self.dims))
+        return [digits[..., s - d:s] for s, d in zip(np.cumsum(self.dims), self.dims)]
+
+    def factor(self, mats, lost: str) -> list[np.ndarray]:
+        """The components of a stack of matrices; RuntimeError(lost) off the chart."""
+        codes = self.lookup(mats)
+        if (codes < 0).any():
+            raise RuntimeError(lost)
+        return self.components(codes)
 
 
 @lru_cache(maxsize=None)
 def chart(model: GroupModel, roots: tuple[Vec, ...]) -> UnipotentChart:
     """Chart over an additively closed root set, canonical order."""
-    ordered = tuple(canonical_root_order(roots))
-    spaces = [list(model.v_tuples(a)) for a in ordered]
-    by_key = {}
-    for combo in itertools.product(*spaces):
-        g = model.identity()
-        for alpha, v in zip(ordered, combo):
-            g = mat_mul(g, model.x(alpha, v), model.m)
-        key = tuple(int(x) for x in g.flatten())
-        if key in by_key:
-            raise RuntimeError(f"product map not injective over {ordered}")
-        by_key[key] = combo
-    return UnipotentChart(model, ordered, by_key)
+    return UnipotentChart(model, tuple(canonical_root_order(roots)))
 
 
 def radical_roots(model: GroupModel, negative: bool = False) -> tuple[Vec, ...]:
@@ -83,19 +102,9 @@ def radical_chart(model: GroupModel, negative: bool = False) -> UnipotentChart:
 
 
 def _multiple_cone(model: GroupModel, alpha: Vec) -> tuple[Vec, ...]:
-    out = []
-    i = 1
-    while True:
-        v = tuple(i * c for c in alpha)
-        if not model.is_rel_root(v):
-            if i > 1:
-                break
-        else:
-            out.append(v)
-        i += 1
-        if i > 8:
-            break
-    return tuple(out)
+    """The relative roots among alpha, 2 alpha, ..., 8 alpha, in that order."""
+    multiples = (tuple(i * c for c in alpha) for i in range(1, 9))
+    return tuple(v for v in multiples if model.is_rel_root(v))
 
 
 @lru_cache(maxsize=None)
@@ -141,6 +150,13 @@ def commutator_identity_check(model: GroupModel, x, y, z):
     return bool(ok) if ok.ndim == 0 else ok
 
 
+def sampled_root_elements(model: GroupModel, per_root: int, rng) -> np.ndarray:
+    """X_alpha(v) for `per_root` values v per relative root alpha, drawn
+    with rng.randrange root by root, as one stack."""
+    return np.stack([model.x(a, tuple(rng.randrange(model.m) for _ in range(model.v_dim(a))))
+                     for a in model.rel_roots for _ in range(per_root)])
+
+
 def sampled_identity_check(model: GroupModel, mats, count: int, rng) -> bool:
     """commutator_identity_check on `count` triples (x, y, z) drawn from mats
     with rng.randrange, x, y, z in turn, all checked as one stack.  rng is
@@ -174,130 +190,145 @@ def sampled_homogeneity_check(model: GroupModel, samples: int, rng) -> tuple[boo
 
 
 def sampled_sum_formula_check(model: GroupModel, samples: int, rng) -> bool:
-    """For `samples` pairs (v, w) per relative root alpha, the product of the
-    sum-formula factors X_alpha(v+w) prod_i X_{i alpha}(h_i) is
-    X_alpha(v) X_alpha(w)."""
+    """For `samples` pairs (v, w) per relative root alpha, drawn pair by pair,
+    the product of the sum-formula factors X_alpha(v+w) prod_i X_{i alpha}(h_i)
+    is X_alpha(v) X_alpha(w); the pairs of one alpha are one stack."""
     m = model.m
     ok = True
     for alpha in model.rel_roots:
         d = model.v_dim(alpha)
-        for _ in range(samples):
-            v = tuple(rng.randrange(m) for _ in range(d))
-            w = tuple(rng.randrange(m) for _ in range(d))
-            first, higher = sum_formula_decompose(model, alpha, v, w)
-            g = model.x(alpha, first)
-            for i, val in sorted(higher.items()):
-                g = mat_mul(g, model.x(tuple(i * c for c in alpha), val), m)
-            ok &= bool((g == mat_mul(model.x(alpha, v), model.x(alpha, w), m)).all())
+        vw = np.array([rng.randrange(m) for _ in range(2 * d * samples)], dtype=np.int64)
+        v, w = vw.reshape(samples, 2, d).swapaxes(0, 1)
+        first, higher = sum_formula_decompose(model, alpha, v, w)
+        g = _x_stack(model, alpha, first)
+        for i, val in sorted(higher.items()):
+            g = mat_mul(g, _x_stack(model, tuple(i * c for c in alpha), val), m)
+        ok &= bool((g == mat_mul(_x_stack(model, alpha, v), _x_stack(model, alpha, w), m)).all())
     return ok
 
 
 def sampled_roundtrip_check(model: GroupModel, samples: int, rng) -> tuple[bool, int]:
-    """Random components over the positive radical, multiplied out and
-    factored back through the radical chart: (ok, radical order)."""
+    """Random components over the positive radical, drawn sample by sample,
+    multiplied out as one stack and factored back through the radical chart:
+    (ok, radical order)."""
+    m = model.m
     ch = radical_chart(model)
-    ok = True
-    for _ in range(samples):
-        comps = tuple(
-            tuple(rng.randrange(model.m) for _ in range(model.v_dim(a))) for a in ch.roots
-        )
-        ok &= ch.components(ch.product(comps)) == comps
-    return ok, len(ch)
+    width = sum(ch.dims)
+    digits = np.array([rng.randrange(m) for _ in range(samples * width)], dtype=np.int64)
+    codes = digits.reshape(samples, width) @ m ** np.arange(width - 1, -1, -1, dtype=np.int64)
+    g = model.identity()
+    for alpha, v in zip(ch.roots, ch.components(codes)):
+        g = mat_mul(g, _x_stack(model, alpha, v), m)
+    return bool((ch.lookup(g) == codes).all()), len(ch)
 
 
-def chevalley_commutator_decompose(
-    model: GroupModel, alpha: Vec, u: Vec, beta: Vec, v: Vec
-) -> list[tuple[Vec, Vec]]:
-    """[X_alpha(u), X_beta(v)] factored over {i*alpha + j*beta}.
-
-    Returns (root, value) pairs with nonzero value, in canonical order.
-    """
-    if not (model.is_rel_root(alpha) and model.is_rel_root(beta)):
-        raise ValueError("alpha and beta must be relative roots")
-    if opposed_multiples(alpha, beta):
-        raise ValueError("opposite multiples are excluded")
-    cone = _pair_cone(model, alpha, beta)
-    c = commutator(model.x(alpha, u), model.x(beta, v), model)
-    if not cone:
-        if not (c == model.identity()).all():
-            raise RuntimeError("commutator is not trivial over an empty cone")
-        return []
-    comps = chart(model, cone).components(c)
-    if comps is None:
-        raise RuntimeError("commutator left the expected unipotent group")
-    return [(g, w) for g, w in zip(canonical_root_order(cone), comps) if any(w)]
-
-
-def sum_formula_decompose(model: GroupModel, alpha: Vec, v: Vec, w: Vec):
+def sum_formula_decompose(model: GroupModel, alpha: Vec, v, w):
     """X_alpha(v) X_alpha(w) = X_alpha(v+w) * higher multiples.
 
-    Returns (v+w, {i: value}) where i indexes the multiple i*alpha.
+    Returns (v+w, {i: value}) where i indexes the multiple i*alpha: the
+    nonzero values for one pair v, w, every (..., d_i) value array for
+    (..., d) arrays of pairs, whose products are factored as one stack.
     """
-    cone = _multiple_cone(model, alpha)
-    prod = mat_mul(model.x(alpha, v), model.x(alpha, w), model.m)
-    comps = chart(model, cone).components(prod)
-    if comps is None:
-        raise RuntimeError("product left the unipotent group of the multiples")
-    ordered = canonical_root_order(cone)
-    first = comps[ordered.index(alpha)]
-    expected = tuple((a + b) % model.m for a, b in zip(v, w))
-    if first != expected:
+    m = model.m
+    v, w = np.asarray(v, dtype=np.int64) % m, np.asarray(w, dtype=np.int64) % m
+    ch = chart(model, _multiple_cone(model, alpha))
+    values = ch.factor(mat_mul(_x_stack(model, alpha, v), _x_stack(model, alpha, w), m),
+                       "product left the unipotent group of the multiples")
+    higher = {sum(g) // sum(alpha): val for g, val in zip(ch.roots, values)}
+    first = higher.pop(1)
+    if (first != (v + w) % m).any():
         raise RuntimeError("leading component of the sum formula is not v+w")
-    higher = {
-        sum(g) // sum(alpha): val
-        for g, val in zip(ordered, comps)
-        if g != alpha and any(val)
-    }
-    return first, higher
+    if v.ndim > 1:
+        return first, higher
+    return tuple(first.tolist()), {i: tuple(val.tolist()) for i, val in higher.items() if val.any()}
 
 
-def levi_conjugation_decompose(model: GroupModel, g: np.ndarray, alpha: Vec, v: Vec):
-    """g X_alpha(v) g^-1 = prod_i X_{i alpha}(phi_i(v)) for Levi g."""
-    if not model.in_levi(g):
+def levi_conjugation_decompose(model: GroupModel, g, alpha: Vec, v):
+    """g X_alpha(v) g^-1 = prod_i X_{i alpha}(phi_i(v)) for Levi g, as
+    {i: phi_i(v)}.  g may be a (..., n, n) stack and v a (..., d) array of
+    values that broadcast against it; then each phi_i(v) is a (..., d_i)
+    array of the values of every conjugation, formed as one stack."""
+    g = np.asarray(g, dtype=np.int64)
+    if not np.all(model.in_levi(g)):
         raise ValueError("conjugator must lie in the Levi subgroup")
-    cone = _multiple_cone(model, alpha)
-    conj = mat_mul(mat_mul(g, model.x(alpha, v), model.m), model.inverse(g), model.m)
-    comps = chart(model, cone).components(conj)
-    if comps is None:
-        raise RuntimeError("Levi conjugation left the unipotent group")
-    ordered = canonical_root_order(cone)
-    ratio = [sum(gam) // sum(alpha) for gam in ordered]
-    return {i: val for i, val in zip(ratio, comps)}
+    m = model.m
+    ch = chart(model, _multiple_cone(model, alpha))
+    x = _x_stack(model, alpha, np.asarray(v, dtype=np.int64) % m)
+    values = ch.factor(mat_mul(mat_mul(g, x, m), model.inverse(g), m),
+                       "Levi conjugation left the unipotent group")
+    ratio = [sum(gamma) // sum(alpha) for gamma in ch.roots]
+    if g.ndim == 2 and np.ndim(v) == 1:
+        return {i: tuple(val.tolist()) for i, val in zip(ratio, values)}
+    return dict(zip(ratio, values))
 
 
-def component_at(decomp, gamma: Vec) -> Vec | None:
-    for g, v in decomp:
-        if g == gamma:
-            return v
-    return None
+def levi_conjugation_check(model: GroupModel, levis, count: int, rng) -> bool:
+    """Lemma rootels (ii), phi_i(r v) = r^i phi_i(v) for every r in Z/m, on
+    the first `count` elements g of a copy of levis shuffled by rng, every
+    relative root alpha and one v per (g, alpha), drawn g by g.  The
+    conjugations of one alpha by every g and every r v are one stack."""
+    m = model.m
+    levis = list(levis)
+    rng.shuffle(levis)
+    gs = np.stack(levis[:count])[:, None]
+    draws = [[[rng.randrange(m) for _ in range(model.v_dim(a))] for a in model.rel_roots]
+             for _ in gs]
+    scale = np.arange(m, dtype=np.int64)[:, None]
+    ok = True
+    for k, alpha in enumerate(model.rel_roots):
+        v = np.array([row[k] for row in draws], dtype=np.int64)[:, None]
+        phi = levi_conjugation_decompose(model, gs, alpha, scale * v % m)  # (g, r, d_i) each
+        for i, val in phi.items():
+            power = np.array([pow(r, i, m) for r in range(m)])[:, None]
+            ok &= bool((val == power * val[:, 1:2] % m).all())
+    return ok
 
 
-def lemma_ABe_witness(
-    model: GroupModel, alpha: Vec, beta: Vec, u: Vec, gens=None
-) -> int:
-    """Some generator e_i of V_alpha has N_{alpha,beta,1,1}(e_i, u) != 0.
+def _values(model: GroupModel, alpha: Vec) -> np.ndarray:
+    """Every v of V_alpha, as an (m**d, d) array in the order of v_tuples."""
+    d = model.v_dim(alpha)
+    return _digits(np.arange(model.m ** d), model.m, d)
 
-    Raises TheoremViolation when every generator gives zero, which refutes
-    the statement on this model.
-    """
-    if not any(x % model.m for x in u):
-        raise ValueError("u must be nonzero")
+
+def _pair_values(model: GroupModel, alpha: Vec, beta: Vec, us, vs, target: Vec) -> np.ndarray:
+    """The components at the root target of [X_alpha(u), X_beta(v)] for value
+    arrays us (..., d_alpha) and vs (..., d_beta) that broadcast, every
+    commutator formed in one stack."""
+    ch = chart(model, _pair_cone(model, alpha, beta))
+    c = commutator(_x_stack(model, alpha, us), _x_stack(model, beta, vs), model)
+    return ch.factor(c, "commutator left the expected unipotent group")[ch.roots.index(target)]
+
+
+def _check_pair(model: GroupModel, alpha: Vec, beta: Vec) -> Vec:
     target = _vadd(alpha, beta)
-    if not model.is_rel_root(target):
-        raise ValueError("alpha+beta must be a relative root")
-    gens = list(gens) if gens is not None else model.v_basis(alpha)
-    for i, e in enumerate(gens):
-        comp = component_at(
-            chevalley_commutator_decompose(model, alpha, e, beta, u), target
-        )
-        if comp is not None and any(comp):
-            return i
-    raise TheoremViolation(
-        "Lemma ABe",
-        f"all generators of V_{alpha} pair to zero against u={u} in V_{beta} "
-        f"on {model.name()}",
-        witness={"alpha": alpha, "beta": beta, "u": u},
-    )
+    if not model.is_rel_root(target) or opposed_multiples(alpha, beta):
+        raise ValueError("need alpha+beta a relative root and no opposition")
+    return target
+
+
+def lemma_ABe_witness(model: GroupModel, alpha: Vec, beta: Vec, u):
+    """The least i such that the generator e_i of V_alpha has
+    N_{alpha,beta,1,1}(e_i, u) != 0, for one nonzero u of V_beta or for each
+    of a (k, d) stack of them, from one stack of commutators.
+
+    Raises TheoremViolation at the first u where every generator gives zero,
+    which refutes the statement on this model; its witness holds that u and
+    its `index` in the stack."""
+    us = np.asarray(u, dtype=np.int64) % model.m
+    if not us.any(axis=-1).all():
+        raise ValueError("u must be nonzero")
+    target = _check_pair(model, alpha, beta)
+    d = model.v_dim(alpha)
+    gens = np.eye(d, dtype=np.int64).reshape(d, *[1] * (us.ndim - 1), d)
+    hit = _pair_values(model, alpha, beta, gens, us, target).any(axis=-1)  # (generator, *u)
+    found = hit.any(axis=0)
+    if not found.all():
+        k = int(np.argmin(found.ravel()))
+        bad = tuple(us.reshape(-1, us.shape[-1])[k].tolist())
+        raise TheoremViolation("Lemma ABe", f"all generators of V_{alpha} pair to zero against "
+                               f"u={bad} in V_{beta} on {model.name()}",
+                               witness={"alpha": alpha, "beta": beta, "u": bad, "index": k})
+    return np.argmax(hit, axis=0)
 
 
 def _additive_closure(values, dim: int, m: int) -> int:
@@ -323,11 +354,10 @@ def lemma_const_check(model: GroupModel, alpha: Vec, beta: Vec) -> bool:
 
     When alpha-beta is also a relative root, the degree (1,1) values of
     (alpha-beta, 2*beta) and the degree (1,2) values of (alpha-beta, beta)
-    contribute as well.
+    contribute as well.  The commutators of each root pair over all of
+    V_a x V_b are one stack.
     """
-    target = _vadd(alpha, beta)
-    if not model.is_rel_root(target) or opposed_multiples(alpha, beta):
-        raise ValueError("need alpha+beta a relative root and no opposition")
+    target = _check_pair(model, alpha, beta)
     pairs = [(alpha, beta)]
     diff = tuple(a - b for a, b in zip(alpha, beta))
     if model.is_rel_root(diff):
@@ -335,15 +365,35 @@ def lemma_const_check(model: GroupModel, alpha: Vec, beta: Vec) -> bool:
         if model.is_rel_root(two_beta):
             pairs.append((diff, two_beta))
         pairs.append((diff, beta))
-    values = []
-    for a, b in pairs:
-        for u in model.v_tuples(a):
-            for v in model.v_tuples(b):
-                comp = component_at(chevalley_commutator_decompose(model, a, u, b, v), target)
-                if comp is not None:
-                    values.append(comp)
-    m = model.m
-    return _additive_closure(values, model.v_dim(target), m) == m ** model.v_dim(target)
+    d = model.v_dim(target)
+    values = np.concatenate([_pair_values(
+        model, a, b, _values(model, a)[:, None], _values(model, b), target).reshape(-1, d)
+        for a, b in pairs])
+    return _additive_closure(values.tolist(), d, model.m) == model.m ** d
+
+
+def pairing_sweep(model: GroupModel) -> tuple[bool, int, bool, int]:
+    """Lemma ABe on every nonzero u of V_beta, then Lemma const, for each
+    pair (alpha, beta) of relative roots, in the order of model.rel_roots,
+    that are not opposed multiples and sum to a relative root: (abe_ok,
+    abe_checked, const_ok, const_checked).  The sweep ends at the first u
+    without a witness: abe_checked counts the u before it, const_checked
+    the pairs before its pair."""
+    abe_checked = const_checked = 0
+    const_ok = True
+    for alpha in model.rel_roots:
+        for beta in model.rel_roots:
+            if opposed_multiples(alpha, beta) or not model.is_rel_root(_vadd(alpha, beta)):
+                continue
+            us = _values(model, beta)[1:]  # the nonzero u, in the order of v_tuples
+            try:
+                lemma_ABe_witness(model, alpha, beta, us)
+            except TheoremViolation as exc:
+                return False, abe_checked + exc.witness["index"], const_ok, const_checked
+            abe_checked += len(us)
+            const_checked += 1
+            const_ok &= lemma_const_check(model, alpha, beta)
+    return True, abe_checked, const_ok, const_checked
 
 
 @lru_cache(maxsize=None)
@@ -372,34 +422,6 @@ def _x_stack(model: GroupModel, alpha: Vec, vs: np.ndarray) -> np.ndarray:
     return _root_elements(model, alpha)[vs @ digits]
 
 
-def _check_homogeneity_sample(model, cone, degrees, u, v, left, right):
-    """The degree comparisons of one sample, in the order of a scalar loop:
-    the base decomposition, then for each r the two scaled decompositions
-    and their comparisons.  left[r] and right[r] are the chart components of
-    [X_alpha(r u), X_beta(v)] and [X_alpha(u), X_beta(r v)], None where the
-    commutator is off the chart; r = 1 gives the base."""
-    m = model.m
-    lost = ("commutator left the expected unipotent group" if cone
-            else "commutator is not trivial over an empty cone")
-    if left[1] is None:
-        raise RuntimeError(lost)
-    base = dict(zip(cone, left[1]))
-    for r in range(m):
-        if left[r] is None or right[r] is None:
-            raise RuntimeError(lost)
-        got = dict(zip(cone, left[r])), dict(zip(cone, right[r]))
-        for gamma, (i, j) in degrees.items():
-            zero = (0,) * model.v_dim(gamma)
-            base_val = base.get(gamma, zero)
-            for side, arg, deg in ((0, "first", i), (1, "second", j)):
-                if got[side].get(gamma, zero) != _scale(pow(r, deg, m), base_val, m):
-                    raise TheoremViolation(
-                        "eq. (eq:Chev)",
-                        f"{arg}-argument degree {deg} fails at {gamma} on {model.name()}",
-                        witness={"u": u, "v": v, "r": r},
-                    )
-
-
 def check_chevalley_homogeneity(
     model: GroupModel, alpha: Vec, beta: Vec, samples: int, rng
 ) -> int:
@@ -407,16 +429,17 @@ def check_chevalley_homogeneity(
     by r multiplies it by r^j; checked for every r in Z/m on sampled (u, v).
 
     The commutators [X_alpha(r u), X_beta(v)] and [X_alpha(u), X_beta(r v)]
-    of every sample and every r are formed as one stack.  On a failure at
-    sample k, rng is left as a sample-by-sample loop leaves it: after
-    drawing k+1 samples.
+    of every sample and every r are formed as one stack and factored by one
+    chart lookup; one off the chart is a RuntimeError.  A failed comparison
+    is reported as a sample-by-sample loop meets it first (r by r, root by
+    root, first argument first), and rng is left as that loop leaves it:
+    after drawing k+1 samples when sample k fails.
     """
     if not (model.is_rel_root(alpha) and model.is_rel_root(beta)):
         raise ValueError("alpha and beta must be relative roots")
     if opposed_multiples(alpha, beta):
         raise ValueError("opposite multiples are excluded")
-    m, n = model.m, model.degree
-    degrees = cone_degrees(model, alpha, beta)
+    m = model.m
     da, db = model.v_dim(alpha), model.v_dim(beta)
     state = rng.getstate()
     drawn = [rng.randrange(m) for _ in range(samples * (da + db))]
@@ -426,17 +449,24 @@ def check_chevalley_homogeneity(
     xb = _x_stack(model, beta, scale * uv[:, None, da:] % m)
     x = np.concatenate([xa, np.broadcast_to(xa[:, 1:2], xa.shape)], axis=1)
     y = np.concatenate([np.broadcast_to(xb[:, 1:2], xb.shape), xb], axis=1)
-    cone = _pair_cone(model, alpha, beta)
-    by_key = chart(model, cone).by_key
-    comps = [by_key.get(tuple(k)) for k in commutator(x, y, model).reshape(-1, n * n).tolist()]
-    for k in range(samples):
-        row, at = drawn[k * (da + db):(k + 1) * (da + db)], 2 * m * k
-        try:
-            _check_homogeneity_sample(model, cone, degrees, tuple(row[:da]), tuple(row[da:]),
-                                      comps[at:at + m], comps[at + m:at + 2 * m])
-        except (RuntimeError, TheoremViolation):
-            rng.setstate(state)
-            for _ in range((k + 1) * (da + db)):
-                rng.randrange(m)
-            raise
-    return samples * m
+    ch = chart(model, _pair_cone(model, alpha, beta))
+    lost = ("commutator left the expected unipotent group" if ch.roots
+            else "commutator is not trivial over an empty cone")
+    values = ch.factor(commutator(x, y, model), lost)  # (samples, 2m, d) each: r u, then r v
+    labels, miss = [], []  # per degree comparison: its failure message, its (samples, m) mask
+    for gamma, (i, j) in cone_degrees(model, alpha, beta).items():
+        got = values[ch.roots.index(gamma)]
+        for side, arg, deg in ((0, "first", i), (1, "second", j)):
+            want = np.array([pow(r, deg, m) for r in range(m)])[:, None] * got[:, None, 1] % m
+            labels.append(f"{arg}-argument degree {deg} fails at {gamma} on {model.name()}")
+            miss.append((got[:, side * m:(side + 1) * m] != want).any(-1))
+    if not np.any(miss):
+        return samples * m
+    # the first failure in (sample, r, comparison) order
+    k, r, c = (int(t[0]) for t in np.nonzero(np.stack(miss, axis=-1)))
+    rng.setstate(state)
+    for _ in range((k + 1) * (da + db)):
+        rng.randrange(m)
+    row = drawn[k * (da + db):(k + 1) * (da + db)]
+    raise TheoremViolation("eq. (eq:Chev)", labels[c],
+                           witness={"u": tuple(row[:da]), "v": tuple(row[da:]), "r": r})

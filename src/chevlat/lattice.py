@@ -54,7 +54,7 @@ from .models import (
     scheme_center_elements,
 )
 from .rings import ZmIdeal, ZmRing, jacobson_radical, ring_ideals
-from .table import DEFAULT_CAP, ElementTable
+from .table import DEFAULT_CAP, ElementTable, matrix_keys
 
 Vec = tuple[int, ...]
 
@@ -114,7 +114,9 @@ def subgroup_closure(table: ElementTable, seed_idxs, base: Subgroup | None = Non
     `stop` hook sees every new BFS frontier; the first subgroup it returns
     is returned at once."""
     if base is None:
-        base = Subgroup(table, np.arange(table.N) == table.identity_idx)
+        member = np.zeros(table.N, dtype=bool)
+        member[table.identity_idx] = True
+        base = Subgroup(table, member)
     elif base.order > 1 and not base.gens:
         raise ValueError("a base subgroup needs its generators")
     member = base.member.copy()
@@ -192,12 +194,7 @@ class LevelReport:
     equal: bool
 
     def as_dict(self) -> dict:
-        return {
-            "seed_index": self.seed_index,
-            "level": self.level,
-            "per_root": [list(r) for r in self.per_root],
-            "equal": self.equal,
-        }
+        return asdict(self)
 
 
 class _ClosureRegistry:
@@ -209,6 +206,7 @@ class _ClosureRegistry:
     def __init__(self, table: ElementTable):
         self.table = table
         self._orbits: tuple[np.ndarray, list[int]] | None = None
+        self.orbit_sizes: np.ndarray | None = None  # elements per orbit id, set by orbits()
         self._by_orbit: dict[int, Subgroup] = {}  # orbit id -> cl(rep)
         self._joins: dict[tuple[bytes, bytes], Subgroup] = {}
 
@@ -216,6 +214,7 @@ class _ClosureRegistry:
         if self._orbits is None:
             orbit = e_conjugacy_orbits(self.table)
             self._orbits = (orbit, np.unique(orbit, return_index=True)[1].tolist())
+            self.orbit_sizes = np.bincount(orbit)
         return self._orbits
 
     def orbit_closure(self, idx: int) -> Subgroup:
@@ -362,14 +361,10 @@ class GroupContext:
         """For each relative root, all values v with the index of X_alpha(v)."""
 
         def build():
-            out = {}
-            for alpha in self.model.rel_roots:
-                vs = list(self.model.v_tuples(alpha))
-                mats = np.stack([self.model.x(alpha, v) for v in vs])
-                idx = self.table.lookup(mats)
-                assert (idx >= 0).all()
-                out[alpha] = (vs, idx)
-            return out
+            model = self.model
+            return {a: (list(model.v_tuples(a)), _element_indices(
+                        self.table, calculus._root_elements(model, a), "a root element"))
+                    for a in model.rel_roots}
 
         return self._memo("root_elements", build)
 
@@ -433,7 +428,7 @@ def sandwich_classify(ctx: GroupContext) -> list[SandwichResult]:
         sub = ctx.orbit_closure(rep)
         results.append(SandwichResult(
             seed_index=rep,
-            orbit_size=int((orbit == orbit[rep]).sum()),
+            orbit_size=int(ctx.closures.orbit_sizes[orbit[rep]]),
             closure_order=sub.order,
             admissible=ctx.sandwich_ideals(sub),
         ))
@@ -602,10 +597,9 @@ def simplicity_check(ctx: GroupContext) -> dict:
         if rep == ctx.table.identity_idx:
             continue
         sub = ctx.orbit_closure(rep)
-        size = int((orbit == orbit[rep]).sum())
         if sub.issubset(center):
             continue
-        checked_elements += size
+        checked_elements += int(ctx.closures.orbit_sizes[orbit[rep]])
         if sub.order != full:
             failures.append(rep)
     return {"noncentral_elements": checked_elements, "group_order": full,
@@ -644,11 +638,11 @@ def _simple_rel_roots(model: GroupModel) -> list[Vec]:
     return [a for a in pos if a not in sums]
 
 
-def _commutes_with_all(model: GroupModel, x: np.ndarray, mats) -> bool:
-    m = model.m
-    return all(
-        ((x @ g) % m == (g @ x) % m).all() for g in mats
-    )
+def _commuting(model: GroupModel, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+    """Whether each matrix of the (k, n, n) stack xs commutes with every
+    matrix of the stack ys: a (k,) bool array from one stack of products."""
+    xs, ys = xs[:, None], ys[None]
+    return (xs @ ys % model.m == ys @ xs % model.m).all(axis=(1, 2, 3))
 
 
 def verify_u_cent_field(ctx: GroupContext) -> dict:
@@ -667,62 +661,49 @@ def verify_u_cent_field(ctx: GroupContext) -> dict:
 
 def verify_centralizer_beta(model: GroupModel) -> dict:
     """Radical elements commuting with a simple root family factor over the
-    roots alpha with alpha+beta neither a relative root nor zero."""
+    roots alpha with alpha+beta neither a relative root nor zero.  Each
+    radical chart is tested by one commutation mask; the failures list the
+    commuting elements in chart order."""
     if len(_simple_rel_roots(model)) < 2:
         raise ValueError("needs an irreducible relative system of rank >= 2")
     results = {"checked": 0, "failures": []}
     roots = set(model.rel_roots)
     for beta in _simple_rel_roots(model):
-        beta_mats = [model.x(beta, v) for v in model.v_tuples(beta)]
+        beta_mats = calculus._root_elements(model, beta)
         for negative in (False, True):
             ch = calculus.radical_chart(model, negative)
-            for key, comps in ch.by_key.items():
-                x = np.array(key, dtype=np.int64).reshape(model.degree, model.degree)
-                if not _commutes_with_all(model, x, beta_mats):
-                    continue
-                results["checked"] += 1
-                support = [a for a, v in zip(ch.roots, comps) if any(v)]
-                for a in support:
-                    s = tuple(p + q for p, q in zip(a, beta))
-                    if s in roots or not any(s):
-                        results["failures"].append(
-                            {"beta": beta, "x_support": support, "bad_root": a}
-                        )
-                        break
+            codes = np.flatnonzero(_commuting(model, ch.mats, beta_mats))
+            results["checked"] += len(codes)
+            support = np.stack([v.any(axis=1) for v in ch.components(codes)], axis=1)
+            sums = (calculus._vadd(a, beta) for a in ch.roots)
+            bad = np.array([s in roots or not any(s) for s in sums])
+            results["failures"] += [
+                {"beta": beta, "x_support": [a for a, x in zip(ch.roots, row) if x],
+                 "bad_root": ch.roots[int(np.argmax(row & bad))]}
+                for row in support[(support & bad).any(axis=1)]]
     return results
 
 
 def verify_small_levi_b(model: GroupModel) -> dict:
     """Elements of U_(beta) L U_(-beta) commuting with X_beta(V_beta) lie in
-    X_{m beta}(V) L, with m beta the largest multiple of beta."""
+    X_{m beta}(V) L, with m beta the largest multiple of beta.  Every
+    product a l b is formed in one stack and tested by one commutation mask."""
     if len(_simple_rel_roots(model)) < 2:
         raise ValueError("needs an irreducible relative system of rank >= 2")
-    m = model.m
-    levi = model.levi_elements()
+    m, n = model.m, model.degree
+    levi = np.stack(model.levi_elements())
     results = {"checked": 0, "failures": []}
     for beta in _simple_rel_roots(model):
         multiples = calculus._multiple_cone(model, beta)
-        top = multiples[-1]
-        neg_multiples = tuple(tuple(-c for c in a) for a in multiples)
         up = calculus.chart(model, multiples)
-        down = calculus.chart(model, neg_multiples)
-        beta_mats = [model.x(beta, v) for v in model.v_tuples(beta)]
-        allowed = set()
-        for w in model.v_tuples(top):
-            for l in levi:
-                g = (model.x(top, w).astype(np.int64) @ l) % m
-                allowed.add(tuple(int(t) for t in g.flatten()))
-        for akey in up.by_key:
-            a = np.array(akey, dtype=np.int64).reshape(model.degree, model.degree)
-            for l in levi:
-                for bkey in down.by_key:
-                    b = np.array(bkey, dtype=np.int64).reshape(model.degree, model.degree)
-                    x = (a @ l @ b) % m
-                    if not _commutes_with_all(model, x, beta_mats):
-                        continue
-                    results["checked"] += 1
-                    if tuple(int(t) for t in x.flatten()) not in allowed:
-                        results["failures"].append({"beta": beta})
+        down = calculus.chart(model, tuple(tuple(-c for c in a) for a in multiples))
+        x = (up.mats[:, None, None] @ levi[None, :, None] % m @ down.mats[None, None] % m
+             ).reshape(-1, n, n)
+        x = x[_commuting(model, x, calculus._root_elements(model, beta))]
+        allowed = calculus._root_elements(model, multiples[-1])[:, None] @ levi[None] % m
+        inside = np.isin(matrix_keys(x, m), matrix_keys(allowed, m))
+        results["checked"] += len(x)
+        results["failures"] += [{"beta": beta} for _ in range(int((~inside).sum()))]
     return results
 
 
@@ -745,12 +726,10 @@ def verify_centralizer_lemmas(ctx: GroupContext) -> dict:
 def gauss_brute_force_agrees(ctx: GroupContext) -> bool:
     """Cell membership verdicts against direct enumeration of U L U^-."""
     model = ctx.model
-    m, n = model.m, model.degree
-    up = calculus.radical_chart(model, negative=False)
-    down = calculus.radical_chart(model, negative=True)
-    u = np.array(list(up.by_key), dtype=np.int64).reshape(-1, 1, 1, n, n)
+    m = model.m
+    u = calculus.radical_chart(model, negative=False).mats[:, None, None]
     l = np.stack(model.levi_elements())[None, :, None]
-    v = np.array(list(down.by_key), dtype=np.int64).reshape(1, 1, -1, n, n)
+    v = calculus.radical_chart(model, negative=True).mats[None, None]
     cell = _element_indices(ctx.table, (u @ l % m) @ v % m, "a product u*l*v of the main cell")
     members = np.zeros(ctx.table.N, dtype=bool)
     members[cell] = True

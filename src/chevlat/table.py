@@ -23,9 +23,9 @@ Conjugation by an element is cached as an index permutation built from
 right multiplication by it, gathers only for a generator; subgroup and
 normal-closure computations in lattice.py run entirely on indices.
 
-Before enumerating, the table refuses (SizeCapError) a group over the
-element cap, one whose base-m keys could pass 2**63 - 1 and one whose
-indices do not fit int32.  When there are at most _SCAN_LIMIT n x n
+Before enumerating, the table refuses (`check_bounds`, SizeCapError) a
+group over the element cap, one whose base-m keys could pass 2**63 - 1 and
+one whose indices do not fit int32.  When there are at most _SCAN_LIMIT n x n
 matrices over Z/m, the sorted keys of the BFS must equal those of the
 predicate scan that decides every one of them by its defining equation
 (`models.elements_on` with every entry supported: det through first-row
@@ -45,23 +45,44 @@ _KEY_BOUND = 2**63 - 1  # keys are int64
 _INDEX_BOUND = 2**31 - 1  # permutation entries are int32
 
 
+def check_bounds(model: GroupModel, cap: int = DEFAULT_CAP) -> int:
+    """The group's order by the order formula, once its table is known to fit: SizeCapError
+    above the element cap, TableBoundError past the int64 key or int32 index bound."""
+    expected = order_formula(model)
+    if expected > cap:
+        raise SizeCapError(expected, cap, model.name())
+    check_key_bound(model)
+    if expected > _INDEX_BOUND:
+        raise TableBoundError(
+            expected, _INDEX_BOUND,
+            f"{model.name()} has {expected} elements, past the int32 index bound 2**31 - 1")
+    return expected
+
+
+def check_key_bound(model: GroupModel):
+    """TableBoundError when base-m keys of n x n matrices could pass 2**63 - 1."""
+    m, n = model.m, model.degree
+    if m ** (n * n) > _KEY_BOUND:
+        raise TableBoundError(
+            m ** (n * n), _KEY_BOUND,
+            f"{model.name()}: base-{m} keys of {n}x{n} matrices reach {m}**{n * n}, "
+            f"past the int64 bound 2**63 - 1")
+
+
+def matrix_keys(mats, m: int) -> np.ndarray:
+    """The keys of a (..., n, n) stack of matrices: the entries reduced mod m
+    and read as n*n base-m digits, row by row, first entry least significant."""
+    mats = np.asarray(mats, dtype=np.int64)
+    n = mats.shape[-1]
+    return mats.reshape(*mats.shape[:-2], n * n) % m @ m ** np.arange(n * n, dtype=np.int64)
+
+
 class ElementTable:
     def __init__(self, model: GroupModel, cap: int = DEFAULT_CAP):
         self.model = model
         self.n = n = model.degree
         self.m = m = model.m
-        expected = order_formula(model)
-        if expected > cap:
-            raise SizeCapError(expected, cap, model.name())
-        if m ** (n * n) > _KEY_BOUND:
-            raise TableBoundError(
-                m ** (n * n), _KEY_BOUND,
-                f"{model.name()}: base-{m} keys of {n}x{n} matrices reach {m}**{n * n}, "
-                f"past the int64 bound 2**63 - 1")
-        if expected > _INDEX_BOUND:
-            raise TableBoundError(
-                expected, _INDEX_BOUND,
-                f"{model.name()} has {expected} elements, past the int32 index bound 2**31 - 1")
+        expected = check_bounds(model, cap)
 
         self._digit = m ** np.arange(n, dtype=np.int64)  # entry weights in a row key
         self._row_w = (m ** n) ** np.arange(n, dtype=np.int64)  # row-key weights in a key
@@ -93,7 +114,7 @@ class ElementTable:
     # -- construction ---------------------------------------------------------
 
     def encode(self, mats: np.ndarray) -> np.ndarray:
-        return (mats.astype(np.int64) @ self._digit).reshape(-1, self.n) @ self._row_w
+        return matrix_keys(mats, self.m).reshape(-1)
 
     def _decode(self, row_keys: np.ndarray) -> np.ndarray:
         """The rows (one more trailing axis of n entries) of row keys."""
@@ -157,9 +178,8 @@ class ElementTable:
     # -- lookup ---------------------------------------------------------------
 
     def lookup(self, mats: np.ndarray) -> np.ndarray:
-        """Indices of a batch of matrices; -1 where not an element."""
-        mats = np.asarray(mats, dtype=np.int64) % self.m
-        return self.lookup_keys(self.encode(mats))
+        """Indices of a (..., n, n) stack of matrices; -1 where not an element."""
+        return self.lookup_keys(matrix_keys(mats, self.m))
 
     def lookup_keys(self, keys: np.ndarray) -> np.ndarray:
         """Indices of the elements with these keys, in their shape; -1 where

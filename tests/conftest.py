@@ -1,10 +1,25 @@
+import itertools
 import math
+from functools import lru_cache
 
 import numpy as np
 import pytest
 
 from chevlat import calculus, lattice, models, relroots
-from chevlat.rings import ZmIdeal, ZmRing, adjugate_int, det_int, unit_inverses
+from chevlat.errors import TheoremViolation
+from chevlat.rings import ZmIdeal, ZmRing, adjugate_int, det_int, mat_mul, unit_inverses
+
+
+# The models on which the stacked calculus and centralizer readers are
+# compared with their per-element references; Sp4(Z/2) is the negative
+# control, where the references find counterexamples.
+REFERENCE_MODELS = [
+    models.GroupModel("SL", 3, ZmRing(m), (1, 1, 1)) for m in (2, 3, 4, 9)
+] + [
+    models.GroupModel("SL", 4, ZmRing(2), (1, 1, 1, 1)),
+    models.GroupModel("Sp", 4, ZmRing(3), "borel"),
+    models.GroupModel("Sp", 4, ZmRing(2), "borel"),
+]
 
 
 def ctx_for(kind, degree, m, blocks):
@@ -60,10 +75,204 @@ def unipotent_factor(model, psi, g):
     """Components of g as an ordered product over psi; error if g is not in
     the corresponding unipotent group."""
     ch = calculus.chart(model, tuple(psi))
-    comps = ch.components(g)
-    if comps is None:
+    code = ch.lookup(g)
+    if code < 0:
         raise ValueError("matrix is not a product over the given root set")
-    return dict(zip(ch.roots, comps))
+    return {a: tuple(v.tolist()) for a, v in zip(ch.roots, ch.components(code))}
+
+
+@lru_cache(maxsize=None)
+def reference_chart(model, roots):
+    """Reference chart: {matrix entries: value tuples per root} over the
+    canonical order of roots, one product per value tuple, in the order of
+    itertools.product (first root most significant)."""
+    ordered = tuple(calculus.canonical_root_order(roots))
+    by_key = {}
+    for combo in itertools.product(*[list(model.v_tuples(a)) for a in ordered]):
+        g = model.identity()
+        for alpha, v in zip(ordered, combo):
+            g = mat_mul(g, model.x(alpha, v), model.m)
+        key = tuple(int(x) for x in g.flatten())
+        if key in by_key:
+            raise RuntimeError(f"product map not injective over {ordered}")
+        by_key[key] = combo
+    return ordered, by_key
+
+
+def _reference_components(model, roots, g):
+    ordered, by_key = reference_chart(model, tuple(roots))
+    return ordered, by_key.get(tuple(int(x) % model.m for x in np.asarray(g).flatten()))
+
+
+def chevalley_commutator_decompose(model, alpha, u, beta, v):
+    """[X_alpha(u), X_beta(v)] factored over {i*alpha + j*beta}: (root,
+    value) pairs with nonzero value, in canonical order."""
+    if not (model.is_rel_root(alpha) and model.is_rel_root(beta)):
+        raise ValueError("alpha and beta must be relative roots")
+    if calculus.opposed_multiples(alpha, beta):
+        raise ValueError("opposite multiples are excluded")
+    cone = calculus._pair_cone(model, alpha, beta)
+    c = calculus.commutator(model.x(alpha, u), model.x(beta, v), model)
+    if not cone:
+        if not (c == model.identity()).all():
+            raise RuntimeError("commutator is not trivial over an empty cone")
+        return []
+    ordered, comps = _reference_components(model, cone, c)
+    if comps is None:
+        raise RuntimeError("commutator left the expected unipotent group")
+    return [(g, w) for g, w in zip(ordered, comps) if any(w)]
+
+
+def component_at(decomp, gamma):
+    for g, v in decomp:
+        if g == gamma:
+            return v
+    return None
+
+
+def reference_levi_conjugation_decompose(model, g, alpha, v):
+    """g X_alpha(v) g^-1 = prod_i X_{i alpha}(phi_i(v)) for one Levi g."""
+    if not model.in_levi(g):
+        raise ValueError("conjugator must lie in the Levi subgroup")
+    cone = calculus._multiple_cone(model, alpha)
+    conj = mat_mul(mat_mul(g, model.x(alpha, v), model.m), model.inverse(g), model.m)
+    ordered, comps = _reference_components(model, cone, conj)
+    if comps is None:
+        raise RuntimeError("Levi conjugation left the unipotent group")
+    return {sum(gam) // sum(alpha): val for gam, val in zip(ordered, comps)}
+
+
+def reference_lemma_ABe_witness(model, alpha, beta, u):
+    """Lemma ABe for one u, generator by generator."""
+    target = tuple(a + b for a, b in zip(alpha, beta))
+    for i, e in enumerate(model.v_basis(alpha)):
+        comp = component_at(chevalley_commutator_decompose(model, alpha, e, beta, u), target)
+        if comp is not None and any(comp):
+            return i
+    raise TheoremViolation("Lemma ABe", f"no witness for u={u}")
+
+
+def reference_lemma_const_check(model, alpha, beta):
+    """Lemma const, one commutator decomposition per (u, v)."""
+    target = tuple(a + b for a, b in zip(alpha, beta))
+    pairs = [(alpha, beta)]
+    diff = tuple(a - b for a, b in zip(alpha, beta))
+    if model.is_rel_root(diff):
+        two_beta = tuple(2 * b for b in beta)
+        if model.is_rel_root(two_beta):
+            pairs.append((diff, two_beta))
+        pairs.append((diff, beta))
+    values = []
+    for a, b in pairs:
+        for u in model.v_tuples(a):
+            for v in model.v_tuples(b):
+                comp = component_at(chevalley_commutator_decompose(model, a, u, b, v), target)
+                if comp is not None:
+                    values.append(comp)
+    m, d = model.m, model.v_dim(target)
+    return calculus._additive_closure(values, d, m) == m ** d
+
+
+def reference_pairing_sweep(model):
+    """The per-element pairing loop: (abe_ok, abe_checked, const_ok,
+    const_checked), stopping at the first TheoremViolation."""
+    abe_ok, abe_checked = True, 0
+    const_ok, const_checked = True, 0
+    try:
+        for alpha in model.rel_roots:
+            for beta in model.rel_roots:
+                s = tuple(a + b for a, b in zip(alpha, beta))
+                if calculus.opposed_multiples(alpha, beta) or not model.is_rel_root(s):
+                    continue
+                for u in model.v_tuples(beta):
+                    if any(u):
+                        reference_lemma_ABe_witness(model, alpha, beta, u)
+                        abe_checked += 1
+                const_checked += 1
+                if not reference_lemma_const_check(model, alpha, beta):
+                    const_ok = False
+    except TheoremViolation:
+        abe_ok = False
+    return abe_ok, abe_checked, const_ok, const_checked
+
+
+def reference_levi_conjugation_check(model, levis, count, rng):
+    """The per-element Levi-conjugation loop over the first `count` shuffled
+    Levi elements, every relative root and every scale r."""
+    levi_ok = True
+    levis = list(levis)
+    rng.shuffle(levis)
+    for g in levis[:count]:
+        for alpha in model.rel_roots:
+            v = tuple(rng.randrange(model.m) for _ in range(model.v_dim(alpha)))
+            phi = reference_levi_conjugation_decompose(model, g, alpha, v)
+            for r in range(model.m):
+                phi_r = reference_levi_conjugation_decompose(
+                    model, g, alpha, tuple(r * c % model.m for c in v))
+                for i, val in phi.items():
+                    want = tuple(pow(r, i, model.m) * c % model.m for c in val)
+                    if phi_r[i] != want:
+                        levi_ok = False
+    return levi_ok
+
+
+def _commutes_with_all(model, x, mats):
+    m = model.m
+    return all(((x @ g) % m == (g @ x) % m).all() for g in mats)
+
+
+def reference_centralizer_beta(model):
+    """The per-element loop of lattice.verify_centralizer_beta."""
+    results = {"checked": 0, "failures": []}
+    roots = set(model.rel_roots)
+    for beta in lattice._simple_rel_roots(model):
+        beta_mats = [model.x(beta, v) for v in model.v_tuples(beta)]
+        for negative in (False, True):
+            ordered, by_key = reference_chart(model, calculus.radical_roots(model, negative))
+            for key, comps in by_key.items():
+                x = np.array(key, dtype=np.int64).reshape(model.degree, model.degree)
+                if not _commutes_with_all(model, x, beta_mats):
+                    continue
+                results["checked"] += 1
+                support = [a for a, v in zip(ordered, comps) if any(v)]
+                for a in support:
+                    s = tuple(p + q for p, q in zip(a, beta))
+                    if s in roots or not any(s):
+                        results["failures"].append(
+                            {"beta": beta, "x_support": support, "bad_root": a})
+                        break
+    return results
+
+
+def reference_small_levi_b(model):
+    """The per-element loop of lattice.verify_small_levi_b."""
+    m = model.m
+    levi = model.levi_elements()
+    results = {"checked": 0, "failures": []}
+    for beta in lattice._simple_rel_roots(model):
+        multiples = calculus._multiple_cone(model, beta)
+        top = multiples[-1]
+        neg_multiples = tuple(tuple(-c for c in a) for a in multiples)
+        up = reference_chart(model, multiples)[1]
+        down = reference_chart(model, neg_multiples)[1]
+        beta_mats = [model.x(beta, v) for v in model.v_tuples(beta)]
+        allowed = set()
+        for w in model.v_tuples(top):
+            for l in levi:
+                g = (model.x(top, w).astype(np.int64) @ l) % m
+                allowed.add(tuple(int(t) for t in g.flatten()))
+        for akey in up:
+            a = np.array(akey, dtype=np.int64).reshape(model.degree, model.degree)
+            for l in levi:
+                for bkey in down:
+                    b = np.array(bkey, dtype=np.int64).reshape(model.degree, model.degree)
+                    x = (a @ l @ b) % m
+                    if not _commutes_with_all(model, x, beta_mats):
+                        continue
+                    results["checked"] += 1
+                    if tuple(int(t) for t in x.flatten()) not in allowed:
+                        results["failures"].append({"beta": beta})
+    return results
 
 
 def reference_elements_on(model, support, chunk=8192):

@@ -4,11 +4,14 @@ import numpy as np
 import pytest
 
 from chevlat import calculus
-from chevlat.errors import TheoremViolation
+from chevlat.errors import SizeCapError, TableBoundError, TheoremViolation
 from chevlat.models import GroupModel
 from chevlat.rings import ZmRing
 
-from conftest import unipotent_factor
+from conftest import (
+    REFERENCE_MODELS, chevalley_commutator_decompose, component_at, reference_chart,
+    reference_levi_conjugation_check, reference_pairing_sweep, unipotent_factor,
+)
 
 
 def sl(n, m, blocks=None):
@@ -63,30 +66,73 @@ def test_chart_is_bijective_in_any_order():
         v = tuple(rng.randrange(3) for _ in range(2))
         w = (rng.randrange(3),)
         g = (model.x((2,), w) @ model.x((1,), v)) % 3
-        assert ch.components(g) is not None
+        assert ch.lookup(g) >= 0
+
+
+CHART_CASES = [
+    (sl(3, 4), ((1, 0), (0, 1), (1, 1))),
+    (sl(4, 2, (1, 1, 2)), ((1, 0), (0, 1), (1, 1))),
+    (sp(3), ((-1,), (-2,))),
+    (sp(2, "borel"), ((1, 0), (0, 1), (1, 1), (2, 1))),
+]
+
+
+@pytest.mark.parametrize("model, roots", CHART_CASES,
+                         ids=[f"{mo.name()}-{roots}" for mo, roots in CHART_CASES])
+def test_chart_matches_reference_products(model, roots):
+    ordered, by_key = reference_chart(model, roots)
+    ch = calculus.chart(model, roots)
+    assert ch.roots == ordered and len(ch) == len(by_key)
+    n = model.degree
+    keys = np.array(list(by_key), dtype=np.int64).reshape(-1, n, n)
+    assert (ch.mats == keys).all()  # products in code order
+    assert ch.lookup(keys).tolist() == list(range(len(ch)))
+    decoded = zip(*(v.tolist() for v in ch.components(np.arange(len(ch)))))
+    assert [tuple(map(tuple, combo)) for combo in decoded] == list(by_key.values())
+    off = model.identity()
+    off[-1, 0] = 1  # a corner entry on the other side of the diagonal
+    if roots[0][0] < 0:
+        off = off.T
+    assert ch.lookup(off[None]).tolist() == [-1]
+
+
+def test_chart_refuses_a_non_injective_product_map():
+    # X_alpha(v) X_alpha(w) = X_alpha(v + w): a root taken twice is not a chart
+    with pytest.raises(RuntimeError, match="not injective"):
+        calculus.chart(sl(3, 2), ((1, 0), (1, 0)))
+
+
+def test_chart_refuses_oversized_products_and_keys():
+    # the SL5(Z/5) radical has 5**10 products, past models.SCAN_BOUND
+    with pytest.raises(SizeCapError, match="has 9765625 products") as err:
+        calculus.radical_chart(sl(5, 5))
+    assert type(err.value) is SizeCapError
+    # 2x2 keys over Z/2**16 reach 2**64, past int64, although the chart is small
+    with pytest.raises(TableBoundError, match="2\\*\\*63 - 1"):
+        calculus.radical_chart(sl(2, 2**16))
 
 
 def test_chevalley_decompose_sl3():
     model = sl(3, 4)
-    dec = calculus.chevalley_commutator_decompose(model, (1, 0), (1,), (0, 1), (2,))
+    dec = chevalley_commutator_decompose(model, (1, 0), (1,), (0, 1), (2,))
     assert dec == [((1, 1), (2,))]
-    assert calculus.chevalley_commutator_decompose(model, (1, 0), (0,), (0, 1), (2,)) == []
+    assert chevalley_commutator_decompose(model, (1, 0), (0,), (0, 1), (2,)) == []
 
 
 def test_chevalley_decompose_sl4_blocks():
     model = sl(4, 2, (1, 1, 2))
     u, v = (1,), (1, 0)
-    dec = calculus.chevalley_commutator_decompose(model, (1, 0), u, (0, 1), v)
+    dec = chevalley_commutator_decompose(model, (1, 0), u, (0, 1), v)
     assert dec == [((1, 1), (1, 0))]  # u*v as a 1x2 row
 
 
 def test_chevalley_rejects_opposed():
     model = sl(3, 4)
     with pytest.raises(ValueError):
-        calculus.chevalley_commutator_decompose(model, (1, 0), (1,), (-1, 0), (1,))
+        chevalley_commutator_decompose(model, (1, 0), (1,), (-1, 0), (1,))
     model2 = sp(3)
     with pytest.raises(ValueError):
-        calculus.chevalley_commutator_decompose(model2, (2,), (1,), (-1,), (1,))
+        chevalley_commutator_decompose(model2, (2,), (1,), (-1,), (1,))
 
 
 def test_sum_formula_sl_is_exact():
@@ -244,10 +290,10 @@ def _scalar_homogeneity(model, alpha, beta, samples, rng):
     for _ in range(samples):
         u = tuple(rng.randrange(m) for _ in range(da))
         v = tuple(rng.randrange(m) for _ in range(db))
-        base = dict(calculus.chevalley_commutator_decompose(model, alpha, u, beta, v))
+        base = dict(chevalley_commutator_decompose(model, alpha, u, beta, v))
         for r in range(m):
-            left = dict(calculus.chevalley_commutator_decompose(model, alpha, scale(r, u), beta, v))
-            right = dict(calculus.chevalley_commutator_decompose(model, alpha, u, beta, scale(r, v)))
+            left = dict(chevalley_commutator_decompose(model, alpha, scale(r, u), beta, v))
+            right = dict(chevalley_commutator_decompose(model, alpha, u, beta, scale(r, v)))
             for gamma, (i, j) in degrees.items():
                 zero = (0,) * model.v_dim(gamma)
                 base_val = base.get(gamma, zero)
@@ -334,3 +380,51 @@ def test_sampled_identity_check_leaves_rng_like_a_scalar_loop():
                 break
         assert ok is expect
         assert rng.getstate() == ref.getstate()
+
+
+@pytest.mark.parametrize("model", REFERENCE_MODELS, ids=lambda mo: mo.name())
+def test_pairing_sweep_matches_per_element_reference(model):
+    result = calculus.pairing_sweep(model)
+    assert result == reference_pairing_sweep(model)
+    if model.kind == "Sp" and model.m == 2:
+        assert result == (False, 2, True, 2)  # stopped at the first TheoremViolation
+    else:
+        assert result[0] and result[2] and result[1] > 0
+
+
+@pytest.mark.parametrize("model", REFERENCE_MODELS, ids=lambda mo: mo.name())
+def test_levi_conjugation_check_matches_per_element_reference(model):
+    levis = model.levi_elements()
+    rng, ref = random.Random(7), random.Random(7)
+    ok = calculus.levi_conjugation_check(model, levis, 16, rng)
+    assert ok is reference_levi_conjugation_check(model, levis, 16, ref) is True
+    assert rng.getstate() == ref.getstate()
+    assert all(np.array_equal(a, b) for a, b in zip(levis, model.levi_elements()))  # unshuffled
+
+
+def test_levi_conjugation_check_finds_a_wrong_degree(monkeypatch):
+    # claim phi_i has degree i + 1: every nontrivial conjugation then fails
+    model = sl(3, 3)
+    true = calculus.levi_conjugation_decompose
+    monkeypatch.setattr(calculus, "levi_conjugation_decompose", lambda *a: {
+        i + 1: val for i, val in true(*a).items()})
+    assert not calculus.levi_conjugation_check(model, model.levi_elements(), 16, random.Random(7))
+
+
+@pytest.mark.parametrize("model", REFERENCE_MODELS, ids=lambda mo: mo.name())
+def test_pair_values_match_per_element_decompositions(model):
+    # the values Lemma const reads at alpha + beta, the degree (1, 2) values
+    # of (alpha - beta, beta) included where alpha - beta is a root (Sp4)
+    for alpha in model.rel_roots:
+        for beta in model.rel_roots:
+            target = calculus._vadd(alpha, beta)
+            if calculus.opposed_multiples(alpha, beta) or not model.is_rel_root(target):
+                continue
+            diff = tuple(a - b for a, b in zip(alpha, beta))
+            for a, b in [(alpha, beta)] + [(diff, beta)] * model.is_rel_root(diff):
+                us, vs = list(model.v_tuples(a)), list(model.v_tuples(b))
+                got = calculus._pair_values(model, a, b, np.array(us)[:, None], np.array(vs),
+                                            target)
+                zero = (0,) * model.v_dim(target)
+                assert got.tolist() == [[list(component_at(chevalley_commutator_decompose(
+                    model, a, u, b, v), target) or zero) for v in vs] for u in us]

@@ -160,6 +160,40 @@ def test_main_refuses_an_oversized_levi_scan_first(monkeypatch, capsys):
     assert "SL2(Z/65536)" in err and "predicate scan has 4294967296 fillings" in err
 
 
+def test_main_refuses_an_oversized_group_before_the_calculus_checks(monkeypatch, capsys):
+    # SL4(Z/8) passes its Levi scan (8**4 fillings) but has 2.2e13 elements:
+    # the table's cap refuses it before any calculus check runs
+    def no_work(self):
+        raise AssertionError("a check ran before the size check")
+
+    monkeypatch.setattr(cli.models.GroupModel, "all_elementary_generators", no_work)
+    assert cli.main(["group", "--model", "SL4", "--mod", "8"]) == 2
+    assert ("SL4(Z/8)[(1, 1, 1, 1)] has 21646635171840 elements, exceeding the cap of 2000000"
+            in capsys.readouterr().err)
+
+
+@pytest.mark.parametrize("argv", [["--model", "Sp6", "--mod", "3"],
+                                  ["--model", "SL1", "--mod", "3"],
+                                  ["--model", "SL3", "--mod", "3", "--blocks", "3"]])
+def test_main_refuses_model_specs_it_cannot_build(argv, capsys):
+    assert cli.main(["group", *argv]) == 2
+    assert "config error: cannot build" in capsys.readouterr().err
+
+
+def test_parse_config_refuses_model_specs_it_cannot_build():
+    with pytest.raises(ConfigError, match="only Sp_4 is modeled"):
+        cli.parse_config(b"[model]\nname = Sp6\nmod = 3\n")
+
+
+@pytest.mark.parametrize("extra", [["--mod", "3"], ["--blocks", "1,2"], ["--expect-violation"]])
+def test_main_refuses_model_options_without_a_model(extra, monkeypatch, capsys):
+    ran = []
+    monkeypatch.setattr(cli, "run", ran.append)
+    assert cli.main(["group", *extra]) == 2
+    assert not ran
+    assert "need --model" in capsys.readouterr().err
+
+
 def test_group_suite_outside_the_hypotheses_reports_no_counterexample(capsys):
     # 2 is not invertible in Z/4, so the theorem does not apply to Sp4(Z/4):
     # its lemma records are expected to fail, as in the sandwich suite

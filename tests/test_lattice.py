@@ -8,7 +8,10 @@ from chevlat import lattice
 from chevlat.models import GroupModel
 from chevlat.rings import ZmIdeal, ZmRing
 
-from conftest import bfs_orbits, ctx_for, index_of, plain_normal_closure
+from conftest import (
+    REFERENCE_MODELS, bfs_orbits, ctx_for, index_of, plain_normal_closure,
+    reference_centralizer_beta, reference_small_levi_b,
+)
 
 
 def ideal(ctx, d):
@@ -288,6 +291,18 @@ def test_centralizer_beta_over_z4_and_z9():
         model = GroupModel("SL", 3, ZmRing(m), (1, 1, 1))
         assert not lattice.verify_centralizer_beta(model)["failures"]
         assert not lattice.verify_small_levi_b(model)["failures"]
+
+
+@pytest.mark.parametrize("model", REFERENCE_MODELS, ids=lambda mo: mo.name())
+def test_centralizer_readers_match_per_element_reference(model):
+    beta = lattice.verify_centralizer_beta(model)
+    levi_b = lattice.verify_small_levi_b(model)
+    assert beta == reference_centralizer_beta(model)
+    assert levi_b == reference_small_levi_b(model)
+    assert beta["checked"] and levi_b["checked"]
+    # Lemma centr-beta fails on the negative control Sp4(Z/2); small-levi-b holds there too
+    assert bool(beta["failures"]) is (model.kind == "Sp" and model.m == 2)
+    assert not levi_b["failures"]
 
 
 def test_centralizer_beta_needs_rank_two():
