@@ -30,6 +30,18 @@ every other closure from them:
 * The closure of a seed set (E(R,q), commutator subgroups) is the join of
   the orbit closures of the seeds' orbits.
 
+Reduction mod an ideal q = (d) is one array per context, `_keys_mod(d)`:
+each element's matrix mod d read as a base-d key.  G(R,q) is the set with
+the identity's key.  A centralizer mod d is the set of elements x whose key
+each conjugation g^-1 x g keeps, read through g's cached conjugation
+permutation; mod m, where keys tell elements apart, that is the plain
+centralizer, and the center is the centralizer of the E generators.  C(R,q),
+the preimage of the center of G(R/q), is the centralizer of the E
+generators mod d, decided on the table of G(R) with no table of G(R/q):
+the images of G(R) = E(R) form a group of order N / |G(R,q)|, and that must
+equal the order formula over Z/d, so G(R) -> G(R/q) is onto and commuting
+with the images of the generators is being central in G(R/q).
+
 The sandwich classification checks, for one seed per conjugation orbit,
 which ideals q satisfy E(R,q) <= closure <= C(R,q); on a model satisfying
 the main hypotheses exactly one ideal must pass.  Every subgroup normalized
@@ -51,9 +63,10 @@ from .models import (
     GroupModel,
     gauss_cell_factors,
     hypothesis_check,
+    order_formula,
     scheme_center_elements,
 )
-from .rings import ZmIdeal, ZmRing, jacobson_radical, ring_ideals
+from .rings import ZmIdeal, jacobson_radical, ring_ideals
 from .table import DEFAULT_CAP, ElementTable, matrix_keys
 
 Vec = tuple[int, ...]
@@ -318,22 +331,35 @@ class GroupContext:
 
         return self._memo("elementary", build)
 
-    def congruence(self, q: ZmIdeal) -> Subgroup:
+    def _keys_mod(self, d: int) -> np.ndarray:
+        """Each element's matrix mod d as n*n base-d digits, first entry most
+        significant: two elements have the same key exactly when they agree
+        mod d, and keys mod m tell elements apart.  Built one entry column at
+        a time from the int16 `mats`, so no int64 copy of the table is made."""
+
         def build():
-            # entries lie in [0, m) and q.d divides m: x = I mod q exactly when x % q.d = I % q.d
-            eye = np.eye(self.table.n, dtype=self.table.mats.dtype)
-            member = (self.table.mats % q.d == eye % q.d).all(axis=(1, 2))
-            return Subgroup(self.table, member)
+            flat = self.table.mats.reshape(self.table.N, -1)
+            keys = np.zeros(self.table.N, dtype=np.int64)
+            for i in range(flat.shape[1]):
+                keys = keys * d + flat[:, i] % d
+            return keys
 
-        return self._memo(("congruence", q.d), build)
+        return self._memo(("keys_mod", d), build)
 
-    def centralizer(self, idxs) -> Subgroup:
-        """Elements commuting with every element in idxs: the common fixed
-        points of their conjugations (xg = gx exactly when g^-1 x g = x)."""
+    def congruence(self, q: ZmIdeal) -> Subgroup:
+        """G(R,q): the elements equal to the identity mod q."""
+        keys = self._keys_mod(q.d)
+        return self._memo(("congruence", q.d), lambda: Subgroup(
+            self.table, keys == keys[self.table.identity_idx]))
+
+    def centralizer(self, idxs, d: int | None = None) -> Subgroup:
+        """Elements x that commute mod d (default m) with every element g in
+        idxs: g^-1 x g, read off g's cached conjugation permutation, has the
+        key of x mod d.  Mod m this is the plain centralizer."""
+        keys = self._keys_mod(self.model.m if d is None else d)
         member = np.ones(self.table.N, dtype=bool)
-        fixed = np.arange(self.table.N)
         for g in idxs:
-            member &= self.table.conj_perm(g) == fixed
+            member &= keys[self.table.conj_perm(g)] == keys
         return Subgroup(self.table, member)
 
     def center(self) -> Subgroup:
@@ -341,19 +367,18 @@ class GroupContext:
         return self._memo("center", lambda: self.centralizer(self.table.gen_idxs.tolist()))
 
     def full_congruence(self, q: ZmIdeal) -> Subgroup:
-        """Preimage of the center of the quotient group."""
+        """C(R,q), the preimage of the center of G(R/q): the elements that
+        commute mod q with the E generators.  Their images generate the image
+        of G(R) in G(R/q), which has order N / |G(R,q)|; that order must equal
+        the order formula over R/q, so the map is onto and commuting with the
+        images is being central in G(R/q)."""
 
         def build():
-            if q.is_unit():
-                return Subgroup(self.table, np.ones(self.table.N, dtype=bool))
-            if q.is_zero():
-                return self.center()
-            qmodel = GroupModel(self.model.kind, self.model.degree, ZmRing(q.d), self.model.blocks)
-            qctx = get_context(qmodel, self.cap)
-            qcenter = qctx.center()
-            reduced = qctx.table.lookup(self.table.mats.astype(np.int64) % q.d)
-            assert (reduced >= 0).all()
-            return Subgroup(self.table, qcenter.member[reduced])
+            image, want = self.table.N // self.congruence(q).order, order_formula(self.model, q.d)
+            if image != want:
+                raise RuntimeError(f"{self.model.name()}: the image mod {q.d} has {image} "
+                                   f"elements, the order formula over Z/{q.d} gives {want}")
+            return self.centralizer(self.table.gen_idxs.tolist(), q.d)
 
         return self._memo(("full_congruence", q.d), build)
 

@@ -467,9 +467,11 @@ def hypothesis_check(model: GroupModel) -> HypothesisReport:
     )
 
 
-def order_formula(model: GroupModel) -> int:
-    """Exact group order, multiplicative over the prime powers of m."""
-    return math.prod(_prime_power_order(model, p, k) for p, k in factorize(model.m).items())
+def order_formula(model: GroupModel, m: int | None = None) -> int:
+    """Exact order of the model's group over Z/m (by default its own ring;
+    1 for m = 1), multiplicative over the prime powers of m."""
+    return math.prod(_prime_power_order(model, p, k)
+                     for p, k in factorize(model.m if m is None else m).items())
 
 
 def _prime_power_order(model: GroupModel, p: int, k: int) -> int:

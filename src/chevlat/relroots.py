@@ -95,9 +95,6 @@ class RelativeRootSystem:
     def rank(self) -> int:
         return len(self.orbits)
 
-    def project(self, v: Coords) -> Coords:
-        return tuple(sum(row[i] * v[i] for i in range(len(v))) for row in self.projection)
-
     def fiber(self, a: Coords) -> frozenset[Coords]:
         return self.fibers[a]
 
@@ -185,20 +182,9 @@ def _root_ids(rel: RelativeRootSystem, vecs) -> np.ndarray:
     return rel.index.lookup(arr)
 
 
-def check_adjacent_simple(rel: RelativeRootSystem, a: Coords, b: Coords) -> bool:
-    """If a, b are simple relative roots with a+b a relative root, then
-    a + j*b is a relative root for every j with j*b a relative root."""
-    idx = rel.index
-    ia, ib = _root_ids(rel, [a, b])
-    if ia not in idx.simple or ib not in idx.simple:
-        raise ValueError("a and b must be simple relative roots")
-    if idx.add[ia, ib] < 0:
-        raise ValueError("a+b must be a relative root")
-    return _adjacent_ok(idx, ia, ib)
-
-
 def _adjacent_ok(idx: RelativeIndex, ia: int, ib: int) -> bool:
-    """`check_adjacent_simple` on relative root ids."""
+    """For simple relative root ids ia, ib with a + b a relative root: a + j*b
+    is a relative root for every j with j*b a relative root."""
     va, vb = idx.coords[ia], idx.coords[ib]
     j = 1
     while idx.lookup(j * vb) >= 0:
@@ -290,33 +276,9 @@ def unfold(sys: RootSystem) -> tuple[RootSystem, tuple[Perm, ...], Perm]:
     return _UNFOLD_CACHE[sys.rtype]
 
 
-def sigma_set(rel: RelativeRootSystem, b: Coords, mode: str = "all") -> frozenset[Coords]:
-    """Parabolic subset attached to a simple relative root b: the half-space
-    cut out by pairing against the summed fiber of b (see `_sigma_mask`)."""
-    idx = rel.index
-    (ib,) = _root_ids(rel, [b])
-    if ib not in idx.simple:
-        raise ValueError(f"{b} is not a simple relative root")
-    return frozenset(map(tuple, idx.coords[_sigma_mask(rel, int(ib), mode)].tolist()))
-
-
-def sigma_properties(rel: RelativeRootSystem, b: Coords,
-                     sigma: frozenset[Coords] | None = None) -> dict[str, bool]:
-    """The properties a sigma set must satisfy, each checked exhaustively."""
-    if sigma is None:
-        sigma = sigma_set(rel, b)
-    idx = rel.index
-    (ib,) = _root_ids(rel, [b])
-    ids = _root_ids(rel, sorted(sigma))
-    if ib < 0 or (ids < 0).any():
-        raise ValueError("b and the members of sigma must be relative roots")
-    inside = np.zeros(len(idx.coords), dtype=bool)
-    inside[ids] = True
-    return _sigma_checks(idx, int(ib), inside)
-
-
 def _sigma_checks(idx: RelativeIndex, ib: int, inside: np.ndarray) -> dict[str, bool]:
-    """`sigma_properties` on the id of b and the mask of sigma."""
+    """The properties a sigma set must satisfy, each checked exhaustively,
+    on the id of b and the mask of sigma."""
     sums = idx.add[np.ix_(inside, inside)]
     # a + b is not a root and not 0 (a = -b is excluded)
     required = (idx.add[:, ib] < 0) & (np.arange(len(idx.coords)) != idx.neg[ib])

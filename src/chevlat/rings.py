@@ -52,14 +52,8 @@ class ZmIdeal:
         if self.ring.modulus % self.d != 0 or not 1 <= self.d <= self.ring.modulus:
             raise ValueError(f"{self.d} does not divide {self.ring.modulus}")
 
-    def contains(self, x: int) -> bool:
-        return (x % self.ring.modulus) % self.d == 0
-
     def elements(self) -> list[int]:
         return list(range(0, self.ring.modulus, self.d))
-
-    def is_zero(self) -> bool:
-        return self.d == self.ring.modulus
 
     def is_unit(self) -> bool:
         return self.d == 1

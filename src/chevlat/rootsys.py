@@ -244,6 +244,34 @@ def structure_constant_primes(sys: RootSystem) -> set[int]:
     return set()
 
 
+def check_root_system(sys: RootSystem) -> tuple[bool, dict]:
+    """The verdict and witness of one root system: the classical root count,
+    stability under every reflection, and every diagram automorphism
+    permuting the roots and keeping the pairing.  All in integer arithmetic:
+    s_b(a) = a - <a, b^vee> b with <a, b^vee> = 2 * 2(a, b) / 2(b, b); a
+    ValueError when a Cartan value is not an integer."""
+    idx = sys.index
+    roots, gram2 = idx.coords, idx.gram2
+    count_ok = len(sys.roots) == classical_root_count(sys.rtype)
+    pair2 = roots @ gram2 @ roots.T
+    twice, norm2 = 2 * pair2, pair2.diagonal()
+    if (twice % norm2).any():
+        raise ValueError(f"{sys.rtype}: a Cartan value <a, b^vee> is not an integer")
+    cartan = twice // norm2
+    reflected = roots[:, None] - cartan[:, :, None] * roots[None]
+    stable = bool((idx.lookup(reflected) >= 0).all())
+    autos = diagram_automorphisms(sys)
+    # p permutes the roots and keeps the pairing iff it keeps the Gram
+    preserve = all(
+        (idx.lookup(roots[:, list(perm_inverse(p))]) >= 0).all()
+        and (gram2[list(p)][:, list(p)] == gram2).all()
+        for p in autos
+    )
+    witness = {"roots": len(sys.roots), "automorphisms": len(autos),
+               "structure_primes": sorted(structure_constant_primes(sys))}
+    return count_ok and stable and preserve, witness
+
+
 def perm_on_root(perm: Perm, coords: Coords) -> Coords:
     """Action of a simple-root permutation on a root-lattice vector."""
     out = [0] * len(coords)

@@ -47,7 +47,11 @@ _INDEX_BOUND = 2**31 - 1  # permutation entries are int32
 
 def check_bounds(model: GroupModel, cap: int = DEFAULT_CAP) -> int:
     """The group's order by the order formula, once its table is known to fit: SizeCapError
-    above the element cap, TableBoundError past the int64 key or int32 index bound."""
+    above the element cap, TableBoundError past the int64 key or int32 index bound.
+
+    The index bound also keeps the int16 `mats` exact.  Every model contains
+    SL_2(Z/m), of order m**3 prod_(p | m) (1 - 1/p**2) > 0.6 m**3, so
+    N <= 2**31 - 1 forces m < 1,530, far below 32,768."""
     expected = order_formula(model)
     if expected > cap:
         raise SizeCapError(expected, cap, model.name())

@@ -60,6 +60,48 @@ def relative_simple_roots(rel):
     return set(map(tuple, idx.coords[idx.simple].tolist()))
 
 
+def project(rel, v):
+    """The relative coordinates of an absolute root-lattice vector."""
+    return tuple(sum(row[i] * v[i] for i in range(len(v))) for row in rel.projection)
+
+
+def check_adjacent_simple(rel, a, b):
+    """If a, b are simple relative roots with a+b a relative root, then
+    a + j*b is a relative root for every j with j*b a relative root."""
+    idx = rel.index
+    ia, ib = relroots._root_ids(rel, [a, b])
+    if ia not in idx.simple or ib not in idx.simple:
+        raise ValueError("a and b must be simple relative roots")
+    if idx.add[ia, ib] < 0:
+        raise ValueError("a+b must be a relative root")
+    return relroots._adjacent_ok(idx, ia, ib)
+
+
+def sigma_set(rel, b, mode="all"):
+    """Parabolic subset attached to a simple relative root b, as a set of
+    tuples: the roots relroots._sigma_mask marks."""
+    idx = rel.index
+    (ib,) = relroots._root_ids(rel, [b])
+    if ib not in idx.simple:
+        raise ValueError(f"{b} is not a simple relative root")
+    return frozenset(map(tuple, idx.coords[relroots._sigma_mask(rel, int(ib), mode)].tolist()))
+
+
+def sigma_properties(rel, b, sigma=None):
+    """relroots._sigma_checks on a simple root b and a set of tuples sigma
+    (by default sigma_set(rel, b))."""
+    if sigma is None:
+        sigma = sigma_set(rel, b)
+    idx = rel.index
+    (ib,) = relroots._root_ids(rel, [b])
+    ids = relroots._root_ids(rel, sorted(sigma))
+    if ib < 0 or (ids < 0).any():
+        raise ValueError("b and the members of sigma must be relative roots")
+    inside = np.zeros(len(idx.coords), dtype=bool)
+    inside[ids] = True
+    return relroots._sigma_checks(idx, int(ib), inside)
+
+
 def check_fiber_additivity(rel, a, b):
     """Every root over a+b splits as a root over a plus a root over b."""
     s = tuple(x + y for x, y in zip(a, b))
@@ -290,6 +332,37 @@ def reference_elements_on(model, support, chunk=8192):
         mats = mats.reshape(-1, n, n)
         found.append(mats[model.is_element(mats)])
     return np.concatenate(found)
+
+
+def reference_congruence(ctx, q):
+    """G(R,q) from the matrices: every entry of mats % d against the identity mod d."""
+    eye = np.eye(ctx.table.n, dtype=ctx.table.mats.dtype)
+    return (ctx.table.mats % q.d == eye % q.d).all(axis=(1, 2))
+
+
+def reference_center(ctx):
+    """The common fixed points of the E generator conjugations."""
+    member = np.ones(ctx.table.N, dtype=bool)
+    fixed = np.arange(ctx.table.N)
+    for g in ctx.table.gen_idxs:
+        member &= ctx.table.conj_perm(g) == fixed
+    return member
+
+
+def reference_full_congruence(ctx, q):
+    """C(R,q) by its definition: the preimage of the center of G(R/q), with
+    the center taken on the quotient's own element table and every element
+    looked up there by its matrix mod q."""
+    if q.d == 1:
+        return np.ones(ctx.table.N, dtype=bool)
+    if q.d == ctx.model.m:
+        return reference_center(ctx)
+    model = ctx.model
+    qctx = lattice.get_context(
+        models.GroupModel(model.kind, model.degree, ZmRing(q.d), model.blocks), ctx.cap)
+    reduced = qctx.table.lookup(ctx.table.mats.astype(np.int64) % q.d)
+    assert (reduced >= 0).all()
+    return reference_center(qctx)[reduced]
 
 
 def plain_normal_closure(table, seeds):

@@ -204,6 +204,16 @@ def test_group_suite_outside_the_hypotheses_reports_no_counterexample(capsys):
     assert verdicts["hypotheses"] == verdicts["pairing_witness"] == "expected-exception"
 
 
+def test_sandwich_suite_outside_the_hypotheses_reports_no_counterexample(capsys):
+    # no --expect-violation: 2 is not invertible in Z/2, so the failing
+    # sandwich records of Sp4(Z/2) are expected, not counterexamples
+    assert cli.main(["sandwich", "--model", "Sp4", "--mod", "2", "--blocks", "line"]) == 0
+    checks = json.loads(capsys.readouterr().out)["checks"]
+    assert "fail" not in {c["verdict"] for c in checks}
+    verdicts = {c["name"]: c["verdict"] for c in checks}
+    assert verdicts["hypotheses"] == verdicts["sandwich_classification"] == "expected-exception"
+
+
 def test_main_reads_config(tmp_path):
     cfg = tmp_path / "run.ini"
     cfg.write_text("[run]\nsuite = group\n[model]\nname = SL3\nmod = 2\n")

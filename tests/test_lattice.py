@@ -4,13 +4,15 @@ import random
 import numpy as np
 import pytest
 
-from chevlat import lattice
+from chevlat import lattice, models
 from chevlat.models import GroupModel
 from chevlat.rings import ZmIdeal, ZmRing
+from chevlat.table import ElementTable
 
 from conftest import (
-    REFERENCE_MODELS, bfs_orbits, ctx_for, index_of, plain_normal_closure,
-    reference_centralizer_beta, reference_small_levi_b,
+    REFERENCE_MODELS, bfs_orbits, ctx_for, index_of, plain_normal_closure, reference_center,
+    reference_centralizer_beta, reference_congruence, reference_full_congruence,
+    reference_small_levi_b,
 )
 
 
@@ -87,6 +89,39 @@ def test_full_congruence(sl3_4, sp4_3):
     cong = sp4_3.congruence(ideal(sp4_3, 3))
     full = sp4_3.full_congruence(ideal(sp4_3, 3))
     assert cong.issubset(full)
+    # against the quotient tables, on every ideal; the ideals of Z/12 and
+    # Z/6 are not a chain
+    sl2_12, sl3_6 = ctx_for("SL", 2, 12, (1, 1)), ctx_for("SL", 3, 6, (1, 1, 1))
+    for ctx in (sl3_4, sp4_3, sl2_12, sl3_6):
+        assert np.array_equal(ctx.center().member, reference_center(ctx))
+        for q in ctx.ideals:
+            assert np.array_equal(ctx.congruence(q).member, reference_congruence(ctx, q))
+            assert np.array_equal(ctx.full_congruence(q).member,
+                                  reference_full_congruence(ctx, q)), (ctx.model.name(), q.d)
+
+
+def test_full_congruence_checks_the_map_to_the_quotient_is_onto(sl3_4, monkeypatch):
+    ctx = sl3_4.sibling(sl3_4.model.blocks)  # same table, empty cache
+    monkeypatch.setattr(lattice, "order_formula",
+                        lambda model, m=None: 2 * models.order_formula(model, m))
+    with pytest.raises(RuntimeError, match=r"image mod 2 has 168 elements.* over Z/2 gives 336"):
+        ctx.full_congruence(ideal(ctx, 2))
+
+
+@pytest.mark.parametrize("spec", [("SL", 2, 12, (1, 1)), ("Sp", 4, 3, "line")])
+def test_full_congruence_builds_no_quotient_table(spec, monkeypatch):
+    cached = ctx_for(*spec)
+    ctx = cached.sibling(cached.model.blocks)  # same table, empty cache
+    want = [reference_full_congruence(cached, q) for q in ctx.ideals]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a context or element table was asked for")
+
+    monkeypatch.setattr(ElementTable, "__init__", refuse)
+    monkeypatch.setattr(lattice.GroupContext, "__init__", refuse)
+    monkeypatch.setattr(lattice, "get_context", refuse)
+    for q, member in zip(ctx.ideals, want):
+        assert np.array_equal(ctx.full_congruence(q).member, member)
 
 
 def test_relative_elementary(sl3_4):

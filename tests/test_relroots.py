@@ -3,10 +3,13 @@ import dataclasses
 import pytest
 
 from chevlat import relroots, rootsys
-from chevlat.relroots import RelativeDatum, build_relative, fold, sigma_set
+from chevlat.relroots import RelativeDatum, build_relative, fold
 from chevlat.rootsys import RootSystemType, build_root_system
 
-from conftest import check_fiber_additivity, relative_simple_roots
+from conftest import (
+    check_adjacent_simple, check_fiber_additivity, project, relative_simple_roots,
+    sigma_properties, sigma_set,
+)
 
 
 def sys_of(family, rank):
@@ -108,10 +111,10 @@ def ref_check_datum(rel):
     base = rel.datum.base
     for p in rel.datum.gamma:
         for mu in base.roots:
-            if rel.project(rootsys.perm_on_root(p, mu)) != rel.project(mu):
+            if project(rel, rootsys.perm_on_root(p, mu)) != project(rel, mu):
                 counts["gamma_invariance_failed"] += 1
     simples = {
-        a for a in (rel.project(e) for i, e in enumerate(base.simple_roots) if i in rel.datum.J)
+        a for a in (project(rel, e) for i, e in enumerate(base.simple_roots) if i in rel.datum.J)
         if any(a)
     }
     for a in simples:
@@ -172,11 +175,11 @@ def test_projection_is_linear_and_gamma_invariant():
     for mu in base.roots:
         for nu in base.roots:
             s = tuple(x + y for x, y in zip(mu, nu))
-            assert rel.project(s) == tuple(
-                x + y for x, y in zip(rel.project(mu), rel.project(nu))
+            assert project(rel, s) == tuple(
+                x + y for x, y in zip(project(rel, mu), project(rel, nu))
             )
         for p in rel.datum.gamma:
-            assert rel.project(rootsys.perm_on_root(p, mu)) == rel.project(mu)
+            assert project(rel, rootsys.perm_on_root(p, mu)) == project(rel, mu)
 
 
 def test_fibers_partition_roots():
@@ -186,7 +189,7 @@ def test_fibers_partition_roots():
     for a in rel.rel_roots:
         assert not (rel.fiber(a) & covered)
         covered |= rel.fiber(a)
-    zero_fiber = {mu for mu in base.roots if not any(rel.project(mu))}
+    zero_fiber = {mu for mu in base.roots if not any(project(rel, mu))}
     assert covered | zero_fiber == base.roots
 
 
@@ -223,7 +226,7 @@ def test_adjacent_simple_c3():
     for a in simples:
         for b in simples:
             if a != b and tuple(x + y for x, y in zip(a, b)) in rel.rel_roots:
-                assert relroots.check_adjacent_simple(rel, a, b)
+                assert check_adjacent_simple(rel, a, b)
 
 
 def test_adjacent_simple_a4_reversal_bc2():
@@ -237,7 +240,7 @@ def test_adjacent_simple_a4_reversal_bc2():
     for a in simples:
         for b in simples:
             if a != b and tuple(x + y for x, y in zip(a, b)) in rel.rel_roots:
-                assert relroots.check_adjacent_simple(rel, a, b)
+                assert check_adjacent_simple(rel, a, b)
                 found = True
     assert found
 
@@ -274,7 +277,7 @@ def test_sigma_properties_hold_rank4():
     for datum in relroots.sweep_data(4):
         rel = build_relative(datum)
         for b in relative_simple_roots(rel):
-            props = relroots.sigma_properties(rel, b)
+            props = sigma_properties(rel, b)
             assert all(props.values()), (datum.base.rtype, sorted(datum.J), b, props)
 
 

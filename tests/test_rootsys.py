@@ -172,6 +172,38 @@ def test_index_guards_name_the_system():
         rootsys.VectorIndex("wide", [(0,) * 18], 18, rootsys.COEFF_BOUND)
 
 
+def reference_root_system_verdict(sys):
+    """check_root_system's verdict from tuples: the count, every reflection
+    by `reflect`, and every automorphism moving roots to roots and keeping
+    the pairing with the simple roots."""
+    stable = all(reflect(sys, a, b) in sys.roots for a in sys.roots for b in sys.roots)
+    preserve = all(
+        rootsys.perm_on_root(p, a) in sys.roots and all(
+            pairing2(sys, rootsys.perm_on_root(p, a), rootsys.perm_on_root(p, b))
+            == pairing2(sys, a, b) for b in sys.simple_roots)
+        for p in rootsys.diagram_automorphisms(sys) for a in sys.roots)
+    return len(sys.roots) == classical_count(sys.rtype.family, sys.rtype.rank) and stable and preserve
+
+
+@pytest.mark.parametrize("family,rank", cli.STANDARD_TYPES)
+def test_check_root_system_matches_reference(family, rank):
+    sys = build_root_system(RootSystemType(family, rank))
+    ok, witness = rootsys.check_root_system(sys)
+    assert ok == reference_root_system_verdict(sys) is True
+    assert witness == {"roots": classical_count(family, rank),
+                       "automorphisms": len(rootsys.diagram_automorphisms(sys)),
+                       "structure_primes": sorted(rootsys.structure_constant_primes(sys))}
+
+
+def test_check_root_system_fails_without_a_root_pair():
+    # A2 without +-(a1 + a2): s_a1(a2) = a1 + a2 leaves the set
+    a2 = build_root_system(RootSystemType("A", 2))
+    bad = dataclasses.replace(a2, roots=a2.roots - {(1, 1), (-1, -1)})
+    ok, witness = rootsys.check_root_system(bad)
+    assert ok == reference_root_system_verdict(bad) is False
+    assert witness["roots"] == 4
+
+
 def test_suite_roots_rejects_non_integral_cartan(monkeypatch):
     # 2(a1, a2) = -1 against 2(a2, a2) = 4 makes <a1, a2^vee> = -1/2
     a2 = build_root_system(RootSystemType("A", 2))
