@@ -5,8 +5,10 @@ Subgroups are bitsets over the element table.  One engine builds them,
 a member into a generator and stops when the bitset is closed under right
 multiplication by every generator, so its generators generate the result.
 Its products come from `ElementTable.right_mult`: gathers from the table's
-BFS permutations for the E generators and their inverses (so closing E(R)
-itself is gathers only), the row kernel and a lookup for other generators.
+BFS permutations for the E generators and their inverses, the row kernel
+and a lookup for other generators.  Each frontier is deduplicated by one
+sort and an adjacent-difference mask.  E(R) itself is not closed again: the
+table's BFS is the closure of {1} under the E generators.
 
 Each element table has one registry of certified E-normal closures, shared
 by every context (parabolic, sibling) built on it.  It holds the E-orbits
@@ -31,7 +33,9 @@ every other closure from them:
   the orbit closures of the seeds' orbits.
 
 Reduction mod an ideal q = (d) is one array per context, `_keys_mod(d)`:
-each element's matrix mod d read as a base-d key.  G(R,q) is the set with
+each element's matrix mod d as a key, built like the product kernel from a
+row table (each of the m**n row keys to the key of that row mod d) and one
+gather per row of the table's `rows`.  G(R,q) is the set with
 the identity's key.  A centralizer mod d is the set of elements x whose key
 each conjugation g^-1 x g keeps, read through g's cached conjugation
 permutation; mod m, where keys tell elements apart, that is the plain
@@ -73,10 +77,13 @@ Vec = tuple[int, ...]
 
 
 class Subgroup:
+    """A bitset over the element table, never written after construction."""
+
     def __init__(self, table: ElementTable, member: np.ndarray, gens: list[int] | None = None):
         self.table = table
         self.member = member
         self.gens = gens or []
+        self._key: bytes | None = None
 
     @property
     def order(self) -> int:
@@ -95,7 +102,8 @@ class Subgroup:
         return isinstance(other, Subgroup) and np.array_equal(self.member, other.member)
 
     def key(self) -> bytes:
-        return self.member.tobytes()
+        self._key = self._key or self.member.tobytes()  # built once: the bitset is fixed
+        return self._key
 
 
 def _products(table: ElementTable, member: np.ndarray, frontier: np.ndarray,
@@ -108,9 +116,11 @@ def _products(table: ElementTable, member: np.ndarray, frontier: np.ndarray,
     for lo in range(0, frontier.size, chunk):
         idx = table.right_mult(frontier[lo:lo + chunk], gen_idxs)
         assert idx.min(initial=0) >= 0  # products of members are members
-        new = np.unique(idx[~member[idx]])
+        new = np.sort(idx[~member[idx]])
         member[new] = True
-        found.append(new)
+        first = np.ones(new.size, dtype=bool)  # the first of each run of equal indices
+        np.not_equal(new[1:], new[:-1], out=first[1:])
+        found.append(new[first])
     return np.concatenate(found) if found else np.empty(0, dtype=np.int64)
 
 
@@ -160,12 +170,13 @@ def is_enormal(sub: Subgroup) -> bool:
     return all(bool(sub.member[perm[probe]].all()) for perm in sub.table.egen_conj_perms())
 
 
-def e_conjugacy_orbits(table: ElementTable) -> np.ndarray:
+def e_conjugacy_orbits(table: ElementTable) -> tuple[np.ndarray, np.ndarray]:
     """Orbit id per element under conjugation by the elementary subgroup,
-    orbits numbered by their least member.  Label propagation: each label
-    starts as the element's index; a pass lowers it to the least label of
-    the element's generator images, then jumps it to its label's label,
-    until a pass changes nothing."""
+    orbits numbered by their least member, and those least members.  Label
+    propagation: each label starts as the element's index; a pass lowers it
+    to the least label of the element's generator images, then jumps it to
+    its label's label, until a pass changes nothing.  Then each label is
+    its orbit's least member, the one element that is its own label."""
     perms = table.egen_conj_perms()
     label = np.arange(table.N)
     while True:
@@ -174,7 +185,8 @@ def e_conjugacy_orbits(table: ElementTable) -> np.ndarray:
             np.minimum(label, label[perm], out=label)
         label = label[label]
         if np.array_equal(label, before):
-            return np.unique(label, return_inverse=True)[1]
+            least = label == np.arange(table.N)
+            return (np.cumsum(least) - 1)[label], np.flatnonzero(least)
 
 
 def generating_set(table: ElementTable, sub: Subgroup) -> list[int]:
@@ -225,8 +237,8 @@ class _ClosureRegistry:
 
     def orbits(self) -> tuple[np.ndarray, list[int]]:
         if self._orbits is None:
-            orbit = e_conjugacy_orbits(self.table)
-            self._orbits = (orbit, np.unique(orbit, return_index=True)[1].tolist())
+            orbit, reps = e_conjugacy_orbits(self.table)
+            self._orbits = (orbit, reps.tolist())
             self.orbit_sizes = np.bincount(orbit)
         return self._orbits
 
@@ -321,27 +333,25 @@ class GroupContext:
     # -- element-wise subgroups ---------------------------------------------
 
     def elementary(self) -> Subgroup:
-        def build():
-            sub = subgroup_closure(self.table, self.table.gen_idxs.tolist())
-            if sub.order != self.table.N:
-                raise RuntimeError(
-                    f"{self.model.name()}: elementary subgroup is proper, order {sub.order}"
-                )
-            return sub
-
-        return self._memo("elementary", build)
+        """E(R), read off the table: its BFS is the closure of {1} under the
+        E generators, and it has the order formula's size, so E(R) = G(R).
+        Its gens are all the E generators."""
+        return self._memo("elementary", lambda: Subgroup(
+            self.table, np.ones(self.table.N, dtype=bool), self.table.gen_idxs.tolist()))
 
     def _keys_mod(self, d: int) -> np.ndarray:
-        """Each element's matrix mod d as n*n base-d digits, first entry most
-        significant: two elements have the same key exactly when they agree
-        mod d, and keys mod m tell elements apart.  Built one entry column at
-        a time from the int16 `mats`, so no int64 copy of the table is made."""
+        """Each element's matrix mod d as a key: two elements have the same
+        key exactly when they agree mod d, and keys mod m tell elements
+        apart.  A row table maps each row key to the base-d key of that row
+        mod d; the key is those n row keys read as base d**n digits, one
+        gather per row of the table's `rows`."""
 
         def build():
-            flat = self.table.mats.reshape(self.table.N, -1)
-            keys = np.zeros(self.table.N, dtype=np.int64)
-            for i in range(flat.shape[1]):
-                keys = keys * d + flat[:, i] % d
+            t = self.table
+            row_mod = t.row_vecs % d @ d ** np.arange(t.n, dtype=np.int64)
+            keys = row_mod[t.rows[:, 0]]
+            for i in range(1, t.n):
+                keys = keys * d ** t.n + row_mod[t.rows[:, i]]
             return keys
 
         return self._memo(("keys_mod", d), build)
@@ -541,7 +551,7 @@ def verify_structure_theorems(ctx: GroupContext) -> dict:
     e_sub = ctx.elementary()
     e_normal = is_enormal(e_sub)
 
-    cent_e = ctx.center()  # E is the whole group: elementary() raises otherwise
+    cent_e = ctx.center()  # E is the whole group: the table is its BFS closure
     scheme = set(_element_indices(table, scheme_center_elements(ctx.model),
                                   "a point of the center subscheme").tolist())
     center_match = set(cent_e.indices().tolist()) == scheme
@@ -642,16 +652,15 @@ def join_compatibility(ctx: GroupContext, pairs: int, rng) -> dict:
         adm = ctx.sandwich_ideals(sub)
         return adm[0] if len(adm) == 1 else None
 
-    checked, mismatches = 0, []
+    mismatches = []
     for _ in range(pairs):
         g = rng.randrange(ctx.table.N)
         h = rng.randrange(ctx.table.N)
         a, b = ctx.orbit_closure(g), ctx.orbit_closure(h)
         la, lb, lj = level_of(a), level_of(b), level_of(ctx.closures.join(a, b))
-        checked += 1
         if None in (la, lb, lj) or math.gcd(la, lb) != lj:
             mismatches.append({"g": g, "h": h, "levels": [la, lb, lj]})
-    return {"checked": checked, "mismatches": mismatches}
+    return {"checked": pairs, "mismatches": mismatches}
 
 
 # -- centralizer lemmas -------------------------------------------------------

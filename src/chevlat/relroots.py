@@ -173,15 +173,6 @@ def build_relative(datum: RelativeDatum) -> RelativeRootSystem:
     )
 
 
-def _root_ids(rel: RelativeRootSystem, vecs) -> np.ndarray:
-    """Ids of the given coordinate vectors among the relative roots, -1 where
-    a vector is not one (or has the wrong length)."""
-    arr = np.array(vecs, dtype=np.int64)
-    if arr.ndim != 2 or arr.shape[1] != rel.rank:
-        return np.full(len(vecs), -1)
-    return rel.index.lookup(arr)
-
-
 def _adjacent_ok(idx: RelativeIndex, ia: int, ib: int) -> bool:
     """For simple relative root ids ia, ib with a + b a relative root: a + j*b
     is a relative root for every j with j*b a relative root."""

@@ -90,7 +90,7 @@ class ElementTable:
 
         self._digit = m ** np.arange(n, dtype=np.int64)  # entry weights in a row key
         self._row_w = (m ** n) ** np.arange(n, dtype=np.int64)  # row-key weights in a key
-        self._row_vecs = self._decode(np.arange(m ** n, dtype=np.int64))  # every row, by key
+        self.row_vecs = self._decode(np.arange(m ** n, dtype=np.int64))  # every row, by key
         rows, right, parent, gen = self._bfs(model.generator_mats())
         if len(rows) != expected:
             raise RuntimeError(
@@ -98,7 +98,7 @@ class ElementTable:
             )
         self.N = len(rows)
         self.rows = rows
-        self.mats = self._row_vecs.astype(np.int16)[rows]
+        self.mats = self.row_vecs.astype(np.int16)[rows]
         keys = rows @ self._row_w
         self._order = np.argsort(keys).astype(np.int64)
         self._keys_sorted = keys[self._order]
@@ -205,7 +205,7 @@ class ElementTable:
         """Row tables of a stack of k matrices g, shape (k, m**n): entry v is
         the row key of (row with key v) times g."""
         g = np.asarray(mats, dtype=np.int64).reshape(-1, self.n, self.n)
-        return (self._row_vecs @ g) % self.m @ self._digit
+        return (self.row_vecs @ g) % self.m @ self._digit
 
     def product_keys(self, idx: np.ndarray, tables: np.ndarray) -> np.ndarray:
         """Keys of x g, shape (k, len(idx)), for the elements x in idx and

@@ -65,11 +65,20 @@ def project(rel, v):
     return tuple(sum(row[i] * v[i] for i in range(len(v))) for row in rel.projection)
 
 
+def root_ids(rel, vecs):
+    """Ids of the given coordinate vectors among the relative roots, -1 where
+    a vector is not one (or has the wrong length)."""
+    arr = np.array(vecs, dtype=np.int64)
+    if arr.ndim != 2 or arr.shape[1] != rel.rank:
+        return np.full(len(vecs), -1)
+    return rel.index.lookup(arr)
+
+
 def check_adjacent_simple(rel, a, b):
     """If a, b are simple relative roots with a+b a relative root, then
     a + j*b is a relative root for every j with j*b a relative root."""
     idx = rel.index
-    ia, ib = relroots._root_ids(rel, [a, b])
+    ia, ib = root_ids(rel, [a, b])
     if ia not in idx.simple or ib not in idx.simple:
         raise ValueError("a and b must be simple relative roots")
     if idx.add[ia, ib] < 0:
@@ -81,7 +90,7 @@ def sigma_set(rel, b, mode="all"):
     """Parabolic subset attached to a simple relative root b, as a set of
     tuples: the roots relroots._sigma_mask marks."""
     idx = rel.index
-    (ib,) = relroots._root_ids(rel, [b])
+    (ib,) = root_ids(rel, [b])
     if ib not in idx.simple:
         raise ValueError(f"{b} is not a simple relative root")
     return frozenset(map(tuple, idx.coords[relroots._sigma_mask(rel, int(ib), mode)].tolist()))
@@ -93,8 +102,8 @@ def sigma_properties(rel, b, sigma=None):
     if sigma is None:
         sigma = sigma_set(rel, b)
     idx = rel.index
-    (ib,) = relroots._root_ids(rel, [b])
-    ids = relroots._root_ids(rel, sorted(sigma))
+    (ib,) = root_ids(rel, [b])
+    ids = root_ids(rel, sorted(sigma))
     if ib < 0 or (ids < 0).any():
         raise ValueError("b and the members of sigma must be relative roots")
     inside = np.zeros(len(idx.coords), dtype=bool)
@@ -105,7 +114,7 @@ def sigma_properties(rel, b, sigma=None):
 def check_fiber_additivity(rel, a, b):
     """Every root over a+b splits as a root over a plus a root over b."""
     s = tuple(x + y for x, y in zip(a, b))
-    ids = relroots._root_ids(rel, [a, b, s])
+    ids = root_ids(rel, [a, b, s])
     for v, i in zip((a, b, s), ids):
         if i < 0:
             raise ValueError(f"{v} is not a relative root")
@@ -363,6 +372,28 @@ def reference_full_congruence(ctx, q):
     reduced = qctx.table.lookup(ctx.table.mats.astype(np.int64) % q.d)
     assert (reduced >= 0).all()
     return reference_center(qctx)[reduced]
+
+
+def reference_keys_mod(ctx, d):
+    """Each element's matrix mod d as n*n base-d digits, first entry most
+    significant, built one entry column of `mats` at a time."""
+    flat = ctx.table.mats.reshape(ctx.table.N, -1)
+    keys = np.zeros(ctx.table.N, dtype=np.int64)
+    for i in range(flat.shape[1]):
+        keys = keys * d + flat[:, i] % d
+    return keys
+
+
+def reference_products(table, member, frontier, gen_idxs):
+    """lattice._products with np.unique deduplicating each chunk."""
+    chunk = max(1, 65536 // max(1, len(gen_idxs)))
+    found = []
+    for lo in range(0, frontier.size, chunk):
+        idx = table.right_mult(frontier[lo:lo + chunk], gen_idxs)
+        new = np.unique(idx[~member[idx]])
+        member[new] = True
+        found.append(new)
+    return np.concatenate(found) if found else np.empty(0, dtype=np.int64)
 
 
 def plain_normal_closure(table, seeds):

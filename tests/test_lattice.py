@@ -4,7 +4,7 @@ import random
 import numpy as np
 import pytest
 
-from chevlat import lattice, models
+from chevlat import cli, lattice, models
 from chevlat.models import GroupModel
 from chevlat.rings import ZmIdeal, ZmRing
 from chevlat.table import ElementTable
@@ -12,7 +12,7 @@ from chevlat.table import ElementTable
 from conftest import (
     REFERENCE_MODELS, bfs_orbits, ctx_for, index_of, plain_normal_closure, reference_center,
     reference_centralizer_beta, reference_congruence, reference_full_congruence,
-    reference_small_levi_b,
+    reference_keys_mod, reference_products, reference_small_levi_b,
 )
 
 
@@ -68,6 +68,69 @@ def test_orbit_count_sl3_f2(sl3_2):
     orbit, reps = sl3_2.orbits()
     assert len(reps) == 6  # conjugacy classes of SL3(F2)
     assert int((orbit == orbit[sl3_2.table.identity_idx]).sum()) == 1
+
+
+@pytest.mark.parametrize("kind,degree,m,blocks", [
+    ("SL", 3, 4, (1, 1, 1)), ("Sp", 4, 3, "line"), ("SL", 2, 12, (1, 1)), ("SL", 3, 6, (1, 1, 1)),
+])
+def test_keys_mod_agree_exactly_when_matrices_agree_mod_d(kind, degree, m, blocks):
+    ctx = ctx_for(kind, degree, m, blocks)
+    for q in ctx.ideals:
+        keys, ref = ctx._keys_mod(q.d), reference_keys_mod(ctx, q.d)
+        # sorted by one side, then the other: each side changes exactly
+        # where the other does, so equal keys are equal reference keys and back
+        for a, b in ((keys, ref), (ref, keys)):
+            order = np.lexsort((b, a))
+            assert np.array_equal(np.diff(a[order]) != 0, np.diff(b[order]) != 0)
+    assert np.unique(ctx._keys_mod(m)).size == ctx.table.N
+
+
+@pytest.mark.parametrize("name", ["sl3_4", "sp4_3"])
+def test_products_match_unique_reference(name, request):
+    ctx = request.getfixturevalue(name)
+    t, rng = ctx.table, np.random.default_rng(7)
+    other = [int(i) for i in rng.choice(t.N, 3, replace=False)]  # mostly not generators
+    egens = t.gen_idxs.tolist()
+    for gen_idxs in (egens, sorted(set(egens) | {int(t.inv[g]) for g in egens}), other,
+                     [egens[0], *other]):
+        for size in (1, 50, 30_000):  # 30,000 spans several chunks
+            frontier = rng.choice(t.N, min(size, t.N), replace=False)
+            member = rng.random(t.N) < 0.3
+            want_member = member.copy()
+            got = lattice._products(t, member, frontier, gen_idxs)
+            want = reference_products(t, want_member, frontier, gen_idxs)
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+            assert np.array_equal(member, want_member)
+    # no candidate: every product is a member already
+    member = np.ones(t.N, dtype=bool)
+    got = lattice._products(t, member, np.arange(10), egens)
+    assert got.size == 0 and member.all()
+
+
+@pytest.mark.parametrize("spec", cli.DEFAULT_MODELS, ids=lambda s: s.build().name())
+def test_elementary_is_the_closure_of_the_generators(spec):
+    ctx = lattice.get_context(spec.build())
+    e_sub = ctx.elementary()
+    closure = lattice.subgroup_closure(ctx.table, ctx.table.gen_idxs.tolist())
+    assert np.array_equal(e_sub.member, closure.member)
+    assert lattice.subgroup_closure(ctx.table, e_sub.gens) == e_sub
+    assert lattice.is_enormal(e_sub)
+
+
+def test_elementary_reads_the_table(sl3_4, monkeypatch):
+    def closed(*args, **kwargs):
+        raise AssertionError("E(R) closed again")
+
+    monkeypatch.setattr(lattice, "subgroup_closure", closed)
+    e_sub = sl3_4.sibling(sl3_4.model.blocks).elementary()  # a fresh context cache
+    assert e_sub.order == sl3_4.table.N
+    assert e_sub.gens == sl3_4.table.gen_idxs.tolist()
+
+
+def test_subgroup_key_is_built_once(sl3_4):
+    sub = sl3_4.congruence(ideal(sl3_4, 2))
+    assert sub.key() is sub.key()
+    assert sub.key() == sub.member.tobytes()
 
 
 def test_congruence_subgroups(sl3_4):
@@ -409,9 +472,10 @@ def registry_ctx(request):
 @pytest.mark.parametrize("name", ["sl3_4", "sp4_2", "sp4_3", "sl2_6"])
 def test_e_conjugacy_orbits_match_bfs(request, name):
     ctx = request.getfixturevalue(name)
-    orbit = lattice.e_conjugacy_orbits(ctx.table)
+    orbit, least = lattice.e_conjugacy_orbits(ctx.table)
     assert np.array_equal(orbit, bfs_orbits(ctx.table))
     reps = ctx.orbits()[1]
+    assert reps == least.tolist() == np.unique(orbit, return_index=True)[1].tolist()
     assert reps == [int(np.nonzero(orbit == k)[0][0]) for k in range(len(reps))]
 
 
