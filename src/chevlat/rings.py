@@ -34,9 +34,6 @@ class ZmRing:
         if self.modulus < 2:
             raise ValueError("modulus must be at least 2")
 
-    def elements(self) -> range:
-        return range(self.modulus)
-
     def __str__(self):
         return f"Z/{self.modulus}"
 
@@ -54,9 +51,6 @@ class ZmIdeal:
 
     def elements(self) -> list[int]:
         return list(range(0, self.ring.modulus, self.d))
-
-    def is_unit(self) -> bool:
-        return self.d == 1
 
     def __add__(self, other: "ZmIdeal") -> "ZmIdeal":
         return ZmIdeal(self.ring, math.gcd(self.d, other.d))

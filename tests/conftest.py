@@ -409,6 +409,24 @@ def plain_normal_closure(table, seeds):
         sub = lattice.subgroup_closure(table, missing, base=sub)
 
 
+def generating_set(table, sub):
+    """A small generating set of a given subgroup, built greedily."""
+    closure = lattice.subgroup_closure(table, sub.indices())
+    assert closure == sub
+    return closure.gens
+
+
+def reference_closure_of(ctx, seeds):
+    """GroupContext.closure_of joining the closure of every seed orbit,
+    shared closure objects included, largest first."""
+    orbit, reps = ctx.orbits()
+    closures = [ctx.orbit_closure(reps[k]) for k in sorted({int(orbit[s]) for s in seeds})]
+    sub = lattice.subgroup_closure(ctx.table, [])
+    for closure in sorted(closures, key=lambda c: -c.order):
+        sub = ctx.closures.join(sub, closure)
+    return sub
+
+
 def bfs_orbits(table):
     """Reference E-orbits: one BFS over the generator conjugations per
     element not yet reached, orbits numbered in order of their least

@@ -7,12 +7,12 @@ import pytest
 from chevlat import cli, lattice, models
 from chevlat.models import GroupModel
 from chevlat.rings import ZmIdeal, ZmRing
-from chevlat.table import ElementTable
+from chevlat.table import DEFAULT_CAP, ElementTable
 
 from conftest import (
-    REFERENCE_MODELS, bfs_orbits, ctx_for, index_of, plain_normal_closure, reference_center,
-    reference_centralizer_beta, reference_congruence, reference_full_congruence,
-    reference_keys_mod, reference_products, reference_small_levi_b,
+    REFERENCE_MODELS, bfs_orbits, ctx_for, generating_set, index_of, plain_normal_closure,
+    reference_center, reference_centralizer_beta, reference_closure_of, reference_congruence,
+    reference_full_congruence, reference_keys_mod, reference_products, reference_small_levi_b,
 )
 
 
@@ -240,7 +240,7 @@ def test_commutator_subgroup(sl3_2, sp4_2):
 
 def test_generating_set_generates_congruence_subgroup(sl3_4):
     sub = sl3_4.congruence(ideal(sl3_4, 2))
-    gens = lattice.generating_set(sl3_4.table, sub)
+    gens = generating_set(sl3_4.table, sub)
     assert gens and all(g in sub for g in gens)
     assert lattice.subgroup_closure(sl3_4.table, gens) == sub
 
@@ -280,6 +280,82 @@ def test_commutator_formula(sl3_4, sp4_3):
     for ctx in (sl3_4, sp4_3):
         out = lattice.verify_commutator_formula(ctx)
         assert all(r["equal"] for r in out)
+
+
+def uncached_context(kind, degree, m, blocks):
+    """A context outside the process-wide cache, freed with its last reference."""
+    model = GroupModel(kind, degree, ZmRing(m), blocks)
+    return lattice.GroupContext(model, DEFAULT_CAP,
+                                closures=lattice._ClosureRegistry(ElementTable(model)))
+
+
+@pytest.mark.parametrize("spec,want", [
+    (("SL", 3, 6, (1, 1, 1)),
+     [(1, 943488, 943488, True), (2, 5616, 5616, True), (3, 168, 168, True), (6, 1, 1, True)]),
+    (("Sp", 4, 4, "line"), [(1, 368640, 737280, False), (2, 1024, 1024, True), (4, 1, 1, True)]),
+    (("SL", 2, 12, (1, 1)),
+     [(1, 96, 1152, False), (2, 32, 192, False), (3, 12, 48, False), (4, 8, 24, False),
+      (6, 4, 8, False), (12, 1, 1, True)]),
+], ids=["SL3(Z/6)", "Sp4(Z/4)", "SL2(Z/12)"])
+def test_commutator_formula_per_ideal(spec, want):
+    # Sp4(Z/4) has 737,280 elements; its table is not kept for later tests
+    ctx = uncached_context(*spec) if spec[0] == "Sp" else ctx_for(*spec)
+    out = lattice.verify_commutator_formula(ctx)
+    assert [(r["ideal"], r["commutator_order"], r["relative_elementary_order"], r["equal"])
+            for r in out] == want
+
+
+# SL3(Z/9) is left out: its 36,846,576 elements exceed the default cap
+@pytest.mark.parametrize("model", [mo for mo in REFERENCE_MODELS if mo.m != 9] + [
+    GroupModel("SL", 3, ZmRing(6), (1, 1, 1))], ids=lambda mo: mo.name())
+def test_orbit_representatives_in_a_congruence_subgroup_generate_it(model):
+    # G(R,q) is normal, so it is the normal closure of the orbits it meets
+    ctx = lattice.get_context(model)
+    reps = np.asarray(ctx.orbits()[1])
+    for q in ctx.ideals:
+        cong = ctx.congruence(q)
+        assert ctx.closure_of(reps[cong.member[reps]]) == cong
+
+
+@pytest.mark.parametrize("spec", [
+    ("SL", 3, 2, (1, 1, 1)), ("SL", 3, 3, (1, 1, 1)), ("SL", 3, 4, (1, 1, 1)),
+    ("Sp", 4, 2, "borel"), ("Sp", 4, 3, "line"), ("SL", 2, 12, (1, 1)),
+], ids=lambda spec: f"{spec[0]}{spec[1]}(Z/{spec[2]})")
+def test_orbit_closure_is_central_exactly_when_its_representative_is(spec):
+    ctx = ctx_for(*spec)
+    center, reps = ctx.center(), ctx.orbits()[1]
+    central = [ctx.orbit_closure(rep).issubset(center) for rep in reps]
+    assert [bool(center.member[rep]) for rep in reps] == central
+    assert lattice.verify_unipotent_extraction(ctx)["noncentral_closures"] == central.count(False)
+    if lattice._is_prime(ctx.model.m):
+        sizes = ctx.closures.orbit_sizes
+        want = sum(int(sizes[k]) for k, c in enumerate(central) if not c)
+        assert lattice.simplicity_check(ctx)["noncentral_elements"] == want
+
+
+def test_closure_of_matches_joining_every_orbit_closure(registry_ctx):
+    ctx = registry_ctx
+    rng = np.random.default_rng(7)
+    for size in (1, 3, 20, 200):
+        seeds = rng.choice(ctx.table.N, size).tolist()
+        got, want = ctx.closure_of(seeds), reference_closure_of(ctx, seeds)
+        assert got == want and got.gens == want.gens
+
+
+def test_closure_of_joins_each_distinct_closure_once(sl3_4, monkeypatch):
+    reps = sl3_4.orbits()[1]
+    distinct = {id(sl3_4.orbit_closure(rep)) for rep in reps}
+    assert len(distinct) < len(reps)  # orbits share closure objects
+    joined = []
+    join = sl3_4.closures.join
+
+    def counting_join(a, b):
+        joined.append(id(b))
+        return join(a, b)
+
+    monkeypatch.setattr(sl3_4.closures, "join", counting_join)
+    assert sl3_4.closure_of(reps).order == sl3_4.table.N
+    assert sorted(joined) == sorted(distinct)
 
 
 def test_parabolic_independence(sl3_4, sl4_2):
