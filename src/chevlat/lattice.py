@@ -39,19 +39,13 @@ every other closure from them:
   is the normal closure of S and G = <T>).  The center is normal too, so
   cl(rep) is central exactly when rep is.
 
-Reduction mod an ideal q = (d) is one array per context, `_keys_mod(d)`:
-each element's matrix mod d as a key, built like the product kernel from a
-row table (each of the m**n row keys to the key of that row mod d) and one
-gather per row of the table's `rows`.  G(R,q) is the set with
-the identity's key.  A centralizer mod d is the set of elements x whose key
-each conjugation g^-1 x g keeps, read through g's cached conjugation
-permutation; mod m, where keys tell elements apart, that is the plain
-centralizer, and the center is the centralizer of the E generators.  C(R,q),
-the preimage of the center of G(R/q), is the centralizer of the E
-generators mod d, decided on the table of G(R) with no table of G(R/q):
-the images of G(R) = E(R) form a group of order N / |G(R,q)|, and that must
-equal the order formula over Z/d, so G(R) -> G(R/q) is onto and commuting
-with the images of the generators is being central in G(R/q).
+The bounds are unions of E-orbits: G(R,q), C(R,q) and the center are normal
+in G(R) = E(R), so each is decided on the orbit representatives' matrices and
+expanded through the orbit ids.  G(R,q) keeps r = 1 mod q; C(R,q) keeps r
+when g^-1 r g = r mod q for every E generator g, read through g's cached
+conjugation permutation; the center is C(R,q) of the zero ideal.  That is
+the preimage of the center of G(R/q), with no table of G(R/q), because the
+image of G(R) has N / |G(R,q)| elements, the order of G(R/q).
 
 The sandwich classification checks, for one seed per conjugation orbit,
 which ideals q satisfy E(R,q) <= closure <= C(R,q); on a model satisfying
@@ -339,56 +333,49 @@ class GroupContext:
         return self._memo("elementary", lambda: Subgroup(
             self.table, np.ones(self.table.N, dtype=bool), self.table.gen_idxs.tolist()))
 
-    def _keys_mod(self, d: int) -> np.ndarray:
-        """Each element's matrix mod d as a key: two elements have the same
-        key exactly when they agree mod d, and keys mod m tell elements
-        apart.  A row table maps each row key to the base-d key of that row
-        mod d; the key is those n row keys read as base d**n digits, one
-        gather per row of the table's `rows`."""
+    def congruence(self, q: ZmIdeal) -> Subgroup:
+        """G(R,q): the orbits whose representative is the identity mod q."""
 
         def build():
-            t = self.table
-            row_mod = t.row_vecs % d @ d ** np.arange(t.n, dtype=np.int64)
-            keys = row_mod[t.rows[:, 0]]
-            for i in range(1, t.n):
-                keys = keys * d ** t.n + row_mod[t.rows[:, i]]
-            return keys
+            orbit, reps = self.orbits()
+            eye = np.eye(self.table.n, dtype=np.int64)
+            keep = (self.table.mats[reps] % q.d == eye % q.d).all(axis=(1, 2))
+            return Subgroup(self.table, keep[orbit])
 
-        return self._memo(("keys_mod", d), build)
+        return self._memo(("congruence", q.d), build)
 
-    def congruence(self, q: ZmIdeal) -> Subgroup:
-        """G(R,q): the elements equal to the identity mod q."""
-        keys = self._keys_mod(q.d)
-        return self._memo(("congruence", q.d), lambda: Subgroup(
-            self.table, keys == keys[self.table.identity_idx]))
-
-    def centralizer(self, idxs, d: int | None = None) -> Subgroup:
-        """Elements x that commute mod d (default m) with every element g in
-        idxs: g^-1 x g, read off g's cached conjugation permutation, has the
-        key of x mod d.  Mod m this is the plain centralizer."""
-        keys = self._keys_mod(self.model.m if d is None else d)
+    def centralizer(self, idxs) -> Subgroup:
+        """The elements that every g in idxs fixes by conjugation: the common
+        fixed points of their cached conjugation permutations."""
+        fixed = np.arange(self.table.N)
         member = np.ones(self.table.N, dtype=bool)
         for g in idxs:
-            member &= keys[self.table.conj_perm(g)] == keys
+            member &= self.table.conj_perm(g) == fixed
         return Subgroup(self.table, member)
 
     def center(self) -> Subgroup:
-        """The centralizer of the elementary generators, which generate the group."""
-        return self._memo("center", lambda: self.centralizer(self.table.gen_idxs.tolist()))
+        """C(R,q) of the zero ideal: the elements commuting with the E generators."""
+        return self.full_congruence(ZmIdeal(self.model.ring, self.model.m))
 
     def full_congruence(self, q: ZmIdeal) -> Subgroup:
-        """C(R,q), the preimage of the center of G(R/q): the elements that
-        commute mod q with the E generators.  Their images generate the image
-        of G(R) in G(R/q), which has order N / |G(R,q)|; that order must equal
+        """C(R,q), the preimage of the center of G(R/q): the orbits whose
+        representative r has g^-1 r g = r mod q for every E generator g.  The
+        image of G(R) in G(R/q) has order N / |G(R,q)|; that order must equal
         the order formula over R/q, so the map is onto and commuting with the
-        images is being central in G(R/q)."""
+        images of the generators is being central in G(R/q)."""
 
         def build():
             image, want = self.table.N // self.congruence(q).order, order_formula(self.model, q.d)
             if image != want:
                 raise RuntimeError(f"{self.model.name()}: the image mod {q.d} has {image} "
                                    f"elements, the order formula over Z/{q.d} gives {want}")
-            return self.centralizer(self.table.gen_idxs.tolist(), q.d)
+            orbit, reps = self.orbits()
+            mats = self.table.mats
+            rep_mats = mats[reps] % q.d
+            keep = np.ones(len(reps), dtype=bool)
+            for perm in self.table.egen_conj_perms():
+                keep &= (mats[perm[reps]] % q.d == rep_mats).all(axis=(1, 2))
+            return Subgroup(self.table, keep[orbit])
 
         return self._memo(("full_congruence", q.d), build)
 
@@ -450,9 +437,8 @@ class GroupContext:
         x_gens = np.asarray(x_gens, dtype=np.int64)
         conj = np.concatenate([t.conj_perm(y)[x_gens] for y in y_gens])
         xinv = np.tile(t.inv[x_gens], len(y_gens))
-        seeds = t.lookup(t.mats[xinv].astype(np.int64) @ t.mats[conj])
-        assert (seeds >= 0).all()
-        return self.closure_of(seeds.tolist())
+        prods = t.mats[xinv].astype(np.int64) @ t.mats[conj]
+        return self.closure_of(_element_indices(t, prods, "a commutator [x, y]").tolist())
 
 
 # -- sandwich classification -------------------------------------------------

@@ -374,16 +374,6 @@ def reference_full_congruence(ctx, q):
     return reference_center(qctx)[reduced]
 
 
-def reference_keys_mod(ctx, d):
-    """Each element's matrix mod d as n*n base-d digits, first entry most
-    significant, built one entry column of `mats` at a time."""
-    flat = ctx.table.mats.reshape(ctx.table.N, -1)
-    keys = np.zeros(ctx.table.N, dtype=np.int64)
-    for i in range(flat.shape[1]):
-        keys = keys * d + flat[:, i] % d
-    return keys
-
-
 def reference_products(table, member, frontier, gen_idxs):
     """lattice._products with np.unique deduplicating each chunk."""
     chunk = max(1, 65536 // max(1, len(gen_idxs)))
