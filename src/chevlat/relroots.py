@@ -175,13 +175,13 @@ def build_relative(datum: RelativeDatum) -> RelativeRootSystem:
 
 def _adjacent_ok(idx: RelativeIndex, ia: int, ib: int) -> bool:
     """For simple relative root ids ia, ib with a + b a relative root: a + j*b
-    is a relative root for every j with j*b a relative root."""
-    va, vb = idx.coords[ia], idx.coords[ib]
-    j = 1
-    while idx.lookup(j * vb) >= 0:
-        if idx.lookup(va + j * vb) < 0:
+    is a relative root for every j with j*b a relative root, walking the
+    addition table from jb = b through (j+1)b = add[jb, b]."""
+    jb = ib
+    while jb >= 0:
+        if idx.add[ia, jb] < 0:
             return False
-        j += 1
+        jb = idx.add[jb, ib]
     return True
 
 

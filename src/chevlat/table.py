@@ -9,7 +9,9 @@ sorted element keys.
 The enumeration is a BFS from the identity over right multiplication by
 the k elementary generators e, and it keeps the Cayley graph it walks: the
 index of every x e (a (k, N) int32 array of permutations) and its spanning
-tree.  Right multiplication by e^-1 is the inverse permutation.  An element
+tree.  A level is deduplicated by one sort of its products' composites
+key * kF + scan position; the BFS's sorted keys are the lookup arrays.
+Right multiplication by e^-1 is the inverse permutation.  An element
 x = e_1 ... e_d on the tree has x^-1 = e_d^-1 ... e_1^-1, so the inverses
 are one vectorized walk up the tree (the Schreier-vector trick; Butler,
 Fundamental Algorithms for Permutation Groups, LNCS 559).
@@ -24,12 +26,13 @@ right multiplication by it, gathers only for a generator; subgroup and
 normal-closure computations in lattice.py run entirely on indices.
 
 Before enumerating, the table refuses (`check_bounds`, SizeCapError) a
-group over the element cap, one whose base-m keys could pass 2**63 - 1 and
-one whose indices do not fit int32.  When there are at most _SCAN_LIMIT n x n
-matrices over Z/m, the sorted keys of the BFS must equal those of the
-predicate scan that decides every one of them by its defining equation
-(`models.elements_on` with every entry supported: det through first-row
-cofactors shared between matrices for SL_n, column pairings for Sp_4).
+group over the element cap, one whose base-m keys could pass 2**63 - 1, one
+whose indices do not fit int32 and one whose composites could pass 2**64.
+When there are at most _SCAN_LIMIT n x n matrices over Z/m, the sorted keys
+of the BFS must equal those of the predicate scan that decides every one of
+them by its defining equation (`models.elements_on` with every entry
+supported: det through first-row cofactors shared between matrices for
+SL_n, column pairings for Sp_4).
 """
 
 from __future__ import annotations
@@ -47,7 +50,8 @@ _INDEX_BOUND = 2**31 - 1  # permutation entries are int32
 
 def check_bounds(model: GroupModel, cap: int = DEFAULT_CAP) -> int:
     """The group's order by the order formula, once its table is known to fit: SizeCapError
-    above the element cap, TableBoundError past the int64 key or int32 index bound.
+    above the element cap, TableBoundError past the int64 key, the int32 index or the
+    uint64 bound of the BFS's composites (below m**(n*n) k N for k generators).
 
     The index bound also keeps the int16 `mats` exact.  Every model contains
     SL_2(Z/m), of order m**3 prod_(p | m) (1 - 1/p**2) > 0.6 m**3, so
@@ -60,6 +64,10 @@ def check_bounds(model: GroupModel, cap: int = DEFAULT_CAP) -> int:
         raise TableBoundError(
             expected, _INDEX_BOUND,
             f"{model.name()} has {expected} elements, past the int32 index bound 2**31 - 1")
+    keys, k = model.m ** (model.degree ** 2), len(model.generator_positions())
+    if keys * k * expected > 2**64:
+        raise TableBoundError(keys * k * expected, 2**64, f"{model.name()}: BFS composites reach "
+                              f"{keys} keys x {k} generators x {expected} elements, past 2**64")
     return expected
 
 
@@ -91,17 +99,10 @@ class ElementTable:
         self._digit = m ** np.arange(n, dtype=np.int64)  # entry weights in a row key
         self._row_w = (m ** n) ** np.arange(n, dtype=np.int64)  # row-key weights in a key
         self.row_vecs = self._decode(np.arange(m ** n, dtype=np.int64))  # every row, by key
-        rows, right, parent, gen = self._bfs(model.generator_mats())
-        if len(rows) != expected:
-            raise RuntimeError(
-                f"{model.name()}: enumerated {len(rows)} elements, order formula gives {expected}"
-            )
-        self.N = len(rows)
-        self.rows = rows
-        self.mats = self.row_vecs.astype(np.int16)[rows]
-        keys = rows @ self._row_w
-        self._order = np.argsort(keys).astype(np.int64)
-        self._keys_sorted = keys[self._order]
+        self.rows, right, parent, gen, self._keys_sorted, self._order = self._bfs(
+            model.generator_mats(), expected)
+        self.N = expected
+        self.mats = np.take(self.row_vecs.astype(np.int16), self.rows, axis=0)
         self.identity_idx = 0  # the BFS starts from the identity
         self.gen_idxs = right[:, 0].astype(np.int64)
         right_inv = np.empty_like(right)  # x -> x e^-1 inverts x -> x e
@@ -124,56 +125,66 @@ class ElementTable:
         """The rows (one more trailing axis of n entries) of row keys."""
         return row_keys[..., None] // self._digit % self.m
 
-    def _bfs(self, gen_mats):
+    def _bfs(self, gen_mats, expected: int):
         """Breadth-first enumeration from the identity, as row keys.  Each
         level keeps the products not seen before, in order of first
         occurrence, so an element's index is its position in the scan of
         frontier x generator products.  Also returns the (k, N) int32 array
-        whose entry [j, x] is the index of x e_j, and the spanning tree: each
-        element's parent and the j of the e_j that reached it (-1 for the
-        identity)."""
+        whose entry [j, x] is the index of x e_j, the spanning tree (each
+        element's parent and the j of the e_j that reached it, -1 for the
+        identity), and the sorted keys with their indices."""
         tables = self.row_tables(np.stack(gen_mats))
         k = len(tables)
-        frontier = self._digit[None, :]  # the identity's rows
-        levels, images = [frontier], []
-        parents, gens = [np.array([-1])], [np.array([-1])]
-        seen = frontier @ self._row_w  # sorted keys of the elements found so far
-        seen_idx = np.zeros(1, dtype=np.int64)  # their indices
-        lo = 0  # index of frontier[0]
-        while len(frontier):
-            # keys of frontier[f] e_j, scanned f-major: one (k, F) gather per row
-            keys = sum(w * tables[:, frontier[:, i]] for i, w in enumerate(self._row_w.tolist()))
-            keys, first, where = _unique_first(keys.T.ravel())
+        # weighted[i][v, j]: the key digits of row i of x e_j when row i of x has key v
+        weighted = [(w * tables.T).view(np.uint64) for w in self._row_w.tolist()]
+        rows = np.empty((expected, self.n), dtype=np.int64)  # filled level by level
+        right = np.empty((k, expected), dtype=np.int32)
+        parent, gen = np.full((2, expected), -1, dtype=np.int32)
+        rows[0] = self._digit  # the identity
+        seen = rows[:1] @ self._row_w  # sorted keys of the elements found so far
+        seen_idx = np.zeros(1, dtype=np.int32)  # their indices
+        lo, hi = 0, 1  # the frontier is [lo, hi)
+        while lo < hi:
+            # keys of frontier[f] e_j at scan position f * k + j: one (F, k) gather per row
+            keys = np.take(weighted[0], rows[lo:hi, 0], axis=0)
+            for w, col in zip(weighted[1:], rows[lo:hi, 1:].T):
+                keys += np.take(w, col, axis=0)
+            keys, first, where = _dedupe(keys.reshape(-1))
+            keys = keys.view(np.int64)
             at = np.searchsorted(seen, keys)
-            old = seen[np.minimum(at, len(seen) - 1)] == keys
-            fresh = np.flatnonzero(~old)
-            by_scan = np.argsort(first[fresh])
-            born = first[fresh][by_scan]  # scan positions of the new elements, in order
-            hi = lo + len(frontier)
-            idx = np.empty(len(keys), dtype=np.int64)
-            idx[old] = seen_idx[at[old]]
-            idx[fresh[by_scan]] = np.arange(hi, hi + len(fresh))
-            images.append(idx.astype(np.int32)[where].reshape(-1, k))
-            parents.append(lo + born // k)
-            gens.append(born % k)
+            hit = np.minimum(at, len(seen) - 1)
+            fresh = np.flatnonzero(seen[hit] != keys)
+            idx = seen_idx[hit]  # the index of every key seen before; the fresh are set below
+            new = np.zeros(len(where), dtype=bool)
+            new[first[fresh]] = True
+            born = np.flatnonzero(new)  # scan positions of the new elements, in order
+            if (end := hi + len(born)) > expected:
+                break
+            idx[where[born]] = np.arange(hi, end, dtype=np.int32)
+            right[:, lo:hi] = idx[where].reshape(-1, k).T
+            parent[hi:end] = lo + born // k
+            gen[hi:end] = born % k
+            rows[hi:end] = tables[gen[hi:end, None], np.take(rows, parent[hi:end], axis=0)]
             seen = np.insert(seen, at[fresh], keys[fresh])
             seen_idx = np.insert(seen_idx, at[fresh], idx[fresh])
-            frontier, lo = tables[(born % k)[:, None], frontier[born // k]], hi
-            levels.append(frontier)
-        right = np.ascontiguousarray(np.concatenate(images).T)
-        return np.concatenate(levels), right, np.concatenate(parents), np.concatenate(gens)
+            del keys, first, where, at, hit, fresh, idx, new, born  # before the next dedupe
+            lo, hi = hi, end
+        if lo < hi or hi != expected:  # lo < hi: a level would pass the order formula's count
+            raise RuntimeError(f"{self.model.name()}: enumerated {'more' if lo < hi else hi} "
+                               f"elements, order formula gives {expected}")
+        return rows, right, parent, gen, seen, seen_idx
 
     def _tree_inverses(self, right_inv: np.ndarray, parent: np.ndarray,
                        gen: np.ndarray) -> np.ndarray:
         """inv[x] for every x: walking from x up the BFS tree through the
         generators e_d, ..., e_1 of its path, the identity times e_d^-1 ...
         e_1^-1, one step for all unfinished elements at a time."""
-        inv = np.zeros(self.N, dtype=np.int64)  # the identity's index
-        node = np.arange(self.N)
+        inv = np.zeros(self.N, dtype=np.int32)  # the identity's index
+        node = np.arange(self.N, dtype=np.int32)
         lo = 1  # the unfinished elements, deeper than the steps taken so far, are [lo, N)
         while lo < self.N:
-            inv[lo:] = right_inv[gen[node[lo:]], inv[lo:]]
-            node[lo:] = parent[node[lo:]]
+            inv[lo:] = np.take(right_inv, gen[node[lo:]].astype(np.int64) * self.N + inv[lo:])
+            node[lo:] = np.take(parent, node[lo:])
             # one level deeper: parents are nondecreasing in BFS order, so
             # the elements whose parent is unfinished are again a suffix
             lo = int(np.searchsorted(parent, lo))
@@ -238,24 +249,26 @@ class ElementTable:
         if g_idx not in self._conj_perms:
             right = self.right_mult(np.arange(self.N), [g_idx])[0]
             assert (right >= 0).all()
-            inv = self.inv
-            self._conj_perms[g_idx] = right[inv[right[inv]]]
+            self._conj_perms[g_idx] = right[self.inv[right[self.inv]]]
         return self._conj_perms[g_idx]
 
     def egen_conj_perms(self) -> list[np.ndarray]:
         return [self.conj_perm(i) for i in self.gen_idxs.tolist()]
 
 
-def _unique_first(keys: np.ndarray):
-    """np.unique(keys, return_index=True, return_inverse=True) on one
-    unstable argsort: the first occurrence of a key is the least position
-    in its run of the sorted order."""
-    perm = np.argsort(keys)
-    ordered = keys[perm]
-    head = np.empty(ordered.size, dtype=bool)
-    head[:1] = True
-    np.not_equal(ordered[1:], ordered[:-1], out=head[1:])
+def _dedupe(keys: np.ndarray):
+    """np.unique(keys, return_index=True, return_inverse=True) of uint64 keys
+    with key * len(keys) < 2**64, by one in-place sort of the composites
+    key * len(keys) + position: the least composite of a key is its first
+    occurrence.  Consumes keys."""
+    size = np.uint64(len(keys))
+    keys *= size
+    keys += np.arange(len(keys), dtype=np.uint64)
+    keys.sort()
+    pos = keys % size
+    keys //= size
+    head = np.concatenate(([True], keys[1:] != keys[:-1]))  # the first of each run
+    where = np.empty(len(keys), dtype=np.int32)
+    where[pos] = np.cumsum(head, dtype=np.int32) - 1
     starts = np.flatnonzero(head)
-    where = np.empty(ordered.size, dtype=np.int64)
-    where[perm] = np.cumsum(head) - 1
-    return ordered[starts], np.minimum.reduceat(perm, starts), where
+    return keys[starts], pos[starts], where

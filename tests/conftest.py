@@ -86,6 +86,24 @@ def check_adjacent_simple(rel, a, b):
     return relroots._adjacent_ok(idx, ia, ib)
 
 
+def reference_adjacent_ok(idx, ia, ib):
+    """relroots._adjacent_ok by coordinates: one lookup of j*b and of a + j*b
+    per j."""
+    va, vb = idx.coords[ia], idx.coords[ib]
+    j = 1
+    while idx.lookup(j * vb) >= 0:
+        if idx.lookup(va + j * vb) < 0:
+            return False
+        j += 1
+    return True
+
+
+def reference_dedupe(keys):
+    """What table._dedupe returns: the distinct keys, the position of each
+    one's first occurrence and the id of every key among them."""
+    return np.unique(keys, return_index=True, return_inverse=True)
+
+
 def sigma_set(rel, b, mode="all"):
     """Parabolic subset attached to a simple relative root b, as a set of
     tuples: the roots relroots._sigma_mask marks."""

@@ -5,6 +5,7 @@ import pytest
 
 from chevlat import cli
 from chevlat.errors import ConfigError
+from chevlat.table import ElementTable
 
 
 def test_parse_config_minimal_defaults():
@@ -146,6 +147,14 @@ def test_main_refuses_table_past_key_bound(capsys):
     assert cli.main(["sandwich", "--model", "SL2", "--mod", str(2**16), "--cap", str(10**15)]) == 2
     err = capsys.readouterr().err
     assert "SL2(Z/65536)" in err and "2**63 - 1" in err
+
+
+def test_main_refuses_table_past_composite_bound(monkeypatch, capsys):
+    # Sp4(Z/6) fits the keys and the indices, but its BFS composites could wrap uint64
+    monkeypatch.setattr(ElementTable, "_bfs", lambda *args: pytest.fail("enumeration started"))
+    assert cli.main(["sandwich", "--model", "Sp4", "--mod", "6", "--cap", str(10**9)]) == 2
+    err = capsys.readouterr().err
+    assert "Sp4(Z/6)" in err and "2**64" in err
 
 
 def test_main_refuses_an_oversized_levi_scan_first(monkeypatch, capsys):

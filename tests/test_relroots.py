@@ -7,8 +7,8 @@ from chevlat.relroots import RelativeDatum, build_relative, fold
 from chevlat.rootsys import RootSystemType, build_root_system
 
 from conftest import (
-    check_adjacent_simple, check_fiber_additivity, project, relative_simple_roots,
-    sigma_properties, sigma_set,
+    check_adjacent_simple, check_fiber_additivity, project, reference_adjacent_ok,
+    relative_simple_roots, sigma_properties, sigma_set,
 )
 
 
@@ -243,6 +243,21 @@ def test_adjacent_simple_a4_reversal_bc2():
                 assert check_adjacent_simple(rel, a, b)
                 found = True
     assert found
+
+
+def test_adjacent_walk_matches_lookup_reference():
+    # the addition-table walk against one lookup per multiple, for every simple
+    # a and every relative root b of the rank <= 5 sweep: 10,666 pairs, most of
+    # them failing, as a + b need not be a root
+    outcomes = set()
+    for datum in relroots.sweep_data(5):
+        idx = build_relative(datum).index
+        for ia in idx.simple:
+            for ib in range(len(idx.coords)):
+                want = reference_adjacent_ok(idx, ia, ib)
+                assert relroots._adjacent_ok(idx, ia, ib) == want, (datum, ia, ib)
+                outcomes.add(want)
+    assert outcomes == {True, False}
 
 
 def test_adjacent_simple_vacuous_in_rank_one():

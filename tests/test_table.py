@@ -1,13 +1,16 @@
+import hashlib
+
 import numpy as np
 import pytest
 
 from chevlat import table as table_mod
+from chevlat.cli import DEFAULT_MODELS
 from chevlat.errors import SizeCapError, TableBoundError
 from chevlat.models import GroupModel
 from chevlat.rings import ZmRing
-from chevlat.table import ElementTable
+from chevlat.table import ElementTable, check_bounds
 
-from conftest import index_of
+from conftest import ctx_for, index_of, reference_dedupe
 
 
 def test_orders_match_frozen_counts(sl3_2, sl3_4, sp4_2, sl4_2, sp4_3, sl3_3):
@@ -112,6 +115,15 @@ def test_table_refuses_a_scan_that_misses_an_element(monkeypatch):
         ElementTable(GroupModel("SL", 3, ZmRing(2), (1, 1, 1)))
 
 
+@pytest.mark.parametrize("shift, found", [(-1, "more"), (1, "168")])
+def test_table_refuses_a_count_off_the_order_formula(monkeypatch, shift, found):
+    # the BFS fills arrays of the order formula's size and stops before passing it
+    monkeypatch.setattr(table_mod, "order_formula", lambda model: 168 + shift)
+    with pytest.raises(RuntimeError, match=f"enumerated {found} elements, order formula "
+                                           f"gives {168 + shift}"):
+        ElementTable(GroupModel("SL", 3, ZmRing(2), (1, 1, 1)))
+
+
 def test_size_cap_names_cap():
     model = GroupModel("SL", 3, ZmRing(7), (1, 1, 1))
     with pytest.raises(SizeCapError) as err:
@@ -142,6 +154,61 @@ def test_table_refuses_order_past_int32(monkeypatch):
         ElementTable(model, cap=10**12)
     assert model.name() in str(err.value) and "2**31 - 1" in str(err.value)
     assert err.value.needed > 2**31 - 1
+
+
+def test_table_refuses_composites_past_uint64(monkeypatch):
+    # the BFS sorts uint64 composites key * kF + position, kF <= k N; Sp4(Z/6)
+    # passes the key and index bounds, but 6**16 * 8 * 37,324,800 > 2**64
+    monkeypatch.setattr(ElementTable, "_bfs", lambda *args: pytest.fail("enumeration started"))
+    model = GroupModel("Sp", 4, ZmRing(6), "line")
+    with pytest.raises(TableBoundError) as err:
+        ElementTable(model, cap=10**9)
+    assert model.name() in str(err.value) and "2**64" in str(err.value)
+    assert err.value.needed == 6**16 * 8 * 37_324_800 and err.value.cap == 2**64
+    # Sp4(Z/5) reaches 5**16 * 8 * 9,360,000 = 2**63.3 and still fits
+    assert check_bounds(GroupModel("Sp", 4, ZmRing(5), "line"), 10_000_000) == 9_360_000
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_dedupe_matches_np_unique(seed):
+    rng = np.random.default_rng(seed)
+    top = 127**9 - 1  # the largest key of SL3(Z/127), 2**62.9: key * 2 + 1 is near 2**64
+    cases = [rng.integers(0, 40, size=500), rng.integers(0, 5**16, size=300),
+             rng.choice([0, 5**16 - 1, 7], size=200), rng.permutation([top, 3]),
+             np.array([top, top]), np.array([top])]
+    for keys in cases:
+        keys = keys.astype(np.uint64)
+        want = reference_dedupe(keys)
+        got = table_mod._dedupe(keys.copy())
+        assert all(np.array_equal(w, g) for w, g in zip(want, got))
+
+
+# SHA-256 of rows, inv, gen_idxs, _order, _keys_sorted and the right
+# multiplications (by generator index), each cast to int64
+TABLE_DIGESTS = {
+    ("SL", 3, 2, (1, 1, 1)): "5ea230502be96575476ec75c9e23f22a0b5987a8c2db79f11bec13a500c1d038",
+    ("SL", 3, 3, (1, 1, 1)): "b42094378646391ff3a5035d8275f6bd2c75f846207c84256892e424d5aeb49a",
+    ("SL", 3, 4, (1, 1, 1)): "e6171b7aaf7a80d21852fa446f6459d9c4ba412a2cae964ab0a12ca96d3d586d",
+    ("SL", 4, 2, (1, 1, 1, 1)): "d80da880c1708a4eaace8f25ee9364cbd23c94076e5e1ecd2b80c2234ffcc28e",
+    ("Sp", 4, 2, "borel"): "9075319877690fc04c626a4a6d1321d1735d1ffb2121f7b13056733f4a9ee78b",
+    ("Sp", 4, 3, "line"): "c8c7fd751e8e3d2a1a30c362d60d8708122c901737c5d4689ab1fb0027ff9e0a",
+    ("SL", 3, 6, (1, 1, 1)): "a7c5f7a48530685feea1b5afa6df8d749c9852d0319b4a8c57686ee266cbc7f7",
+    ("Sp", 4, 4, "line"): "4a56ca693ab4a4738c3c263a94da942fb250c9eb56576bf39dd761cb9de12b76",
+}
+
+
+@pytest.mark.parametrize("spec", TABLE_DIGESTS, ids=lambda s: f"{s[0]}{s[1]}(Z/{s[2]})")
+def test_table_arrays_are_pinned(spec):
+    kind, degree, m, blocks = spec
+    if spec in [(s.kind, s.degree, s.modulus, s.blocks) for s in DEFAULT_MODELS]:
+        t = ctx_for(*spec).table  # shared with the other tests
+    else:
+        t = ElementTable(GroupModel(kind, degree, ZmRing(m), blocks))  # freed after the test
+    digest = hashlib.sha256()
+    for a in (t.rows, t.inv, t.gen_idxs, t._order, t._keys_sorted,
+              *(t._right[g] for g in sorted(t._right))):
+        digest.update(np.ascontiguousarray(a, dtype=np.int64).tobytes())
+    assert digest.hexdigest() == TABLE_DIGESTS[spec]
 
 
 def _scalar_bfs(t):
