@@ -8,7 +8,10 @@ Its products come from `ElementTable.right_mult`: gathers from the table's
 BFS permutations for the E generators and their inverses, the row kernel
 and a lookup for other generators.  Each frontier is deduplicated by one
 sort and an adjacent-difference mask.  E(R) itself is not closed again: the
-table's BFS is the closure of {1} under the E generators.
+table's BFS is the closure of {1} under the E generators.  For the same
+reason a closure ends as soon as every E generator is a member: every
+member is a product of its gens, so they generate E(R) = G(R), the whole
+table, and no seed is left to add to them.
 
 Each element table has one registry of certified E-normal closures, shared
 by every context (parabolic, sibling) built on it.  It holds the E-orbits
@@ -24,7 +27,8 @@ every other closure from them:
   whose orbit closure K is already known and contains r.  Then cl(r) = K:
   K = cl(x) <= cl(r) because cl(r) is E-normal and contains x, and
   cl(r) <= K because K is E-normal and contains r.  K was certified when
-  it was built.
+  it was built.  An orbit closure that ends at the whole group is the
+  registry's one whole-group object, the K the hook would return.
 * The join of two E-normal subgroups A and B is the plain subgroup they
   generate, which is again E-normal.  It is grown from A's bitset by B's
   generators and certified by `is_enormal` on its gens before it is
@@ -134,9 +138,10 @@ def subgroup_closure(table: ElementTable, seed_idxs, base: Subgroup | None = Non
     multiplied by it and its inverse, then a BFS over all generators and
     their inverses runs until no new element appears.  The member set is
     then closed under right multiplication by every generator, which
-    certifies it is the generated subgroup, and its gens generate it.  A
-    `stop` hook sees every new BFS frontier; the first subgroup it returns
-    is returned at once."""
+    certifies it is the generated subgroup, and its gens generate it.  Once
+    every E generator is a member, the gens generate E(R) = G(R), and the
+    whole table is returned at once.  A `stop` hook sees every new BFS
+    frontier; the first subgroup it returns is returned at once."""
     if base is None:
         member = np.zeros(table.N, dtype=bool)
         member[table.identity_idx] = True
@@ -154,6 +159,8 @@ def subgroup_closure(table: ElementTable, seed_idxs, base: Subgroup | None = Non
                              sorted({seed, int(table.inv[seed])}))
         all_gens = sorted(set(gens) | {int(table.inv[g]) for g in gens})
         while frontier.size:
+            if member[table.gen_idxs].all():  # no seed is left out of E(R) = G(R)
+                return Subgroup(table, np.ones(table.N, dtype=bool), gens)
             found = stop(frontier) if stop is not None else None
             if found is not None:
                 return found
@@ -227,6 +234,7 @@ class _ClosureRegistry:
         self._orbits: tuple[np.ndarray, list[int]] | None = None
         self.orbit_sizes: np.ndarray | None = None  # elements per orbit id, set by orbits()
         self._by_orbit: dict[int, Subgroup] = {}  # orbit id -> cl(rep)
+        self._whole: Subgroup | None = None  # the one orbit closure that is G(R)
         self._joins: dict[tuple[bytes, bytes], Subgroup] = {}
 
     def orbits(self) -> tuple[np.ndarray, list[int]]:
@@ -242,6 +250,8 @@ class _ClosureRegistry:
         if k not in self._by_orbit:
             sub = subgroup_closure(self.table, np.nonzero(orbit == k)[0],
                                    stop=self._known_closure(reps[k]))
+            if sub.order == self.table.N:  # one object, as the stop hook would return
+                sub = self._whole = self._whole or sub
             # a known closure the stop hook returns was certified when it was built
             if all(sub is not c for c in self._by_orbit.values()) and not is_enormal(sub):
                 raise RuntimeError("the subgroup generated by an E-orbit is not E-normal")

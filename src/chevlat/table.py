@@ -1,16 +1,21 @@
 """Complete enumeration of a finite matrix group with indexed lookup.
 
 Each element is stored by its n row keys: row i of a matrix, read as a
-base-m number (`rows`, an (N, n) int64 array).  The element's key is the
+base-m number (`rows`, an (N, n) int32 array).  The element's key is the
 row keys read as base m**n digits, the same as the matrix read as n*n
-base-m digits.  Lookup is one binary search of the sorted queries over the
-sorted element keys.
+base-m digits.
 
 The enumeration is a BFS from the identity over right multiplication by
 the k elementary generators e, and it keeps the Cayley graph it walks: the
 index of every x e (a (k, N) int32 array of permutations) and its spanning
-tree.  A level is deduplicated by one sort of its products' composites
-key * kF + scan position; the BFS's sorted keys are the lookup arrays.
+tree.  A key index recognizes the elements seen so far and is the table's
+lookup afterwards.  When there are at most _SCAN_LIMIT possible keys
+(m**(n*n), at most 1.6 MB of int32) it is dense, `where[key]` the index or
+-1: a level gathers `where` at its products, `np.minimum.at` over the
+unseen products' scan ranks finds each new key's first occurrence, and a
+lookup is one gather.  Above that bound a level is deduplicated by one sort
+of its products' composites key * kF + scan position, and the BFS's sorted
+keys, searched by binary search, are the lookup arrays.
 Right multiplication by e^-1 is the inverse permutation.  An element
 x = e_1 ... e_d on the tree has x^-1 = e_d^-1 ... e_1^-1, so the inverses
 are one vectorized walk up the tree (the Schreier-vector trick; Butler,
@@ -28,11 +33,12 @@ normal-closure computations in lattice.py run entirely on indices.
 Before enumerating, the table refuses (`check_bounds`, SizeCapError) a
 group over the element cap, one whose base-m keys could pass 2**63 - 1, one
 whose indices do not fit int32 and one whose composites could pass 2**64.
-When there are at most _SCAN_LIMIT n x n matrices over Z/m, the sorted keys
-of the BFS must equal those of the predicate scan that decides every one of
-them by its defining equation (`models.elements_on` with every entry
-supported: det through first-row cofactors shared between matrices for
-SL_n, column pairings for Sp_4).
+Under the dense index's bound the BFS is also checked against the predicate
+scan that decides every n x n matrix by its defining equation
+(`models.elements_on` with every entry supported: det through first-row
+cofactors shared between matrices for SL_n, column pairings for Sp_4): the
+scan must find N matrices, each of them in the table.  The BFS's N keys are
+distinct, so the two sets are equal.
 """
 
 from __future__ import annotations
@@ -43,7 +49,7 @@ from .errors import SizeCapError, TableBoundError
 from .models import GroupModel, elements_on, order_formula
 
 DEFAULT_CAP = 2_000_000
-_SCAN_LIMIT = 400_000  # m**(n*n) bound for the brute-force predicate scan
+_SCAN_LIMIT = 400_000  # m**(n*n) bound for the dense key index and the predicate scan
 _KEY_BOUND = 2**63 - 1  # keys are int64
 _INDEX_BOUND = 2**31 - 1  # permutation entries are int32
 
@@ -99,8 +105,11 @@ class ElementTable:
         self._digit = m ** np.arange(n, dtype=np.int64)  # entry weights in a row key
         self._row_w = (m ** n) ** np.arange(n, dtype=np.int64)  # row-key weights in a key
         self.row_vecs = self._decode(np.arange(m ** n, dtype=np.int64))  # every row, by key
-        self.rows, right, parent, gen, self._keys_sorted, self._order = self._bfs(
-            model.generator_mats(), expected)
+        small = m ** (n * n) <= _SCAN_LIMIT
+        identity = int(self._digit @ self._row_w)  # row i of the identity has key m**i
+        # the key index holds the identity at index 0; the BFS fills in the rest
+        self._index = _DenseIndex(m ** (n * n), identity) if small else _SortedIndex(identity)
+        self.rows, right, parent, gen = self._bfs(model.generator_mats(), expected)
         self.N = expected
         self.mats = np.take(self.row_vecs.astype(np.int16), self.rows, axis=0)
         self.identity_idx = 0  # the BFS starts from the identity
@@ -111,9 +120,9 @@ class ElementTable:
         self._right = {int(p[0]): p for p in (*right, *right_inv)}
         self.inv = self._tree_inverses(right_inv, parent, gen)
         self._conj_perms: dict[int, np.ndarray] = {}
-        if m ** (n * n) <= _SCAN_LIMIT:
+        if small:
             scanned = self.encode(elements_on(model, np.ones((n, n), dtype=bool)))
-            if not np.array_equal(np.sort(scanned), self._keys_sorted):
+            if len(scanned) != self.N or (self.lookup_keys(scanned) < 0).any():
                 raise RuntimeError(f"{model.name()}: BFS and predicate scan disagree")
 
     # -- construction ---------------------------------------------------------
@@ -126,53 +135,41 @@ class ElementTable:
         return row_keys[..., None] // self._digit % self.m
 
     def _bfs(self, gen_mats, expected: int):
-        """Breadth-first enumeration from the identity, as row keys.  Each
-        level keeps the products not seen before, in order of first
-        occurrence, so an element's index is its position in the scan of
-        frontier x generator products.  Also returns the (k, N) int32 array
-        whose entry [j, x] is the index of x e_j, the spanning tree (each
-        element's parent and the j of the e_j that reached it, -1 for the
-        identity), and the sorted keys with their indices."""
+        """Breadth-first enumeration from the identity, as row keys, filling
+        the key index.  Each level keeps the products not seen before, in
+        order of first occurrence, so an element's index is its position in
+        the scan of frontier x generator products.  Also returns the (k, N)
+        int32 array whose entry [j, x] is the index of x e_j and the spanning
+        tree: each element's parent and the j of the e_j that reached it, -1
+        for the identity."""
         tables = self.row_tables(np.stack(gen_mats))
         k = len(tables)
         # weighted[i][v, j]: the key digits of row i of x e_j when row i of x has key v
         weighted = [(w * tables.T).view(np.uint64) for w in self._row_w.tolist()]
-        rows = np.empty((expected, self.n), dtype=np.int64)  # filled level by level
+        rows = np.empty((expected, self.n), dtype=np.int32)  # filled level by level
         right = np.empty((k, expected), dtype=np.int32)
         parent, gen = np.full((2, expected), -1, dtype=np.int32)
         rows[0] = self._digit  # the identity
-        seen = rows[:1] @ self._row_w  # sorted keys of the elements found so far
-        seen_idx = np.zeros(1, dtype=np.int32)  # their indices
         lo, hi = 0, 1  # the frontier is [lo, hi)
         while lo < hi:
             # keys of frontier[f] e_j at scan position f * k + j: one (F, k) gather per row
             keys = np.take(weighted[0], rows[lo:hi, 0], axis=0)
             for w, col in zip(weighted[1:], rows[lo:hi, 1:].T):
                 keys += np.take(w, col, axis=0)
-            keys, first, where = _dedupe(keys.reshape(-1))
-            keys = keys.view(np.int64)
-            at = np.searchsorted(seen, keys)
-            hit = np.minimum(at, len(seen) - 1)
-            fresh = np.flatnonzero(seen[hit] != keys)
-            idx = seen_idx[hit]  # the index of every key seen before; the fresh are set below
-            new = np.zeros(len(where), dtype=bool)
-            new[first[fresh]] = True
-            born = np.flatnonzero(new)  # scan positions of the new elements, in order
+            idx, born = self._index.add_level(keys.reshape(-1), hi)
+            del keys  # before this level's rows are gathered
             if (end := hi + len(born)) > expected:
                 break
-            idx[where[born]] = np.arange(hi, end, dtype=np.int32)
-            right[:, lo:hi] = idx[where].reshape(-1, k).T
+            right[:, lo:hi] = idx.reshape(-1, k).T
             parent[hi:end] = lo + born // k
             gen[hi:end] = born % k
             rows[hi:end] = tables[gen[hi:end, None], np.take(rows, parent[hi:end], axis=0)]
-            seen = np.insert(seen, at[fresh], keys[fresh])
-            seen_idx = np.insert(seen_idx, at[fresh], idx[fresh])
-            del keys, first, where, at, hit, fresh, idx, new, born  # before the next dedupe
+            del idx, born  # before the next level's products
             lo, hi = hi, end
         if lo < hi or hi != expected:  # lo < hi: a level would pass the order formula's count
             raise RuntimeError(f"{self.model.name()}: enumerated {'more' if lo < hi else hi} "
                                f"elements, order formula gives {expected}")
-        return rows, right, parent, gen, seen, seen_idx
+        return rows, right, parent, gen
 
     def _tree_inverses(self, right_inv: np.ndarray, parent: np.ndarray,
                        gen: np.ndarray) -> np.ndarray:
@@ -197,15 +194,9 @@ class ElementTable:
         return self.lookup_keys(matrix_keys(mats, self.m))
 
     def lookup_keys(self, keys: np.ndarray) -> np.ndarray:
-        """Indices of the elements with these keys, in their shape; -1 where
-        none.  The queries are searched in sorted order, which keeps the
-        binary search cache-friendly on large tables."""
-        flat = keys.ravel()
-        sort = np.argsort(flat)
-        pos = np.minimum(np.searchsorted(self._keys_sorted, flat[sort]), self.N - 1)
-        idx = np.empty(flat.size, dtype=np.int64)
-        idx[sort] = np.where(self._keys_sorted[pos] == flat[sort], self._order[pos], -1)
-        return idx.reshape(keys.shape)
+        """Indices (int64) of the elements with these keys, in their shape;
+        -1 where none."""
+        return self._index.lookup(keys)
 
     def mat(self, idx: int) -> np.ndarray:
         return self.mats[idx].astype(np.int64)
@@ -254,6 +245,75 @@ class ElementTable:
 
     def egen_conj_perms(self) -> list[np.ndarray]:
         return [self.conj_perm(i) for i in self.gen_idxs.tolist()]
+
+
+class _DenseIndex:
+    """The key index of a table with at most _SCAN_LIMIT possible keys:
+    where[key] is the index of the element with that key, -1 for none."""
+
+    def __init__(self, keyspace: int, identity: int):
+        self.where = np.full(keyspace, -1, dtype=np.int32)
+        self.where[identity] = 0
+
+    def add_level(self, keys: np.ndarray, hi: int):
+        """The index of every product key, in scan order, and the scan
+        positions of the new elements, which get indices hi, hi + 1, ... in
+        scan order.  The first occurrence of each unseen key is the least
+        scan rank `np.minimum.at` leaves in its slot of `where`."""
+        keys = keys.view(np.int64)
+        idx = self.where[keys]
+        unseen = np.flatnonzero(idx < 0)
+        fresh = keys[unseen]
+        rank = np.arange(len(unseen), dtype=np.int32)
+        self.where[fresh] = _INDEX_BOUND  # above every rank
+        np.minimum.at(self.where, fresh, rank)
+        first = self.where[fresh] == rank
+        born = unseen[first]
+        self.where[fresh[first]] = np.arange(hi, hi + len(born), dtype=np.int32)
+        idx[unseen] = self.where[fresh]
+        return idx, born
+
+    def lookup(self, keys: np.ndarray) -> np.ndarray:
+        """One gather; keys outside [0, len(where)) are not elements."""
+        inside = (keys >= 0) & (keys < len(self.where))
+        return np.where(inside, self.where.take(keys, mode="clip"), np.int64(-1))
+
+
+class _SortedIndex:
+    """The key index of a larger table: the element keys in increasing
+    order (`keys`) and the index of each (`order`).  A lookup is one binary
+    search of the sorted queries over the keys."""
+
+    def __init__(self, identity: int):
+        self.keys = np.array([identity], dtype=np.int64)
+        self.order = np.zeros(1, dtype=np.int32)
+
+    def add_level(self, keys: np.ndarray, hi: int):
+        """As `_DenseIndex.add_level`, deduplicating the level by one sort
+        (`_dedupe`) and inserting its new keys into the sorted keys."""
+        keys, first, where = _dedupe(keys)
+        keys = keys.view(np.int64)
+        at = np.searchsorted(self.keys, keys)
+        hit = np.minimum(at, len(self.keys) - 1)
+        fresh = np.flatnonzero(self.keys[hit] != keys)
+        idx = self.order[hit]  # the index of every key seen before; the fresh are set below
+        new = np.zeros(len(where), dtype=bool)
+        new[first[fresh]] = True
+        born = np.flatnonzero(new)  # scan positions of the new elements, in order
+        idx[where[born]] = np.arange(hi, hi + len(born), dtype=np.int32)
+        self.keys = np.insert(self.keys, at[fresh], keys[fresh])
+        self.order = np.insert(self.order, at[fresh], idx[fresh])
+        return idx[where], born
+
+    def lookup(self, keys: np.ndarray) -> np.ndarray:
+        """The queries are searched in sorted order, which keeps the binary
+        search cache-friendly on large tables."""
+        flat = keys.ravel()
+        sort = np.argsort(flat)
+        pos = np.minimum(np.searchsorted(self.keys, flat[sort]), len(self.keys) - 1)
+        idx = np.empty(flat.size, dtype=np.int64)
+        idx[sort] = np.where(self.keys[pos] == flat[sort], self.order[pos], -1)
+        return idx.reshape(keys.shape)
 
 
 def _dedupe(keys: np.ndarray):

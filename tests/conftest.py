@@ -404,6 +404,30 @@ def reference_products(table, member, frontier, gen_idxs):
     return np.concatenate(found) if found else np.empty(0, dtype=np.int64)
 
 
+def reference_subgroup_closure(table, seed_idxs, base=None, stop=None):
+    """lattice.subgroup_closure without its whole-group exit: every BFS runs
+    until the bitset is closed under right multiplication by the gens."""
+    if base is None:
+        member = np.zeros(table.N, dtype=bool)
+        member[table.identity_idx] = True
+        base = lattice.Subgroup(table, member)
+    member = base.member.copy()
+    gens = list(base.gens)
+    seeds = np.asarray(seed_idxs, dtype=np.int64)
+    while (pending := seeds[~member[seeds]]).size:
+        seed = int(pending[0])
+        gens.append(seed)
+        frontier = lattice._products(table, member, np.nonzero(member)[0],
+                                     sorted({seed, int(table.inv[seed])}))
+        all_gens = sorted(set(gens) | {int(table.inv[g]) for g in gens})
+        while frontier.size:
+            found = stop(frontier) if stop is not None else None
+            if found is not None:
+                return found
+            frontier = lattice._products(table, member, frontier, all_gens)
+    return lattice.Subgroup(table, member, gens)
+
+
 def plain_normal_closure(table, seeds):
     """Reference normal closure under E: grow the generated subgroup until
     the bitset is a fixed point of every generator conjugation."""

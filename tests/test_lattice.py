@@ -13,6 +13,7 @@ from conftest import (
     REFERENCE_MODELS, bfs_orbits, ctx_for, generating_set, index_of, plain_normal_closure,
     reference_center, reference_centralizer_beta, reference_closure_of, reference_congruence,
     reference_full_congruence, reference_products, reference_small_levi_b,
+    reference_subgroup_closure,
 )
 
 
@@ -575,6 +576,38 @@ def test_registry_join_matches_plain_engine(registry_ctx):
         for rb in distinct[i + 1:]:
             joined = ctx.closures.join(ctx.orbit_closure(ra), ctx.orbit_closure(rb))
             assert joined == plain_normal_closure(ctx.table, [ra, rb])
+
+
+@pytest.mark.parametrize("spec", [(s.kind, s.degree, s.modulus, s.blocks) for s in cli.DEFAULT_MODELS]
+                         + [("SL", 3, 6, (1, 1, 1)), ("Sp", 4, 4, "line")],
+                         ids=lambda s: f"{s[0]}{s[1]}(Z/{s[2]})")
+def test_closures_match_a_run_without_the_whole_group_exit(spec, monkeypatch):
+    # a closure that reaches every E generator ends at the whole table with
+    # the gens, and the shared objects, of a BFS run to its fixed point
+    ctx = uncached_context(*spec) if spec == ("Sp", 4, 4, "line") else ctx_for(*spec)
+    reps = ctx.orbits()[1]
+    got = [ctx.orbit_closure(rep) for rep in reps] + [ctx.closure_of(reps)]
+    plain = lattice.GroupContext(ctx.model, ctx.cap,
+                                 closures=lattice._ClosureRegistry(ctx.table))
+    monkeypatch.setattr(lattice, "subgroup_closure", reference_subgroup_closure)
+    want = [plain.orbit_closure(rep) for rep in reps] + [reference_closure_of(plain, reps)]
+    assert got[-1].order == ctx.table.N
+    assert [(g.key(), g.gens) for g in got] == [(w.key(), w.gens) for w in want]
+
+    def sharing(subs):
+        return [next(i for i, other in enumerate(subs) if other is sub) for sub in subs]
+
+    assert sharing(got[:-1]) == sharing(want[:-1])
+
+
+def test_whole_group_orbit_closures_are_one_object(sl3_4, monkeypatch):
+    # closure_of dedupes orbit closures by identity, so the whole-group exit
+    # must return the object the stop hook would have returned
+    registry = lattice._ClosureRegistry(sl3_4.table)
+    whole = [rep for rep in sl3_4.orbits()[1] if sl3_4.orbit_closure(rep).order == sl3_4.table.N]
+    first = registry.orbit_closure(whole[0])
+    monkeypatch.setattr(registry, "_known_closure", lambda rep: None)
+    assert len(whole) > 1 and all(registry.orbit_closure(rep) is first for rep in whole[1:])
 
 
 def test_orbit_closure_without_certificate_raises(sl3_4, monkeypatch):

@@ -96,12 +96,50 @@ def test_conj_perm_matches_direct(sl3_4, sp4_3, sl4_2):
             assert np.array_equal(right, t.lookup((t.mats[xs] @ g) % t.m))
 
 
+def _arrays(t):
+    return [a for obj in (t, t._index) for a in vars(obj).values() if isinstance(a, np.ndarray)]
+
+
 def test_table_has_no_keyspace_sized_array():
     # Sp4(Z/3) has 3**16 possible keys; a direct-address lookup array over
     # them alone took 164 MiB
     t = ElementTable(GroupModel("Sp", 4, ZmRing(3), "line"))
-    arrays = [a for a in vars(t).values() if isinstance(a, np.ndarray)]
-    assert sum(a.nbytes for a in arrays) < 16 * 2**20
+    assert sum(a.nbytes for a in _arrays(t)) < 16 * 2**20
+    # only a key space within the predicate scan's bound gets a dense index
+    for m, dense in ((4, True), (5, False)):
+        t = ElementTable(GroupModel("SL", 3, ZmRing(m), (1, 1, 1)))
+        assert (m**9 <= table_mod._SCAN_LIMIT) == dense
+        assert any(len(a) >= m**9 for a in _arrays(t)) == dense
+
+
+@pytest.mark.parametrize("spec", [("SL", 3, 3, (1, 1, 1)), ("SL", 4, 2, (1, 1, 1, 1)),
+                                  ("Sp", 4, 2, "borel")], ids=["SL3(Z/3)", "SL4(Z/2)", "Sp4(Z/2)"])
+def test_dense_and_sorted_index_agree(spec, monkeypatch):
+    kind, degree, m, blocks = spec
+    model = GroupModel(kind, degree, ZmRing(m), blocks)
+    dense = ElementTable(model)
+    monkeypatch.setattr(table_mod, "_SCAN_LIMIT", 0)
+    srt = ElementTable(model)
+    assert isinstance(dense._index, table_mod._DenseIndex)
+    assert isinstance(srt._index, table_mod._SortedIndex)
+    for a, b in ((dense.rows, srt.rows), (dense.inv, srt.inv), (dense.gen_idxs, srt.gen_idxs)):
+        assert a.dtype == b.dtype and np.array_equal(a, b)
+    assert dense._right.keys() == srt._right.keys()
+    assert all(np.array_equal(dense._right[g], srt._right[g]) for g in dense._right)
+    # every element, keys next to elements (most are not elements), and
+    # both ends just outside the key space
+    keys = dense.encode(dense.mats)
+    near = np.concatenate([keys - 1, keys + 1])
+    rng = np.random.default_rng(5)
+    probes = [keys, near, rng.permutation(near)[:999].reshape(27, 37),
+              np.array([-1, m ** (degree * degree), 0, m ** (degree * degree) - 1]),
+              np.array([[-1], [m ** (degree * degree)]])]
+    for probe in probes:
+        got, want = dense.lookup_keys(probe), srt.lookup_keys(probe)
+        assert got.dtype == want.dtype == np.int64 and got.shape == probe.shape
+        assert np.array_equal(got, want)
+    assert np.array_equal(dense.lookup_keys(keys), np.arange(dense.N))
+    assert dense.lookup_keys(np.array([-1, m ** (degree * degree)])).tolist() == [-1, -1]
 
 
 def test_table_refuses_a_scan_that_misses_an_element(monkeypatch):
@@ -111,6 +149,20 @@ def test_table_refuses_a_scan_that_misses_an_element(monkeypatch):
         return scan(model, support)[1:]
 
     monkeypatch.setattr(table_mod, "elements_on", scan_dropping_one)
+    with pytest.raises(RuntimeError, match="BFS and predicate scan disagree"):
+        ElementTable(GroupModel("SL", 3, ZmRing(2), (1, 1, 1)))
+
+
+def test_table_refuses_a_scan_with_a_non_element(monkeypatch):
+    # as many scanned matrices as elements, one of them singular
+    scan = table_mod.elements_on
+
+    def scan_replacing_one(model, support):
+        mats = scan(model, support).copy()
+        mats[len(mats) // 2] = 0
+        return mats
+
+    monkeypatch.setattr(table_mod, "elements_on", scan_replacing_one)
     with pytest.raises(RuntimeError, match="BFS and predicate scan disagree"):
         ElementTable(GroupModel("SL", 3, ZmRing(2), (1, 1, 1)))
 
@@ -183,8 +235,9 @@ def test_dedupe_matches_np_unique(seed):
         assert all(np.array_equal(w, g) for w, g in zip(want, got))
 
 
-# SHA-256 of rows, inv, gen_idxs, _order, _keys_sorted and the right
-# multiplications (by generator index), each cast to int64
+# SHA-256 of rows, inv, gen_idxs, the index of every element key in
+# increasing key order, those keys, and the right multiplications (by
+# generator index), each cast to int64
 TABLE_DIGESTS = {
     ("SL", 3, 2, (1, 1, 1)): "5ea230502be96575476ec75c9e23f22a0b5987a8c2db79f11bec13a500c1d038",
     ("SL", 3, 3, (1, 1, 1)): "b42094378646391ff3a5035d8275f6bd2c75f846207c84256892e424d5aeb49a",
@@ -197,6 +250,15 @@ TABLE_DIGESTS = {
 }
 
 
+def _order_and_sorted_keys(t):
+    """The element keys in increasing order, after the index of each, read
+    from either key index."""
+    if isinstance(t._index, table_mod._DenseIndex):
+        keys = np.flatnonzero(t._index.where >= 0)
+        return t._index.where[keys], keys
+    return t._index.order, t._index.keys
+
+
 @pytest.mark.parametrize("spec", TABLE_DIGESTS, ids=lambda s: f"{s[0]}{s[1]}(Z/{s[2]})")
 def test_table_arrays_are_pinned(spec):
     kind, degree, m, blocks = spec
@@ -205,7 +267,7 @@ def test_table_arrays_are_pinned(spec):
     else:
         t = ElementTable(GroupModel(kind, degree, ZmRing(m), blocks))  # freed after the test
     digest = hashlib.sha256()
-    for a in (t.rows, t.inv, t.gen_idxs, t._order, t._keys_sorted,
+    for a in (t.rows, t.inv, t.gen_idxs, *_order_and_sorted_keys(t),
               *(t._right[g] for g in sorted(t._right))):
         digest.update(np.ascontiguousarray(a, dtype=np.int64).tobytes())
     assert digest.hexdigest() == TABLE_DIGESTS[spec]
