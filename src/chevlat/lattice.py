@@ -26,13 +26,16 @@ every other closure from them:
 * While cl(r) grows, each new BFS frontier is checked for an element x
   whose orbit closure K is already known and contains r.  Then cl(r) = K:
   K = cl(x) <= cl(r) because cl(r) is E-normal and contains x, and
-  cl(r) <= K because K is E-normal and contains r.  K was certified when
-  it was built.  An orbit closure that ends at the whole group is the
-  registry's one whole-group object, the K the hook would return.
+  cl(r) <= K because K is E-normal and contains r.
 * The join of two E-normal subgroups A and B is the plain subgroup they
   generate, which is again E-normal.  It is grown from A's bitset by B's
-  generators and certified by `is_enormal` on its gens before it is
-  cached under both bitsets.
+  generators.
+* Every BFS result is certified by `is_enormal` before the registry keeps
+  it.  A certified subgroup is a union of E-orbits, so its orbit mask
+  (which orbits it holds, one boolean per orbit) identifies it: the
+  registry keeps one object per mask, and equal closures, the whole group
+  among them, are one object.  Joins and sandwich verdicts are cached
+  under masks.
 * The closure of a seed set (E(R,q), commutator subgroups) is the join of
   the orbit closures of the seeds' orbits, each distinct closure object
   once: many orbits share one, and joining it again changes nothing.
@@ -88,7 +91,6 @@ class Subgroup:
         self.table = table
         self.member = member
         self.gens = gens or []
-        self._key: bytes | None = None
 
     @property
     def order(self) -> int:
@@ -105,10 +107,6 @@ class Subgroup:
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Subgroup) and np.array_equal(self.member, other.member)
-
-    def key(self) -> bytes:
-        self._key = self._key or self.member.tobytes()  # built once: the bitset is fixed
-        return self._key
 
 
 def _products(table: ElementTable, member: np.ndarray, frontier: np.ndarray,
@@ -226,15 +224,15 @@ class LevelReport:
 class _ClosureRegistry:
     """Certified E-normal closures of one element table: its E-orbits, the
     orbit closure of each orbit computed so far, and the joins built from
-    them.  Every closure here depends on the group only, so every context
-    on the table shares one registry."""
+    them, one object per orbit mask.  Every closure here depends on the
+    group only, so every context on the table shares one registry."""
 
     def __init__(self, table: ElementTable):
         self.table = table
         self._orbits: tuple[np.ndarray, list[int]] | None = None
         self.orbit_sizes: np.ndarray | None = None  # elements per orbit id, set by orbits()
         self._by_orbit: dict[int, Subgroup] = {}  # orbit id -> cl(rep)
-        self._whole: Subgroup | None = None  # the one orbit closure that is G(R)
+        self._by_mask: dict[bytes, Subgroup] = {}  # orbit mask -> the certified closure
         self._joins: dict[tuple[bytes, bytes], Subgroup] = {}
 
     def orbits(self) -> tuple[np.ndarray, list[int]]:
@@ -250,13 +248,24 @@ class _ClosureRegistry:
         if k not in self._by_orbit:
             sub = subgroup_closure(self.table, np.nonzero(orbit == k)[0],
                                    stop=self._known_closure(reps[k]))
-            if sub.order == self.table.N:  # one object, as the stop hook would return
-                sub = self._whole = self._whole or sub
-            # a known closure the stop hook returns was certified when it was built
-            if all(sub is not c for c in self._by_orbit.values()) and not is_enormal(sub):
-                raise RuntimeError("the subgroup generated by an E-orbit is not E-normal")
-            self._by_orbit[k] = sub
+            self._by_orbit[k] = self._certified(
+                sub, "the subgroup generated by an E-orbit is not E-normal")
         return self._by_orbit[k]
+
+    def _certified(self, sub: Subgroup, error: str) -> Subgroup:
+        """The registry's one object equal to sub, once `is_enormal` certifies
+        sub; a RuntimeError with the error message when it does not."""
+        if not is_enormal(sub):
+            raise RuntimeError(error)
+        return self._by_mask.setdefault(sub.member[self.orbits()[1]].tobytes(), sub)
+
+    def mask(self, sub: Subgroup) -> bytes:
+        """The orbit mask of a closure this registry certified, its key; a
+        ValueError for any other subgroup, which its mask does not identify."""
+        mask = sub.member[self.orbits()[1]].tobytes()
+        if self._by_mask.get(mask) is not sub:
+            raise ValueError("an orbit mask identifies only a certified E-normal closure")
+        return mask
 
     def _known_closure(self, rep: int):
         """Stop hook for cl(rep): the known closure K of a frontier element's
@@ -281,12 +290,10 @@ class _ClosureRegistry:
             return a
         if a.issubset(b):
             return b
-        key = tuple(sorted((a.key(), b.key())))
+        key = tuple(sorted((self.mask(a), self.mask(b))))
         if key not in self._joins:
-            joined = subgroup_closure(self.table, b.gens, base=a)
-            if not is_enormal(joined):
-                raise RuntimeError("join of E-normal subgroups is not E-normal")
-            self._joins[key] = joined
+            self._joins[key] = self._certified(subgroup_closure(self.table, b.gens, base=a),
+                                               "join of E-normal subgroups is not E-normal")
         return self._joins[key]
 
 
@@ -349,7 +356,7 @@ class GroupContext:
         def build():
             orbit, reps = self.orbits()
             eye = np.eye(self.table.n, dtype=np.int64)
-            keep = (self.table.mats[reps] % q.d == eye % q.d).all(axis=(1, 2))
+            keep = (self.table.mat(reps) % q.d == eye % q.d).all(axis=(1, 2))
             return Subgroup(self.table, keep[orbit])
 
         return self._memo(("congruence", q.d), build)
@@ -380,11 +387,10 @@ class GroupContext:
                 raise RuntimeError(f"{self.model.name()}: the image mod {q.d} has {image} "
                                    f"elements, the order formula over Z/{q.d} gives {want}")
             orbit, reps = self.orbits()
-            mats = self.table.mats
-            rep_mats = mats[reps] % q.d
+            rep_mats = self.table.mat(reps) % q.d
             keep = np.ones(len(reps), dtype=bool)
             for perm in self.table.egen_conj_perms():
-                keep &= (mats[perm[reps]] % q.d == rep_mats).all(axis=(1, 2))
+                keep &= (self.table.mat(perm[reps]) % q.d == rep_mats).all(axis=(1, 2))
             return Subgroup(self.table, keep[orbit])
 
         return self._memo(("full_congruence", q.d), build)
@@ -401,21 +407,16 @@ class GroupContext:
         return self._memo("root_elements", build)
 
     def relative_elementary(self, q: ZmIdeal) -> Subgroup:
-        """Normal closure in E of the q-valued relative root elements."""
-
-        def build():
-            mats = [self.model.x(alpha, v) for alpha in self.model.rel_roots
-                    for v in self.model.v_tuples(alpha, q) if any(v)]
-            return self.closure_of(
-                _element_indices(self.table, mats, f"a root element with values in {q}").tolist()
-            )
-
-        return self._memo(("relative_elementary", self.model.blocks, q.d), build)
+        """Normal closure in E of the q-valued relative root elements, read off
+        the cached root elements."""
+        return self._memo(("relative_elementary", q.d), lambda: self.closure_of([
+            i for vs, idxs in self.root_element_indices().values()
+            for v, i in zip(vs, idxs.tolist()) if any(v) and not any(c % q.d for c in v)]))
 
     def sandwich_ideals(self, sub: Subgroup) -> list[int]:
         """Generators d of the ideals q with E(R,q) <= sub <= C(R,q), decided
         once per distinct subgroup; each call returns a fresh list."""
-        return list(self._memo(("sandwich", sub.key()), lambda: [
+        return list(self._memo(("sandwich", self.closures.mask(sub)), lambda: [
             q.d for q in self.ideals
             if self.relative_elementary(q).issubset(sub) and sub.issubset(self.full_congruence(q))
         ]))
@@ -447,7 +448,7 @@ class GroupContext:
         x_gens = np.asarray(x_gens, dtype=np.int64)
         conj = np.concatenate([t.conj_perm(y)[x_gens] for y in y_gens])
         xinv = np.tile(t.inv[x_gens], len(y_gens))
-        prods = t.mats[xinv].astype(np.int64) @ t.mats[conj]
+        prods = t.mat(xinv) @ t.mat(conj)
         return self.closure_of(_element_indices(t, prods, "a commutator [x, y]").tolist())
 
 
@@ -475,18 +476,16 @@ def enormal_lattice(ctx: GroupContext) -> list[tuple[Subgroup, list[int]]]:
     elements, so closing the distinct orbit closures under joins until
     nothing new appears gives the whole lattice."""
     _, reps = ctx.orbits()
-    members: dict[bytes, Subgroup] = {}
-    for rep in reps:
-        sub = ctx.orbit_closure(rep)
-        members.setdefault(sub.key(), sub)
+    # the registry hands out one object per subgroup
+    members = {id(sub): sub for sub in map(ctx.orbit_closure, reps)}
     frontier = list(members.values())
     while frontier:
         new = []
         for a in frontier:
             for b in list(members.values()):
                 joined = ctx.closures.join(a, b)
-                if joined.key() not in members:
-                    members[joined.key()] = joined
+                if id(joined) not in members:
+                    members[id(joined)] = joined
                     new.append(joined)
         frontier = new
     ordered = sorted(members.values(), key=lambda sub: sub.order)
@@ -555,13 +554,12 @@ def verify_structure_theorems(ctx: GroupContext) -> dict:
 
     hall_witt_failures = []
     _, reps = ctx.orbits()
-    seen_keys = {}
+    seen = set()  # ids of the distinct closures, one object each
     for rep in reps:
         sub = ctx.orbit_closure(rep)
-        k = sub.key()
-        if k in seen_keys:
+        if id(sub) in seen:
             continue
-        seen_keys[k] = rep
+        seen.add(id(sub))
         k1 = ctx.commutator_subgroup(sub.gens, egens)
         k2 = ctx.commutator_subgroup(k1.gens, egens)
         if k1 != k2:
@@ -675,7 +673,7 @@ def verify_u_cent_field(ctx: GroupContext) -> dict:
     gens = [model.x(a, e) for a in model.positive_rel_roots for e in model.v_basis(a)]
     cent = ctx.centralizer(_element_indices(ctx.table, gens, "a radical generator").tolist())
     idx = cent.indices()
-    failures = idx[~model.in_parabolic(ctx.table.mats[idx])].tolist()
+    failures = idx[~model.in_parabolic(ctx.table.mat(idx))].tolist()
     return {"centralizing": cent.order, "failures": failures}
 
 
@@ -753,7 +751,8 @@ def gauss_brute_force_agrees(ctx: GroupContext) -> bool:
     cell = _element_indices(ctx.table, (u @ l % m) @ v % m, "a product u*l*v of the main cell")
     members = np.zeros(ctx.table.N, dtype=bool)
     members[cell] = True
-    return bool((gauss_cell_factors(model, ctx.table.mats)[0] == members).all())
+    return bool((gauss_cell_factors(model, ctx.table.mat(np.arange(ctx.table.N)))[0]
+                 == members).all())
 
 
 def _element_indices(table: ElementTable, mats, what: str) -> np.ndarray:

@@ -1,9 +1,10 @@
 """Complete enumeration of a finite matrix group with indexed lookup.
 
-Each element is stored by its n row keys: row i of a matrix, read as a
-base-m number (`rows`, an (N, n) int32 array).  The element's key is the
-row keys read as base m**n digits, the same as the matrix read as n*n
-base-m digits.
+Each element is stored once, by its n row keys: row i of a matrix, read
+as a base-m number (`rows`, an (N, n) int32 array).  The element's key is
+the row keys read as base m**n digits, the same as the matrix read as n*n
+base-m digits.  Matrices are read through `mat`, which decodes the row
+keys of the indices asked for.
 
 The enumeration is a BFS from the identity over right multiplication by
 the k elementary generators e, and it keeps the Cayley graph it walks: the
@@ -57,11 +58,7 @@ _INDEX_BOUND = 2**31 - 1  # permutation entries are int32
 def check_bounds(model: GroupModel, cap: int = DEFAULT_CAP) -> int:
     """The group's order by the order formula, once its table is known to fit: SizeCapError
     above the element cap, TableBoundError past the int64 key, the int32 index or the
-    uint64 bound of the BFS's composites (below m**(n*n) k N for k generators).
-
-    The index bound also keeps the int16 `mats` exact.  Every model contains
-    SL_2(Z/m), of order m**3 prod_(p | m) (1 - 1/p**2) > 0.6 m**3, so
-    N <= 2**31 - 1 forces m < 1,530, far below 32,768."""
+    uint64 bound of the BFS's composites (below m**(n*n) k N for k generators)."""
     expected = order_formula(model)
     if expected > cap:
         raise SizeCapError(expected, cap, model.name())
@@ -111,7 +108,6 @@ class ElementTable:
         self._index = _DenseIndex(m ** (n * n), identity) if small else _SortedIndex(identity)
         self.rows, right, parent, gen = self._bfs(model.generator_mats(), expected)
         self.N = expected
-        self.mats = np.take(self.row_vecs.astype(np.int16), self.rows, axis=0)
         self.identity_idx = 0  # the BFS starts from the identity
         self.gen_idxs = right[:, 0].astype(np.int64)
         right_inv = np.empty_like(right)  # x -> x e^-1 inverts x -> x e
@@ -198,8 +194,9 @@ class ElementTable:
         -1 where none."""
         return self._index.lookup(keys)
 
-    def mat(self, idx: int) -> np.ndarray:
-        return self.mats[idx].astype(np.int64)
+    def mat(self, idx) -> np.ndarray:
+        """The int64 matrix of an index, or the (k, n, n) stack of an index array."""
+        return self.row_vecs[self.rows[idx]]
 
     # -- products -------------------------------------------------------------
 
@@ -229,7 +226,7 @@ class ElementTable:
             else:
                 out[i] = perm[idx]
         if rest:
-            tables = self.row_tables(self.mats[np.asarray(gens, dtype=np.int64)[rest]])
+            tables = self.row_tables(self.mat(np.asarray(gens, dtype=np.int64)[rest]))
             out[rest] = self.lookup_keys(self.product_keys(idx, tables))
         return out
 

@@ -363,8 +363,8 @@ def reference_elements_on(model, support, chunk=8192):
 
 def reference_congruence(ctx, q):
     """G(R,q) from the matrices: every entry of mats % d against the identity mod d."""
-    eye = np.eye(ctx.table.n, dtype=ctx.table.mats.dtype)
-    return (ctx.table.mats % q.d == eye % q.d).all(axis=(1, 2))
+    eye = np.eye(ctx.table.n, dtype=np.int64)
+    return (ctx.table.mat(np.arange(ctx.table.N)) % q.d == eye % q.d).all(axis=(1, 2))
 
 
 def reference_center(ctx):
@@ -387,7 +387,7 @@ def reference_full_congruence(ctx, q):
     model = ctx.model
     qctx = lattice.get_context(
         models.GroupModel(model.kind, model.degree, ZmRing(q.d), model.blocks), ctx.cap)
-    reduced = qctx.table.lookup(ctx.table.mats.astype(np.int64) % q.d)
+    reduced = qctx.table.lookup(ctx.table.mat(np.arange(ctx.table.N)) % q.d)
     assert (reduced >= 0).all()
     return reference_center(qctx)[reduced]
 

@@ -113,12 +113,6 @@ def test_elementary_reads_the_table(sl3_4, monkeypatch):
     assert e_sub.gens == sl3_4.table.gen_idxs.tolist()
 
 
-def test_subgroup_key_is_built_once(sl3_4):
-    sub = sl3_4.congruence(ideal(sl3_4, 2))
-    assert sub.key() is sub.key()
-    assert sub.key() == sub.member.tobytes()
-
-
 def test_congruence_subgroups(sl3_4):
     assert sl3_4.congruence(ideal(sl3_4, 1)).order == 43008
     assert sl3_4.congruence(ideal(sl3_4, 2)).order == 256
@@ -194,7 +188,7 @@ def test_monotonicity_in_the_ideal(sl3_4):
 def matmul_centralizer(table, mats):
     """Reference centralizer: the elements x with x g = g x for every g,
     from matrix products over the whole table."""
-    all_mats = table.mats.astype(np.int64)
+    all_mats = table.mat(np.arange(table.N))
     member = np.ones(table.N, dtype=bool)
     for g in mats:
         g = np.asarray(g, dtype=np.int64) % table.m
@@ -488,10 +482,10 @@ def test_enormal_lattice_sl3_4(sl3_4):
     members = lattice.enormal_lattice(sl3_4)
     assert [sub.order for sub, _ in members] == [1, 256, 43008]
     assert all(len(adm) == 1 for _, adm in members)
-    level = {sub.key(): adm[0] for sub, adm in members}
+    level = {sl3_4.closures.mask(sub): adm[0] for sub, adm in members}
     for a, (la,) in members:
         for b, (lb,) in members:
-            assert level[sl3_4.closures.join(a, b).key()] == math.gcd(la, lb)
+            assert level[sl3_4.closures.mask(sl3_4.closures.join(a, b))] == math.gcd(la, lb)
 
 
 def test_enormal_lattice_sl3_6():
@@ -500,10 +494,10 @@ def test_enormal_lattice_sl3_6():
     members = lattice.enormal_lattice(ctx)
     assert [sub.order for sub, _ in members] == [1, 168, 5616, 943488]
     assert [adm for _, adm in members] == [[6], [3], [2], [1]]
-    level = {sub.key(): adm[0] for sub, adm in members}
+    level = {ctx.closures.mask(sub): adm[0] for sub, adm in members}
     for a, (la,) in members:
         for b, (lb,) in members:
-            assert level[ctx.closures.join(a, b).key()] == math.gcd(la, lb)
+            assert level[ctx.closures.mask(ctx.closures.join(a, b))] == math.gcd(la, lb)
     assert ctx.closures.join(members[1][0], members[2][0]) == members[3][0]
 
 
@@ -569,7 +563,7 @@ def test_registry_join_matches_plain_engine(registry_ctx):
     ctx = registry_ctx
     reps = {}
     for rep in ctx.orbits()[1]:
-        reps.setdefault(ctx.orbit_closure(rep).key(), rep)
+        reps.setdefault(ctx.closures.mask(ctx.orbit_closure(rep)), rep)
     distinct = sorted(reps.values())
     assert len(distinct) >= 2
     for i, ra in enumerate(distinct):
@@ -592,7 +586,8 @@ def test_closures_match_a_run_without_the_whole_group_exit(spec, monkeypatch):
     monkeypatch.setattr(lattice, "subgroup_closure", reference_subgroup_closure)
     want = [plain.orbit_closure(rep) for rep in reps] + [reference_closure_of(plain, reps)]
     assert got[-1].order == ctx.table.N
-    assert [(g.key(), g.gens) for g in got] == [(w.key(), w.gens) for w in want]
+    assert ([(g.member.tobytes(), g.gens) for g in got]
+            == [(w.member.tobytes(), w.gens) for w in want])
 
     def sharing(subs):
         return [next(i for i, other in enumerate(subs) if other is sub) for sub in subs]
@@ -610,11 +605,41 @@ def test_whole_group_orbit_closures_are_one_object(sl3_4, monkeypatch):
     assert len(whole) > 1 and all(registry.orbit_closure(rep) is first for rep in whole[1:])
 
 
-def test_orbit_closure_without_certificate_raises(sl3_4, monkeypatch):
+def test_orbit_closure_without_certificate_raises(sl3_4, sl2_6, monkeypatch):
     registry = lattice._ClosureRegistry(sl3_4.table)
+    # two incomparable closures, whose join is a new BFS result
+    joins = lattice._ClosureRegistry(sl2_6.table)
+    closures = [joins.orbit_closure(rep) for rep in sl2_6.orbits()[1]]
+    a, b = next((a, b) for a in closures for b in closures
+                if not (a.issubset(b) or b.issubset(a)))
     monkeypatch.setattr(lattice, "is_enormal", lambda sub: False)
-    with pytest.raises(RuntimeError, match="not E-normal"):
+    with pytest.raises(RuntimeError, match="generated by an E-orbit is not E-normal"):
         registry.orbit_closure(sl3_4.orbits()[1][1])
+    with pytest.raises(RuntimeError, match="join of E-normal subgroups is not E-normal"):
+        joins.join(a, b)
+
+
+def test_join_equal_to_a_held_closure_is_that_object():
+    # on SL3(Z/6) the level-2 and level-3 orbit closures join to the whole
+    # group, which the registry already holds as an orbit closure
+    ctx = ctx_for("SL", 3, 6, (1, 1, 1))
+    registry = lattice._ClosureRegistry(ctx.table)
+    by_order = {}
+    for rep in ctx.orbits()[1]:
+        sub = registry.orbit_closure(rep)
+        assert by_order.setdefault(sub.order, sub) is sub  # one object per subgroup
+    assert sorted(by_order) == [1, 168, 5616, ctx.table.N]
+    assert registry.join(by_order[168], by_order[5616]) is by_order[ctx.table.N]
+
+
+def test_orbit_mask_keys_only_certified_closures(sl3_4):
+    sub = sl3_4.orbit_closure(sl3_4.orbits()[1][1])
+    assert sl3_4.closures.mask(sub) == sub.member[sl3_4.orbits()[1]].tobytes()
+    # an equal subgroup that the registry did not certify has no key
+    with pytest.raises(ValueError, match="certified"):
+        sl3_4.closures.mask(lattice.Subgroup(sl3_4.table, sub.member.copy(), sub.gens))
+    with pytest.raises(ValueError, match="certified"):
+        sl3_4.sandwich_ideals(sl3_4.congruence(ideal(sl3_4, 2)))
 
 
 def test_sibling_reuses_orbits_and_closures(sl3_4, monkeypatch):

@@ -302,7 +302,7 @@ def test_elements_on_everything_is_the_table(sl3_2, sp4_2):
     for ctx in (sl3_2, sp4_2):
         n, t = ctx.model.n, ctx.table
         scanned = elements_on(ctx.model, np.ones((n, n), dtype=bool))
-        assert np.array_equal(np.sort(t.encode(scanned)), np.sort(t.encode(t.mats)))
+        assert np.array_equal(np.sort(t.encode(scanned)), np.sort(t.encode(t.mat(np.arange(t.N)))))
         flat = scanned.reshape(len(scanned), -1).tolist()
         assert flat == sorted(flat)  # lexicographic, row by row
 
@@ -437,7 +437,7 @@ def test_inverse_and_membership_on_stacks(sl3_4, sp4_3):
     rng = np.random.default_rng(11)
     for ctx in (sl3_4, sp4_3):
         model, t = ctx.model, ctx.table
-        elements = t.mats[rng.integers(0, t.N, size=24)].astype(np.int64)
+        elements = t.mat(rng.integers(0, t.N, size=24))
         others = rng.integers(0, model.m, size=(24, model.n, model.n))
         stack = np.stack([elements, others])  # a (2, 24, n, n) stack
         member = model.is_element(stack)

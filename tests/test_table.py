@@ -37,7 +37,7 @@ def test_inverses(sl3_2, sl3_3, sl3_4, sl4_2, sp4_2, sp4_3):
     # exhaustive: every element times its tree-walk inverse, as one stacked product
     for ctx in (sl3_2, sl3_3, sl3_4, sl4_2, sp4_2, sp4_3):
         t = ctx.table
-        prods = (t.mats.astype(np.int64) @ t.mats[t.inv]) % t.m
+        prods = (t.mat(np.arange(t.N)) @ t.mat(t.inv)) % t.m
         assert (prods == np.eye(t.n, dtype=np.int64)).all()
         assert np.array_equal(t.inv[t.inv], np.arange(t.N))
 
@@ -73,7 +73,7 @@ def test_lookup_rejects_non_elements(sl3_2):
     rng = np.random.default_rng(3)
     want = rng.integers(0, t.N, size=300)
     want[rng.integers(0, want.size, size=40)] = -1
-    mats = np.where(want[:, None, None] >= 0, t.mats[want], 0)
+    mats = np.where(want[:, None, None] >= 0, t.mat(want), 0)
     assert np.array_equal(t.lookup(mats), want)
 
 
@@ -93,7 +93,7 @@ def test_conj_perm_matches_direct(sl3_4, sp4_3, sl4_2):
                 assert int(perm[int(i)]) == index_of(t, expect)
             # the row-table kernel: right multiplication by g
             right = t.lookup_keys(t.product_keys(xs, t.row_tables(g))[0])
-            assert np.array_equal(right, t.lookup((t.mats[xs] @ g) % t.m))
+            assert np.array_equal(right, t.lookup((t.mat(xs) @ g) % t.m))
 
 
 def _arrays(t):
@@ -112,6 +112,19 @@ def test_table_has_no_keyspace_sized_array():
         assert any(len(a) >= m**9 for a in _arrays(t)) == dense
 
 
+def test_table_stores_each_element_once(sl3_4, sp4_3):
+    # the matrices are decoded from `rows` on demand, on the dense and the
+    # sorted index alike
+    for t in (sl3_4.table, sp4_3.table):
+        assert all(a.shape != (t.N, t.n, t.n) for a in _arrays(t))
+        one = t.mat(5)
+        assert one.shape == (t.n, t.n) and one.dtype == np.int64
+        stack = t.mat(np.array([5, 0, 7, 5]))
+        assert stack.shape == (4, t.n, t.n) and stack.dtype == np.int64
+        assert np.array_equal(stack[0], one) and np.array_equal(stack[1], np.eye(t.n))
+        assert t.lookup(stack).tolist() == [5, 0, 7, 5]
+
+
 @pytest.mark.parametrize("spec", [("SL", 3, 3, (1, 1, 1)), ("SL", 4, 2, (1, 1, 1, 1)),
                                   ("Sp", 4, 2, "borel")], ids=["SL3(Z/3)", "SL4(Z/2)", "Sp4(Z/2)"])
 def test_dense_and_sorted_index_agree(spec, monkeypatch):
@@ -128,7 +141,7 @@ def test_dense_and_sorted_index_agree(spec, monkeypatch):
     assert all(np.array_equal(dense._right[g], srt._right[g]) for g in dense._right)
     # every element, keys next to elements (most are not elements), and
     # both ends just outside the key space
-    keys = dense.encode(dense.mats)
+    keys = dense.encode(dense.mat(np.arange(dense.N)))
     near = np.concatenate([keys - 1, keys + 1])
     rng = np.random.default_rng(5)
     probes = [keys, near, rng.permutation(near)[:999].reshape(27, 37),
@@ -295,5 +308,5 @@ def _scalar_bfs(t):
 def test_bfs_order_matches_scalar_scan(sl3_3, sp4_2):
     for ctx in (sl3_3, sp4_2):
         t = ctx.table
-        assert np.array_equal(t.mats, _scalar_bfs(t))
+        assert np.array_equal(t.mat(np.arange(t.N)), _scalar_bfs(t))
         assert t.identity_idx == index_of(t, ctx.model.identity())
