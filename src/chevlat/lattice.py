@@ -1,41 +1,40 @@
 """Subgroup lattice computations and the theorem-level verifications.
 
-Subgroups are bitsets over the element table.  One engine builds them,
-`subgroup_closure`: a batched BFS on indices that turns each seed not yet
-a member into a generator and stops when the bitset is closed under right
-multiplication by every generator, so its generators generate the result.
-Its products come from `ElementTable.right_mult`: gathers from the table's
-BFS permutations for the E generators and their inverses, the row kernel
-and a lookup for other generators.  Each frontier is deduplicated by one
-sort and an adjacent-difference mask.  E(R) itself is not closed again: the
+Subgroups are bitsets over the element table, and every one built here is
+normalized by E(R).  One engine builds them, `normal_closure`: a batched
+BFS on indices from an E-normal base (or {1}) under right multiplication by
+each seed not yet a member and conjugation by each E generator.  Its fixed
+point is closed under right multiplication by every conjugate of a seed,
+x s^g = (x^(g^-1) s)^g, so it is the E-normal subgroup the base and the
+seeds generate, and the base's gens with those seeds normally generate it.
+Products come from `ElementTable.right_mult`, conjugates from gathers of the
+cached conjugation permutations; each frontier is deduplicated by one sort
+and an adjacent-difference mask.  E(R) itself is not closed again: the
 table's BFS is the closure of {1} under the E generators.  For the same
-reason a closure ends as soon as every E generator is a member: every
-member is a product of its gens, so they generate E(R) = G(R), the whole
-table, and no seed is left to add to them.
+reason a closure ends once every E generator is a member: the fixed point
+holds them, so it is E(R) = G(R), the whole table.
 
 Each element table has one registry of certified E-normal closures, shared
 by every context (parabolic, sibling) built on it.  It holds the E-orbits
 and the orbit closure cl(r) of each orbit computed so far, and it builds
 every other closure from them:
 
-* cl(r), the normal closure of r under E, is generated by the E-conjugates
-  of r, which are the E-orbit of r.  So cl(r) is the subgroup its orbit
-  generates, and it is certified E-normal by `is_enormal`: every E
-  generator conjugation maps its gens into its bitset, which is exact
-  because the gens generate it.
+* cl(r), the normal closure of r under E, is `normal_closure` of [r], so
+  its gens are [r] (none for r = 1).
 * While cl(r) grows, each new BFS frontier is checked for an element x
   whose orbit closure K is already known and contains r.  Then cl(r) = K:
   K = cl(x) <= cl(r) because cl(r) is E-normal and contains x, and
   cl(r) <= K because K is E-normal and contains r.
-* The join of two E-normal subgroups A and B is the plain subgroup they
-  generate, which is again E-normal.  It is grown from A's bitset by B's
-  generators.
-* Every BFS result is certified by `is_enormal` before the registry keeps
-  it.  A certified subgroup is a union of E-orbits, so its orbit mask
-  (which orbits it holds, one boolean per orbit) identifies it: the
-  registry keeps one object per mask, and equal closures, the whole group
-  among them, are one object.  Joins and sandwich verdicts are cached
-  under masks.
+* The join of two E-normal subgroups A and B is E-normal.  It is grown
+  from A's bitset with B's gens as seeds, and its gens are A's followed by
+  those of B's that A lacks.
+* Every fresh BFS result is certified before the registry keeps it: its
+  orbit mask (one boolean per orbit, read at the representatives),
+  expanded through the orbit ids, must equal its bitset.  So it is a union
+  of E-orbits and its mask identifies it: the registry keeps one object per
+  mask, and equal closures, the whole group among them, are one object.
+  Objects it holds, such as the stop hook's answers, are not checked again.
+  Joins, with their inclusions, and sandwich verdicts are decided on masks.
 * The closure of a seed set (E(R,q), commutator subgroups) is the join of
   the orbit closures of the seeds' orbits, each distinct closure object
   once: many orbits share one, and joining it again changes nothing.
@@ -85,7 +84,8 @@ Vec = tuple[int, ...]
 
 
 class Subgroup:
-    """A bitset over the element table, never written after construction."""
+    """A bitset over the element table, never written after construction;
+    `gens`, when given, generate it as an E-normal subgroup."""
 
     def __init__(self, table: ElementTable, member: np.ndarray, gens: list[int] | None = None):
         self.table = table
@@ -112,12 +112,15 @@ class Subgroup:
 def _products(table: ElementTable, member: np.ndarray, frontier: np.ndarray,
               gen_idxs) -> np.ndarray:
     """New indices reached from the frontier by right multiplication with
-    the generators, marked in `member`, in chunks of at most 65,536 products
-    that bound memory."""
-    chunk = max(1, 65536 // max(1, len(gen_idxs)))
+    the generators and by conjugation with the E generators, marked in
+    `member`, in chunks of at most 65,536 products that bound memory."""
+    perms = table.egen_conj_perms()
+    chunk = max(1, 65536 // (len(gen_idxs) + len(perms)))
     found = []
     for lo in range(0, frontier.size, chunk):
-        idx = table.right_mult(frontier[lo:lo + chunk], gen_idxs)
+        part = frontier[lo:lo + chunk]
+        idx = np.concatenate([table.right_mult(part, gen_idxs).ravel(),
+                              *(perm[part] for perm in perms)])
         assert idx.min(initial=0) >= 0  # products of members are members
         new = np.sort(idx[~member[idx]])
         member[new] = True
@@ -127,19 +130,17 @@ def _products(table: ElementTable, member: np.ndarray, frontier: np.ndarray,
     return np.concatenate(found) if found else np.empty(0, dtype=np.int64)
 
 
-def subgroup_closure(table: ElementTable, seed_idxs, base: Subgroup | None = None,
-                     stop=None) -> Subgroup:
-    """Smallest subgroup containing the seeds and `base`, a subgroup whose
-    gens generate it.
+def normal_closure(table: ElementTable, seeds, base: Subgroup | None = None,
+                   stop=None) -> Subgroup:
+    """The E-normal subgroup generated by the seeds and `base`, an E-normal
+    subgroup whose gens normally generate it.
 
-    Each seed that is not yet a member becomes a generator: every member is
-    multiplied by it and its inverse, then a BFS over all generators and
-    their inverses runs until no new element appears.  The member set is
-    then closed under right multiplication by every generator, which
-    certifies it is the generated subgroup, and its gens generate it.  Once
-    every E generator is a member, the gens generate E(R) = G(R), and the
-    whole table is returned at once.  A `stop` hook sees every new BFS
-    frontier; the first subgroup it returns is returned at once."""
+    One BFS from base's members (or {1}) under right multiplication by each
+    seed not yet a member and conjugation by each E generator; those seeds,
+    after base's gens, are the result's gens (see the module notes).  Once
+    every E generator is a member, the fixed point is the whole table, which
+    is returned at once.  A `stop` hook sees every new BFS frontier; the
+    first subgroup it returns is returned at once."""
     if base is None:
         member = np.zeros(table.N, dtype=bool)
         member[table.identity_idx] = True
@@ -147,33 +148,24 @@ def subgroup_closure(table: ElementTable, seed_idxs, base: Subgroup | None = Non
     elif base.order > 1 and not base.gens:
         raise ValueError("a base subgroup needs its generators")
     member = base.member.copy()
-    gens = list(base.gens)
-    seeds = np.asarray(seed_idxs, dtype=np.int64)
-    # members are already generated; skipping them keeps the gens short
-    while (pending := seeds[~member[seeds]]).size:
-        seed = int(pending[0])
-        gens.append(seed)
-        frontier = _products(table, member, np.nonzero(member)[0],
-                             sorted({seed, int(table.inv[seed])}))
-        all_gens = sorted(set(gens) | {int(table.inv[g]) for g in gens})
-        while frontier.size:
-            if member[table.gen_idxs].all():  # no seed is left out of E(R) = G(R)
-                return Subgroup(table, np.ones(table.N, dtype=bool), gens)
-            found = stop(frontier) if stop is not None else None
-            if found is not None:
-                return found
-            frontier = _products(table, member, frontier, all_gens)
+    new = [s for s in np.asarray(seeds, dtype=np.int64).tolist() if not member[s]]
+    gens = list(base.gens) + new
+    frontier = np.flatnonzero(member)
+    while frontier.size:
+        frontier = _products(table, member, frontier, new)
+        if member[table.gen_idxs].all():  # the fixed point holds E(R) = G(R)
+            return Subgroup(table, np.ones(table.N, dtype=bool), gens)
+        found = stop(frontier) if stop is not None else None
+        if found is not None:
+            return found
     return Subgroup(table, member, gens)
 
 
 def is_enormal(sub: Subgroup) -> bool:
-    """Whether every generator conjugation maps the subgroup into itself.
-    `gens`, when given, generate the bitset (subgroup_closure guarantees
-    it), and a conjugate of the subgroup is generated by the conjugated
-    gens, so only their images are checked; a subgroup without gens has its
-    whole bitset checked."""
-    probe = np.asarray(sub.gens, dtype=np.int64) if sub.gens else sub.indices()
-    return all(bool(sub.member[perm[probe]].all()) for perm in sub.table.egen_conj_perms())
+    """Whether every E generator conjugation maps the bitset into itself,
+    checked member by member with N-byte masks."""
+    member = sub.member
+    return not any((member & ~member[perm]).any() for perm in sub.table.egen_conj_perms())
 
 
 def e_conjugacy_orbits(table: ElementTable) -> tuple[np.ndarray, np.ndarray]:
@@ -246,24 +238,26 @@ class _ClosureRegistry:
         orbit, reps = self.orbits()
         k = int(orbit[idx])
         if k not in self._by_orbit:
-            sub = subgroup_closure(self.table, np.nonzero(orbit == k)[0],
-                                   stop=self._known_closure(reps[k]))
+            sub = normal_closure(self.table, [reps[k]], stop=self._known_closure(reps[k]))
             self._by_orbit[k] = self._certified(
                 sub, "the subgroup generated by an E-orbit is not E-normal")
         return self._by_orbit[k]
 
     def _certified(self, sub: Subgroup, error: str) -> Subgroup:
-        """The registry's one object equal to sub, once `is_enormal` certifies
-        sub; a RuntimeError with the error message when it does not."""
-        if not is_enormal(sub):
+        """The registry's one object equal to sub.  Unless the registry holds
+        sub itself, sub must be the union of the orbits its mask names; a
+        RuntimeError with the error message when it is not."""
+        orbit, reps = self.orbits()
+        mask = sub.member[reps]
+        if self._by_mask.get(mask.tobytes()) is not sub and not (mask[orbit] == sub.member).all():
             raise RuntimeError(error)
-        return self._by_mask.setdefault(sub.member[self.orbits()[1]].tobytes(), sub)
+        return self._by_mask.setdefault(mask.tobytes(), sub)
 
-    def mask(self, sub: Subgroup) -> bytes:
-        """The orbit mask of a closure this registry certified, its key; a
-        ValueError for any other subgroup, which its mask does not identify."""
-        mask = sub.member[self.orbits()[1]].tobytes()
-        if self._by_mask.get(mask) is not sub:
+    def mask(self, sub: Subgroup) -> np.ndarray:
+        """The orbit mask of a closure this registry certified (its bytes are
+        the key); a ValueError for any other subgroup, which it does not identify."""
+        mask = sub.member[self.orbits()[1]]
+        if self._by_mask.get(mask.tobytes()) is not sub:
             raise ValueError("an orbit mask identifies only a certified E-normal closure")
         return mask
 
@@ -285,14 +279,16 @@ class _ClosureRegistry:
         return stop
 
     def join(self, a: Subgroup, b: Subgroup) -> Subgroup:
-        """The subgroup generated by two E-normal subgroups, itself E-normal."""
-        if b.issubset(a):
+        """The subgroup generated by two certified E-normal subgroups, itself
+        E-normal; inclusions are decided on their orbit masks."""
+        mask_a, mask_b = self.mask(a), self.mask(b)
+        if not (mask_b & ~mask_a).any():
             return a
-        if a.issubset(b):
+        if not (mask_a & ~mask_b).any():
             return b
-        key = tuple(sorted((self.mask(a), self.mask(b))))
+        key = tuple(sorted((mask_a.tobytes(), mask_b.tobytes())))
         if key not in self._joins:
-            self._joins[key] = self._certified(subgroup_closure(self.table, b.gens, base=a),
+            self._joins[key] = self._certified(normal_closure(self.table, b.gens, base=a),
                                                "join of E-normal subgroups is not E-normal")
         return self._joins[key]
 
@@ -416,7 +412,7 @@ class GroupContext:
     def sandwich_ideals(self, sub: Subgroup) -> list[int]:
         """Generators d of the ideals q with E(R,q) <= sub <= C(R,q), decided
         once per distinct subgroup; each call returns a fresh list."""
-        return list(self._memo(("sandwich", self.closures.mask(sub)), lambda: [
+        return list(self._memo(("sandwich", self.closures.mask(sub).tobytes()), lambda: [
             q.d for q in self.ideals
             if self.relative_elementary(q).issubset(sub) and sub.issubset(self.full_congruence(q))
         ]))
@@ -434,13 +430,15 @@ class GroupContext:
         orbit, reps = self.orbits()
         closures = [self.orbit_closure(reps[k]) for k in sorted({int(orbit[s]) for s in seeds})]
         closures = {id(c): c for c in closures}.values()
-        sub = subgroup_closure(self.table, [])
+        sub = self.orbit_closure(self.table.identity_idx)
         for closure in sorted(closures, key=lambda c: -c.order):
             sub = self.closures.join(sub, closure)
         return sub
 
     def commutator_subgroup(self, x_gens, y_gens) -> Subgroup:
-        """[X, Y] for subgroups normal in the group, from generating sets.
+        """[X, Y] for X normal in the group and Y the whole group, from
+        normal generators x of X (its gens) and generators y of Y: then
+        [X, Y] is the normal closure of the [x, y] (see the module notes).
         Each [x, y] = x^-1 (y^-1 x y) takes the conjugate from y's cached
         conjugation permutation, so it is one matrix product; the callers'
         y are the E generators, whose permutations are gathers."""
@@ -494,9 +492,10 @@ def enormal_lattice(ctx: GroupContext) -> list[tuple[Subgroup, list[int]]]:
 
 def verify_level_theorem(ctx: GroupContext, sub: Subgroup, q: ZmIdeal,
                          seed_index: int = -1) -> LevelReport:
-    """H cap X_alpha(V_alpha) = X_alpha(q V_alpha) for every relative root."""
-    if not is_enormal(sub):
-        raise ValueError("subgroup is not normalized by the elementary subgroup")
+    """H cap X_alpha(V_alpha) = X_alpha(q V_alpha) for every relative root,
+    for a closure H the registry certified E-normal; a ValueError for any
+    other subgroup."""
+    ctx.closures.mask(sub)
     per_root = []
     equal = True
     for alpha, (vs, idxs) in ctx.root_element_indices().items():

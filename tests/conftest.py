@@ -394,56 +394,77 @@ def reference_full_congruence(ctx, q):
 
 def reference_products(table, member, frontier, gen_idxs):
     """lattice._products with np.unique deduplicating each chunk."""
-    chunk = max(1, 65536 // max(1, len(gen_idxs)))
+    perms = table.egen_conj_perms()
+    chunk = max(1, 65536 // (len(gen_idxs) + len(perms)))
     found = []
     for lo in range(0, frontier.size, chunk):
-        idx = table.right_mult(frontier[lo:lo + chunk], gen_idxs)
+        part = frontier[lo:lo + chunk]
+        idx = np.concatenate([table.right_mult(part, gen_idxs).ravel()]
+                             + [perm[part] for perm in perms])
         new = np.unique(idx[~member[idx]])
         member[new] = True
         found.append(new)
     return np.concatenate(found) if found else np.empty(0, dtype=np.int64)
 
 
-def reference_subgroup_closure(table, seed_idxs, base=None, stop=None):
-    """lattice.subgroup_closure without its whole-group exit: every BFS runs
-    until the bitset is closed under right multiplication by the gens."""
+def reference_subgroup_closure(table, seed_idxs, base=None):
+    """The plain subgroup generated by the seeds and `base`, a subgroup
+    whose gens generate it, by right multiplication only: each seed not yet
+    a member becomes a generator, and a BFS runs until the bitset is closed
+    under right multiplication by every generator, which in a finite group
+    makes it the generated subgroup.  Its gens generate it."""
     if base is None:
         member = np.zeros(table.N, dtype=bool)
         member[table.identity_idx] = True
         base = lattice.Subgroup(table, member)
     member = base.member.copy()
     gens = list(base.gens)
-    seeds = np.asarray(seed_idxs, dtype=np.int64)
-    while (pending := seeds[~member[seeds]]).size:
-        seed = int(pending[0])
+    for seed in np.asarray(seed_idxs, dtype=np.int64).tolist():
+        if member[seed]:
+            continue
         gens.append(seed)
-        frontier = lattice._products(table, member, np.nonzero(member)[0],
-                                     sorted({seed, int(table.inv[seed])}))
-        all_gens = sorted(set(gens) | {int(table.inv[g]) for g in gens})
+        frontier = np.flatnonzero(member)
         while frontier.size:
-            found = stop(frontier) if stop is not None else None
-            if found is not None:
-                return found
-            frontier = lattice._products(table, member, frontier, all_gens)
+            idx = table.right_mult(frontier, gens)
+            frontier = np.unique(idx[~member[idx]])
+            member[frontier] = True
     return lattice.Subgroup(table, member, gens)
+
+
+def reference_normal_closure(table, seeds, base=None, stop=None):
+    """lattice.normal_closure without its whole-group exit: every BFS runs
+    to its fixed point."""
+    if base is None:
+        member = np.zeros(table.N, dtype=bool)
+        member[table.identity_idx] = True
+        base = lattice.Subgroup(table, member)
+    member = base.member.copy()
+    new = [s for s in np.asarray(seeds, dtype=np.int64).tolist() if not member[s]]
+    frontier = np.flatnonzero(member)
+    while frontier.size:
+        frontier = lattice._products(table, member, frontier, new)
+        found = stop(frontier) if stop is not None else None
+        if found is not None:
+            return found
+    return lattice.Subgroup(table, member, list(base.gens) + new)
 
 
 def plain_normal_closure(table, seeds):
     """Reference normal closure under E: grow the generated subgroup until
     the bitset is a fixed point of every generator conjugation."""
-    sub = lattice.subgroup_closure(table, seeds)
+    sub = reference_subgroup_closure(table, seeds)
     while True:
         members = sub.indices()
         images = np.concatenate([perm[members] for perm in table.egen_conj_perms()])
         missing = np.unique(images[~sub.member[images]])
         if not missing.size:
             return sub
-        sub = lattice.subgroup_closure(table, missing, base=sub)
+        sub = reference_subgroup_closure(table, missing, base=sub)
 
 
 def generating_set(table, sub):
     """A small generating set of a given subgroup, built greedily."""
-    closure = lattice.subgroup_closure(table, sub.indices())
+    closure = reference_subgroup_closure(table, sub.indices())
     assert closure == sub
     return closure.gens
 
@@ -453,7 +474,7 @@ def reference_closure_of(ctx, seeds):
     shared closure objects included, largest first."""
     orbit, reps = ctx.orbits()
     closures = [ctx.orbit_closure(reps[k]) for k in sorted({int(orbit[s]) for s in seeds})]
-    sub = lattice.subgroup_closure(ctx.table, [])
+    sub = ctx.orbit_closure(ctx.table.identity_idx)
     for closure in sorted(closures, key=lambda c: -c.order):
         sub = ctx.closures.join(sub, closure)
     return sub

@@ -12,8 +12,8 @@ from chevlat.table import DEFAULT_CAP, ElementTable
 from conftest import (
     REFERENCE_MODELS, bfs_orbits, ctx_for, generating_set, index_of, plain_normal_closure,
     reference_center, reference_centralizer_beta, reference_closure_of, reference_congruence,
-    reference_full_congruence, reference_products, reference_small_levi_b,
-    reference_subgroup_closure,
+    reference_full_congruence, reference_normal_closure, reference_products,
+    reference_small_levi_b, reference_subgroup_closure,
 )
 
 
@@ -22,20 +22,20 @@ def ideal(ctx, d):
 
 
 def test_subgroup_closure_empty(sl3_2):
-    sub = lattice.subgroup_closure(sl3_2.table, [])
+    sub = reference_subgroup_closure(sl3_2.table, [])
     assert sub.order == 1
     assert sl3_2.table.identity_idx in sub
 
 
 def test_subgroup_closure_generators_give_whole_group(sl3_2):
-    sub = lattice.subgroup_closure(sl3_2.table, sl3_2.table.gen_idxs.tolist())
+    sub = reference_subgroup_closure(sl3_2.table, sl3_2.table.gen_idxs.tolist())
     assert sub.order == 168
 
 
 def test_subgroup_closure_cyclic(sl3_4):
     # (e + 2e_12)^2 = e mod 4, so the closure is cyclic of order 2
     idx = index_of(sl3_4.table, sl3_4.model.elementary_generator((0, 1), 2))
-    sub = lattice.subgroup_closure(sl3_4.table, [idx])
+    sub = reference_subgroup_closure(sl3_4.table, [idx])
     assert sub.order == 2
 
 
@@ -97,9 +97,9 @@ def test_products_match_unique_reference(name, request):
 def test_elementary_is_the_closure_of_the_generators(spec):
     ctx = lattice.get_context(spec.build())
     e_sub = ctx.elementary()
-    closure = lattice.subgroup_closure(ctx.table, ctx.table.gen_idxs.tolist())
+    closure = reference_subgroup_closure(ctx.table, ctx.table.gen_idxs.tolist())
     assert np.array_equal(e_sub.member, closure.member)
-    assert lattice.subgroup_closure(ctx.table, e_sub.gens) == e_sub
+    assert reference_subgroup_closure(ctx.table, e_sub.gens) == e_sub
     assert lattice.is_enormal(e_sub)
 
 
@@ -107,7 +107,7 @@ def test_elementary_reads_the_table(sl3_4, monkeypatch):
     def closed(*args, **kwargs):
         raise AssertionError("E(R) closed again")
 
-    monkeypatch.setattr(lattice, "subgroup_closure", closed)
+    monkeypatch.setattr(lattice, "normal_closure", closed)
     e_sub = sl3_4.sibling(sl3_4.model.blocks).elementary()  # a fresh context cache
     assert e_sub.order == sl3_4.table.N
     assert e_sub.gens == sl3_4.table.gen_idxs.tolist()
@@ -205,7 +205,7 @@ def test_center(sl3_4, sp4_3):
         egens = [ctx.table.mat(i) for i in ctx.table.gen_idxs]
         assert np.array_equal(ctx.center().member, matmul_centralizer(ctx.table, egens))
     # centralizer of another generating set of the whole group equals the center
-    full = lattice.subgroup_closure(sp4_3.table, sp4_3.table.gen_idxs.tolist())
+    full = reference_subgroup_closure(sp4_3.table, sp4_3.table.gen_idxs.tolist())
     assert sp4_3.centralizer(full.gens) == sp4_3.center()
 
 
@@ -231,7 +231,7 @@ def test_generating_set_generates_congruence_subgroup(sl3_4):
     sub = sl3_4.congruence(ideal(sl3_4, 2))
     gens = generating_set(sl3_4.table, sub)
     assert gens and all(g in sub for g in gens)
-    assert lattice.subgroup_closure(sl3_4.table, gens) == sub
+    assert reference_subgroup_closure(sl3_4.table, gens) == sub
 
 
 def test_sandwich_classify_sl3_4(sl3_4):
@@ -263,6 +263,13 @@ def test_level_theorem_example(sl3_4):
     vs, idxs = sl3_4.root_element_indices()[(1, 0)]
     got = {v for v, i in zip(vs, idxs) if sub.member[i]}
     assert got == {(0,), (2,)}
+
+
+def test_level_theorem_refuses_an_uncertified_subgroup(sl3_4):
+    # G(R,(2)) is E-normal, but the registry did not build it
+    q = ideal(sl3_4, 2)
+    with pytest.raises(ValueError, match="certified"):
+        lattice.verify_level_theorem(sl3_4, sl3_4.congruence(q), q)
 
 
 def test_commutator_formula(sl3_4, sp4_3):
@@ -482,10 +489,11 @@ def test_enormal_lattice_sl3_4(sl3_4):
     members = lattice.enormal_lattice(sl3_4)
     assert [sub.order for sub, _ in members] == [1, 256, 43008]
     assert all(len(adm) == 1 for _, adm in members)
-    level = {sl3_4.closures.mask(sub): adm[0] for sub, adm in members}
+    level = {sl3_4.closures.mask(sub).tobytes(): adm[0] for sub, adm in members}
     for a, (la,) in members:
         for b, (lb,) in members:
-            assert level[sl3_4.closures.mask(sl3_4.closures.join(a, b))] == math.gcd(la, lb)
+            joined = sl3_4.closures.join(a, b)
+            assert level[sl3_4.closures.mask(joined).tobytes()] == math.gcd(la, lb)
 
 
 def test_enormal_lattice_sl3_6():
@@ -494,10 +502,10 @@ def test_enormal_lattice_sl3_6():
     members = lattice.enormal_lattice(ctx)
     assert [sub.order for sub, _ in members] == [1, 168, 5616, 943488]
     assert [adm for _, adm in members] == [[6], [3], [2], [1]]
-    level = {ctx.closures.mask(sub): adm[0] for sub, adm in members}
+    level = {ctx.closures.mask(sub).tobytes(): adm[0] for sub, adm in members}
     for a, (la,) in members:
         for b, (lb,) in members:
-            assert level[ctx.closures.mask(ctx.closures.join(a, b))] == math.gcd(la, lb)
+            assert level[ctx.closures.mask(ctx.closures.join(a, b)).tobytes()] == math.gcd(la, lb)
     assert ctx.closures.join(members[1][0], members[2][0]) == members[3][0]
 
 
@@ -508,16 +516,16 @@ def test_enormal_lattice_sp4_2_has_non_unique_member(sp4_2):
 
 
 @pytest.mark.parametrize("name", ["sl3_4", "sp4_2"])
-def test_is_enormal_on_gens_agrees_with_bitset_scan(name, request):
-    # is_enormal checks the images of a subgroup's gens; a Subgroup built
-    # from the bitset alone has every member checked
+def test_is_enormal_holds_on_the_lattice_and_fails_on_a_root_subgroup(name, request):
+    # is_enormal checks the bitset, so a Subgroup built from the bitset alone
+    # gets the same verdict
     ctx = request.getfixturevalue(name)
     for sub, _ in lattice.enormal_lattice(ctx):
         assert sub.gens or sub.order == 1
         assert lattice.is_enormal(sub)
         assert lattice.is_enormal(lattice.Subgroup(ctx.table, sub.member))
     # the subgroup one root element X_alpha(1) generates is not E-normal
-    root = lattice.subgroup_closure(ctx.table, [int(ctx.table.gen_idxs[0])])
+    root = reference_subgroup_closure(ctx.table, [int(ctx.table.gen_idxs[0])])
     assert root.gens and 1 < root.order < ctx.table.N
     assert not lattice.is_enormal(root)
     assert not lattice.is_enormal(lattice.Subgroup(ctx.table, root.member))
@@ -550,6 +558,20 @@ def test_registry_orbit_closures_match_plain_engine(registry_ctx):
         assert ctx.orbit_closure(rep) == plain_normal_closure(ctx.table, [rep])
 
 
+def test_orbit_closure_gens_are_the_representative(registry_ctx):
+    # cl(r) grows from r alone, so a fresh registry gives each distinct
+    # closure the representative of the first orbit that built it as its
+    # normal generator (none for the identity)
+    ctx = registry_ctx
+    registry = lattice._ClosureRegistry(ctx.table)
+    built = {}
+    for rep in ctx.orbits()[1]:
+        built.setdefault(id(sub := registry.orbit_closure(rep)), (rep, sub))
+    for rep, sub in built.values():
+        assert sub.gens == ([] if rep == ctx.table.identity_idx else [rep])
+        assert plain_normal_closure(ctx.table, sub.gens) == sub
+
+
 def test_registry_relative_elementary_matches_plain_engine(registry_ctx):
     ctx = registry_ctx
     for q in ctx.ideals:
@@ -563,13 +585,14 @@ def test_registry_join_matches_plain_engine(registry_ctx):
     ctx = registry_ctx
     reps = {}
     for rep in ctx.orbits()[1]:
-        reps.setdefault(ctx.closures.mask(ctx.orbit_closure(rep)), rep)
+        reps.setdefault(ctx.closures.mask(ctx.orbit_closure(rep)).tobytes(), rep)
     distinct = sorted(reps.values())
     assert len(distinct) >= 2
     for i, ra in enumerate(distinct):
         for rb in distinct[i + 1:]:
             joined = ctx.closures.join(ctx.orbit_closure(ra), ctx.orbit_closure(rb))
             assert joined == plain_normal_closure(ctx.table, [ra, rb])
+            assert plain_normal_closure(ctx.table, joined.gens) == joined
 
 
 @pytest.mark.parametrize("spec", [(s.kind, s.degree, s.modulus, s.blocks) for s in cli.DEFAULT_MODELS]
@@ -583,7 +606,7 @@ def test_closures_match_a_run_without_the_whole_group_exit(spec, monkeypatch):
     got = [ctx.orbit_closure(rep) for rep in reps] + [ctx.closure_of(reps)]
     plain = lattice.GroupContext(ctx.model, ctx.cap,
                                  closures=lattice._ClosureRegistry(ctx.table))
-    monkeypatch.setattr(lattice, "subgroup_closure", reference_subgroup_closure)
+    monkeypatch.setattr(lattice, "normal_closure", reference_normal_closure)
     want = [plain.orbit_closure(rep) for rep in reps] + [reference_closure_of(plain, reps)]
     assert got[-1].order == ctx.table.N
     assert ([(g.member.tobytes(), g.gens) for g in got]
@@ -612,7 +635,9 @@ def test_orbit_closure_without_certificate_raises(sl3_4, sl2_6, monkeypatch):
     closures = [joins.orbit_closure(rep) for rep in sl2_6.orbits()[1]]
     a, b = next((a, b) for a in closures for b in closures
                 if not (a.issubset(b) or b.issubset(a)))
-    monkeypatch.setattr(lattice, "is_enormal", lambda sub: False)
+    # a normal_closure that returns a subgroup that is not E-normal
+    monkeypatch.setattr(lattice, "normal_closure", lambda table, *args, **kwargs:
+                        reference_subgroup_closure(table, [int(table.gen_idxs[0])]))
     with pytest.raises(RuntimeError, match="generated by an E-orbit is not E-normal"):
         registry.orbit_closure(sl3_4.orbits()[1][1])
     with pytest.raises(RuntimeError, match="join of E-normal subgroups is not E-normal"):
@@ -634,7 +659,7 @@ def test_join_equal_to_a_held_closure_is_that_object():
 
 def test_orbit_mask_keys_only_certified_closures(sl3_4):
     sub = sl3_4.orbit_closure(sl3_4.orbits()[1][1])
-    assert sl3_4.closures.mask(sub) == sub.member[sl3_4.orbits()[1]].tobytes()
+    assert np.array_equal(sl3_4.closures.mask(sub), sub.member[sl3_4.orbits()[1]])
     # an equal subgroup that the registry did not certify has no key
     with pytest.raises(ValueError, match="certified"):
         sl3_4.closures.mask(lattice.Subgroup(sl3_4.table, sub.member.copy(), sub.gens))
@@ -650,7 +675,7 @@ def test_sibling_reuses_orbits_and_closures(sl3_4, monkeypatch):
         raise AssertionError("recomputed on a sibling context")
 
     monkeypatch.setattr(lattice, "e_conjugacy_orbits", recomputed)
-    monkeypatch.setattr(lattice, "subgroup_closure", recomputed)
+    monkeypatch.setattr(lattice, "normal_closure", recomputed)
     sib = sl3_4.sibling((1, 2))
     assert sib.table is sl3_4.table
     assert sib.orbits() is orbits
