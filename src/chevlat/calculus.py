@@ -8,18 +8,21 @@ during construction, which is the parametrization statement itself.
 Everything downstream (sum formulas, conjugation and commutator
 decompositions, the nondegeneracy and generation lemmas) factors matrices
 through a chart, whole stacks at a time, and reads the polynomial values
-off numerically.
+off numerically.  The root-pair checks read two cached tables per model:
+every root element with its inverse, and every pair's cone and degrees.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import accumulate
 
 import numpy as np
 
 from .errors import SizeCapError, TheoremViolation
 from .models import SCAN_BOUND, GroupModel, Vec
 from .rings import mat_mul
+from .rootsys import VectorIndex
 from .table import check_key_bound, matrix_keys
 
 
@@ -35,6 +38,18 @@ def _digits(codes, m: int, width: int) -> np.ndarray:
     """The base-m digits of codes along one more trailing axis, first most significant."""
     return np.asarray(codes, dtype=np.int64)[..., None] // m ** np.arange(
         width - 1, -1, -1, dtype=np.int64) % m
+
+
+def _codes(digits: np.ndarray, m: int) -> np.ndarray:
+    """The base-m numbers of digits along the last axis, first most significant."""
+    return digits @ m ** np.arange(digits.shape[-1] - 1, -1, -1, dtype=np.int64)
+
+
+def _replay(rng, state, draws: int, m: int) -> None:
+    """Set rng to `state`, then draw randrange(m) `draws` times."""
+    rng.setstate(state)
+    for _ in range(draws):
+        rng.randrange(m)
 
 
 class UnipotentChart:
@@ -108,14 +123,37 @@ def _multiple_cone(model: GroupModel, alpha: Vec) -> tuple[Vec, ...]:
 
 
 @lru_cache(maxsize=None)
+def _pair_table(model: GroupModel) -> dict[tuple[Vec, Vec], tuple[tuple[Vec, ...], dict]]:
+    """For every ordered pair (alpha, beta) of relative roots, in the order
+    of model.rel_roots: the relative roots i*alpha + j*beta, 1 <= i, j <= 6,
+    in canonical order, and those of them with a unique (i, j), mapped to
+    it.  Every i*alpha + j*beta is found by one lookup in a VectorIndex of
+    the roots."""
+    roots = model.rel_roots  # canonical order
+    coords = np.array(roots, dtype=np.int64)
+    index = VectorIndex(f"{model.name()} relative roots", roots, coords.shape[1],
+                        int(np.abs(coords).max()))
+    k = np.arange(1, 7)[:, None]
+    ids = index.lookup(coords[:, None, None, None] * k[:, None]  # (a, b, i, j)
+                       + coords[None, :, None, None] * k).reshape(len(roots), len(roots), 36)
+    position = {v: p for p, v in enumerate(roots)}
+    canonical = np.array([position[tuple(v)] for v in index.coords.tolist()], dtype=np.int64)
+    hit = (ids >= 0)[..., None] & (canonical[ids][..., None] == np.arange(len(roots)))
+    count, first = hit.sum(axis=2).tolist(), hit.argmax(axis=2).tolist()  # (a, b, c)
+    table = {}
+    for a, alpha in enumerate(roots):
+        for b, beta in enumerate(roots):
+            n, f = count[a][b], first[a][b]
+            table[alpha, beta] = (
+                tuple(gamma for gamma, hits in zip(roots, n) if hits),
+                {gamma: (at // 6 + 1, at % 6 + 1) for gamma, hits, at in zip(roots, n, f)
+                 if hits == 1})
+    return table
+
+
 def _pair_cone(model: GroupModel, alpha: Vec, beta: Vec) -> tuple[Vec, ...]:
-    out = set()
-    for i in range(1, 7):
-        for j in range(1, 7):
-            v = tuple(i * a + j * b for a, b in zip(alpha, beta))
-            if model.is_rel_root(v):
-                out.add(v)
-    return tuple(canonical_root_order(out))
+    """The relative roots i*alpha + j*beta, 1 <= i, j <= 6, in canonical order."""
+    return _pair_table(model)[alpha, beta][0]
 
 
 @lru_cache(maxsize=None)
@@ -168,25 +206,21 @@ def sampled_identity_check(model: GroupModel, mats, count: int, rng) -> bool:
     held = commutator_identity_check(model, triples[:, 0], triples[:, 1], triples[:, 2])
     if held.all():
         return True
-    rng.setstate(state)
-    for _ in range(3 * (int(np.argmin(held)) + 1)):
-        rng.randrange(len(mats))
+    _replay(rng, state, 3 * (int(np.argmin(held)) + 1), len(mats))
     return False
 
 
 def sampled_homogeneity_check(model: GroupModel, samples: int, rng) -> tuple[bool, int]:
     """check_chevalley_homogeneity on every pair of relative roots that are
-    not opposed multiples, in the order of model.rel_roots: (ok, samples
-    times scales checked).  A counterexample ends the sweep with ok False."""
-    checked = 0
+    not opposed multiples, in the order of model.rel_roots, as one batch:
+    (ok, samples times scales checked).  A counterexample ends the sweep
+    with ok False; checked then counts the pairs before its pair."""
+    roots = model.rel_roots
+    pairs = [(a, b) for a in roots for b in roots if not opposed_multiples(a, b)]
     try:
-        for alpha in model.rel_roots:
-            for beta in model.rel_roots:
-                if not opposed_multiples(alpha, beta):
-                    checked += check_chevalley_homogeneity(model, alpha, beta, samples, rng)
-    except TheoremViolation:
-        return False, checked
-    return True, checked
+        return True, check_chevalley_homogeneity(model, pairs, samples, rng)
+    except TheoremViolation as exc:
+        return False, exc.checked
 
 
 def sampled_sum_formula_check(model: GroupModel, samples: int, rng) -> bool:
@@ -215,7 +249,7 @@ def sampled_roundtrip_check(model: GroupModel, samples: int, rng) -> tuple[bool,
     ch = radical_chart(model)
     width = sum(ch.dims)
     digits = np.array([rng.randrange(m) for _ in range(samples * width)], dtype=np.int64)
-    codes = digits.reshape(samples, width) @ m ** np.arange(width - 1, -1, -1, dtype=np.int64)
+    codes = _codes(digits.reshape(samples, width), m)
     g = model.identity()
     for alpha, v in zip(ch.roots, ch.components(codes)):
         g = mat_mul(g, _x_stack(model, alpha, v), m)
@@ -295,7 +329,7 @@ def _pair_values(model: GroupModel, alpha: Vec, beta: Vec, us, vs, target: Vec) 
     arrays us (..., d_alpha) and vs (..., d_beta) that broadcast, every
     commutator formed in one stack."""
     ch = chart(model, _pair_cone(model, alpha, beta))
-    c = commutator(_x_stack(model, alpha, us), _x_stack(model, beta, vs), model)
+    c = _root_commutator(model, _root_index(model, alpha, us), _root_index(model, beta, vs))
     return ch.factor(c, "commutator left the expected unipotent group")[ch.roots.index(target)]
 
 
@@ -396,18 +430,13 @@ def pairing_sweep(model: GroupModel) -> tuple[bool, int, bool, int]:
     return True, abe_checked, const_ok, const_checked
 
 
-@lru_cache(maxsize=None)
 def cone_degrees(model: GroupModel, alpha: Vec, beta: Vec) -> dict[Vec, tuple[int, int]]:
-    """Roots i*alpha + j*beta whose (i, j) representation is unique.
+    """Roots i*alpha + j*beta whose (i, j) representation is unique, in
+    canonical order.
 
-    Cached: every caller shares the returned dict, which must not be changed."""
-    reps: dict[Vec, list[tuple[int, int]]] = {}
-    for gamma in _pair_cone(model, alpha, beta):
-        for i in range(1, 7):
-            for j in range(1, 7):
-                if tuple(i * a + j * b for a, b in zip(alpha, beta)) == gamma:
-                    reps.setdefault(gamma, []).append((i, j))
-    return {g: ij[0] for g, ij in reps.items() if len(ij) == 1}
+    Read from the cached pair table: every caller shares the returned dict,
+    which must not be changed."""
+    return _pair_table(model)[alpha, beta][1]
 
 
 @lru_cache(maxsize=None)
@@ -418,55 +447,143 @@ def _root_elements(model: GroupModel, alpha: Vec) -> np.ndarray:
 
 def _x_stack(model: GroupModel, alpha: Vec, vs: np.ndarray) -> np.ndarray:
     """X_alpha(v) for a (..., d) array of values v, entries in [0, m)."""
-    digits = model.m ** np.arange(vs.shape[-1] - 1, -1, -1, dtype=np.int64)
-    return _root_elements(model, alpha)[vs @ digits]
+    return _root_elements(model, alpha)[_codes(vs, model.m)]
 
 
-def check_chevalley_homogeneity(
-    model: GroupModel, alpha: Vec, beta: Vec, samples: int, rng
-) -> int:
-    """Scaling u by r multiplies the (i,j) component by r^i, and scaling v
-    by r multiplies it by r^j; checked for every r in Z/m on sampled (u, v).
+@lru_cache(maxsize=None)
+def _root_table(model: GroupModel) -> tuple[dict[Vec, int], np.ndarray, np.ndarray]:
+    """Every X_alpha(v) of every relative root alpha as one stack, roots in
+    the order of model.rel_roots: each root's offset into it, the stack and
+    its inverses, from one model.inverse call."""
+    stacks = [_root_elements(model, a) for a in model.rel_roots]
+    offsets = np.cumsum([0] + [len(x) for x in stacks[:-1]]).tolist()
+    mats = np.concatenate(stacks)
+    return dict(zip(model.rel_roots, offsets)), mats, model.inverse(mats)
 
-    The commutators [X_alpha(r u), X_beta(v)] and [X_alpha(u), X_beta(r v)]
-    of every sample and every r are formed as one stack and factored by one
-    chart lookup; one off the chart is a RuntimeError.  A failed comparison
-    is reported as a sample-by-sample loop meets it first (r by r, root by
-    root, first argument first), and rng is left as that loop leaves it:
-    after drawing k+1 samples when sample k fails.
-    """
-    if not (model.is_rel_root(alpha) and model.is_rel_root(beta)):
-        raise ValueError("alpha and beta must be relative roots")
-    if opposed_multiples(alpha, beta):
-        raise ValueError("opposite multiples are excluded")
+
+def _root_index(model: GroupModel, alpha: Vec, vs: np.ndarray) -> np.ndarray:
+    """Root-table indices of X_alpha(v) for a (..., d) array of values v in [0, m)."""
+    return _root_table(model)[0][alpha] + _codes(vs, model.m)
+
+
+def _root_commutator(model: GroupModel, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """The commutators x^-1 y^-1 x y of root-table indices x and y that
+    broadcast: four gathers and three products."""
+    _, mats, inv = _root_table(model)
     m = model.m
-    da, db = model.v_dim(alpha), model.v_dim(beta)
+    return mat_mul(mat_mul(inv[x], inv[y], m), mat_mul(mats[x], mats[y], m), m)
+
+
+def _homogeneity_codes(model: GroupModel, pairs, cones, values: np.ndarray,
+                       samples: int) -> np.ndarray:
+    """The (pair, sample, 2m) chart codes of [X_alpha(r u), X_beta(v)], then
+    of [X_alpha(u), X_beta(r v)], r in Z/m, -1 off the chart of the pair's
+    cone.  values holds each pair's samples in turn, each sample u then v.
+    Each distinct commutator is formed once from the root table, and the
+    commutators of one cone are looked up together."""
+    m = model.m
+    offsets, mats, _ = _root_table(model)
+    da, db, oa, ob = np.array([(model.v_dim(a), model.v_dim(b), offsets[a], offsets[b])
+                               for a, b in pairs], dtype=np.int64).T
+    width = da + db
+    rows = (np.cumsum(width) - width)[:, None] * samples + width[:, None] * np.arange(samples)
+    pad = np.arange(max(da.max(), db.max()))  # every value is padded in front with zeros
+
+    def scaled(first, d, offset):
+        """Root-table indices (pair, sample, r) of X(r w), w the d values from first on."""
+        t = pad - (pad.size - d)[:, None, None]  # negative in the padding
+        w = np.where(t < 0, 0, values[np.maximum(first[..., None] + t, 0)])
+        return offset[:, None, None] + _codes(np.arange(m)[:, None] * w[:, :, None] % m, m)
+
+    xa, yb = scaled(rows, da, oa), scaled(rows + da[:, None], db, ob)
+    x = np.concatenate([xa, np.broadcast_to(xa[..., 1:2], xa.shape)], axis=-1).ravel()
+    y = np.concatenate([np.broadcast_to(yb[..., 1:2], yb.shape), yb], axis=-1).ravel()
+    key = x * len(mats) + y
+    order = np.argsort(key, kind="stable")
+    new = np.diff(key[order], prepend=-1) != 0
+    once = order[new]  # the first (x, y) of each distinct key
+    c = _root_commutator(model, x[once], y[once])
+    slot = {cone: s for s, cone in enumerate(dict.fromkeys(cones))}
+    in_cone = np.array([slot[cone] for cone in cones])[once // (samples * 2 * m)]
+    found = np.empty(len(once), dtype=np.int64)
+    for cone, s in slot.items():
+        found[in_cone == s] = chart(model, cone).lookup(c[in_cone == s])
+    codes = np.empty(len(key), dtype=np.int64)
+    codes[order] = found[np.cumsum(new) - 1]
+    return codes.reshape(len(pairs), samples, 2 * m)
+
+
+def check_chevalley_homogeneity(model: GroupModel, pairs, samples: int, rng) -> int:
+    """eq. (eq:Chev) on each pair (alpha, beta) of relative roots in pairs:
+    scaling u by r multiplies the (i,j) component of [X_alpha(u), X_beta(v)]
+    by r^i, and scaling v by r multiplies it by r^j, for every r in Z/m on
+    `samples` sampled (u, v) per pair.  Returns samples * m per pair.
+
+    The values are drawn pair by pair, sample by sample, u before v, as one
+    randrange list.  The commutators of every pair, sample and r are one
+    stack (`_homogeneity_codes`), and the degrees, read through
+    cone_degrees, are compared as arrays, one column per coordinate.  The
+    first failure in (pair, sample, r, comparison) order, comparisons root
+    by root, first argument first, is reported as a pair-by-pair,
+    sample-by-sample loop meets it, and rng is left as that loop leaves it.
+    A commutator off its cone's chart is a RuntimeError, after the draws of
+    its pair.  A failed comparison at sample k is a TheoremViolation, after
+    the draws of k+1 samples of its pair; its `checked` counts the pairs
+    before it.
+    """
+    for alpha, beta in pairs:
+        if not (model.is_rel_root(alpha) and model.is_rel_root(beta)):
+            raise ValueError("alpha and beta must be relative roots")
+        if opposed_multiples(alpha, beta):
+            raise ValueError("opposite multiples are excluded")
+    if not pairs:
+        return 0
+    m = model.m
+    width = [model.v_dim(a) + model.v_dim(b) for a, b in pairs]
     state = rng.getstate()
-    drawn = [rng.randrange(m) for _ in range(samples * (da + db))]
-    uv = np.array(drawn, dtype=np.int64).reshape(samples, da + db)
-    scale = np.arange(m, dtype=np.int64)[None, :, None]
-    xa = _x_stack(model, alpha, scale * uv[:, None, :da] % m)  # (samples, m, n, n)
-    xb = _x_stack(model, beta, scale * uv[:, None, da:] % m)
-    x = np.concatenate([xa, np.broadcast_to(xa[:, 1:2], xa.shape)], axis=1)
-    y = np.concatenate([np.broadcast_to(xb[:, 1:2], xb.shape), xb], axis=1)
-    ch = chart(model, _pair_cone(model, alpha, beta))
-    lost = ("commutator left the expected unipotent group" if ch.roots
-            else "commutator is not trivial over an empty cone")
-    values = ch.factor(commutator(x, y, model), lost)  # (samples, 2m, d) each: r u, then r v
-    labels, miss = [], []  # per degree comparison: its failure message, its (samples, m) mask
-    for gamma, (i, j) in cone_degrees(model, alpha, beta).items():
-        got = values[ch.roots.index(gamma)]
-        for side, arg, deg in ((0, "first", i), (1, "second", j)):
-            want = np.array([pow(r, deg, m) for r in range(m)])[:, None] * got[:, None, 1] % m
-            labels.append(f"{arg}-argument degree {deg} fails at {gamma} on {model.name()}")
-            miss.append((got[:, side * m:(side + 1) * m] != want).any(-1))
-    if not np.any(miss):
-        return samples * m
-    # the first failure in (sample, r, comparison) order
-    k, r, c = (int(t[0]) for t in np.nonzero(np.stack(miss, axis=-1)))
-    rng.setstate(state)
-    for _ in range((k + 1) * (da + db)):
-        rng.randrange(m)
-    row = drawn[k * (da + db):(k + 1) * (da + db)]
-    raise TheoremViolation("eq. (eq:Chev)", labels[c],
-                           witness={"u": tuple(row[:da]), "v": tuple(row[da:]), "r": r})
+    drawn = [rng.randrange(m) for _ in range(samples * sum(width))]
+    cones = [_pair_cone(model, a, b) for a, b in pairs]
+    codes = _homogeneity_codes(model, pairs, cones, np.array(drawn, dtype=np.int64), samples)
+    lost = np.flatnonzero((codes < 0).any(axis=(1, 2)))
+    stop = int(lost[0]) if lost.size else len(pairs)
+    weights = {}  # per cone, the digit weights of each root's coordinates in a chart code
+    for cone in dict.fromkeys(cones[:stop]):
+        ch = chart(model, cone)
+        place = [m ** e for e in range(sum(ch.dims) - 1, -1, -1)]
+        weights[cone] = {gamma: place[end - d:end]
+                         for gamma, d, end in zip(ch.roots, ch.dims, accumulate(ch.dims))}
+    # the comparisons of the pairs before the first one off its chart, as
+    # (pair, side, degree, root), and a column (pair, digit weight, side,
+    # degree, comparison) per coordinate
+    comps, cols = [], []
+    for p in range(stop):
+        for gamma, (i, j) in cone_degrees(model, *pairs[p]).items():
+            for side, deg in ((0, i), (1, j)):
+                cols += [(p, w, side, deg, len(comps)) for w in weights[cones[p]][gamma]]
+                comps.append((p, side, deg, gamma))
+    if cols:
+        at, weight, side, deg, comp = np.array(cols, dtype=np.int64).T
+        got = codes[at] // weight[:, None, None] % m  # (column, sample, 2m)
+        power = np.array([[pow(r, e, m) for r in range(m)] for e in range(deg.max() + 1)])
+        want = power[deg][:, None] * got[..., 1:2] % m
+        miss = np.where(side[:, None, None] == 0, got[..., :m], got[..., m:]) != want
+        if miss.any():
+            col, k, r = np.nonzero(miss)
+            first = np.lexsort((comp[col], r, k, at[col]))[0]
+            (p, side, deg, gamma), k, r = comps[comp[col[first]]], int(k[first]), int(r[first])
+            row = samples * sum(width[:p]) + k * width[p]
+            _replay(rng, state, row + width[p], m)
+            da = model.v_dim(pairs[p][0])
+            exc = TheoremViolation(
+                "eq. (eq:Chev)",
+                f"{('first', 'second')[side]}-argument degree {deg} fails at {gamma} "
+                f"on {model.name()}",
+                witness={"u": tuple(drawn[row:row + da]),
+                         "v": tuple(drawn[row + da:row + width[p]]), "r": r})
+            exc.checked = p * samples * m
+            raise exc
+    if stop < len(pairs):
+        _replay(rng, state, samples * sum(width[:stop + 1]), m)
+        raise RuntimeError("commutator left the expected unipotent group" if cones[stop]
+                           else "commutator is not trivial over an empty cone")
+    return len(pairs) * samples * m

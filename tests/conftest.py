@@ -173,6 +173,30 @@ def _reference_components(model, roots, g):
     return ordered, by_key.get(tuple(int(x) % model.m for x in np.asarray(g).flatten()))
 
 
+def reference_pair_cone(model, alpha, beta):
+    """The relative roots i*alpha + j*beta, 1 <= i, j <= 6, in canonical
+    order, by a loop over (i, j)."""
+    out = set()
+    for i in range(1, 7):
+        for j in range(1, 7):
+            v = tuple(i * a + j * b for a, b in zip(alpha, beta))
+            if model.is_rel_root(v):
+                out.add(v)
+    return tuple(calculus.canonical_root_order(out))
+
+
+def reference_cone_degrees(model, alpha, beta):
+    """Roots i*alpha + j*beta whose (i, j) representation is unique, by a
+    loop over the cone and (i, j)."""
+    reps = {}
+    for gamma in reference_pair_cone(model, alpha, beta):
+        for i in range(1, 7):
+            for j in range(1, 7):
+                if tuple(i * a + j * b for a, b in zip(alpha, beta)) == gamma:
+                    reps.setdefault(gamma, []).append((i, j))
+    return {g: ij[0] for g, ij in reps.items() if len(ij) == 1}
+
+
 def chevalley_commutator_decompose(model, alpha, u, beta, v):
     """[X_alpha(u), X_beta(v)] factored over {i*alpha + j*beta}: (root,
     value) pairs with nonzero value, in canonical order."""
@@ -447,6 +471,13 @@ def reference_normal_closure(table, seeds, base=None, stop=None):
         if found is not None:
             return found
     return lattice.Subgroup(table, member, list(base.gens) + new)
+
+
+def is_enormal(sub):
+    """Whether every E generator conjugation maps the bitset into itself,
+    checked member by member with N-byte masks."""
+    member = sub.member
+    return not any((member & ~member[perm]).any() for perm in sub.table.egen_conj_perms())
 
 
 def plain_normal_closure(table, seeds):

@@ -10,7 +10,8 @@ from chevlat.rings import ZmRing
 
 from conftest import (
     REFERENCE_MODELS, chevalley_commutator_decompose, component_at, reference_chart,
-    reference_levi_conjugation_check, reference_pairing_sweep, unipotent_factor,
+    reference_cone_degrees, reference_levi_conjugation_check, reference_pair_cone,
+    reference_pairing_sweep, unipotent_factor,
 )
 
 
@@ -268,7 +269,7 @@ def test_chevalley_homogeneity_sampled():
             for beta in model.rel_roots:
                 if calculus.opposed_multiples(alpha, beta):
                     continue
-                calculus.check_chevalley_homogeneity(model, alpha, beta, 4, rng)
+                calculus.check_chevalley_homogeneity(model, [(alpha, beta)], 4, rng)
 
 
 def test_cone_degrees():
@@ -313,6 +314,11 @@ def _scalar_homogeneity(model, alpha, beta, samples, rng):
     return checked
 
 
+def _one_pair(model, alpha, beta, samples, rng):
+    """check_chevalley_homogeneity on the one-pair batch [(alpha, beta)]."""
+    return calculus.check_chevalley_homogeneity(model, [(alpha, beta)], samples, rng)
+
+
 def _homogeneity_run(check, model, samples, seed):
     """Outcome and rng state after each non-opposed pair, one rng throughout."""
     rng = random.Random(seed)
@@ -334,7 +340,7 @@ HOMOGENEITY_MODELS = [sl(3, 4), sp(3, "line"), sp(2, "borel")]
 
 @pytest.mark.parametrize("model", HOMOGENEITY_MODELS, ids=lambda mo: mo.name())
 def test_stacked_homogeneity_matches_scalar_reference(model):
-    stacked = _homogeneity_run(calculus.check_chevalley_homogeneity, model, 6, 41)
+    stacked = _homogeneity_run(_one_pair, model, 6, 41)
     assert stacked == _homogeneity_run(_scalar_homogeneity, model, 6, 41)
     assert all(res == 6 * model.m for _, _, res, _ in stacked)
 
@@ -346,10 +352,111 @@ def test_stacked_homogeneity_failure_matches_scalar_reference(model, monkeypatch
     true_degrees = calculus.cone_degrees
     monkeypatch.setattr(calculus, "cone_degrees", lambda model, a, b: {
         g: (0, j) for g, (i, j) in true_degrees(model, a, b).items()})
-    stacked = _homogeneity_run(calculus.check_chevalley_homogeneity, model, 6, 43)
+    stacked = _homogeneity_run(_one_pair, model, 6, 43)
     assert stacked == _homogeneity_run(_scalar_homogeneity, model, 6, 43)
     failures = [res for _, _, res, _ in stacked if isinstance(res, tuple)]
     assert failures and all("first-argument degree 0 fails" in msg for msg, _ in failures)
+
+
+PAIR_TABLE_MODELS = [
+    sl(3, 2), sl(3, 3), sl(3, 4), sl(4, 2), sp(2, "borel"), sp(3, "line"),
+    sl(3, 6), sp(4, "line"), sp(3, "borel"), sp(3, "siegel"), sl(4, 2, (1, 2, 1)),
+]
+
+
+@pytest.mark.parametrize("model", PAIR_TABLE_MODELS, ids=lambda mo: mo.name())
+def test_pair_table_matches_tuple_loops(model):
+    for alpha in model.rel_roots:
+        for beta in model.rel_roots:
+            assert calculus._pair_cone(model, alpha, beta) == reference_pair_cone(model, alpha, beta)
+            degrees = calculus.cone_degrees(model, alpha, beta)
+            assert list(degrees.items()) == list(reference_cone_degrees(model, alpha, beta).items())
+
+
+def _pairs(model):
+    return [(a, b) for a in model.rel_roots for b in model.rel_roots
+            if not calculus.opposed_multiples(a, b)]
+
+
+def _per_pair_homogeneity(model, samples, rng):
+    """sampled_homogeneity_check as a pair-by-pair loop of the scalar reference."""
+    checked = 0
+    try:
+        for alpha, beta in _pairs(model):
+            checked += _scalar_homogeneity(model, alpha, beta, samples, rng)
+    except TheoremViolation:
+        return False, checked
+    return True, checked
+
+
+def _outcome(run, model, seed):
+    """(result or exception text, rng state) of one run over the whole model."""
+    rng = random.Random(seed)
+    try:
+        result = run(model, 6, rng)
+    except RuntimeError as exc:
+        result = str(exc)
+    return result, rng.getstate()
+
+
+def _wrong_degrees_at(monkeypatch, pair=None, true_degrees=calculus.cone_degrees):
+    # claim degree 0 in the first argument at one pair only, or at every pair
+    monkeypatch.setattr(calculus, "cone_degrees", lambda model, a, b: {
+        g: (0, j) for g, (i, j) in true_degrees(model, a, b).items()} if pair in (None, (a, b))
+        else true_degrees(model, a, b))
+
+
+@pytest.mark.parametrize("model", HOMOGENEITY_MODELS, ids=lambda mo: mo.name())
+def test_whole_model_homogeneity_matches_per_pair_loop(model, monkeypatch):
+    pairs = _pairs(model)
+    clean = _outcome(calculus.sampled_homogeneity_check, model, 47)
+    assert clean == _outcome(_per_pair_homogeneity, model, 47)
+    assert clean[0] == (True, 6 * model.m * len(pairs))
+    # a failure at one later pair only: the pairs before it are counted
+    late = max(p for p, (a, b) in enumerate(pairs) if calculus.cone_degrees(model, a, b))
+    _wrong_degrees_at(monkeypatch, pairs[late])
+    failed = _outcome(calculus.sampled_homogeneity_check, model, 47)
+    assert failed == _outcome(_per_pair_homogeneity, model, 47)
+    assert failed[0] == (False, 6 * model.m * late)
+    # wrong at every pair: the first pair that meets a failure reports it
+    _wrong_degrees_at(monkeypatch)
+    everywhere = _outcome(calculus.sampled_homogeneity_check, model, 47)
+    assert everywhere == _outcome(_per_pair_homogeneity, model, 47)
+    assert everywhere[0][0] is False
+
+
+def _empty_cone_at(monkeypatch, pair, true_cone=calculus._pair_cone):
+    # a cone too small for one pair only
+    monkeypatch.setattr(calculus, "_pair_cone", lambda model, a, b: () if (a, b) == pair
+                        else true_cone(model, a, b))
+
+
+@pytest.mark.parametrize("model", HOMOGENEITY_MODELS, ids=lambda mo: mo.name())
+def test_off_chart_pair_is_reported_only_without_an_earlier_failure(model, monkeypatch):
+    pairs = _pairs(model)
+    # the pairs where some commutator of basis root elements is not trivial
+    moving = [p for p, (a, b) in enumerate(pairs) if any(
+        (calculus.commutator(model.x(a, e), model.x(b, f), model) != model.identity()).any()
+        for e in model.v_basis(a) for f in model.v_basis(b))]
+    first, last = moving[0], moving[-1]
+    # off its chart at the first such pair, with or without a later failure
+    _empty_cone_at(monkeypatch, pairs[first])
+    lost = _outcome(calculus.sampled_homogeneity_check, model, 53)
+    assert lost[0] == "commutator is not trivial over an empty cone"
+    assert lost[0] == _outcome(_per_pair_homogeneity, model, 53)[0]
+    ref = random.Random(53)  # rng is left after the draws of the pairs up to it
+    for a, b in pairs[:first + 1]:
+        for _ in range(6 * (model.v_dim(a) + model.v_dim(b))):
+            ref.randrange(model.m)
+    assert lost[1] == ref.getstate()
+    _wrong_degrees_at(monkeypatch, pairs[last])
+    assert _outcome(calculus.sampled_homogeneity_check, model, 53) == lost
+    # off its chart at the last such pair, after a failure at the first
+    _empty_cone_at(monkeypatch, pairs[last])
+    _wrong_degrees_at(monkeypatch, pairs[first])
+    earlier = _outcome(calculus.sampled_homogeneity_check, model, 53)
+    assert earlier == _outcome(_per_pair_homogeneity, model, 53)
+    assert earlier[0] == (False, 6 * model.m * first)
 
 
 def test_stacked_identity_check_matches_scalar():

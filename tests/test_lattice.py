@@ -10,10 +10,10 @@ from chevlat.rings import ZmIdeal, ZmRing
 from chevlat.table import DEFAULT_CAP, ElementTable
 
 from conftest import (
-    REFERENCE_MODELS, bfs_orbits, ctx_for, generating_set, index_of, plain_normal_closure,
-    reference_center, reference_centralizer_beta, reference_closure_of, reference_congruence,
-    reference_full_congruence, reference_normal_closure, reference_products,
-    reference_small_levi_b, reference_subgroup_closure,
+    REFERENCE_MODELS, bfs_orbits, ctx_for, generating_set, index_of, is_enormal,
+    plain_normal_closure, reference_center, reference_centralizer_beta, reference_closure_of,
+    reference_congruence, reference_full_congruence, reference_normal_closure,
+    reference_products, reference_small_levi_b, reference_subgroup_closure,
 )
 
 
@@ -100,7 +100,7 @@ def test_elementary_is_the_closure_of_the_generators(spec):
     closure = reference_subgroup_closure(ctx.table, ctx.table.gen_idxs.tolist())
     assert np.array_equal(e_sub.member, closure.member)
     assert reference_subgroup_closure(ctx.table, e_sub.gens) == e_sub
-    assert lattice.is_enormal(e_sub)
+    assert is_enormal(e_sub)
 
 
 def test_elementary_reads_the_table(sl3_4, monkeypatch):
@@ -511,7 +511,7 @@ def test_enormal_lattice_sl3_6():
 
 def test_enormal_lattice_sp4_2_has_non_unique_member(sp4_2):
     members = lattice.enormal_lattice(sp4_2)
-    assert all(lattice.is_enormal(sub) for sub, _ in members)
+    assert all(is_enormal(sub) for sub, _ in members)
     assert any(len(adm) != 1 for _, adm in members)
 
 
@@ -522,13 +522,13 @@ def test_is_enormal_holds_on_the_lattice_and_fails_on_a_root_subgroup(name, requ
     ctx = request.getfixturevalue(name)
     for sub, _ in lattice.enormal_lattice(ctx):
         assert sub.gens or sub.order == 1
-        assert lattice.is_enormal(sub)
-        assert lattice.is_enormal(lattice.Subgroup(ctx.table, sub.member))
+        assert is_enormal(sub)
+        assert is_enormal(lattice.Subgroup(ctx.table, sub.member))
     # the subgroup one root element X_alpha(1) generates is not E-normal
     root = reference_subgroup_closure(ctx.table, [int(ctx.table.gen_idxs[0])])
     assert root.gens and 1 < root.order < ctx.table.N
-    assert not lattice.is_enormal(root)
-    assert not lattice.is_enormal(lattice.Subgroup(ctx.table, root.member))
+    assert not is_enormal(root)
+    assert not is_enormal(lattice.Subgroup(ctx.table, root.member))
 
 
 @pytest.fixture
