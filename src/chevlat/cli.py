@@ -7,8 +7,8 @@ timing block.  Exit codes: 0 all asserted checks passed, 1 a theorem-level
 check failed (a counterexample), 2 configuration, size or file error (an
 unreadable --config; an --out whose directory does not exist, refused before
 anything runs; a report that cannot be written), 3 internal error (a
-RuntimeError, AssertionError or ValueError inside the run; no report is
-written).
+RuntimeError, AssertionError, ValueError or MemoryError inside the run; no
+report is written).
 """
 
 from __future__ import annotations
@@ -150,23 +150,26 @@ class Recorder:
 
     def __init__(self):
         self.checks: list[dict] = []
+        self.seconds: list[float] = []
 
-    def add(self, name: str, anchor: str, ok: bool, expect_violation: bool,
-            model: str = "", witness=None):
-        if expect_violation:
-            verdict = "info" if ok else "expected-exception"
-        else:
-            verdict = "pass" if ok else "fail"
-        rec = {"name": name, "anchor": anchor, "model": model, "verdict": verdict}
-        if witness is not None:
-            rec["witness"] = witness
-        self.checks.append(rec)
-
-    def note(self, name: str, anchor: str, text: str, model: str = ""):
-        self.checks.append(
-            {"name": name, "anchor": anchor, "model": model, "verdict": "info",
-             "witness": {"note": text}}
-        )
+    def run(self, records, model: str = ""):
+        """Drain a record generator.  Each record is timed from the resumption
+        of its generator to its yield, so shared work counts toward the first
+        record after it; `ok` None marks an informational note."""
+        started = time.perf_counter()
+        for name, anchor, ok, expect_violation, witness in records:
+            self.seconds.append(time.perf_counter() - started)
+            if ok is None or (ok and expect_violation):
+                verdict = "info"
+            elif expect_violation:
+                verdict = "expected-exception"
+            else:
+                verdict = "pass" if ok else "fail"
+            rec = {"name": name, "anchor": anchor, "model": model, "verdict": verdict}
+            if witness is not None:
+                rec["witness"] = witness
+            self.checks.append(rec)
+            started = time.perf_counter()
 
     def failed(self) -> bool:
         return any(c["verdict"] == "fail" for c in self.checks)
@@ -184,102 +187,89 @@ def _jsonable(obj):
 
 
 # -- suites -------------------------------------------------------------------
+# Each suite is a generator of its records in report order, every record a
+# tuple (name, anchor, ok, expect_violation, witness); the suite_* functions
+# drain them into a Recorder.
 
-def suite_roots(rec: Recorder):
+def roots_records():
     for family, rank in STANDARD_TYPES:
         rtype = rootsys.RootSystemType(family, rank)
         ok, witness = rootsys.check_root_system(rootsys.build_root_system(rtype))
-        rec.add(f"root_system_{rtype}", "root system construction", ok, False,
-                witness=witness)
+        yield f"root_system_{rtype}", "root system construction", ok, False, witness
 
 
-def suite_relroots(rec: Recorder):
+def relroots_records():
     totals = relroots.sweep_totals(5)
     failures = {k: v for k, v in totals.items() if k.endswith("failed") and v}
-    rec.add("relative_lemma_sweep", "Lemma adj-simple-roots",
-            not failures, False, witness=_jsonable(totals))
-    rec.note(
-        "sigma_convention", "eq. (Sigma(beta))",
-        "the required containment is implemented as alpha+beta not in "
-        "Phi union {0}, excluding alpha = -beta, which the half-space "
-        "formula also rejects",
-    )
+    yield "relative_lemma_sweep", "Lemma adj-simple-roots", not failures, False, _jsonable(totals)
+    yield "sigma_convention", "eq. (Sigma(beta))", None, False, {
+        "note": "the required containment is implemented as alpha+beta not in "
+                "Phi union {0}, excluding alpha = -beta, which the half-space "
+                "formula also rejects"}
     for (bf, br), (tf, tr), gen in relroots.FOLDS:
-        rec.add(f"fold_{bf}{br}_to_{tf}{tr}", "Lemma parab-centr-root",
-                relroots.fold_matches((bf, br), (tf, tr), gen), False)
+        yield (f"fold_{bf}{br}_to_{tf}{tr}", "Lemma parab-centr-root",
+               relroots.fold_matches((bf, br), (tf, tr), gen), False, None)
 
 
-def _group_calculus_checks(rec: Recorder, spec: ModelSpec, model: models.GroupModel, cap: int,
-                           rng):
-    name = model.name()
+def group_records(spec: ModelSpec, cap: int):
+    model = spec.build()
+    rng = random.Random(RNG_SEED)
     levis = model.levi_elements()  # first: the scan refuses an oversized model up front
     check_bounds(model, cap)  # and the table guards refuse a group the suite cannot finish
     hyp = models.hypothesis_check(model)
     expect = spec.expects_violation(hyp)
-    rec.add("hypotheses", "Theorem main", hyp.main_ok, expect, model=name, witness=hyp.as_dict())
+    yield "hypotheses", "Theorem main", hyp.main_ok, expect, hyp.as_dict()
 
     gens_ok = all(model.is_element(g) for g in model.all_elementary_generators())
     sampled = bool(model.is_element(calculus.sampled_root_elements(model, 8, rng)).all())
-    rec.add("generators_in_group", "eq. (Xalpha-prod)", gens_ok and sampled, False, model=name)
+    yield "generators_in_group", "eq. (Xalpha-prod)", gens_ok and sampled, False, None
 
     mats = calculus.sampled_root_elements(model, 4, rng)
-    ident_ok = calculus.sampled_identity_check(model, mats, 1000, rng)
-    rec.add("commutator_identity", "eq. (xyzz-1)", ident_ok, False, model=name)
+    yield ("commutator_identity", "eq. (xyzz-1)",
+           calculus.sampled_identity_check(model, mats, 1000, rng), False, None)
 
     hom_ok, hom_checked = calculus.sampled_homogeneity_check(model, 8, rng)
-    rec.add("chevalley_homogeneity", "eq. (eq:Chev)", hom_ok, False, model=name,
-            witness={"checked": hom_checked})
+    yield "chevalley_homogeneity", "eq. (eq:Chev)", hom_ok, False, {"checked": hom_checked}
 
-    rec.add("sum_formula", "eq. (eq:sum)", calculus.sampled_sum_formula_check(model, 32, rng),
-            False, model=name)
+    yield ("sum_formula", "eq. (eq:sum)", calculus.sampled_sum_formula_check(model, 32, rng),
+           False, None)
 
-    rec.add("levi_conjugation", "Lemma rootels (ii)",
-            calculus.levi_conjugation_check(model, levis, 16, rng), False, model=name)
+    yield ("levi_conjugation", "Lemma rootels (ii)",
+           calculus.levi_conjugation_check(model, levis, 16, rng), False, None)
 
     round_ok, radical_order = calculus.sampled_roundtrip_check(model, 64, rng)
-    rec.add("unipotent_roundtrip", "Lemma rootels (iv)", round_ok, False, model=name,
-            witness={"radical_order": radical_order})
+    yield ("unipotent_roundtrip", "Lemma rootels (iv)", round_ok, False,
+           {"radical_order": radical_order})
 
     abe_ok, abe_checked, const_ok, const_checked = calculus.pairing_sweep(model)
-    rec.add("pairing_witness", "Lemma ABe", abe_ok, expect, model=name,
-            witness={"checked": abe_checked,
-                     "generating_system": "standard unit coordinates of V_alpha"})
-    rec.add("leading_values_generate", "Lemma const", const_ok, expect, model=name,
-            witness={"checked": const_checked})
+    yield "pairing_witness", "Lemma ABe", abe_ok, expect, {
+        "checked": abe_checked, "generating_system": "standard unit coordinates of V_alpha"}
+    yield "leading_values_generate", "Lemma const", const_ok, expect, {"checked": const_checked}
 
-    rec.add("gauss_cell_roundtrip", "Lemma open-fields",
-            models.sampled_gauss_roundtrip_check(model, 128, rng), False, model=name)
+    yield ("gauss_cell_roundtrip", "Lemma open-fields",
+           models.sampled_gauss_roundtrip_check(model, 128, rng), False, None)
 
-
-def suite_group(rec: Recorder, spec: ModelSpec, cap: int):
-    model = spec.build()
-    rng = random.Random(RNG_SEED)
-    _group_calculus_checks(rec, spec, model, cap, rng)
     ctx = lattice.get_context(model, cap)
-    rec.add("element_table", "invented plumbing", True, False, model=model.name(),
-            witness={"order": ctx.table.N})
+    yield "element_table", "invented plumbing", True, False, {"order": ctx.table.N}
     e_sub = ctx.elementary()
-    rec.add("elementary_subgroup_full", "Theorem EE", e_sub.order == ctx.table.N,
-            False, model=model.name(), witness={"order": e_sub.order})
+    yield ("elementary_subgroup_full", "Theorem EE", e_sub.order == ctx.table.N, False,
+           {"order": e_sub.order})
     if ctx.table.N <= 10_000:
-        rec.add("gauss_cell_brute_force", "Lemma open-fields",
-                lattice.gauss_brute_force_agrees(ctx), False, model=model.name())
+        yield ("gauss_cell_brute_force", "Lemma open-fields",
+               lattice.gauss_brute_force_agrees(ctx), False, None)
 
 
-def suite_sandwich(rec: Recorder, spec: ModelSpec, cap: int):
+def sandwich_records(spec: ModelSpec, cap: int):
     model = spec.build()
-    name = model.name()
     ctx = lattice.get_context(model, cap)
     hyp = ctx.hypotheses
     expect = spec.expects_violation(hyp)
-    rec.add("hypotheses", "Theorem main", hyp.main_ok, expect, model=name,
-            witness=hyp.as_dict())
+    yield "hypotheses", "Theorem main", hyp.main_ok, expect, hyp.as_dict()
 
     results = lattice.sandwich_classify(ctx)
-    all_unique = all(r.verdict == "unique" for r in results)
-    rec.add("sandwich_classification", "Theorem main (ii)", all_unique, expect,
-            model=name, witness={"orbits": len(results),
-                                 "results": [r.as_dict() for r in results]})
+    yield ("sandwich_classification", "Theorem main (ii)",
+           all(r.verdict == "unique" for r in results), expect,
+           {"orbits": len(results), "results": [r.as_dict() for r in results]})
 
     levels_ok = True
     level_reports = []
@@ -293,64 +283,71 @@ def suite_sandwich(rec: Recorder, spec: ModelSpec, cap: int):
         )
         level_reports.append(rep.as_dict())
         levels_ok &= rep.equal
-    rec.add("level_computation", "Theorem cong-N", levels_ok, expect, model=name,
-            witness={"reports": level_reports})
+    yield "level_computation", "Theorem cong-N", levels_ok, expect, {"reports": level_reports}
 
     cf = lattice.verify_commutator_formula(ctx)
-    rec.add("commutator_formula", "Theorem main (i)", all(r["equal"] for r in cf),
-            expect, model=name, witness={"per_ideal": cf})
+    yield ("commutator_formula", "Theorem main (i)", all(r["equal"] for r in cf), expect,
+           {"per_ideal": cf})
 
     if model.kind == "SL" and model.degree >= 3:
         other = [(1, model.degree - 1)] if model.degree == 3 else [(2, 2), (1, 1, 2)]
         pi = lattice.verify_parabolic_independence(ctx, other)
-        rec.add("parabolic_independence", "Lemma E_P", all(r["equal"] for r in pi),
-                expect, model=name, witness={"per_ideal": pi})
+        yield ("parabolic_independence", "Lemma E_P", all(r["equal"] for r in pi), expect,
+               {"per_ideal": pi})
 
     st = lattice.verify_structure_theorems(ctx)
-    rec.add("elementary_normal", "Theorem EE", st["e_normal"], expect, model=name)
-    rec.add("centralizer_is_center", "Theorem E-cent",
-            st["centralizer_matches_center"], expect, model=name,
-            witness={"center_order": st["center_order"]})
+    yield "elementary_normal", "Theorem EE", st["e_normal"], expect, None
+    yield ("centralizer_is_center", "Theorem E-cent", st["centralizer_matches_center"],
+           expect, {"center_order": st["center_order"]})
     perfect_expected = hyp.perfect_ok and not spec.expect_violation
-    rec.add("elementary_perfect", "Theorem perfect",
-            st["perfect"], not perfect_expected, model=name,
-            witness={"derived_index": st["derived_index"]})
-    rec.add("hall_witt_stabilization", "Lemma HallWitt",
-            not st["hall_witt_failures"], not perfect_expected, model=name,
-            witness={"failures": st["hall_witt_failures"]})
+    yield ("elementary_perfect", "Theorem perfect", st["perfect"], not perfect_expected,
+           {"derived_index": st["derived_index"]})
+    yield ("hall_witt_stabilization", "Lemma HallWitt", not st["hall_witt_failures"],
+           not perfect_expected, {"failures": st["hall_witt_failures"]})
 
     ue = lattice.verify_unipotent_extraction(ctx)
-    rec.add("unipotent_extraction", "Lemma InP",
-            not ue["failures"] and not ue["radical_failures"], expect, model=name,
-            witness=ue)
+    yield ("unipotent_extraction", "Lemma InP",
+           not ue["failures"] and not ue["radical_failures"], expect, ue)
 
     jc = lattice.join_compatibility(ctx, 100, random.Random(RNG_SEED))
-    rec.add("join_compatibility", "Theorem main (ii)", not jc["mismatches"], expect,
-            model=name, witness={"checked": jc["checked"],
-                                 "mismatches": len(jc["mismatches"])})
+    yield ("join_compatibility", "Theorem main (ii)", not jc["mismatches"], expect,
+           {"checked": jc["checked"], "mismatches": len(jc["mismatches"])})
 
     if lattice._is_prime(model.m):
         cl = lattice.verify_centralizer_lemmas(ctx)
         ucf = cl["u_cent_field"]
-        rec.add("radical_centralizer_in_parabolic", "Lemma u-cent-field",
-                not ucf["failures"], expect, model=name,
-                witness={"centralizing": ucf["centralizing"]})
+        yield ("radical_centralizer_in_parabolic", "Lemma u-cent-field", not ucf["failures"],
+               expect, {"centralizing": ucf["centralizing"]})
         if "centr_beta" in cl:
-            rec.add("centralizer_support", "Lemma centr-beta", not cl["centr_beta"]["failures"],
-                    expect, model=name, witness={"checked": cl["centr_beta"]["checked"]})
-            rec.add("small_levi_conclusion", "Lemma small-levi-b",
-                    not cl["small_levi_b"]["failures"], expect, model=name,
-                    witness={"checked": cl["small_levi_b"]["checked"]})
+            yield ("centralizer_support", "Lemma centr-beta", not cl["centr_beta"]["failures"],
+                   expect, {"checked": cl["centr_beta"]["checked"]})
+            yield ("small_levi_conclusion", "Lemma small-levi-b",
+                   not cl["small_levi_b"]["failures"], expect,
+                   {"checked": cl["small_levi_b"]["checked"]})
         si = lattice.simplicity_check(ctx)
-        rec.add("central_quotient_simple", "Tits simplicity", not si["failures"],
-                expect, model=name,
-                witness={"noncentral_elements": si["noncentral_elements"]})
+        yield ("central_quotient_simple", "Tits simplicity", not si["failures"], expect,
+               {"noncentral_elements": si["noncentral_elements"]})
 
+
+def suite_roots(rec: Recorder):
+    rec.run(roots_records())
+
+
+def suite_relroots(rec: Recorder):
+    rec.run(relroots_records())
+
+
+def suite_group(rec: Recorder, spec: ModelSpec, cap: int):
+    rec.run(group_records(spec, cap), spec.build().name())
+
+
+def suite_sandwich(rec: Recorder, spec: ModelSpec, cap: int):
+    rec.run(sandwich_records(spec, cap), spec.build().name())
 
 def run(cfg: RunConfig) -> tuple[dict, int]:
     """Execute the configured suites and assemble the report."""
     cfg.validate()
-    started = time.time()
+    started = time.perf_counter()
     rec = Recorder()
     specs = cfg.models or [s for s in DEFAULT_MODELS]
     try:
@@ -387,7 +384,8 @@ def run(cfg: RunConfig) -> tuple[dict, int]:
             "counts": counts,
             "suite_verdict": "fail" if rec.failed() else "pass",
         },
-        "timing": {"seconds": round(time.time() - started, 3)},
+        "timing": {"seconds": round(time.perf_counter() - started, 3),
+                   "checks": [round(s, 6) for s in rec.seconds]},
     }
     return report, (1 if rec.failed() else 0)
 
@@ -446,7 +444,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (RuntimeError, AssertionError, ValueError) as exc:
+    except (RuntimeError, AssertionError, ValueError, MemoryError) as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return 3
     text = json.dumps(report, sort_keys=True, indent=2) + "\n"

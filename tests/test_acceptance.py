@@ -1,5 +1,8 @@
 """Acceptance suite: one test per criterion, exact equalities throughout.
 
+Criteria 1-4 on the main models are asserted on the records the CLI itself
+reports: the test drains `cli.group_records` and `cli.sandwich_records`.
+
 Each test prints a single PASS line when its criterion holds; run with
 ``pytest -s tests/test_acceptance.py`` to see them.  All subgroup-level
 assertions are exact bitset or integer comparisons, never approximate.
@@ -8,7 +11,9 @@ assertions are exact bitset or integer comparisons, never approximate.
 import random
 import time
 
-from chevlat import calculus, lattice, models, relroots
+import pytest
+
+from chevlat import calculus, cli, lattice, models, relroots
 from chevlat.models import GroupModel
 from chevlat.rings import ZmRing
 
@@ -27,62 +32,44 @@ def contexts():
     return [ctx_for(*spec) for spec in MAIN_MODELS]
 
 
-def sandwich_level(ctx, result):
-    assert result.verdict == "unique"
-    return next(q for q in ctx.ideals if q.d == result.admissible[0])
-
-
-def test_c1_sandwich_classification():
+@pytest.mark.parametrize("spec", MAIN_MODELS, ids=lambda s: f"{s[0]}{s[1]}(Z/{s[2]})")
+def test_c1_to_c4_cli_records(spec):
+    # the records `chevlat group` and `chevlat sandwich` report: the sandwich
+    # classification (criterion 1), the commutator formula (2), the level
+    # computation (3) and the structure theorems (4) all hold, none expected
+    # to fail; the sandwich records stay within 300 s over the five models
+    spec = cli.ModelSpec(*spec)
     started = time.time()
-    total_orbits = 0
-    for ctx in contexts():
-        results = lattice.sandwich_classify(ctx)
-        assert all(r.verdict == "unique" for r in results)
-        total_orbits += len(results)
+    records = list(cli.sandwich_records(spec, cli.DEFAULT_CAP))
     elapsed = time.time() - started
-    assert elapsed < 300, f"sandwich classification took {elapsed:.0f}s"
-    print(f"\nPASS criterion 1: unique sandwich for {total_orbits} orbit closures "
-          f"across 5 models in {elapsed:.1f}s")
+    assert elapsed < 300 / len(MAIN_MODELS), f"sandwich records took {elapsed:.0f}s"
+    records += cli.group_records(spec, cli.DEFAULT_CAP)
+    assert {"sandwich_classification", "level_computation", "commutator_formula",
+            "elementary_normal", "centralizer_is_center", "elementary_perfect",
+            "hall_witt_stabilization"} <= {name for name, *_ in records}
+    for name, _anchor, ok, expect_violation, _witness in records:
+        assert ok is None or (ok and not expect_violation), name
+    print(f"\nPASS criteria 1-4: {len(records)} group and sandwich records hold on "
+          f"{spec.build().name()}; sandwich records in {elapsed:.1f}s")
 
 
 def test_c2_commutator_formula_and_parabolic_independence():
-    for ctx in contexts():
-        out = lattice.verify_commutator_formula(ctx)
-        assert all(r["equal"] for r in out)
     sl3 = ctx_for("SL", 3, 4, (1, 1, 1))
     out = lattice.verify_parabolic_independence(sl3, [(1, 2), (2, 1)])
     assert all(r["equal"] for r in out)
     sl4 = ctx_for("SL", 4, 2, (1, 1, 1, 1))
     out = lattice.verify_parabolic_independence(sl4, [(2, 2), (1, 1, 2)])
     assert all(r["equal"] for r in out)
-    print("\nPASS criterion 2: E(R,q) = [G(R,q), E(R)] for every ideal, "
-          "independent of the block composition")
-
-
-def test_c3_level_computation():
-    levels = 0
-    for ctx in contexts():
-        for res in lattice.sandwich_classify(ctx):
-            q = sandwich_level(ctx, res)
-            rep = lattice.verify_level_theorem(
-                ctx, ctx.orbit_closure(res.seed_index), q, res.seed_index
-            )
-            assert rep.equal
-            levels += 1
-    print(f"\nPASS criterion 3: per-root level identity for {levels} closures")
+    print("\nPASS criterion 2: E(R,q) for every ideal is independent of the "
+          "block composition")
 
 
 def test_c4_structure_theorems_and_negative_control():
-    for ctx in contexts():
-        st = lattice.verify_structure_theorems(ctx)
-        assert st["e_normal"] and st["centralizer_matches_center"] and st["perfect"]
-        assert not st["hall_witt_failures"]
     neg = ctx_for("Sp", 4, 2, "borel")
     assert not neg.hypotheses.perfect_ok  # hypothesis violation is detected
     st = lattice.verify_structure_theorems(neg)
     assert st["derived_index"] == 2  # the expected exception, recorded exactly
-    print("\nPASS criterion 4: E normal, centralizer = center, E perfect, "
-          "Hall-Witt stable; Sp4(Z/2) derived index 2 as expected exception")
+    print("\nPASS criterion 4: Sp4(Z/2) derived index 2 as expected exception")
 
 
 def test_c5_simplicity_desk_check():

@@ -232,7 +232,8 @@ def test_main_reads_config(tmp_path):
 
 
 @pytest.mark.parametrize("exc", [RuntimeError("lookup failed"), AssertionError("bad index"),
-                                 ValueError("key out of range")])
+                                 ValueError("key out of range"),
+                                 MemoryError("cannot allocate the BFS frontier")])
 def test_main_internal_error_exit_code(monkeypatch, capsys, tmp_path, exc):
     def broken(rec):
         raise exc
@@ -252,3 +253,12 @@ def test_all_suite_report_is_pinned():
     text = json.dumps({"checks": report["checks"], "summary": report["summary"]}, sort_keys=True)
     assert hashlib.sha256(text.encode("utf-8")).hexdigest() == (
         "bd76134d1ce931594d18bb79cf94e307e1d7abce9a0b16a3e21144ba5280421c")
+
+
+def test_timing_has_the_seconds_of_every_record():
+    report, _ = cli.run(cli.RunConfig(suite="all"))
+    timing = report["timing"]
+    assert len(timing["checks"]) == len(report["checks"])
+    assert all(s >= 0 for s in timing["checks"])
+    # the records are timed inside the run; each entry is rounded to 1e-6 s, the total to 1e-3 s
+    assert sum(timing["checks"]) <= timing["seconds"] + 5e-4 + 5e-7 * len(timing["checks"])
