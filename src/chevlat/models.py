@@ -8,9 +8,9 @@ relative data is taken from the abstract projection of C_2.
 
 The parabolic P is its block composition alone, as one block number per row
 and column: P, its opposite P^- and the Levi subgroup L_P are the elements
-vanishing below, above and off the block diagonal, tested as masks, and L_P
-is enumerated by `elements_on`, the one scan of the elements on a support.
-The scan decides every filling of the support by the defining equation,
+vanishing below, above and off the block diagonal, tested as masks.  The
+one scan of the elements on a support is `scan_on` (`elements_on` sorts it,
+for L_P); it decides every filling of the support by the defining equation,
 factored so that fillings share work: the first-row cofactors of det for
 SL_n, a pairing table per pair of columns for Sp_4.
 
@@ -287,27 +287,32 @@ class GroupModel:
         return list(elements_on(self, b[:, None] == b[None, :]))
 
 
-SCAN_BOUND = 1 << 22  # fillings elements_on decides; a larger scan is refused up front
-_CHUNK = 8192  # fillings of rows 1..n-1 per cofactor stack in elements_on
-_BLOCK = 1 << 20  # fillings decided per block of elements_on, bounding its arrays
+SCAN_BOUND = 1 << 22  # fillings scan_on decides; a larger scan is refused up front
+_CHUNK = 8192  # fillings of rows 1..n-1 per cofactor stack in scan_on
+_BLOCK = 1 << 20  # fillings decided per block of scan_on, bounding its arrays
 
 
-def elements_on(model: GroupModel, support: np.ndarray) -> np.ndarray:
+def scan_on(model: GroupModel, support: np.ndarray) -> np.ndarray:
     """Every group element whose entries are 0 off an (n, n) bool support, as
-    a (k, n, n) stack in lexicographic order of the supported entries read
-    row by row.  Every one of the m**s fillings of the s supported entries
-    is decided in exact int64 arithmetic, in blocks that bound memory: for
-    SL_n, det g = sum_j g_0j C_0j with the cofactors C_0j computed once per
-    filling of rows 1..n-1; for Sp_4, (g^T J g)_ab = c_a^T J c_b over the
-    columns c_a, one table of column fillings per pair a < b (c^T J c = 0 =
-    J_aa, as J is antisymmetric).  More than SCAN_BOUND fillings are refused
+    a (k, n, n) stack in the order the scan's blocks find them.  Every one
+    of the m**s fillings of the s supported entries is decided in exact
+    int64 arithmetic, in blocks that bound memory: for SL_n, det g = sum_j
+    g_0j C_0j with the cofactors C_0j computed once per filling of rows
+    1..n-1; for Sp_4, (g^T J g)_ab = c_a^T J c_b over the columns c_a, one
+    table of column fillings per pair a < b (c^T J c = 0 = J_aa, as J is
+    antisymmetric).  More than SCAN_BOUND fillings are refused
     (SizeCapError) up front."""
     m, n = model.m, model.degree
     pos = np.flatnonzero(support)
     if m ** len(pos) > SCAN_BOUND:
         raise SizeCapError(m ** len(pos), SCAN_BOUND, f"{model.name()} predicate scan", "fillings")
-    mats = np.concatenate(list(_sl_scan(m, n, pos) if model.kind == "SL" else _sp_scan(m, support)))
-    codes = mats.reshape(-1, n * n)[:, pos] @ m ** np.arange(len(pos) - 1, -1, -1)
+    return np.concatenate(list(_sl_scan(m, n, pos) if model.kind == "SL" else _sp_scan(m, support)))
+
+
+def elements_on(model: GroupModel, support: np.ndarray) -> np.ndarray:
+    """scan_on's elements in lexicographic order of the supported entries, row by row."""
+    mats, pos = scan_on(model, support), np.flatnonzero(support)
+    codes = mats.reshape(-1, model.degree ** 2)[:, pos] @ model.m ** np.arange(len(pos) - 1, -1, -1)
     return mats[np.argsort(codes)]
 
 

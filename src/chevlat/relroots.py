@@ -3,25 +3,25 @@
 The projection kills the simple roots outside a chosen set J and identifies
 the orbits of a diagram automorphism group Gamma acting on J.  The image of
 the root set, minus zero, is the relative root system; it may be non-reduced
-(BC type).  Fibers of the projection are stored eagerly as sets of root
-tuples, the form `models` reads.
+(BC type).  Its roots and fibers as tuples, the form `models` reads, are
+built on first use from the index.
 
 The checks run on a cached integer index of each relative system
-(`RelativeRootSystem.index`): the relative roots as a `VectorIndex` with
-their addition and negation tables, the label of every absolute root (the id
-of its relative root, or -1 when it projects to 0), and the split table
-split[s, a], true when every root over s is a root over a plus a root.
-Fiber additivity for a pair (a, b) is split[a + b, a]; a sigma set is a
-count of sign tests per label, run over the labels of the simply-laced
-cover for a multiply-laced base; its properties are lookups in the addition
-table.
+(`RelativeRootSystem.index`): the image of the base's roots, sorted by key
+with repeats and zero dropped, as a `VectorIndex`, and the label of every
+absolute root (its relative root's id, or -1 when it projects to 0).  The
+rest comes from tables built once per base object: `pair2`, the difference
+table `diff` and, for a multiply-laced base, its simply-laced cover's roots
+folded into its coordinates.  Fiber additivity is `diff` summed over one-hot
+labels; the sigma sets of all simple roots are one product of `pair2` with
+them, and their properties are reductions over (simple root, root, root).
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
-from functools import cached_property
+from dataclasses import dataclass
+from functools import cached_property, lru_cache, reduce
 
 import numpy as np
 
@@ -88,12 +88,23 @@ class RelativeRootSystem:
     datum: RelativeDatum
     orbits: tuple[tuple[int, ...], ...]
     projection: tuple[tuple[int, ...], ...]  # k x rank integer matrix
-    rel_roots: frozenset[Coords]
-    fibers: dict[Coords, frozenset[Coords]] = field(repr=False)
 
     @property
     def rank(self) -> int:
         return len(self.orbits)
+
+    @cached_property
+    def rel_roots(self) -> frozenset[Coords]:
+        return frozenset(map(tuple, self.index.coords.tolist()))
+
+    @cached_property
+    def fibers(self) -> dict[Coords, frozenset[Coords]]:
+        idx = self.index
+        fibers: list[list[Coords]] = [[] for _ in idx.coords]
+        for mu, a in zip(map(tuple, idx.base.coords.tolist()), idx.label.tolist()):
+            if a >= 0:
+                fibers[a].append(mu)
+        return {tuple(a): frozenset(f) for a, f in zip(idx.coords.tolist(), fibers)}
 
     def fiber(self, a: Coords) -> frozenset[Coords]:
         return self.fibers[a]
@@ -102,75 +113,32 @@ class RelativeRootSystem:
     def index(self) -> RelativeIndex:
         return RelativeIndex(self)
 
-    @cached_property
-    def _cover(self) -> tuple[RootIndex, np.ndarray]:
-        """For a multiply-laced base: the index of its simply-laced cover
-        and the label of each cover root, the id of the relative root it
-        lands on here through the fold and the projection (-1 for none).
-
-        Exactly the relative roots must be hit, which is asserted.
-        """
-        if len(self.datum.gamma) != 1:
-            raise ValueError("multiply-laced bases have no nontrivial diagram automorphisms")
-        cover, cover_gamma, coord_perm = unfold(self.datum.base)
-        # fold orbit t of the cover becomes simple root coord_perm[t] of the base
-        to_base = np.zeros((self.datum.base.rank, cover.rank), dtype=np.int64)
-        for t, orb in enumerate(_gamma_orbits(frozenset(range(cover.rank)), cover_gamma)):
-            to_base[coord_perm[t], list(orb)] = 1
-        image = cover.index.coords @ (self.index.proj @ to_base).T
-        label = self.index.lookup(image)
-        hit = set(label.tolist()) - {-1}
-        if (label[image.any(axis=1)] < 0).any() or hit != set(range(len(self.index.coords))):
-            raise RuntimeError("cover projection disagrees with the direct one")
-        return cover.index, label
-
 
 class RelativeIndex(VectorIndex):
     """The relative roots as a VectorIndex, tied to the index of the base.
 
-    label[mu] is the id of the relative root under absolute root mu, or -1
-    when mu projects to 0; simple lists the ids of the relative simple roots.
+    label[mu] is the id of the relative root under root mu (-1 over 0), and
+    simple the ids of the relative simple roots: the unit vectors, one per orbit.
     """
 
     def __init__(self, rel: RelativeRootSystem):
         datum = rel.datum
+        self.base = datum.base.index
+        self.proj = np.array(rel.projection, dtype=np.int64).reshape(rel.rank, datum.base.rank)
+        image = self.base.coords @ self.proj.T
+        over = image.any(axis=1)
         # A relative coordinate sums the absolute coefficients over one orbit.
         bound = COEFF_BOUND * max((len(orb) for orb in rel.orbits), default=1)
         super().__init__(f"{datum.base.rtype} relative to J={sorted(datum.J)}",
-                         rel.rel_roots, rel.rank, bound)
-        self.base = datum.base.index
-        self.proj = np.array(rel.projection, dtype=np.int64).reshape(rel.rank, datum.base.rank)
-        self.label = self.lookup(self.base.coords @ self.proj.T)
-        self.simple = sorted(set(self.lookup(self.proj.T[sorted(datum.J)]).tolist()))
-
-    @cached_property
-    def split(self) -> np.ndarray:
-        """split[s, a]: every root over s is a root over a plus a root."""
-        over = self.label[:, None] == np.arange(len(self.coords))  # one-hot labels
-        diff_ok = self.base.add[:, self.base.neg] >= 0  # root_mu - root_nu is a root
-        partner = diff_ok @ over  # [mu, a]: some root over a leaves a root
-        return ~(over.T @ ~partner)
+                         image[over], rel.rank, bound)
+        self.label = self._find((image + bound) @ self.weights, over)
+        self.simple = sorted(set(self._find(self.zero + self.weights, True).tolist()))
 
 
 def build_relative(datum: RelativeDatum) -> RelativeRootSystem:
-    base = datum.base
     orbits = _gamma_orbits(datum.J, datum.gamma)
-    proj = tuple(
-        tuple(1 if i in orb else 0 for i in range(base.rank)) for orb in orbits
-    )
-    coords = base.index.coords
-    image = coords @ np.array(proj, dtype=np.int64).reshape(len(orbits), base.rank).T
-    fibers: dict[Coords, list[Coords]] = {}
-    for mu, a in zip(map(tuple, coords.tolist()), map(tuple, image.tolist())):
-        if any(a):
-            fibers.setdefault(a, []).append(mu)
-    return RelativeRootSystem(
-        datum=datum,
-        orbits=tuple(orbits),
-        projection=proj,
-        rel_roots=frozenset(fibers),
-        fibers={a: frozenset(f) for a, f in fibers.items()},
-    )
+    proj = tuple(tuple(int(i in orb) for i in range(datum.base.rank)) for orb in orbits)
+    return RelativeRootSystem(datum=datum, orbits=tuple(orbits), projection=proj)
 
 
 def _adjacent_ok(idx: RelativeIndex, ia: int, ib: int) -> bool:
@@ -185,40 +153,54 @@ def _adjacent_ok(idx: RelativeIndex, ia: int, ib: int) -> bool:
     return True
 
 
-def _sigma_mask(rel: RelativeRootSystem, b: int, mode: str) -> np.ndarray:
-    """Mask of the relative roots whose fibers pair nonnegatively (all of
-    the fiber, or some of it) with the summed fiber of relative root id b.
+def _onehot(label: np.ndarray, n: int) -> np.ndarray:
+    """over[mu, a] = 1.0 when root mu lies over a.  Products with it sum at
+    most 240 integers of size at most 12 in float64, so they are exact."""
+    return (label[:, None] == np.arange(n)).astype(np.float64)
 
-    For a multiply-laced base the fibers are read on its simply-laced
-    cover, each cover root labelled with the relative root it folds and
-    projects onto."""
+
+def _unsplit(idx: RelativeIndex) -> np.ndarray:
+    """unsplit[s, a]: some root over s is not a root over a plus a root,
+    read from the base's difference table and the one-hot labels."""
+    over = _onehot(idx.label, len(idx.coords))
+    return over.T @ (idx.base.diff @ over == 0) > 0
+
+
+def _sigma_masks(rel: RelativeRootSystem) -> tuple[np.ndarray, np.ndarray]:
+    """The sigma sets of all simple relative roots b, as (len(simple), n)
+    masks of the relative roots whose fibers pair nonnegatively with the
+    summed fiber of b: all of the fiber, and some of it.  One product
+    pair2 @ onehot pairs every root with every summed fiber; a second counts
+    the nonnegative signs per label.  For a multiply-laced base the fibers
+    are read on its simply-laced cover, each cover root labelled with the
+    relative root it folds and projects onto, all of which must be hit."""
     idx = rel.index
-    roots, label = (idx.base, idx.label) if rel.datum.base.is_simply_laced() else rel._cover
-    n, coords, over = len(idx.coords), roots.coords, label >= 0
-    # sign of (mu, fiber_sum) = sign of sum_i mu_i * 2(alpha_i, fiber_sum)
-    form = roots.gram2 @ coords[label == b].sum(axis=0)
-    hits = np.bincount(label[over & (coords @ form >= 0)], minlength=n)
-    return hits == np.bincount(label[over], minlength=n) if mode == "all" else hits > 0
+    roots, label = idx.base, idx.label
+    if not rel.datum.base.is_simply_laced():
+        cover, *_, folded = _unfolded(rel.datum.base.rtype)
+        roots = cover.index
+        image = folded @ idx.proj.T
+        label = idx.lookup(image)
+        if (label[image.any(axis=1)] < 0).any() or not np.bincount(
+                label + 1, minlength=len(idx.coords) + 1)[1:].all():
+            raise RuntimeError("cover projection disagrees with the direct one")
+    over = _onehot(label, len(idx.coords))
+    count = over.T @ (roots.pair2 @ over[:, idx.simple] >= 0)
+    return (count == over.sum(axis=0)[:, None]).T, (count > 0).T
 
 
 # Simply-laced covers of the multiply-laced families.  The automorphism
 # listed generates the folding group on the cover's diagram (0-based).
 def _unfold_recipe(rtype: RootSystemType) -> tuple[RootSystemType, Perm]:
     f, r = rtype.family, rtype.rank
-    if f == "B":
-        cover = RootSystemType("D", r + 1)
-        p = list(range(r + 1))
-        p[r - 1], p[r] = p[r], p[r - 1]
-        return cover, tuple(p)
+    if f == "B":  # swap the two end nodes of D_{r+1}
+        return RootSystemType("D", r + 1), (*range(r - 1), r, r - 1)
     if f == "C":
-        cover = RootSystemType("A", 2 * r - 1)
-        return cover, tuple(reversed(range(2 * r - 1)))
+        return RootSystemType("A", 2 * r - 1), tuple(reversed(range(2 * r - 1)))
     if f == "F":
-        cover = RootSystemType("E", 6)
-        return cover, (5, 1, 4, 3, 2, 0)
+        return RootSystemType("E", 6), (5, 1, 4, 3, 2, 0)
     if f == "G":
-        cover = RootSystemType("D", 4)
-        return cover, (2, 1, 3, 0)
+        return RootSystemType("D", 4), (2, 1, 3, 0)
     raise ValueError(f"{rtype} is simply laced, nothing to unfold")
 
 
@@ -244,40 +226,47 @@ def match_coordinates(rel_roots: frozenset[Coords], target: RootSystem) -> Perm 
     return None
 
 
-_UNFOLD_CACHE: dict[RootSystemType, tuple[RootSystem, tuple[Perm, ...], Perm]] = {}
+@lru_cache(maxsize=None)
+def _unfolded(rtype: RootSystemType) -> tuple[RootSystem, tuple[Perm, ...], Perm, np.ndarray]:
+    """`unfold` of the system of type rtype, and the cover's roots folded
+    into its simple-root coordinates."""
+    cover_type, generator = _unfold_recipe(rtype)
+    cover = build_root_system(cover_type)
+    gamma = _generated_group(generator)
+    p = match_coordinates(fold(cover, gamma).rel_roots, build_root_system(rtype))
+    if p is None:
+        raise RuntimeError(f"folding {cover_type} did not reproduce {rtype}")
+    # fold orbit t of the cover becomes simple root p[t]
+    to_base = np.zeros((rtype.rank, cover.rank), dtype=np.int64)
+    for t, orb in enumerate(_gamma_orbits(frozenset(range(cover.rank)), gamma)):
+        to_base[p[t], list(orb)] = 1
+    return cover, gamma, p, cover.index.coords @ to_base.T
 
 
 def unfold(sys: RootSystem) -> tuple[RootSystem, tuple[Perm, ...], Perm]:
-    """Simply-laced cover of a multiply-laced system.
+    """Simply-laced cover of a multiply-laced system, by its type.
 
     Returns (cover, gamma, coord_perm) where folding the cover by gamma
-    reproduces sys, and coord_perm maps the fold's orbit coordinates onto
-    the Bourbaki simple-root indices of sys.
+    reproduces the system of that type, and coord_perm maps the fold's orbit
+    coordinates onto its Bourbaki simple-root indices.
     """
-    if sys.rtype in _UNFOLD_CACHE:
-        return _UNFOLD_CACHE[sys.rtype]
-    cover_type, generator = _unfold_recipe(sys.rtype)
-    cover = build_root_system(cover_type)
-    gamma = _generated_group(generator)
-    rel = fold(cover, gamma)
-    p = match_coordinates(rel.rel_roots, sys)
-    if p is None:
-        raise RuntimeError(f"folding {cover_type} did not reproduce {sys.rtype}")
-    _UNFOLD_CACHE[sys.rtype] = (cover, gamma, p)
-    return _UNFOLD_CACHE[sys.rtype]
+    return _unfolded(sys.rtype)[:3]
 
 
-def _sigma_checks(idx: RelativeIndex, ib: int, inside: np.ndarray) -> dict[str, bool]:
+def _sigma_checks(idx: RelativeIndex, ids, inside: np.ndarray) -> dict[str, np.ndarray]:
     """The properties a sigma set must satisfy, each checked exhaustively,
-    on the id of b and the mask of sigma."""
-    sums = idx.add[np.ix_(inside, inside)]
+    for the relative roots b with the given ids and the (len(ids), n) masks
+    of their sigma sets: one verdict per b and property."""
+    add = idx.add
+    ia, ib = (add >= 0).nonzero()
+    escapes = inside[:, ia] & inside[:, ib] & ~inside[:, add[ia, ib]]
     # a + b is not a root and not 0 (a = -b is excluded)
-    required = (idx.add[:, ib] < 0) & (np.arange(len(idx.coords)) != idx.neg[ib])
+    required = (add[:, ids] < 0).T & (np.arange(len(idx.coords)) != idx.neg[ids][:, None])
     return {
-        "additively_closed": bool(inside[sums[sums >= 0]].all()),
-        "covers_with_negation": bool((inside | inside[idx.neg]).all()),
-        "proper": not inside.all(),
-        "contains_non_addable": bool(inside[required].all()),
+        "additively_closed": ~escapes.any(axis=1),
+        "covers_with_negation": (inside | inside[:, idx.neg]).all(axis=1),
+        "proper": ~inside.all(axis=1),
+        "contains_non_addable": (inside | ~required).all(axis=1),
     }
 
 
@@ -324,37 +313,26 @@ def check_datum(rel: RelativeRootSystem) -> dict[str, int]:
     Returns counters; a nonzero failure count is a counterexample to one of
     the verified statements.
     """
-    counts = {
-        "adjacent_checked": 0, "adjacent_failed": 0,
-        "fiber_checked": 0, "fiber_failed": 0,
-        "sigma_checked": 0, "sigma_failed": 0,
-        "sigma_forms_checked": 0, "sigma_forms_failed": 0,
-        "gamma_invariance_failed": 0,
-    }
     idx = rel.index
-    for p in rel.datum.gamma:
-        # project(p . mu) - project(mu) = mu @ (P[:, p] - P)^T
-        moved = idx.base.coords @ (idx.proj[:, list(p)] - idx.proj).T
-        counts["gamma_invariance_failed"] += int(moved.any(axis=1).sum())
-    for ia in idx.simple:
-        for ib in idx.simple:
-            if ia != ib and idx.add[ia, ib] >= 0:
-                counts["adjacent_checked"] += 1
-                if not _adjacent_ok(idx, ia, ib):
-                    counts["adjacent_failed"] += 1
-    ia, ib = np.nonzero(idx.add >= 0)
-    counts["fiber_checked"] = len(ia)
-    counts["fiber_failed"] = int((~idx.split[idx.add[ia, ib], ia]).sum())
-    for b in idx.simple:
-        sigma = _sigma_mask(rel, b, "all")
-        counts["sigma_checked"] += 1
-        if not all(_sigma_checks(idx, b, sigma).values()):
-            counts["sigma_failed"] += 1
-        if rel.datum.base.is_simply_laced():
-            counts["sigma_forms_checked"] += 1
-            if not np.array_equal(sigma, _sigma_mask(rel, b, "some")):
-                counts["sigma_forms_failed"] += 1
-    return counts
+    # project(p . mu) - project(mu) = (P[:, p] - P) mu, for every p in gamma
+    gamma = np.array(rel.datum.gamma)
+    moved = (idx.proj[:, gamma] - idx.proj[:, None]).transpose(1, 0, 2) @ idx.base.coords.T
+    adjacent = [pair for pair in itertools.permutations(idx.simple, 2) if idx.add[pair] >= 0]
+    ia, ib = (idx.add >= 0).nonzero()
+    every, some = _sigma_masks(rel)
+    sigma_ok = reduce(np.logical_and, _sigma_checks(idx, idx.simple, every).values())
+    laced = rel.datum.base.is_simply_laced()
+    return {
+        "adjacent_checked": len(adjacent),
+        "adjacent_failed": sum(not _adjacent_ok(idx, *pair) for pair in adjacent),
+        "fiber_checked": len(ia),
+        "fiber_failed": int(np.count_nonzero(_unsplit(idx)[idx.add[ia, ib], ia])),
+        "sigma_checked": len(idx.simple),
+        "sigma_failed": int(np.count_nonzero(~sigma_ok)),
+        "sigma_forms_checked": len(idx.simple) if laced else 0,
+        "sigma_forms_failed": int(np.count_nonzero((every != some).any(axis=1))) if laced else 0,
+        "gamma_invariance_failed": int(np.count_nonzero(moved.any(axis=1))),
+    }
 
 
 def sweep_totals(max_rank: int = 5) -> dict[str, int]:

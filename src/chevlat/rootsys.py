@@ -120,12 +120,12 @@ def _cartan_and_lengths(family: str, r: int) -> tuple[list[list[int]], list[int]
 class VectorIndex:
     """Ids of a set of integer vectors, with their addition and negation.
 
-    The vectors are stored as an (N, width) int64 array in sorted order.
-    A vector's key reads its coordinates, shifted by `bound`, as the digits
-    of a base-(2*bound + 1) number, first coordinate most significant, so
-    sorted vectors have increasing keys and an id is a binary search.
-    add[i, j] is the id of vector i + vector j and neg[i] the id of
-    -vector i, -1 where the result is not in the set.
+    The vectors (repeats allowed) are stored once each, as an (N, width)
+    int64 array in sorted order.  A vector's key reads its coordinates,
+    shifted by `bound`, as the digits of a base-(2*bound + 1) number, first
+    coordinate most significant, so sorted vectors have increasing keys and
+    an id is a binary search.  add[i, j] is the id of vector i + vector j
+    and neg[i] the id of -vector i, -1 where the result is not in the set.
     """
 
     def __init__(self, name: str, vectors, width: int, bound: int):
@@ -134,29 +134,37 @@ class VectorIndex:
             raise ValueError(
                 f"{name}: base-{base} keys of {width} coordinates could pass 2**63"
             )
-        vectors = sorted(vectors)
-        coords = np.array(vectors, dtype=np.int64).reshape(len(vectors), width)
-        if coords.size and np.abs(coords).max() > bound:
-            raise ValueError(
-                f"{name}: coordinate {int(np.abs(coords).max())} outside the key "
-                f"digit range [-{bound}, {bound}]"
-            )
-        self.coords = coords
+        coords = np.asarray(vectors, dtype=np.int64).reshape(len(vectors), width)
+        top = int(np.abs(coords).max()) if coords.size else 0
+        if top > bound:
+            raise ValueError(f"{name}: coordinate {top} outside the key digit range "
+                             f"[-{bound}, {bound}]")
         self.bound = bound
         self.weights = base ** np.arange(width - 1, -1, -1, dtype=np.int64)
-        self.keys = (coords + bound) @ self.weights
-        self.add = self.lookup(coords[:, None] + coords[None])
-        self.neg = self.lookup(-coords)
+        keys = (coords + bound) @ self.weights
+        order = keys.argsort()
+        keys = keys[order]
+        first = np.ones(len(keys), dtype=bool)  # the first of each run of equal keys
+        first[1:] = keys[1:] != keys[:-1]
+        self.coords, self.keys = coords[order[first]], keys[first]
+        # key(v + w) = key(v) + key(w) - key(0) (int64 wrapping cancels) where v + w
+        # is inside the digit range, which it leaves only if a |coordinate| > bound / 2
+        self.zero, ct = bound * int(self.weights.sum()), self.coords.T  # zero: key of 0
+        inside = 2 * top <= bound or (np.abs(ct[:, :, None] + ct[:, None]) <= bound).all(axis=0)
+        self.add = self._find(self.keys[:, None] + self.keys[None] - self.zero, inside)
+        self.neg = self._find(2 * self.zero - self.keys, True)
 
     def lookup(self, vecs: np.ndarray) -> np.ndarray:
         """Ids of the vectors along the last axis of vecs, -1 where absent."""
-        # The key of a vector outside the digit range is meaningless (it may
-        # even wrap), so such vectors are masked out, not looked up.
         inside = (np.abs(vecs) <= self.bound).all(axis=-1)
-        keys = (vecs + self.bound) @ self.weights
+        return self._find((vecs + self.bound) @ self.weights, inside)
+
+    def _find(self, keys: np.ndarray, inside) -> np.ndarray:
+        """Ids of the keys, -1 where absent or not `inside` the digit range,
+        where a key is meaningless (it may even wrap)."""
         if not len(self.keys):
             return np.full(keys.shape, -1, dtype=np.int64)
-        pos = np.minimum(np.searchsorted(self.keys, keys), len(self.keys) - 1)
+        pos = np.minimum(self.keys.searchsorted(keys), len(self.keys) - 1)
         return np.where(inside & (self.keys[pos] == keys), pos, -1)
 
 
@@ -184,8 +192,18 @@ class RootIndex(VectorIndex):
     """The roots of a system as a VectorIndex, with the doubled Gram array."""
 
     def __init__(self, sys: RootSystem):
-        super().__init__(str(sys.rtype), sys.roots, sys.rank, COEFF_BOUND)
+        super().__init__(str(sys.rtype), list(sys.roots), sys.rank, COEFF_BOUND)
         self.gram2 = np.array(sys.gram2, dtype=np.int64)
+
+    @cached_property
+    def pair2(self) -> np.ndarray:
+        """pair2[i, j] = 2(root_i, root_j)."""
+        return self.coords @ self.gram2 @ self.coords.T
+
+    @cached_property
+    def diff(self) -> np.ndarray:
+        """diff[i, j]: root_i - root_j is a root."""
+        return self.add[:, self.neg] >= 0
 
 
 def is_positive(coords: Coords) -> bool:
@@ -253,8 +271,7 @@ def check_root_system(sys: RootSystem) -> tuple[bool, dict]:
     idx = sys.index
     roots, gram2 = idx.coords, idx.gram2
     count_ok = len(sys.roots) == classical_root_count(sys.rtype)
-    pair2 = roots @ gram2 @ roots.T
-    twice, norm2 = 2 * pair2, pair2.diagonal()
+    twice, norm2 = 2 * idx.pair2, idx.pair2.diagonal()
     if (twice % norm2).any():
         raise ValueError(f"{sys.rtype}: a Cartan value <a, b^vee> is not an integer")
     cartan = twice // norm2

@@ -36,7 +36,7 @@ group over the element cap, one whose base-m keys could pass 2**63 - 1, one
 whose indices do not fit int32 and one whose composites could pass 2**64.
 Under the dense index's bound the BFS is also checked against the predicate
 scan that decides every n x n matrix by its defining equation
-(`models.elements_on` with every entry supported: det through first-row
+(`models.scan_on` with every entry supported: det through first-row
 cofactors shared between matrices for SL_n, column pairings for Sp_4): the
 scan must find N matrices, each of them in the table.  The BFS's N keys are
 distinct, so the two sets are equal.
@@ -47,7 +47,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import SizeCapError, TableBoundError
-from .models import GroupModel, elements_on, order_formula
+from .models import GroupModel, order_formula, scan_on
 
 DEFAULT_CAP = 2_000_000
 _SCAN_LIMIT = 400_000  # m**(n*n) bound for the dense key index and the predicate scan
@@ -117,7 +117,7 @@ class ElementTable:
         self.inv = self._tree_inverses(right_inv, parent, gen)
         self._conj_perms: dict[int, np.ndarray] = {}
         if small:
-            scanned = self.encode(elements_on(model, np.ones((n, n), dtype=bool)))
+            scanned = self.encode(scan_on(model, np.ones((n, n), dtype=bool)))
             if len(scanned) != self.N or (self.lookup_keys(scanned) < 0).any():
                 raise RuntimeError(f"{model.name()}: BFS and predicate scan disagree")
 

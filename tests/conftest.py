@@ -106,17 +106,19 @@ def reference_dedupe(keys):
 
 def sigma_set(rel, b, mode="all"):
     """Parabolic subset attached to a simple relative root b, as a set of
-    tuples: the roots relroots._sigma_mask marks."""
+    tuples: the row of b in the masks of relroots._sigma_masks."""
     idx = rel.index
     (ib,) = root_ids(rel, [b])
     if ib not in idx.simple:
         raise ValueError(f"{b} is not a simple relative root")
-    return frozenset(map(tuple, idx.coords[relroots._sigma_mask(rel, int(ib), mode)].tolist()))
+    every, some = relroots._sigma_masks(rel)
+    mask = (every if mode == "all" else some)[idx.simple.index(ib)]
+    return frozenset(map(tuple, idx.coords[mask].tolist()))
 
 
 def sigma_properties(rel, b, sigma=None):
     """relroots._sigma_checks on a simple root b and a set of tuples sigma
-    (by default sigma_set(rel, b))."""
+    (by default sigma_set(rel, b)), one verdict per property."""
     if sigma is None:
         sigma = sigma_set(rel, b)
     idx = rel.index
@@ -126,7 +128,8 @@ def sigma_properties(rel, b, sigma=None):
         raise ValueError("b and the members of sigma must be relative roots")
     inside = np.zeros(len(idx.coords), dtype=bool)
     inside[ids] = True
-    return relroots._sigma_checks(idx, int(ib), inside)
+    checks = relroots._sigma_checks(idx, [int(ib)], inside[None])
+    return {name: bool(ok[0]) for name, ok in checks.items()}
 
 
 def check_fiber_additivity(rel, a, b):
@@ -137,7 +140,7 @@ def check_fiber_additivity(rel, a, b):
         if i < 0:
             raise ValueError(f"{v} is not a relative root")
     # mu - nu is a root for mu over a+b and nu over a, so it lies over b.
-    return bool(rel.index.split[ids[2], ids[0]])
+    return not relroots._unsplit(rel.index)[ids[2], ids[0]]
 
 
 def unipotent_factor(model, psi, g):

@@ -1,4 +1,8 @@
 import dataclasses
+import itertools
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -296,6 +300,22 @@ def test_sigma_properties_hold_rank4():
             assert all(props.values()), (datum.base.rtype, sorted(datum.J), b, props)
 
 
+def test_sigma_checks_match_the_reference_on_every_subset():
+    # every property, failing ones included, on every subset of the roots of
+    # A2 and of BC1 (A3 folded by the reversal)
+    for rel in (build_relative(RelativeDatum(sys_of("A", 2), frozenset({0, 1}), ())),
+                build_relative(RelativeDatum(sys_of("A", 3), frozenset({0, 2}), (REV3,)))):
+        roots = sorted(rel.rel_roots)
+        outcomes = set()
+        for b in relative_simple_roots(rel):
+            for size in range(len(roots) + 1):
+                for sigma in map(frozenset, itertools.combinations(roots, size)):
+                    got = sigma_properties(rel, b, sigma)
+                    assert got == ref_sigma_properties(rel, b, sigma), (b, sorted(sigma))
+                    outcomes |= set(got.items())
+        assert len(outcomes) == 8  # each property both holds and fails
+
+
 def test_sigma_rejects_non_simple():
     rel = build_relative(RelativeDatum(sys_of("A", 2), frozenset({0, 1}), ()))
     with pytest.raises(ValueError):
@@ -371,7 +391,10 @@ def test_sweep_totals_pinned_exactly():
 
 
 def test_check_datum_matches_tuple_reference():
-    data = relroots.sweep_data(4)
+    # all 344 data, the B5 -> D6 and C5 -> A9 cover paths among them
+    data = relroots.sweep_data(5)
+    assert len(data) == 344
+    assert {d.base.rtype for d in data} >= {RootSystemType("B", 5), RootSystemType("C", 5)}
     # the reversal-folded E6 data: 2^4 subsets of the orbits {1,6}, {3,5}, {2}, {4}
     assert sum(d.base.rtype == RootSystemType("E", 6) for d in data) == 16
     for datum in data:
@@ -390,3 +413,27 @@ def test_split_table_catches_a_partial_fiber_failure():
     assert counts["fiber_failed"] > 0
     assert counts == ref_check_datum(rel)
 
+
+def test_a_modified_base_gets_its_own_tables():
+    # the real B3's tables are built and cached first; the broken copy has the
+    # same type but other roots, so it must not read them
+    for datum in relroots.sweep_data(3):
+        if datum.base.rtype == RootSystemType("B", 3):
+            relroots.check_datum(build_relative(datum))
+    rel = broken_b3()
+    counts = relroots.check_datum(rel)
+    assert counts["fiber_failed"] > 0
+    assert counts == ref_check_datum(rel)
+
+
+def test_relroots_suite_does_not_import_numpy_ma(tmp_path):
+    # np.unique imports numpy.ma on its first call (tens of ms cold); the
+    # sweep sorts and masks instead, so a fresh relroots run never loads it
+    code = ("import sys\n"
+            "from chevlat import cli\n"
+            f"assert cli.main(['relroots', '--out', {str(tmp_path / 'r.json')!r}]) == 0\n"
+            "print('numpy.ma' in sys.modules)\n")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=120)
+    assert out.stdout.strip() == "False"

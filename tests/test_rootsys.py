@@ -172,6 +172,16 @@ def test_index_guards_name_the_system():
         rootsys.VectorIndex("wide", [(0,) * 18], 18, rootsys.COEFF_BOUND)
 
 
+def test_index_sums_outside_the_digit_range_are_not_members():
+    # with bound 1 (base 3), (0, 1) + (0, 1) = (0, 2) leaves the digit range,
+    # and its key, read as base-3 digits (1, 3), is the key of (1, -1)
+    idx = rootsys.VectorIndex("x", [(0, 1), (1, -1), (0, 1)], 2, 1)
+    assert idx.coords.tolist() == [[0, 1], [1, -1]]
+    assert idx.add.tolist() == [[-1, -1], [-1, -1]]
+    assert idx.neg.tolist() == [-1, -1]
+    assert idx.lookup(np.array([[0, 2], [1, -1], [0, 1]])).tolist() == [-1, 1, 0]
+
+
 def reference_root_system_verdict(sys):
     """check_root_system's verdict from tuples: the count, every reflection
     by `reflect`, and every automorphism moving roots to roots and keeping

@@ -156,26 +156,26 @@ def test_dense_and_sorted_index_agree(spec, monkeypatch):
 
 
 def test_table_refuses_a_scan_that_misses_an_element(monkeypatch):
-    scan = table_mod.elements_on
+    scan = table_mod.scan_on
 
     def scan_dropping_one(model, support):
         return scan(model, support)[1:]
 
-    monkeypatch.setattr(table_mod, "elements_on", scan_dropping_one)
+    monkeypatch.setattr(table_mod, "scan_on", scan_dropping_one)
     with pytest.raises(RuntimeError, match="BFS and predicate scan disagree"):
         ElementTable(GroupModel("SL", 3, ZmRing(2), (1, 1, 1)))
 
 
 def test_table_refuses_a_scan_with_a_non_element(monkeypatch):
     # as many scanned matrices as elements, one of them singular
-    scan = table_mod.elements_on
+    scan = table_mod.scan_on
 
     def scan_replacing_one(model, support):
         mats = scan(model, support).copy()
         mats[len(mats) // 2] = 0
         return mats
 
-    monkeypatch.setattr(table_mod, "elements_on", scan_replacing_one)
+    monkeypatch.setattr(table_mod, "scan_on", scan_replacing_one)
     with pytest.raises(RuntimeError, match="BFS and predicate scan disagree"):
         ElementTable(GroupModel("SL", 3, ZmRing(2), (1, 1, 1)))
 
