@@ -8,11 +8,11 @@ point is closed under right multiplication by every conjugate of a seed,
 x s^g = (x^(g^-1) s)^g, so it is the E-normal subgroup the base and the
 seeds generate, and the base's gens with those seeds normally generate it.
 Products come from `ElementTable.right_mult`, conjugates from gathers of the
-cached conjugation permutations; each frontier is deduplicated by one sort
-and an adjacent-difference mask.  E(R) itself is not closed again: the
-table's BFS is the closure of {1} under the E generators.  For the same
-reason a closure ends once every E generator is a member: the fixed point
-holds them, so it is E(R) = G(R), the whole table.
+table's E-generator conjugation permutations; each frontier is deduplicated
+by one sort and an adjacent-difference mask.  E(R) itself is not closed
+again: the table's BFS is the closure of {1} under the E generators.  For
+the same reason a closure ends once every E generator is a member: the
+fixed point holds them, so it is E(R) = G(R), the whole table.
 
 Each element table has one registry of certified E-normal closures, shared
 by every context (parabolic, sibling) built on it.  It holds the E-orbits
@@ -34,7 +34,9 @@ every other closure from them:
   of E-orbits and its mask identifies it: the registry keeps one object per
   mask, and equal closures, the whole group among them, are one object.
   Objects it holds, such as the stop hook's answers, are not checked again.
-  Joins, with their inclusions, and sandwich verdicts are decided on masks.
+  Inclusions and sandwich verdicts are decided on masks.  A join that is
+  not an inclusion is grown each time it is asked for; its certification
+  hands back the object already held for its mask.
 * The closure of a seed set (E(R,q), commutator subgroups) is the join of
   the orbit closures of the seeds' orbits, each distinct closure object
   once: many orbits share one, and joining it again changes nothing.
@@ -48,7 +50,7 @@ every other closure from them:
 The bounds are unions of E-orbits: G(R,q), C(R,q) and the center are normal
 in G(R) = E(R), so each is decided on the orbit representatives' matrices and
 expanded through the orbit ids.  G(R,q) keeps r = 1 mod q; C(R,q) keeps r
-when g^-1 r g = r mod q for every E generator g, read through g's cached
+when g^-1 r g = r mod q for every E generator g, read through g's
 conjugation permutation; the center is C(R,q) of the zero ideal.  That is
 the preimage of the center of G(R/q), with no table of G(R/q), because the
 image of G(R) has N / |G(R,q)| elements, the order of G(R/q).
@@ -218,7 +220,6 @@ class _ClosureRegistry:
         self.orbit_sizes: np.ndarray | None = None  # elements per orbit id, set by orbits()
         self._by_orbit: dict[int, Subgroup] = {}  # orbit id -> cl(rep)
         self._by_mask: dict[bytes, Subgroup] = {}  # orbit mask -> the certified closure
-        self._joins: dict[tuple[bytes, bytes], Subgroup] = {}
 
     def orbits(self) -> tuple[np.ndarray, list[int]]:
         if self._orbits is None:
@@ -279,11 +280,8 @@ class _ClosureRegistry:
             return a
         if not (mask_a & ~mask_b).any():
             return b
-        key = tuple(sorted((mask_a.tobytes(), mask_b.tobytes())))
-        if key not in self._joins:
-            self._joins[key] = self._certified(normal_closure(self.table, b.gens, base=a),
-                                               "join of E-normal subgroups is not E-normal")
-        return self._joins[key]
+        return self._certified(normal_closure(self.table, b.gens, base=a),
+                               "join of E-normal subgroups is not E-normal")
 
 
 _CONTEXTS: dict[tuple, "GroupContext"] = {}
@@ -349,15 +347,6 @@ class GroupContext:
             return Subgroup(self.table, keep[orbit])
 
         return self._memo(("congruence", q.d), build)
-
-    def centralizer(self, idxs) -> Subgroup:
-        """The elements that every g in idxs fixes by conjugation: the common
-        fixed points of their cached conjugation permutations."""
-        fixed = np.arange(self.table.N)
-        member = np.ones(self.table.N, dtype=bool)
-        for g in idxs:
-            member &= self.table.conj_perm(g) == fixed
-        return Subgroup(self.table, member)
 
     def center(self) -> Subgroup:
         """C(R,q) of the zero ideal: the elements commuting with the E generators."""
@@ -428,17 +417,17 @@ class GroupContext:
             sub = self.closures.join(sub, closure)
         return sub
 
-    def commutator_subgroup(self, x_gens, y_gens) -> Subgroup:
-        """[X, Y] for X normal in the group and Y the whole group, from
-        normal generators x of X (its gens) and generators y of Y: then
-        [X, Y] is the normal closure of the [x, y] (see the module notes).
-        Each [x, y] = x^-1 (y^-1 x y) takes the conjugate from y's cached
-        conjugation permutation, so it is one matrix product; the callers'
-        y are the E generators, whose permutations are gathers."""
+    def commutator_subgroup(self, x_gens) -> Subgroup:
+        """[X, E(R)] for X normal in the group, from normal generators x of X
+        (its gens): the normal closure of the [x, e] over the E generators e
+        (see the module notes).  Each [x, e] = x^-1 (e^-1 x e) reads the
+        conjugate from e's conjugation permutation, so it is one matrix
+        product."""
         t = self.table
         x_gens = np.asarray(x_gens, dtype=np.int64)
-        conj = np.concatenate([t.conj_perm(y)[x_gens] for y in y_gens])
-        xinv = np.tile(t.inv[x_gens], len(y_gens))
+        perms = t.egen_conj_perms()
+        conj = np.concatenate([perm[x_gens] for perm in perms])
+        xinv = np.tile(t.inv[x_gens], len(perms))
         prods = t.mat(xinv) @ t.mat(conj)
         return self.closure_of(_element_indices(t, prods, "a commutator [x, y]").tolist())
 
@@ -503,11 +492,10 @@ def verify_level_theorem(ctx: GroupContext, sub: Subgroup, q: ZmIdeal,
 def verify_commutator_formula(ctx: GroupContext) -> list[dict]:
     """[G(R,q), E(R)] = E(R,q) for every ideal q, from the orbit
     representatives in G(R,q) and the E generators (see the module notes)."""
-    egens = ctx.table.gen_idxs.tolist()
     reps = np.asarray(ctx.orbits()[1])
     out = []
     for q in ctx.ideals:
-        comm = ctx.commutator_subgroup(reps[ctx.congruence(q).member[reps]], egens)
+        comm = ctx.commutator_subgroup(reps[ctx.congruence(q).member[reps]])
         rel = ctx.relative_elementary(q)
         out.append({"ideal": q.d, "commutator_order": comm.order,
                     "relative_elementary_order": rel.order, "equal": comm == rel})
@@ -542,8 +530,7 @@ def verify_structure_theorems(ctx: GroupContext) -> dict:
                                   "a point of the center subscheme").tolist())
     center_match = set(cent_e.indices().tolist()) == scheme
 
-    egens = table.gen_idxs.tolist()
-    derived = ctx.commutator_subgroup(egens, egens)
+    derived = ctx.commutator_subgroup(table.gen_idxs)
     perfect = derived == e_sub
     derived_index = e_sub.order // derived.order
 
@@ -555,8 +542,8 @@ def verify_structure_theorems(ctx: GroupContext) -> dict:
         if id(sub) in seen:
             continue
         seen.add(id(sub))
-        k1 = ctx.commutator_subgroup(sub.gens, egens)
-        k2 = ctx.commutator_subgroup(k1.gens, egens)
+        k1 = ctx.commutator_subgroup(sub.gens)
+        k2 = ctx.commutator_subgroup(k1.gens)
         if k1 != k2:
             hall_witt_failures.append(rep)
 
@@ -663,13 +650,17 @@ def verify_u_cent_field(ctx: GroupContext) -> dict:
 
     The radical is generated by the X_alpha(e) over the positive relative
     roots alpha and the unit vectors e of V_alpha, so commuting with those
-    is commuting with all of it."""
-    model = ctx.model
+    is commuting with all of it.  Those generators are E generators, so the
+    centralizer is the common fixed points of their conjugation permutations."""
+    model, table = ctx.model, ctx.table
     gens = [model.x(a, e) for a in model.positive_rel_roots for e in model.v_basis(a)]
-    cent = ctx.centralizer(_element_indices(ctx.table, gens, "a radical generator").tolist())
-    idx = cent.indices()
-    failures = idx[~model.in_parabolic(ctx.table.mat(idx))].tolist()
-    return {"centralizing": cent.order, "failures": failures}
+    fixed = np.arange(table.N)
+    member = np.ones(table.N, dtype=bool)
+    for g in _element_indices(table, gens, "a radical generator").tolist():
+        member &= table.conj_perm(g) == fixed
+    idx = np.flatnonzero(member)
+    failures = idx[~model.in_parabolic(table.mat(idx))].tolist()
+    return {"centralizing": len(idx), "failures": failures}
 
 
 def verify_centralizer_beta(model: GroupModel) -> dict:

@@ -309,23 +309,22 @@ def perm_inverse(p: Perm) -> Perm:
     return tuple(out)
 
 
-_AUTOS_CACHE: dict[RootSystemType, list[Perm]] = {}
-
-
 def diagram_automorphisms(sys: RootSystem) -> list[Perm]:
     """All permutations of the simple roots preserving the Cartan matrix,
-    in sorted order.
+    in sorted order."""
+    return list(_cartan_automorphisms(sys.cartan))
 
-    Backtracking: node k is sent to an unused node v only when the Cartan
-    entries between v and the images of nodes 0..k-1 equal those between k
-    and nodes 0..k-1, so every partial map is a partial automorphism, and
-    when the rows of k and v hold the same entries (an automorphism permutes
-    each row), which cuts dead branches early.
+
+@lru_cache(maxsize=None)
+def _cartan_automorphisms(C: tuple[tuple[int, ...], ...]) -> tuple[Perm, ...]:
+    """The automorphisms of a Cartan matrix, by backtracking: node k is
+    sent to an unused node v only when the Cartan entries between v and the
+    images of nodes 0..k-1 equal those between k and nodes 0..k-1, so every
+    partial map is a partial automorphism, and when the rows of k and v hold
+    the same entries (an automorphism permutes each row), which cuts dead
+    branches early.
     """
-    if sys.rtype in _AUTOS_CACHE:
-        return list(_AUTOS_CACHE[sys.rtype])
-    r = sys.rank
-    C = sys.cartan
+    r = len(C)
     row_entries = [sorted(row) for row in C]
     autos = []
 
@@ -341,8 +340,7 @@ def diagram_automorphisms(sys: RootSystem) -> list[Perm]:
                 extend(p + [v])
 
     extend([])
-    _AUTOS_CACHE[sys.rtype] = autos
-    return list(autos)
+    return tuple(autos)
 
 
 def automorphism_subgroups(autos: list[Perm]) -> list[tuple[Perm, ...]]:

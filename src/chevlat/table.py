@@ -7,29 +7,30 @@ base-m digits.  Matrices are read through `mat`, which decodes the row
 keys of the indices asked for.
 
 The enumeration is a BFS from the identity over right multiplication by
-the k elementary generators e, and it keeps the Cayley graph it walks: the
-index of every x e (a (k, N) int32 array of permutations) and its spanning
-tree.  A key index recognizes the elements seen so far and is the table's
-lookup afterwards.  When there are at most _SCAN_LIMIT possible keys
-(m**(n*n), at most 1.6 MB of int32) it is dense, `where[key]` the index or
--1: a level gathers `where` at its products, `np.minimum.at` over the
-unseen products' scan ranks finds each new key's first occurrence, and a
-lookup is one gather.  Above that bound a level is deduplicated by one sort
-of its products' composites key * kF + scan position, and the BFS's sorted
-keys, searched by binary search, are the lookup arrays.
-Right multiplication by e^-1 is the inverse permutation.  An element
-x = e_1 ... e_d on the tree has x^-1 = e_d^-1 ... e_1^-1, so the inverses
-are one vectorized walk up the tree (the Schreier-vector trick; Butler,
-Fundamental Algorithms for Permutation Groups, LNCS 559).
+the k elementary generators e.  A key index recognizes the elements seen
+so far and is the table's lookup afterwards.  When there are at most
+_SCAN_LIMIT possible keys (m**(n*n), at most 1.6 MB of int32) it is dense,
+`where[key]` the index or -1: a level gathers `where` at its products,
+`np.minimum.at` over the unseen products' scan ranks finds each new key's
+first occurrence, and a lookup is one gather.  Above that bound a level is
+deduplicated by one sort of its products' composites key * kF + scan
+position, and the BFS's sorted keys, searched by binary search, are the
+lookup arrays.
+The BFS walks the Cayley graph, the index of every x e, and its spanning
+tree, but keeps neither.  Right multiplication by e^-1 is the inverse
+permutation.  An element x = e_1 ... e_d on the tree has x^-1 = e_d^-1 ...
+e_1^-1, so the inverses are one vectorized walk up the tree (the
+Schreier-vector trick; Butler, Fundamental Algorithms for Permutation
+Groups, LNCS 559).  From x -> x e and the inverses the build makes the one
+thing the lattice needs of the generators, conjugation by each E generator
+as an index permutation, x -> e^-1 x e; subgroup and normal-closure
+computations in lattice.py run entirely on indices.
 
-`right_mult` is the one entry point for products.  It gathers from those
-permutations for a generator or its inverse; any other g goes through the
-kernel resting on row_i(x g) = row_i(x) g: a row table of g, with one entry
-per possible row (m**n of them), maps a row key to the row key of that row
-times g, so the keys of all x g are one gather and one weighted sum.
-Conjugation by an element is cached as an index permutation built from
-right multiplication by it, gathers only for a generator; subgroup and
-normal-closure computations in lattice.py run entirely on indices.
+`right_mult` is the one entry point for products, and it has one path for
+every g, resting on row_i(x g) = row_i(x) g: a row table of g, with one
+entry per possible row (m**n of them), maps a row key to the row key of
+that row times g, so the keys of all x g are one gather and one weighted
+sum, looked up in the key index.
 
 Before enumerating, the table refuses (`check_bounds`, SizeCapError) a
 group over the element cap, one whose base-m keys could pass 2**63 - 1, one
@@ -112,10 +113,14 @@ class ElementTable:
         self.gen_idxs = right[:, 0].astype(np.int64)
         right_inv = np.empty_like(right)  # x -> x e^-1 inverts x -> x e
         right_inv[np.arange(len(right))[:, None], right] = np.arange(self.N, dtype=np.int32)
-        # x -> x e and x -> x e^-1 for every generator e, by the index of e and of e^-1
-        self._right = {int(p[0]): p for p in (*right, *right_inv)}
         self.inv = self._tree_inverses(right_inv, parent, gen)
-        self._conj_perms: dict[int, np.ndarray] = {}
+        del right_inv, parent, gen
+        # x -> x^-1 e -> e^-1 x -> e^-1 x e, written over x -> x e row by row
+        # (np.take gathers these int32 indices faster than fancy indexing)
+        for r in right:
+            r[:] = r.take(self.inv.take(r.take(self.inv)))
+        self._conj = right
+        self._gen_pos = {g: j for j, g in enumerate(self.gen_idxs.tolist())}
         if small:
             scanned = self.encode(scan_on(model, np.ones((n, n), dtype=bool)))
             if len(scanned) != self.N or (self.lookup_keys(scanned) < 0).any():
@@ -213,32 +218,19 @@ class ElementTable:
 
     def right_mult(self, idx: np.ndarray, gens) -> np.ndarray:
         """Indices of x g, an int32 array of shape (len(gens), len(idx)), for
-        the elements x in idx and the elements g with indices in gens: a
-        gather from the BFS's permutation where g is a generator or the
-        inverse of one, the row kernel and one lookup for the others."""
-        idx = np.asarray(idx, dtype=np.int64)
-        out = np.empty((len(gens), idx.size), dtype=np.int32)
-        rest = []
-        for i, g in enumerate(gens):
-            perm = self._right.get(int(g))
-            if perm is None:
-                rest.append(i)
-            else:
-                out[i] = perm[idx]
-        if rest:
-            tables = self.row_tables(self.mat(np.asarray(gens, dtype=np.int64)[rest]))
-            out[rest] = self.lookup_keys(self.product_keys(idx, tables))
-        return out
+        the elements x in idx and the elements g with indices in gens: the
+        row tables of the g, their product keys and one lookup."""
+        tables = self.row_tables(self.mat(np.asarray(gens, dtype=np.int64)))
+        keys = self.product_keys(np.asarray(idx, dtype=np.int64), tables)
+        return self.lookup_keys(keys).astype(np.int32)
 
     def conj_perm(self, g_idx: int) -> np.ndarray:
-        """Index permutation of x -> g^-1 x g.  With R the right
-        multiplication by g, x -> x^-1 g -> g^-1 x -> g^-1 x g."""
-        g_idx = int(g_idx)
-        if g_idx not in self._conj_perms:
-            right = self.right_mult(np.arange(self.N), [g_idx])[0]
-            assert (right >= 0).all()
-            self._conj_perms[g_idx] = right[self.inv[right[self.inv]]]
-        return self._conj_perms[g_idx]
+        """Index permutation of x -> g^-1 x g for an E generator g, built
+        with the table; a ValueError for any other element."""
+        j = self._gen_pos.get(int(g_idx))
+        if j is None:
+            raise ValueError(f"{self.model.name()}: element {g_idx} is not an E generator")
+        return self._conj[j]
 
     def egen_conj_perms(self) -> list[np.ndarray]:
         return [self.conj_perm(i) for i in self.gen_idxs.tolist()]

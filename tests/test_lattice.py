@@ -204,18 +204,17 @@ def test_center(sl3_4, sp4_3):
     for ctx in (sl3_4, sp4_3, sl2_7):
         egens = [ctx.table.mat(i) for i in ctx.table.gen_idxs]
         assert np.array_equal(ctx.center().member, matmul_centralizer(ctx.table, egens))
-    # centralizer of another generating set of the whole group equals the center
-    full = reference_subgroup_closure(sp4_3.table, sp4_3.table.gen_idxs.tolist())
-    assert sp4_3.centralizer(full.gens) == sp4_3.center()
+    # the common fixed points of the E generator conjugations are the center
+    assert np.array_equal(reference_center(sp4_3), sp4_3.center().member)
 
 
 def test_commutator_subgroup(sl3_2, sp4_2):
     egens = sl3_2.table.gen_idxs.tolist()
-    assert sl3_2.commutator_subgroup(egens, egens).order == 168
+    assert sl3_2.commutator_subgroup(egens).order == 168
     egens2 = sp4_2.table.gen_idxs.tolist()
-    derived = sp4_2.commutator_subgroup(egens2, egens2)
+    derived = sp4_2.commutator_subgroup(egens2)
     assert sp4_2.table.N // derived.order == 2  # index-2 subgroup of Sp4(F2)
-    trivial = sp4_2.commutator_subgroup([sp4_2.table.identity_idx], egens2)
+    trivial = sp4_2.commutator_subgroup([sp4_2.table.identity_idx])
     assert trivial.order == 1
 
 
@@ -224,7 +223,7 @@ def test_commutator_subgroup_refuses_a_commutator_off_the_table(sl3_2, monkeypat
     monkeypatch.setattr(sl3_2.table, "lookup", lambda mats: np.full(len(mats), -1))
     egens = sl3_2.table.gen_idxs.tolist()
     with pytest.raises(RuntimeError, match=r"a commutator \[x, y\] is not in the element table"):
-        sl3_2.commutator_subgroup(egens, egens)
+        sl3_2.commutator_subgroup(egens)
 
 
 def test_generating_set_generates_congruence_subgroup(sl3_4):
@@ -441,10 +440,9 @@ def test_radical_centralizer_from_generators(spec):
     model = ctx.model
     radical = [model.x(a, v) for a in model.positive_rel_roots for v in model.v_tuples(a)]
     full = matmul_centralizer(ctx.table, radical)
-    gens = [model.x(a, e) for a in model.positive_rel_roots for e in model.v_basis(a)]
-    cent = ctx.centralizer(ctx.table.lookup(np.stack(gens)).tolist())
-    assert np.array_equal(cent.member, full)
-    assert lattice.verify_u_cent_field(ctx)["centralizing"] == int(full.sum())
+    idx = np.flatnonzero(full)
+    outside = idx[~model.in_parabolic(ctx.table.mat(idx))].tolist()
+    assert lattice.verify_u_cent_field(ctx) == {"centralizing": len(idx), "failures": outside}
 
 
 def test_centralizer_lemmas_without_rank_two_parabolic():

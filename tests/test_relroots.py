@@ -292,6 +292,17 @@ def test_sigma_forms_agree_simply_laced():
             assert sigma_set(rel, b, "all") == sigma_set(rel, b, "some")
 
 
+def test_sigma_forms_differ_on_a_straddling_fiber():
+    # A2 with 2(a1, a2) = -3 over J = {0}: the fiber of b pairs with b's
+    # summed fiber to both signs, so "some" holds everywhere and "all" nowhere
+    a2 = sys_of("A", 2)
+    bad = dataclasses.replace(a2, gram2=((2, -3), (-3, 2)))
+    rel = build_relative(RelativeDatum(bad, frozenset({0}), ()))
+    every, some = relroots._sigma_masks(rel)
+    assert every.tolist() == [[False, False]] and some.tolist() == [[True, True]]
+    assert relroots.check_datum(rel)["sigma_forms_failed"] == 1
+
+
 def test_sigma_properties_hold_rank4():
     for datum in relroots.sweep_data(4):
         rel = build_relative(datum)

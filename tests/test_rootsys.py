@@ -261,6 +261,16 @@ def test_diagram_automorphism_groups(family, rank, order):
         assert len(autos) == order
 
 
+def test_diagram_automorphisms_follow_the_cartan_matrix():
+    # a hand-built system of type A2 with a non-symmetric Cartan matrix has
+    # only the identity, whatever was asked of A2 before it
+    a2 = build_root_system(RootSystemType("A", 2))
+    assert rootsys.diagram_automorphisms(a2) == [(0, 1), (1, 0)]
+    skewed = dataclasses.replace(a2, cartan=((2, -1), (-2, 2)))
+    assert rootsys.diagram_automorphisms(skewed) == [(0, 1)]
+    assert rootsys.check_root_system(skewed)[1]["automorphisms"] == 1
+
+
 @pytest.mark.parametrize("family,rank", [("A", 3), ("D", 4), ("E", 6), ("A", 5), ("D", 5)])
 def test_automorphisms_preserve_roots_and_pairing(family, rank):
     sys = build_root_system(RootSystemType(family, rank))

@@ -43,9 +43,9 @@ def test_inverses(sl3_2, sl3_3, sl3_4, sl4_2, sp4_2, sp4_3):
 
 
 @pytest.mark.parametrize("name", ["sl3_2", "sl3_3", "sl3_4", "sl4_2", "sp4_2", "sp4_3"])
-def test_cached_generator_perms_match_kernel(name, request, monkeypatch):
-    # right multiplication by each E generator and its inverse is a gather
-    # from the BFS's permutations, equal to the row-kernel products
+def test_cached_generator_perms_match_kernel(name, request):
+    # right multiplication by each E generator and its inverse equals the
+    # row-kernel products, one generator at a time and all at once
     t = request.getfixturevalue(name).table
     everything = np.arange(t.N)
     want = {}
@@ -53,11 +53,6 @@ def test_cached_generator_perms_match_kernel(name, request, monkeypatch):
         for h in (g, int(t.inv[g])):
             want[h] = t.lookup_keys(t.product_keys(everything, t.row_tables(t.mat(h))))[0]
     assert np.array_equal(t.gen_idxs, t.lookup(np.stack(t.model.generator_mats())))
-
-    def no_lookup(keys):
-        raise AssertionError("a generator product went through the lookup")
-
-    monkeypatch.setattr(t, "lookup_keys", no_lookup)
     for h, right in want.items():
         assert np.array_equal(t.right_mult(everything, [h])[0], right)
     gens = sorted(want)
@@ -84,16 +79,39 @@ def test_conj_perm_matches_direct(sl3_4, sp4_3, sl4_2):
         egens = set(t.gen_idxs.tolist()) | {t.identity_idx}
         other = next(int(i) for i in rng.integers(0, t.N, size=100) if int(i) not in egens)
         xs = rng.integers(0, t.N, size=64)
-        for g_idx in (int(t.gen_idxs[0]), other):
+        for g_idx in t.gen_idxs.tolist():
             perm = t.conj_perm(g_idx)
             g = t.mat(g_idx)
             ginv = t.mat(int(t.inv[g_idx]))
             for i in xs[:32]:
                 expect = (ginv @ t.mat(int(i)) @ g) % t.m
                 assert int(perm[int(i)]) == index_of(t, expect)
+        # only the E generators' conjugations are kept
+        with pytest.raises(ValueError, match=f"element {other} is not an E generator"):
+            t.conj_perm(other)
+        for g_idx in (int(t.gen_idxs[0]), other):
             # the row-table kernel: right multiplication by g
+            g = t.mat(g_idx)
             right = t.lookup_keys(t.product_keys(xs, t.row_tables(g))[0])
             assert np.array_equal(right, t.lookup((t.mat(xs) @ g) % t.m))
+
+
+@pytest.mark.parametrize("name", ["sl3_4", "sp4_3"])
+def test_table_keeps_only_the_generator_conjugations(name, request):
+    # after the build the table holds the rows, the inverses and one (k, N)
+    # int32 array, conjugation by each E generator, and no right
+    # multiplication; its conjugations match the matrix products
+    t = request.getfixturevalue(name).table
+    held = [(key, a) for key, v in vars(t).items()
+            for a in (v.values() if isinstance(v, dict) else [v])]
+    sized = {key: a.shape for key, a in held if isinstance(a, np.ndarray) and t.N in a.shape}
+    k = len(t.gen_idxs)
+    assert sized == {"rows": (t.N, t.n), "inv": (t.N,), "_conj": (k, t.N)}
+    everything = t.mat(np.arange(t.N))
+    want = np.stack([t.lookup(t.mat(int(t.inv[g])) @ everything @ t.mat(g) % t.m)
+                     for g in t.gen_idxs.tolist()])
+    assert t._conj.dtype == np.int32 and np.array_equal(t._conj, want)
+    assert np.array_equal(t.egen_conj_perms(), want)
 
 
 def _arrays(t):
@@ -137,8 +155,7 @@ def test_dense_and_sorted_index_agree(spec, monkeypatch):
     assert isinstance(srt._index, table_mod._SortedIndex)
     for a, b in ((dense.rows, srt.rows), (dense.inv, srt.inv), (dense.gen_idxs, srt.gen_idxs)):
         assert a.dtype == b.dtype and np.array_equal(a, b)
-    assert dense._right.keys() == srt._right.keys()
-    assert all(np.array_equal(dense._right[g], srt._right[g]) for g in dense._right)
+    assert np.array_equal(dense.egen_conj_perms(), srt.egen_conj_perms())
     # every element, keys next to elements (most are not elements), and
     # both ends just outside the key space
     keys = dense.encode(dense.mat(np.arange(dense.N)))
@@ -279,9 +296,13 @@ def test_table_arrays_are_pinned(spec):
         t = ctx_for(*spec).table  # shared with the other tests
     else:
         t = ElementTable(GroupModel(kind, degree, ZmRing(m), blocks))  # freed after the test
+    # right multiplication by every E generator and its inverse, the BFS's
+    # Cayley graph, rebuilt through the row kernel
+    everything = np.arange(t.N)
+    right = (t.right_mult(everything, [g])[0]
+             for g in sorted({*t.gen_idxs.tolist(), *t.inv[t.gen_idxs].tolist()}))
     digest = hashlib.sha256()
-    for a in (t.rows, t.inv, t.gen_idxs, *_order_and_sorted_keys(t),
-              *(t._right[g] for g in sorted(t._right))):
+    for a in (t.rows, t.inv, t.gen_idxs, *_order_and_sorted_keys(t), *right):
         digest.update(np.ascontiguousarray(a, dtype=np.int64).tobytes())
     assert digest.hexdigest() == TABLE_DIGESTS[spec]
 
