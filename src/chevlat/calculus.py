@@ -14,7 +14,7 @@ every root element with its inverse, and every pair's cone and degrees.
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import lru_cache, reduce
 from itertools import accumulate
 
 import numpy as np
@@ -174,16 +174,17 @@ def commutator(x: np.ndarray, y: np.ndarray, model: GroupModel) -> np.ndarray:
     )
 
 
-def commutator_identity_check(model: GroupModel, x, y, z):
-    """[x, yz]^(z^-1) = [z^-1, x] [x, y], an identity in any group.
+def commutator_identity_check(model: GroupModel, x, y, z, inverses=None):
+    """[x, yz]^(z^-1) = [z^-1, x] [x, y], an identity in any group, each side
+    a word in x, y, z and their inverses: (yz)^-1 = z^-1 y^-1, (z^-1)^-1 = z.
 
     x, y, z are elements (a bool result) or (k, n, n) stacks (a bool array,
-    one verdict per triple)."""
+    one verdict per triple); `inverses`, when given, are those of x, y, z."""
     m = model.m
-    zinv = model.inverse(z)
-    lhs = commutator(x, mat_mul(y, z, m), model)
-    lhs = mat_mul(mat_mul(z, lhs, m), zinv, m)  # conjugation by z^-1
-    rhs = mat_mul(commutator(zinv, x, model), commutator(x, y, model), m)
+    xi, yi, zi = (model.inverse(g) for g in (x, y, z)) if inverses is None else inverses
+    head = mat_mul(mat_mul(z, xi, m), zi, m)  # both sides start with z x^-1 z^-1
+    lhs = reduce(lambda a, b: mat_mul(a, b, m), (yi, x, y, z, zi), head)
+    rhs = reduce(lambda a, b: mat_mul(a, b, m), (x, xi, yi, x, y), head)
     ok = (lhs == rhs).all(axis=(-2, -1))
     return bool(ok) if ok.ndim == 0 else ok
 
@@ -197,13 +198,14 @@ def sampled_root_elements(model: GroupModel, per_root: int, rng) -> np.ndarray:
 
 def sampled_identity_check(model: GroupModel, mats, count: int, rng) -> bool:
     """commutator_identity_check on `count` triples (x, y, z) drawn from mats
-    with rng.randrange, x, y, z in turn, all checked as one stack.  rng is
+    with rng.randrange, x, y, z in turn, all checked as one stack; mats is
+    inverted once and the inverses are gathered with the triples.  rng is
     left as a triple-by-triple check stopping at the first failure leaves it."""
     mats = np.stack(mats)
+    inverses = model.inverse(mats)
     state = rng.getstate()
-    drawn = mats[[rng.randrange(len(mats)) for _ in range(3 * count)]]
-    triples = drawn.reshape(count, 3, *mats.shape[1:])
-    held = commutator_identity_check(model, triples[:, 0], triples[:, 1], triples[:, 2])
+    drawn = np.array([rng.randrange(len(mats)) for _ in range(3 * count)]).reshape(count, 3).T
+    held = commutator_identity_check(model, *mats[drawn], inverses=inverses[drawn])
     if held.all():
         return True
     _replay(rng, state, 3 * (int(np.argmin(held)) + 1), len(mats))

@@ -251,9 +251,9 @@ def group_records(spec: ModelSpec, cap: int):
 
     ctx = lattice.get_context(model, cap)
     yield "element_table", "invented plumbing", True, False, {"order": ctx.table.N}
-    e_sub = ctx.elementary()
-    yield ("elementary_subgroup_full", "Theorem EE", e_sub.order == ctx.table.N, False,
-           {"order": e_sub.order})
+    # the table's certificate: its BFS from {1} reached the order formula's count
+    yield ("elementary_subgroup_full", "Theorem EE", ctx.table.N == models.order_formula(model),
+           False, {"order": ctx.table.N})
     if ctx.table.N <= 10_000:
         yield ("gauss_cell_brute_force", "Lemma open-fields",
                lattice.gauss_brute_force_agrees(ctx), False, None)

@@ -1,18 +1,22 @@
 """Subgroup lattice computations and the theorem-level verifications.
 
-Subgroups are bitsets over the element table, and every one built here is
-normalized by E(R).  One engine builds them, `normal_closure`: a batched
-BFS on indices from an E-normal base (or {1}) under right multiplication by
-each seed not yet a member and conjugation by each E generator.  Its fixed
-point is closed under right multiplication by every conjugate of a seed,
-x s^g = (x^(g^-1) s)^g, so it is the E-normal subgroup the base and the
-seeds generate, and the base's gens with those seeds normally generate it.
-Products come from `ElementTable.right_mult`, conjugates from gathers of the
-table's E-generator conjugation permutations; each frontier is deduplicated
-by one sort and an adjacent-difference mask.  E(R) itself is not closed
-again: the table's BFS is the closure of {1} under the E generators.  For
-the same reason a closure ends once every E generator is a member: the
-fixed point holds them, so it is E(R) = G(R), the whole table.
+Every subgroup built here is normalized by E(R), so it is a union of
+E-orbits, and a `Subgroup` is its orbit mask: one boolean per orbit, with
+orbit ids and sizes shared by every subgroup of the table.  A subset that
+is not a union of orbits cannot be represented.
+
+One engine builds subgroups, `normal_closure`: a batched BFS on a bitset
+over the element table, from an E-normal base (or {1}) under right
+multiplication by each seed not yet a member and conjugation by each E
+generator.  Its fixed point is closed under right multiplication by every
+conjugate of a seed, x s^g = (x^(g^-1) s)^g, so it is the E-normal subgroup
+the base and the seeds generate, and the base's gens with those seeds
+normally generate it.  Products come from `ElementTable.right_mult`,
+conjugates from gathers of the table's E-generator conjugation
+permutations; each frontier is deduplicated by one sort and an
+adjacent-difference mask.  E(R) is not closed again: the table's BFS is the
+closure of {1} under the E generators.  For the same reason a BFS ends once
+every E generator is a member: the subgroup is E(R) = G(R), the whole table.
 
 Each element table has one registry of certified E-normal closures, shared
 by every context (parabolic, sibling) built on it.  It holds the E-orbits
@@ -28,46 +32,42 @@ every other closure from them:
 * The join of two E-normal subgroups A and B is E-normal.  It is grown
   from A's bitset with B's gens as seeds, and its gens are A's followed by
   those of B's that A lacks.
-* Every fresh BFS result is certified before the registry keeps it: its
-  orbit mask (one boolean per orbit, read at the representatives),
-  expanded through the orbit ids, must equal its bitset.  So it is a union
-  of E-orbits and its mask identifies it: the registry keeps one object per
-  mask, and equal closures, the whole group among them, are one object.
-  Objects it holds, such as the stop hook's answers, are not checked again.
-  Inclusions and sandwich verdicts are decided on masks.  A join that is
-  not an inclusion is grown each time it is asked for; its certification
-  hands back the object already held for its mask.
+* A fresh BFS bitset is certified once, and its mask, read at the orbit
+  representatives, is kept as the subgroup: a bitset holding every E
+  generator is the whole group, any other must equal its mask expanded
+  through the orbit ids.  The registry keeps one object per mask, so equal
+  closures, the whole group among them, are one object; a join that is not
+  an inclusion is grown each time it is asked for and certified back to it.
 * The closure of a seed set (E(R,q), commutator subgroups) is the join of
   the orbit closures of the seeds' orbits, each distinct closure object
   once: many orbits share one, and joining it again changes nothing.
-* Every E-normal subgroup is a union of E-orbits.  G(R,q) is normal and
-  E(R) = G(R), so it is the normal closure of the orbit representatives it
-  contains, and [G(R,q), E(R)] is the normal closure of their commutators
-  with the E generators ([N, G] is the normal closure of the [s, t] when N
-  is the normal closure of S and G = <T>).  The center is normal too, so
-  cl(rep) is central exactly when rep is.
+* G(R,q) is normal and E(R) = G(R), so it is the normal closure of the
+  orbit representatives it contains, and [G(R,q), E(R)] is the normal
+  closure of their commutators with the E generators ([N, G] is the normal
+  closure of the [s, t] when N is the normal closure of S and G = <T>).
+  The center is normal too, so cl(rep) is central exactly when rep is.
 
-The bounds are unions of E-orbits: G(R,q), C(R,q) and the center are normal
-in G(R) = E(R), so each is decided on the orbit representatives' matrices and
-expanded through the orbit ids.  G(R,q) keeps r = 1 mod q; C(R,q) keeps r
-when g^-1 r g = r mod q for every E generator g, read through g's
-conjugation permutation; the center is C(R,q) of the zero ideal.  That is
-the preimage of the center of G(R/q), with no table of G(R/q), because the
-image of G(R) has N / |G(R,q)| elements, the order of G(R/q).
+The bounds G(R,q), C(R,q) and the center are normal in G(R) = E(R), so each
+is decided on the orbit representatives' matrices, and the representatives
+it keeps are its gens.  G(R,q) keeps r = 1 mod q; C(R,q) keeps r when
+g^-1 r g = r mod q for every E generator g, read through g's conjugation
+permutation; the center is C(R,q) of the zero ideal.  That is the preimage
+of the center of G(R/q), with no table of G(R/q), because the image of G(R)
+has N / |G(R,q)| elements, the order of G(R/q).
 
 The sandwich classification checks, for one seed per conjugation orbit,
 which ideals q satisfy E(R,q) <= closure <= C(R,q); on a model satisfying
-the main hypotheses exactly one ideal must pass.  Every subgroup normalized
-by the elementary subgroup is the join of the orbit closures of its
-elements, so closing the distinct orbit closures under joins gives the
-whole lattice of E-normal subgroups (`enormal_lattice`), and the sandwich
-can be checked on every member of it directly.
+the main hypotheses exactly one ideal must pass.  Every E-normal subgroup is
+the join of the orbit closures of its elements, so closing the distinct
+orbit closures under joins gives the whole lattice (`enormal_lattice`), and
+the sandwich can be checked on every member of it directly.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -85,30 +85,47 @@ from .table import DEFAULT_CAP, ElementTable, matrix_keys
 Vec = tuple[int, ...]
 
 
-class Subgroup:
-    """A bitset over the element table, never written after construction;
-    `gens`, when given, generate it as an E-normal subgroup."""
+class EOrbits(NamedTuple):
+    """The E-orbits of an element table: the orbit id of every element, the
+    least member of each orbit (its representative) and the orbit sizes."""
+    ids: np.ndarray
+    reps: list[int]
+    sizes: np.ndarray
 
-    def __init__(self, table: ElementTable, member: np.ndarray, gens: list[int] | None = None):
-        self.table = table
-        self.member = member
-        self.gens = gens or []
+
+class Subgroup:
+    """An E-normal subgroup as the union of the E-orbits its mask marks,
+    never written after construction; `gens` normally generate it.  Its
+    bitset over the table, `member`, is derived on each read."""
+
+    def __init__(self, orbits: EOrbits, mask: np.ndarray, gens: list[int]):
+        self.orbits = orbits
+        self.mask = mask
+        self.gens = gens
 
     @property
     def order(self) -> int:
-        return int(self.member.sum())
+        return int(self.orbits.sizes[self.mask].sum())
 
-    def indices(self) -> np.ndarray:
-        return np.nonzero(self.member)[0]
+    @property
+    def member(self) -> np.ndarray:
+        return self.mask.take(self.orbits.ids)
 
     def __contains__(self, idx: int) -> bool:
-        return bool(self.member[idx])
+        return bool(self.mask[self.orbits.ids[idx]])
 
     def issubset(self, other: "Subgroup") -> bool:
-        return not bool((self.member & ~other.member).any())
+        return not bool((self.mask & ~other.mask).any())
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, Subgroup) and np.array_equal(self.member, other.member)
+        return isinstance(other, Subgroup) and np.array_equal(self.mask, other.mask)
+
+
+class Bitset(NamedTuple):
+    """A fresh `normal_closure` result: a bitset over the element table, not
+    yet certified, and the normal generators of the subgroup it lies in."""
+    member: np.ndarray
+    gens: list[int]
 
 
 def _products(table: ElementTable, member: np.ndarray, frontier: np.ndarray,
@@ -122,7 +139,7 @@ def _products(table: ElementTable, member: np.ndarray, frontier: np.ndarray,
     for lo in range(0, frontier.size, chunk):
         part = frontier[lo:lo + chunk]
         idx = np.concatenate([table.right_mult(part, gen_idxs).ravel(),
-                              *(perm[part] for perm in perms)])
+                              *(perm.take(part) for perm in perms)])
         assert idx.min(initial=0) >= 0  # products of members are members
         new = np.sort(idx[~member[idx]])
         member[new] = True
@@ -133,34 +150,31 @@ def _products(table: ElementTable, member: np.ndarray, frontier: np.ndarray,
 
 
 def normal_closure(table: ElementTable, seeds, base: Subgroup | None = None,
-                   stop=None) -> Subgroup:
-    """The E-normal subgroup generated by the seeds and `base`, an E-normal
-    subgroup whose gens normally generate it.
+                   stop=None) -> Bitset | Subgroup:
+    """The E-normal subgroup generated by the seeds and `base`, as a bitset
+    for the registry to certify.
 
     One BFS from base's members (or {1}) under right multiplication by each
     seed not yet a member and conjugation by each E generator; those seeds,
-    after base's gens, are the result's gens (see the module notes).  Once
-    every E generator is a member, the fixed point is the whole table, which
-    is returned at once.  A `stop` hook sees every new BFS frontier; the
-    first subgroup it returns is returned at once."""
+    after base's gens, are the result's gens (see the module notes).  The
+    BFS ends once every E generator is a member, its bitset then partial:
+    the subgroup is the whole table.  A `stop` hook sees every new BFS
+    frontier; the first subgroup it returns is returned at once."""
     if base is None:
-        member = np.zeros(table.N, dtype=bool)
+        member, gens = np.zeros(table.N, dtype=bool), []
         member[table.identity_idx] = True
-        base = Subgroup(table, member)
-    elif base.order > 1 and not base.gens:
-        raise ValueError("a base subgroup needs its generators")
-    member = base.member.copy()
+    else:
+        member, gens = base.member, list(base.gens)
     new = [s for s in np.asarray(seeds, dtype=np.int64).tolist() if not member[s]]
-    gens = list(base.gens) + new
     frontier = np.flatnonzero(member)
     while frontier.size:
         frontier = _products(table, member, frontier, new)
         if member[table.gen_idxs].all():  # the fixed point holds E(R) = G(R)
-            return Subgroup(table, np.ones(table.N, dtype=bool), gens)
+            break
         found = stop(frontier) if stop is not None else None
         if found is not None:
             return found
-    return Subgroup(table, member, gens)
+    return Bitset(member, gens + new)
 
 
 def e_conjugacy_orbits(table: ElementTable) -> tuple[np.ndarray, np.ndarray]:
@@ -175,11 +189,11 @@ def e_conjugacy_orbits(table: ElementTable) -> tuple[np.ndarray, np.ndarray]:
     while True:
         before = label.copy()
         for perm in perms:
-            np.minimum(label, label[perm], out=label)
-        label = label[label]
+            np.minimum(label, label.take(perm), out=label)
+        label = label.take(label)
         if np.array_equal(label, before):
             least = label == np.arange(table.N)
-            return (np.cumsum(least) - 1)[label], np.flatnonzero(least)
+            return (np.cumsum(least) - 1).take(label), np.flatnonzero(least)
 
 
 @dataclass
@@ -216,69 +230,66 @@ class _ClosureRegistry:
 
     def __init__(self, table: ElementTable):
         self.table = table
-        self._orbits: tuple[np.ndarray, list[int]] | None = None
-        self.orbit_sizes: np.ndarray | None = None  # elements per orbit id, set by orbits()
+        self._orbits: EOrbits | None = None
         self._by_orbit: dict[int, Subgroup] = {}  # orbit id -> cl(rep)
         self._by_mask: dict[bytes, Subgroup] = {}  # orbit mask -> the certified closure
 
-    def orbits(self) -> tuple[np.ndarray, list[int]]:
+    def orbits(self) -> EOrbits:
         if self._orbits is None:
-            orbit, reps = e_conjugacy_orbits(self.table)
-            self._orbits = (orbit, reps.tolist())
-            self.orbit_sizes = np.bincount(orbit)
+            ids, least = e_conjugacy_orbits(self.table)
+            self._orbits = EOrbits(ids, least.tolist(), np.bincount(ids))
         return self._orbits
 
     def orbit_closure(self, idx: int) -> Subgroup:
-        orbit, reps = self.orbits()
-        k = int(orbit[idx])
+        orbits = self.orbits()
+        k = int(orbits.ids[idx])
         if k not in self._by_orbit:
-            sub = normal_closure(self.table, [reps[k]], stop=self._known_closure(reps[k]))
+            rep = orbits.reps[k]
             self._by_orbit[k] = self._certified(
-                sub, "the subgroup generated by an E-orbit is not E-normal")
+                normal_closure(self.table, [rep], stop=self._known_closure(rep)),
+                "the subgroup generated by an E-orbit is not E-normal")
         return self._by_orbit[k]
 
-    def _certified(self, sub: Subgroup, error: str) -> Subgroup:
-        """The registry's one object equal to sub.  Unless the registry holds
-        sub itself, sub must be the union of the orbits its mask names; a
-        RuntimeError with the error message when it is not."""
-        orbit, reps = self.orbits()
-        mask = sub.member[reps]
-        if self._by_mask.get(mask.tobytes()) is not sub and not (mask[orbit] == sub.member).all():
-            raise RuntimeError(error)
-        return self._by_mask.setdefault(mask.tobytes(), sub)
-
-    def mask(self, sub: Subgroup) -> np.ndarray:
-        """The orbit mask of a closure this registry certified (its bytes are
-        the key); a ValueError for any other subgroup, which it does not identify."""
-        mask = sub.member[self.orbits()[1]]
-        if self._by_mask.get(mask.tobytes()) is not sub:
-            raise ValueError("an orbit mask identifies only a certified E-normal closure")
-        return mask
+    def _certified(self, result: Bitset | Subgroup, error: str) -> Subgroup:
+        """The registry's one subgroup equal to a `normal_closure` result.  A
+        subgroup is one it holds, a stop hook's answer.  A bitset holding
+        every E generator is the whole group; any other bitset must be the
+        union of the orbits its representatives name, and a RuntimeError
+        with the error message when it is not."""
+        if isinstance(result, Subgroup):
+            return result
+        orbits, member = self.orbits(), result.member
+        if member[self.table.gen_idxs].all():
+            mask = np.ones(len(orbits.reps), dtype=bool)
+        else:
+            mask = member[orbits.reps]
+            if not np.array_equal(mask.take(orbits.ids), member):
+                raise RuntimeError(error)
+        return self._by_mask.setdefault(mask.tobytes(), Subgroup(orbits, mask, result.gens))
 
     def _known_closure(self, rep: int):
         """Stop hook for cl(rep): the known closure K of a frontier element's
         orbit, if K contains rep; then K = cl(rep) (see the module notes)."""
-        orbit, reps = self.orbits()
-        hit = np.zeros(len(reps), dtype=bool)
+        orbits = self.orbits()
+        hit = np.zeros(len(orbits.reps), dtype=bool)
         for k, closure in self._by_orbit.items():
-            hit[k] = closure.member[rep]
+            hit[k] = rep in closure
         if not hit.any():
             return None
 
         def stop(frontier: np.ndarray) -> Subgroup | None:
-            ks = orbit[frontier]
+            ks = orbits.ids.take(frontier)
             ks = ks[hit[ks]]
             return self._by_orbit[int(ks[0])] if ks.size else None
 
         return stop
 
     def join(self, a: Subgroup, b: Subgroup) -> Subgroup:
-        """The subgroup generated by two certified E-normal subgroups, itself
-        E-normal; inclusions are decided on their orbit masks."""
-        mask_a, mask_b = self.mask(a), self.mask(b)
-        if not (mask_b & ~mask_a).any():
+        """The subgroup generated by two E-normal subgroups, itself E-normal;
+        inclusions are decided on their orbit masks."""
+        if b.issubset(a):
             return a
-        if not (mask_a & ~mask_b).any():
+        if a.issubset(b):
             return b
         return self._certified(normal_closure(self.table, b.gens, base=a),
                                "join of E-normal subgroups is not E-normal")
@@ -328,23 +339,27 @@ class GroupContext:
             self._cache[key] = fn()
         return self._cache[key]
 
-    # -- element-wise subgroups ---------------------------------------------
+    # -- subgroups ------------------------------------------------------------
+
+    def _orbit_union(self, keep: np.ndarray) -> Subgroup:
+        """The union of the orbits keep marks, a normal subgroup of G(R) =
+        E(R); the representatives it keeps normally generate it."""
+        orbits = self.orbits()
+        return Subgroup(orbits, keep, np.asarray(orbits.reps)[keep].tolist())
 
     def elementary(self) -> Subgroup:
-        """E(R), read off the table: its BFS is the closure of {1} under the
-        E generators, and it has the order formula's size, so E(R) = G(R).
-        Its gens are all the E generators."""
-        return self._memo("elementary", lambda: Subgroup(
-            self.table, np.ones(self.table.N, dtype=bool), self.table.gen_idxs.tolist()))
+        """E(R) = G(R), every orbit, read off the table: its BFS is the closure
+        of {1} under the E generators, with the order formula's size."""
+        orbits = self.orbits()
+        return Subgroup(orbits, np.ones(len(orbits.reps), dtype=bool), self.table.gen_idxs.tolist())
 
     def congruence(self, q: ZmIdeal) -> Subgroup:
         """G(R,q): the orbits whose representative is the identity mod q."""
 
         def build():
-            orbit, reps = self.orbits()
             eye = np.eye(self.table.n, dtype=np.int64)
-            keep = (self.table.mat(reps) % q.d == eye % q.d).all(axis=(1, 2))
-            return Subgroup(self.table, keep[orbit])
+            return self._orbit_union(
+                (self.table.mat(self.orbits().reps) % q.d == eye % q.d).all(axis=(1, 2)))
 
         return self._memo(("congruence", q.d), build)
 
@@ -364,12 +379,12 @@ class GroupContext:
             if image != want:
                 raise RuntimeError(f"{self.model.name()}: the image mod {q.d} has {image} "
                                    f"elements, the order formula over Z/{q.d} gives {want}")
-            orbit, reps = self.orbits()
+            reps = np.asarray(self.orbits().reps)
             rep_mats = self.table.mat(reps) % q.d
             keep = np.ones(len(reps), dtype=bool)
             for perm in self.table.egen_conj_perms():
-                keep &= (self.table.mat(perm[reps]) % q.d == rep_mats).all(axis=(1, 2))
-            return Subgroup(self.table, keep[orbit])
+                keep &= (self.table.mat(perm.take(reps)) % q.d == rep_mats).all(axis=(1, 2))
+            return self._orbit_union(keep)
 
         return self._memo(("full_congruence", q.d), build)
 
@@ -394,12 +409,12 @@ class GroupContext:
     def sandwich_ideals(self, sub: Subgroup) -> list[int]:
         """Generators d of the ideals q with E(R,q) <= sub <= C(R,q), decided
         once per distinct subgroup; each call returns a fresh list."""
-        return list(self._memo(("sandwich", self.closures.mask(sub).tobytes()), lambda: [
+        return list(self._memo(("sandwich", sub.mask.tobytes()), lambda: [
             q.d for q in self.ideals
             if self.relative_elementary(q).issubset(sub) and sub.issubset(self.full_congruence(q))
         ]))
 
-    def orbits(self) -> tuple[np.ndarray, list[int]]:
+    def orbits(self) -> EOrbits:
         return self.closures.orbits()
 
     def orbit_closure(self, idx: int) -> Subgroup:
@@ -409,8 +424,9 @@ class GroupContext:
     def closure_of(self, seeds) -> Subgroup:
         """Normal closure in E of the seeds: the join of the orbit closures
         of their orbits, largest first, each distinct closure once."""
-        orbit, reps = self.orbits()
-        closures = [self.orbit_closure(reps[k]) for k in sorted({int(orbit[s]) for s in seeds})]
+        orbits = self.orbits()
+        closures = [self.orbit_closure(orbits.reps[k])
+                    for k in sorted({int(orbits.ids[s]) for s in seeds})]
         closures = {id(c): c for c in closures}.values()
         sub = self.orbit_closure(self.table.identity_idx)
         for closure in sorted(closures, key=lambda c: -c.order):
@@ -435,17 +451,9 @@ class GroupContext:
 # -- sandwich classification -------------------------------------------------
 
 def sandwich_classify(ctx: GroupContext) -> list[SandwichResult]:
-    orbit, reps = ctx.orbits()
-    results = []
-    for rep in reps:
-        sub = ctx.orbit_closure(rep)
-        results.append(SandwichResult(
-            seed_index=rep,
-            orbit_size=int(ctx.closures.orbit_sizes[orbit[rep]]),
-            closure_order=sub.order,
-            admissible=ctx.sandwich_ideals(sub),
-        ))
-    return results
+    orbits = ctx.orbits()
+    return [SandwichResult(rep, size, sub.order, ctx.sandwich_ideals(sub)) for rep, size, sub
+            in zip(orbits.reps, orbits.sizes.tolist(), map(ctx.orbit_closure, orbits.reps))]
 
 
 def enormal_lattice(ctx: GroupContext) -> list[tuple[Subgroup, list[int]]]:
@@ -455,9 +463,8 @@ def enormal_lattice(ctx: GroupContext) -> list[tuple[Subgroup, list[int]]]:
     Every E-normal subgroup is the join of the orbit closures of its
     elements, so closing the distinct orbit closures under joins until
     nothing new appears gives the whole lattice."""
-    _, reps = ctx.orbits()
     # the registry hands out one object per subgroup
-    members = {id(sub): sub for sub in map(ctx.orbit_closure, reps)}
+    members = {id(sub): sub for sub in map(ctx.orbit_closure, ctx.orbits().reps)}
     frontier = list(members.values())
     while frontier:
         new = []
@@ -474,28 +481,24 @@ def enormal_lattice(ctx: GroupContext) -> list[tuple[Subgroup, list[int]]]:
 
 def verify_level_theorem(ctx: GroupContext, sub: Subgroup, q: ZmIdeal,
                          seed_index: int = -1) -> LevelReport:
-    """H cap X_alpha(V_alpha) = X_alpha(q V_alpha) for every relative root,
-    for a closure H the registry certified E-normal; a ValueError for any
-    other subgroup."""
-    ctx.closures.mask(sub)
+    """H cap X_alpha(V_alpha) = X_alpha(q V_alpha) for every relative root."""
+    ids = ctx.orbits().ids
     per_root = []
     equal = True
     for alpha, (vs, idxs) in ctx.root_element_indices().items():
-        got = {v for v, i in zip(vs, idxs) if sub.member[i]}
+        got = {v for v, inside in zip(vs, sub.mask[ids.take(idxs)]) if inside}
         want = set(ctx.model.v_tuples(alpha, q))
         per_root.append((str(alpha), len(got), len(want)))
-        if got != want:
-            equal = False
+        equal &= got == want
     return LevelReport(seed_index=seed_index, level=q.d, per_root=per_root, equal=equal)
 
 
 def verify_commutator_formula(ctx: GroupContext) -> list[dict]:
     """[G(R,q), E(R)] = E(R,q) for every ideal q, from the orbit
     representatives in G(R,q) and the E generators (see the module notes)."""
-    reps = np.asarray(ctx.orbits()[1])
     out = []
     for q in ctx.ideals:
-        comm = ctx.commutator_subgroup(reps[ctx.congruence(q).member[reps]])
+        comm = ctx.commutator_subgroup(ctx.congruence(q).gens)
         rel = ctx.relative_elementary(q)
         out.append({"ideal": q.d, "commutator_order": comm.order,
                     "relative_elementary_order": rel.order, "equal": comm == rel})
@@ -528,16 +531,15 @@ def verify_structure_theorems(ctx: GroupContext) -> dict:
     cent_e = ctx.center()  # E is the whole group: the table is its BFS closure
     scheme = set(_element_indices(table, scheme_center_elements(ctx.model),
                                   "a point of the center subscheme").tolist())
-    center_match = set(cent_e.indices().tolist()) == scheme
+    center_match = set(np.flatnonzero(cent_e.member).tolist()) == scheme
 
     derived = ctx.commutator_subgroup(table.gen_idxs)
     perfect = derived == e_sub
     derived_index = e_sub.order // derived.order
 
     hall_witt_failures = []
-    _, reps = ctx.orbits()
     seen = set()  # ids of the distinct closures, one object each
-    for rep in reps:
+    for rep in ctx.orbits().reps:
         sub = ctx.orbit_closure(rep)
         if id(sub) in seen:
             continue
@@ -563,7 +565,7 @@ def extract_unipotent(ctx: GroupContext, sub: Subgroup):
     """A nontrivial relative root element of the subgroup, if any."""
     for alpha, (vs, idxs) in ctx.root_element_indices().items():
         for v, i in zip(vs, idxs):
-            if any(v) and sub.member[i]:
+            if any(v) and i in sub:
                 return alpha, v
     return None
 
@@ -571,20 +573,17 @@ def extract_unipotent(ctx: GroupContext, sub: Subgroup):
 def verify_unipotent_extraction(ctx: GroupContext) -> dict:
     """Every noncentral orbit closure contains a root unipotent; the same
     holds for closures meeting the radical congruence subgroup noncentrally."""
-    center = ctx.center()
-    rad_sub = ctx.congruence(jacobson_radical(ctx.model.ring))
-    _, reps = ctx.orbits()
-    failures, rad_failures, noncentral = [], [], 0
+    center = ctx.center().mask
+    rad = ctx.congruence(jacobson_radical(ctx.model.ring)).mask
+    reps = np.asarray(ctx.orbits().reps)[~center].tolist()
+    failures, rad_failures = [], []
     for rep in reps:
-        if center.member[rep]:
-            continue
         sub = ctx.orbit_closure(rep)
-        noncentral += 1
         if extract_unipotent(ctx, sub) is None:
             failures.append(rep)
-            if (sub.member & rad_sub.member & ~center.member).any():
+            if (sub.mask & rad & ~center).any():
                 rad_failures.append(rep)
-    return {"noncentral_closures": noncentral, "failures": failures,
+    return {"noncentral_closures": len(reps), "failures": failures,
             "radical_failures": rad_failures}
 
 
@@ -592,18 +591,11 @@ def simplicity_check(ctx: GroupContext) -> dict:
     """Over a prime field: every noncentral normal closure is everything."""
     if not _is_prime(ctx.model.m):
         raise ValueError("simplicity check runs over prime fields only")
-    center = ctx.center()
-    orbit, reps = ctx.orbits()
-    full = ctx.table.N
-    checked_elements = 0
-    failures = []
-    for rep in reps:
-        if center.member[rep]:
-            continue
-        checked_elements += int(ctx.closures.orbit_sizes[orbit[rep]])
-        if ctx.orbit_closure(rep).order != full:
-            failures.append(rep)
-    return {"noncentral_elements": checked_elements, "group_order": full,
+    noncentral = ~ctx.center().mask
+    orbits, full = ctx.orbits(), ctx.table.N
+    failures = [rep for rep in np.asarray(orbits.reps)[noncentral].tolist()
+                if ctx.orbit_closure(rep).order != full]
+    return {"noncentral_elements": int(orbits.sizes[noncentral].sum()), "group_order": full,
             "failures": failures}
 
 

@@ -156,8 +156,10 @@ class VectorIndex:
 
     def lookup(self, vecs: np.ndarray) -> np.ndarray:
         """Ids of the vectors along the last axis of vecs, -1 where absent."""
-        inside = (np.abs(vecs) <= self.bound).all(axis=-1)
-        return self._find((vecs + self.bound) @ self.weights, inside)
+        # the weights are positive: in range means the out-of-range coordinates
+        # weigh 0, one product (a reduction over a short last axis is slow)
+        outside = (np.abs(vecs) > self.bound) @ self.weights
+        return self._find((vecs + self.bound) @ self.weights, outside == 0)
 
     def _find(self, keys: np.ndarray, inside) -> np.ndarray:
         """Ids of the keys, -1 where absent or not `inside` the digit range,

@@ -434,16 +434,46 @@ def reference_products(table, member, frontier, gen_idxs):
     return np.concatenate(found) if found else np.empty(0, dtype=np.int64)
 
 
+class BitsetSubgroup:
+    """A subset of the element table as an N-byte bitset, with `gens` that
+    generate it: what the oracles here build, subsets that are not unions
+    of E-orbits among them (root subgroups).  It compares with a
+    `lattice.Subgroup` on its right, or another bitset, through bitsets."""
+
+    def __init__(self, member, gens=()):
+        self.member = member
+        self.gens = list(gens)
+
+    @classmethod
+    def trivial(cls, table):
+        member = np.zeros(table.N, dtype=bool)
+        member[table.identity_idx] = True
+        return cls(member)
+
+    @property
+    def order(self):
+        return int(self.member.sum())
+
+    def indices(self):
+        return np.flatnonzero(self.member)
+
+    def __contains__(self, idx):
+        return bool(self.member[idx])
+
+    def issubset(self, other):
+        return not (self.member & ~other.member).any()
+
+    def __eq__(self, other):
+        return np.array_equal(self.member, other.member)
+
+
 def reference_subgroup_closure(table, seed_idxs, base=None):
     """The plain subgroup generated by the seeds and `base`, a subgroup
     whose gens generate it, by right multiplication only: each seed not yet
     a member becomes a generator, and a BFS runs until the bitset is closed
     under right multiplication by every generator, which in a finite group
     makes it the generated subgroup.  Its gens generate it."""
-    if base is None:
-        member = np.zeros(table.N, dtype=bool)
-        member[table.identity_idx] = True
-        base = lattice.Subgroup(table, member)
+    base = base or BitsetSubgroup.trivial(table)
     member = base.member.copy()
     gens = list(base.gens)
     for seed in np.asarray(seed_idxs, dtype=np.int64).tolist():
@@ -455,16 +485,13 @@ def reference_subgroup_closure(table, seed_idxs, base=None):
             idx = table.right_mult(frontier, gens)
             frontier = np.unique(idx[~member[idx]])
             member[frontier] = True
-    return lattice.Subgroup(table, member, gens)
+    return BitsetSubgroup(member, gens)
 
 
 def reference_normal_closure(table, seeds, base=None, stop=None):
     """lattice.normal_closure without its whole-group exit: every BFS runs
     to its fixed point."""
-    if base is None:
-        member = np.zeros(table.N, dtype=bool)
-        member[table.identity_idx] = True
-        base = lattice.Subgroup(table, member)
+    base = base or BitsetSubgroup.trivial(table)
     member = base.member.copy()
     new = [s for s in np.asarray(seeds, dtype=np.int64).tolist() if not member[s]]
     frontier = np.flatnonzero(member)
@@ -473,14 +500,14 @@ def reference_normal_closure(table, seeds, base=None, stop=None):
         found = stop(frontier) if stop is not None else None
         if found is not None:
             return found
-    return lattice.Subgroup(table, member, list(base.gens) + new)
+    return BitsetSubgroup(member, list(base.gens) + new)
 
 
-def is_enormal(sub):
+def is_enormal(table, sub):
     """Whether every E generator conjugation maps the bitset into itself,
     checked member by member with N-byte masks."""
     member = sub.member
-    return not any((member & ~member[perm]).any() for perm in sub.table.egen_conj_perms())
+    return not any((member & ~member[perm]).any() for perm in table.egen_conj_perms())
 
 
 def plain_normal_closure(table, seeds):
@@ -498,7 +525,7 @@ def plain_normal_closure(table, seeds):
 
 def generating_set(table, sub):
     """A small generating set of a given subgroup, built greedily."""
-    closure = reference_subgroup_closure(table, sub.indices())
+    closure = reference_subgroup_closure(table, np.flatnonzero(sub.member))
     assert closure == sub
     return closure.gens
 
@@ -506,7 +533,7 @@ def generating_set(table, sub):
 def reference_closure_of(ctx, seeds):
     """GroupContext.closure_of joining the closure of every seed orbit,
     shared closure objects included, largest first."""
-    orbit, reps = ctx.orbits()
+    orbit, reps, _ = ctx.orbits()
     closures = [ctx.orbit_closure(reps[k]) for k in sorted({int(orbit[s]) for s in seeds})]
     sub = ctx.orbit_closure(ctx.table.identity_idx)
     for closure in sorted(closures, key=lambda c: -c.order):

@@ -472,13 +472,23 @@ def test_stacked_identity_check_matches_scalar():
         assert held.any() and not held.all()
 
 
-def test_sampled_identity_check_leaves_rng_like_a_scalar_loop():
+def test_sampled_identity_check_leaves_rng_like_a_scalar_loop(monkeypatch):
     model = sl(3, 4)
     elems = model.all_elementary_generators()
     singular = [np.diag([1, 2, 2]).astype(np.int64)]
+    inverse, calls = GroupModel.inverse, []
+
+    def counted(self, g):
+        calls.append(np.shape(g))
+        return inverse(self, g)
+
     for mats, expect in ((elems, True), (elems + singular, False)):
         rng, ref = random.Random(5), random.Random(5)
+        calls.clear()
+        monkeypatch.setattr(GroupModel, "inverse", counted)
         assert calculus.sampled_identity_check(model, mats, 300, rng) is expect
+        monkeypatch.setattr(GroupModel, "inverse", inverse)
+        assert calls == [(len(mats), 3, 3)]  # the pool, inverted once
         ok = True
         for _ in range(300):
             x, y, z = (mats[ref.randrange(len(mats))] for _ in range(3))

@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from chevlat import cli
+from chevlat import cli, lattice
 from chevlat.errors import ConfigError
 from chevlat.table import ElementTable
 
@@ -201,6 +201,24 @@ def test_main_refuses_model_options_without_a_model(extra, monkeypatch, capsys):
     assert cli.main(["group", *extra]) == 2
     assert not ran
     assert "need --model" in capsys.readouterr().err
+
+
+def test_group_suite_computes_no_orbits(monkeypatch):
+    # E(R) = G(R) is read off the table's certificate, so the group suite
+    # never partitions a table into E-orbits; fresh registries on the cached
+    # tables hold no orbits yet
+    def refuse(table):
+        raise AssertionError("the group suite computed the E-orbits")
+
+    registries = {key: lattice._ClosureRegistry(reg.table)
+                  for key, reg in lattice._REGISTRIES.items()}
+    monkeypatch.setattr(lattice, "_REGISTRIES", registries)
+    monkeypatch.setattr(lattice, "_CONTEXTS", {})
+    monkeypatch.setattr(lattice, "e_conjugacy_orbits", refuse)
+    report, code = cli.run(cli.RunConfig(suite="group"))
+    assert code == 0 and "fail" not in {c["verdict"] for c in report["checks"]}
+    full = [c for c in report["checks"] if c["name"] == "elementary_subgroup_full"]
+    assert len(full) == len(cli.DEFAULT_MODELS) and all(c["verdict"] == "pass" for c in full)
 
 
 def test_group_suite_outside_the_hypotheses_reports_no_counterexample(capsys):

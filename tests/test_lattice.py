@@ -10,7 +10,7 @@ from chevlat.rings import ZmIdeal, ZmRing
 from chevlat.table import DEFAULT_CAP, ElementTable
 
 from conftest import (
-    REFERENCE_MODELS, bfs_orbits, ctx_for, generating_set, index_of, is_enormal,
+    REFERENCE_MODELS, BitsetSubgroup, bfs_orbits, ctx_for, generating_set, index_of, is_enormal,
     plain_normal_closure, reference_center, reference_centralizer_beta, reference_closure_of,
     reference_congruence, reference_full_congruence, reference_normal_closure,
     reference_products, reference_small_levi_b, reference_subgroup_closure,
@@ -66,7 +66,7 @@ def test_normal_closure_is_fixed_point(sl3_4):
 
 
 def test_orbit_count_sl3_f2(sl3_2):
-    orbit, reps = sl3_2.orbits()
+    orbit, reps, _ = sl3_2.orbits()
     assert len(reps) == 6  # conjugacy classes of SL3(F2)
     assert int((orbit == orbit[sl3_2.table.identity_idx]).sum()) == 1
 
@@ -100,7 +100,7 @@ def test_elementary_is_the_closure_of_the_generators(spec):
     closure = reference_subgroup_closure(ctx.table, ctx.table.gen_idxs.tolist())
     assert np.array_equal(e_sub.member, closure.member)
     assert reference_subgroup_closure(ctx.table, e_sub.gens) == e_sub
-    assert is_enormal(e_sub)
+    assert is_enormal(ctx.table, e_sub)
 
 
 def test_elementary_reads_the_table(sl3_4, monkeypatch):
@@ -236,7 +236,7 @@ def test_generating_set_generates_congruence_subgroup(sl3_4):
 def test_sandwich_classify_sl3_4(sl3_4):
     results = lattice.sandwich_classify(sl3_4)
     assert all(r.verdict == "unique" for r in results)
-    orbit, _ = sl3_4.orbits()
+    orbit = sl3_4.orbits().ids
     by_orbit = {orbit[r.seed_index]: r for r in results}
 
     def level_of(mat):
@@ -262,13 +262,6 @@ def test_level_theorem_example(sl3_4):
     vs, idxs = sl3_4.root_element_indices()[(1, 0)]
     got = {v for v, i in zip(vs, idxs) if sub.member[i]}
     assert got == {(0,), (2,)}
-
-
-def test_level_theorem_refuses_an_uncertified_subgroup(sl3_4):
-    # G(R,(2)) is E-normal, but the registry did not build it
-    q = ideal(sl3_4, 2)
-    with pytest.raises(ValueError, match="certified"):
-        lattice.verify_level_theorem(sl3_4, sl3_4.congruence(q), q)
 
 
 def test_commutator_formula(sl3_4, sp4_3):
@@ -306,10 +299,11 @@ def test_commutator_formula_per_ideal(spec, want):
 def test_orbit_representatives_in_a_congruence_subgroup_generate_it(model):
     # G(R,q) is normal, so it is the normal closure of the orbits it meets
     ctx = lattice.get_context(model)
-    reps = np.asarray(ctx.orbits()[1])
+    reps = np.asarray(ctx.orbits().reps)
     for q in ctx.ideals:
         cong = ctx.congruence(q)
-        assert ctx.closure_of(reps[cong.member[reps]]) == cong
+        assert cong.gens == reps[cong.member[reps]].tolist()
+        assert ctx.closure_of(cong.gens) == cong
 
 
 @pytest.mark.parametrize("spec", [
@@ -323,7 +317,7 @@ def test_orbit_closure_is_central_exactly_when_its_representative_is(spec):
     assert [bool(center.member[rep]) for rep in reps] == central
     assert lattice.verify_unipotent_extraction(ctx)["noncentral_closures"] == central.count(False)
     if lattice._is_prime(ctx.model.m):
-        sizes = ctx.closures.orbit_sizes
+        sizes = ctx.orbits().sizes
         want = sum(int(sizes[k]) for k, c in enumerate(central) if not c)
         assert lattice.simplicity_check(ctx)["noncentral_elements"] == want
 
@@ -408,8 +402,8 @@ def test_join_level_is_gcd_handpicked(sl3_4):
     g = index_of(t, sl3_4.model.elementary_generator((0, 1), 2))  # level 2
     h = index_of(t, sl3_4.model.elementary_generator((1, 2), 1))  # level 1
     join = plain_normal_closure(t, [g, h])
-    lower = {q.d: sl3_4.relative_elementary(q) for q in sl3_4.ideals}
-    upper = {q.d: sl3_4.full_congruence(q) for q in sl3_4.ideals}
+    lower = {q.d: BitsetSubgroup(sl3_4.relative_elementary(q).member) for q in sl3_4.ideals}
+    upper = {q.d: BitsetSubgroup(sl3_4.full_congruence(q).member) for q in sl3_4.ideals}
     adm = [q.d for q in sl3_4.ideals
            if lower[q.d].issubset(join) and join.issubset(upper[q.d])]
     assert adm == [math.gcd(2, 1)]
@@ -487,11 +481,11 @@ def test_enormal_lattice_sl3_4(sl3_4):
     members = lattice.enormal_lattice(sl3_4)
     assert [sub.order for sub, _ in members] == [1, 256, 43008]
     assert all(len(adm) == 1 for _, adm in members)
-    level = {sl3_4.closures.mask(sub).tobytes(): adm[0] for sub, adm in members}
+    level = {sub.mask.tobytes(): adm[0] for sub, adm in members}
     for a, (la,) in members:
         for b, (lb,) in members:
             joined = sl3_4.closures.join(a, b)
-            assert level[sl3_4.closures.mask(joined).tobytes()] == math.gcd(la, lb)
+            assert level[joined.mask.tobytes()] == math.gcd(la, lb)
 
 
 def test_enormal_lattice_sl3_6():
@@ -500,33 +494,32 @@ def test_enormal_lattice_sl3_6():
     members = lattice.enormal_lattice(ctx)
     assert [sub.order for sub, _ in members] == [1, 168, 5616, 943488]
     assert [adm for _, adm in members] == [[6], [3], [2], [1]]
-    level = {ctx.closures.mask(sub).tobytes(): adm[0] for sub, adm in members}
+    level = {sub.mask.tobytes(): adm[0] for sub, adm in members}
     for a, (la,) in members:
         for b, (lb,) in members:
-            assert level[ctx.closures.mask(ctx.closures.join(a, b)).tobytes()] == math.gcd(la, lb)
+            assert level[ctx.closures.join(a, b).mask.tobytes()] == math.gcd(la, lb)
     assert ctx.closures.join(members[1][0], members[2][0]) == members[3][0]
 
 
 def test_enormal_lattice_sp4_2_has_non_unique_member(sp4_2):
     members = lattice.enormal_lattice(sp4_2)
-    assert all(is_enormal(sub) for sub, _ in members)
+    assert all(is_enormal(sp4_2.table, sub) for sub, _ in members)
     assert any(len(adm) != 1 for _, adm in members)
 
 
 @pytest.mark.parametrize("name", ["sl3_4", "sp4_2"])
 def test_is_enormal_holds_on_the_lattice_and_fails_on_a_root_subgroup(name, request):
-    # is_enormal checks the bitset, so a Subgroup built from the bitset alone
-    # gets the same verdict
+    # is_enormal checks the bitset, so a bitset without gens gets the same verdict
     ctx = request.getfixturevalue(name)
     for sub, _ in lattice.enormal_lattice(ctx):
         assert sub.gens or sub.order == 1
-        assert is_enormal(sub)
-        assert is_enormal(lattice.Subgroup(ctx.table, sub.member))
+        assert is_enormal(ctx.table, sub)
+        assert is_enormal(ctx.table, BitsetSubgroup(sub.member))
     # the subgroup one root element X_alpha(1) generates is not E-normal
     root = reference_subgroup_closure(ctx.table, [int(ctx.table.gen_idxs[0])])
     assert root.gens and 1 < root.order < ctx.table.N
-    assert not is_enormal(root)
-    assert not is_enormal(lattice.Subgroup(ctx.table, root.member))
+    assert not is_enormal(ctx.table, root)
+    assert not is_enormal(ctx.table, BitsetSubgroup(root.member))
 
 
 @pytest.fixture
@@ -553,7 +546,7 @@ def test_e_conjugacy_orbits_match_bfs(request, name):
 def test_registry_orbit_closures_match_plain_engine(registry_ctx):
     ctx = registry_ctx
     for rep in ctx.orbits()[1]:
-        assert ctx.orbit_closure(rep) == plain_normal_closure(ctx.table, [rep])
+        assert plain_normal_closure(ctx.table, [rep]) == ctx.orbit_closure(rep)
 
 
 def test_orbit_closure_gens_are_the_representative(registry_ctx):
@@ -576,20 +569,20 @@ def test_registry_relative_elementary_matches_plain_engine(registry_ctx):
         seeds = [index_of(ctx.table, ctx.model.x(alpha, v))
                  for alpha in ctx.model.rel_roots
                  for v in ctx.model.v_tuples(alpha, q) if any(v)]
-        assert ctx.relative_elementary(q) == plain_normal_closure(ctx.table, seeds)
+        assert plain_normal_closure(ctx.table, seeds) == ctx.relative_elementary(q)
 
 
 def test_registry_join_matches_plain_engine(registry_ctx):
     ctx = registry_ctx
     reps = {}
     for rep in ctx.orbits()[1]:
-        reps.setdefault(ctx.closures.mask(ctx.orbit_closure(rep)).tobytes(), rep)
+        reps.setdefault(ctx.orbit_closure(rep).mask.tobytes(), rep)
     distinct = sorted(reps.values())
     assert len(distinct) >= 2
     for i, ra in enumerate(distinct):
         for rb in distinct[i + 1:]:
             joined = ctx.closures.join(ctx.orbit_closure(ra), ctx.orbit_closure(rb))
-            assert joined == plain_normal_closure(ctx.table, [ra, rb])
+            assert plain_normal_closure(ctx.table, [ra, rb]) == joined
             assert plain_normal_closure(ctx.table, joined.gens) == joined
 
 
@@ -607,8 +600,8 @@ def test_closures_match_a_run_without_the_whole_group_exit(spec, monkeypatch):
     monkeypatch.setattr(lattice, "normal_closure", reference_normal_closure)
     want = [plain.orbit_closure(rep) for rep in reps] + [reference_closure_of(plain, reps)]
     assert got[-1].order == ctx.table.N
-    assert ([(g.member.tobytes(), g.gens) for g in got]
-            == [(w.member.tobytes(), w.gens) for w in want])
+    assert ([(g.mask.tobytes(), g.gens) for g in got]
+            == [(w.mask.tobytes(), w.gens) for w in want])
 
     def sharing(subs):
         return [next(i for i, other in enumerate(subs) if other is sub) for sub in subs]
@@ -655,14 +648,35 @@ def test_join_equal_to_a_held_closure_is_that_object():
     assert registry.join(by_order[168], by_order[5616]) is by_order[ctx.table.N]
 
 
-def test_orbit_mask_keys_only_certified_closures(sl3_4):
-    sub = sl3_4.orbit_closure(sl3_4.orbits()[1][1])
-    assert np.array_equal(sl3_4.closures.mask(sub), sub.member[sl3_4.orbits()[1]])
-    # an equal subgroup that the registry did not certify has no key
-    with pytest.raises(ValueError, match="certified"):
-        sl3_4.closures.mask(lattice.Subgroup(sl3_4.table, sub.member.copy(), sub.gens))
-    with pytest.raises(ValueError, match="certified"):
-        sl3_4.sandwich_ideals(sl3_4.congruence(ideal(sl3_4, 2)))
+@pytest.mark.parametrize("spec", [("SL", 3, 4, (1, 1, 1)), ("Sp", 4, 3, "line")],
+                         ids=["SL3(Z/4)", "Sp4(Z/3)"])
+def test_every_bound_has_its_own_ideal_as_sandwich(spec):
+    # the bounds are unions of orbits like the closures, so the sandwich
+    # reads them whether or not the registry built them
+    ctx = ctx_for(*spec)
+    for q in ctx.ideals:
+        for sub in (ctx.congruence(q), ctx.full_congruence(q), ctx.relative_elementary(q)):
+            assert ctx.sandwich_ideals(sub) == [q.d]
+        rep = lattice.verify_level_theorem(ctx, ctx.congruence(q), q)
+        assert rep.equal and rep.level == q.d
+
+
+def test_subgroups_keep_no_array_over_the_table(sl3_4):
+    # a subgroup keeps its orbit mask, its gens and the shared orbit data;
+    # only the orbit ids, one array the registry owns, have the table's length
+    ctx = sl3_4.sibling(sl3_4.model.blocks)  # a fresh context cache on the shared registry
+    lattice.verify_structure_theorems(ctx)
+    lattice.enormal_lattice(ctx)
+    lattice.verify_commutator_formula(ctx)  # every bound of every ideal
+    orbits = ctx.orbits()
+    held = [*ctx.closures._by_mask.values(), *ctx.closures._by_orbit.values(),
+            *(v for v in ctx._cache.values() if isinstance(v, lattice.Subgroup))]
+    assert len(held) > 10
+    for sub in held:
+        assert sub.orbits is orbits
+        assert sub.mask.shape == (len(orbits.reps),) and sub.mask.dtype == bool
+        assert all(not isinstance(v, np.ndarray) or v is sub.mask for v in vars(sub).values())
+    assert len(orbits.reps) < ctx.table.N
 
 
 def test_sibling_reuses_orbits_and_closures(sl3_4, monkeypatch):
