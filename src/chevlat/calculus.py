@@ -20,10 +20,10 @@ from itertools import accumulate
 import numpy as np
 
 from .errors import SizeCapError, TheoremViolation
-from .models import SCAN_BOUND, GroupModel, Vec
+from .models import SCAN_BOUND, GroupModel, Vec, check_key_bound
 from .rings import mat_mul
 from .rootsys import VectorIndex
-from .table import check_key_bound, matrix_keys
+from .table import matrix_keys
 
 
 def canonical_root_order(roots) -> list[Vec]:

@@ -9,10 +9,10 @@ relative data is taken from the abstract projection of C_2.
 The parabolic P is its block composition alone, as one block number per row
 and column: P, its opposite P^- and the Levi subgroup L_P are the elements
 vanishing below, above and off the block diagonal, tested as masks.  The
-one scan of the elements on a support is `scan_on` (`elements_on` sorts it,
-for L_P); it decides every filling of the support by the defining equation,
-factored so that fillings share work: the first-row cofactors of det for
-SL_n, a pairing table per pair of columns for Sp_4.
+one scan of the elements on a support is `scan_on`, of their keys (sorted
+and decoded by `elements_on`, for L_P); it decides every filling of the
+support by the defining equation, factored so that fillings share work: the
+first-row cofactors of det for SL_n, a pairing table per column pair for Sp_4.
 
 A relative root element X_alpha(v) is the product, in a fixed order, of the
 one-parameter root elements of the fiber of alpha; any polynomial
@@ -30,7 +30,7 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from . import relroots, rootsys
-from .errors import SizeCapError
+from .errors import SizeCapError, TableBoundError
 from .rings import (
     ZmIdeal, ZmRing, adjugate_int, det_int, factorize, first_row_cofactors, identity_mat,
     mat_mul, unit_inverses,
@@ -235,12 +235,17 @@ class GroupModel:
         same subgroup as the full one-parameter families."""
         return [self.elementary_generator(p, 1) for p in self.generator_positions()]
 
+    @cached_property
+    def generator_stack(self) -> np.ndarray:
+        """[i, t]: elementary_generator(p, t), p the i-th position; shared, so read-only."""
+        stack = np.array([[self.elementary_generator(p, t) for t in range(self.m)]
+                          for p in self.generator_positions()])
+        stack.flags.writeable = False
+        return stack
+
     def all_elementary_generators(self) -> list[np.ndarray]:
-        return [
-            self.elementary_generator(p, t)
-            for p in self.generator_positions()
-            for t in range(1, self.m)
-        ]
+        """The generators with t != 0, position by position."""
+        return list(self.generator_stack[:, 1:].reshape(-1, self.degree, self.degree))
 
     def inverse(self, g: np.ndarray) -> np.ndarray:
         """Inverse of one group element or of a (..., n, n) stack of them."""
@@ -292,28 +297,37 @@ _CHUNK = 8192  # fillings of rows 1..n-1 per cofactor stack in scan_on
 _BLOCK = 1 << 20  # fillings decided per block of scan_on, bounding its arrays
 
 
+def check_key_bound(model: GroupModel):
+    """TableBoundError when base-m keys of n x n matrices could pass 2**63 - 1."""
+    m, n = model.m, model.degree
+    if m ** (n * n) > 2**63 - 1:
+        raise TableBoundError(m ** (n * n), 2**63 - 1, f"{model.name()}: base-{m} keys of {n}x{n} "
+                              f"matrices reach {m}**{n * n}, past the int64 bound 2**63 - 1")
+
+
 def scan_on(model: GroupModel, support: np.ndarray) -> np.ndarray:
-    """Every group element whose entries are 0 off an (n, n) bool support, as
-    a (k, n, n) stack in the order the scan's blocks find them.  Every one
-    of the m**s fillings of the s supported entries is decided in exact
-    int64 arithmetic, in blocks that bound memory: for SL_n, det g = sum_j
-    g_0j C_0j with the cofactors C_0j computed once per filling of rows
-    1..n-1; for Sp_4, (g^T J g)_ab = c_a^T J c_b over the columns c_a, one
-    table of column fillings per pair a < b (c^T J c = 0 = J_aa, as J is
-    antisymmetric).  More than SCAN_BOUND fillings are refused
-    (SizeCapError) up front."""
+    """The int64 keys (`table.matrix_keys`) of the group elements that are 0
+    off an (n, n) bool support, in scan order.  All m**s fillings of the s
+    supported entries are decided exactly, in blocks that bound memory: SL_n
+    by det g = sum_j g_0j C_0j, the C_0j once per filling of rows 1..n-1, a
+    key the first row's plus the other rows'; Sp_4 by (g^T J g)_ab = c_a^T J
+    c_b, a table of column fillings per pair a < b (c^T J c = 0 = J_aa), a
+    key the sum of its columns'.  Refused up front: more than SCAN_BOUND
+    fillings (SizeCapError), then keys past int64 (TableBoundError)."""
     m, n = model.m, model.degree
     pos = np.flatnonzero(support)
     if m ** len(pos) > SCAN_BOUND:
         raise SizeCapError(m ** len(pos), SCAN_BOUND, f"{model.name()} predicate scan", "fillings")
+    check_key_bound(model)
     return np.concatenate(list(_sl_scan(m, n, pos) if model.kind == "SL" else _sp_scan(m, support)))
 
 
 def elements_on(model: GroupModel, support: np.ndarray) -> np.ndarray:
-    """scan_on's elements in lexicographic order of the supported entries, row by row."""
-    mats, pos = scan_on(model, support), np.flatnonzero(support)
-    codes = mats.reshape(-1, model.degree ** 2)[:, pos] @ model.m ** np.arange(len(pos) - 1, -1, -1)
-    return mats[np.argsort(codes)]
+    """scan_on's keys decoded, in lexicographic order of the supported entries, row by row."""
+    m, n, pos = model.m, model.degree, np.flatnonzero(support)
+    mats = scan_on(model, support)[:, None] // m ** np.arange(n * n, dtype=np.int64) % m
+    codes = mats[:, pos] @ m ** np.arange(len(pos) - 1, -1, -1)
+    return mats[np.argsort(codes)].reshape(-1, n, n)
 
 
 def _fill(codes: np.ndarray, pos: np.ndarray, m: int, size: int) -> np.ndarray:
@@ -325,29 +339,31 @@ def _fill(codes: np.ndarray, pos: np.ndarray, m: int, size: int) -> np.ndarray:
 
 
 def _sl_scan(m: int, n: int, pos: np.ndarray):
-    """Blocks of the fillings of the supported positions pos with det = 1."""
+    """Blocks of the keys of the fillings of the supported positions pos with det = 1."""
     first, rest = pos[pos < n], pos[pos >= n]
     n_first, n_rest = m ** len(first), m ** len(rest)
+    digit = m ** np.arange(n * n, dtype=np.int64)  # entry weights in a key, row by row
     unit_det = np.arange(n * (m - 1) ** 2 + 1) % m == 1  # every value top @ cof can take
     for lo in range(0, n_rest, _CHUNK):
-        lower = _fill(np.arange(lo, min(lo + _CHUNK, n_rest)), rest, m, n * n).reshape(-1, n, n)
-        cof = first_row_cofactors(lower).T % m  # lower's first row is 0 and is not read
+        lower = _fill(np.arange(lo, min(lo + _CHUNK, n_rest)), rest, m, n * n)
+        cof = first_row_cofactors(lower.reshape(-1, n, n)).T % m  # row 0 is 0 and is not read
+        lower_keys = lower @ digit
         step = max(1, _BLOCK // len(lower))
         for f_lo in range(0, n_first, step):
             top = _fill(np.arange(f_lo, min(f_lo + step, n_first)), first, m, n)
             i, j = np.divmod(np.flatnonzero(unit_det[top @ cof]), len(lower))
-            g = lower[j]
-            g[:, 0] = top[i]
-            yield g
+            yield (top @ digit[:n])[i] + lower_keys[j]
 
 
 def _sp_scan(m: int, support: np.ndarray):
-    """Blocks of the fillings of the support with g^T J g = J."""
+    """Blocks of the keys of the fillings of the support with g^T J g = J."""
     n = len(support)
     cols = [_fill(np.arange(m ** support[:, a].sum()), np.flatnonzero(support[:, a]), m, n)
             for a in range(n)]  # every filling of each column
     pairs = [(a, b, (cols[a] @ SP4_FORM @ cols[b].T) % m == SP4_FORM[a, b] % m)
              for a, b in itertools.combinations(range(n), 2)]
+    # entry (r, a) weighs m**(r n + a): the key of each filling of column a
+    col_keys = [c @ m ** (np.arange(n, dtype=np.int64) * n + a) for a, c in enumerate(cols)]
     sizes = [len(c) for c in cols]
     step = max(1, _BLOCK // math.prod(sizes[1:]))
     for lo in range(0, sizes[0], step):
@@ -358,7 +374,7 @@ def _sp_scan(m: int, support: np.ndarray):
             shape[a], shape[b] = ok.shape
             alive &= ok.reshape(shape)
         idx = np.nonzero(alive)
-        yield np.stack([cols[0][lo + idx[0]], *(cols[a][idx[a]] for a in range(1, n))], axis=-1)
+        yield col_keys[0][lo + idx[0]] + sum(col_keys[a][idx[a]] for a in range(1, n))
 
 
 def gauss_cell_factors(model: GroupModel, mats: np.ndarray):
@@ -421,12 +437,10 @@ def sampled_gauss_roundtrip_check(model: GroupModel, samples: int, rng) -> bool:
     its factors.  The samples are drawn as a sample-by-sample loop would
     draw them (per step: the position, then the parameter) and factored as
     one stack."""
-    m, n = model.m, model.degree
-    positions = model.generator_positions()
+    m, n, stack = model.m, model.degree, model.generator_stack
     ok = gauss_cell_membership(model, model.identity()) is not None
-    steps = [(positions[rng.randrange(len(positions))], rng.randrange(m))
-             for _ in range(4 * samples)]
-    gens = np.array([model.elementary_generator(p, t) for p, t in steps]).reshape(samples, 4, n, n)
+    steps = [(rng.randrange(len(stack)), rng.randrange(m)) for _ in range(4 * samples)]
+    gens = stack[tuple(np.array(steps, dtype=np.int64).reshape(-1, 2).T)].reshape(samples, 4, n, n)
     g = gens[:, 0] @ gens[:, 1] % m @ gens[:, 2] % m @ gens[:, 3] % m
     member, u, l, v = gauss_cell_factors(model, g)
     return ok and bool((mat_mul(mat_mul(u[member], l[member], m), v[member], m) == g[member]).all())

@@ -221,23 +221,22 @@ def build_root_system(rtype: RootSystemType) -> RootSystem:
     simple = tuple(tuple(1 if j == i else 0 for j in range(r)) for i in range(r))
     gram2 = tuple(tuple(C[i][j] * lengths[j] for j in range(r)) for i in range(r))
 
-    def pair_sr(u: Coords, j: int) -> int:
-        # <u, alpha_j^vee> directly from the Cartan matrix
-        return sum(u[i] * C[i][j] for i in range(r))
-
-    roots = set(simple)
-    frontier = list(simple)
-    while frontier:
-        nxt = []
-        for v in frontier:
-            for j in range(r):
-                c = pair_sr(v, j)
-                w = tuple(vi - (c if i == j else 0) for i, vi in enumerate(v))
-                if w not in roots:
-                    roots.add(w)
-                    nxt.append(w)
-        frontier = nxt
-    roots |= {tuple(-c for c in v) for v in roots}
+    # close the simple roots under s_j(v) = v - <v, alpha_j^vee> alpha_j: a
+    # frontier's images, deduplicated by a sort of their keys, less those known
+    cartan, eye = np.array(C, dtype=np.int64), np.eye(r, dtype=np.int64)
+    weights = (2 * COEFF_BOUND + 1) ** np.arange(r, dtype=np.int64)
+    found, known, frontier = [], np.empty(0, dtype=np.int64), eye
+    while len(frontier):
+        found.append(frontier)
+        known = np.sort(np.concatenate([known, (frontier + COEFF_BOUND) @ weights]))
+        images = (frontier[:, None] - (frontier @ cartan)[:, :, None] * eye).reshape(-1, r)
+        keys = (images + COEFF_BOUND) @ weights
+        order = keys.argsort()
+        images, keys = images[order], keys[order]
+        fresh = np.diff(keys, prepend=-1) != 0  # keys are nonnegative
+        fresh &= known[np.minimum(known.searchsorted(keys), len(known) - 1)] != keys
+        frontier = images[fresh]
+    roots = set(map(tuple, np.concatenate(found).tolist()))  # s_j(alpha_j) = -alpha_j
 
     expected = classical_root_count(rtype)
     if len(roots) != expected:

@@ -16,15 +16,16 @@ first occurrence, and a lookup is one gather.  Above that bound a level is
 deduplicated by one sort of its products' composites key * kF + scan
 position, and the BFS's sorted keys, searched by binary search, are the
 lookup arrays.
-The BFS walks the Cayley graph, the index of every x e, and its spanning
-tree, but keeps neither.  Right multiplication by e^-1 is the inverse
-permutation.  An element x = e_1 ... e_d on the tree has x^-1 = e_d^-1 ...
-e_1^-1, so the inverses are one vectorized walk up the tree (the
+
+The BFS keeps x -> x e, one int32 row per generator, and its spanning tree
+(parent and generator); the rest is built on first read.  `inv`: x -> x
+e^-1 inverts x -> x e, and x = e_1 ... e_d on the tree has x^-1 = e_d^-1
+... e_1^-1, so the inverses are one vectorized walk up the tree (the
 Schreier-vector trick; Butler, Fundamental Algorithms for Permutation
-Groups, LNCS 559).  From x -> x e and the inverses the build makes the one
-thing the lattice needs of the generators, conjugation by each E generator
-as an index permutation, x -> e^-1 x e; subgroup and normal-closure
-computations in lattice.py run entirely on indices.
+Groups, LNCS 559), which then drops the tree.  `conj_perm`: conjugation by
+each E generator, x -> e^-1 x e, written over x -> x e, the one thing the
+lattice needs of the generators; its closures run entirely on indices.
+The group suite reads neither.
 
 `right_mult` is the one entry point for products, and it has one path for
 every g, resting on row_i(x g) = row_i(x) g: a row table of g, with one
@@ -39,20 +40,21 @@ Under the dense index's bound the BFS is also checked against the predicate
 scan that decides every n x n matrix by its defining equation
 (`models.scan_on` with every entry supported: det through first-row
 cofactors shared between matrices for SL_n, column pairings for Sp_4): the
-scan must find N matrices, each of them in the table.  The BFS's N keys are
+scan's keys must be N, each of them in the table.  The BFS's N keys are
 distinct, so the two sets are equal.
 """
 
 from __future__ import annotations
 
+from functools import cached_property
+
 import numpy as np
 
 from .errors import SizeCapError, TableBoundError
-from .models import GroupModel, order_formula, scan_on
+from .models import GroupModel, check_key_bound, order_formula, scan_on
 
 DEFAULT_CAP = 2_000_000
 _SCAN_LIMIT = 400_000  # m**(n*n) bound for the dense key index and the predicate scan
-_KEY_BOUND = 2**63 - 1  # keys are int64
 _INDEX_BOUND = 2**31 - 1  # permutation entries are int32
 
 
@@ -73,16 +75,6 @@ def check_bounds(model: GroupModel, cap: int = DEFAULT_CAP) -> int:
         raise TableBoundError(keys * k * expected, 2**64, f"{model.name()}: BFS composites reach "
                               f"{keys} keys x {k} generators x {expected} elements, past 2**64")
     return expected
-
-
-def check_key_bound(model: GroupModel):
-    """TableBoundError when base-m keys of n x n matrices could pass 2**63 - 1."""
-    m, n = model.m, model.degree
-    if m ** (n * n) > _KEY_BOUND:
-        raise TableBoundError(
-            m ** (n * n), _KEY_BOUND,
-            f"{model.name()}: base-{m} keys of {n}x{n} matrices reach {m}**{n * n}, "
-            f"past the int64 bound 2**63 - 1")
 
 
 def matrix_keys(mats, m: int) -> np.ndarray:
@@ -107,35 +99,44 @@ class ElementTable:
         identity = int(self._digit @ self._row_w)  # row i of the identity has key m**i
         # the key index holds the identity at index 0; the BFS fills in the rest
         self._index = _DenseIndex(m ** (n * n), identity) if small else _SortedIndex(identity)
-        self.rows, right, parent, gen = self._bfs(model.generator_mats(), expected)
+        self.rows, self._right, self._parent, self._gen = self._bfs(expected)
         self.N = expected
         self.identity_idx = 0  # the BFS starts from the identity
-        self.gen_idxs = right[:, 0].astype(np.int64)
-        right_inv = np.empty_like(right)  # x -> x e^-1 inverts x -> x e
-        right_inv[np.arange(len(right))[:, None], right] = np.arange(self.N, dtype=np.int32)
-        self.inv = self._tree_inverses(right_inv, parent, gen)
-        del right_inv, parent, gen
-        # x -> x^-1 e -> e^-1 x -> e^-1 x e, written over x -> x e row by row
-        # (np.take gathers these int32 indices faster than fancy indexing)
-        for r in right:
-            r[:] = r.take(self.inv.take(r.take(self.inv)))
-        self._conj = right
+        self.gen_idxs = self._right[:, 0].astype(np.int64)
         self._gen_pos = {g: j for j, g in enumerate(self.gen_idxs.tolist())}
         if small:
-            scanned = self.encode(scan_on(model, np.ones((n, n), dtype=bool)))
+            scanned = scan_on(model, np.ones((n, n), dtype=bool))
             if len(scanned) != self.N or (self.lookup_keys(scanned) < 0).any():
                 raise RuntimeError(f"{model.name()}: BFS and predicate scan disagree")
 
-    # -- construction ---------------------------------------------------------
+    @cached_property
+    def inv(self) -> np.ndarray:
+        """inv[x], the index of x^-1, from the BFS's tree, which it then drops."""
+        right = self._right
+        right_inv = np.empty_like(right)  # x -> x e^-1 inverts x -> x e
+        right_inv[np.arange(len(right))[:, None], right] = np.arange(self.N, dtype=np.int32)
+        inv = self._tree_inverses(right_inv, self._parent, self._gen)
+        del self._parent, self._gen
+        return inv
 
-    def encode(self, mats: np.ndarray) -> np.ndarray:
-        return matrix_keys(mats, self.m).reshape(-1)
+    @cached_property
+    def _conj(self) -> np.ndarray:
+        """Row j, x -> e_j^-1 x e_j, as x -> x^-1 e_j -> e_j^-1 x -> e_j^-1 x e_j,
+        written over the BFS's x -> x e_j (np.take gathers these int32 indices
+        faster than fancy indexing)."""
+        right, inv = self._right, self.inv
+        for r in right:
+            r[:] = r.take(inv.take(r.take(inv)))
+        del self._right
+        return right
+
+    # -- construction ---------------------------------------------------------
 
     def _decode(self, row_keys: np.ndarray) -> np.ndarray:
         """The rows (one more trailing axis of n entries) of row keys."""
         return row_keys[..., None] // self._digit % self.m
 
-    def _bfs(self, gen_mats, expected: int):
+    def _bfs(self, expected: int):
         """Breadth-first enumeration from the identity, as row keys, filling
         the key index.  Each level keeps the products not seen before, in
         order of first occurrence, so an element's index is its position in
@@ -143,7 +144,7 @@ class ElementTable:
         int32 array whose entry [j, x] is the index of x e_j and the spanning
         tree: each element's parent and the j of the e_j that reached it, -1
         for the identity."""
-        tables = self.row_tables(np.stack(gen_mats))
+        tables = self.row_tables(np.stack(self.model.generator_mats()))
         k = len(tables)
         # weighted[i][v, j]: the key digits of row i of x e_j when row i of x has key v
         weighted = [(w * tables.T).view(np.uint64) for w in self._row_w.tolist()]

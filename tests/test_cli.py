@@ -221,6 +221,26 @@ def test_group_suite_computes_no_orbits(monkeypatch):
     assert len(full) == len(cli.DEFAULT_MODELS) and all(c["verdict"] == "pass" for c in full)
 
 
+def test_group_suite_builds_no_conjugations(monkeypatch):
+    # the group suite reads neither the inverses nor the conjugations of its
+    # tables, so fresh tables never walk their BFS trees
+    def refuse(*args):
+        raise AssertionError("the group suite built the inverses")
+
+    monkeypatch.setattr(lattice, "_REGISTRIES", {})
+    monkeypatch.setattr(lattice, "_CONTEXTS", {})
+    monkeypatch.setattr(ElementTable, "_tree_inverses", refuse)
+    for spec in cli.DEFAULT_MODELS:
+        records = {name: verdict
+                   for name, _, verdict, _, _ in cli.group_records(spec, cli.DEFAULT_CAP)}
+        assert records["element_table"] and records["elementary_subgroup_full"]
+    assert len(lattice._REGISTRIES) == len(cli.DEFAULT_MODELS)
+    # the patch is live: the first conjugation read walks the tree
+    table = next(iter(lattice._REGISTRIES.values())).table
+    with pytest.raises(AssertionError, match="built the inverses"):
+        table.egen_conj_perms()
+
+
 def test_group_suite_outside_the_hypotheses_reports_no_counterexample(capsys):
     # 2 is not invertible in Z/4, so the theorem does not apply to Sp4(Z/4):
     # its lemma records are expected to fail, as in the sandwich suite

@@ -5,8 +5,9 @@ import random
 import numpy as np
 import pytest
 
+from chevlat import models as models_mod
 from chevlat.cli import DEFAULT_MODELS
-from chevlat.errors import SizeCapError
+from chevlat.errors import SizeCapError, TableBoundError
 from chevlat.models import (
     SCAN_BOUND,
     GroupModel,
@@ -17,10 +18,11 @@ from chevlat.models import (
     hypothesis_check,
     order_formula,
     sampled_gauss_roundtrip_check,
+    scan_on,
     scheme_center_elements,
 )
 from chevlat.rings import ZmRing, det_int, mat_mul
-from chevlat.table import _SCAN_LIMIT
+from chevlat.table import _SCAN_LIMIT, matrix_keys
 
 from conftest import mat_inverse_mod, reference_elements_on, units
 
@@ -302,7 +304,8 @@ def test_elements_on_everything_is_the_table(sl3_2, sp4_2):
     for ctx in (sl3_2, sp4_2):
         n, t = ctx.model.n, ctx.table
         scanned = elements_on(ctx.model, np.ones((n, n), dtype=bool))
-        assert np.array_equal(np.sort(t.encode(scanned)), np.sort(t.encode(t.mat(np.arange(t.N)))))
+        assert np.array_equal(np.sort(matrix_keys(scanned, t.m)),
+                              np.sort(matrix_keys(t.mat(np.arange(t.N)), t.m)))
         flat = scanned.reshape(len(scanned), -1).tolist()
         assert flat == sorted(flat)  # lexicographic, row by row
 
@@ -338,20 +341,56 @@ def test_elements_on_levi_support_matches_the_reference_scan(model):
     assert_scan_matches_reference(model, levi_support(model))
 
 
-@pytest.mark.parametrize("model", [sl(3, 3), sl(4, 2, (2, 2)), sp(3), sp(3, "siegel")],
-                         ids=lambda m: m.name())
-def test_elements_on_with_nothing_in_the_first_row_or_column(model):
-    # no filling of the first row (SL) or first column (Sp) is left to share:
-    # every matrix is singular, so the scan is empty
+EMPTY_FIRST_MODELS = [sl(3, 3), sl(4, 2, (2, 2)), sp(3), sp(3, "siegel")]
+
+
+def supports_without_the_first_row_or_column(model):
+    """The full and the Levi support with the first row (SL) or column (Sp) emptied."""
     for support in (np.ones((model.n, model.n), dtype=bool), levi_support(model)):
         support = support.copy()
         if model.kind == "SL":
             support[0] = False
         else:
             support[:, 0] = False
+        yield support
+
+
+@pytest.mark.parametrize("model", EMPTY_FIRST_MODELS, ids=lambda m: m.name())
+def test_elements_on_with_nothing_in_the_first_row_or_column(model):
+    # no filling of the first row (SL) or first column (Sp) is left to share:
+    # every matrix is singular, so the scan is empty
+    for support in supports_without_the_first_row_or_column(model):
         if model.m ** support.sum() <= 10**5:
             assert_scan_matches_reference(model, support)
         assert elements_on(model, support).shape == (0, model.n, model.n)
+
+
+def parabolic_support(model):
+    b = model._block_index
+    return b[:, None] <= b[None, :]
+
+
+# every support the reference scan is compared on above, and the parabolics
+# of a few models: supports that are not symmetric, where the keys of the
+# transposes would differ
+REFERENCE_SCAN_CASES = (
+    [(model, np.ones((model.n, model.n), dtype=bool), "full")
+     for model in SCANNED_DEFAULTS + [sl(2, 3)]]
+    + [(model, levi_support(model), "levi") for model in LEVI_CASES]
+    + [(model, support, f"first-emptied-{i}") for model in EMPTY_FIRST_MODELS
+       for i, support in enumerate(supports_without_the_first_row_or_column(model))
+       if model.m ** support.sum() <= 10**5]
+    + [(model, parabolic_support(model), "parabolic")
+       for model in (sl(3, 3), sl(4, 2, (1, 2, 1)), sp(2, "line"), sp(3, "borel"))])
+
+
+@pytest.mark.parametrize("model, support, name", REFERENCE_SCAN_CASES,
+                         ids=[f"{m.name()}-{name}" for m, _, name in REFERENCE_SCAN_CASES])
+def test_scan_keys_are_the_keys_of_the_reference_scan(model, support, name):
+    keys = scan_on(model, support)
+    assert keys.dtype == np.int64 and keys.ndim == 1
+    want = matrix_keys(reference_elements_on(model, support), model.m)
+    assert np.array_equal(np.sort(keys), np.sort(want))
 
 
 def test_elements_on_refuses_too_many_fillings_up_front():
@@ -362,6 +401,14 @@ def test_elements_on_refuses_too_many_fillings_up_front():
     # exactly SCAN_BOUND fillings pass: the diagonal of SL2(Z/2048), a d = 1
     assert SCAN_BOUND == 2048**2
     assert len(elements_on(sl(2, 2048), np.eye(2, dtype=bool))) == 1024
+
+
+def test_scan_refuses_keys_past_int64_up_front(monkeypatch):
+    # the diagonal of SL3(Z/130) has 130**3 fillings, under SCAN_BOUND, but the
+    # int64 keys of 3x3 matrices over Z/130 would reach 130**9 > 2**63 - 1
+    monkeypatch.setattr(models_mod, "_sl_scan", lambda *args: pytest.fail("the scan started"))
+    with pytest.raises(TableBoundError, match=r"SL3\(Z/130\).*130\*\*9, past the int64 bound"):
+        scan_on(sl(3, 130), np.eye(3, dtype=bool))
 
 
 def test_scheme_center():

@@ -8,7 +8,7 @@ from chevlat.cli import DEFAULT_MODELS
 from chevlat.errors import SizeCapError, TableBoundError
 from chevlat.models import GroupModel
 from chevlat.rings import ZmRing
-from chevlat.table import ElementTable, check_bounds
+from chevlat.table import ElementTable, check_bounds, matrix_keys
 
 from conftest import ctx_for, index_of, reference_dedupe
 
@@ -96,22 +96,42 @@ def test_conj_perm_matches_direct(sl3_4, sp4_3, sl4_2):
             assert np.array_equal(right, t.lookup((t.mat(xs) @ g) % t.m))
 
 
-@pytest.mark.parametrize("name", ["sl3_4", "sp4_3"])
-def test_table_keeps_only_the_generator_conjugations(name, request):
-    # after the build the table holds the rows, the inverses and one (k, N)
-    # int32 array, conjugation by each E generator, and no right
-    # multiplication; its conjugations match the matrix products
-    t = request.getfixturevalue(name).table
+def _held(t):
+    """The shapes of the table's N-sized arrays, by attribute name."""
     held = [(key, a) for key, v in vars(t).items()
             for a in (v.values() if isinstance(v, dict) else [v])]
-    sized = {key: a.shape for key, a in held if isinstance(a, np.ndarray) and t.N in a.shape}
+    return {key: a.shape for key, a in held if isinstance(a, np.ndarray) and t.N in a.shape}
+
+
+@pytest.mark.parametrize("spec", [("SL", 3, 4, (1, 1, 1)), ("Sp", 4, 3, "line")],
+                         ids=["sl3_4", "sp4_3"])
+def test_table_keeps_only_the_generator_conjugations(spec):
+    # a fresh table holds the rows and the BFS's three arrays: right
+    # multiplication by each E generator and the tree's parents and
+    # generators.  Once the conjugations are read it holds the rows, the
+    # inverses and one (k, N) int32 array, conjugation by each E generator,
+    # and no right multiplication; its conjugations match the matrix products
+    kind, degree, m, blocks = spec
+    t = ElementTable(GroupModel(kind, degree, ZmRing(m), blocks))
     k = len(t.gen_idxs)
-    assert sized == {"rows": (t.N, t.n), "inv": (t.N,), "_conj": (k, t.N)}
+    assert _held(t) == {"rows": (t.N, t.n), "_right": (k, t.N), "_parent": (t.N,), "_gen": (t.N,)}
+    perms = t.egen_conj_perms()
+    assert _held(t) == {"rows": (t.N, t.n), "inv": (t.N,), "_conj": (k, t.N)}
     everything = t.mat(np.arange(t.N))
     want = np.stack([t.lookup(t.mat(int(t.inv[g])) @ everything @ t.mat(g) % t.m)
                      for g in t.gen_idxs.tolist()])
     assert t._conj.dtype == np.int32 and np.array_equal(t._conj, want)
-    assert np.array_equal(t.egen_conj_perms(), want)
+    assert np.array_equal(perms, want)
+
+
+def test_first_inverse_read_drops_the_tree():
+    # the inverses alone leave right multiplication as the BFS wrote it
+    t = ElementTable(GroupModel("SL", 3, ZmRing(2), (1, 1, 1)))
+    right = t._right.copy()
+    inv = t.inv
+    assert _held(t) == {"rows": (t.N, t.n), "_right": right.shape, "inv": (t.N,)}
+    assert np.array_equal(t._right, right) and t.inv is inv
+    assert ((t.mat(np.arange(t.N)) @ t.mat(inv)) % t.m == np.eye(t.n)).all()
 
 
 def _arrays(t):
@@ -158,7 +178,7 @@ def test_dense_and_sorted_index_agree(spec, monkeypatch):
     assert np.array_equal(dense.egen_conj_perms(), srt.egen_conj_perms())
     # every element, keys next to elements (most are not elements), and
     # both ends just outside the key space
-    keys = dense.encode(dense.mat(np.arange(dense.N)))
+    keys = matrix_keys(dense.mat(np.arange(dense.N)), m)
     near = np.concatenate([keys - 1, keys + 1])
     rng = np.random.default_rng(5)
     probes = [keys, near, rng.permutation(near)[:999].reshape(27, 37),
@@ -184,13 +204,13 @@ def test_table_refuses_a_scan_that_misses_an_element(monkeypatch):
 
 
 def test_table_refuses_a_scan_with_a_non_element(monkeypatch):
-    # as many scanned matrices as elements, one of them singular
+    # as many scanned keys as elements, one of them the zero matrix's
     scan = table_mod.scan_on
 
     def scan_replacing_one(model, support):
-        mats = scan(model, support).copy()
-        mats[len(mats) // 2] = 0
-        return mats
+        keys = scan(model, support).copy()
+        keys[len(keys) // 2] = matrix_keys(np.zeros((model.n, model.n)), model.m)
+        return keys
 
     monkeypatch.setattr(table_mod, "scan_on", scan_replacing_one)
     with pytest.raises(RuntimeError, match="BFS and predicate scan disagree"):
@@ -312,12 +332,12 @@ def _scalar_bfs(t):
     n, m = t.n, t.m
     gens = np.stack([g % m for g in t.model.generator_mats()]).astype(np.int64)
     ident = np.eye(n, dtype=np.int64)
-    mats, index = [ident], {int(t.encode(ident[None])[0])}
+    mats, index = [ident], {int(matrix_keys(ident, m))}
     frontier = ident[None]
     while len(frontier):
         prods = ((frontier[:, None] @ gens[None]) % m).reshape(-1, n, n)
         new = []
-        for k, mat in zip(t.encode(prods).tolist(), prods):
+        for k, mat in zip(matrix_keys(prods, m).tolist(), prods):
             if k not in index:
                 index.add(k)
                 mats.append(mat)
