@@ -1,15 +1,15 @@
 """Unipotent factorization and the commutator-formula decompositions.
 
 A chart enumerates the product map (v_alpha)_alpha -> prod X_alpha(v_alpha)
-over an additively closed set of relative roots, in the canonical
-height-then-lex order, as one stack of products, and inverts it by one
-binary search over their matrix keys.  Bijectivity of this map is asserted
-during construction, which is the parametrization statement itself.
-Everything downstream (sum formulas, conjugation and commutator
-decompositions, the nondegeneracy and generation lemmas) factors matrices
-through a chart, whole stacks at a time, and reads the polynomial values
-off numerically.  The root-pair checks read two cached tables per model:
-every root element with its inverse, and every pair's cone and degrees.
+over an additively closed set of relative roots, in canonical order, as one
+stack, and inverts it by one binary search over the matrix keys; its
+bijectivity, asserted on construction, is the parametrization statement.
+Decompositions factor whole stacks through a chart and read the polynomial
+values off numerically.  Two cached tables per model serve the root-pair
+checks: every root element with its inverse, every pair's cone and degrees.
+The root-element, sum-formula, Levi-conjugation and radical round-trip
+checks cover every case; the identity and homogeneity checks sample, each
+drawing all its samples up front from the rng it is given.
 """
 
 from __future__ import annotations
@@ -22,8 +22,11 @@ import numpy as np
 from .errors import SizeCapError, TheoremViolation
 from .models import SCAN_BOUND, GroupModel, Vec, check_key_bound
 from .rings import mat_mul
-from .rootsys import VectorIndex
+from .rootsys import VectorIndex, sorted_find
 from .table import matrix_keys
+
+
+CHUNK = 65536  # cases per stack of the exhaustive checks, bounding their arrays
 
 
 def canonical_root_order(roots) -> list[Vec]:
@@ -43,13 +46,6 @@ def _digits(codes, m: int, width: int) -> np.ndarray:
 def _codes(digits: np.ndarray, m: int) -> np.ndarray:
     """The base-m numbers of digits along the last axis, first most significant."""
     return digits @ m ** np.arange(digits.shape[-1] - 1, -1, -1, dtype=np.int64)
-
-
-def _replay(rng, state, draws: int, m: int) -> None:
-    """Set rng to `state`, then draw randrange(m) `draws` times."""
-    rng.setstate(state)
-    for _ in range(draws):
-        rng.randrange(m)
 
 
 class UnipotentChart:
@@ -82,9 +78,7 @@ class UnipotentChart:
 
     def lookup(self, mats) -> np.ndarray:
         """Codes of a (..., n, n) stack of matrices, -1 off the chart."""
-        keys = matrix_keys(mats, self.model.m)
-        pos = np.minimum(np.searchsorted(self._keys, keys), len(self._keys) - 1)
-        return np.where(self._keys[pos] == keys, self._order[pos], -1)
+        return sorted_find(self._keys, matrix_keys(mats, self.model.m), self._order)
 
     def components(self, codes) -> list[np.ndarray]:
         """Per root, the (..., d) values that codes encode (zeros for a code -1)."""
@@ -189,27 +183,13 @@ def commutator_identity_check(model: GroupModel, x, y, z, inverses=None):
     return bool(ok) if ok.ndim == 0 else ok
 
 
-def sampled_root_elements(model: GroupModel, per_root: int, rng) -> np.ndarray:
-    """X_alpha(v) for `per_root` values v per relative root alpha, drawn
-    with rng.randrange root by root, as one stack."""
-    return np.stack([model.x(a, tuple(rng.randrange(model.m) for _ in range(model.v_dim(a))))
-                     for a in model.rel_roots for _ in range(per_root)])
-
-
-def sampled_identity_check(model: GroupModel, mats, count: int, rng) -> bool:
-    """commutator_identity_check on `count` triples (x, y, z) drawn from mats
-    with rng.randrange, x, y, z in turn, all checked as one stack; mats is
-    inverted once and the inverses are gathered with the triples.  rng is
-    left as a triple-by-triple check stopping at the first failure leaves it."""
-    mats = np.stack(mats)
-    inverses = model.inverse(mats)
-    state = rng.getstate()
+def sampled_identity_check(model: GroupModel, count: int, rng) -> bool:
+    """commutator_identity_check on `count` triples (x, y, z) of root
+    elements, drawn from the root table with rng.randrange, x, y, z in turn,
+    and checked as one stack with the table's inverses."""
+    _, mats, inverses = _root_table(model)
     drawn = np.array([rng.randrange(len(mats)) for _ in range(3 * count)]).reshape(count, 3).T
-    held = commutator_identity_check(model, *mats[drawn], inverses=inverses[drawn])
-    if held.all():
-        return True
-    _replay(rng, state, 3 * (int(np.argmin(held)) + 1), len(mats))
-    return False
+    return bool(commutator_identity_check(model, *mats[drawn], inverses=inverses[drawn]).all())
 
 
 def sampled_homogeneity_check(model: GroupModel, samples: int, rng) -> tuple[bool, int]:
@@ -225,36 +205,41 @@ def sampled_homogeneity_check(model: GroupModel, samples: int, rng) -> tuple[boo
         return False, exc.checked
 
 
-def sampled_sum_formula_check(model: GroupModel, samples: int, rng) -> bool:
-    """For `samples` pairs (v, w) per relative root alpha, drawn pair by pair,
-    the product of the sum-formula factors X_alpha(v+w) prod_i X_{i alpha}(h_i)
-    is X_alpha(v) X_alpha(w); the pairs of one alpha are one stack."""
+def generators_in_group(model: GroupModel) -> bool:
+    """eq. (Xalpha-prod): every elementary generator and every X_alpha(v) of
+    every relative root alpha lies in G."""
+    return bool(model.is_element(model.all_elementary_generators()).all()
+                and model.is_element(_root_table(model)[1]).all())
+
+
+def sum_formula_check(model: GroupModel) -> bool:
+    """eq. (eq:sum): for every pair (v, w) of every relative root alpha, the
+    sum-formula factors multiply back to X_alpha(v) X_alpha(w).  A stack holds
+    at most CHUNK pairs; an alpha has at most |G| pairs, as (v, w) ->
+    X_-alpha(w) X_alpha(v) is injective."""
     m = model.m
-    ok = True
     for alpha in model.rel_roots:
         d = model.v_dim(alpha)
-        vw = np.array([rng.randrange(m) for _ in range(2 * d * samples)], dtype=np.int64)
-        v, w = vw.reshape(samples, 2, d).swapaxes(0, 1)
-        first, higher = sum_formula_decompose(model, alpha, v, w)
-        g = _x_stack(model, alpha, first)
-        for i, val in sorted(higher.items()):
-            g = mat_mul(g, _x_stack(model, tuple(i * c for c in alpha), val), m)
-        ok &= bool((g == mat_mul(_x_stack(model, alpha, v), _x_stack(model, alpha, w), m)).all())
-    return ok
+        for lo in range(0, m ** (2 * d), CHUNK):
+            vw = _digits(np.arange(lo, min(lo + CHUNK, m ** (2 * d))), m, 2 * d)
+            v, w = vw[:, :d], vw[:, d:]
+            first, higher = sum_formula_decompose(model, alpha, v, w)
+            g = _x_stack(model, alpha, first)
+            for i, val in sorted(higher.items()):
+                g = mat_mul(g, _x_stack(model, tuple(i * c for c in alpha), val), m)
+            if (g != mat_mul(_x_stack(model, alpha, v), _x_stack(model, alpha, w), m)).any():
+                return False
+    return True
 
 
-def sampled_roundtrip_check(model: GroupModel, samples: int, rng) -> tuple[bool, int]:
-    """Random components over the positive radical, drawn sample by sample,
-    multiplied out as one stack and factored back through the radical chart:
-    (ok, radical order)."""
-    m = model.m
+def roundtrip_check(model: GroupModel) -> tuple[bool, int]:
+    """Every code of the radical chart: its components multiplied out as one
+    stack and factored back through the chart: (ok, radical order)."""
     ch = radical_chart(model)
-    width = sum(ch.dims)
-    digits = np.array([rng.randrange(m) for _ in range(samples * width)], dtype=np.int64)
-    codes = _codes(digits.reshape(samples, width), m)
+    codes = np.arange(len(ch))
     g = model.identity()
     for alpha, v in zip(ch.roots, ch.components(codes)):
-        g = mat_mul(g, _x_stack(model, alpha, v), m)
+        g = mat_mul(g, _x_stack(model, alpha, v), model.m)
     return bool((ch.lookup(g) == codes).all()), len(ch)
 
 
@@ -298,26 +283,24 @@ def levi_conjugation_decompose(model: GroupModel, g, alpha: Vec, v):
     return dict(zip(ratio, values))
 
 
-def levi_conjugation_check(model: GroupModel, levis, count: int, rng) -> bool:
-    """Lemma rootels (ii), phi_i(r v) = r^i phi_i(v) for every r in Z/m, on
-    the first `count` elements g of a copy of levis shuffled by rng, every
-    relative root alpha and one v per (g, alpha), drawn g by g.  The
-    conjugations of one alpha by every g and every r v are one stack."""
+def levi_conjugation_check(model: GroupModel, levis) -> bool:
+    """Lemma rootels (ii), phi_i(r v) = r^i phi_i(v), for every g in levis,
+    relative root alpha, v of V_alpha and r in Z/m: phi once per (g, v), read
+    at the code of r v, in stacks of at most CHUNK (g, v): there are at most
+    |G| per alpha, as (g, v) -> g X_alpha(v) is injective into P."""
     m = model.m
-    levis = list(levis)
-    rng.shuffle(levis)
-    gs = np.stack(levis[:count])[:, None]
-    draws = [[[rng.randrange(m) for _ in range(model.v_dim(a))] for a in model.rel_roots]
-             for _ in gs]
-    scale = np.arange(m, dtype=np.int64)[:, None]
-    ok = True
-    for k, alpha in enumerate(model.rel_roots):
-        v = np.array([row[k] for row in draws], dtype=np.int64)[:, None]
-        phi = levi_conjugation_decompose(model, gs, alpha, scale * v % m)  # (g, r, d_i) each
-        for i, val in phi.items():
-            power = np.array([pow(r, i, m) for r in range(m)])[:, None]
-            ok &= bool((val == power * val[:, 1:2] % m).all())
-    return ok
+    levis = np.stack(levis)
+    for alpha in model.rel_roots:
+        vs = _values(model, alpha)
+        at = _codes(np.arange(m)[:, None, None] * vs % m, m)  # (r, v): the code of r v
+        step = max(1, CHUNK // len(vs))
+        for lo in range(0, len(levis), step):
+            phi = levi_conjugation_decompose(model, levis[lo:lo + step, None], alpha, vs)
+            for i, val in phi.items():  # (g, v, d_i)
+                power = np.array([pow(r, i, m) for r in range(m)])[:, None, None]
+                if (val[:, at] != power * val[:, None] % m).any():
+                    return False
+    return True
 
 
 def _values(model: GroupModel, alpha: Vec) -> np.ndarray:
@@ -521,17 +504,16 @@ def check_chevalley_homogeneity(model: GroupModel, pairs, samples: int, rng) -> 
     by r^i, and scaling v by r multiplies it by r^j, for every r in Z/m on
     `samples` sampled (u, v) per pair.  Returns samples * m per pair.
 
-    The values are drawn pair by pair, sample by sample, u before v, as one
-    randrange list.  The commutators of every pair, sample and r are one
-    stack (`_homogeneity_codes`), and the degrees, read through
-    cone_degrees, are compared as arrays, one column per coordinate.  The
-    first failure in (pair, sample, r, comparison) order, comparisons root
-    by root, first argument first, is reported as a pair-by-pair,
-    sample-by-sample loop meets it, and rng is left as that loop leaves it.
-    A commutator off its cone's chart is a RuntimeError, after the draws of
-    its pair.  A failed comparison at sample k is a TheoremViolation, after
-    the draws of k+1 samples of its pair; its `checked` counts the pairs
-    before it.
+    The values are drawn up front, pair by pair, sample by sample, u before
+    v, as one randrange list of samples * (d_alpha + d_beta) per pair.  The
+    commutators of every pair, sample and r are one stack
+    (`_homogeneity_codes`), and the degrees, read through cone_degrees, are
+    compared as arrays, one column per coordinate.  The first failure in
+    (pair, sample, r, comparison) order, comparisons root by root, first
+    argument first, is reported as a pair-by-pair, sample-by-sample loop
+    meets it: a failed comparison is a TheoremViolation whose `checked`
+    counts the pairs before it, a commutator off its cone's chart a
+    RuntimeError.
     """
     for alpha, beta in pairs:
         if not (model.is_rel_root(alpha) and model.is_rel_root(beta)):
@@ -542,7 +524,6 @@ def check_chevalley_homogeneity(model: GroupModel, pairs, samples: int, rng) -> 
         return 0
     m = model.m
     width = [model.v_dim(a) + model.v_dim(b) for a, b in pairs]
-    state = rng.getstate()
     drawn = [rng.randrange(m) for _ in range(samples * sum(width))]
     cones = [_pair_cone(model, a, b) for a, b in pairs]
     codes = _homogeneity_codes(model, pairs, cones, np.array(drawn, dtype=np.int64), samples)
@@ -574,7 +555,6 @@ def check_chevalley_homogeneity(model: GroupModel, pairs, samples: int, rng) -> 
             first = np.lexsort((comp[col], r, k, at[col]))[0]
             (p, side, deg, gamma), k, r = comps[comp[col[first]]], int(k[first]), int(r[first])
             row = samples * sum(width[:p]) + k * width[p]
-            _replay(rng, state, row + width[p], m)
             da = model.v_dim(pairs[p][0])
             exc = TheoremViolation(
                 "eq. (eq:Chev)",
@@ -585,7 +565,6 @@ def check_chevalley_homogeneity(model: GroupModel, pairs, samples: int, rng) -> 
             exc.checked = p * samples * m
             raise exc
     if stop < len(pairs):
-        _replay(rng, state, samples * sum(width[:stop + 1]), m)
         raise RuntimeError("commutator left the expected unipotent group" if cones[stop]
                            else "commutator is not trivial over an empty cone")
     return len(pairs) * samples * m

@@ -213,31 +213,28 @@ def relroots_records():
 
 def group_records(spec: ModelSpec, cap: int):
     model = spec.build()
-    rng = random.Random(RNG_SEED)
     levis = model.levi_elements()  # first: the scan refuses an oversized model up front
     check_bounds(model, cap)  # and the table guards refuse a group the suite cannot finish
     hyp = models.hypothesis_check(model)
     expect = spec.expects_violation(hyp)
     yield "hypotheses", "Theorem main", hyp.main_ok, expect, hyp.as_dict()
 
-    gens_ok = bool(model.is_element(model.all_elementary_generators()).all())
-    sampled = bool(model.is_element(calculus.sampled_root_elements(model, 8, rng)).all())
-    yield "generators_in_group", "eq. (Xalpha-prod)", gens_ok and sampled, False, None
-
-    mats = calculus.sampled_root_elements(model, 4, rng)
-    yield ("commutator_identity", "eq. (xyzz-1)",
-           calculus.sampled_identity_check(model, mats, 1000, rng), False, None)
-
-    hom_ok, hom_checked = calculus.sampled_homogeneity_check(model, 8, rng)
-    yield "chevalley_homogeneity", "eq. (eq:Chev)", hom_ok, False, {"checked": hom_checked}
-
-    yield ("sum_formula", "eq. (eq:sum)", calculus.sampled_sum_formula_check(model, 32, rng),
+    yield ("generators_in_group", "eq. (Xalpha-prod)", calculus.generators_in_group(model),
            False, None)
 
-    yield ("levi_conjugation", "Lemma rootels (ii)",
-           calculus.levi_conjugation_check(model, levis, 16, rng), False, None)
+    # each sampled check seeds an rng of its own: no failure shifts another's draws
+    yield ("commutator_identity", "eq. (xyzz-1)",
+           calculus.sampled_identity_check(model, 1000, random.Random(RNG_SEED)), False, None)
 
-    round_ok, radical_order = calculus.sampled_roundtrip_check(model, 64, rng)
+    hom_ok, hom_checked = calculus.sampled_homogeneity_check(model, 8, random.Random(RNG_SEED))
+    yield "chevalley_homogeneity", "eq. (eq:Chev)", hom_ok, False, {"checked": hom_checked}
+
+    yield "sum_formula", "eq. (eq:sum)", calculus.sum_formula_check(model), False, None
+
+    yield ("levi_conjugation", "Lemma rootels (ii)",
+           calculus.levi_conjugation_check(model, levis), False, None)
+
+    round_ok, radical_order = calculus.roundtrip_check(model)
     yield ("unipotent_roundtrip", "Lemma rootels (iv)", round_ok, False,
            {"radical_order": radical_order})
 
@@ -247,7 +244,8 @@ def group_records(spec: ModelSpec, cap: int):
     yield "leading_values_generate", "Lemma const", const_ok, expect, {"checked": const_checked}
 
     yield ("gauss_cell_roundtrip", "Lemma open-fields",
-           models.sampled_gauss_roundtrip_check(model, 128, rng), False, None)
+           models.sampled_gauss_roundtrip_check(model, 128, random.Random(RNG_SEED)),
+           False, None)
 
     ctx = lattice.get_context(model, cap)
     yield "element_table", "invented plumbing", True, False, {"order": ctx.table.N}

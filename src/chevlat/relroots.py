@@ -38,6 +38,7 @@ from .rootsys import (
     diagram_automorphisms,
     perm_compose,
     perm_on_root,
+    sorted_find,
 )
 
 
@@ -131,8 +132,8 @@ class RelativeIndex(VectorIndex):
         bound = COEFF_BOUND * max((len(orb) for orb in rel.orbits), default=1)
         super().__init__(f"{datum.base.rtype} relative to J={sorted(datum.J)}",
                          image[over], rel.rank, bound)
-        self.label = self._find((image + bound) @ self.weights, over)
-        self.simple = sorted(set(self._find(self.zero + self.weights, True).tolist()))
+        self.label = np.where(over, sorted_find(self.keys, (image + bound) @ self.weights), -1)
+        self.simple = sorted(set(sorted_find(self.keys, self.zero + self.weights).tolist()))
 
 
 def build_relative(datum: RelativeDatum) -> RelativeRootSystem:
@@ -228,8 +229,11 @@ def match_coordinates(rel_roots: frozenset[Coords], target: RootSystem) -> Perm 
 
 @lru_cache(maxsize=None)
 def _unfolded(rtype: RootSystemType) -> tuple[RootSystem, tuple[Perm, ...], Perm, np.ndarray]:
-    """`unfold` of the system of type rtype, and the cover's roots folded
-    into its simple-root coordinates."""
+    """The simply-laced cover of the multiply-laced type rtype: (cover,
+    gamma, coord_perm, folded), where folding the cover by gamma reproduces
+    the system of type rtype, coord_perm maps the fold's orbit coordinates
+    onto its Bourbaki simple-root indices, and folded holds the cover's
+    roots in those simple-root coordinates."""
     cover_type, generator = _unfold_recipe(rtype)
     cover = build_root_system(cover_type)
     gamma = _generated_group(generator)
@@ -241,16 +245,6 @@ def _unfolded(rtype: RootSystemType) -> tuple[RootSystem, tuple[Perm, ...], Perm
     for t, orb in enumerate(_gamma_orbits(frozenset(range(cover.rank)), gamma)):
         to_base[p[t], list(orb)] = 1
     return cover, gamma, p, cover.index.coords @ to_base.T
-
-
-def unfold(sys: RootSystem) -> tuple[RootSystem, tuple[Perm, ...], Perm]:
-    """Simply-laced cover of a multiply-laced system, by its type.
-
-    Returns (cover, gamma, coord_perm) where folding the cover by gamma
-    reproduces the system of that type, and coord_perm maps the fold's orbit
-    coordinates onto its Bourbaki simple-root indices.
-    """
-    return _unfolded(sys.rtype)[:3]
 
 
 def _sigma_checks(idx: RelativeIndex, ids, inside: np.ndarray) -> dict[str, np.ndarray]:

@@ -33,7 +33,7 @@ FAMILIES = "ABCDEFG"
 # system: the highest root of E8 has coefficient 6.  It sizes the key digits.
 COEFF_BOUND = 6
 
-# Rank cap 9, not 8: type A_9 is needed to unfold C_5, see relroots.unfold.
+# Rank cap 9, not 8: type A_9 is needed to unfold C_5, see relroots._unfolded.
 _RANK_RANGE = {
     "A": (1, 9),
     "B": (2, 9),
@@ -117,6 +117,15 @@ def _cartan_and_lengths(family: str, r: int) -> tuple[list[list[int]], list[int]
     return C, lengths
 
 
+def sorted_find(keys: np.ndarray, queries, ids=None) -> np.ndarray:
+    """For sorted keys: the position of each query among them, or ids at
+    that position, -1 where the query is absent."""
+    if not len(keys):
+        return np.full(np.shape(queries), -1, dtype=np.int64)
+    pos = np.minimum(keys.searchsorted(queries), len(keys) - 1)
+    return np.where(keys[pos] == queries, pos if ids is None else ids[pos], -1)
+
+
 class VectorIndex:
     """Ids of a set of integer vectors, with their addition and negation.
 
@@ -151,23 +160,17 @@ class VectorIndex:
         # is inside the digit range, which it leaves only if a |coordinate| > bound / 2
         self.zero, ct = bound * int(self.weights.sum()), self.coords.T  # zero: key of 0
         inside = 2 * top <= bound or (np.abs(ct[:, :, None] + ct[:, None]) <= bound).all(axis=0)
-        self.add = self._find(self.keys[:, None] + self.keys[None] - self.zero, inside)
-        self.neg = self._find(2 * self.zero - self.keys, True)
+        self.add = np.where(inside, sorted_find(self.keys, self.keys[:, None] + self.keys[None]
+                                                - self.zero), -1)
+        self.neg = sorted_find(self.keys, 2 * self.zero - self.keys)
 
     def lookup(self, vecs: np.ndarray) -> np.ndarray:
         """Ids of the vectors along the last axis of vecs, -1 where absent."""
         # the weights are positive: in range means the out-of-range coordinates
-        # weigh 0, one product (a reduction over a short last axis is slow)
-        outside = (np.abs(vecs) > self.bound) @ self.weights
-        return self._find((vecs + self.bound) @ self.weights, outside == 0)
-
-    def _find(self, keys: np.ndarray, inside) -> np.ndarray:
-        """Ids of the keys, -1 where absent or not `inside` the digit range,
-        where a key is meaningless (it may even wrap)."""
-        if not len(self.keys):
-            return np.full(keys.shape, -1, dtype=np.int64)
-        pos = np.minimum(self.keys.searchsorted(keys), len(self.keys) - 1)
-        return np.where(inside & (self.keys[pos] == keys), pos, -1)
+        # weigh 0, one product (a reduction over a short last axis is slow); a
+        # key out of range is meaningless (it may even wrap)
+        found = sorted_find(self.keys, (vecs + self.bound) @ self.weights)
+        return np.where((np.abs(vecs) > self.bound) @ self.weights == 0, found, -1)
 
 
 @dataclass(frozen=True)
@@ -234,7 +237,7 @@ def build_root_system(rtype: RootSystemType) -> RootSystem:
         order = keys.argsort()
         images, keys = images[order], keys[order]
         fresh = np.diff(keys, prepend=-1) != 0  # keys are nonnegative
-        fresh &= known[np.minimum(known.searchsorted(keys), len(known) - 1)] != keys
+        fresh &= sorted_find(known, keys) < 0
         frontier = images[fresh]
     roots = set(map(tuple, np.concatenate(found).tolist()))  # s_j(alpha_j) = -alpha_j
 

@@ -52,6 +52,7 @@ import numpy as np
 
 from .errors import SizeCapError, TableBoundError
 from .models import GroupModel, check_key_bound, order_formula, scan_on
+from .rootsys import sorted_find
 
 DEFAULT_CAP = 2_000_000
 _SCAN_LIMIT = 400_000  # m**(n*n) bound for the dense key index and the predicate scan
@@ -300,9 +301,8 @@ class _SortedIndex:
         search cache-friendly on large tables."""
         flat = keys.ravel()
         sort = np.argsort(flat)
-        pos = np.minimum(np.searchsorted(self.keys, flat[sort]), len(self.keys) - 1)
         idx = np.empty(flat.size, dtype=np.int64)
-        idx[sort] = np.where(self.keys[pos] == flat[sort], self.order[pos], -1)
+        idx[sort] = sorted_find(self.keys, flat[sort], self.order)
         return idx.reshape(keys.shape)
 
 

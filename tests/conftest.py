@@ -22,6 +22,16 @@ REFERENCE_MODELS = [
 ]
 
 
+def unfold(sys):
+    """Simply-laced cover of a multiply-laced system, by its type.
+
+    Returns (cover, gamma, coord_perm) where folding the cover by gamma
+    reproduces the system of that type, and coord_perm maps the fold's orbit
+    coordinates onto its Bourbaki simple-root indices.
+    """
+    return relroots._unfolded(sys.rtype)[:3]
+
+
 def ctx_for(kind, degree, m, blocks):
     """Contexts are cached process-wide, so tests share element tables."""
     return lattice.get_context(models.GroupModel(kind, degree, ZmRing(m), blocks))
@@ -292,24 +302,21 @@ def reference_pairing_sweep(model):
     return abe_ok, abe_checked, const_ok, const_checked
 
 
-def reference_levi_conjugation_check(model, levis, count, rng):
-    """The per-element Levi-conjugation loop over the first `count` shuffled
-    Levi elements, every relative root and every scale r."""
-    levi_ok = True
-    levis = list(levis)
-    rng.shuffle(levis)
-    for g in levis[:count]:
+def reference_levi_conjugation_check(model, levis):
+    """The per-element Levi-conjugation loop over every g in levis, every
+    relative root alpha, every v of V_alpha and every scale r."""
+    m = model.m
+    for g in levis:
         for alpha in model.rel_roots:
-            v = tuple(rng.randrange(model.m) for _ in range(model.v_dim(alpha)))
-            phi = reference_levi_conjugation_decompose(model, g, alpha, v)
-            for r in range(model.m):
-                phi_r = reference_levi_conjugation_decompose(
-                    model, g, alpha, tuple(r * c % model.m for c in v))
-                for i, val in phi.items():
-                    want = tuple(pow(r, i, model.m) * c % model.m for c in val)
-                    if phi_r[i] != want:
-                        levi_ok = False
-    return levi_ok
+            phi = {v: reference_levi_conjugation_decompose(model, g, alpha, v)
+                   for v in model.v_tuples(alpha)}
+            for v, phi_v in phi.items():
+                for r in range(m):
+                    phi_r = phi[tuple(r * c % m for c in v)]
+                    for i, val in phi_v.items():
+                        if phi_r[i] != tuple(pow(r, i, m) * c % m for c in val):
+                            return False
+    return True
 
 
 def _commutes_with_all(model, x, mats):

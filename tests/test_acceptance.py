@@ -98,17 +98,17 @@ def test_c6_relative_root_lemma_suite():
 
 
 def test_c7_commutator_calculus_properties():
-    rng = random.Random(0xC7)
     for ctx in contexts():
         model = ctx.model
-        gens = model.all_elementary_generators()
-        assert calculus.sampled_identity_check(model, gens, 1000, rng)
+        assert calculus.generators_in_group(model)
+        assert calculus.sampled_identity_check(model, 1000, random.Random(0xC7))
         # each non-opposed pair checks 100 samples times every scale r in Z/m
-        ok, checked = calculus.sampled_homogeneity_check(model, 100, rng)
+        ok, checked = calculus.sampled_homogeneity_check(model, 100, random.Random(0xC7))
         assert ok and checked > 0 and checked % (100 * model.m) == 0
-        assert calculus.sampled_sum_formula_check(model, 50, rng)
-        assert calculus.sampled_roundtrip_check(model, 50, rng)[0]
-        assert models.sampled_gauss_roundtrip_check(model, 50, rng)
+        assert calculus.sum_formula_check(model)
+        assert calculus.levi_conjugation_check(model, model.levi_elements())
+        assert calculus.roundtrip_check(model)[0]
+        assert models.sampled_gauss_roundtrip_check(model, 50, random.Random(0xC7))
 
     # the Sp4 BC_1 double-root term round-trips with its bilinear part
     sp = ctx_for("Sp", 4, 3, "line").model

@@ -319,20 +319,33 @@ def _one_pair(model, alpha, beta, samples, rng):
     return calculus.check_chevalley_homogeneity(model, [(alpha, beta)], samples, rng)
 
 
-def _homogeneity_run(check, model, samples, seed):
-    """Outcome and rng state after each non-opposed pair, one rng throughout."""
+def _after_draws(seed, draws, m):
+    """The state of random.Random(seed) after `draws` calls of randrange(m)."""
     rng = random.Random(seed)
-    out = []
-    for alpha in model.rel_roots:
-        for beta in model.rel_roots:
-            if calculus.opposed_multiples(alpha, beta):
-                continue
-            try:
-                result = check(model, alpha, beta, samples, rng)
-            except TheoremViolation as exc:
-                result = (str(exc), exc.witness)
-            out.append((alpha, beta, result, rng.getstate()))
-    return out
+    for _ in range(draws):
+        rng.randrange(m)
+    return rng.getstate()
+
+
+def _homogeneity_run(check, model, samples, seed):
+    """Outcome of each non-opposed pair p, each on a fresh random.Random(seed + p),
+    and the rng states after them."""
+    outcomes, states = [], []
+    for p, (alpha, beta) in enumerate(_pairs(model)):
+        rng = random.Random(seed + p)
+        try:
+            result = check(model, alpha, beta, samples, rng)
+        except TheoremViolation as exc:
+            result = (str(exc), exc.witness)
+        outcomes.append((alpha, beta, result))
+        states.append(rng.getstate())
+    return outcomes, states
+
+
+def _up_front_states(model, samples, seed):
+    """The states of _homogeneity_run's rngs after every draw of their pairs."""
+    return [_after_draws(seed + p, samples * (model.v_dim(a) + model.v_dim(b)), model.m)
+            for p, (a, b) in enumerate(_pairs(model))]
 
 
 HOMOGENEITY_MODELS = [sl(3, 4), sp(3, "line"), sp(2, "borel")]
@@ -342,7 +355,8 @@ HOMOGENEITY_MODELS = [sl(3, 4), sp(3, "line"), sp(2, "borel")]
 def test_stacked_homogeneity_matches_scalar_reference(model):
     stacked = _homogeneity_run(_one_pair, model, 6, 41)
     assert stacked == _homogeneity_run(_scalar_homogeneity, model, 6, 41)
-    assert all(res == 6 * model.m for _, _, res, _ in stacked)
+    assert stacked[1] == _up_front_states(model, 6, 41)
+    assert all(res == 6 * model.m for _, _, res in stacked[0])
 
 
 @pytest.mark.parametrize("model", HOMOGENEITY_MODELS, ids=lambda mo: mo.name())
@@ -352,9 +366,12 @@ def test_stacked_homogeneity_failure_matches_scalar_reference(model, monkeypatch
     true_degrees = calculus.cone_degrees
     monkeypatch.setattr(calculus, "cone_degrees", lambda model, a, b: {
         g: (0, j) for g, (i, j) in true_degrees(model, a, b).items()})
+    # same verdicts and witnesses as the loop on the same draws; the stacked
+    # check has made every draw of its pair, the loop stops at the failure
     stacked = _homogeneity_run(_one_pair, model, 6, 43)
-    assert stacked == _homogeneity_run(_scalar_homogeneity, model, 6, 43)
-    failures = [res for _, _, res, _ in stacked if isinstance(res, tuple)]
+    assert stacked[0] == _homogeneity_run(_scalar_homogeneity, model, 6, 43)[0]
+    assert stacked[1] == _up_front_states(model, 6, 43)
+    failures = [res for _, _, res in stacked[0] if isinstance(res, tuple)]
     assert failures and all("first-argument degree 0 fails" in msg for msg, _ in failures)
 
 
@@ -399,6 +416,15 @@ def _outcome(run, model, seed):
     return result, rng.getstate()
 
 
+def _whole_model(model, seed):
+    """_outcome of sampled_homogeneity_check, whose rng has made its draws
+    for every pair, whatever the outcome."""
+    result, state = _outcome(calculus.sampled_homogeneity_check, model, seed)
+    width = sum(model.v_dim(a) + model.v_dim(b) for a, b in _pairs(model))
+    assert state == _after_draws(seed, 6 * width, model.m)
+    return result
+
+
 def _wrong_degrees_at(monkeypatch, pair=None, true_degrees=calculus.cone_degrees):
     # claim degree 0 in the first argument at one pair only, or at every pair
     monkeypatch.setattr(calculus, "cone_degrees", lambda model, a, b: {
@@ -409,20 +435,20 @@ def _wrong_degrees_at(monkeypatch, pair=None, true_degrees=calculus.cone_degrees
 @pytest.mark.parametrize("model", HOMOGENEITY_MODELS, ids=lambda mo: mo.name())
 def test_whole_model_homogeneity_matches_per_pair_loop(model, monkeypatch):
     pairs = _pairs(model)
-    clean = _outcome(calculus.sampled_homogeneity_check, model, 47)
-    assert clean == _outcome(_per_pair_homogeneity, model, 47)
-    assert clean[0] == (True, 6 * model.m * len(pairs))
+    clean = _whole_model(model, 47)
+    assert clean == _outcome(_per_pair_homogeneity, model, 47)[0]
+    assert clean == (True, 6 * model.m * len(pairs))
     # a failure at one later pair only: the pairs before it are counted
     late = max(p for p, (a, b) in enumerate(pairs) if calculus.cone_degrees(model, a, b))
     _wrong_degrees_at(monkeypatch, pairs[late])
-    failed = _outcome(calculus.sampled_homogeneity_check, model, 47)
-    assert failed == _outcome(_per_pair_homogeneity, model, 47)
-    assert failed[0] == (False, 6 * model.m * late)
+    failed = _whole_model(model, 47)
+    assert failed == _outcome(_per_pair_homogeneity, model, 47)[0]
+    assert failed == (False, 6 * model.m * late)
     # wrong at every pair: the first pair that meets a failure reports it
     _wrong_degrees_at(monkeypatch)
-    everywhere = _outcome(calculus.sampled_homogeneity_check, model, 47)
-    assert everywhere == _outcome(_per_pair_homogeneity, model, 47)
-    assert everywhere[0][0] is False
+    everywhere = _whole_model(model, 47)
+    assert everywhere == _outcome(_per_pair_homogeneity, model, 47)[0]
+    assert everywhere[0] is False
 
 
 def _empty_cone_at(monkeypatch, pair, true_cone=calculus._pair_cone):
@@ -441,22 +467,17 @@ def test_off_chart_pair_is_reported_only_without_an_earlier_failure(model, monke
     first, last = moving[0], moving[-1]
     # off its chart at the first such pair, with or without a later failure
     _empty_cone_at(monkeypatch, pairs[first])
-    lost = _outcome(calculus.sampled_homogeneity_check, model, 53)
-    assert lost[0] == "commutator is not trivial over an empty cone"
-    assert lost[0] == _outcome(_per_pair_homogeneity, model, 53)[0]
-    ref = random.Random(53)  # rng is left after the draws of the pairs up to it
-    for a, b in pairs[:first + 1]:
-        for _ in range(6 * (model.v_dim(a) + model.v_dim(b))):
-            ref.randrange(model.m)
-    assert lost[1] == ref.getstate()
+    lost = _whole_model(model, 53)  # after the draws of every pair
+    assert lost == "commutator is not trivial over an empty cone"
+    assert lost == _outcome(_per_pair_homogeneity, model, 53)[0]
     _wrong_degrees_at(monkeypatch, pairs[last])
-    assert _outcome(calculus.sampled_homogeneity_check, model, 53) == lost
+    assert _whole_model(model, 53) == lost
     # off its chart at the last such pair, after a failure at the first
     _empty_cone_at(monkeypatch, pairs[last])
     _wrong_degrees_at(monkeypatch, pairs[first])
-    earlier = _outcome(calculus.sampled_homogeneity_check, model, 53)
-    assert earlier == _outcome(_per_pair_homogeneity, model, 53)
-    assert earlier[0] == (False, 6 * model.m * first)
+    earlier = _whole_model(model, 53)
+    assert earlier == _outcome(_per_pair_homogeneity, model, 53)[0]
+    assert earlier == (False, 6 * model.m * first)
 
 
 def test_stacked_identity_check_matches_scalar():
@@ -472,23 +493,25 @@ def test_stacked_identity_check_matches_scalar():
         assert held.any() and not held.all()
 
 
-def test_sampled_identity_check_leaves_rng_like_a_scalar_loop(monkeypatch):
+def test_sampled_identity_check_matches_a_scalar_loop(monkeypatch):
     model = sl(3, 4)
-    elems = model.all_elementary_generators()
-    singular = [np.diag([1, 2, 2]).astype(np.int64)]
+    offsets, elems, inverses = calculus._root_table(model)
+    singular = np.diag([1, 2, 2]).astype(np.int64)[None]
     inverse, calls = GroupModel.inverse, []
 
     def counted(self, g):
         calls.append(np.shape(g))
         return inverse(self, g)
 
-    for mats, expect in ((elems, True), (elems + singular, False)):
+    for mats, expect in ((elems, True), (np.concatenate([elems, singular]), False)):
+        table = offsets, mats, inverse(model, mats)  # the pool: a root table
+        monkeypatch.setattr(calculus, "_root_table", lambda model: table)
         rng, ref = random.Random(5), random.Random(5)
         calls.clear()
         monkeypatch.setattr(GroupModel, "inverse", counted)
-        assert calculus.sampled_identity_check(model, mats, 300, rng) is expect
+        assert calculus.sampled_identity_check(model, 300, rng) is expect
         monkeypatch.setattr(GroupModel, "inverse", inverse)
-        assert calls == [(len(mats), 3, 3)]  # the pool, inverted once
+        assert calls == []  # the pool's inverses are the table's
         ok = True
         for _ in range(300):
             x, y, z = (mats[ref.randrange(len(mats))] for _ in range(3))
@@ -496,7 +519,8 @@ def test_sampled_identity_check_leaves_rng_like_a_scalar_loop(monkeypatch):
                 ok = False
                 break
         assert ok is expect
-        assert rng.getstate() == ref.getstate()
+        # the check has made all 3 * 300 draws, whatever its verdict
+        assert rng.getstate() == _after_draws(5, 3 * 300, len(mats))
 
 
 @pytest.mark.parametrize("model", REFERENCE_MODELS, ids=lambda mo: mo.name())
@@ -512,11 +536,9 @@ def test_pairing_sweep_matches_per_element_reference(model):
 @pytest.mark.parametrize("model", REFERENCE_MODELS, ids=lambda mo: mo.name())
 def test_levi_conjugation_check_matches_per_element_reference(model):
     levis = model.levi_elements()
-    rng, ref = random.Random(7), random.Random(7)
-    ok = calculus.levi_conjugation_check(model, levis, 16, rng)
-    assert ok is reference_levi_conjugation_check(model, levis, 16, ref) is True
-    assert rng.getstate() == ref.getstate()
-    assert all(np.array_equal(a, b) for a, b in zip(levis, model.levi_elements()))  # unshuffled
+    ok = calculus.levi_conjugation_check(model, levis)
+    assert ok is reference_levi_conjugation_check(model, levis) is True
+    assert all(np.array_equal(a, b) for a, b in zip(levis, model.levi_elements()))  # unchanged
 
 
 def test_levi_conjugation_check_finds_a_wrong_degree(monkeypatch):
@@ -525,7 +547,33 @@ def test_levi_conjugation_check_finds_a_wrong_degree(monkeypatch):
     true = calculus.levi_conjugation_decompose
     monkeypatch.setattr(calculus, "levi_conjugation_decompose", lambda *a: {
         i + 1: val for i, val in true(*a).items()})
-    assert not calculus.levi_conjugation_check(model, model.levi_elements(), 16, random.Random(7))
+    assert not calculus.levi_conjugation_check(model, model.levi_elements())
+
+
+def test_exhaustive_stacks_hold_at_most_chunk_cases(monkeypatch):
+    # every case once, in stacks of at most CHUNK cases (or one Levi element's)
+    model, chunk = sp(3, "line"), 5
+    monkeypatch.setattr(calculus, "CHUNK", chunk)
+    true_sum, true_levi = calculus.sum_formula_decompose, calculus.levi_conjugation_decompose
+    pairs, conjugations = [], []
+
+    def counted_sum(model, alpha, v, w):
+        pairs.append(len(v))
+        return true_sum(model, alpha, v, w)
+
+    def counted_levi(model, g, alpha, v):
+        conjugations.append((len(g) * len(v), len(v)))
+        return true_levi(model, g, alpha, v)
+
+    monkeypatch.setattr(calculus, "sum_formula_decompose", counted_sum)
+    monkeypatch.setattr(calculus, "levi_conjugation_decompose", counted_levi)
+    values = [model.m ** model.v_dim(a) for a in model.rel_roots]
+    assert calculus.sum_formula_check(model)
+    assert max(pairs) <= chunk and sum(pairs) == sum(n * n for n in values)
+    levis = model.levi_elements()
+    assert calculus.levi_conjugation_check(model, levis)
+    assert all(cases <= max(chunk, n) for cases, n in conjugations)
+    assert sum(cases for cases, _ in conjugations) == len(levis) * sum(values)
 
 
 @pytest.mark.parametrize("model", REFERENCE_MODELS, ids=lambda mo: mo.name())

@@ -12,7 +12,7 @@ from chevlat.rootsys import RootSystemType, build_root_system
 
 from conftest import (
     check_adjacent_simple, check_fiber_additivity, project, reference_adjacent_ok,
-    relative_simple_roots, sigma_properties, sigma_set,
+    relative_simple_roots, sigma_properties, sigma_set, unfold,
 )
 
 
@@ -77,7 +77,7 @@ def ref_sigma_set(rel, b, mode="all"):
     base = rel.datum.base
     if base.is_simply_laced():
         return _ref_sigma_direct(rel, b, mode)
-    cover, cover_gamma, coord_perm = relroots.unfold(base)
+    cover, cover_gamma, coord_perm = unfold(base)
     fold_orbits = relroots._gamma_orbits(frozenset(range(cover.rank)), cover_gamma)
     j2 = frozenset(
         i for k, orb in enumerate(fold_orbits) if coord_perm[k] in rel.datum.J for i in orb
@@ -369,7 +369,7 @@ def test_fold_rejects_multiply_laced():
 def test_unfold_consistency():
     for family, rank in [("B", 2), ("B", 3), ("C", 2), ("C", 3), ("F", 4), ("G", 2)]:
         sys = sys_of(family, rank)
-        cover, gamma, perm = relroots.unfold(sys)
+        cover, gamma, perm = unfold(sys)
         rel = fold(cover, gamma)
         mapped = {rootsys.perm_on_root(perm, v) for v in rel.rel_roots}
         assert mapped == sys.roots

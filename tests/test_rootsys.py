@@ -237,7 +237,7 @@ AUTOMORPHISM_ORDERS = [
 ]
 
 
-# Every standard type, plus A9, the cover that relroots.unfold folds to C5;
+# Every standard type, plus A9, the cover that relroots._unfolded folds to C5;
 # the types with a known group order keep their order assertion.
 @pytest.mark.parametrize(
     "family,rank,order",
