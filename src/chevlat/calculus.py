@@ -183,12 +183,32 @@ def commutator_identity_check(model: GroupModel, x, y, z, inverses=None):
     return bool(ok) if ok.ndim == 0 else ok
 
 
+def randranges(rng, n: int, count: int) -> np.ndarray:
+    """`count` values of rng.randrange(n), 0 < n < 2**32, equal to a loop's, and
+    rng left as the loop leaves it: a value is the top n.bit_length() bits of
+    one 32-bit word, drawn again while they are not below n.  The words come
+    in bulk from a copy of rng, and rng then skips exactly the words used."""
+    if not 0 < n < 2 ** 32:
+        raise ValueError(f"randranges needs 0 < n < 2**32, not {n}")
+    bits, copy = n.bit_length(), type(rng)()
+    words = count * 2 ** bits // n + 32  # the expected number and a margin
+    while True:
+        copy.setstate(rng.getstate())
+        top = np.frombuffer(copy.getrandbits(32 * words).to_bytes(4 * words, "little"),
+                            dtype="<u4") >> (32 - bits)
+        hit = np.flatnonzero(top < n)[:count]
+        if len(hit) == count:
+            rng.getrandbits(32 * (int(hit[-1]) + 1) if count else 0)
+            return top[hit].astype(np.int64)
+        words *= 2
+
+
 def sampled_identity_check(model: GroupModel, count: int, rng) -> bool:
     """commutator_identity_check on `count` triples (x, y, z) of root
-    elements, drawn from the root table with rng.randrange, x, y, z in turn,
-    and checked as one stack with the table's inverses."""
+    elements, drawn from the root table as rng.randrange draws them, x, y,
+    z in turn, and checked as one stack with the table's inverses."""
     _, mats, inverses = _root_table(model)
-    drawn = np.array([rng.randrange(len(mats)) for _ in range(3 * count)]).reshape(count, 3).T
+    drawn = randranges(rng, len(mats), 3 * count).reshape(count, 3).T
     return bool(commutator_identity_check(model, *mats[drawn], inverses=inverses[drawn]).all())
 
 
@@ -505,7 +525,7 @@ def check_chevalley_homogeneity(model: GroupModel, pairs, samples: int, rng) -> 
     `samples` sampled (u, v) per pair.  Returns samples * m per pair.
 
     The values are drawn up front, pair by pair, sample by sample, u before
-    v, as one randrange list of samples * (d_alpha + d_beta) per pair.  The
+    v, as one list of samples * (d_alpha + d_beta) randrange values per pair.  The
     commutators of every pair, sample and r are one stack
     (`_homogeneity_codes`), and the degrees, read through cone_degrees, are
     compared as arrays, one column per coordinate.  The first failure in
@@ -524,9 +544,9 @@ def check_chevalley_homogeneity(model: GroupModel, pairs, samples: int, rng) -> 
         return 0
     m = model.m
     width = [model.v_dim(a) + model.v_dim(b) for a, b in pairs]
-    drawn = [rng.randrange(m) for _ in range(samples * sum(width))]
+    drawn = randranges(rng, m, samples * sum(width))
     cones = [_pair_cone(model, a, b) for a, b in pairs]
-    codes = _homogeneity_codes(model, pairs, cones, np.array(drawn, dtype=np.int64), samples)
+    codes = _homogeneity_codes(model, pairs, cones, drawn, samples)
     lost = np.flatnonzero((codes < 0).any(axis=(1, 2)))
     stop = int(lost[0]) if lost.size else len(pairs)
     weights = {}  # per cone, the digit weights of each root's coordinates in a chart code
@@ -560,8 +580,8 @@ def check_chevalley_homogeneity(model: GroupModel, pairs, samples: int, rng) -> 
                 "eq. (eq:Chev)",
                 f"{('first', 'second')[side]}-argument degree {deg} fails at {gamma} "
                 f"on {model.name()}",
-                witness={"u": tuple(drawn[row:row + da]),
-                         "v": tuple(drawn[row + da:row + width[p]]), "r": r})
+                witness={"u": tuple(drawn[row:row + da].tolist()),
+                         "v": tuple(drawn[row + da:row + width[p]].tolist()), "r": r})
             exc.checked = p * samples * m
             raise exc
     if stop < len(pairs):

@@ -183,9 +183,9 @@ def e_conjugacy_orbits(table: ElementTable) -> tuple[np.ndarray, np.ndarray]:
     propagation: each label starts as the element's index; a pass lowers it
     to the least label of the element's generator images, then jumps it to
     its label's label, until a pass changes nothing.  Then each label is
-    its orbit's least member, the one element that is its own label."""
+    its orbit's least member, the one element that is its own label (int32)."""
     perms = table.egen_conj_perms()
-    label = np.arange(table.N)
+    label = np.arange(table.N, dtype=np.int32)
     while True:
         before = label.copy()
         for perm in perms:
@@ -193,7 +193,7 @@ def e_conjugacy_orbits(table: ElementTable) -> tuple[np.ndarray, np.ndarray]:
         label = label.take(label)
         if np.array_equal(label, before):
             least = label == np.arange(table.N)
-            return (np.cumsum(least) - 1).take(label), np.flatnonzero(least)
+            return (np.cumsum(least, dtype=np.int32) - 1).take(label), np.flatnonzero(least)
 
 
 @dataclass

@@ -433,10 +433,10 @@ def gauss_cell_membership(model: GroupModel, g: np.ndarray):
 
 def sampled_gauss_roundtrip_check(model: GroupModel, samples: int, rng) -> bool:
     """The identity lies in the main cell, and every sampled product of four
-    random elementary generators that lies in it is the product u*l*v of
-    its factors.  The samples are drawn as a sample-by-sample loop would
-    draw them (per step: the position, then the parameter) and factored as
-    one stack."""
+    random elementary generators that lies in it is the product u*l*v of its
+    factors, factored as one stack.  The draws alternate two ranges (per step:
+    the position, then the parameter), so they stay a randrange loop, not
+    calculus.randranges, which draws from one."""
     m, n, stack = model.m, model.degree, model.generator_stack
     ok = gauss_cell_membership(model, model.identity()) is not None
     steps = [(rng.randrange(len(stack)), rng.randrange(m)) for _ in range(4 * samples)]

@@ -84,6 +84,11 @@ def root_ids(rel, vecs):
     return rel.index.lookup(arr)
 
 
+def adjacent_ok(idx, ia, ib):
+    """relroots._chains_ok on one pair of ids of a relative index."""
+    return bool(relroots._chains_ok(lambda x, y: idx.add[x, y], np.array([ia]), np.array([ib]))[0])
+
+
 def check_adjacent_simple(rel, a, b):
     """If a, b are simple relative roots with a+b a relative root, then
     a + j*b is a relative root for every j with j*b a relative root."""
@@ -93,12 +98,11 @@ def check_adjacent_simple(rel, a, b):
         raise ValueError("a and b must be simple relative roots")
     if idx.add[ia, ib] < 0:
         raise ValueError("a+b must be a relative root")
-    return relroots._adjacent_ok(idx, ia, ib)
+    return adjacent_ok(idx, ia, ib)
 
 
 def reference_adjacent_ok(idx, ia, ib):
-    """relroots._adjacent_ok by coordinates: one lookup of j*b and of a + j*b
-    per j."""
+    """adjacent_ok by coordinates: one lookup of j*b and of a + j*b per j."""
     va, vb = idx.coords[ia], idx.coords[ib]
     j = 1
     while idx.lookup(j * vb) >= 0:
@@ -114,32 +118,49 @@ def reference_dedupe(keys):
     return np.unique(keys, return_index=True, return_inverse=True)
 
 
+def simple_slot(st, rel, b):
+    """The unit-vector column of a one-datum stack that holds the simple
+    relative root b."""
+    (ib,) = root_ids(rel, [b])
+    if ib < 0 or ib not in st.simple[0]:
+        raise ValueError(f"{b} is not a simple relative root")
+    return int(np.flatnonzero(st.simple[0] == ib)[0])
+
+
+def sigma_masks(rel):
+    """relroots._Stack.sigma_masks of one datum as (len(simple), n) masks, rows in
+    the order of rel.index.simple.  A one-datum stack numbers the relative
+    roots as rel.index does."""
+    st = relroots._Stack([rel])
+    cols = [int(np.flatnonzero(st.simple[0] == ib)[0]) for ib in rel.index.simple]
+    every, some = st.sigma_masks()
+    return every[:, cols].T, some[:, cols].T
+
+
 def sigma_set(rel, b, mode="all"):
     """Parabolic subset attached to a simple relative root b, as a set of
-    tuples: the row of b in the masks of relroots._sigma_masks."""
-    idx = rel.index
-    (ib,) = root_ids(rel, [b])
-    if ib not in idx.simple:
-        raise ValueError(f"{b} is not a simple relative root")
-    every, some = relroots._sigma_masks(rel)
-    mask = (every if mode == "all" else some)[idx.simple.index(ib)]
-    return frozenset(map(tuple, idx.coords[mask].tolist()))
+    tuples: the column of b in the masks of relroots._Stack.sigma_masks."""
+    st = relroots._Stack([rel])
+    j = simple_slot(st, rel, b)
+    every, some = st.sigma_masks()
+    mask = (every if mode == "all" else some)[:, j]
+    return frozenset(map(tuple, rel.index.coords[mask].tolist()))
 
 
 def sigma_properties(rel, b, sigma=None):
-    """relroots._sigma_checks on a simple root b and a set of tuples sigma
+    """relroots._Stack.sigma_checks on a simple root b and a set of tuples sigma
     (by default sigma_set(rel, b)), one verdict per property."""
     if sigma is None:
         sigma = sigma_set(rel, b)
-    idx = rel.index
-    (ib,) = root_ids(rel, [b])
+    st = relroots._Stack([rel])
+    j = simple_slot(st, rel, b)
     ids = root_ids(rel, sorted(sigma))
-    if ib < 0 or (ids < 0).any():
-        raise ValueError("b and the members of sigma must be relative roots")
-    inside = np.zeros(len(idx.coords), dtype=bool)
-    inside[ids] = True
-    checks = relroots._sigma_checks(idx, [int(ib)], inside[None])
-    return {name: bool(ok[0]) for name, ok in checks.items()}
+    if (ids < 0).any():
+        raise ValueError("the members of sigma must be relative roots")
+    inside = np.zeros((len(st.dat), st.simple.shape[1]), dtype=bool)
+    inside[ids, j] = True
+    checks = st.sigma_checks(inside)
+    return {name: bool(ok[0, j]) for name, ok in checks.items()}
 
 
 def check_fiber_additivity(rel, a, b):
@@ -150,7 +171,7 @@ def check_fiber_additivity(rel, a, b):
         if i < 0:
             raise ValueError(f"{v} is not a relative root")
     # mu - nu is a root for mu over a+b and nu over a, so it lies over b.
-    return not relroots._unsplit(rel.index)[ids[2], ids[0]]
+    return not relroots._Stack([rel]).unsplit()[0, ids[2], ids[0]]
 
 
 def unipotent_factor(model, psi, g):

@@ -593,3 +593,19 @@ def test_pair_values_match_per_element_decompositions(model):
                 zero = (0,) * model.v_dim(target)
                 assert got.tolist() == [[list(component_at(chevalley_commutator_decompose(
                     model, a, u, b, v), target) or zero) for v in vs] for u in us]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 7, 64, 1000, 5616, 2 ** 31 + 11])
+@pytest.mark.parametrize("count", [0, 1, 3000])
+def test_randranges_equals_a_randrange_loop(n, count):
+    loop, bulk = random.Random(n * 7 + count), random.Random(n * 7 + count)
+    want = [loop.randrange(n) for _ in range(count)]
+    got = calculus.randranges(bulk, n, count)
+    assert got.dtype == np.int64 and got.tolist() == want
+    assert bulk.getstate() == loop.getstate()
+
+
+@pytest.mark.parametrize("n", [0, 2 ** 32])
+def test_randranges_refuses_a_range_past_one_word(n):
+    with pytest.raises(ValueError, match="0 < n < 2\\*\\*32"):
+        calculus.randranges(random.Random(0), n, 1)

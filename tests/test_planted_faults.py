@@ -7,9 +7,11 @@ fault of the Levi conjugation check, at every case, is in test_calculus."""
 import numpy as np
 import pytest
 
-from chevlat import calculus, cli
+from chevlat import calculus, cli, relroots
 from chevlat.models import GroupModel
 from chevlat.rings import ZmRing
+
+from conftest import adjacent_ok, reference_adjacent_ok
 
 
 def sl(n, m):
@@ -113,3 +115,71 @@ def test_identity_failure_changes_only_its_record(monkeypatch):
         changed = [b[0] for b, a in zip(before, after) if a != b]
         assert changed == ["commutator_identity"]
         assert [a[2] for a in after if a[0] == "commutator_identity"] == [False]
+
+
+def _failing_relroots_records():
+    return {name for name, _, ok, _, _ in cli.relroots_records() if ok is False}
+
+
+def test_a_padded_unit_vector_slot_counted_as_a_root_fails_the_sweep(monkeypatch):
+    # a datum of relative rank k pads its unit-vector slots k..r-1 with -1;
+    # here they name the datum's first root instead, so that root is walked
+    # and checked as one more simple root: the adjacency count fails
+    assert _failing_relroots_records() == set()
+    true = relroots._Stack
+
+    def padded_slots_count(rels):
+        st = true(rels)
+        has_roots = (st.start[1:] > st.start[:-1])[:, None]
+        st.simple = np.where((st.simple < 0) & has_roots, st.start[:-1, None], st.simple)
+        return st
+
+    monkeypatch.setattr(relroots, "_Stack", padded_slots_count)
+    assert _failing_relroots_records() == {"relative_lemma_sweep"}
+    assert relroots.sweep_totals(5)["adjacent_failed"] > 0
+
+
+def test_a_datum_offset_off_by_one_is_stopped_by_the_cover_guard(monkeypatch):
+    # every query of the stack's one sorted search (labels, unit vectors,
+    # cover labels, sums, negations) carries datum d + 1's offset, so it is
+    # answered among the next datum's roots; the last datum's roots are then
+    # not found, which the guard on the cover labels reports
+    true_space, true_find = relroots._key_space, relroots.sorted_find
+    spans = []
+
+    def key_space(*args):
+        weights, span, origin = true_space(*args)
+        spans.append(span)
+        return weights, span, origin
+
+    def next_datum(keys, queries, ids=None):  # only the search right after a key space
+        return true_find(keys, queries + spans.pop() if spans else queries, ids)
+
+    monkeypatch.setattr(relroots, "_key_space", key_space)
+    monkeypatch.setattr(relroots, "sorted_find", next_datum)
+    with pytest.raises(RuntimeError, match="cover projection disagrees with the direct one"):
+        _failing_relroots_records()
+
+
+def test_a_chain_walk_one_step_short_is_a_gap_of_the_sweep(monkeypatch):
+    # The walk stops before the last multiple of b.  No record fails: the
+    # lemma holds on every datum of the sweep, so a weaker walk cannot show
+    # there.  That is a gap of the sweep record, not harmless mathematics;
+    # the walk's comparison with coordinate lookups over every simple a and
+    # every root b (test_adjacent_walk_matches_lookup_reference), failing
+    # chains included, is what catches it.
+    def one_step_short(add, ia, ib):
+        ok = np.ones(len(ia), dtype=bool)
+        live, jb = np.arange(len(ia)), np.asarray(ib)
+        while live.size:
+            nxt = add(jb, ib[live])
+            more = nxt >= 0  # the last multiple is never checked
+            ok[live[more & (add(ia[live], jb) < 0)]] = False
+            live, jb = live[more], nxt[more]
+        return ok
+
+    monkeypatch.setattr(relroots, "_chains_ok", one_step_short)
+    assert _failing_relroots_records() == set()
+    idx = relroots.build_relative(relroots.sweep_data(2)[-1]).index
+    assert any(adjacent_ok(idx, ia, ib) != reference_adjacent_ok(idx, ia, ib)
+               for ia in idx.simple for ib in range(len(idx.coords)))

@@ -1,9 +1,11 @@
 import dataclasses
+import functools
 import itertools
 import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from chevlat import relroots, rootsys
@@ -11,8 +13,8 @@ from chevlat.relroots import RelativeDatum, build_relative, fold
 from chevlat.rootsys import RootSystemType, build_root_system
 
 from conftest import (
-    check_adjacent_simple, check_fiber_additivity, project, reference_adjacent_ok,
-    relative_simple_roots, sigma_properties, sigma_set, unfold,
+    adjacent_ok, check_adjacent_simple, check_fiber_additivity, project, reference_adjacent_ok,
+    relative_simple_roots, sigma_masks, sigma_properties, sigma_set, unfold,
 )
 
 
@@ -259,7 +261,7 @@ def test_adjacent_walk_matches_lookup_reference():
         for ia in idx.simple:
             for ib in range(len(idx.coords)):
                 want = reference_adjacent_ok(idx, ia, ib)
-                assert relroots._adjacent_ok(idx, ia, ib) == want, (datum, ia, ib)
+                assert adjacent_ok(idx, ia, ib) == want, (datum, ia, ib)
                 outcomes.add(want)
     assert outcomes == {True, False}
 
@@ -298,7 +300,7 @@ def test_sigma_forms_differ_on_a_straddling_fiber():
     a2 = sys_of("A", 2)
     bad = dataclasses.replace(a2, gram2=((2, -3), (-3, 2)))
     rel = build_relative(RelativeDatum(bad, frozenset({0}), ()))
-    every, some = relroots._sigma_masks(rel)
+    every, some = sigma_masks(rel)
     assert every.tolist() == [[False, False]] and some.tolist() == [[True, True]]
     assert relroots.check_datum(rel)["sigma_forms_failed"] == 1
 
@@ -411,8 +413,64 @@ def test_check_datum_matches_tuple_reference():
     for datum in data:
         rel = build_relative(datum)
         got = relroots.check_datum(rel)
-        assert got == ref_check_datum(rel), (datum.base.rtype, sorted(datum.J), datum.gamma)
+        assert got == reference_counts(datum), (datum.base.rtype, sorted(datum.J), datum.gamma)
         assert all(type(v) is int for v in got.values())
+
+
+@functools.lru_cache(maxsize=None)
+def reference_counts(datum):
+    return ref_check_datum(build_relative(datum))
+
+
+def by_base(data):
+    stacks = {}
+    for datum in data:
+        stacks.setdefault(datum.base, []).append(datum)
+    return list(stacks.values())
+
+
+def test_each_base_as_one_stack_matches_tuple_reference():
+    # padding, mixed relative ranks (J = {} to the full set), the B5 -> D6 and
+    # C5 -> A9 covers and the 16 E6 reversal data, each base in one stack
+    stacks = by_base(relroots.sweep_data(5))
+    assert len(stacks) == 19
+    for data in stacks:
+        rels = [build_relative(datum) for datum in data]
+        assert len({rel.rank for rel in rels}) > 1
+        got = relroots.check_datum(rels)
+        for datum, counts in zip(data, got):
+            assert counts == reference_counts(datum), (datum.base.rtype, sorted(datum.J))
+        # a stack numbers each datum's roots as its own RelativeIndex does
+        st = relroots._Stack(rels)
+        for d, rel in enumerate(rels):
+            label = rel.index.label
+            assert st.label[d].tolist() == np.where(label >= 0, label + st.start[d], -1).tolist()
+
+
+def test_sweep_makes_one_stacked_call_per_base(monkeypatch):
+    calls = []
+    true = relroots._Stack
+
+    def counted(rels):
+        calls.append(rels)
+        return true(rels)
+
+    monkeypatch.setattr(relroots, "_Stack", counted)
+    relroots.sweep_totals(5)
+    assert len(calls) == len({rels[0].datum.base for rels in calls}) == 19
+    assert sum(map(len, calls)) == 344
+    assert all(len({rel.datum.base for rel in rels}) == 1 for rels in calls)
+
+
+def test_stacked_keys_refuse_an_overflowing_composite():
+    # 2**40 data of base-17 keys of 6 coordinates (E6's reversal data have
+    # bound 8) need 2**40 * 17**6 > 2**63 keys; the guard names the base
+    # before any array is made
+    with pytest.raises(ValueError, match="E6: 1099511627776 stacked data of base-17 keys"):
+        relroots._key_space("E6", 6, 8, 2 ** 40)
+    weights, span, origin = relroots._key_space("E6", 6, 8, 16)
+    assert span == 17 ** 6 and weights.tolist() == [17 ** k for k in range(5, -1, -1)]
+    assert origin.tolist() == [d * span + 8 * sum(weights.tolist()) for d in range(16)]
 
 
 def test_split_table_catches_a_partial_fiber_failure():
@@ -423,6 +481,26 @@ def test_split_table_catches_a_partial_fiber_failure():
     counts = relroots.check_datum(rel)
     assert counts["fiber_failed"] > 0
     assert counts == ref_check_datum(rel)
+
+
+def test_a_modified_base_is_stacked_apart(monkeypatch):
+    # the broken B3 has the type of the real B3 but other roots, so one
+    # check_datum call over both checks it in a stack of its own
+    stacks = []
+    true = relroots._Stack
+
+    def counted(rels):
+        stacks.append(rels)
+        return true(rels)
+
+    monkeypatch.setattr(relroots, "_Stack", counted)
+    real = [build_relative(d) for d in relroots.sweep_data(3)
+            if d.base.rtype == RootSystemType("B", 3)]
+    rels = [*real[:4], broken_b3(), *real[4:]]
+    got = relroots.check_datum(rels)
+    assert [len(s) for s in stacks] == [8, 1] and stacks[1][0] is rels[4]
+    assert got == [ref_check_datum(rel) for rel in rels]
+    assert got[4]["fiber_failed"] > 0
 
 
 def test_a_modified_base_gets_its_own_tables():
