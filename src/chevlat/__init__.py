@@ -3,7 +3,7 @@ with exhaustive desk-scale verification of the sandwich normal structure."""
 
 from .rootsys import RootSystem, RootSystemType, build_root_system
 from .relroots import RelativeDatum, RelativeRootSystem, build_relative, fold
-from .rings import ZmIdeal, ZmRing, jacobson_radical, ring_ideals
+from .rings import divisors, jacobson_radical
 from .models import GroupModel, gauss_cell_membership, hypothesis_check
 from .table import ElementTable
 from .lattice import GroupContext, Subgroup, get_context, sandwich_classify
@@ -18,10 +18,8 @@ __all__ = [
     "RelativeRootSystem",
     "build_relative",
     "fold",
-    "ZmIdeal",
-    "ZmRing",
+    "divisors",
     "jacobson_radical",
-    "ring_ideals",
     "GroupModel",
     "gauss_cell_membership",
     "hypothesis_check",

@@ -160,14 +160,6 @@ def opposed_multiples(alpha: Vec, beta: Vec) -> bool:
     return False
 
 
-def commutator(x: np.ndarray, y: np.ndarray, model: GroupModel) -> np.ndarray:
-    """[x, y] = x^-1 y^-1 x y of two elements or of two (..., n, n) stacks."""
-    m = model.m
-    return mat_mul(
-        mat_mul(model.inverse(x), model.inverse(y), m), mat_mul(x, y, m), m
-    )
-
-
 def commutator_identity_check(model: GroupModel, x, y, z, inverses=None):
     """[x, yz]^(z^-1) = [z^-1, x] [x, y], an identity in any group, each side
     a word in x, y, z and their inverses: (yz)^-1 = z^-1 y^-1, (z^-1)^-1 = z.

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 
 from . import calculus, lattice, models, relroots, rootsys
 from .errors import ConfigError, SizeCapError
-from .rings import ZmRing
+from .rings import factorize
 from .table import DEFAULT_CAP, check_bounds
 
 RNG_SEED = 0x5EED
@@ -49,7 +49,7 @@ class ModelSpec:
     expect_violation: bool = False
 
     def build(self) -> models.GroupModel:
-        return models.GroupModel(self.kind, self.degree, ZmRing(self.modulus), self.blocks)
+        return models.GroupModel(self.kind, self.degree, self.modulus, self.blocks)
 
     def expects_violation(self, hyp: models.HypothesisReport) -> bool:
         """The one expectation rule of every suite: a negative control, or a
@@ -275,10 +275,8 @@ def sandwich_records(spec: ModelSpec, cap: int):
         if r.verdict != "unique":
             levels_ok = False
             continue
-        q = next(q for q in ctx.ideals if q.d == r.admissible[0])
-        rep = lattice.verify_level_theorem(
-            ctx, ctx.orbit_closure(r.seed_index), q, r.seed_index
-        )
+        rep = lattice.verify_level_theorem(ctx, ctx.orbit_closure(r.seed_index),
+                                           r.admissible[0], r.seed_index)
         level_reports.append(rep.as_dict())
         levels_ok &= rep.equal
     yield "level_computation", "Theorem cong-N", levels_ok, expect, {"reports": level_reports}
@@ -311,7 +309,7 @@ def sandwich_records(spec: ModelSpec, cap: int):
     yield ("join_compatibility", "Theorem main (ii)", not jc["mismatches"], expect,
            {"checked": jc["checked"], "mismatches": len(jc["mismatches"])})
 
-    if lattice._is_prime(model.m):
+    if factorize(model.m) == {model.m: 1}:
         cl = lattice.verify_centralizer_lemmas(ctx)
         ucf = cl["u_cent_field"]
         yield ("radical_centralizer_in_parabolic", "Lemma u-cent-field", not ucf["failures"],

@@ -47,11 +47,11 @@ every other closure from them:
   closure of the [s, t] when N is the normal closure of S and G = <T>).
   The center is normal too, so cl(rep) is central exactly when rep is.
 
-The bounds G(R,q), C(R,q) and the center are normal in G(R) = E(R), so each
-is decided on the orbit representatives' matrices, and the representatives
-it keeps are its gens.  G(R,q) keeps r = 1 mod q; C(R,q) keeps r when
-g^-1 r g = r mod q for every E generator g, read through g's conjugation
-permutation; the center is C(R,q) of the zero ideal.  That is the preimage
+The bounds take an ideal q = (d) as its generator d | m and are normal in
+G(R) = E(R), so each is decided on the orbit representatives' matrices, and
+the representatives it keeps are its gens.  G(R,q) keeps r = 1 mod d; C(R,q)
+keeps r when g^-1 r g = r mod d for every E generator g, read through g's
+conjugation permutation; the center is C(R,q) of d = m.  That is the preimage
 of the center of G(R/q), with no table of G(R/q), because the image of G(R)
 has N / |G(R,q)| elements, the order of G(R/q).
 
@@ -79,7 +79,7 @@ from .models import (
     order_formula,
     scheme_center_elements,
 )
-from .rings import ZmIdeal, jacobson_radical, ring_ideals
+from .rings import divisors, factorize, jacobson_radical
 from .table import DEFAULT_CAP, ElementTable, matrix_keys
 
 Vec = tuple[int, ...]
@@ -331,8 +331,8 @@ class GroupContext:
         return GroupContext(self.model.with_blocks(blocks), self.cap, closures=self.closures)
 
     @property
-    def ideals(self) -> list[ZmIdeal]:
-        return ring_ideals(self.model.ring)
+    def ideals(self) -> list[int]:
+        return divisors(self.model.m)
 
     def _memo(self, key, fn):
         if key not in self._cache:
@@ -353,40 +353,40 @@ class GroupContext:
         orbits = self.orbits()
         return Subgroup(orbits, np.ones(len(orbits.reps), dtype=bool), self.table.gen_idxs.tolist())
 
-    def congruence(self, q: ZmIdeal) -> Subgroup:
-        """G(R,q): the orbits whose representative is the identity mod q."""
+    def congruence(self, d: int) -> Subgroup:
+        """G(R,q), q = (d): the orbits whose representative is the identity mod d."""
 
         def build():
             eye = np.eye(self.table.n, dtype=np.int64)
             return self._orbit_union(
-                (self.table.mat(self.orbits().reps) % q.d == eye % q.d).all(axis=(1, 2)))
+                (self.table.mat(self.orbits().reps) % d == eye % d).all(axis=(1, 2)))
 
-        return self._memo(("congruence", q.d), build)
+        return self._memo(("congruence", d), build)
 
     def center(self) -> Subgroup:
-        """C(R,q) of the zero ideal: the elements commuting with the E generators."""
-        return self.full_congruence(ZmIdeal(self.model.ring, self.model.m))
+        """C(R,q) of the zero ideal d = m: the elements commuting with the E generators."""
+        return self.full_congruence(self.model.m)
 
-    def full_congruence(self, q: ZmIdeal) -> Subgroup:
-        """C(R,q), the preimage of the center of G(R/q): the orbits whose
-        representative r has g^-1 r g = r mod q for every E generator g.  The
-        image of G(R) in G(R/q) has order N / |G(R,q)|; that order must equal
-        the order formula over R/q, so the map is onto and commuting with the
-        images of the generators is being central in G(R/q)."""
+    def full_congruence(self, d: int) -> Subgroup:
+        """C(R,q) of q = (d), the preimage of the center of G(R/q): the orbits
+        whose representative r has g^-1 r g = r mod d for every E generator g.
+        The image of G(R) in G(R/q) has order N / |G(R,q)|; that order must
+        equal the order formula over R/q, so the map is onto and commuting
+        with the images of the generators is being central in G(R/q)."""
 
         def build():
-            image, want = self.table.N // self.congruence(q).order, order_formula(self.model, q.d)
+            image, want = self.table.N // self.congruence(d).order, order_formula(self.model, d)
             if image != want:
-                raise RuntimeError(f"{self.model.name()}: the image mod {q.d} has {image} "
-                                   f"elements, the order formula over Z/{q.d} gives {want}")
+                raise RuntimeError(f"{self.model.name()}: the image mod {d} has {image} "
+                                   f"elements, the order formula over Z/{d} gives {want}")
             reps = np.asarray(self.orbits().reps)
-            rep_mats = self.table.mat(reps) % q.d
+            rep_mats = self.table.mat(reps) % d
             keep = np.ones(len(reps), dtype=bool)
             for perm in self.table.egen_conj_perms():
-                keep &= (self.table.mat(perm.take(reps)) % q.d == rep_mats).all(axis=(1, 2))
+                keep &= (self.table.mat(perm.take(reps)) % d == rep_mats).all(axis=(1, 2))
             return self._orbit_union(keep)
 
-        return self._memo(("full_congruence", q.d), build)
+        return self._memo(("full_congruence", d), build)
 
     def root_element_indices(self) -> dict[Vec, tuple[list[Vec], np.ndarray]]:
         """For each relative root, all values v with the index of X_alpha(v)."""
@@ -399,19 +399,19 @@ class GroupContext:
 
         return self._memo("root_elements", build)
 
-    def relative_elementary(self, q: ZmIdeal) -> Subgroup:
-        """Normal closure in E of the q-valued relative root elements, read off
-        the cached root elements."""
-        return self._memo(("relative_elementary", q.d), lambda: self.closure_of([
+    def relative_elementary(self, d: int) -> Subgroup:
+        """E(R,q) of q = (d): the normal closure in E of the relative root
+        elements with values in (d), read off the cached root elements."""
+        return self._memo(("relative_elementary", d), lambda: self.closure_of([
             i for vs, idxs in self.root_element_indices().values()
-            for v, i in zip(vs, idxs.tolist()) if any(v) and not any(c % q.d for c in v)]))
+            for v, i in zip(vs, idxs.tolist()) if any(v) and not any(c % d for c in v)]))
 
     def sandwich_ideals(self, sub: Subgroup) -> list[int]:
         """Generators d of the ideals q with E(R,q) <= sub <= C(R,q), decided
         once per distinct subgroup; each call returns a fresh list."""
         return list(self._memo(("sandwich", sub.mask.tobytes()), lambda: [
-            q.d for q in self.ideals
-            if self.relative_elementary(q).issubset(sub) and sub.issubset(self.full_congruence(q))
+            d for d in self.ideals
+            if self.relative_elementary(d).issubset(sub) and sub.issubset(self.full_congruence(d))
         ]))
 
     def orbits(self) -> EOrbits:
@@ -479,28 +479,28 @@ def enormal_lattice(ctx: GroupContext) -> list[tuple[Subgroup, list[int]]]:
     return [(sub, ctx.sandwich_ideals(sub)) for sub in ordered]
 
 
-def verify_level_theorem(ctx: GroupContext, sub: Subgroup, q: ZmIdeal,
+def verify_level_theorem(ctx: GroupContext, sub: Subgroup, d: int,
                          seed_index: int = -1) -> LevelReport:
-    """H cap X_alpha(V_alpha) = X_alpha(q V_alpha) for every relative root."""
+    """H cap X_alpha(V_alpha) = X_alpha(q V_alpha), q = (d), for every relative root."""
     ids = ctx.orbits().ids
     per_root = []
     equal = True
     for alpha, (vs, idxs) in ctx.root_element_indices().items():
         got = {v for v, inside in zip(vs, sub.mask[ids.take(idxs)]) if inside}
-        want = set(ctx.model.v_tuples(alpha, q))
+        want = set(ctx.model.v_tuples(alpha, d))
         per_root.append((str(alpha), len(got), len(want)))
         equal &= got == want
-    return LevelReport(seed_index=seed_index, level=q.d, per_root=per_root, equal=equal)
+    return LevelReport(seed_index=seed_index, level=d, per_root=per_root, equal=equal)
 
 
 def verify_commutator_formula(ctx: GroupContext) -> list[dict]:
     """[G(R,q), E(R)] = E(R,q) for every ideal q, from the orbit
     representatives in G(R,q) and the E generators (see the module notes)."""
     out = []
-    for q in ctx.ideals:
-        comm = ctx.commutator_subgroup(ctx.congruence(q).gens)
-        rel = ctx.relative_elementary(q)
-        out.append({"ideal": q.d, "commutator_order": comm.order,
+    for d in ctx.ideals:
+        comm = ctx.commutator_subgroup(ctx.congruence(d).gens)
+        rel = ctx.relative_elementary(d)
+        out.append({"ideal": d, "commutator_order": comm.order,
                     "relative_elementary_order": rel.order, "equal": comm == rel})
     return out
 
@@ -512,9 +512,9 @@ def verify_parabolic_independence(ctx: GroupContext, other_blocks) -> list[dict]
     results = []
     for blocks in other_blocks:
         sib = ctx.sibling(tuple(blocks))
-        for q in ctx.ideals:
-            equal = ctx.relative_elementary(q) == sib.relative_elementary(q)
-            results.append({"ideal": q.d, "blocks": list(blocks), "equal": equal})
+        for d in ctx.ideals:
+            equal = ctx.relative_elementary(d) == sib.relative_elementary(d)
+            results.append({"ideal": d, "blocks": list(blocks), "equal": equal})
     return results
 
 
@@ -574,7 +574,7 @@ def verify_unipotent_extraction(ctx: GroupContext) -> dict:
     """Every noncentral orbit closure contains a root unipotent; the same
     holds for closures meeting the radical congruence subgroup noncentrally."""
     center = ctx.center().mask
-    rad = ctx.congruence(jacobson_radical(ctx.model.ring)).mask
+    rad = ctx.congruence(jacobson_radical(ctx.model.m)).mask
     reps = np.asarray(ctx.orbits().reps)[~center].tolist()
     failures, rad_failures = [], []
     for rep in reps:
@@ -589,7 +589,7 @@ def verify_unipotent_extraction(ctx: GroupContext) -> dict:
 
 def simplicity_check(ctx: GroupContext) -> dict:
     """Over a prime field: every noncentral normal closure is everything."""
-    if not _is_prime(ctx.model.m):
+    if factorize(ctx.model.m) != {ctx.model.m: 1}:
         raise ValueError("simplicity check runs over prime fields only")
     noncentral = ~ctx.center().mask
     orbits, full = ctx.orbits(), ctx.table.N
@@ -597,10 +597,6 @@ def simplicity_check(ctx: GroupContext) -> dict:
                 if ctx.orbit_closure(rep).order != full]
     return {"noncentral_elements": int(orbits.sizes[noncentral].sum()), "group_order": full,
             "failures": failures}
-
-
-def _is_prime(m: int) -> bool:
-    return m >= 2 and all(m % d for d in range(2, int(m**0.5) + 1))
 
 
 def join_compatibility(ctx: GroupContext, pairs: int, rng) -> dict:

@@ -32,8 +32,8 @@ import numpy as np
 from . import relroots, rootsys
 from .errors import SizeCapError, TableBoundError
 from .rings import (
-    ZmIdeal, ZmRing, adjugate_int, det_int, factorize, first_row_cofactors, identity_mat,
-    mat_mul, unit_inverses,
+    adjugate_int, det_int, factorize, first_row_cofactors, identity_mat, mat_mul,
+    unit_inverses,
 )
 
 Vec = tuple[int, ...]
@@ -84,12 +84,16 @@ def _fiber_order(fiber, positive: bool) -> list[Vec]:
 
 @dataclass(frozen=True)
 class GroupModel:
+    """SL_n or Sp_4 over Z/m with a parabolic; an ideal of Z/m is its generator d | m."""
+
     kind: str  # "SL" or "Sp"
     degree: int
-    ring: ZmRing
+    m: int
     blocks: tuple  # composition of degree for SL; parabolic name for Sp
 
     def __post_init__(self):
+        if self.m < 2:
+            raise ValueError("modulus must be at least 2")
         if self.kind == "SL":
             if self.degree < 2:
                 raise ValueError("SL needs degree >= 2")
@@ -105,19 +109,11 @@ class GroupModel:
         else:
             raise ValueError(f"unknown kind {self.kind!r}")
 
-    @property
-    def m(self) -> int:
-        return self.ring.modulus
-
-    @property
-    def n(self) -> int:
-        return self.degree
-
     def name(self) -> str:
         return f"{self.kind}{self.degree}(Z/{self.m})[{self.blocks}]"
 
     def with_blocks(self, blocks) -> "GroupModel":
-        return GroupModel(self.kind, self.degree, self.ring, blocks)
+        return GroupModel(self.kind, self.degree, self.m, blocks)
 
     # -- absolute and relative root data ------------------------------------
 
@@ -181,9 +177,8 @@ class GroupModel:
             return self.blocks[i] * self.blocks[j]
         return len(self._sp_relative.fiber(alpha))
 
-    def v_tuples(self, alpha: Vec, ideal: ZmIdeal | None = None):
-        vals = ideal.elements() if ideal is not None else range(self.m)
-        return itertools.product(vals, repeat=self.v_dim(alpha))
+    def v_tuples(self, alpha: Vec, d: int = 1):
+        return itertools.product(range(0, self.m, d), repeat=self.v_dim(alpha))
 
     def v_basis(self, alpha: Vec) -> list[Vec]:
         d = self.v_dim(alpha)
@@ -487,7 +482,7 @@ def hypothesis_check(model: GroupModel) -> HypothesisReport:
 
 
 def order_formula(model: GroupModel, m: int | None = None) -> int:
-    """Exact order of the model's group over Z/m (by default its own ring;
+    """Exact order of the model's group over Z/m (by default the model's m;
     1 for m = 1), multiplicative over the prime powers of m."""
     return math.prod(_prime_power_order(model, p, k)
                      for p, k in factorize(model.m if m is None else m).items())

@@ -1,16 +1,18 @@
-"""The rings Z/m, their ideal lattice, and exact modular matrix arithmetic."""
+"""The rings Z/m, their ideals, and exact modular matrix arithmetic.  Every
+ideal of Z/m is (d) for exactly one d | m and is written as that generator
+d: 1 is the unit ideal, m the zero ideal, and (d) holds range(0, m, d)."""
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
 
-def _divisors(m: int) -> list[int]:
-    return sorted(d for d in range(1, m + 1) if m % d == 0)
+def divisors(m: int) -> list[int]:
+    """The ideals of Z/m as their generators d | m, increasing."""
+    return [d for d in range(1, m + 1) if m % d == 0]
 
 
 def factorize(m: int) -> dict[int, int]:
@@ -26,49 +28,10 @@ def factorize(m: int) -> dict[int, int]:
     return out
 
 
-@dataclass(frozen=True)
-class ZmRing:
-    modulus: int
-
-    def __post_init__(self):
-        if self.modulus < 2:
-            raise ValueError("modulus must be at least 2")
-
-    def __str__(self):
-        return f"Z/{self.modulus}"
-
-
-@dataclass(frozen=True)
-class ZmIdeal:
-    """The ideal (d) of Z/m; d = m encodes the zero ideal, d = 1 the unit ideal."""
-
-    ring: ZmRing
-    d: int
-
-    def __post_init__(self):
-        if self.ring.modulus % self.d != 0 or not 1 <= self.d <= self.ring.modulus:
-            raise ValueError(f"{self.d} does not divide {self.ring.modulus}")
-
-    def elements(self) -> list[int]:
-        return list(range(0, self.ring.modulus, self.d))
-
-    def __add__(self, other: "ZmIdeal") -> "ZmIdeal":
-        return ZmIdeal(self.ring, math.gcd(self.d, other.d))
-
-    def issubset(self, other: "ZmIdeal") -> bool:
-        return self.d % other.d == 0
-
-    def __str__(self):
-        return f"({self.d})"
-
-
-def ring_ideals(ring: ZmRing) -> list[ZmIdeal]:
-    return [ZmIdeal(ring, d) for d in _divisors(ring.modulus)]
-
-
-def jacobson_radical(ring: ZmRing) -> ZmIdeal:
-    """Generated by the product of the distinct primes dividing the modulus."""
-    return ZmIdeal(ring, math.prod(factorize(ring.modulus)))
+def jacobson_radical(m: int) -> int:
+    """The Jacobson radical of Z/m, generated by the product of the distinct
+    primes dividing m."""
+    return math.prod(factorize(m))
 
 
 # -- exact matrix arithmetic mod m ------------------------------------------

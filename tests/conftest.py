@@ -7,18 +7,18 @@ import pytest
 
 from chevlat import calculus, lattice, models, relroots
 from chevlat.errors import TheoremViolation
-from chevlat.rings import ZmIdeal, ZmRing, adjugate_int, det_int, mat_mul, unit_inverses
+from chevlat.rings import adjugate_int, det_int, mat_mul, unit_inverses
 
 
 # The models on which the stacked calculus and centralizer readers are
 # compared with their per-element references; Sp4(Z/2) is the negative
 # control, where the references find counterexamples.
 REFERENCE_MODELS = [
-    models.GroupModel("SL", 3, ZmRing(m), (1, 1, 1)) for m in (2, 3, 4, 9)
+    models.GroupModel("SL", 3, m, (1, 1, 1)) for m in (2, 3, 4, 9)
 ] + [
-    models.GroupModel("SL", 4, ZmRing(2), (1, 1, 1, 1)),
-    models.GroupModel("Sp", 4, ZmRing(3), "borel"),
-    models.GroupModel("Sp", 4, ZmRing(2), "borel"),
+    models.GroupModel("SL", 4, 2, (1, 1, 1, 1)),
+    models.GroupModel("Sp", 4, 3, "borel"),
+    models.GroupModel("Sp", 4, 2, "borel"),
 ]
 
 
@@ -34,7 +34,7 @@ def unfold(sys):
 
 def ctx_for(kind, degree, m, blocks):
     """Contexts are cached process-wide, so tests share element tables."""
-    return lattice.get_context(models.GroupModel(kind, degree, ZmRing(m), blocks))
+    return lattice.get_context(models.GroupModel(kind, degree, m, blocks))
 
 
 def index_of(table, mat):
@@ -58,10 +58,9 @@ def units(m):
     return [a for a in range(1, m) if math.gcd(a, m) == 1]
 
 
-def ideal_generated_by(ring, x):
-    """The ideal (x) of Z/m, as (gcd(x, m))."""
-    g = math.gcd(x % ring.modulus, ring.modulus)
-    return ZmIdeal(ring, g if g else ring.modulus)
+def ideal_generated_by(m, x):
+    """The ideal (x) of Z/m as its generator gcd(x, m), m for the zero ideal."""
+    return math.gcd(x % m, m) or m
 
 
 def relative_simple_roots(rel):
@@ -231,6 +230,12 @@ def reference_cone_degrees(model, alpha, beta):
     return {g: ij[0] for g, ij in reps.items() if len(ij) == 1}
 
 
+def commutator(x, y, model):
+    """[x, y] = x^-1 y^-1 x y of two elements or of two (..., n, n) stacks."""
+    m = model.m
+    return mat_mul(mat_mul(model.inverse(x), model.inverse(y), m), mat_mul(x, y, m), m)
+
+
 def chevalley_commutator_decompose(model, alpha, u, beta, v):
     """[X_alpha(u), X_beta(v)] factored over {i*alpha + j*beta}: (root,
     value) pairs with nonzero value, in canonical order."""
@@ -239,7 +244,7 @@ def chevalley_commutator_decompose(model, alpha, u, beta, v):
     if calculus.opposed_multiples(alpha, beta):
         raise ValueError("opposite multiples are excluded")
     cone = calculus._pair_cone(model, alpha, beta)
-    c = calculus.commutator(model.x(alpha, u), model.x(beta, v), model)
+    c = commutator(model.x(alpha, u), model.x(beta, v), model)
     if not cone:
         if not (c == model.identity()).all():
             raise RuntimeError("commutator is not trivial over an empty cone")
@@ -416,10 +421,10 @@ def reference_elements_on(model, support, chunk=8192):
     return np.concatenate(found)
 
 
-def reference_congruence(ctx, q):
-    """G(R,q) from the matrices: every entry of mats % d against the identity mod d."""
+def reference_congruence(ctx, d):
+    """G(R,q), q = (d), from the matrices: every entry of mats % d against the identity mod d."""
     eye = np.eye(ctx.table.n, dtype=np.int64)
-    return (ctx.table.mat(np.arange(ctx.table.N)) % q.d == eye % q.d).all(axis=(1, 2))
+    return (ctx.table.mat(np.arange(ctx.table.N)) % d == eye % d).all(axis=(1, 2))
 
 
 def reference_center(ctx):
@@ -431,18 +436,18 @@ def reference_center(ctx):
     return member
 
 
-def reference_full_congruence(ctx, q):
-    """C(R,q) by its definition: the preimage of the center of G(R/q), with
-    the center taken on the quotient's own element table and every element
-    looked up there by its matrix mod q."""
-    if q.d == 1:
+def reference_full_congruence(ctx, d):
+    """C(R,q) of q = (d) by its definition: the preimage of the center of
+    G(R/q), with the center taken on the quotient's own element table and
+    every element looked up there by its matrix mod d."""
+    if d == 1:
         return np.ones(ctx.table.N, dtype=bool)
-    if q.d == ctx.model.m:
+    if d == ctx.model.m:
         return reference_center(ctx)
     model = ctx.model
     qctx = lattice.get_context(
-        models.GroupModel(model.kind, model.degree, ZmRing(q.d), model.blocks), ctx.cap)
-    reduced = qctx.table.lookup(ctx.table.mat(np.arange(ctx.table.N)) % q.d)
+        models.GroupModel(model.kind, model.degree, d, model.blocks), ctx.cap)
+    reduced = qctx.table.lookup(ctx.table.mat(np.arange(ctx.table.N)) % d)
     assert (reduced >= 0).all()
     return reference_center(qctx)[reduced]
 

@@ -6,21 +6,20 @@ import pytest
 from chevlat import calculus
 from chevlat.errors import SizeCapError, TableBoundError, TheoremViolation
 from chevlat.models import GroupModel
-from chevlat.rings import ZmRing
 
 from conftest import (
-    REFERENCE_MODELS, chevalley_commutator_decompose, component_at, reference_chart,
+    REFERENCE_MODELS, chevalley_commutator_decompose, commutator, component_at, reference_chart,
     reference_cone_degrees, reference_levi_conjugation_check, reference_pair_cone,
     reference_pairing_sweep, unipotent_factor,
 )
 
 
 def sl(n, m, blocks=None):
-    return GroupModel("SL", n, ZmRing(m), blocks or (1,) * n)
+    return GroupModel("SL", n, m, blocks or (1,) * n)
 
 
 def sp(m, blocks="line"):
-    return GroupModel("Sp", 4, ZmRing(m), blocks)
+    return GroupModel("Sp", 4, m, blocks)
 
 
 def test_unipotent_factor_example():
@@ -462,7 +461,7 @@ def test_off_chart_pair_is_reported_only_without_an_earlier_failure(model, monke
     pairs = _pairs(model)
     # the pairs where some commutator of basis root elements is not trivial
     moving = [p for p, (a, b) in enumerate(pairs) if any(
-        (calculus.commutator(model.x(a, e), model.x(b, f), model) != model.identity()).any()
+        (commutator(model.x(a, e), model.x(b, f), model) != model.identity()).any()
         for e in model.v_basis(a) for f in model.v_basis(b))]
     first, last = moving[0], moving[-1]
     # off its chart at the first such pair, with or without a later failure

@@ -189,6 +189,12 @@ def test_main_refuses_model_specs_it_cannot_build(argv, capsys):
     assert "config error: cannot build" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("mod", ["0", "1"])
+def test_main_refuses_a_modulus_below_two(mod, capsys):
+    assert cli.main(["sandwich", "--model", "SL3", "--mod", mod]) == 2
+    assert capsys.readouterr().err == "config error: cannot build SL3: modulus must be at least 2\n"
+
+
 def test_parse_config_refuses_model_specs_it_cannot_build():
     with pytest.raises(ConfigError, match="only Sp_4 is modeled"):
         cli.parse_config(b"[model]\nname = Sp6\nmod = 3\n")

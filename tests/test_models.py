@@ -21,18 +21,18 @@ from chevlat.models import (
     scan_on,
     scheme_center_elements,
 )
-from chevlat.rings import ZmRing, det_int, mat_mul
+from chevlat.rings import det_int, mat_mul
 from chevlat.table import _SCAN_LIMIT, matrix_keys
 
 from conftest import mat_inverse_mod, reference_elements_on, units
 
 
 def sl(n, m, blocks=None):
-    return GroupModel("SL", n, ZmRing(m), blocks or (1,) * n)
+    return GroupModel("SL", n, m, blocks or (1,) * n)
 
 
 def sp(m, blocks="borel"):
-    return GroupModel("Sp", 4, ZmRing(m), blocks)
+    return GroupModel("Sp", 4, m, blocks)
 
 
 def test_elementary_generator_examples():
@@ -192,7 +192,7 @@ def reference_levi_elements(model):
         for combo in itertools.product(*per_block):
             if math.prod(d for _, d in combo) % m != 1:
                 continue
-            g = np.zeros((model.n, model.n), dtype=np.int64)
+            g = np.zeros((model.degree, model.degree), dtype=np.int64)
             for i, (b, _) in enumerate(combo):
                 r = model.block_range(i)
                 g[r.start:r.stop, r.start:r.stop] = b
@@ -248,7 +248,7 @@ def loop_in_parabolic(model, g, negative=False):
     block = [b for b, size in enumerate(model.block_sizes) for _ in range(size)]
     return model.is_element(g) and not any(
         (block[r] < block[c] if negative else block[r] > block[c]) and g[r, c] % model.m
-        for r in range(model.n) for c in range(model.n)
+        for r in range(model.degree) for c in range(model.degree)
     )
 
 
@@ -260,7 +260,7 @@ def test_stacked_parabolic_tests_match_the_entry_loop(model):
     words = pool[rng.integers(len(pool), size=(200, 2))]
     products = (words[:, 0] @ words[:, 1]) % model.m
     member, u, l, v = gauss_cell_factors(model, products)
-    others = rng.integers(0, model.m, size=(100, model.n, model.n))
+    others = rng.integers(0, model.m, size=(100, model.degree, model.degree))
     stack = np.concatenate([products, u[member], l[member], v[member], others])
     for negative in (False, True):
         got = model.in_parabolic(stack, negative=negative)
@@ -302,7 +302,7 @@ def test_gauss_roundtrip_draws_like_the_sample_loop(model):
 
 def test_elements_on_everything_is_the_table(sl3_2, sp4_2):
     for ctx in (sl3_2, sp4_2):
-        n, t = ctx.model.n, ctx.table
+        n, t = ctx.model.degree, ctx.table
         scanned = elements_on(ctx.model, np.ones((n, n), dtype=bool))
         assert np.array_equal(np.sort(matrix_keys(scanned, t.m)),
                               np.sort(matrix_keys(t.mat(np.arange(t.N)), t.m)))
@@ -327,7 +327,7 @@ def assert_scan_matches_reference(model, support):
 
 @pytest.mark.parametrize("model", SCANNED_DEFAULTS + [sl(2, 3)], ids=lambda m: m.name())
 def test_elements_on_full_support_matches_the_reference_scan(model):
-    assert_scan_matches_reference(model, np.ones((model.n, model.n), dtype=bool))
+    assert_scan_matches_reference(model, np.ones((model.degree, model.degree), dtype=bool))
 
 
 def test_scanned_defaults_are_the_table_cross_checked_models():
@@ -346,7 +346,7 @@ EMPTY_FIRST_MODELS = [sl(3, 3), sl(4, 2, (2, 2)), sp(3), sp(3, "siegel")]
 
 def supports_without_the_first_row_or_column(model):
     """The full and the Levi support with the first row (SL) or column (Sp) emptied."""
-    for support in (np.ones((model.n, model.n), dtype=bool), levi_support(model)):
+    for support in (np.ones((model.degree, model.degree), dtype=bool), levi_support(model)):
         support = support.copy()
         if model.kind == "SL":
             support[0] = False
@@ -362,7 +362,7 @@ def test_elements_on_with_nothing_in_the_first_row_or_column(model):
     for support in supports_without_the_first_row_or_column(model):
         if model.m ** support.sum() <= 10**5:
             assert_scan_matches_reference(model, support)
-        assert elements_on(model, support).shape == (0, model.n, model.n)
+        assert elements_on(model, support).shape == (0, model.degree, model.degree)
 
 
 def parabolic_support(model):
@@ -374,7 +374,7 @@ def parabolic_support(model):
 # of a few models: supports that are not symmetric, where the keys of the
 # transposes would differ
 REFERENCE_SCAN_CASES = (
-    [(model, np.ones((model.n, model.n), dtype=bool), "full")
+    [(model, np.ones((model.degree, model.degree), dtype=bool), "full")
      for model in SCANNED_DEFAULTS + [sl(2, 3)]]
     + [(model, levi_support(model), "levi") for model in LEVI_CASES]
     + [(model, support, f"first-emptied-{i}") for model in EMPTY_FIRST_MODELS
@@ -420,15 +420,23 @@ def test_scheme_center():
     assert len(scheme_center_elements(sl(2, 7, (1, 1)))) == 2
 
 
+def test_modulus_one_rejected():
+    # the modulus is outside input (--mod, [model] mod), checked before anything else
+    for m in (0, 1):
+        for args in (("SL", 3, m, (1, 1, 1)), ("Sp", 6, m, "weird")):
+            with pytest.raises(ValueError, match="^modulus must be at least 2$"):
+                GroupModel(*args)
+
+
 def test_block_validation():
     with pytest.raises(ValueError):
-        GroupModel("SL", 3, ZmRing(4), (3,))  # no proper parabolic
+        GroupModel("SL", 3, 4, (3,))  # no proper parabolic
     with pytest.raises(ValueError):
-        GroupModel("SL", 3, ZmRing(4), (2, 2))
+        GroupModel("SL", 3, 4, (2, 2))
     with pytest.raises(ValueError):
-        GroupModel("Sp", 4, ZmRing(3), "weird")
+        GroupModel("Sp", 4, 3, "weird")
     with pytest.raises(ValueError):
-        GroupModel("Sp", 6, ZmRing(3), "borel")
+        GroupModel("Sp", 6, 3, "borel")
 
 
 def test_rel_roots_match_block_picture():
@@ -485,7 +493,7 @@ def test_inverse_and_membership_on_stacks(sl3_4, sp4_3):
     for ctx in (sl3_4, sp4_3):
         model, t = ctx.model, ctx.table
         elements = t.mat(rng.integers(0, t.N, size=24))
-        others = rng.integers(0, model.m, size=(24, model.n, model.n))
+        others = rng.integers(0, model.m, size=(24, model.degree, model.degree))
         stack = np.stack([elements, others])  # a (2, 24, n, n) stack
         member = model.is_element(stack)
         assert member.shape == (2, 24) and member[0].all()
@@ -494,5 +502,5 @@ def test_inverse_and_membership_on_stacks(sl3_4, sp4_3):
         inv = model.inverse(elements)
         for g, gi in zip(elements, inv):
             assert (gi == model.inverse(g)).all()
-            assert ((g @ gi) % model.m == np.eye(model.n, dtype=np.int64)).all()
+            assert ((g @ gi) % model.m == np.eye(model.degree, dtype=np.int64)).all()
         assert (model.inverse(stack[None])[0, 0] == inv).all()

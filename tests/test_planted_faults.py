@@ -7,19 +7,18 @@ fault of the Levi conjugation check, at every case, is in test_calculus."""
 import numpy as np
 import pytest
 
-from chevlat import calculus, cli, relroots
+from chevlat import calculus, cli, lattice, relroots
 from chevlat.models import GroupModel
-from chevlat.rings import ZmRing
 
 from conftest import adjacent_ok, reference_adjacent_ok
 
 
 def sl(n, m):
-    return GroupModel("SL", n, ZmRing(m), (1,) * n)
+    return GroupModel("SL", n, m, (1,) * n)
 
 
 def sp(m, blocks="line"):
-    return GroupModel("Sp", 4, ZmRing(m), blocks)
+    return GroupModel("Sp", 4, m, blocks)
 
 
 @pytest.fixture
@@ -183,3 +182,68 @@ def test_a_chain_walk_one_step_short_is_a_gap_of_the_sweep(monkeypatch):
     idx = relroots.build_relative(relroots.sweep_data(2)[-1]).index
     assert any(adjacent_ok(idx, ia, ib) != reference_adjacent_ok(idx, ia, ib)
                for ia in idx.simple for ib in range(len(idx.coords)))
+
+
+# -- the ideal lattice: an ideal of Z/m is its generator d | m ----------------
+
+# every default model but the Sp4(Z/2) control, whose failures are expected
+HOLDING = [spec.build().name() for spec in cli.DEFAULT_MODELS if not spec.expect_violation]
+
+
+def _sandwich_run(monkeypatch):
+    """The sandwich suite on the default models, with its exit code and the
+    models on which each record fails.  It runs on fresh contexts: the
+    element tables and their closures depend on the group only and stay
+    shared, but no ideal data cached before the fault was planted is read."""
+    monkeypatch.setattr(lattice, "_CONTEXTS", {})
+    report, code = cli.run(cli.RunConfig(suite="sandwich"))
+    failing = {}
+    for check in report["checks"]:
+        if check["verdict"] == "fail":
+            failing.setdefault(check["name"], []).append(check["model"])
+    return code, failing, report["checks"]
+
+
+@pytest.mark.parametrize("drop, failing", [
+    (slice(1, None), ["sandwich_classification", "level_computation", "join_compatibility"]),
+    (slice(None, -1), ["sandwich_classification", "level_computation"]),
+], ids=["without the unit ideal", "without the zero ideal"])
+def test_a_missing_ideal_fails_the_sandwich_records(drop, failing, monkeypatch):
+    # without (1) the whole group has no sandwich, and the joins that reach
+    # it have no level; without (m) the trivial subgroup has none
+    assert _sandwich_run(monkeypatch)[:2] == (0, {})
+    true = lattice.divisors
+    monkeypatch.setattr(lattice, "divisors", lambda m: true(m)[drop])
+    assert _sandwich_run(monkeypatch)[:2] == (1, {name: HOLDING for name in failing})
+
+
+def test_v_tuples_ignoring_the_ideal_fails_the_level_computation(monkeypatch):
+    true = GroupModel.v_tuples
+    monkeypatch.setattr(GroupModel, "v_tuples", lambda self, alpha, d=1: true(self, alpha))
+    assert _sandwich_run(monkeypatch)[:2] == (1, {"level_computation": HOLDING})
+
+
+@pytest.mark.parametrize("radical, moves_control", [(lambda m: m, False), (lambda m: 1, True)],
+                         ids=["zero ideal", "unit ideal"])
+def test_a_wrong_jacobson_radical_is_a_gap_of_the_sandwich_suite(radical, moves_control,
+                                                                 monkeypatch):
+    # No verdict changes: this is a gap, not harmless mathematics.
+    # verify_unipotent_extraction reads the radical only for closures that
+    # already lack a root unipotent, and no closure of a model inside the
+    # hypotheses does.  The Sp4(Z/2) control has such closures, but Z/2 is a
+    # field, so its radical is the zero ideal, and the unit ideal only moves
+    # every one of them into the witness's radical_failures.
+    _, _, clean = _sandwich_run(monkeypatch)
+    monkeypatch.setattr(lattice, "jacobson_radical", radical)
+    code, failing, checks = _sandwich_run(monkeypatch)
+    assert (code, failing) == (0, {})
+    changed = [(b["name"], b["model"]) for a, b in zip(clean, checks) if a != b]
+    if not moves_control:
+        assert changed == []
+        return
+    assert changed == [("unipotent_extraction", "Sp4(Z/2)[borel]")]
+    (before,) = [a for a in clean if (a["name"], a["model"]) == changed[0]]
+    (after,) = [b for b in checks if (b["name"], b["model"]) == changed[0]]
+    assert after["verdict"] == before["verdict"] == "expected-exception"
+    assert before["witness"]["radical_failures"] == []
+    assert after["witness"]["radical_failures"] == after["witness"]["failures"] != []

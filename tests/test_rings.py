@@ -1,58 +1,46 @@
 import itertools
 
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chevlat.rings import (
-    ZmIdeal,
-    ZmRing,
-    adjugate_int,
-    det_int,
-    jacobson_radical,
-    ring_ideals,
-    scalar_inverse,
-)
+from chevlat.models import GroupModel
+from chevlat.rings import adjugate_int, det_int, divisors, jacobson_radical, scalar_inverse
 
 from conftest import ideal_generated_by, mat_inverse_mod
 
 
 def test_ring_ideals():
-    assert [q.d for q in ring_ideals(ZmRing(4))] == [1, 2, 4]
-    assert [q.d for q in ring_ideals(ZmRing(6))] == [1, 2, 3, 6]
-    assert [q.d for q in ring_ideals(ZmRing(2))] == [1, 2]
+    # the ideals of Z/m as their generators, from the unit ideal 1 to the zero ideal m
+    assert divisors(2) == [1, 2]
+    assert divisors(4) == [1, 2, 4]
+    assert divisors(6) == [1, 2, 3, 6]
+    assert divisors(12) == [1, 2, 3, 4, 6, 12]
+    assert divisors(7) == [1, 7]
 
 
 def test_jacobson_radical():
-    assert jacobson_radical(ZmRing(4)).d == 2
-    assert jacobson_radical(ZmRing(6)).d == 6  # Z/6 is semisimple: zero ideal
-    assert jacobson_radical(ZmRing(12)).d == 6
+    assert jacobson_radical(2) == 2  # a field: the zero ideal
+    assert jacobson_radical(4) == 2
+    assert jacobson_radical(6) == 6  # Z/6 is semisimple: zero ideal
+    assert jacobson_radical(12) == 6
+    assert jacobson_radical(7) == 7
 
 
 def test_ideal_membership_and_elements():
-    q = ZmIdeal(ZmRing(12), 4)
-    assert q.elements() == [0, 4, 8]
-    assert 8 in q.elements() and 6 not in q.elements()
-    assert ZmIdeal(ZmRing(12), 12).elements() == [0]  # d = m is the zero ideal
-
-
-def test_ideal_sum_is_gcd():
-    ring = ZmRing(12)
-    assert (ZmIdeal(ring, 4) + ZmIdeal(ring, 6)).d == 2
-    assert (ZmIdeal(ring, 12) + ZmIdeal(ring, 3)).d == 3
+    # V_alpha(q) for q = (d) has its entries in range(0, m, d); SL3 with
+    # blocks (1, 2) has a 2-dimensional V_alpha at alpha = (1,)
+    model = GroupModel("SL", 3, 12, (1, 2))
+    vs = list(model.v_tuples((1,), 4))
+    assert {c for v in vs for c in v} == {0, 4, 8} and len(vs) == 9
+    assert list(model.v_tuples((1,), 12)) == [(0, 0)]  # d = m is the zero ideal
+    assert len(list(model.v_tuples((1,)))) == 144  # d = 1 is the unit ideal
 
 
 def test_ideal_generated_by():
-    assert ideal_generated_by(ZmRing(12), 8).d == 4
-    assert ideal_generated_by(ZmRing(12), 0).d == 12
-    assert ideal_generated_by(ZmRing(12), 5).d == 1
-
-
-def test_ideal_inclusion_is_divisibility():
-    ring = ZmRing(12)
-    assert ZmIdeal(ring, 6).issubset(ZmIdeal(ring, 2))
-    assert not ZmIdeal(ring, 2).issubset(ZmIdeal(ring, 6))
+    assert ideal_generated_by(12, 8) == 4
+    assert ideal_generated_by(12, 0) == 12
+    assert ideal_generated_by(12, 5) == 1
 
 
 def det_by_permutations(mat):
@@ -119,6 +107,3 @@ def test_matrix_inverse_mod(m, data):
         assert ((stack @ invs) % m == np.eye(3, dtype=np.int64)).all()
 
 
-def test_modulus_one_rejected():
-    with pytest.raises(ValueError):
-        ZmRing(1)

@@ -7,7 +7,6 @@ from chevlat import table as table_mod
 from chevlat.cli import DEFAULT_MODELS
 from chevlat.errors import SizeCapError, TableBoundError
 from chevlat.models import GroupModel
-from chevlat.rings import ZmRing
 from chevlat.table import ElementTable, check_bounds, matrix_keys
 
 from conftest import ctx_for, index_of, reference_dedupe
@@ -112,7 +111,7 @@ def test_table_keeps_only_the_generator_conjugations(spec):
     # inverses and one (k, N) int32 array, conjugation by each E generator,
     # and no right multiplication; its conjugations match the matrix products
     kind, degree, m, blocks = spec
-    t = ElementTable(GroupModel(kind, degree, ZmRing(m), blocks))
+    t = ElementTable(GroupModel(kind, degree, m, blocks))
     k = len(t.gen_idxs)
     assert _held(t) == {"rows": (t.N, t.n), "_right": (k, t.N), "_parent": (t.N,), "_gen": (t.N,)}
     perms = t.egen_conj_perms()
@@ -126,7 +125,7 @@ def test_table_keeps_only_the_generator_conjugations(spec):
 
 def test_first_inverse_read_drops_the_tree():
     # the inverses alone leave right multiplication as the BFS wrote it
-    t = ElementTable(GroupModel("SL", 3, ZmRing(2), (1, 1, 1)))
+    t = ElementTable(GroupModel("SL", 3, 2, (1, 1, 1)))
     right = t._right.copy()
     inv = t.inv
     assert _held(t) == {"rows": (t.N, t.n), "_right": right.shape, "inv": (t.N,)}
@@ -141,11 +140,11 @@ def _arrays(t):
 def test_table_has_no_keyspace_sized_array():
     # Sp4(Z/3) has 3**16 possible keys; a direct-address lookup array over
     # them alone took 164 MiB
-    t = ElementTable(GroupModel("Sp", 4, ZmRing(3), "line"))
+    t = ElementTable(GroupModel("Sp", 4, 3, "line"))
     assert sum(a.nbytes for a in _arrays(t)) < 16 * 2**20
     # only a key space within the predicate scan's bound gets a dense index
     for m, dense in ((4, True), (5, False)):
-        t = ElementTable(GroupModel("SL", 3, ZmRing(m), (1, 1, 1)))
+        t = ElementTable(GroupModel("SL", 3, m, (1, 1, 1)))
         assert (m**9 <= table_mod._SCAN_LIMIT) == dense
         assert any(len(a) >= m**9 for a in _arrays(t)) == dense
 
@@ -167,7 +166,7 @@ def test_table_stores_each_element_once(sl3_4, sp4_3):
                                   ("Sp", 4, 2, "borel")], ids=["SL3(Z/3)", "SL4(Z/2)", "Sp4(Z/2)"])
 def test_dense_and_sorted_index_agree(spec, monkeypatch):
     kind, degree, m, blocks = spec
-    model = GroupModel(kind, degree, ZmRing(m), blocks)
+    model = GroupModel(kind, degree, m, blocks)
     dense = ElementTable(model)
     monkeypatch.setattr(table_mod, "_SCAN_LIMIT", 0)
     srt = ElementTable(model)
@@ -200,7 +199,7 @@ def test_table_refuses_a_scan_that_misses_an_element(monkeypatch):
 
     monkeypatch.setattr(table_mod, "scan_on", scan_dropping_one)
     with pytest.raises(RuntimeError, match="BFS and predicate scan disagree"):
-        ElementTable(GroupModel("SL", 3, ZmRing(2), (1, 1, 1)))
+        ElementTable(GroupModel("SL", 3, 2, (1, 1, 1)))
 
 
 def test_table_refuses_a_scan_with_a_non_element(monkeypatch):
@@ -209,12 +208,12 @@ def test_table_refuses_a_scan_with_a_non_element(monkeypatch):
 
     def scan_replacing_one(model, support):
         keys = scan(model, support).copy()
-        keys[len(keys) // 2] = matrix_keys(np.zeros((model.n, model.n)), model.m)
+        keys[len(keys) // 2] = matrix_keys(np.zeros((model.degree, model.degree)), model.m)
         return keys
 
     monkeypatch.setattr(table_mod, "scan_on", scan_replacing_one)
     with pytest.raises(RuntimeError, match="BFS and predicate scan disagree"):
-        ElementTable(GroupModel("SL", 3, ZmRing(2), (1, 1, 1)))
+        ElementTable(GroupModel("SL", 3, 2, (1, 1, 1)))
 
 
 @pytest.mark.parametrize("shift, found", [(-1, "more"), (1, "168")])
@@ -223,11 +222,11 @@ def test_table_refuses_a_count_off_the_order_formula(monkeypatch, shift, found):
     monkeypatch.setattr(table_mod, "order_formula", lambda model: 168 + shift)
     with pytest.raises(RuntimeError, match=f"enumerated {found} elements, order formula "
                                            f"gives {168 + shift}"):
-        ElementTable(GroupModel("SL", 3, ZmRing(2), (1, 1, 1)))
+        ElementTable(GroupModel("SL", 3, 2, (1, 1, 1)))
 
 
 def test_size_cap_names_cap():
-    model = GroupModel("SL", 3, ZmRing(7), (1, 1, 1))
+    model = GroupModel("SL", 3, 7, (1, 1, 1))
     with pytest.raises(SizeCapError) as err:
         ElementTable(model, cap=100_000)
     assert "100000" in str(err.value)
@@ -241,7 +240,7 @@ def test_table_refuses_keys_past_int64_before_enumerating(monkeypatch):
 
     monkeypatch.setattr(ElementTable, "_bfs", enumeration)
     monkeypatch.setattr(ElementTable, "_decode", enumeration)
-    model = GroupModel("SL", 2, ZmRing(2**16), (1, 1))
+    model = GroupModel("SL", 2, 2**16, (1, 1))
     with pytest.raises(TableBoundError) as err:
         ElementTable(model, cap=10**15)
     assert isinstance(err.value, SizeCapError)
@@ -251,7 +250,7 @@ def test_table_refuses_keys_past_int64_before_enumerating(monkeypatch):
 
 def test_table_refuses_order_past_int32(monkeypatch):
     monkeypatch.setattr(ElementTable, "_bfs", lambda *args: pytest.fail("enumeration started"))
-    model = GroupModel("SL", 3, ZmRing(17), (1, 1, 1))
+    model = GroupModel("SL", 3, 17, (1, 1, 1))
     with pytest.raises(TableBoundError) as err:
         ElementTable(model, cap=10**12)
     assert model.name() in str(err.value) and "2**31 - 1" in str(err.value)
@@ -262,13 +261,13 @@ def test_table_refuses_composites_past_uint64(monkeypatch):
     # the BFS sorts uint64 composites key * kF + position, kF <= k N; Sp4(Z/6)
     # passes the key and index bounds, but 6**16 * 8 * 37,324,800 > 2**64
     monkeypatch.setattr(ElementTable, "_bfs", lambda *args: pytest.fail("enumeration started"))
-    model = GroupModel("Sp", 4, ZmRing(6), "line")
+    model = GroupModel("Sp", 4, 6, "line")
     with pytest.raises(TableBoundError) as err:
         ElementTable(model, cap=10**9)
     assert model.name() in str(err.value) and "2**64" in str(err.value)
     assert err.value.needed == 6**16 * 8 * 37_324_800 and err.value.cap == 2**64
     # Sp4(Z/5) reaches 5**16 * 8 * 9,360,000 = 2**63.3 and still fits
-    assert check_bounds(GroupModel("Sp", 4, ZmRing(5), "line"), 10_000_000) == 9_360_000
+    assert check_bounds(GroupModel("Sp", 4, 5, "line"), 10_000_000) == 9_360_000
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -315,7 +314,7 @@ def test_table_arrays_are_pinned(spec):
     if spec in [(s.kind, s.degree, s.modulus, s.blocks) for s in DEFAULT_MODELS]:
         t = ctx_for(*spec).table  # shared with the other tests
     else:
-        t = ElementTable(GroupModel(kind, degree, ZmRing(m), blocks))  # freed after the test
+        t = ElementTable(GroupModel(kind, degree, m, blocks))  # freed after the test
     # right multiplication by every E generator and its inverse, the BFS's
     # Cayley graph, rebuilt through the row kernel
     everything = np.arange(t.N)
