@@ -9,7 +9,8 @@ values off numerically.  Two cached tables per model serve the root-pair
 checks: every root element with its inverse, every pair's cone and degrees.
 The root-element, sum-formula, Levi-conjugation and radical round-trip
 checks cover every case; the identity and homogeneity checks sample, each
-drawing all its samples up front from the rng it is given.
+drawing its values in bulk from the rng it is given (rings.draws), and every
+check returns a verdict: none raises on a counterexample.
 """
 
 from __future__ import annotations
@@ -19,9 +20,9 @@ from itertools import accumulate
 
 import numpy as np
 
-from .errors import SizeCapError, TheoremViolation
+from .errors import SizeCapError
 from .models import SCAN_BOUND, GroupModel, Vec, check_key_bound
-from .rings import mat_mul
+from .rings import draws, mat_mul
 from .rootsys import VectorIndex, sorted_find
 from .table import matrix_keys
 
@@ -175,46 +176,13 @@ def commutator_identity_check(model: GroupModel, x, y, z, inverses=None):
     return bool(ok) if ok.ndim == 0 else ok
 
 
-def randranges(rng, n: int, count: int) -> np.ndarray:
-    """`count` values of rng.randrange(n), 0 < n < 2**32, equal to a loop's, and
-    rng left as the loop leaves it: a value is the top n.bit_length() bits of
-    one 32-bit word, drawn again while they are not below n.  The words come
-    in bulk from a copy of rng, and rng then skips exactly the words used."""
-    if not 0 < n < 2 ** 32:
-        raise ValueError(f"randranges needs 0 < n < 2**32, not {n}")
-    bits, copy = n.bit_length(), type(rng)()
-    words = count * 2 ** bits // n + 32  # the expected number and a margin
-    while True:
-        copy.setstate(rng.getstate())
-        top = np.frombuffer(copy.getrandbits(32 * words).to_bytes(4 * words, "little"),
-                            dtype="<u4") >> (32 - bits)
-        hit = np.flatnonzero(top < n)[:count]
-        if len(hit) == count:
-            rng.getrandbits(32 * (int(hit[-1]) + 1) if count else 0)
-            return top[hit].astype(np.int64)
-        words *= 2
-
-
 def sampled_identity_check(model: GroupModel, count: int, rng) -> bool:
     """commutator_identity_check on `count` triples (x, y, z) of root
-    elements, drawn from the root table as rng.randrange draws them, x, y,
-    z in turn, and checked as one stack with the table's inverses."""
+    elements, drawn from the root table, and checked as one stack with the
+    table's inverses."""
     _, mats, inverses = _root_table(model)
-    drawn = randranges(rng, len(mats), 3 * count).reshape(count, 3).T
+    drawn = draws(rng, len(mats), 3, count)
     return bool(commutator_identity_check(model, *mats[drawn], inverses=inverses[drawn]).all())
-
-
-def sampled_homogeneity_check(model: GroupModel, samples: int, rng) -> tuple[bool, int]:
-    """check_chevalley_homogeneity on every pair of relative roots that are
-    not opposed multiples, in the order of model.rel_roots, as one batch:
-    (ok, samples times scales checked).  A counterexample ends the sweep
-    with ok False; checked then counts the pairs before its pair."""
-    roots = model.rel_roots
-    pairs = [(a, b) for a in roots for b in roots if not opposed_multiples(a, b)]
-    try:
-        return True, check_chevalley_homogeneity(model, pairs, samples, rng)
-    except TheoremViolation as exc:
-        return False, exc.checked
 
 
 def generators_in_group(model: GroupModel) -> bool:
@@ -340,11 +308,8 @@ def _check_pair(model: GroupModel, alpha: Vec, beta: Vec) -> Vec:
 def lemma_ABe_witness(model: GroupModel, alpha: Vec, beta: Vec, u):
     """The least i such that the generator e_i of V_alpha has
     N_{alpha,beta,1,1}(e_i, u) != 0, for one nonzero u of V_beta or for each
-    of a (k, d) stack of them, from one stack of commutators.
-
-    Raises TheoremViolation at the first u where every generator gives zero,
-    which refutes the statement on this model; its witness holds that u and
-    its `index` in the stack."""
+    of a (k, d) stack of them, from one stack of commutators; -1 where every
+    generator gives zero, which refutes the statement on this model."""
     us = np.asarray(u, dtype=np.int64) % model.m
     if not us.any(axis=-1).all():
         raise ValueError("u must be nonzero")
@@ -352,14 +317,7 @@ def lemma_ABe_witness(model: GroupModel, alpha: Vec, beta: Vec, u):
     d = model.v_dim(alpha)
     gens = np.eye(d, dtype=np.int64).reshape(d, *[1] * (us.ndim - 1), d)
     hit = _pair_values(model, alpha, beta, gens, us, target).any(axis=-1)  # (generator, *u)
-    found = hit.any(axis=0)
-    if not found.all():
-        k = int(np.argmin(found.ravel()))
-        bad = tuple(us.reshape(-1, us.shape[-1])[k].tolist())
-        raise TheoremViolation("Lemma ABe", f"all generators of V_{alpha} pair to zero against "
-                               f"u={bad} in V_{beta} on {model.name()}",
-                               witness={"alpha": alpha, "beta": beta, "u": bad, "index": k})
-    return np.argmax(hit, axis=0)
+    return np.where(hit.any(axis=0), np.argmax(hit, axis=0), -1)
 
 
 def _additive_closure(values, dim: int, m: int) -> int:
@@ -417,10 +375,9 @@ def pairing_sweep(model: GroupModel) -> tuple[bool, int, bool, int]:
             if opposed_multiples(alpha, beta) or not model.is_rel_root(_vadd(alpha, beta)):
                 continue
             us = _values(model, beta)[1:]  # the nonzero u, in the order of v_tuples
-            try:
-                lemma_ABe_witness(model, alpha, beta, us)
-            except TheoremViolation as exc:
-                return False, abe_checked + exc.witness["index"], const_ok, const_checked
+            missing = np.flatnonzero(lemma_ABe_witness(model, alpha, beta, us) < 0)
+            if missing.size:
+                return False, abe_checked + int(missing[0]), const_ok, const_checked
             abe_checked += len(us)
             const_checked += 1
             const_ok &= lemma_const_check(model, alpha, beta)
@@ -510,73 +467,39 @@ def _homogeneity_codes(model: GroupModel, pairs, cones, values: np.ndarray,
     return codes.reshape(len(pairs), samples, 2 * m)
 
 
-def check_chevalley_homogeneity(model: GroupModel, pairs, samples: int, rng) -> int:
-    """eq. (eq:Chev) on each pair (alpha, beta) of relative roots in pairs:
-    scaling u by r multiplies the (i,j) component of [X_alpha(u), X_beta(v)]
-    by r^i, and scaling v by r multiplies it by r^j, for every r in Z/m on
-    `samples` sampled (u, v) per pair.  Returns samples * m per pair.
+def check_chevalley_homogeneity(model: GroupModel, samples: int, rng) -> tuple[bool, int]:
+    """eq. (eq:Chev) on every pair (alpha, beta) of relative roots that are
+    not opposed multiples: scaling u by r multiplies the (i,j) component of
+    [X_alpha(u), X_beta(v)] by r^i, and scaling v by r multiplies it by r^j,
+    for every r in Z/m on `samples` drawn (u, v) per pair.  Returns (ok,
+    samples * m * pairs).
 
-    The values are drawn up front, pair by pair, sample by sample, u before
-    v, as one list of samples * (d_alpha + d_beta) randrange values per pair.  The
-    commutators of every pair, sample and r are one stack
-    (`_homogeneity_codes`), and the degrees, read through cone_degrees, are
-    compared as arrays, one column per coordinate.  The first failure in
-    (pair, sample, r, comparison) order, comparisons root by root, first
-    argument first, is reported as a pair-by-pair, sample-by-sample loop
-    meets it: a failed comparison is a TheoremViolation whose `checked`
-    counts the pairs before it, a commutator off its cone's chart a
-    RuntimeError.
+    The values are one draw from rng: pair by pair in the order of
+    model.rel_roots, sample by sample, u before v.  The commutators of every
+    pair, sample and r are one stack (`_homogeneity_codes`), and the degrees,
+    read through cone_degrees, are compared as arrays, one column per
+    coordinate.  A commutator off its cone's chart is a RuntimeError.
     """
-    for alpha, beta in pairs:
-        if not (model.is_rel_root(alpha) and model.is_rel_root(beta)):
-            raise ValueError("alpha and beta must be relative roots")
-        if opposed_multiples(alpha, beta):
-            raise ValueError("opposite multiples are excluded")
-    if not pairs:
-        return 0
-    m = model.m
-    width = [model.v_dim(a) + model.v_dim(b) for a, b in pairs]
-    drawn = randranges(rng, m, samples * sum(width))
+    m, roots = model.m, model.rel_roots
+    pairs = [(a, b) for a in roots for b in roots if not opposed_multiples(a, b)]
+    width = sum(model.v_dim(a) + model.v_dim(b) for a, b in pairs)
     cones = [_pair_cone(model, a, b) for a, b in pairs]
-    codes = _homogeneity_codes(model, pairs, cones, drawn, samples)
-    lost = np.flatnonzero((codes < 0).any(axis=(1, 2)))
-    stop = int(lost[0]) if lost.size else len(pairs)
-    weights = {}  # per cone, the digit weights of each root's coordinates in a chart code
-    for cone in dict.fromkeys(cones[:stop]):
+    codes = _homogeneity_codes(model, pairs, cones, draws(rng, m, samples * width), samples)
+    if (codes < 0).any():
+        raise RuntimeError("commutator left the unipotent group of its cone")
+    cols = []  # per coordinate: (pair, its digit's weight in a chart code, i, j)
+    for p, (pair, cone) in enumerate(zip(pairs, cones)):
         ch = chart(model, cone)
-        place = [m ** e for e in range(sum(ch.dims) - 1, -1, -1)]
-        weights[cone] = {gamma: place[end - d:end]
-                         for gamma, d, end in zip(ch.roots, ch.dims, accumulate(ch.dims))}
-    # the comparisons of the pairs before the first one off its chart, as
-    # (pair, side, degree, root), and a column (pair, digit weight, side,
-    # degree, comparison) per coordinate
-    comps, cols = [], []
-    for p in range(stop):
-        for gamma, (i, j) in cone_degrees(model, *pairs[p]).items():
-            for side, deg in ((0, i), (1, j)):
-                cols += [(p, w, side, deg, len(comps)) for w in weights[cones[p]][gamma]]
-                comps.append((p, side, deg, gamma))
-    if cols:
-        at, weight, side, deg, comp = np.array(cols, dtype=np.int64).T
-        got = codes[at] // weight[:, None, None] % m  # (column, sample, 2m)
-        power = np.array([[pow(r, e, m) for r in range(m)] for e in range(deg.max() + 1)])
-        want = power[deg][:, None] * got[..., 1:2] % m
-        miss = np.where(side[:, None, None] == 0, got[..., :m], got[..., m:]) != want
-        if miss.any():
-            col, k, r = np.nonzero(miss)
-            first = np.lexsort((comp[col], r, k, at[col]))[0]
-            (p, side, deg, gamma), k, r = comps[comp[col[first]]], int(k[first]), int(r[first])
-            row = samples * sum(width[:p]) + k * width[p]
-            da = model.v_dim(pairs[p][0])
-            exc = TheoremViolation(
-                "eq. (eq:Chev)",
-                f"{('first', 'second')[side]}-argument degree {deg} fails at {gamma} "
-                f"on {model.name()}",
-                witness={"u": tuple(drawn[row:row + da].tolist()),
-                         "v": tuple(drawn[row + da:row + width[p]].tolist()), "r": r})
-            exc.checked = p * samples * m
-            raise exc
-    if stop < len(pairs):
-        raise RuntimeError("commutator left the expected unipotent group" if cones[stop]
-                           else "commutator is not trivial over an empty cone")
-    return len(pairs) * samples * m
+        ends, total = dict(zip(ch.roots, accumulate(ch.dims))), sum(ch.dims)
+        for gamma, (i, j) in cone_degrees(model, *pair).items():
+            cols += [(p, m ** (total - 1 - e), i, j)
+                     for e in range(ends[gamma] - model.v_dim(gamma), ends[gamma])]
+    checked = len(pairs) * samples * m
+    if not cols:
+        return True, checked
+    at, weight, i, j = np.array(cols, dtype=np.int64).T
+    got = (codes[at] // weight[:, None, None] % m).reshape(len(at), samples, 2, m)
+    degree = np.stack([i, j], axis=-1)  # (column, side)
+    power = np.array([[pow(r, e, m) for r in range(m)] for e in range(degree.max() + 1)])
+    want = power[degree][:, None] * got[..., :1, 1:2] % m  # r^degree times the value at r = 1
+    return bool((got == want).all()), checked

@@ -20,14 +20,5 @@ class TableBoundError(SizeCapError):
         RuntimeError.__init__(self, message)
 
 
-class TheoremViolation(AssertionError):
-    """A verified statement failed on a model that satisfies its hypotheses."""
-
-    def __init__(self, anchor: str, message: str, witness=None):
-        self.anchor = anchor
-        self.witness = witness
-        super().__init__(f"{anchor}: {message}")
-
-
 class ConfigError(ValueError):
     """Malformed run configuration."""

@@ -32,7 +32,7 @@ import numpy as np
 from . import relroots, rootsys
 from .errors import SizeCapError, TableBoundError
 from .rings import (
-    adjugate_int, det_int, factorize, first_row_cofactors, identity_mat, mat_mul,
+    adjugate_int, det_int, draws, factorize, first_row_cofactors, identity_mat, mat_mul,
     unit_inverses,
 )
 
@@ -429,13 +429,11 @@ def gauss_cell_membership(model: GroupModel, g: np.ndarray):
 def sampled_gauss_roundtrip_check(model: GroupModel, samples: int, rng) -> bool:
     """The identity lies in the main cell, and every sampled product of four
     random elementary generators that lies in it is the product u*l*v of its
-    factors, factored as one stack.  The draws alternate two ranges (per step:
-    the position, then the parameter), so they stay a randrange loop, not
-    calculus.randranges, which draws from one."""
-    m, n, stack = model.m, model.degree, model.generator_stack
+    factors, factored as one stack.  The generators' positions and their
+    parameters are two draws from rng."""
+    m, stack = model.m, model.generator_stack
     ok = gauss_cell_membership(model, model.identity()) is not None
-    steps = [(rng.randrange(len(stack)), rng.randrange(m)) for _ in range(4 * samples)]
-    gens = stack[tuple(np.array(steps, dtype=np.int64).reshape(-1, 2).T)].reshape(samples, 4, n, n)
+    gens = stack[draws(rng, len(stack), samples, 4), draws(rng, m, samples, 4)]
     g = gens[:, 0] @ gens[:, 1] % m @ gens[:, 2] % m @ gens[:, 3] % m
     member, u, l, v = gauss_cell_factors(model, g)
     return ok and bool((mat_mul(mat_mul(u[member], l[member], m), v[member], m) == g[member]).all())

@@ -34,6 +34,14 @@ def jacobson_radical(m: int) -> int:
     return math.prod(factorize(m))
 
 
+def draws(rng, n: int, *shape: int) -> np.ndarray:
+    """An int64 array of the given shape with values in range(n), 0 < n <
+    2**63, drawn in bulk from rng (a random.Random) and from nothing else:
+    one 64-bit word per value, reduced mod n, a bias below n / 2**64."""
+    words = np.frombuffer(rng.randbytes(8 * math.prod(shape)), dtype="<u8")
+    return (words % n).astype(np.int64).reshape(shape)
+
+
 # -- exact matrix arithmetic mod m ------------------------------------------
 
 def identity_mat(n: int) -> np.ndarray:

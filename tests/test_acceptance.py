@@ -102,7 +102,7 @@ def test_c7_commutator_calculus_properties():
         assert calculus.generators_in_group(model)
         assert calculus.sampled_identity_check(model, 1000, random.Random(0xC7))
         # each non-opposed pair checks 100 samples times every scale r in Z/m
-        ok, checked = calculus.sampled_homogeneity_check(model, 100, random.Random(0xC7))
+        ok, checked = calculus.check_chevalley_homogeneity(model, 100, random.Random(0xC7))
         assert ok and checked > 0 and checked % (100 * model.m) == 0
         assert calculus.sum_formula_check(model)
         assert calculus.levi_conjugation_check(model, model.levi_elements())

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from chevlat import calculus
-from chevlat.errors import SizeCapError, TableBoundError, TheoremViolation
+from chevlat.errors import SizeCapError, TableBoundError
 from chevlat.models import GroupModel
+from chevlat.rings import draws
 
 from conftest import (
     REFERENCE_MODELS, chevalley_commutator_decompose, commutator, component_at, reference_chart,
@@ -247,10 +248,11 @@ def test_lemma_abe_witness_examples():
 
 
 def test_lemma_abe_fails_on_sp4_mod2():
-    # the short-short commutator carries the constant 2, which dies mod 2
+    # the short-short commutator carries the constant 2, which dies mod 2:
+    # no witness, -1, one u or a stack of them, and no exception
     model = sp(2, "borel")
-    with pytest.raises(TheoremViolation):
-        calculus.lemma_ABe_witness(model, (1, 0), (1, 1), (1,))
+    assert calculus.lemma_ABe_witness(model, (1, 0), (1, 1), (1,)) == -1
+    assert calculus.lemma_ABe_witness(model, (1, 0), (1, 1), [[1]]).tolist() == [-1]
 
 
 def test_lemma_const_examples():
@@ -262,13 +264,10 @@ def test_lemma_const_examples():
 
 
 def test_chevalley_homogeneity_sampled():
-    rng = random.Random(23)
+    # samples times every scale r in Z/m, on every non-opposed pair
     for model in (sl(3, 4), sp(3, "line")):
-        for alpha in model.rel_roots:
-            for beta in model.rel_roots:
-                if calculus.opposed_multiples(alpha, beta):
-                    continue
-                calculus.check_chevalley_homogeneity(model, [(alpha, beta)], 4, rng)
+        assert calculus.check_chevalley_homogeneity(model, 4, random.Random(23)) == (
+            True, 4 * model.m * len(_pairs(model)))
 
 
 def test_cone_degrees():
@@ -277,74 +276,53 @@ def test_cone_degrees():
     assert degs == {(1, 1): (1, 1), (2, 1): (2, 1)}
 
 
-def _scalar_homogeneity(model, alpha, beta, samples, rng):
-    """Sample-by-sample reference for check_chevalley_homogeneity."""
-    m = model.m
+def _scalar_homogeneity(model, samples, rng):
+    """check_chevalley_homogeneity sample by sample, one commutator
+    decomposition per (u, v, r), on the values it draws from rng: one draw,
+    pair by pair, sample by sample, u before v.  (ok, samples * m * pairs)."""
+    m, pairs = model.m, _pairs(model)
+    width = sum(model.v_dim(a) + model.v_dim(b) for a, b in pairs)
+    values = iter(draws(rng, m, samples * width).tolist())
 
     def scale(r, v):
         return tuple((r * x) % m for x in v)
 
-    degrees = calculus.cone_degrees(model, alpha, beta)
-    checked = 0
-    da, db = model.v_dim(alpha), model.v_dim(beta)
-    for _ in range(samples):
-        u = tuple(rng.randrange(m) for _ in range(da))
-        v = tuple(rng.randrange(m) for _ in range(db))
-        base = dict(chevalley_commutator_decompose(model, alpha, u, beta, v))
-        for r in range(m):
-            left = dict(chevalley_commutator_decompose(model, alpha, scale(r, u), beta, v))
-            right = dict(chevalley_commutator_decompose(model, alpha, u, beta, scale(r, v)))
-            for gamma, (i, j) in degrees.items():
-                zero = (0,) * model.v_dim(gamma)
-                base_val = base.get(gamma, zero)
-                if left.get(gamma, zero) != scale(pow(r, i, m), base_val):
-                    raise TheoremViolation(
-                        "eq. (eq:Chev)",
-                        f"first-argument degree {i} fails at {gamma} on {model.name()}",
-                        witness={"u": u, "v": v, "r": r},
-                    )
-                if right.get(gamma, zero) != scale(pow(r, j, m), base_val):
-                    raise TheoremViolation(
-                        "eq. (eq:Chev)",
-                        f"second-argument degree {j} fails at {gamma} on {model.name()}",
-                        witness={"u": u, "v": v, "r": r},
-                    )
-            checked += 1
-    return checked
+    ok = True
+    for alpha, beta in pairs:
+        degrees = calculus.cone_degrees(model, alpha, beta)
+        for _ in range(samples):
+            u = tuple(next(values) for _ in range(model.v_dim(alpha)))
+            v = tuple(next(values) for _ in range(model.v_dim(beta)))
+            base = dict(chevalley_commutator_decompose(model, alpha, u, beta, v))
+            for r in range(m):
+                left = dict(chevalley_commutator_decompose(model, alpha, scale(r, u), beta, v))
+                right = dict(chevalley_commutator_decompose(model, alpha, u, beta, scale(r, v)))
+                for gamma, (i, j) in degrees.items():
+                    zero = (0,) * model.v_dim(gamma)
+                    base_val = base.get(gamma, zero)
+                    ok &= left.get(gamma, zero) == scale(pow(r, i, m), base_val)
+                    ok &= right.get(gamma, zero) == scale(pow(r, j, m), base_val)
+    return ok, samples * m * len(pairs)
 
 
-def _one_pair(model, alpha, beta, samples, rng):
-    """check_chevalley_homogeneity on the one-pair batch [(alpha, beta)]."""
-    return calculus.check_chevalley_homogeneity(model, [(alpha, beta)], samples, rng)
+def _pairs(model):
+    return [(a, b) for a in model.rel_roots for b in model.rel_roots
+            if not calculus.opposed_multiples(a, b)]
 
 
-def _after_draws(seed, draws, m):
-    """The state of random.Random(seed) after `draws` calls of randrange(m)."""
-    rng = random.Random(seed)
-    for _ in range(draws):
-        rng.randrange(m)
-    return rng.getstate()
+def _wrong_degrees_at(monkeypatch, pair=None, true_degrees=calculus.cone_degrees):
+    # claim degree 0 in the first argument at one pair only, or at every pair
+    monkeypatch.setattr(calculus, "cone_degrees", lambda model, a, b: {
+        g: (0, j) for g, (i, j) in true_degrees(model, a, b).items()} if pair in (None, (a, b))
+        else true_degrees(model, a, b))
 
 
-def _homogeneity_run(check, model, samples, seed):
-    """Outcome of each non-opposed pair p, each on a fresh random.Random(seed + p),
-    and the rng states after them."""
-    outcomes, states = [], []
-    for p, (alpha, beta) in enumerate(_pairs(model)):
-        rng = random.Random(seed + p)
-        try:
-            result = check(model, alpha, beta, samples, rng)
-        except TheoremViolation as exc:
-            result = (str(exc), exc.witness)
-        outcomes.append((alpha, beta, result))
-        states.append(rng.getstate())
-    return outcomes, states
-
-
-def _up_front_states(model, samples, seed):
-    """The states of _homogeneity_run's rngs after every draw of their pairs."""
-    return [_after_draws(seed + p, samples * (model.v_dim(a) + model.v_dim(b)), model.m)
-            for p, (a, b) in enumerate(_pairs(model))]
+def _moving_pairs(model):
+    """The indices of the pairs where some commutator of basis root elements
+    is not trivial, so that a wrong degree or cone there can show."""
+    return [p for p, (a, b) in enumerate(_pairs(model)) if any(
+        (commutator(model.x(a, e), model.x(b, f), model) != model.identity()).any()
+        for e in model.v_basis(a) for f in model.v_basis(b))]
 
 
 HOMOGENEITY_MODELS = [sl(3, 4), sp(3, "line"), sp(2, "borel")]
@@ -352,26 +330,20 @@ HOMOGENEITY_MODELS = [sl(3, 4), sp(3, "line"), sp(2, "borel")]
 
 @pytest.mark.parametrize("model", HOMOGENEITY_MODELS, ids=lambda mo: mo.name())
 def test_stacked_homogeneity_matches_scalar_reference(model):
-    stacked = _homogeneity_run(_one_pair, model, 6, 41)
-    assert stacked == _homogeneity_run(_scalar_homogeneity, model, 6, 41)
-    assert stacked[1] == _up_front_states(model, 6, 41)
-    assert all(res == 6 * model.m for _, _, res in stacked[0])
+    stacked = calculus.check_chevalley_homogeneity(model, 6, random.Random(41))
+    assert stacked == _scalar_homogeneity(model, 6, random.Random(41))
+    assert stacked == (True, 6 * model.m * len(_pairs(model)))
 
 
 @pytest.mark.parametrize("model", HOMOGENEITY_MODELS, ids=lambda mo: mo.name())
 def test_stacked_homogeneity_failure_matches_scalar_reference(model, monkeypatch):
-    # degree 0 in the first argument claims [X_alpha(0), X_beta(v)] = base,
-    # which fails at the first sample with a nonzero base component
-    true_degrees = calculus.cone_degrees
-    monkeypatch.setattr(calculus, "cone_degrees", lambda model, a, b: {
-        g: (0, j) for g, (i, j) in true_degrees(model, a, b).items()})
-    # same verdicts and witnesses as the loop on the same draws; the stacked
-    # check has made every draw of its pair, the loop stops at the failure
-    stacked = _homogeneity_run(_one_pair, model, 6, 43)
-    assert stacked[0] == _homogeneity_run(_scalar_homogeneity, model, 6, 43)[0]
-    assert stacked[1] == _up_front_states(model, 6, 43)
-    failures = [res for _, _, res in stacked[0] if isinstance(res, tuple)]
-    assert failures and all("first-argument degree 0 fails" in msg for msg, _ in failures)
+    # degree 0 in the first argument at every pair claims
+    # [X_alpha(0), X_beta(v)] = base, which fails at a sample with a nonzero
+    # base component; checked still counts every pair
+    _wrong_degrees_at(monkeypatch)
+    stacked = calculus.check_chevalley_homogeneity(model, 6, random.Random(43))
+    assert stacked == _scalar_homogeneity(model, 6, random.Random(43))
+    assert stacked == (False, 6 * model.m * len(_pairs(model)))
 
 
 PAIR_TABLE_MODELS = [
@@ -389,65 +361,15 @@ def test_pair_table_matches_tuple_loops(model):
             assert list(degrees.items()) == list(reference_cone_degrees(model, alpha, beta).items())
 
 
-def _pairs(model):
-    return [(a, b) for a in model.rel_roots for b in model.rel_roots
-            if not calculus.opposed_multiples(a, b)]
-
-
-def _per_pair_homogeneity(model, samples, rng):
-    """sampled_homogeneity_check as a pair-by-pair loop of the scalar reference."""
-    checked = 0
-    try:
-        for alpha, beta in _pairs(model):
-            checked += _scalar_homogeneity(model, alpha, beta, samples, rng)
-    except TheoremViolation:
-        return False, checked
-    return True, checked
-
-
-def _outcome(run, model, seed):
-    """(result or exception text, rng state) of one run over the whole model."""
-    rng = random.Random(seed)
-    try:
-        result = run(model, 6, rng)
-    except RuntimeError as exc:
-        result = str(exc)
-    return result, rng.getstate()
-
-
-def _whole_model(model, seed):
-    """_outcome of sampled_homogeneity_check, whose rng has made its draws
-    for every pair, whatever the outcome."""
-    result, state = _outcome(calculus.sampled_homogeneity_check, model, seed)
-    width = sum(model.v_dim(a) + model.v_dim(b) for a, b in _pairs(model))
-    assert state == _after_draws(seed, 6 * width, model.m)
-    return result
-
-
-def _wrong_degrees_at(monkeypatch, pair=None, true_degrees=calculus.cone_degrees):
-    # claim degree 0 in the first argument at one pair only, or at every pair
-    monkeypatch.setattr(calculus, "cone_degrees", lambda model, a, b: {
-        g: (0, j) for g, (i, j) in true_degrees(model, a, b).items()} if pair in (None, (a, b))
-        else true_degrees(model, a, b))
-
-
 @pytest.mark.parametrize("model", HOMOGENEITY_MODELS, ids=lambda mo: mo.name())
 def test_whole_model_homogeneity_matches_per_pair_loop(model, monkeypatch):
-    pairs = _pairs(model)
-    clean = _whole_model(model, 47)
-    assert clean == _outcome(_per_pair_homogeneity, model, 47)[0]
-    assert clean == (True, 6 * model.m * len(pairs))
-    # a failure at one later pair only: the pairs before it are counted
-    late = max(p for p, (a, b) in enumerate(pairs) if calculus.cone_degrees(model, a, b))
-    _wrong_degrees_at(monkeypatch, pairs[late])
-    failed = _whole_model(model, 47)
-    assert failed == _outcome(_per_pair_homogeneity, model, 47)[0]
-    assert failed == (False, 6 * model.m * late)
-    # wrong at every pair: the first pair that meets a failure reports it
-    _wrong_degrees_at(monkeypatch)
-    everywhere = _whole_model(model, 47)
-    assert everywhere == _outcome(_per_pair_homogeneity, model, 47)[0]
-    assert everywhere[0] is False
+    # wrong degrees at the last pair whose commutators move only: the verdict
+    # fails as the scalar loop's does, and checked counts every pair
+    pairs, checked = _pairs(model), 6 * model.m * len(_pairs(model))
+    last = max(p for p in _moving_pairs(model) if calculus.cone_degrees(model, *pairs[p]))
+    _wrong_degrees_at(monkeypatch, pairs[last])
+    stacked = calculus.check_chevalley_homogeneity(model, 6, random.Random(47))
+    assert stacked == _scalar_homogeneity(model, 6, random.Random(47)) == (False, checked)
 
 
 def _empty_cone_at(monkeypatch, pair, true_cone=calculus._pair_cone):
@@ -457,26 +379,14 @@ def _empty_cone_at(monkeypatch, pair, true_cone=calculus._pair_cone):
 
 
 @pytest.mark.parametrize("model", HOMOGENEITY_MODELS, ids=lambda mo: mo.name())
-def test_off_chart_pair_is_reported_only_without_an_earlier_failure(model, monkeypatch):
-    pairs = _pairs(model)
-    # the pairs where some commutator of basis root elements is not trivial
-    moving = [p for p, (a, b) in enumerate(pairs) if any(
-        (commutator(model.x(a, e), model.x(b, f), model) != model.identity()).any()
-        for e in model.v_basis(a) for f in model.v_basis(b))]
-    first, last = moving[0], moving[-1]
-    # off its chart at the first such pair, with or without a later failure
-    _empty_cone_at(monkeypatch, pairs[first])
-    lost = _whole_model(model, 53)  # after the draws of every pair
-    assert lost == "commutator is not trivial over an empty cone"
-    assert lost == _outcome(_per_pair_homogeneity, model, 53)[0]
-    _wrong_degrees_at(monkeypatch, pairs[last])
-    assert _whole_model(model, 53) == lost
-    # off its chart at the last such pair, after a failure at the first
-    _empty_cone_at(monkeypatch, pairs[last])
-    _wrong_degrees_at(monkeypatch, pairs[first])
-    earlier = _whole_model(model, 53)
-    assert earlier == _outcome(_per_pair_homogeneity, model, 53)[0]
-    assert earlier == (False, 6 * model.m * first)
+def test_off_chart_commutator_is_an_error_whatever_else_fails(model, monkeypatch):
+    pairs, moving = _pairs(model), _moving_pairs(model)
+    # off its chart at the last moving pair, with or without a wrong degree at the first
+    _empty_cone_at(monkeypatch, pairs[moving[-1]])
+    for _ in range(2):
+        with pytest.raises(RuntimeError, match="commutator left the unipotent group of its cone"):
+            calculus.check_chevalley_homogeneity(model, 6, random.Random(53))
+        _wrong_degrees_at(monkeypatch, pairs[moving[0]])
 
 
 def test_stacked_identity_check_matches_scalar():
@@ -505,21 +415,15 @@ def test_sampled_identity_check_matches_a_scalar_loop(monkeypatch):
     for mats, expect in ((elems, True), (np.concatenate([elems, singular]), False)):
         table = offsets, mats, inverse(model, mats)  # the pool: a root table
         monkeypatch.setattr(calculus, "_root_table", lambda model: table)
-        rng, ref = random.Random(5), random.Random(5)
         calls.clear()
         monkeypatch.setattr(GroupModel, "inverse", counted)
-        assert calculus.sampled_identity_check(model, 300, rng) is expect
+        assert calculus.sampled_identity_check(model, 300, random.Random(5)) is expect
         monkeypatch.setattr(GroupModel, "inverse", inverse)
         assert calls == []  # the pool's inverses are the table's
-        ok = True
-        for _ in range(300):
-            x, y, z = (mats[ref.randrange(len(mats))] for _ in range(3))
-            if not calculus.commutator_identity_check(model, x, y, z):
-                ok = False
-                break
-        assert ok is expect
-        # the check has made all 3 * 300 draws, whatever its verdict
-        assert rng.getstate() == _after_draws(5, 3 * 300, len(mats))
+        # the same triples, drawn x, y, z in turn, one at a time
+        drawn = draws(random.Random(5), len(mats), 3, 300)
+        assert all(calculus.commutator_identity_check(model, *mats[drawn[:, k]])
+                   for k in range(300)) is expect
 
 
 @pytest.mark.parametrize("model", REFERENCE_MODELS, ids=lambda mo: mo.name())
@@ -527,7 +431,7 @@ def test_pairing_sweep_matches_per_element_reference(model):
     result = calculus.pairing_sweep(model)
     assert result == reference_pairing_sweep(model)
     if model.kind == "Sp" and model.m == 2:
-        assert result == (False, 2, True, 2)  # stopped at the first TheoremViolation
+        assert result == (False, 2, True, 2)  # stopped at the first u without a witness
     else:
         assert result[0] and result[2] and result[1] > 0
 
@@ -592,19 +496,3 @@ def test_pair_values_match_per_element_decompositions(model):
                 zero = (0,) * model.v_dim(target)
                 assert got.tolist() == [[list(component_at(chevalley_commutator_decompose(
                     model, a, u, b, v), target) or zero) for v in vs] for u in us]
-
-
-@pytest.mark.parametrize("n", [1, 2, 3, 5, 7, 64, 1000, 5616, 2 ** 31 + 11])
-@pytest.mark.parametrize("count", [0, 1, 3000])
-def test_randranges_equals_a_randrange_loop(n, count):
-    loop, bulk = random.Random(n * 7 + count), random.Random(n * 7 + count)
-    want = [loop.randrange(n) for _ in range(count)]
-    got = calculus.randranges(bulk, n, count)
-    assert got.dtype == np.int64 and got.tolist() == want
-    assert bulk.getstate() == loop.getstate()
-
-
-@pytest.mark.parametrize("n", [0, 2 ** 32])
-def test_randranges_refuses_a_range_past_one_word(n):
-    with pytest.raises(ValueError, match="0 < n < 2\\*\\*32"):
-        calculus.randranges(random.Random(0), n, 1)

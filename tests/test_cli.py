@@ -1,5 +1,8 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -306,3 +309,14 @@ def test_timing_has_the_seconds_of_every_record():
     assert all(s >= 0 for s in timing["checks"])
     # the records are timed inside the run; each entry is rounded to 1e-6 s, the total to 1e-3 s
     assert sum(timing["checks"]) <= timing["seconds"] + 5e-4 + 5e-7 * len(timing["checks"])
+
+
+def test_importing_the_cli_leaves_numpy_random_unloaded():
+    # numpy loads numpy.random lazily; the sampled checks draw through
+    # rings.draws, so a run never pays for its import
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    out = subprocess.run([sys.executable, "-c", "import sys, chevlat.cli; "
+                          "print('numpy.random' in sys.modules)"],
+                         env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"

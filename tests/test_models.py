@@ -21,7 +21,7 @@ from chevlat.models import (
     scan_on,
     scheme_center_elements,
 )
-from chevlat.rings import det_int, mat_mul
+from chevlat.rings import det_int, draws, mat_mul
 from chevlat.table import _SCAN_LIMIT, matrix_keys
 
 from conftest import mat_inverse_mod, reference_elements_on, units
@@ -274,15 +274,17 @@ def test_stacked_parabolic_tests_match_the_entry_loop(model):
 
 
 def loop_gauss_roundtrip(model, samples, rng):
-    """Sample-by-sample reference of sampled_gauss_roundtrip_check."""
+    """Sample-by-sample reference of sampled_gauss_roundtrip_check on the
+    values it draws from rng: the generators' positions, then their
+    parameters."""
     m = model.m
     positions = model.generator_positions()
+    at, params = draws(rng, len(positions), samples, 4), draws(rng, m, samples, 4)
     ok = gauss_cell_membership(model, model.identity()) is not None
-    for _ in range(samples):
+    for k in range(samples):
         g = model.identity()
-        for _step in range(4):
-            p = positions[rng.randrange(len(positions))]
-            g = mat_mul(g, model.elementary_generator(p, rng.randrange(m)), m)
+        for step in range(4):
+            g = mat_mul(g, model.elementary_generator(positions[at[k, step]], params[k, step]), m)
         fac = gauss_cell_membership(model, g)
         if fac is not None:
             u, l, v = fac
@@ -294,10 +296,8 @@ def loop_gauss_roundtrip(model, samples, rng):
                                    sp(3, "line"), sp(5, "siegel")], ids=lambda m: m.name())
 def test_gauss_roundtrip_draws_like_the_sample_loop(model):
     for samples in (0, 40):
-        stacked, looped = random.Random(7), random.Random(7)
-        verdict = sampled_gauss_roundtrip_check(model, samples, stacked)
-        assert verdict == loop_gauss_roundtrip(model, samples, looped)
-        assert stacked.getstate() == looped.getstate()
+        verdict = sampled_gauss_roundtrip_check(model, samples, random.Random(7))
+        assert verdict is loop_gauss_roundtrip(model, samples, random.Random(7)) is True
 
 
 def test_elements_on_everything_is_the_table(sl3_2, sp4_2):

@@ -1,13 +1,16 @@
 """Planted faults: each monkeypatch breaks one piece of the program, and the
-check that covers it must then fail.  A check that no fault can make fail
+check that covers it must then fail (or a guard must end the run).  One
+fault is planted in a function's source, so that its own assert meets it.  A check that no fault can make fail
 verifies nothing.  The faults of the exhaustive checks sit at their last
 case, which a check over part of its cases would miss.  The wrong-degree
 fault of the Levi conjugation check, at every case, is in test_calculus."""
 
+import inspect
+
 import numpy as np
 import pytest
 
-from chevlat import calculus, cli, lattice, relroots
+from chevlat import calculus, cli, lattice, models, relroots
 from chevlat.models import GroupModel
 
 from conftest import adjacent_ok, reference_adjacent_ok
@@ -114,6 +117,70 @@ def test_identity_failure_changes_only_its_record(monkeypatch):
         changed = [b[0] for b, a in zip(before, after) if a != b]
         assert changed == ["commutator_identity"]
         assert [a[2] for a in after if a[0] == "commutator_identity"] == [False]
+
+
+def _default_spec(name):
+    (spec,) = [spec for spec in cli.DEFAULT_MODELS if spec.build().name() == name]
+    return spec
+
+
+def _failing_group_records(spec):
+    return {record[0] for record in _group_records(spec) if record[2] is False}
+
+
+@pytest.mark.parametrize("name", ["SL3(Z/4)[(1, 1, 1)]", "Sp4(Z/3)[line]"])
+def test_wrong_degrees_at_the_last_pair_fail_only_the_homogeneity_record(name, monkeypatch):
+    # one degree too high at the last pair whose degree table is not empty;
+    # the pairs after it have nothing to get wrong
+    spec = _default_spec(name)
+    assert _failing_group_records(spec) == set()
+    model, true = spec.build(), calculus.cone_degrees
+    roots = model.rel_roots
+    pairs = [(a, b) for a in roots for b in roots if not calculus.opposed_multiples(a, b)]
+    last = [pair for pair in pairs if true(model, *pair)][-1]
+    monkeypatch.setattr(calculus, "cone_degrees", lambda model, a, b: {
+        g: (i + 1, j) for g, (i, j) in true(model, a, b).items()} if (a, b) == last
+        else true(model, a, b))
+    assert _failing_group_records(spec) == {"chevalley_homogeneity"}
+
+
+def _wrong_l_at_the_last_member(member, l):
+    l[np.flatnonzero(member)[-1:], 0, 0] += 1
+
+
+def test_a_wrong_gauss_factor_after_the_elimination_fails_the_roundtrip(monkeypatch):
+    # The record compares u*l*v with g at every cell member, the product
+    # that gauss_cell_factors already asserts before it returns: only factors
+    # altered after the function returns reach it (see the next test).
+    spec = _default_spec("SL3(Z/4)[(1, 1, 1)]")
+    true = models.gauss_cell_factors
+
+    def wrong_at_last(model, mats):
+        member, u, l, v = true(model, mats)
+        _wrong_l_at_the_last_member(member, l)
+        return member, u, l, v
+
+    monkeypatch.setattr(models, "gauss_cell_factors", wrong_at_last)
+    assert _failing_group_records(spec) == {"gauss_cell_roundtrip"}
+
+
+def test_a_wrong_gauss_factor_inside_the_elimination_ends_the_run(monkeypatch, capsys):
+    # The same fault planted in the source of gauss_cell_factors, just before
+    # its own assert: the assert stops the run (exit 3) at the first model's
+    # identity, a one-member stack, before any record could fail.
+    source = inspect.getsource(models.gauss_cell_factors)
+    anchor = "    cell = u[member], l[member], v[member]\n"
+    assert source.count(anchor) == 1
+    namespace = {**vars(models), "_wrong_l_at_the_last_member": _wrong_l_at_the_last_member}
+    exec(compile(source.replace(anchor, "    _wrong_l_at_the_last_member(member, l)\n" + anchor),
+                 models.__file__, "exec"), namespace)
+    mutant = namespace["gauss_cell_factors"]
+    model = _default_spec("SL3(Z/4)[(1, 1, 1)]").build()
+    with pytest.raises(AssertionError):
+        mutant(model, np.stack(model.all_elementary_generators()))
+    monkeypatch.setattr(models, "gauss_cell_factors", mutant)
+    assert cli.main(["group"]) == 3
+    assert capsys.readouterr().err.splitlines()[-1] == "internal error: "
 
 
 def _failing_relroots_records():

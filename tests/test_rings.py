@@ -1,11 +1,15 @@
 import itertools
+import random
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chevlat.models import GroupModel
-from chevlat.rings import adjugate_int, det_int, divisors, jacobson_radical, scalar_inverse
+from chevlat.rings import (
+    adjugate_int, det_int, divisors, draws, jacobson_radical, scalar_inverse,
+)
 
 from conftest import ideal_generated_by, mat_inverse_mod
 
@@ -17,6 +21,29 @@ def test_ring_ideals():
     assert divisors(6) == [1, 2, 3, 6]
     assert divisors(12) == [1, 2, 3, 4, 6, 12]
     assert divisors(7) == [1, 7]
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 5616, 2 ** 62 + 3])
+@pytest.mark.parametrize("shape", [(0,), (1,), (3, 400), (2, 0, 5)])
+def test_draws_lie_in_range_with_the_requested_shape(n, shape):
+    got = draws(random.Random(n), n, *shape)
+    assert got.shape == shape and got.dtype == np.int64
+    assert ((0 <= got) & (got < n)).all()
+    assert np.array_equal(got, draws(random.Random(n), n, *shape))  # same seed, same values
+    if got.size > 100:
+        assert len(np.unique(got)) >= min(n, 100)  # the values spread over the range
+
+
+def test_draws_read_only_the_rng_they_are_passed():
+    np_state, py_state = np.random.get_state(), random.getstate()
+    rng, twin = random.Random(3), random.Random(3)
+    first = draws(rng, 10, 100)
+    assert random.getstate() == py_state  # the module rng is untouched
+    assert all(np.array_equal(a, b) for a, b in zip(np.random.get_state(), np_state))
+    # rng moved on by its draws and by nothing else: a twin drawing the same
+    # sizes is at the same state, and the next draws differ from the first
+    assert np.array_equal(first, draws(twin, 10, 100)) and rng.getstate() == twin.getstate()
+    assert not np.array_equal(first, draws(rng, 10, 100))
 
 
 def test_jacobson_radical():
