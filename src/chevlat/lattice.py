@@ -295,33 +295,16 @@ class _ClosureRegistry:
                                "join of E-normal subgroups is not E-normal")
 
 
-_CONTEXTS: dict[tuple, "GroupContext"] = {}
-_REGISTRIES: dict[tuple, _ClosureRegistry] = {}
-
-
-def _shared_registry(model: GroupModel, cap: int) -> _ClosureRegistry:
-    # the table and its closures do not depend on the parabolic, only on the group
-    key = (model.kind, model.degree, model.m, cap)
-    if key not in _REGISTRIES:
-        _REGISTRIES[key] = _ClosureRegistry(ElementTable(model, cap))
-    return _REGISTRIES[key]
-
-
-def get_context(model: GroupModel, cap: int = DEFAULT_CAP) -> "GroupContext":
-    key = (model, cap)
-    if key not in _CONTEXTS:
-        _CONTEXTS[key] = GroupContext(model, cap, closures=_shared_registry(model, cap))
-    return _CONTEXTS[key]
-
-
 class GroupContext:
     """A model, its element table with the table's closure registry, and
-    cached lattice data of the model's parabolic."""
+    cached lattice data of the model's parabolic.  It builds its own table
+    and registry unless `sibling` hands it those of another context."""
 
-    def __init__(self, model: GroupModel, cap: int, closures: _ClosureRegistry):
+    def __init__(self, model: GroupModel, cap: int = DEFAULT_CAP,
+                 closures: _ClosureRegistry | None = None):
         self.model = model
         self.cap = cap
-        self.closures = closures
+        self.closures = closures or _ClosureRegistry(ElementTable(model, cap))
         self.table = self.closures.table
         self.hypotheses = hypothesis_check(model)
         self._cache: dict = {}
@@ -571,8 +554,10 @@ def extract_unipotent(ctx: GroupContext, sub: Subgroup):
 
 
 def verify_unipotent_extraction(ctx: GroupContext) -> dict:
-    """Every noncentral orbit closure contains a root unipotent; the same
-    holds for closures meeting the radical congruence subgroup noncentrally."""
+    """Every noncentral orbit closure contains a root unipotent.  The
+    `radical_failures`, the failures whose closure meets the radical
+    congruence subgroup noncentrally, are a subset of the `failures` and
+    witness data only."""
     center = ctx.center().mask
     rad = ctx.congruence(jacobson_radical(ctx.model.m)).mask
     reps = np.asarray(ctx.orbits().reps)[~center].tolist()

@@ -31,9 +31,10 @@ def unfold(sys):
     return relroots._unfolded(sys.rtype)[:3]
 
 
+@lru_cache(maxsize=None)
 def ctx_for(kind, degree, m, blocks):
-    """Contexts are cached process-wide, so tests share element tables."""
-    return lattice.get_context(models.GroupModel(kind, degree, m, blocks))
+    """Contexts are cached for the whole test session, so tests share element tables."""
+    return lattice.GroupContext(models.GroupModel(kind, degree, m, blocks))
 
 
 def index_of(table, mat):
@@ -441,8 +442,7 @@ def reference_full_congruence(ctx, d):
     if d == ctx.model.m:
         return reference_center(ctx)
     model = ctx.model
-    qctx = lattice.get_context(
-        models.GroupModel(model.kind, model.degree, d, model.blocks), ctx.cap)
+    qctx = ctx_for(model.kind, model.degree, d, model.blocks)
     reduced = qctx.table.lookup(ctx.table.mat(np.arange(ctx.table.N)) % d)
     assert (reduced >= 0).all()
     return reference_center(qctx)[reduced]

@@ -14,7 +14,6 @@ import time
 import pytest
 
 from chevlat import calculus, cli, lattice, models, relroots
-from chevlat.models import GroupModel
 
 from conftest import ctx_for
 
@@ -126,7 +125,7 @@ def test_c7_commutator_calculus_properties():
 
 def test_c8_centralizer_lemmas():
     checked = 0
-    borel = lattice.get_context(GroupModel("Sp", 4, 3, "borel"))
+    borel = ctx_for("Sp", 4, 3, "borel")
     for ctx in (ctx_for("SL", 3, 2, (1, 1, 1)), ctx_for("SL", 3, 3, (1, 1, 1)), borel):
         out = lattice.verify_centralizer_lemmas(ctx)
         assert set(out) == {"u_cent_field", "centr_beta", "small_levi_b"}

@@ -1,8 +1,10 @@
+import gc
 import hashlib
 import json
 import os
 import subprocess
 import sys
+import weakref
 
 import pytest
 
@@ -214,15 +216,10 @@ def test_main_refuses_model_options_without_a_model(extra, monkeypatch, capsys):
 
 def test_group_suite_computes_no_orbits(monkeypatch):
     # E(R) = G(R) is read off the table's certificate, so the group suite
-    # never partitions a table into E-orbits; fresh registries on the cached
-    # tables hold no orbits yet
+    # never partitions a table into E-orbits
     def refuse(table):
         raise AssertionError("the group suite computed the E-orbits")
 
-    registries = {key: lattice._ClosureRegistry(reg.table)
-                  for key, reg in lattice._REGISTRIES.items()}
-    monkeypatch.setattr(lattice, "_REGISTRIES", registries)
-    monkeypatch.setattr(lattice, "_CONTEXTS", {})
     monkeypatch.setattr(lattice, "e_conjugacy_orbits", refuse)
     report, code = cli.run(cli.RunConfig(suite="group"))
     assert code == 0 and "fail" not in {c["verdict"] for c in report["checks"]}
@@ -231,23 +228,44 @@ def test_group_suite_computes_no_orbits(monkeypatch):
 
 
 def test_group_suite_builds_no_conjugations(monkeypatch):
-    # the group suite reads neither the inverses nor the conjugations of its
-    # tables, so fresh tables never walk their BFS trees
+    # the group suite reads neither the inverses nor the conjugations of the
+    # tables it builds, so they never walk their BFS trees
     def refuse(*args):
         raise AssertionError("the group suite built the inverses")
 
-    monkeypatch.setattr(lattice, "_REGISTRIES", {})
-    monkeypatch.setattr(lattice, "_CONTEXTS", {})
     monkeypatch.setattr(ElementTable, "_tree_inverses", refuse)
     for spec in cli.DEFAULT_MODELS:
         records = {name: verdict
                    for name, _, verdict, _, _ in cli.group_records(spec, cli.DEFAULT_CAP)}
         assert records["element_table"] and records["elementary_subgroup_full"]
-    assert len(lattice._REGISTRIES) == len(cli.DEFAULT_MODELS)
     # the patch is live: the first conjugation read walks the tree
-    table = next(iter(lattice._REGISTRIES.values())).table
     with pytest.raises(AssertionError, match="built the inverses"):
-        table.egen_conj_perms()
+        ElementTable(cli.DEFAULT_MODELS[0].build()).egen_conj_perms()
+
+
+def test_suite_tables_are_freed_when_their_suite_ends(monkeypatch):
+    # a model's table and closures live in the context its record generator
+    # builds, so they are freed by reference counting, with no gc pass, as
+    # soon as the generator is exhausted
+    built = []
+    init = ElementTable.__init__
+
+    def record(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        built.append(weakref.ref(self))
+
+    monkeypatch.setattr(ElementTable, "__init__", record)
+    spec = cli.DEFAULT_MODELS[0]
+    for records in (cli.group_records(spec, cli.DEFAULT_CAP),
+                    cli.sandwich_records(spec, cli.DEFAULT_CAP)):
+        gc.disable()
+        try:
+            built.clear()
+            for _ in records:
+                alive = [ref() is not None for ref in built]
+            assert alive == [True] and built[0]() is None
+        finally:
+            gc.enable()
 
 
 def test_group_suite_outside_the_hypotheses_reports_no_counterexample(capsys):

@@ -6,7 +6,7 @@ import pytest
 
 from chevlat import cli, lattice, models
 from chevlat.models import GroupModel
-from chevlat.table import DEFAULT_CAP, ElementTable
+from chevlat.table import ElementTable
 
 from conftest import (
     REFERENCE_MODELS, BitsetSubgroup, bfs_orbits, ctx_for, generating_set, index_of, is_enormal,
@@ -90,7 +90,7 @@ def test_products_match_unique_reference(name, request):
 
 @pytest.mark.parametrize("spec", cli.DEFAULT_MODELS, ids=lambda s: s.build().name())
 def test_elementary_is_the_closure_of_the_generators(spec):
-    ctx = lattice.get_context(spec.build())
+    ctx = ctx_for(spec.kind, spec.degree, spec.modulus, spec.blocks)
     e_sub = ctx.elementary()
     closure = reference_subgroup_closure(ctx.table, ctx.table.gen_idxs.tolist())
     assert np.array_equal(e_sub.member, closure.member)
@@ -131,7 +131,8 @@ def test_full_congruence(sl3_4, sp4_3, sp4_2, sl4_2):
     # Z/6 are not a chain, and Sp4(Z/2) lies outside the main hypotheses.
     # Sp4(Z/4), 737,280 elements, is not kept for later tests
     sl2_12, sl3_6 = ctx_for("SL", 2, 12, (1, 1)), ctx_for("SL", 3, 6, (1, 1, 1))
-    for ctx in (sl3_4, sp4_3, sl2_12, sl3_6, sp4_2, sl4_2, uncached_context("Sp", 4, 4, "line")):
+    sp4_4 = lattice.GroupContext(GroupModel("Sp", 4, 4, "line"))
+    for ctx in (sl3_4, sp4_3, sl2_12, sl3_6, sp4_2, sl4_2, sp4_4):
         assert np.array_equal(ctx.center().member, reference_center(ctx))
         for d in ctx.ideals:
             assert np.array_equal(ctx.congruence(d).member, reference_congruence(ctx, d))
@@ -158,7 +159,6 @@ def test_full_congruence_builds_no_quotient_table(spec, monkeypatch):
 
     monkeypatch.setattr(ElementTable, "__init__", refuse)
     monkeypatch.setattr(lattice.GroupContext, "__init__", refuse)
-    monkeypatch.setattr(lattice, "get_context", refuse)
     for d, member in zip(ctx.ideals, want):
         assert np.array_equal(ctx.full_congruence(d).member, member)
 
@@ -265,13 +265,6 @@ def test_commutator_formula(sl3_4, sp4_3):
         assert all(r["equal"] for r in out)
 
 
-def uncached_context(kind, degree, m, blocks):
-    """A context outside the process-wide cache, freed with its last reference."""
-    model = GroupModel(kind, degree, m, blocks)
-    return lattice.GroupContext(model, DEFAULT_CAP,
-                                closures=lattice._ClosureRegistry(ElementTable(model)))
-
-
 @pytest.mark.parametrize("spec,want", [
     (("SL", 3, 6, (1, 1, 1)),
      [(1, 943488, 943488, True), (2, 5616, 5616, True), (3, 168, 168, True), (6, 1, 1, True)]),
@@ -282,7 +275,7 @@ def uncached_context(kind, degree, m, blocks):
 ], ids=["SL3(Z/6)", "Sp4(Z/4)", "SL2(Z/12)"])
 def test_commutator_formula_per_ideal(spec, want):
     # Sp4(Z/4) has 737,280 elements; its table is not kept for later tests
-    ctx = uncached_context(*spec) if spec[0] == "Sp" else ctx_for(*spec)
+    ctx = lattice.GroupContext(GroupModel(*spec)) if spec[0] == "Sp" else ctx_for(*spec)
     out = lattice.verify_commutator_formula(ctx)
     assert [(r["ideal"], r["commutator_order"], r["relative_elementary_order"], r["equal"])
             for r in out] == want
@@ -293,7 +286,7 @@ def test_commutator_formula_per_ideal(spec, want):
     GroupModel("SL", 3, 6, (1, 1, 1))], ids=lambda mo: mo.name())
 def test_orbit_representatives_in_a_congruence_subgroup_generate_it(model):
     # G(R,q) is normal, so it is the normal closure of the orbits it meets
-    ctx = lattice.get_context(model)
+    ctx = ctx_for(model.kind, model.degree, model.m, model.blocks)
     reps = np.asarray(ctx.orbits().reps)
     for d in ctx.ideals:
         cong = ctx.congruence(d)
@@ -410,7 +403,7 @@ def test_centralizer_lemmas(sl3_2, sl3_3, sp4_3):
         assert not lattice.verify_centralizer_beta(ctx.model)["failures"]
         assert not lattice.verify_small_levi_b(ctx.model)["failures"]
     borel = GroupModel("Sp", 4, 3, "borel")
-    ctx_borel = lattice.get_context(borel)
+    ctx_borel = ctx_for("Sp", 4, 3, "borel")
     assert not lattice.verify_u_cent_field(ctx_borel)["failures"]
     assert not lattice.verify_centralizer_beta(borel)["failures"]
     assert not lattice.verify_small_levi_b(borel)["failures"]
@@ -594,7 +587,8 @@ def test_registry_join_matches_plain_engine(registry_ctx):
 def test_closures_match_a_run_without_the_whole_group_exit(spec, monkeypatch):
     # a closure that reaches every E generator ends at the whole table with
     # the gens, and the shared objects, of a BFS run to its fixed point
-    ctx = uncached_context(*spec) if spec == ("Sp", 4, 4, "line") else ctx_for(*spec)
+    large = spec == ("Sp", 4, 4, "line")  # not kept for later tests
+    ctx = lattice.GroupContext(GroupModel(*spec)) if large else ctx_for(*spec)
     reps = ctx.orbits()[1]
     got = [ctx.orbit_closure(rep) for rep in reps] + [ctx.closure_of(reps)]
     plain = lattice.GroupContext(ctx.model, ctx.cap,

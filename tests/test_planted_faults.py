@@ -257,12 +257,10 @@ def test_a_chain_walk_one_step_short_is_a_gap_of_the_sweep(monkeypatch):
 HOLDING = [spec.build().name() for spec in cli.DEFAULT_MODELS if not spec.expect_violation]
 
 
-def _sandwich_run(monkeypatch):
+def _sandwich_run():
     """The sandwich suite on the default models, with its exit code and the
-    models on which each record fails.  It runs on fresh contexts: the
-    element tables and their closures depend on the group only and stay
-    shared, but no ideal data cached before the fault was planted is read."""
-    monkeypatch.setattr(lattice, "_CONTEXTS", {})
+    models on which each record fails.  Each model's context is built by its
+    suite, so no data cached before the fault was planted is read."""
     report, code = cli.run(cli.RunConfig(suite="sandwich"))
     failing = {}
     for check in report["checks"]:
@@ -278,16 +276,16 @@ def _sandwich_run(monkeypatch):
 def test_a_missing_ideal_fails_the_sandwich_records(drop, failing, monkeypatch):
     # without (1) the whole group has no sandwich, and the joins that reach
     # it have no level; without (m) the trivial subgroup has none
-    assert _sandwich_run(monkeypatch)[:2] == (0, {})
+    assert _sandwich_run()[:2] == (0, {})
     true = lattice.divisors
     monkeypatch.setattr(lattice, "divisors", lambda m: true(m)[drop])
-    assert _sandwich_run(monkeypatch)[:2] == (1, {name: HOLDING for name in failing})
+    assert _sandwich_run()[:2] == (1, {name: HOLDING for name in failing})
 
 
 def test_v_tuples_ignoring_the_ideal_fails_the_level_computation(monkeypatch):
     true = GroupModel.v_tuples
     monkeypatch.setattr(GroupModel, "v_tuples", lambda self, alpha, d=1: true(self, alpha))
-    assert _sandwich_run(monkeypatch)[:2] == (1, {"level_computation": HOLDING})
+    assert _sandwich_run()[:2] == (1, {"level_computation": HOLDING})
 
 
 @pytest.mark.parametrize("radical, moves_control", [(lambda m: m, False), (lambda m: 1, True)],
@@ -300,9 +298,9 @@ def test_a_wrong_jacobson_radical_is_a_gap_of_the_sandwich_suite(radical, moves_
     # hypotheses does.  The Sp4(Z/2) control has such closures, but Z/2 is a
     # field, so its radical is the zero ideal, and the unit ideal only moves
     # every one of them into the witness's radical_failures.
-    _, _, clean = _sandwich_run(monkeypatch)
+    _, _, clean = _sandwich_run()
     monkeypatch.setattr(lattice, "jacobson_radical", radical)
-    code, failing, checks = _sandwich_run(monkeypatch)
+    code, failing, checks = _sandwich_run()
     assert (code, failing) == (0, {})
     changed = [(b["name"], b["model"]) for a, b in zip(clean, checks) if a != b]
     if not moves_control:
