@@ -11,12 +11,13 @@ multiplication by each seed not yet a member and conjugation by each E
 generator.  Its fixed point is closed under right multiplication by every
 conjugate of a seed, x s^g = (x^(g^-1) s)^g, so it is the E-normal subgroup
 the base and the seeds generate, and the base's gens with those seeds
-normally generate it.  Products come from `ElementTable.right_mult`,
-conjugates from gathers of the table's E-generator conjugation
-permutations; each frontier is deduplicated by one sort and an
-adjacent-difference mask.  E(R) is not closed again: the table's BFS is the
-closure of {1} under the E generators.  For the same reason a BFS ends once
-every E generator is a member: the subgroup is E(R) = G(R), the whole table.
+normally generate it.  Products come from `ElementTable.right_mult` on the
+seeds' row tables, built once per call, conjugates from one gather of the
+table's (k, N) conjugation array per chunk; each frontier is deduplicated by
+one sort and an adjacent-difference mask.  E(R) is not closed again: the
+table's BFS is the closure of {1} under the E generators.  For the same
+reason a BFS ends once every E generator is a member: the subgroup is E(R)
+= G(R), the whole table.
 
 Each element table has one registry of certified E-normal closures, shared
 by every context (parabolic, sibling) built on it.  It holds the E-orbits
@@ -25,10 +26,14 @@ every other closure from them:
 
 * cl(r), the normal closure of r under E, is `normal_closure` of [r], so
   its gens are [r] (none for r = 1).
-* While cl(r) grows, each new BFS frontier is checked for an element x
-  whose orbit closure K is already known and contains r.  Then cl(r) = K:
-  K = cl(x) <= cl(r) because cl(r) is E-normal and contains x, and
-  cl(r) <= K because K is E-normal and contains r.
+* Elements x of cl(r) are probed for an orbit closure K that is already
+  known and contains r.  Then cl(r) = K: K = cl(x) <= cl(r) because cl(r)
+  is E-normal and contains x, and cl(r) <= K because K is E-normal and
+  contains r.  The probe runs before any BFS on the commutators [r, e] with
+  the E generators e, which an E-normal cl(r) contains; they are computed
+  once per registry for every orbit representative, in one stacked product
+  and one lookup.  Only when none settles cl(r) does its BFS start, and
+  the probe then sees each new frontier.
 * The join of two E-normal subgroups A and B is E-normal.  It is grown
   from A's bitset with B's gens as seeds, and its gens are A's followed by
   those of B's that A lacks.
@@ -60,13 +65,16 @@ which ideals q satisfy E(R,q) <= closure <= C(R,q); on a model satisfying
 the main hypotheses exactly one ideal must pass.  Every E-normal subgroup is
 the join of the orbit closures of its elements, so closing the distinct
 orbit closures under joins gives the whole lattice (`enormal_lattice`), and
-the sandwich can be checked on every member of it directly.
+the sandwich can be checked on every member of it directly.  Many orbits
+share one closure, so the ideals of a closure's sandwich and its level
+report are computed once per closure, not once per orbit.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -129,24 +137,24 @@ class Bitset(NamedTuple):
 
 
 def _products(table: ElementTable, member: np.ndarray, frontier: np.ndarray,
-              gen_idxs) -> np.ndarray:
-    """New indices reached from the frontier by right multiplication with
-    the generators and by conjugation with the E generators, marked in
-    `member`, in chunks of at most 65,536 products that bound memory."""
-    perms = table.egen_conj_perms()
-    chunk = max(1, 65536 // (len(gen_idxs) + len(perms)))
+              tables: np.ndarray) -> np.ndarray:
+    """New indices (int32) reached from the frontier by right multiplication
+    with the elements whose row tables are given and by conjugation with the
+    E generators, marked in `member`, in chunks of at most 65,536 products
+    that bound memory."""
+    chunk = max(1, 65536 // (len(tables) + len(table.conj)))
     found = []
     for lo in range(0, frontier.size, chunk):
         part = frontier[lo:lo + chunk]
-        idx = np.concatenate([table.right_mult(part, gen_idxs).ravel(),
-                              *(perm.take(part) for perm in perms)])
+        idx = np.concatenate([table.right_mult(part, tables).ravel(),
+                              table.conj.take(part, axis=1).ravel()])
         assert idx.min(initial=0) >= 0  # products of members are members
         new = np.sort(idx[~member[idx]])
         member[new] = True
         first = np.ones(new.size, dtype=bool)  # the first of each run of equal indices
         np.not_equal(new[1:], new[:-1], out=first[1:])
         found.append(new[first])
-    return np.concatenate(found) if found else np.empty(0, dtype=np.int64)
+    return np.concatenate(found) if found else np.empty(0, dtype=np.int32)
 
 
 def normal_closure(table: ElementTable, seeds, base: Subgroup | None = None,
@@ -166,9 +174,10 @@ def normal_closure(table: ElementTable, seeds, base: Subgroup | None = None,
     else:
         member, gens = base.member, list(base.gens)
     new = [s for s in np.asarray(seeds, dtype=np.int64).tolist() if not member[s]]
+    tables = table.row_tables(table.mat(np.asarray(new, dtype=np.int64)))
     frontier = np.flatnonzero(member)
     while frontier.size:
-        frontier = _products(table, member, frontier, new)
+        frontier = _products(table, member, frontier, tables)
         if member[table.gen_idxs].all():  # the fixed point holds E(R) = G(R)
             break
         found = stop(frontier) if stop is not None else None
@@ -184,11 +193,10 @@ def e_conjugacy_orbits(table: ElementTable) -> tuple[np.ndarray, np.ndarray]:
     to the least label of the element's generator images, then jumps it to
     its label's label, until a pass changes nothing.  Then each label is
     its orbit's least member, the one element that is its own label (int32)."""
-    perms = table.egen_conj_perms()
     label = np.arange(table.N, dtype=np.int32)
     while True:
         before = label.copy()
-        for perm in perms:
+        for perm in table.conj:
             np.minimum(label, label.take(perm), out=label)
         label = label.take(label)
         if np.array_equal(label, before):
@@ -208,7 +216,7 @@ class SandwichResult:
         self.verdict = {0: "none", 1: "unique"}.get(len(self.admissible), "multiple")
 
     def as_dict(self) -> dict:
-        return asdict(self)
+        return {**vars(self), "admissible": list(self.admissible)}
 
 
 @dataclass
@@ -219,7 +227,7 @@ class LevelReport:
     equal: bool
 
     def as_dict(self) -> dict:
-        return asdict(self)
+        return {**vars(self), "per_root": list(self.per_root)}
 
 
 class _ClosureRegistry:
@@ -245,10 +253,18 @@ class _ClosureRegistry:
         k = int(orbits.ids[idx])
         if k not in self._by_orbit:
             rep = orbits.reps[k]
-            self._by_orbit[k] = self._certified(
-                normal_closure(self.table, [rep], stop=self._known_closure(rep)),
+            stop = self._known_closure(rep)
+            # cl(rep) holds every [rep, e]: the probe sees them before any BFS
+            found = stop(self._rep_commutators[:, k]) if stop is not None else None
+            self._by_orbit[k] = found if found is not None else self._certified(
+                normal_closure(self.table, [rep], stop=stop),
                 "the subgroup generated by an E-orbit is not E-normal")
         return self._by_orbit[k]
+
+    @cached_property
+    def _rep_commutators(self) -> np.ndarray:
+        """[rep, e] for every orbit representative and E generator, (k, orbits)."""
+        return _commutators(self.table, self.orbits().reps)
 
     def _certified(self, result: Bitset | Subgroup, error: str) -> Subgroup:
         """The registry's one subgroup equal to a `normal_closure` result.  A
@@ -268,8 +284,9 @@ class _ClosureRegistry:
         return self._by_mask.setdefault(mask.tobytes(), Subgroup(orbits, mask, result.gens))
 
     def _known_closure(self, rep: int):
-        """Stop hook for cl(rep): the known closure K of a frontier element's
-        orbit, if K contains rep; then K = cl(rep) (see the module notes)."""
+        """Stop hook for cl(rep), to be shown elements of cl(rep): the known
+        closure K of an element's orbit, if K contains rep; then K = cl(rep)
+        (see the module notes)."""
         orbits = self.orbits()
         hit = np.zeros(len(orbits.reps), dtype=bool)
         for k, closure in self._by_orbit.items():
@@ -277,8 +294,8 @@ class _ClosureRegistry:
         if not hit.any():
             return None
 
-        def stop(frontier: np.ndarray) -> Subgroup | None:
-            ks = orbits.ids.take(frontier)
+        def stop(elements: np.ndarray) -> Subgroup | None:
+            ks = orbits.ids.take(elements)
             ks = ks[hit[ks]]
             return self._by_orbit[int(ks[0])] if ks.size else None
 
@@ -365,7 +382,7 @@ class GroupContext:
             reps = np.asarray(self.orbits().reps)
             rep_mats = self.table.mat(reps) % d
             keep = np.ones(len(reps), dtype=bool)
-            for perm in self.table.egen_conj_perms():
+            for perm in self.table.conj:
                 keep &= (self.table.mat(perm.take(reps)) % d == rep_mats).all(axis=(1, 2))
             return self._orbit_union(keep)
 
@@ -419,16 +436,18 @@ class GroupContext:
     def commutator_subgroup(self, x_gens) -> Subgroup:
         """[X, E(R)] for X normal in the group, from normal generators x of X
         (its gens): the normal closure of the [x, e] over the E generators e
-        (see the module notes).  Each [x, e] = x^-1 (e^-1 x e) reads the
-        conjugate from e's conjugation permutation, so it is one matrix
-        product."""
-        t = self.table
-        x_gens = np.asarray(x_gens, dtype=np.int64)
-        perms = t.egen_conj_perms()
-        conj = np.concatenate([perm[x_gens] for perm in perms])
-        xinv = np.tile(t.inv[x_gens], len(perms))
-        prods = t.mat(xinv) @ t.mat(conj)
-        return self.closure_of(_element_indices(t, prods, "a commutator [x, y]").tolist())
+        (see the module notes)."""
+        return self.closure_of(_commutators(self.table, x_gens).ravel().tolist())
+
+
+def _commutators(table: ElementTable, xs) -> np.ndarray:
+    """[x, e] for the elements xs and the E generators e, a (k, len(xs))
+    index array.  Each [x, e] = x^-1 (e^-1 x e) reads the conjugate from the
+    table's conjugations, so all of them are one stacked matrix product and
+    one lookup."""
+    xs = np.asarray(xs, dtype=np.int64)
+    prods = table.mat(table.inv.take(xs)) @ table.mat(table.conj.take(xs, axis=1))
+    return _element_indices(table, prods, "a commutator [x, y]").reshape(len(table.conj), -1)
 
 
 # -- sandwich classification -------------------------------------------------
@@ -464,16 +483,23 @@ def enormal_lattice(ctx: GroupContext) -> list[tuple[Subgroup, list[int]]]:
 
 def verify_level_theorem(ctx: GroupContext, sub: Subgroup, d: int,
                          seed_index: int = -1) -> LevelReport:
-    """H cap X_alpha(V_alpha) = X_alpha(q V_alpha), q = (d), for every relative root."""
-    ids = ctx.orbits().ids
-    per_root = []
-    equal = True
-    for alpha, (vs, idxs) in ctx.root_element_indices().items():
-        got = {v for v, inside in zip(vs, sub.mask[ids.take(idxs)]) if inside}
-        want = set(ctx.model.v_tuples(alpha, d))
-        per_root.append((str(alpha), len(got), len(want)))
-        equal &= got == want
-    return LevelReport(seed_index=seed_index, level=d, per_root=per_root, equal=equal)
+    """H cap X_alpha(V_alpha) = X_alpha(q V_alpha), q = (d), for every relative
+    root, decided once per distinct subgroup and level; each report gets a
+    fresh per_root list."""
+
+    def build():
+        ids = ctx.orbits().ids
+        per_root = []
+        equal = True
+        for alpha, (vs, idxs) in ctx.root_element_indices().items():
+            got = {v for v, inside in zip(vs, sub.mask[ids.take(idxs)]) if inside}
+            want = set(ctx.model.v_tuples(alpha, d))
+            per_root.append((str(alpha), len(got), len(want)))
+            equal &= got == want
+        return per_root, equal
+
+    per_root, equal = ctx._memo(("level", sub.mask.tobytes(), d), build)
+    return LevelReport(seed_index=seed_index, level=d, per_root=list(per_root), equal=equal)
 
 
 def verify_commutator_formula(ctx: GroupContext) -> list[dict]:

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 import numpy as np
@@ -455,7 +455,7 @@ class HypothesisReport:
         return self.irreducible and self.primes_invertible and self.rank_ok
 
     def as_dict(self) -> dict:
-        return {**asdict(self), "structure_primes": list(self.structure_primes),
+        return {**vars(self), "structure_primes": list(self.structure_primes),
                 "main_ok": self.main_ok}
 
 

@@ -22,16 +22,18 @@ The BFS keeps x -> x e, one int32 row per generator, and its spanning tree
 e^-1 inverts x -> x e, and x = e_1 ... e_d on the tree has x^-1 = e_d^-1
 ... e_1^-1, so the inverses are one vectorized walk up the tree (the
 Schreier-vector trick; Butler, Fundamental Algorithms for Permutation
-Groups, LNCS 559), which then drops the tree.  `conj_perm`: conjugation by
-each E generator, x -> e^-1 x e, written over x -> x e, the one thing the
-lattice needs of the generators; its closures run entirely on indices.
+Groups, LNCS 559), which then drops the tree.  `conj`: conjugation by each
+E generator, x -> e^-1 x e, one (k, N) int32 array written over x -> x e,
+the one thing the lattice needs of the generators; its closures run
+entirely on indices.
 The group suite reads neither.
 
 `right_mult` is the one entry point for products, and it has one path for
 every g, resting on row_i(x g) = row_i(x) g: a row table of g, with one
 entry per possible row (m**n of them), maps a row key to the row key of
 that row times g, so the keys of all x g are one gather and one weighted
-sum, looked up in the key index.
+sum, looked up in the key index.  It takes the row tables, which a caller
+multiplying by the same g many times builds once.
 
 Before enumerating, the table refuses (`check_bounds`, SizeCapError) a
 group over the element cap, one whose base-m keys could pass 2**63 - 1, one
@@ -121,10 +123,11 @@ class ElementTable:
         return inv
 
     @cached_property
-    def _conj(self) -> np.ndarray:
-        """Row j, x -> e_j^-1 x e_j, as x -> x^-1 e_j -> e_j^-1 x -> e_j^-1 x e_j,
-        written over the BFS's x -> x e_j (np.take gathers these int32 indices
-        faster than fancy indexing)."""
+    def conj(self) -> np.ndarray:
+        """The (k, N) int32 conjugations by the E generators: row j, x ->
+        e_j^-1 x e_j, as x -> x^-1 e_j -> e_j^-1 x -> e_j^-1 x e_j, written over
+        the BFS's x -> x e_j (np.take gathers these int32 indices faster than
+        fancy indexing)."""
         right, inv = self._right, self.inv
         for r in right:
             r[:] = r.take(inv.take(r.take(inv)))
@@ -218,11 +221,10 @@ class ElementTable:
         the k matrices g whose row tables are given."""
         return tables[:, self.rows[idx]] @ self._row_w
 
-    def right_mult(self, idx: np.ndarray, gens) -> np.ndarray:
-        """Indices of x g, an int32 array of shape (len(gens), len(idx)), for
-        the elements x in idx and the elements g with indices in gens: the
-        row tables of the g, their product keys and one lookup."""
-        tables = self.row_tables(self.mat(np.asarray(gens, dtype=np.int64)))
+    def right_mult(self, idx: np.ndarray, tables: np.ndarray) -> np.ndarray:
+        """Indices of x g, an int32 array of shape (k, len(idx)), for the
+        elements x in idx and the k elements g whose row tables are given:
+        their product keys and one lookup."""
         keys = self.product_keys(np.asarray(idx, dtype=np.int64), tables)
         return self.lookup_keys(keys).astype(np.int32)
 
@@ -232,10 +234,7 @@ class ElementTable:
         j = self._gen_pos.get(int(g_idx))
         if j is None:
             raise ValueError(f"{self.model.name()}: element {g_idx} is not an E generator")
-        return self._conj[j]
-
-    def egen_conj_perms(self) -> list[np.ndarray]:
-        return [self.conj_perm(i) for i in self.gen_idxs.tolist()]
+        return self.conj[j]
 
 
 class _DenseIndex:

@@ -449,18 +449,19 @@ def reference_full_congruence(ctx, d):
 
 
 def reference_products(table, member, frontier, gen_idxs):
-    """lattice._products with np.unique deduplicating each chunk."""
-    perms = table.egen_conj_perms()
-    chunk = max(1, 65536 // (len(gen_idxs) + len(perms)))
+    """lattice._products by the generators' indices, with one gather per E
+    generator conjugation and np.unique deduplicating each chunk."""
+    tables = table.row_tables(table.mat(gen_idxs))
+    chunk = max(1, 65536 // (len(gen_idxs) + len(table.gen_idxs)))
     found = []
     for lo in range(0, frontier.size, chunk):
         part = frontier[lo:lo + chunk]
-        idx = np.concatenate([table.right_mult(part, gen_idxs).ravel()]
-                             + [perm[part] for perm in perms])
+        idx = np.concatenate([table.right_mult(part, tables).ravel()]
+                             + [table.conj_perm(g)[part] for g in table.gen_idxs.tolist()])
         new = np.unique(idx[~member[idx]])
         member[new] = True
         found.append(new)
-    return np.concatenate(found) if found else np.empty(0, dtype=np.int64)
+    return np.concatenate(found) if found else np.empty(0, dtype=np.int32)
 
 
 class BitsetSubgroup:
@@ -511,7 +512,7 @@ def reference_subgroup_closure(table, seed_idxs, base=None):
         gens.append(seed)
         frontier = np.flatnonzero(member)
         while frontier.size:
-            idx = table.right_mult(frontier, gens)
+            idx = table.right_mult(frontier, table.row_tables(table.mat(gens)))
             frontier = np.unique(idx[~member[idx]])
             member[frontier] = True
     return BitsetSubgroup(member, gens)
@@ -523,9 +524,10 @@ def reference_normal_closure(table, seeds, base=None, stop=None):
     base = base or BitsetSubgroup.trivial(table)
     member = base.member.copy()
     new = [s for s in np.asarray(seeds, dtype=np.int64).tolist() if not member[s]]
+    tables = table.row_tables(table.mat(new))
     frontier = np.flatnonzero(member)
     while frontier.size:
-        frontier = lattice._products(table, member, frontier, new)
+        frontier = lattice._products(table, member, frontier, tables)
         found = stop(frontier) if stop is not None else None
         if found is not None:
             return found
@@ -536,7 +538,7 @@ def is_enormal(table, sub):
     """Whether every E generator conjugation maps the bitset into itself,
     checked member by member with N-byte masks."""
     member = sub.member
-    return not any((member & ~member[perm]).any() for perm in table.egen_conj_perms())
+    return not any((member & ~member[perm]).any() for perm in table.conj)
 
 
 def plain_normal_closure(table, seeds):
@@ -545,7 +547,7 @@ def plain_normal_closure(table, seeds):
     sub = reference_subgroup_closure(table, seeds)
     while True:
         members = sub.indices()
-        images = np.concatenate([perm[members] for perm in table.egen_conj_perms()])
+        images = table.conj[:, members].ravel()
         missing = np.unique(images[~sub.member[images]])
         if not missing.size:
             return sub
@@ -574,7 +576,6 @@ def bfs_orbits(table):
     """Reference E-orbits: one BFS over the generator conjugations per
     element not yet reached, orbits numbered in order of their least
     member."""
-    perms = table.egen_conj_perms()
     orbit = np.full(table.N, -1, dtype=np.int64)
     next_id = 0
     for start in range(table.N):
@@ -583,7 +584,7 @@ def bfs_orbits(table):
         orbit[start] = next_id
         frontier = np.array([start], dtype=np.int64)
         while frontier.size:
-            images = np.unique(np.concatenate([perm[frontier] for perm in perms]))
+            images = np.unique(table.conj[:, frontier])
             new = images[orbit[images] < 0]
             orbit[new] = next_id
             frontier = new

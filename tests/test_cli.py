@@ -240,7 +240,7 @@ def test_group_suite_builds_no_conjugations(monkeypatch):
         assert records["element_table"] and records["elementary_subgroup_full"]
     # the patch is live: the first conjugation read walks the tree
     with pytest.raises(AssertionError, match="built the inverses"):
-        ElementTable(cli.DEFAULT_MODELS[0].build()).egen_conj_perms()
+        ElementTable(cli.DEFAULT_MODELS[0].build()).conj
 
 
 def test_suite_tables_are_freed_when_their_suite_ends(monkeypatch):

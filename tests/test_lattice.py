@@ -56,7 +56,7 @@ def test_normal_closure_level_two(sl3_4):
 def test_normal_closure_is_fixed_point(sl3_4):
     idx = index_of(sl3_4.table, sl3_4.model.elementary_generator((0, 2), 2))
     sub = sl3_4.closure_of([idx])
-    for perm in sl3_4.table.egen_conj_perms():
+    for perm in sl3_4.table.conj:
         assert np.array_equal(sub.member[perm], sub.member)
 
 
@@ -78,13 +78,13 @@ def test_products_match_unique_reference(name, request):
             frontier = rng.choice(t.N, min(size, t.N), replace=False)
             member = rng.random(t.N) < 0.3
             want_member = member.copy()
-            got = lattice._products(t, member, frontier, gen_idxs)
+            got = lattice._products(t, member, frontier, t.row_tables(t.mat(gen_idxs)))
             want = reference_products(t, want_member, frontier, gen_idxs)
             assert got.dtype == want.dtype and np.array_equal(got, want)
             assert np.array_equal(member, want_member)
     # no candidate: every product is a member already
     member = np.ones(t.N, dtype=bool)
-    got = lattice._products(t, member, np.arange(10), egens)
+    got = lattice._products(t, member, np.arange(10), t.row_tables(t.mat(egens)))
     assert got.size == 0 and member.all()
 
 
@@ -114,7 +114,7 @@ def test_congruence_subgroups(sl3_4):
     assert sl3_4.congruence(4).order == 1
     # normality in the whole group
     cong = sl3_4.congruence(2)
-    for perm in sl3_4.table.egen_conj_perms():
+    for perm in sl3_4.table.conj:
         assert np.array_equal(cong.member[perm], cong.member)
 
 
@@ -655,6 +655,48 @@ def test_every_bound_has_its_own_ideal_as_sandwich(spec):
             assert ctx.sandwich_ideals(sub) == [d]
         rep = lattice.verify_level_theorem(ctx, ctx.congruence(d), d)
         assert rep.equal and rep.level == d
+
+
+def test_sandwich_suite_settles_most_orbit_closures_without_a_bfs(monkeypatch):
+    # cl(r) holds every [r, e], so a known closure of a commutator's orbit
+    # that holds r is cl(r), with no BFS: 20 BFS runs build every orbit
+    # closure, join and bound the suite reads on the six default models
+    calls = []
+    true = lattice.normal_closure
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return true(*args, **kwargs)
+
+    monkeypatch.setattr(lattice, "normal_closure", counted)
+    for spec in cli.DEFAULT_MODELS:
+        for _ in cli.sandwich_records(spec, cli.DEFAULT_CAP):
+            pass
+    assert 0 < len(calls) <= 20
+
+
+def test_level_reports_are_computed_once_per_closure(sl3_4, monkeypatch):
+    ctx = sl3_4.sibling(sl3_4.model.blocks)  # a fresh context cache on the shared registry
+    by_closure = {}
+    for r in lattice.sandwich_classify(ctx):
+        if r.verdict == "unique":
+            by_closure.setdefault(id(ctx.orbit_closure(r.seed_index)), []).append(r)
+    first, second = next(rs for rs in by_closure.values() if len(rs) > 1)[:2]
+    sub, d = ctx.orbit_closure(first.seed_index), first.admissible[0]
+    a = lattice.verify_level_theorem(ctx, sub, d, first.seed_index)
+
+    def recomputed(*args):
+        raise AssertionError("the level report was computed again")
+
+    monkeypatch.setattr(ctx, "root_element_indices", recomputed)
+    b = lattice.verify_level_theorem(ctx, sub, d, second.seed_index)
+    assert (a.seed_index, b.seed_index) == (first.seed_index, second.seed_index)
+    assert {**a.as_dict(), "seed_index": None} == {**b.as_dict(), "seed_index": None}
+    assert a.equal and a.per_root
+    want = list(b.per_root)
+    a.per_root.clear()
+    assert b.per_root == want
+    assert lattice.verify_level_theorem(ctx, sub, d).per_root == want
 
 
 def test_subgroups_keep_no_array_over_the_table(sl3_4):

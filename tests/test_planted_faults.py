@@ -312,3 +312,34 @@ def test_a_wrong_jacobson_radical_is_a_gap_of_the_sandwich_suite(radical, moves_
     assert after["verdict"] == before["verdict"] == "expected-exception"
     assert before["witness"]["radical_failures"] == []
     assert after["witness"]["radical_failures"] == after["witness"]["failures"] != []
+
+
+def test_a_probe_that_skips_its_containment_check_fails_the_sandwich_records(monkeypatch):
+    # The registry settles cl(r) from a known closure K of an orbit holding
+    # some [r, e] only when r lies in K.  Planted in the source of
+    # orbit_closure, the probe takes the first known closure of a
+    # commutator's orbit as it is, one that need not hold r: the trivial
+    # group cl(1) when r commutes with an E generator.  Every model inside
+    # the hypotheses then fails the records that read the orbit closures
+    # (SL3(Z/4) is not over a field, so it has no simplicity record), and the
+    # Sp4(Z/2) control's commutator formula, read off the same closures,
+    # comes out equal, an unexpected pass.
+    _, _, clean = _sandwich_run()
+    source = inspect.getsource(lattice._ClosureRegistry.orbit_closure)
+    anchor = "            found = stop(self._rep_commutators[:, k]) if stop is not None else None\n"
+    assert source.count(anchor) == 1
+    unchecked = ("            found = next((self._by_orbit[c] for c in orbits.ids.take("
+                 "self._rep_commutators[:, k]).tolist() if c in self._by_orbit), None)\n")
+    namespace = dict(vars(lattice))
+    exec(compile(inspect.cleandoc("\n" + source.replace(anchor, unchecked)), lattice.__file__,
+                 "exec"), namespace)
+    monkeypatch.setattr(lattice._ClosureRegistry, "orbit_closure", namespace["orbit_closure"])
+    code, failing, checks = _sandwich_run()
+    over_fields = [name for name in HOLDING if not name.startswith("SL3(Z/4)")]
+    assert (code, failing) == (1, {
+        "sandwich_classification": HOLDING, "level_computation": HOLDING,
+        "elementary_perfect": HOLDING, "unipotent_extraction": HOLDING,
+        "join_compatibility": HOLDING, "central_quotient_simple": over_fields})
+    moved = [(b["name"], b["model"], a["verdict"], b["verdict"]) for a, b in zip(clean, checks)
+             if a["verdict"] != b["verdict"] and b["verdict"] != "fail"]
+    assert moved == [("commutator_formula", "Sp4(Z/2)[borel]", "expected-exception", "info")]

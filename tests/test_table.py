@@ -43,19 +43,21 @@ def test_inverses(sl3_2, sl3_3, sl3_4, sl4_2, sp4_2, sp4_3):
 
 @pytest.mark.parametrize("name", ["sl3_2", "sl3_3", "sl3_4", "sl4_2", "sp4_2", "sp4_3"])
 def test_cached_generator_perms_match_kernel(name, request):
-    # right multiplication by each E generator and its inverse equals the
-    # row-kernel products, one generator at a time and all at once
+    # right multiplication through the row kernel, by each E generator and
+    # its inverse, equals the matrix products looked up in the table, one
+    # generator at a time and all at once
     t = request.getfixturevalue(name).table
     everything = np.arange(t.N)
     want = {}
     for g in t.gen_idxs.tolist():
         for h in (g, int(t.inv[g])):
-            want[h] = t.lookup_keys(t.product_keys(everything, t.row_tables(t.mat(h))))[0]
+            want[h] = t.lookup(t.mat(everything) @ t.mat(h) % t.m)
     assert np.array_equal(t.gen_idxs, t.lookup(np.stack(t.model.generator_mats())))
     for h, right in want.items():
-        assert np.array_equal(t.right_mult(everything, [h])[0], right)
+        assert np.array_equal(t.right_mult(everything, t.row_tables(t.mat(h)))[0], right)
     gens = sorted(want)
-    assert np.array_equal(t.right_mult(everything[::7], gens), np.stack([want[h][::7] for h in gens]))
+    assert np.array_equal(t.right_mult(everything[::7], t.row_tables(t.mat(gens))),
+                          np.stack([want[h][::7] for h in gens]))
 
 
 def test_lookup_rejects_non_elements(sl3_2):
@@ -114,13 +116,12 @@ def test_table_keeps_only_the_generator_conjugations(spec):
     t = ElementTable(GroupModel(kind, degree, m, blocks))
     k = len(t.gen_idxs)
     assert _held(t) == {"rows": (t.N, t.n), "_right": (k, t.N), "_parent": (t.N,), "_gen": (t.N,)}
-    perms = t.egen_conj_perms()
-    assert _held(t) == {"rows": (t.N, t.n), "inv": (t.N,), "_conj": (k, t.N)}
+    perms = t.conj
+    assert _held(t) == {"rows": (t.N, t.n), "inv": (t.N,), "conj": (k, t.N)}
     everything = t.mat(np.arange(t.N))
     want = np.stack([t.lookup(t.mat(int(t.inv[g])) @ everything @ t.mat(g) % t.m)
                      for g in t.gen_idxs.tolist()])
-    assert t._conj.dtype == np.int32 and np.array_equal(t._conj, want)
-    assert np.array_equal(perms, want)
+    assert perms.dtype == np.int32 and np.array_equal(perms, want)
 
 
 def test_first_inverse_read_drops_the_tree():
@@ -174,7 +175,7 @@ def test_dense_and_sorted_index_agree(spec, monkeypatch):
     assert isinstance(srt._index, table_mod._SortedIndex)
     for a, b in ((dense.rows, srt.rows), (dense.inv, srt.inv), (dense.gen_idxs, srt.gen_idxs)):
         assert a.dtype == b.dtype and np.array_equal(a, b)
-    assert np.array_equal(dense.egen_conj_perms(), srt.egen_conj_perms())
+    assert np.array_equal(dense.conj, srt.conj)
     # every element, keys next to elements (most are not elements), and
     # both ends just outside the key space
     keys = matrix_keys(dense.mat(np.arange(dense.N)), m)
@@ -318,7 +319,7 @@ def test_table_arrays_are_pinned(spec):
     # right multiplication by every E generator and its inverse, the BFS's
     # Cayley graph, rebuilt through the row kernel
     everything = np.arange(t.N)
-    right = (t.right_mult(everything, [g])[0]
+    right = (t.right_mult(everything, t.row_tables(t.mat(g)))[0]
              for g in sorted({*t.gen_idxs.tolist(), *t.inv[t.gen_idxs].tolist()}))
     digest = hashlib.sha256()
     for a in (t.rows, t.inv, t.gen_idxs, *_order_and_sorted_keys(t), *right):
