@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 from . import calculus, lattice, models, relroots, rootsys
 from .errors import ConfigError, SizeCapError
 from .rings import factorize
-from .table import DEFAULT_CAP, check_bounds
+from .table import DEFAULT_CAP, ElementTable, check_bounds
 
 RNG_SEED = 0x5EED
 
@@ -247,14 +247,14 @@ def group_records(spec: ModelSpec, cap: int):
            models.sampled_gauss_roundtrip_check(model, 128, random.Random(RNG_SEED)),
            False, None)
 
-    ctx = lattice.GroupContext(model, cap)
-    yield "element_table", "invented plumbing", True, False, {"order": ctx.table.N}
+    table = ElementTable(model, cap)
+    yield "element_table", "invented plumbing", True, False, {"order": table.N}
     # the table's certificate: its BFS from {1} reached the order formula's count
-    yield ("elementary_subgroup_full", "Theorem EE", ctx.table.N == models.order_formula(model),
-           False, {"order": ctx.table.N})
-    if ctx.table.N <= 10_000:
+    yield ("elementary_subgroup_full", "Theorem EE", table.N == models.order_formula(model),
+           False, {"order": table.N})
+    if table.N <= 10_000:
         yield ("gauss_cell_brute_force", "Lemma open-fields",
-               lattice.gauss_brute_force_agrees(ctx), False, None)
+               lattice.gauss_brute_force_agrees(model, table), False, None)
 
 
 def sandwich_records(spec: ModelSpec, cap: int):

@@ -6,26 +6,23 @@ orbit ids and sizes shared by every subgroup of the table.  A subset that
 is not a union of orbits cannot be represented.
 
 One engine builds subgroups, `normal_closure`: a batched BFS on a bitset
-over the element table, from an E-normal base (or {1}) under right
-multiplication by each seed not yet a member and conjugation by each E
-generator.  Its fixed point is closed under right multiplication by every
-conjugate of a seed, x s^g = (x^(g^-1) s)^g, so it is the E-normal subgroup
-the base and the seeds generate, and the base's gens with those seeds
-normally generate it.  Products come from `ElementTable.right_mult` on the
-seeds' row tables, built once per call, conjugates from one gather of the
-table's (k, N) conjugation array per chunk; each frontier is deduplicated by
-one sort and an adjacent-difference mask.  E(R) is not closed again: the
-table's BFS is the closure of {1} under the E generators.  For the same
-reason a BFS ends once every E generator is a member: the subgroup is E(R)
-= G(R), the whole table.
+over the element table, from {1} under right multiplication by one seed s
+and conjugation by each E generator.  Its fixed point is closed under right
+multiplication by every conjugate of s, x s^g = (x^(g^-1) s)^g, so it is
+cl(s), the E-normal subgroup s generates.  Products come from
+`ElementTable.right_mult` on the seed's row table, built once per call,
+conjugates from one gather of the table's (k, N) conjugation array per
+chunk; each frontier is deduplicated by one sort and an adjacent-difference
+mask.  E(R) is not closed again: the table's BFS is the closure of {1}
+under the E generators.  For the same reason a BFS ends once every E
+generator is a member: the subgroup is E(R) = G(R), the whole table.
 
 Each element table has one registry of certified E-normal closures, shared
 by every context (parabolic, sibling) built on it.  It holds the E-orbits
 and the orbit closure cl(r) of each orbit computed so far, and it builds
 every other closure from them:
 
-* cl(r), the normal closure of r under E, is `normal_closure` of [r], so
-  its gens are [r] (none for r = 1).
+* cl(r), the normal closure of r under E, is `normal_closure` of r.
 * Elements x of cl(r) are probed for an orbit closure K that is already
   known and contains r.  Then cl(r) = K: K = cl(x) <= cl(r) because cl(r)
   is E-normal and contains x, and cl(r) <= K because K is E-normal and
@@ -34,31 +31,36 @@ every other closure from them:
   once per registry for every orbit representative, in one stacked product
   and one lookup.  Only when none settles cl(r) does its BFS start, and
   the probe then sees each new frontier.
-* The join of two E-normal subgroups A and B is E-normal.  It is grown
-  from A's bitset with B's gens as seeds, and its gens are A's followed by
-  those of B's that A lacks.
+* The join of two E-normal subgroups A and B is the product set AB.  Take
+  x in A and y = g^-1 r g in B, r the representative of y's orbit: x y is
+  conjugate to (g x g^-1) r, and AB is E-normal.  So the orbits of AB are
+  those of A and those hit by the products of A's elements with the
+  representatives of B's orbits outside A.  No BFS runs, and the order
+  certifies the mask: |AB| |A cap B| = |A| |B|.
 * A fresh BFS bitset is certified once, and its mask, read at the orbit
   representatives, is kept as the subgroup: a bitset holding every E
   generator is the whole group, any other must equal its mask expanded
   through the orbit ids.  The registry keeps one object per mask, so equal
-  closures, the whole group among them, are one object; a join that is not
-  an inclusion is grown each time it is asked for and certified back to it.
+  closures and joins, the whole group among them, are one object; a join
+  that is not an inclusion is formed each time it is asked for and
+  certified back to it.
 * The closure of a seed set (E(R,q), commutator subgroups) is the join of
   the orbit closures of the seeds' orbits, each distinct closure object
   once: many orbits share one, and joining it again changes nothing.
-* G(R,q) is normal and E(R) = G(R), so it is the normal closure of the
-  orbit representatives it contains, and [G(R,q), E(R)] is the normal
-  closure of their commutators with the E generators ([N, G] is the normal
-  closure of the [s, t] when N is the normal closure of S and G = <T>).
-  The center is normal too, so cl(rep) is central exactly when rep is.
+* An E-normal N is the normal closure of the orbit representatives in its
+  mask, and E(R) = G(R), so [N, E(R)] is the normal closure of their
+  commutators with the E generators ([N, G] is the normal closure of the
+  [s, t] when N is the normal closure of S and G = <T>), read from the
+  registry's commutators of every representative.  The center is normal
+  too, so cl(rep) is central exactly when rep is.
 
 The bounds take an ideal q = (d) as its generator d | m and are normal in
-G(R) = E(R), so each is decided on the orbit representatives' matrices, and
-the representatives it keeps are its gens.  G(R,q) keeps r = 1 mod d; C(R,q)
-keeps r when g^-1 r g = r mod d for every E generator g, read through g's
-conjugation permutation; the center is C(R,q) of d = m.  That is the preimage
-of the center of G(R/q), with no table of G(R/q), because the image of G(R)
-has N / |G(R,q)| elements, the order of G(R/q).
+G(R) = E(R), so each is decided on the orbit representatives' matrices.
+G(R,q) keeps r = 1 mod d; C(R,q) keeps r when g^-1 r g = r mod d for every
+E generator g, read through g's conjugation permutation; the center is
+C(R,q) of d = m.  That is the preimage of the center of G(R/q), with no
+table of G(R/q), because the image of G(R) has N / |G(R,q)| elements, the
+order of G(R/q).
 
 The sandwich classification checks, for one seed per conjugation orbit,
 which ideals q satisfy E(R,q) <= closure <= C(R,q); on a model satisfying
@@ -103,13 +105,12 @@ class EOrbits(NamedTuple):
 
 class Subgroup:
     """An E-normal subgroup as the union of the E-orbits its mask marks,
-    never written after construction; `gens` normally generate it.  Its
-    bitset over the table, `member`, is derived on each read."""
+    never written after construction.  Its bitset over the table, `member`,
+    is derived on each read."""
 
-    def __init__(self, orbits: EOrbits, mask: np.ndarray, gens: list[int]):
+    def __init__(self, orbits: EOrbits, mask: np.ndarray):
         self.orbits = orbits
         self.mask = mask
-        self.gens = gens
 
     @property
     def order(self) -> int:
@@ -127,13 +128,6 @@ class Subgroup:
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Subgroup) and np.array_equal(self.mask, other.mask)
-
-
-class Bitset(NamedTuple):
-    """A fresh `normal_closure` result: a bitset over the element table, not
-    yet certified, and the normal generators of the subgroup it lies in."""
-    member: np.ndarray
-    gens: list[int]
 
 
 def _products(table: ElementTable, member: np.ndarray, frontier: np.ndarray,
@@ -157,24 +151,18 @@ def _products(table: ElementTable, member: np.ndarray, frontier: np.ndarray,
     return np.concatenate(found) if found else np.empty(0, dtype=np.int32)
 
 
-def normal_closure(table: ElementTable, seeds, base: Subgroup | None = None,
-                   stop=None) -> Bitset | Subgroup:
-    """The E-normal subgroup generated by the seeds and `base`, as a bitset
-    for the registry to certify.
+def normal_closure(table: ElementTable, seed: int, stop=None) -> np.ndarray | Subgroup:
+    """cl(seed), the E-normal subgroup one element generates, as a bitset for
+    the registry to certify.
 
-    One BFS from base's members (or {1}) under right multiplication by each
-    seed not yet a member and conjugation by each E generator; those seeds,
-    after base's gens, are the result's gens (see the module notes).  The
-    BFS ends once every E generator is a member, its bitset then partial:
-    the subgroup is the whole table.  A `stop` hook sees every new BFS
-    frontier; the first subgroup it returns is returned at once."""
-    if base is None:
-        member, gens = np.zeros(table.N, dtype=bool), []
-        member[table.identity_idx] = True
-    else:
-        member, gens = base.member, list(base.gens)
-    new = [s for s in np.asarray(seeds, dtype=np.int64).tolist() if not member[s]]
-    tables = table.row_tables(table.mat(np.asarray(new, dtype=np.int64)))
+    One BFS from {1} under right multiplication by the seed and conjugation
+    by each E generator (see the module notes).  The BFS ends once every E
+    generator is a member, its bitset then partial: the subgroup is the
+    whole table.  A `stop` hook sees every new BFS frontier; the first
+    subgroup it returns is returned at once."""
+    member = np.zeros(table.N, dtype=bool)
+    member[table.identity_idx] = True
+    tables = table.row_tables(table.mat([seed]))
     frontier = np.flatnonzero(member)
     while frontier.size:
         frontier = _products(table, member, frontier, tables)
@@ -183,7 +171,7 @@ def normal_closure(table: ElementTable, seeds, base: Subgroup | None = None,
         found = stop(frontier) if stop is not None else None
         if found is not None:
             return found
-    return Bitset(member, gens + new)
+    return member
 
 
 def e_conjugacy_orbits(table: ElementTable) -> tuple[np.ndarray, np.ndarray]:
@@ -257,31 +245,36 @@ class _ClosureRegistry:
             # cl(rep) holds every [rep, e]: the probe sees them before any BFS
             found = stop(self._rep_commutators[:, k]) if stop is not None else None
             self._by_orbit[k] = found if found is not None else self._certified(
-                normal_closure(self.table, [rep], stop=stop),
+                normal_closure(self.table, rep, stop=stop),
                 "the subgroup generated by an E-orbit is not E-normal")
         return self._by_orbit[k]
 
     @cached_property
     def _rep_commutators(self) -> np.ndarray:
-        """[rep, e] for every orbit representative and E generator, (k, orbits)."""
-        return _commutators(self.table, self.orbits().reps)
+        """[r, e] for every orbit representative r and E generator e, a (k,
+        orbits) index array.  Each [r, e] = r^-1 (e^-1 r e) reads the
+        conjugate from the table's conjugations, so all of them are one
+        stacked matrix product and one lookup."""
+        table, reps = self.table, np.asarray(self.orbits().reps)
+        prods = table.mat(table.inv.take(reps)) @ table.mat(table.conj.take(reps, axis=1))
+        return _element_indices(table, prods, "a commutator [x, y]").reshape(len(table.conj), -1)
 
-    def _certified(self, result: Bitset | Subgroup, error: str) -> Subgroup:
+    def _certified(self, member: np.ndarray | Subgroup, error: str) -> Subgroup:
         """The registry's one subgroup equal to a `normal_closure` result.  A
         subgroup is one it holds, a stop hook's answer.  A bitset holding
         every E generator is the whole group; any other bitset must be the
         union of the orbits its representatives name, and a RuntimeError
         with the error message when it is not."""
-        if isinstance(result, Subgroup):
-            return result
-        orbits, member = self.orbits(), result.member
+        if isinstance(member, Subgroup):
+            return member
+        orbits = self.orbits()
         if member[self.table.gen_idxs].all():
             mask = np.ones(len(orbits.reps), dtype=bool)
         else:
             mask = member[orbits.reps]
             if not np.array_equal(mask.take(orbits.ids), member):
                 raise RuntimeError(error)
-        return self._by_mask.setdefault(mask.tobytes(), Subgroup(orbits, mask, result.gens))
+        return self._by_mask.setdefault(mask.tobytes(), Subgroup(orbits, mask))
 
     def _known_closure(self, rep: int):
         """Stop hook for cl(rep), to be shown elements of cl(rep): the known
@@ -302,14 +295,27 @@ class _ClosureRegistry:
         return stop
 
     def join(self, a: Subgroup, b: Subgroup) -> Subgroup:
-        """The subgroup generated by two E-normal subgroups, itself E-normal;
-        inclusions are decided on their orbit masks."""
+        """AB, the subgroup two E-normal subgroups generate, itself E-normal.
+        Inclusions are decided on the orbit masks.  Any other AB holds the
+        orbits of A and B and those of the products of A's elements with the
+        representatives of B's orbits outside A, in chunks of at most 65,536
+        products; |AB| |A cap B| = |A| |B| certifies it (see the module notes)."""
         if b.issubset(a):
             return a
         if a.issubset(b):
             return b
-        return self._certified(normal_closure(self.table, b.gens, base=a),
-                               "join of E-normal subgroups is not E-normal")
+        orbits, table = self.orbits(), self.table
+        mask, xs = a.mask | b.mask, np.flatnonzero(a.member)
+        tables = table.row_tables(table.mat(np.asarray(orbits.reps)[b.mask & ~a.mask]))
+        chunk = max(1, 65536 // len(tables))
+        for lo in range(0, xs.size, chunk):
+            prods = table.right_mult(xs[lo:lo + chunk], tables)
+            assert prods.min() >= 0  # products of elements are elements
+            mask[orbits.ids.take(prods)] = True
+        joined = Subgroup(orbits, mask)
+        if joined.order * Subgroup(orbits, a.mask & b.mask).order != a.order * b.order:
+            raise RuntimeError("join of E-normal subgroups is not E-normal")
+        return self._by_mask.setdefault(mask.tobytes(), joined)
 
 
 class GroupContext:
@@ -341,25 +347,18 @@ class GroupContext:
 
     # -- subgroups ------------------------------------------------------------
 
-    def _orbit_union(self, keep: np.ndarray) -> Subgroup:
-        """The union of the orbits keep marks, a normal subgroup of G(R) =
-        E(R); the representatives it keeps normally generate it."""
-        orbits = self.orbits()
-        return Subgroup(orbits, keep, np.asarray(orbits.reps)[keep].tolist())
-
     def elementary(self) -> Subgroup:
         """E(R) = G(R), every orbit, read off the table: its BFS is the closure
         of {1} under the E generators, with the order formula's size."""
         orbits = self.orbits()
-        return Subgroup(orbits, np.ones(len(orbits.reps), dtype=bool), self.table.gen_idxs.tolist())
+        return Subgroup(orbits, np.ones(len(orbits.reps), dtype=bool))
 
     def congruence(self, d: int) -> Subgroup:
         """G(R,q), q = (d): the orbits whose representative is the identity mod d."""
 
         def build():
-            eye = np.eye(self.table.n, dtype=np.int64)
-            return self._orbit_union(
-                (self.table.mat(self.orbits().reps) % d == eye % d).all(axis=(1, 2)))
+            orbits, eye = self.orbits(), np.eye(self.table.n, dtype=np.int64)
+            return Subgroup(orbits, (self.table.mat(orbits.reps) % d == eye % d).all(axis=(1, 2)))
 
         return self._memo(("congruence", d), build)
 
@@ -384,7 +383,7 @@ class GroupContext:
             keep = np.ones(len(reps), dtype=bool)
             for perm in self.table.conj:
                 keep &= (self.table.mat(perm.take(reps)) % d == rep_mats).all(axis=(1, 2))
-            return self._orbit_union(keep)
+            return Subgroup(self.orbits(), keep)
 
         return self._memo(("full_congruence", d), build)
 
@@ -433,21 +432,11 @@ class GroupContext:
             sub = self.closures.join(sub, closure)
         return sub
 
-    def commutator_subgroup(self, x_gens) -> Subgroup:
-        """[X, E(R)] for X normal in the group, from normal generators x of X
-        (its gens): the normal closure of the [x, e] over the E generators e
+    def commutator_subgroup(self, x: Subgroup) -> Subgroup:
+        """[X, E(R)] for an E-normal X: the normal closure of the registry's
+        [r, e] of the orbit representatives r in X with the E generators e
         (see the module notes)."""
-        return self.closure_of(_commutators(self.table, x_gens).ravel().tolist())
-
-
-def _commutators(table: ElementTable, xs) -> np.ndarray:
-    """[x, e] for the elements xs and the E generators e, a (k, len(xs))
-    index array.  Each [x, e] = x^-1 (e^-1 x e) reads the conjugate from the
-    table's conjugations, so all of them are one stacked matrix product and
-    one lookup."""
-    xs = np.asarray(xs, dtype=np.int64)
-    prods = table.mat(table.inv.take(xs)) @ table.mat(table.conj.take(xs, axis=1))
-    return _element_indices(table, prods, "a commutator [x, y]").reshape(len(table.conj), -1)
+        return self.closure_of(self.closures._rep_commutators[:, x.mask].ravel().tolist())
 
 
 # -- sandwich classification -------------------------------------------------
@@ -507,7 +496,7 @@ def verify_commutator_formula(ctx: GroupContext) -> list[dict]:
     representatives in G(R,q) and the E generators (see the module notes)."""
     out = []
     for d in ctx.ideals:
-        comm = ctx.commutator_subgroup(ctx.congruence(d).gens)
+        comm = ctx.commutator_subgroup(ctx.congruence(d))
         rel = ctx.relative_elementary(d)
         out.append({"ideal": d, "commutator_order": comm.order,
                     "relative_elementary_order": rel.order, "equal": comm == rel})
@@ -542,7 +531,7 @@ def verify_structure_theorems(ctx: GroupContext) -> dict:
                                   "a point of the center subscheme").tolist())
     center_match = set(np.flatnonzero(cent_e.member).tolist()) == scheme
 
-    derived = ctx.commutator_subgroup(table.gen_idxs)
+    derived = ctx.commutator_subgroup(e_sub)
     perfect = derived == e_sub
     derived_index = e_sub.order // derived.order
 
@@ -553,8 +542,8 @@ def verify_structure_theorems(ctx: GroupContext) -> dict:
         if id(sub) in seen:
             continue
         seen.add(id(sub))
-        k1 = ctx.commutator_subgroup(sub.gens)
-        k2 = ctx.commutator_subgroup(k1.gens)
+        k1 = ctx.commutator_subgroup(sub)
+        k2 = ctx.commutator_subgroup(k1)
         if k1 != k2:
             hall_witt_failures.append(rep)
 
@@ -726,18 +715,16 @@ def verify_centralizer_lemmas(ctx: GroupContext) -> dict:
     return out
 
 
-def gauss_brute_force_agrees(ctx: GroupContext) -> bool:
+def gauss_brute_force_agrees(model: GroupModel, table: ElementTable) -> bool:
     """Cell membership verdicts against direct enumeration of U L U^-."""
-    model = ctx.model
     m = model.m
     u = calculus.radical_chart(model, negative=False).mats[:, None, None]
     l = np.stack(model.levi_elements())[None, :, None]
     v = calculus.radical_chart(model, negative=True).mats[None, None]
-    cell = _element_indices(ctx.table, (u @ l % m) @ v % m, "a product u*l*v of the main cell")
-    members = np.zeros(ctx.table.N, dtype=bool)
+    cell = _element_indices(table, (u @ l % m) @ v % m, "a product u*l*v of the main cell")
+    members = np.zeros(table.N, dtype=bool)
     members[cell] = True
-    return bool((gauss_cell_factors(model, ctx.table.mat(np.arange(ctx.table.N)))[0]
-                 == members).all())
+    return bool((gauss_cell_factors(model, table.mat(np.arange(table.N)))[0] == members).all())
 
 
 def _element_indices(table: ElementTable, mats, what: str) -> np.ndarray:

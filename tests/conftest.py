@@ -518,20 +518,18 @@ def reference_subgroup_closure(table, seed_idxs, base=None):
     return BitsetSubgroup(member, gens)
 
 
-def reference_normal_closure(table, seeds, base=None, stop=None):
+def reference_normal_closure(table, seed, stop=None):
     """lattice.normal_closure without its whole-group exit: every BFS runs
     to its fixed point."""
-    base = base or BitsetSubgroup.trivial(table)
-    member = base.member.copy()
-    new = [s for s in np.asarray(seeds, dtype=np.int64).tolist() if not member[s]]
-    tables = table.row_tables(table.mat(new))
+    member = BitsetSubgroup.trivial(table).member
+    tables = table.row_tables(table.mat([seed]))
     frontier = np.flatnonzero(member)
     while frontier.size:
         frontier = lattice._products(table, member, frontier, tables)
         found = stop(frontier) if stop is not None else None
         if found is not None:
             return found
-    return BitsetSubgroup(member, list(base.gens) + new)
+    return member
 
 
 def is_enormal(table, sub):

@@ -16,6 +16,11 @@ from conftest import (
 )
 
 
+def reps_in(sub):
+    """The orbit representatives in a subgroup's mask, which normally generate it."""
+    return np.asarray(sub.orbits.reps)[sub.mask].tolist()
+
+
 def test_subgroup_closure_empty(sl3_2):
     sub = reference_subgroup_closure(sl3_2.table, [])
     assert sub.order == 1
@@ -94,7 +99,7 @@ def test_elementary_is_the_closure_of_the_generators(spec):
     e_sub = ctx.elementary()
     closure = reference_subgroup_closure(ctx.table, ctx.table.gen_idxs.tolist())
     assert np.array_equal(e_sub.member, closure.member)
-    assert reference_subgroup_closure(ctx.table, e_sub.gens) == e_sub
+    assert plain_normal_closure(ctx.table, reps_in(e_sub)) == e_sub
     assert is_enormal(ctx.table, e_sub)
 
 
@@ -105,7 +110,7 @@ def test_elementary_reads_the_table(sl3_4, monkeypatch):
     monkeypatch.setattr(lattice, "normal_closure", closed)
     e_sub = sl3_4.sibling(sl3_4.model.blocks).elementary()  # a fresh context cache
     assert e_sub.order == sl3_4.table.N
-    assert e_sub.gens == sl3_4.table.gen_idxs.tolist()
+    assert e_sub.mask.all()
 
 
 def test_congruence_subgroups(sl3_4):
@@ -204,21 +209,21 @@ def test_center(sl3_4, sp4_3):
 
 
 def test_commutator_subgroup(sl3_2, sp4_2):
-    egens = sl3_2.table.gen_idxs.tolist()
-    assert sl3_2.commutator_subgroup(egens).order == 168
-    egens2 = sp4_2.table.gen_idxs.tolist()
-    derived = sp4_2.commutator_subgroup(egens2)
+    assert sl3_2.commutator_subgroup(sl3_2.elementary()).order == 168
+    derived = sp4_2.commutator_subgroup(sp4_2.elementary())
     assert sp4_2.table.N // derived.order == 2  # index-2 subgroup of Sp4(F2)
-    trivial = sp4_2.commutator_subgroup([sp4_2.table.identity_idx])
+    trivial = sp4_2.commutator_subgroup(sp4_2.orbit_closure(sp4_2.table.identity_idx))
     assert trivial.order == 1
 
 
 def test_commutator_subgroup_refuses_a_commutator_off_the_table(sl3_2, monkeypatch):
-    # an index -1 would name the last element; a named error reaches the CLI instead
+    # an index -1 would name the last element; a named error reaches the CLI
+    # instead.  A fresh registry has no commutators cached yet.
+    ctx = lattice.GroupContext(sl3_2.model, closures=lattice._ClosureRegistry(sl3_2.table))
+    e_sub = ctx.elementary()
     monkeypatch.setattr(sl3_2.table, "lookup", lambda mats: np.full(len(mats), -1))
-    egens = sl3_2.table.gen_idxs.tolist()
     with pytest.raises(RuntimeError, match=r"a commutator \[x, y\] is not in the element table"):
-        sl3_2.commutator_subgroup(egens)
+        ctx.commutator_subgroup(e_sub)
 
 
 def test_generating_set_generates_congruence_subgroup(sl3_4):
@@ -290,8 +295,7 @@ def test_orbit_representatives_in_a_congruence_subgroup_generate_it(model):
     reps = np.asarray(ctx.orbits().reps)
     for d in ctx.ideals:
         cong = ctx.congruence(d)
-        assert cong.gens == reps[cong.member[reps]].tolist()
-        assert ctx.closure_of(cong.gens) == cong
+        assert ctx.closure_of(reps[cong.member[reps]].tolist()) == cong
 
 
 @pytest.mark.parametrize("spec", [
@@ -316,7 +320,7 @@ def test_closure_of_matches_joining_every_orbit_closure(registry_ctx):
     for size in (1, 3, 20, 200):
         seeds = rng.choice(ctx.table.N, size).tolist()
         got, want = ctx.closure_of(seeds), reference_closure_of(ctx, seeds)
-        assert got == want and got.gens == want.gens
+        assert got == want and got is want
 
 
 def test_closure_of_joins_each_distinct_closure_once(sl3_4, monkeypatch):
@@ -461,8 +465,8 @@ def test_centralizer_beta_needs_rank_two():
 
 
 def test_gauss_brute_force(sl3_2, sl3_3):
-    assert lattice.gauss_brute_force_agrees(sl3_2)
-    assert lattice.gauss_brute_force_agrees(sl3_3)
+    for ctx in (sl3_2, sl3_3):
+        assert lattice.gauss_brute_force_agrees(ctx.model, ctx.table)
 
 
 def test_enormal_lattice_sl3_4(sl3_4):
@@ -500,7 +504,7 @@ def test_is_enormal_holds_on_the_lattice_and_fails_on_a_root_subgroup(name, requ
     # is_enormal checks the bitset, so a bitset without gens gets the same verdict
     ctx = request.getfixturevalue(name)
     for sub, _ in lattice.enormal_lattice(ctx):
-        assert sub.gens or sub.order == 1
+        assert sub.order == int(sub.member.sum())
         assert is_enormal(ctx.table, sub)
         assert is_enormal(ctx.table, BitsetSubgroup(sub.member))
     # the subgroup one root element X_alpha(1) generates is not E-normal
@@ -545,17 +549,17 @@ def test_registry_orbit_closures_match_plain_engine(registry_ctx):
 
 
 def test_orbit_closure_gens_are_the_representative(registry_ctx):
-    # cl(r) grows from r alone, so a fresh registry gives each distinct
-    # closure the representative of the first orbit that built it as its
-    # normal generator (none for the identity)
+    # cl(r) grows from r alone, so in a fresh registry each distinct closure
+    # is normally generated by the representative of the first orbit that
+    # built it, and by the representatives in its mask
     ctx = registry_ctx
     registry = lattice._ClosureRegistry(ctx.table)
     built = {}
     for rep in ctx.orbits()[1]:
         built.setdefault(id(sub := registry.orbit_closure(rep)), (rep, sub))
     for rep, sub in built.values():
-        assert sub.gens == ([] if rep == ctx.table.identity_idx else [rep])
-        assert plain_normal_closure(ctx.table, sub.gens) == sub
+        assert plain_normal_closure(ctx.table, [rep]) == sub
+        assert plain_normal_closure(ctx.table, reps_in(sub)) == sub
 
 
 def test_registry_relative_elementary_matches_plain_engine(registry_ctx):
@@ -567,18 +571,34 @@ def test_registry_relative_elementary_matches_plain_engine(registry_ctx):
         assert plain_normal_closure(ctx.table, seeds) == ctx.relative_elementary(d)
 
 
-def test_registry_join_matches_plain_engine(registry_ctx):
-    ctx = registry_ctx
-    reps = {}
-    for rep in ctx.orbits()[1]:
-        reps.setdefault(ctx.orbit_closure(rep).mask.tobytes(), rep)
-    distinct = sorted(reps.values())
-    assert len(distinct) >= 2
-    for i, ra in enumerate(distinct):
-        for rb in distinct[i + 1:]:
-            joined = ctx.closures.join(ctx.orbit_closure(ra), ctx.orbit_closure(rb))
-            assert plain_normal_closure(ctx.table, [ra, rb]) == joined
-            assert plain_normal_closure(ctx.table, joined.gens) == joined
+@pytest.fixture
+def sl2_12():
+    return ctx_for("SL", 2, 12, (1, 1))
+
+
+@pytest.mark.parametrize("name", ["sl3_4", "sp4_2", "sl2_6", "sl4_2", "sl2_12"])
+def test_registry_join_matches_plain_engine(name, request):
+    # every pair of distinct orbit closures, each with its representative,
+    # and on SL2(Z/12) every pair of lattice members, with the
+    # representatives in their masks: there joins are not inclusions
+    ctx = request.getfixturevalue(name)
+    if name == "sl2_12":
+        subs = [(sub, reps_in(sub)) for sub, _ in lattice.enormal_lattice(ctx)]
+    else:
+        reps = {}
+        for rep in ctx.orbits()[1]:
+            reps.setdefault(ctx.orbit_closure(rep).mask.tobytes(), rep)
+        subs = [(ctx.orbit_closure(rep), [rep]) for rep in sorted(reps.values())]
+    assert len(subs) >= 2
+    products = 0
+    for i, (a, seeds_a) in enumerate(subs):
+        for b, seeds_b in subs[i + 1:]:
+            joined = ctx.closures.join(a, b)
+            assert joined is ctx.closures.join(b, a)
+            assert plain_normal_closure(ctx.table, seeds_a + seeds_b) == joined
+            assert plain_normal_closure(ctx.table, reps_in(joined)) == joined
+            products += not (a.issubset(b) or b.issubset(a))
+    assert products > 0 or name != "sl2_12"
 
 
 @pytest.mark.parametrize("spec", [(s.kind, s.degree, s.modulus, s.blocks) for s in cli.DEFAULT_MODELS]
@@ -586,7 +606,7 @@ def test_registry_join_matches_plain_engine(registry_ctx):
                          ids=lambda s: f"{s[0]}{s[1]}(Z/{s[2]})")
 def test_closures_match_a_run_without_the_whole_group_exit(spec, monkeypatch):
     # a closure that reaches every E generator ends at the whole table with
-    # the gens, and the shared objects, of a BFS run to its fixed point
+    # the masks, and the shared objects, of a BFS run to its fixed point
     large = spec == ("Sp", 4, 4, "line")  # not kept for later tests
     ctx = lattice.GroupContext(GroupModel(*spec)) if large else ctx_for(*spec)
     reps = ctx.orbits()[1]
@@ -596,8 +616,8 @@ def test_closures_match_a_run_without_the_whole_group_exit(spec, monkeypatch):
     monkeypatch.setattr(lattice, "normal_closure", reference_normal_closure)
     want = [plain.orbit_closure(rep) for rep in reps] + [reference_closure_of(plain, reps)]
     assert got[-1].order == ctx.table.N
-    assert ([(g.mask.tobytes(), g.gens) for g in got]
-            == [(w.mask.tobytes(), w.gens) for w in want])
+    assert ([(g.mask.tobytes(), g.order) for g in got]
+            == [(w.mask.tobytes(), w.order) for w in want])
 
     def sharing(subs):
         return [next(i for i, other in enumerate(subs) if other is sub) for sub in subs]
@@ -617,16 +637,19 @@ def test_whole_group_orbit_closures_are_one_object(sl3_4, monkeypatch):
 
 def test_orbit_closure_without_certificate_raises(sl3_4, sl2_6, monkeypatch):
     registry = lattice._ClosureRegistry(sl3_4.table)
-    # two incomparable closures, whose join is a new BFS result
+    # two incomparable closures, whose join is formed from products
     joins = lattice._ClosureRegistry(sl2_6.table)
     closures = [joins.orbit_closure(rep) for rep in sl2_6.orbits()[1]]
     a, b = next((a, b) for a in closures for b in closures
                 if not (a.issubset(b) or b.issubset(a)))
     # a normal_closure that returns a subgroup that is not E-normal
     monkeypatch.setattr(lattice, "normal_closure", lambda table, *args, **kwargs:
-                        reference_subgroup_closure(table, [int(table.gen_idxs[0])]))
+                        reference_subgroup_closure(table, [int(table.gen_idxs[0])]).member)
     with pytest.raises(RuntimeError, match="generated by an E-orbit is not E-normal"):
         registry.orbit_closure(sl3_4.orbits()[1][1])
+    # products x r that stay x: the join's mask is that of A cup B, too small
+    monkeypatch.setattr(sl2_6.table, "right_mult",
+                        lambda idx, tables: np.tile(idx, (len(tables), 1)))
     with pytest.raises(RuntimeError, match="join of E-normal subgroups is not E-normal"):
         joins.join(a, b)
 
@@ -700,7 +723,7 @@ def test_level_reports_are_computed_once_per_closure(sl3_4, monkeypatch):
 
 
 def test_subgroups_keep_no_array_over_the_table(sl3_4):
-    # a subgroup keeps its orbit mask, its gens and the shared orbit data;
+    # a subgroup keeps its orbit mask and the shared orbit data;
     # only the orbit ids, one array the registry owns, have the table's length
     ctx = sl3_4.sibling(sl3_4.model.blocks)  # a fresh context cache on the shared registry
     lattice.verify_structure_theorems(ctx)

@@ -343,3 +343,27 @@ def test_a_probe_that_skips_its_containment_check_fails_the_sandwich_records(mon
     moved = [(b["name"], b["model"], a["verdict"], b["verdict"]) for a, b in zip(clean, checks)
              if a["verdict"] != b["verdict"] and b["verdict"] != "fail"]
     assert moved == [("commutator_formula", "Sp4(Z/2)[borel]", "expected-exception", "info")]
+
+
+def test_a_join_that_skips_its_products_ends_the_run(monkeypatch, capsys):
+    # Planted in the source of join, the product loop never runs, so a join
+    # that is not an inclusion comes out as the mask of A cup B.  No join of
+    # `chevlat all` grows, so its report does not move.  On SL2(Z/12) joins
+    # do grow, and when neither subgroup holds the other |A cup B| is less
+    # than |A| |B| / |A cap B|: the order certificate ends the run (exit 3).
+    def report_without_timing():
+        report, code = cli.run(cli.RunConfig(suite="all"))
+        return {**report, "timing": None}, code
+
+    clean = report_without_timing()
+    source = inspect.getsource(lattice._ClosureRegistry.join)
+    anchor = "        for lo in range(0, xs.size, chunk):\n"
+    assert source.count(anchor) == 1
+    namespace = dict(vars(lattice))
+    exec(compile(inspect.cleandoc("\n" + source.replace(anchor, "        for lo in range(0):\n")),
+                 lattice.__file__, "exec"), namespace)
+    monkeypatch.setattr(lattice._ClosureRegistry, "join", namespace["join"])
+    assert report_without_timing() == clean
+    assert cli.main(["sandwich", "--model", "SL2", "--mod", "12"]) == 3
+    assert (capsys.readouterr().err.splitlines()[-1]
+            == "internal error: join of E-normal subgroups is not E-normal")
