@@ -10,9 +10,10 @@ makes root generation purely combinatorial.
 
 Each system is indexed once (`RootSystem.index`): an (N, r) int64 array of
 its roots in sorted order, a sorted-key lookup from coordinate vectors to
-root ids, the addition table add[i, j] (the id of root_i + root_j, or -1),
-the negation map and the doubled Gram as an array.  Checks over all roots
-or all pairs of roots are integer array operations on that index.  Diagram
+root ids and the doubled Gram as an array; the addition table add[i, j]
+(the id of root_i + root_j, or -1) and the negation map are built on first
+read.  Checks over all roots or all pairs of roots are integer array
+operations on that index, reflections on keys alone.  Diagram
 automorphisms are found by backtracking over the Cartan matrix.
 """
 
@@ -134,7 +135,8 @@ class VectorIndex:
     shifted by `bound`, as the digits of a base-(2*bound + 1) number, first
     coordinate most significant, so sorted vectors have increasing keys and
     an id is a binary search.  add[i, j] is the id of vector i + vector j
-    and neg[i] the id of -vector i, -1 where the result is not in the set.
+    and neg[i] the id of -vector i, -1 where the result is not in the set;
+    both are built on first read.
     """
 
     def __init__(self, name: str, vectors, width: int, bound: int):
@@ -156,13 +158,20 @@ class VectorIndex:
         first = np.ones(len(keys), dtype=bool)  # the first of each run of equal keys
         first[1:] = keys[1:] != keys[:-1]
         self.coords, self.keys = coords[order[first]], keys[first]
+        self.top, self.zero = top, bound * int(self.weights.sum())  # zero: the key of 0
+
+    @cached_property
+    def add(self) -> np.ndarray:
         # key(v + w) = key(v) + key(w) - key(0) (int64 wrapping cancels) where v + w
         # is inside the digit range, which it leaves only if a |coordinate| > bound / 2
-        self.zero, ct = bound * int(self.weights.sum()), self.coords.T  # zero: key of 0
-        inside = 2 * top <= bound or (np.abs(ct[:, :, None] + ct[:, None]) <= bound).all(axis=0)
-        self.add = np.where(inside, sorted_find(self.keys, self.keys[:, None] + self.keys[None]
-                                                - self.zero), -1)
-        self.neg = sorted_find(self.keys, 2 * self.zero - self.keys)
+        ct, b = self.coords.T, self.bound
+        inside = 2 * self.top <= b or (np.abs(ct[:, :, None] + ct[:, None]) <= b).all(axis=0)
+        return np.where(inside, sorted_find(self.keys, self.keys[:, None] + self.keys[None]
+                                            - self.zero), -1)
+
+    @cached_property
+    def neg(self) -> np.ndarray:
+        return sorted_find(self.keys, 2 * self.zero - self.keys)
 
     def lookup(self, vecs: np.ndarray) -> np.ndarray:
         """Ids of the vectors along the last axis of vecs, -1 where absent."""
@@ -276,11 +285,17 @@ def check_root_system(sys: RootSystem) -> tuple[bool, dict]:
     roots, gram2 = idx.coords, idx.gram2
     count_ok = len(sys.roots) == classical_root_count(sys.rtype)
     twice, norm2 = 2 * idx.pair2, idx.pair2.diagonal()
-    if (twice % norm2).any():
+    cartan = twice // norm2  # cartan[a, b] = <a, b^vee>
+    if (cartan * norm2 != twice).any():
         raise ValueError(f"{sys.rtype}: a Cartan value <a, b^vee> is not an integer")
-    cartan = twice // norm2
-    reflected = roots[:, None] - cartan[:, :, None] * roots[None]
-    stable = bool((idx.lookup(reflected) >= 0).all())
+    # s_b(a) has |coordinates| <= top (1 + max |<a, b^vee>|): with that digit
+    # bound, key(a - c b) = key(a) - c (key(b) - key(0)), exact in int64.  s_b
+    # is injective, so it keeps the roots iff it permutes their keys.
+    wide = VectorIndex(str(sys.rtype), roots, sys.rank,
+                       idx.top * (1 + int(np.abs(cartan).max(initial=0))))
+    assert (wide.coords == roots).all()  # the same lexicographic order
+    reflected = wide.keys[:, None] - cartan * (wide.keys - wide.zero)  # column b: s_b(roots)
+    stable = bool((np.sort(reflected, axis=0) == wide.keys[:, None]).all())
     autos = diagram_automorphisms(sys)
     # p permutes the roots and keeps the pairing iff it keeps the Gram
     preserve = all(

@@ -5,12 +5,13 @@ verifies nothing.  The faults of the exhaustive checks sit at their last
 case, which a check over part of its cases would miss.  The wrong-degree
 fault of the Levi conjugation check, at every case, is in test_calculus."""
 
+import dataclasses
 import inspect
 
 import numpy as np
 import pytest
 
-from chevlat import calculus, cli, lattice, models, relroots
+from chevlat import calculus, cli, lattice, models, relroots, rootsys
 from chevlat.models import GroupModel
 
 from conftest import adjacent_ok, reference_adjacent_ok
@@ -181,6 +182,30 @@ def test_a_wrong_gauss_factor_inside_the_elimination_ends_the_run(monkeypatch, c
     monkeypatch.setattr(models, "gauss_cell_factors", mutant)
     assert cli.main(["group"]) == 3
     assert capsys.readouterr().err.splitlines()[-1] == "internal error: "
+
+
+def test_a_c4_long_root_pair_swapped_fails_only_its_record(monkeypatch, capsys):
+    # C4 trades its long roots +-2 eps1 = +-(2, 2, 2, 1) for the vectors
+    # +-(eps1 + eps2 + eps3 + eps4) = +-(1, 2, 3, 2) of the same length: 32
+    # roots, every Cartan value an integer and no diagram automorphism, so
+    # only reflection stability can fail
+    true = rootsys.build_root_system
+
+    def swapped(rtype):
+        sys = true(rtype)
+        if str(rtype) != "C4":
+            return sys
+        pair = {(2, 2, 2, 1), (-2, -2, -2, -1)}
+        assert pair <= sys.roots
+        return dataclasses.replace(sys, roots=sys.roots - pair | {(1, 2, 3, 2), (-1, -2, -3, -2)})
+
+    assert {name for name, _, ok, _, _ in cli.roots_records() if ok is False} == set()
+    monkeypatch.setattr(rootsys, "build_root_system", swapped)
+    failing = [(name, witness) for name, _, ok, _, witness in cli.roots_records() if ok is False]
+    assert failing == [("root_system_C4", {"roots": 32, "automorphisms": 1,
+                                           "structure_primes": [2]})]
+    assert cli.main(["roots"]) == 1
+    capsys.readouterr()
 
 
 def _failing_relroots_records():

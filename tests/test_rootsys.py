@@ -224,6 +224,49 @@ def test_suite_roots_rejects_non_integral_cartan(monkeypatch):
         cli.suite_roots(cli.Recorder())
 
 
+def test_check_root_system_reflections_leaving_the_digit_range():
+    # The real roots of the hyperbolic Cartan matrix [[2, -3], [-3, 2]] with
+    # coefficients in [-6, 6], labelled B2 (8 roots, no diagram automorphism)
+    # so that only reflection stability can fail: every reflection that
+    # leaves the set leaves the digit range, s_(1,0)(1, 3) = (8, 3) first.
+    b2 = build_root_system(RootSystemType("B", 2))
+    pos = {(1, 0), (0, 1), (1, 3), (3, 1)}
+    bad = dataclasses.replace(b2, roots=frozenset(pos | {(-a, -b) for a, b in pos}),
+                              gram2=((2, -3), (-3, 2)))
+    images = {reflect(bad, a, b) for a in bad.roots for b in bad.roots}
+    assert (8, 3) in images
+    assert all(max(map(abs, v)) > rootsys.COEFF_BOUND for v in images - bad.roots)
+    ok, witness = rootsys.check_root_system(bad)
+    assert ok == reference_root_system_verdict(bad) is False
+    assert witness["roots"] == 8 and witness["automorphisms"] == 1
+
+
+def test_check_root_system_refuses_a_reflection_base_past_2_63():
+    # <a1, a2^vee> = -2**40 and every Cartan value is an integer; the reflected
+    # vectors need digits up to 2**40 + 1, and base 2**41 + 3 keys of two
+    # coordinates could pass 2**63
+    a2 = build_root_system(RootSystemType("A", 2))
+    bad = dataclasses.replace(a2, gram2=((2, -2 ** 40), (-2 ** 40, 2)))
+    with pytest.raises(ValueError, match=r"^A2: base-\d+ keys of 2 coordinates could pass 2\*\*63$"):
+        rootsys.check_root_system(bad)
+
+
+@pytest.fixture
+def fresh_root_systems():
+    """Root systems built inside the test, and none kept after it."""
+    build_root_system.cache_clear()
+    yield
+    build_root_system.cache_clear()
+
+
+def test_roots_suite_builds_no_addition_or_negation_tables(fresh_root_systems):
+    for _ in cli.roots_records():
+        pass
+    for rank in (7, 8):
+        index = build_root_system(RootSystemType("E", rank)).index
+        assert "add" not in index.__dict__ and "neg" not in index.__dict__
+
+
 def test_structure_constant_primes():
     assert rootsys.structure_constant_primes(build_root_system(RootSystemType("A", 3))) == set()
     assert rootsys.structure_constant_primes(build_root_system(RootSystemType("C", 2))) == {2}
