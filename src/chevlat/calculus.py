@@ -24,10 +24,7 @@ from .errors import SizeCapError
 from .models import SCAN_BOUND, GroupModel, Vec, check_key_bound
 from .rings import draws, mat_mul
 from .rootsys import VectorIndex, sorted_find
-from .table import matrix_keys
-
-
-CHUNK = 65536  # cases per stack of the exhaustive checks, bounding their arrays
+from .table import CHUNK, matrix_keys  # CHUNK: cases per stack of the exhaustive checks
 
 
 def canonical_root_order(roots) -> list[Vec]:

@@ -90,7 +90,7 @@ from .models import (
     scheme_center_elements,
 )
 from .rings import divisors, factorize, jacobson_radical
-from .table import DEFAULT_CAP, ElementTable, matrix_keys
+from .table import CHUNK, DEFAULT_CAP, ElementTable, matrix_keys
 
 Vec = tuple[int, ...]
 
@@ -134,9 +134,9 @@ def _products(table: ElementTable, member: np.ndarray, frontier: np.ndarray,
               tables: np.ndarray) -> np.ndarray:
     """New indices (int32) reached from the frontier by right multiplication
     with the elements whose row tables are given and by conjugation with the
-    E generators, marked in `member`, in chunks of at most 65,536 products
+    E generators, marked in `member`, in chunks of at most CHUNK products
     that bound memory."""
-    chunk = max(1, 65536 // (len(tables) + len(table.conj)))
+    chunk = max(1, CHUNK // (len(tables) + len(table.conj)))
     found = []
     for lo in range(0, frontier.size, chunk):
         part = frontier[lo:lo + chunk]
@@ -298,7 +298,7 @@ class _ClosureRegistry:
         """AB, the subgroup two E-normal subgroups generate, itself E-normal.
         Inclusions are decided on the orbit masks.  Any other AB holds the
         orbits of A and B and those of the products of A's elements with the
-        representatives of B's orbits outside A, in chunks of at most 65,536
+        representatives of B's orbits outside A, in chunks of at most CHUNK
         products; |AB| |A cap B| = |A| |B| certifies it (see the module notes)."""
         if b.issubset(a):
             return a
@@ -307,7 +307,7 @@ class _ClosureRegistry:
         orbits, table = self.orbits(), self.table
         mask, xs = a.mask | b.mask, np.flatnonzero(a.member)
         tables = table.row_tables(table.mat(np.asarray(orbits.reps)[b.mask & ~a.mask]))
-        chunk = max(1, 65536 // len(tables))
+        chunk = max(1, CHUNK // len(tables))
         for lo in range(0, xs.size, chunk):
             prods = table.right_mult(xs[lo:lo + chunk], tables)
             assert prods.min() >= 0  # products of elements are elements

@@ -7,15 +7,20 @@ base-m digits.  Matrices are read through `mat`, which decodes the row
 keys of the indices asked for.
 
 The enumeration is a BFS from the identity over right multiplication by
-the k elementary generators e.  A key index recognizes the elements seen
-so far and is the table's lookup afterwards.  When there are at most
-_SCAN_LIMIT possible keys (m**(n*n), at most 1.6 MB of int32) it is dense,
-`where[key]` the index or -1: a level gathers `where` at its products,
-`np.minimum.at` over the unseen products' scan ranks finds each new key's
-first occurrence, and a lookup is one gather.  Above that bound a level is
-deduplicated by one sort of its products' composites key * kF + scan
-position, and the BFS's sorted keys, searched by binary search, are the
-lookup arrays.
+the k elementary generators e.  It scans each level in chunks of at most
+CHUNK products (max(CHUNK, N) on the sorted index below) and hands each
+chunk to a key index, which recognizes the elements seen so far, numbers
+the chunk's new keys in scan order after those of the chunks before it,
+and is the table's lookup afterwards.  The elements are numbered as by
+whole levels, and besides its output and the key index the build holds
+one chunk's arrays.  When there are at most _SCAN_LIMIT possible keys
+(m**(n*n), at most 1.6 MB of int32) the index is dense, `where[key]` the
+index or -1: a chunk gathers `where` at its products, `np.minimum.at`
+over the unseen products' scan ranks finds each new key's first
+occurrence, and a lookup is one gather.  Above that bound a chunk is
+deduplicated by one sort of its L products' composites key * L + scan
+position, its new keys are merged into the sorted keys, and these,
+searched by binary search, are the lookup arrays.
 
 The BFS keeps x -> x e, one int32 row per generator, and its spanning tree
 (parent and generator); the rest is built on first read.  `inv`: x -> x
@@ -57,6 +62,7 @@ from .models import GroupModel, check_key_bound, order_formula, scan_on
 from .rootsys import sorted_find
 
 DEFAULT_CAP = 2_000_000
+CHUNK = 65536  # products per stack of a BFS level, a closure or an exhaustive check
 _SCAN_LIMIT = 400_000  # m**(n*n) bound for the dense key index and the predicate scan
 _INDEX_BOUND = 2**31 - 1  # permutation entries are int32
 
@@ -144,53 +150,74 @@ class ElementTable:
         """Breadth-first enumeration from the identity, as row keys, filling
         the key index.  Each level keeps the products not seen before, in
         order of first occurrence, so an element's index is its position in
-        the scan of frontier x generator products.  Also returns the (k, N)
-        int32 array whose entry [j, x] is the index of x e_j and the spanning
-        tree: each element's parent and the j of the e_j that reached it, -1
-        for the identity."""
+        the scan of frontier x generator products.  The scan goes in chunks
+        of at most CHUNK products, or max(CHUNK, N) on the sorted index,
+        which copies its keys at every chunk: chunks that large keep that
+        to about k + levels copies.  Also returns the (k, N) int32 array
+        whose entry [j, x] is the index of x e_j and the spanning tree: each
+        element's parent and the j of the e_j that reached it, -1 for the
+        identity."""
         tables = self.row_tables(np.stack(self.model.generator_mats()))
         k = len(tables)
         # weighted[i][v, j]: the key digits of row i of x e_j when row i of x has key v
         weighted = [(w * tables.T).view(np.uint64) for w in self._row_w.tolist()]
-        rows = np.empty((expected, self.n), dtype=np.int32)  # filled level by level
+        rows = np.empty((expected, self.n), dtype=np.int32)  # filled chunk by chunk
         right = np.empty((k, expected), dtype=np.int32)
         parent, gen = np.full((2, expected), -1, dtype=np.int32)
         rows[0] = self._digit  # the identity
-        lo, hi = 0, 1  # the frontier is [lo, hi)
+        size = CHUNK if isinstance(self._index, _DenseIndex) else max(CHUNK, expected)
+        step = max(1, size // k)  # frontier elements per chunk
+        lo, hi = 0, 1  # the frontier is [lo, hi); the elements found so far are [0, end)
+        end = 1
         while lo < hi:
-            # keys of frontier[f] e_j at scan position f * k + j: one (F, k) gather per row
-            keys = np.take(weighted[0], rows[lo:hi, 0], axis=0)
-            for w, col in zip(weighted[1:], rows[lo:hi, 1:].T):
-                keys += np.take(w, col, axis=0)
-            idx, born = self._index.add_level(keys.reshape(-1), hi)
-            del keys  # before this level's rows are gathered
-            if (end := hi + len(born)) > expected:
-                break
-            right[:, lo:hi] = idx.reshape(-1, k).T
-            parent[hi:end] = lo + born // k
-            gen[hi:end] = born % k
-            rows[hi:end] = tables[gen[hi:end, None], np.take(rows, parent[hi:end], axis=0)]
-            del idx, born  # before the next level's products
+            for a in range(lo, hi, step):
+                b = min(a + step, hi)
+                # keys of x e_j at scan position (x - a) * k + j: one (b - a, k) gather per row
+                keys = np.take(weighted[0], rows[a:b, 0], axis=0)
+                for w, col in zip(weighted[1:], rows[a:b, 1:].T):
+                    keys += np.take(w, col, axis=0)
+                idx, born = self._index.add(keys.reshape(-1), end)
+                del keys  # before this chunk's rows are gathered
+                if (new := end + len(born)) > expected:
+                    raise RuntimeError(f"{self.model.name()}: enumerated more elements, "
+                                       f"order formula gives {expected}")
+                right[:, a:b] = idx.reshape(-1, k).T
+                parent[end:new], gen[end:new] = np.divmod(born, k)
+                parent[end:new] += a
+                rows[end:new] = tables[gen[end:new, None], np.take(rows, parent[end:new], axis=0)]
+                del idx, born  # before the next chunk's products
+                end = new
             lo, hi = hi, end
-        if lo < hi or hi != expected:  # lo < hi: a level would pass the order formula's count
-            raise RuntimeError(f"{self.model.name()}: enumerated {'more' if lo < hi else hi} "
-                               f"elements, order formula gives {expected}")
+        if hi != expected:
+            raise RuntimeError(f"{self.model.name()}: enumerated {hi} elements, "
+                               f"order formula gives {expected}")
         return rows, right, parent, gen
 
     def _tree_inverses(self, right_inv: np.ndarray, parent: np.ndarray,
                        gen: np.ndarray) -> np.ndarray:
         """inv[x] for every x: walking from x up the BFS tree through the
         generators e_d, ..., e_1 of its path, the identity times e_d^-1 ...
-        e_1^-1, one step for all unfinished elements at a time."""
-        inv = np.zeros(self.N, dtype=np.int32)  # the identity's index
-        node = np.arange(self.N, dtype=np.int32)
+        e_1^-1, one step for all unfinished elements at a time.  A step goes
+        in stacks of CHUNK elements, each gathered in place into the suffix."""
+        N, flat = self.N, right_inv.reshape(-1)
+        offset = gen.astype(np.int64)  # x -> the offset of row gen[x] in flat
+        offset *= N
+        at = np.empty(min(CHUNK, N), dtype=np.int64)  # a stack's positions in flat
+        inv = np.zeros(N, dtype=np.int32)  # the identity's index
+        node = np.arange(N, dtype=np.int32)
         lo = 1  # the unfinished elements, deeper than the steps taken so far, are [lo, N)
-        while lo < self.N:
-            inv[lo:] = np.take(right_inv, gen[node[lo:]].astype(np.int64) * self.N + inv[lo:])
-            node[lo:] = np.take(parent, node[lo:])
-            # one level deeper: parents are nondecreasing in BFS order, so
-            # the elements whose parent is unfinished are again a suffix
-            lo = int(np.searchsorted(parent, lo))
+        while lo < N:
+            # mode "clip": the indices are in range, and "raise" would buffer out
+            for a in range(lo, N, CHUNK):
+                b = min(a + CHUNK, N)
+                offset.take(node[a:b], out=at[:b - a], mode="clip")
+                at[:b - a] += inv[a:b]
+                flat.take(at[:b - a], out=inv[a:b], mode="clip")
+                parent.take(node[a:b], out=node[a:b], mode="clip")
+            # one level deeper: parents are nondecreasing in BFS order, so the
+            # elements whose parent is unfinished are again a suffix (an int32
+            # key, as a Python int would copy parent to int64)
+            lo = int(parent.searchsorted(np.int32(lo)))
         return inv
 
     # -- lookup ---------------------------------------------------------------
@@ -245,10 +272,10 @@ class _DenseIndex:
         self.where = np.full(keyspace, -1, dtype=np.int32)
         self.where[identity] = 0
 
-    def add_level(self, keys: np.ndarray, hi: int):
+    def add(self, keys: np.ndarray, found: int):
         """The index of every product key, in scan order, and the scan
-        positions of the new elements, which get indices hi, hi + 1, ... in
-        scan order.  The first occurrence of each unseen key is the least
+        positions of the new elements, which get indices found, found + 1,
+        ... in scan order.  The first occurrence of each unseen key is the least
         scan rank `np.minimum.at` leaves in its slot of `where`."""
         keys = keys.view(np.int64)
         idx = self.where[keys]
@@ -259,7 +286,7 @@ class _DenseIndex:
         np.minimum.at(self.where, fresh, rank)
         first = self.where[fresh] == rank
         born = unseen[first]
-        self.where[fresh[first]] = np.arange(hi, hi + len(born), dtype=np.int32)
+        self.where[fresh[first]] = np.arange(found, found + len(born), dtype=np.int32)
         idx[unseen] = self.where[fresh]
         return idx, born
 
@@ -278,8 +305,8 @@ class _SortedIndex:
         self.keys = np.array([identity], dtype=np.int64)
         self.order = np.zeros(1, dtype=np.int32)
 
-    def add_level(self, keys: np.ndarray, hi: int):
-        """As `_DenseIndex.add_level`, deduplicating the level by one sort
+    def add(self, keys: np.ndarray, found: int):
+        """As `_DenseIndex.add`, deduplicating the chunk by one sort
         (`_dedupe`) and inserting its new keys into the sorted keys."""
         keys, first, where = _dedupe(keys)
         keys = keys.view(np.int64)
@@ -287,13 +314,14 @@ class _SortedIndex:
         hit = np.minimum(at, len(self.keys) - 1)
         fresh = np.flatnonzero(self.keys[hit] != keys)
         idx = self.order[hit]  # the index of every key seen before; the fresh are set below
-        new = np.zeros(len(where), dtype=bool)
-        new[first[fresh]] = True
-        born = np.flatnonzero(new)  # scan positions of the new elements, in order
-        idx[where[born]] = np.arange(hi, hi + len(born), dtype=np.int32)
-        self.keys = np.insert(self.keys, at[fresh], keys[fresh])
-        self.order = np.insert(self.order, at[fresh], idx[fresh])
-        return idx[where], born
+        born = np.sort(first[fresh])  # scan positions of the new elements, in order
+        idx[where[born]] = np.arange(found, found + len(born), dtype=np.int32)
+        put = at[fresh] + np.arange(len(fresh))  # the fresh keys' places in the grown arrays
+        old = np.ones(len(self.keys) + len(fresh), dtype=bool)
+        old[put] = False
+        self.keys = _spread(self.keys, keys[fresh], old, put)
+        self.order = _spread(self.order, idx[fresh], old, put)
+        return idx.take(where), born
 
     def lookup(self, keys: np.ndarray) -> np.ndarray:
         """The queries are searched in sorted order, which keeps the binary
@@ -305,16 +333,25 @@ class _SortedIndex:
         return idx.reshape(keys.shape)
 
 
+def _spread(a: np.ndarray, add: np.ndarray, old: np.ndarray, put: np.ndarray) -> np.ndarray:
+    """One array of a's entries where `old` is set and add's at `put` (np.insert,
+    with the places computed once for both of the sorted index's arrays)."""
+    grown = np.empty(len(old), dtype=a.dtype)
+    grown[old], grown[put] = a, add
+    return grown
+
+
 def _dedupe(keys: np.ndarray):
     """np.unique(keys, return_index=True, return_inverse=True) of uint64 keys
     with key * len(keys) < 2**64, by one in-place sort of the composites
     key * len(keys) + position: the least composite of a key is its first
-    occurrence.  Consumes keys."""
+    occurrence.  Positions and ids are int32.  Consumes keys."""
     size = np.uint64(len(keys))
     keys *= size
-    keys += np.arange(len(keys), dtype=np.uint64)
+    keys += np.arange(len(keys), dtype=np.uint32)
     keys.sort()
-    pos = keys % size
+    pos = np.empty(len(keys), dtype=np.int32)
+    np.remainder(keys, size, out=pos, casting="unsafe")
     keys //= size
     head = np.concatenate(([True], keys[1:] != keys[:-1]))  # the first of each run
     where = np.empty(len(keys), dtype=np.int32)

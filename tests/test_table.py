@@ -1,4 +1,5 @@
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -226,6 +227,60 @@ def test_table_refuses_a_count_off_the_order_formula(monkeypatch, shift, found):
         ElementTable(GroupModel("SL", 3, 2, (1, 1, 1)))
 
 
+def _bfs_arrays(t):
+    """The BFS's arrays, then the inverses and conjugations built from them."""
+    return [t.rows, t._right.copy(), t._parent, t._gen, t.inv, t.conj]
+
+
+@pytest.mark.parametrize("chunk", ["1", "k", "2k + 1", "37"])
+@pytest.mark.parametrize("spec, index", [
+    (("SL", 3, 3, (1, 1, 1)), table_mod._DenseIndex),
+    (("Sp", 4, 2, "borel"), table_mod._DenseIndex),
+    (("Sp", 4, 3, "line"), table_mod._SortedIndex)], ids=["SL3(Z/3)", "Sp4(Z/2)", "Sp4(Z/3)"])
+def test_bfs_in_chunks_keeps_the_level_order(spec, index, chunk, monkeypatch):
+    # a level scanned in chunks of any size numbers its elements as the whole
+    # level does
+    model = GroupModel(*spec)
+    want = _bfs_arrays(ElementTable(model))
+    k = len(model.generator_positions())
+    monkeypatch.setattr(table_mod, "CHUNK", {"1": 1, "k": k, "2k + 1": 2 * k + 1, "37": 37}[chunk])
+    t = ElementTable(model)
+    assert isinstance(t._index, index)
+    for a, b in zip(_bfs_arrays(t), want):
+        assert a.dtype == b.dtype and np.array_equal(a, b)
+
+
+def test_table_refuses_a_count_passed_in_a_later_chunk_of_a_level(monkeypatch):
+    # one frontier element per chunk: the last element's parent is not the
+    # first of its level, so the order formula's count one short is passed
+    # in a level's later chunk
+    model = GroupModel("SL", 3, 2, (1, 1, 1))
+    t = ElementTable(model)
+    depth = np.zeros(t.N, dtype=np.int64)
+    for x in range(1, t.N):
+        depth[x] = depth[t._parent[x]] + 1
+    parent = int(t._parent[-1])
+    assert depth[parent - 1] == depth[parent]
+    monkeypatch.setattr(table_mod, "CHUNK", len(t.gen_idxs))
+    monkeypatch.setattr(table_mod, "order_formula", lambda model: t.N - 1)
+    with pytest.raises(RuntimeError, match=f"enumerated more elements, order formula "
+                                           f"gives {t.N - 1}"):
+        ElementTable(model)
+
+
+def test_table_build_peak_memory():
+    # Sp4(Z/3) line: levels of 148,648 and 178,512 products, scanned in
+    # chunks of at most 65,536; whole, they took the build to 8.3 MiB
+    model = GroupModel("Sp", 4, 3, "line")
+    tracemalloc.start()
+    try:
+        ElementTable(model)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 6.5 * 2**20
+
+
 def test_size_cap_names_cap():
     model = GroupModel("SL", 3, 7, (1, 1, 1))
     with pytest.raises(SizeCapError) as err:
@@ -278,6 +333,7 @@ def test_dedupe_matches_np_unique(seed):
     cases = [rng.integers(0, 40, size=500), rng.integers(0, 5**16, size=300),
              rng.choice([0, 5**16 - 1, 7], size=200), rng.permutation([top, 3]),
              np.array([top, top]), np.array([top])]
+    cases += [rng.integers(0, 5**16, size=size) for j in (4, 16) for size in (2**j, 2**j + 1)]
     for keys in cases:
         keys = keys.astype(np.uint64)
         want = reference_dedupe(keys)
