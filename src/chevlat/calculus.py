@@ -5,8 +5,10 @@ over an additively closed set of relative roots, in canonical order, as one
 stack, and inverts it by one binary search over the matrix keys; its
 bijectivity, asserted on construction, is the parametrization statement.
 Decompositions factor whole stacks through a chart and read the polynomial
-values off numerically.  Two cached tables per model serve the root-pair
-checks: every root element with its inverse, every pair's cone and degrees.
+values off numerically.  Three cached tables per model serve the root-pair
+checks: every root element with its inverse, every pair's cone and degrees,
+and the key of every commutator [X_alpha(u), X_beta(v)] of roots that are
+not opposed multiples, which the checks gather and look up in a cone's chart.
 The root-element, sum-formula, Levi-conjugation and radical round-trip
 checks cover every case; the identity and homogeneity checks sample, each
 drawing its values in bulk from the rng it is given (rings.draws), and every
@@ -15,14 +17,14 @@ check returns a verdict: none raises on a counterexample.
 
 from __future__ import annotations
 
-from functools import lru_cache, reduce
+from functools import lru_cache
 from itertools import accumulate
 
 import numpy as np
 
 from .errors import SizeCapError
 from .models import SCAN_BOUND, GroupModel, Vec, check_key_bound
-from .rings import draws, mat_mul
+from .rings import draws
 from .rootsys import VectorIndex, sorted_find
 from .table import CHUNK, matrix_keys  # CHUNK: cases per stack of the exhaustive checks
 
@@ -63,7 +65,7 @@ class UnipotentChart:
                                f"{model.name()} chart over {roots}", "products")
         mats = model.identity()[None]
         for alpha in roots:
-            mats = mat_mul(mats[:, None], _root_elements(model, alpha)[None], m).reshape(-1, n, n)
+            mats = model.mul(mats[:, None], _root_elements(model, alpha)[None]).reshape(-1, n, n)
         self.mats = mats
         keys = matrix_keys(mats, m)
         self._order = np.argsort(keys)
@@ -76,16 +78,20 @@ class UnipotentChart:
 
     def lookup(self, mats) -> np.ndarray:
         """Codes of a (..., n, n) stack of matrices, -1 off the chart."""
-        return sorted_find(self._keys, matrix_keys(mats, self.model.m), self._order)
+        return self.lookup_keys(matrix_keys(mats, self.model.m))
+
+    def lookup_keys(self, keys) -> np.ndarray:
+        """Codes of the matrices with these keys (table.matrix_keys), -1 off the chart."""
+        return sorted_find(self._keys, keys, self._order)
 
     def components(self, codes) -> list[np.ndarray]:
         """Per root, the (..., d) values that codes encode (zeros for a code -1)."""
         digits = _digits(np.maximum(codes, 0), self.model.m, sum(self.dims))
         return [digits[..., s - d:s] for s, d in zip(np.cumsum(self.dims), self.dims)]
 
-    def factor(self, mats, lost: str) -> list[np.ndarray]:
-        """The components of a stack of matrices; RuntimeError(lost) off the chart."""
-        codes = self.lookup(mats)
+    def factor(self, keys, lost: str) -> list[np.ndarray]:
+        """The components of the matrices with these keys; RuntimeError(lost) off the chart."""
+        codes = self.lookup_keys(keys)
         if (codes < 0).any():
             raise RuntimeError(lost)
         return self.components(codes)
@@ -150,12 +156,9 @@ def _pair_cone(model: GroupModel, alpha: Vec, beta: Vec) -> tuple[Vec, ...]:
 
 @lru_cache(maxsize=None)
 def opposed_multiples(alpha: Vec, beta: Vec) -> bool:
-    """True when m*alpha = -k*beta for some positive m, k."""
-    for i in range(1, 5):
-        for k in range(1, 5):
-            if all(i * a == -k * b for a, b in zip(alpha, beta)):
-                return True
-    return False
+    """True when i*alpha = -k*beta for some i, k in 1..4."""
+    negated = {tuple(-k * b for b in beta) for k in range(1, 5)}
+    return any(tuple(i * a for a in alpha) in negated for i in range(1, 5))
 
 
 def commutator_identity_check(model: GroupModel, x, y, z, inverses=None):
@@ -164,11 +167,9 @@ def commutator_identity_check(model: GroupModel, x, y, z, inverses=None):
 
     x, y, z are elements (a bool result) or (k, n, n) stacks (a bool array,
     one verdict per triple); `inverses`, when given, are those of x, y, z."""
-    m = model.m
     xi, yi, zi = (model.inverse(g) for g in (x, y, z)) if inverses is None else inverses
-    head = mat_mul(mat_mul(z, xi, m), zi, m)  # both sides start with z x^-1 z^-1
-    lhs = reduce(lambda a, b: mat_mul(a, b, m), (yi, x, y, z, zi), head)
-    rhs = reduce(lambda a, b: mat_mul(a, b, m), (x, xi, yi, x, y), head)
+    head = model.mul(z, xi, zi)  # both sides start with z x^-1 z^-1
+    lhs, rhs = model.mul(head, yi, x, y, z, zi), model.mul(head, x, xi, yi, x, y)
     ok = (lhs == rhs).all(axis=(-2, -1))
     return bool(ok) if ok.ndim == 0 else ok
 
@@ -201,10 +202,9 @@ def sum_formula_check(model: GroupModel) -> bool:
             vw = _digits(np.arange(lo, min(lo + CHUNK, m ** (2 * d))), m, 2 * d)
             v, w = vw[:, :d], vw[:, d:]
             first, higher = sum_formula_decompose(model, alpha, v, w)
-            g = _x_stack(model, alpha, first)
-            for i, val in sorted(higher.items()):
-                g = mat_mul(g, _x_stack(model, tuple(i * c for c in alpha), val), m)
-            if (g != mat_mul(_x_stack(model, alpha, v), _x_stack(model, alpha, w), m)).any():
+            g = model.mul(_x_stack(model, alpha, first), *(_x_stack(
+                model, tuple(i * c for c in alpha), val) for i, val in sorted(higher.items())))
+            if (g != model.mul(_x_stack(model, alpha, v), _x_stack(model, alpha, w))).any():
                 return False
     return True
 
@@ -214,9 +214,7 @@ def roundtrip_check(model: GroupModel) -> tuple[bool, int]:
     stack and factored back through the chart: (ok, radical order)."""
     ch = radical_chart(model)
     codes = np.arange(len(ch))
-    g = model.identity()
-    for alpha, v in zip(ch.roots, ch.components(codes)):
-        g = mat_mul(g, _x_stack(model, alpha, v), model.m)
+    g = model.mul(*(_x_stack(model, alpha, v) for alpha, v in zip(ch.roots, ch.components(codes))))
     return bool((ch.lookup(g) == codes).all()), len(ch)
 
 
@@ -230,8 +228,8 @@ def sum_formula_decompose(model: GroupModel, alpha: Vec, v, w):
     m = model.m
     v, w = np.asarray(v, dtype=np.int64) % m, np.asarray(w, dtype=np.int64) % m
     ch = chart(model, _multiple_cone(model, alpha))
-    values = ch.factor(mat_mul(_x_stack(model, alpha, v), _x_stack(model, alpha, w), m),
-                       "product left the unipotent group of the multiples")
+    values = ch.factor(matrix_keys(model.mul(_x_stack(model, alpha, v), _x_stack(model, alpha, w)),
+                                   m), "product left the unipotent group of the multiples")
     higher = {sum(g) // sum(alpha): val for g, val in zip(ch.roots, values)}
     first = higher.pop(1)
     if (first != (v + w) % m).any():
@@ -252,7 +250,7 @@ def levi_conjugation_decompose(model: GroupModel, g, alpha: Vec, v):
     m = model.m
     ch = chart(model, _multiple_cone(model, alpha))
     x = _x_stack(model, alpha, np.asarray(v, dtype=np.int64) % m)
-    values = ch.factor(mat_mul(mat_mul(g, x, m), model.inverse(g), m),
+    values = ch.factor(matrix_keys(model.mul(g, x, model.inverse(g)), m),
                        "Levi conjugation left the unipotent group")
     ratio = [sum(gamma) // sum(alpha) for gamma in ch.roots]
     if g.ndim == 2 and np.ndim(v) == 1:
@@ -288,11 +286,13 @@ def _values(model: GroupModel, alpha: Vec) -> np.ndarray:
 
 def _pair_values(model: GroupModel, alpha: Vec, beta: Vec, us, vs, target: Vec) -> np.ndarray:
     """The components at the root target of [X_alpha(u), X_beta(v)] for value
-    arrays us (..., d_alpha) and vs (..., d_beta) that broadcast, every
-    commutator formed in one stack."""
+    arrays us (..., d_alpha) and vs (..., d_beta) in [0, m) that broadcast:
+    one gather from the commutator table and one lookup in the cone's chart."""
+    m, (start, keys) = model.m, _commutator_table(model)
+    at = start[alpha, beta] + _codes(us, m) * m ** model.v_dim(beta) + _codes(vs, m)
     ch = chart(model, _pair_cone(model, alpha, beta))
-    c = _root_commutator(model, _root_index(model, alpha, us), _root_index(model, beta, vs))
-    return ch.factor(c, "commutator left the expected unipotent group")[ch.roots.index(target)]
+    values = ch.factor(keys[at], "commutator left the expected unipotent group")
+    return values[ch.roots.index(target)]
 
 
 def _check_pair(model: GroupModel, alpha: Vec, beta: Vec) -> Vec:
@@ -305,8 +305,8 @@ def _check_pair(model: GroupModel, alpha: Vec, beta: Vec) -> Vec:
 def lemma_ABe_witness(model: GroupModel, alpha: Vec, beta: Vec, u):
     """The least i such that the generator e_i of V_alpha has
     N_{alpha,beta,1,1}(e_i, u) != 0, for one nonzero u of V_beta or for each
-    of a (k, d) stack of them, from one stack of commutators; -1 where every
-    generator gives zero, which refutes the statement on this model."""
+    of a (k, d) stack of them, from one gather of commutator keys; -1 where
+    every generator gives zero, which refutes the statement on this model."""
     us = np.asarray(u, dtype=np.int64) % model.m
     if not us.any(axis=-1).all():
         raise ValueError("u must be nonzero")
@@ -317,22 +317,16 @@ def lemma_ABe_witness(model: GroupModel, alpha: Vec, beta: Vec, u):
     return np.where(hit.any(axis=0), np.argmax(hit, axis=0), -1)
 
 
-def _additive_closure(values, dim: int, m: int) -> int:
-    """Order of the subgroup of (Z/m)^dim generated by a set of tuples."""
-    zero = (0,) * dim
-    seen = {zero}
-    frontier = [zero]
-    gens = {tuple(x % m for x in v) for v in values}
-    while frontier:
-        nxt = []
-        for a in frontier:
-            for g in gens:
-                s = tuple((x + y) % m for x, y in zip(a, g))
-                if s not in seen:
-                    seen.add(s)
-                    nxt.append(s)
-        frontier = nxt
-    return len(seen)
+def _additive_closure(values: np.ndarray, m: int) -> int:
+    """Order of the subgroup of (Z/m)^d generated by the rows of a (k, d)
+    array: the codes reached from 0 by adding rows, until a round adds none."""
+    d = values.shape[-1]
+    seen = np.arange(m ** d) == 0
+    while True:
+        sums = _codes((_digits(np.flatnonzero(seen), m, d)[:, None] + values) % m, m)
+        if seen[sums].all():
+            return int(seen.sum())
+        seen[sums] = True
 
 
 def lemma_const_check(model: GroupModel, alpha: Vec, beta: Vec) -> bool:
@@ -341,7 +335,7 @@ def lemma_const_check(model: GroupModel, alpha: Vec, beta: Vec) -> bool:
     When alpha-beta is also a relative root, the degree (1,1) values of
     (alpha-beta, 2*beta) and the degree (1,2) values of (alpha-beta, beta)
     contribute as well.  The commutators of each root pair over all of
-    V_a x V_b are one stack.
+    V_a x V_b are one gather from the commutator table.
     """
     target = _check_pair(model, alpha, beta)
     pairs = [(alpha, beta)]
@@ -355,7 +349,7 @@ def lemma_const_check(model: GroupModel, alpha: Vec, beta: Vec) -> bool:
     values = np.concatenate([_pair_values(
         model, a, b, _values(model, a)[:, None], _values(model, b), target).reshape(-1, d)
         for a, b in pairs])
-    return _additive_closure(values.tolist(), d, model.m) == model.m ** d
+    return _additive_closure(values, model.m) == model.m ** d
 
 
 def pairing_sweep(model: GroupModel) -> tuple[bool, int, bool, int]:
@@ -367,17 +361,16 @@ def pairing_sweep(model: GroupModel) -> tuple[bool, int, bool, int]:
     the pairs before its pair."""
     abe_checked = const_checked = 0
     const_ok = True
-    for alpha in model.rel_roots:
-        for beta in model.rel_roots:
-            if opposed_multiples(alpha, beta) or not model.is_rel_root(_vadd(alpha, beta)):
-                continue
-            us = _values(model, beta)[1:]  # the nonzero u, in the order of v_tuples
-            missing = np.flatnonzero(lemma_ABe_witness(model, alpha, beta, us) < 0)
-            if missing.size:
-                return False, abe_checked + int(missing[0]), const_ok, const_checked
-            abe_checked += len(us)
-            const_checked += 1
-            const_ok &= lemma_const_check(model, alpha, beta)
+    for alpha, beta in _commutator_table(model)[0]:  # the pairs that are not opposed multiples
+        if not model.is_rel_root(_vadd(alpha, beta)):
+            continue
+        us = _values(model, beta)[1:]  # the nonzero u, in the order of v_tuples
+        missing = np.flatnonzero(lemma_ABe_witness(model, alpha, beta, us) < 0)
+        if missing.size:
+            return False, abe_checked + int(missing[0]), const_ok, const_checked
+        abe_checked += len(us)
+        const_checked += 1
+        const_ok &= lemma_const_check(model, alpha, beta)
     return True, abe_checked, const_ok, const_checked
 
 
@@ -412,56 +405,26 @@ def _root_table(model: GroupModel) -> tuple[dict[Vec, int], np.ndarray, np.ndarr
     return dict(zip(model.rel_roots, offsets)), mats, model.inverse(mats)
 
 
-def _root_index(model: GroupModel, alpha: Vec, vs: np.ndarray) -> np.ndarray:
-    """Root-table indices of X_alpha(v) for a (..., d) array of values v in [0, m)."""
-    return _root_table(model)[0][alpha] + _codes(vs, model.m)
-
-
-def _root_commutator(model: GroupModel, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """The commutators x^-1 y^-1 x y of root-table indices x and y that
-    broadcast: four gathers and three products."""
-    _, mats, inv = _root_table(model)
-    m = model.m
-    return mat_mul(mat_mul(inv[x], inv[y], m), mat_mul(mats[x], mats[y], m), m)
-
-
-def _homogeneity_codes(model: GroupModel, pairs, cones, values: np.ndarray,
-                       samples: int) -> np.ndarray:
-    """The (pair, sample, 2m) chart codes of [X_alpha(r u), X_beta(v)], then
-    of [X_alpha(u), X_beta(r v)], r in Z/m, -1 off the chart of the pair's
-    cone.  values holds each pair's samples in turn, each sample u then v.
-    Each distinct commutator is formed once from the root table, and the
-    commutators of one cone are looked up together."""
-    m = model.m
-    offsets, mats, _ = _root_table(model)
-    da, db, oa, ob = np.array([(model.v_dim(a), model.v_dim(b), offsets[a], offsets[b])
+@lru_cache(maxsize=None)
+def _commutator_table(model: GroupModel) -> tuple[dict[tuple[Vec, Vec], int], np.ndarray]:
+    """The keys (table.matrix_keys) of [X_alpha(u), X_beta(v)] for every ordered pair
+    of relative roots that are not opposed multiples, in the order of model.rel_roots,
+    and every u, v: each pair's offset and one array, where a pair's block holds
+    m**d_beta keys per u (u, v as base-m numbers), formed from the root table in
+    stacks of at most CHUNK.  A check looks the keys it reads up in their cone's chart."""
+    (offsets, mats, inv), m, roots = _root_table(model), model.m, model.rel_roots
+    pairs = [(a, b) for a in roots for b in roots if not opposed_multiples(a, b)]
+    xa, xb, na, nb = np.array([(offsets[a], offsets[b], m ** model.v_dim(a), m ** model.v_dim(b))
                                for a, b in pairs], dtype=np.int64).T
-    width = da + db
-    rows = (np.cumsum(width) - width)[:, None] * samples + width[:, None] * np.arange(samples)
-    pad = np.arange(max(da.max(), db.max()))  # every value is padded in front with zeros
-
-    def scaled(first, d, offset):
-        """Root-table indices (pair, sample, r) of X(r w), w the d values from first on."""
-        t = pad - (pad.size - d)[:, None, None]  # negative in the padding
-        w = np.where(t < 0, 0, values[np.maximum(first[..., None] + t, 0)])
-        return offset[:, None, None] + _codes(np.arange(m)[:, None] * w[:, :, None] % m, m)
-
-    xa, yb = scaled(rows, da, oa), scaled(rows + da[:, None], db, ob)
-    x = np.concatenate([xa, np.broadcast_to(xa[..., 1:2], xa.shape)], axis=-1).ravel()
-    y = np.concatenate([np.broadcast_to(yb[..., 1:2], yb.shape), yb], axis=-1).ravel()
-    key = x * len(mats) + y
-    order = np.argsort(key, kind="stable")
-    new = np.diff(key[order], prepend=-1) != 0
-    once = order[new]  # the first (x, y) of each distinct key
-    c = _root_commutator(model, x[once], y[once])
-    slot = {cone: s for s, cone in enumerate(dict.fromkeys(cones))}
-    in_cone = np.array([slot[cone] for cone in cones])[once // (samples * 2 * m)]
-    found = np.empty(len(once), dtype=np.int64)
-    for cone, s in slot.items():
-        found[in_cone == s] = chart(model, cone).lookup(c[in_cone == s])
-    codes = np.empty(len(key), dtype=np.int64)
-    codes[order] = found[np.cumsum(new) - 1]
-    return codes.reshape(len(pairs), samples, 2 * m)
+    starts = np.cumsum(na * nb) - na * nb
+    keys = np.empty(int((na * nb).sum()), dtype=np.int64)
+    for lo in range(0, len(keys), CHUNK):
+        at = np.arange(lo, min(lo + CHUNK, len(keys)))
+        p = np.searchsorted(starts, at, side="right") - 1  # the pair of each commutator
+        u, v = np.divmod(at - starts[p], nb[p])
+        x, y = xa[p] + u, xb[p] + v
+        keys[lo:lo + CHUNK] = matrix_keys(model.mul(inv[x], inv[y], mats[x], mats[y]), m)
+    return dict(zip(pairs, starts.tolist())), keys
 
 
 def check_chevalley_homogeneity(model: GroupModel, samples: int, rng) -> tuple[bool, int]:
@@ -472,16 +435,35 @@ def check_chevalley_homogeneity(model: GroupModel, samples: int, rng) -> tuple[b
     samples * m * pairs).
 
     The values are one draw from rng: pair by pair in the order of
-    model.rel_roots, sample by sample, u before v.  The commutators of every
-    pair, sample and r are one stack (`_homogeneity_codes`), and the degrees,
-    read through cone_degrees, are compared as arrays, one column per
-    coordinate.  A commutator off its cone's chart is a RuntimeError.
+    model.rel_roots, sample by sample, u before v.  The keys of every
+    [X_alpha(r u), X_beta(v)] and [X_alpha(u), X_beta(r v)] are one gather
+    from the commutator table, looked up cone by cone; the degrees, read
+    through cone_degrees, are compared as arrays, one column per coordinate.
+    A commutator off its cone's chart is a RuntimeError.
     """
-    m, roots = model.m, model.rel_roots
-    pairs = [(a, b) for a in roots for b in roots if not opposed_multiples(a, b)]
-    width = sum(model.v_dim(a) + model.v_dim(b) for a, b in pairs)
+    m, (start, keys) = model.m, _commutator_table(model)
+    pairs = list(start)  # the pairs that are not opposed multiples
+    da, db, first = np.array([(model.v_dim(a), model.v_dim(b), start[a, b]) for a, b in pairs],
+                             dtype=np.int64).T
+    width = da + db
+    values = draws(rng, m, samples * int(width.sum()))
+    rows = (np.cumsum(width) - width)[:, None] * samples + width[:, None] * np.arange(samples)
+    pad = np.arange(max(da.max(), db.max()))  # every value is padded in front with zeros
+
+    def scaled(at, d):
+        """Codes (pair, sample, r) of r w, w the d values from at on."""
+        t = pad - (pad.size - d)[:, None, None]  # negative in the padding
+        w = np.where(t < 0, 0, values[np.maximum(at[..., None] + t, 0)])
+        return _codes(np.arange(m)[:, None] * w[:, :, None] % m, m)
+
+    u, v = scaled(rows, da) * m ** db[:, None, None], scaled(rows + da[:, None], db)
+    found = keys[first[:, None, None] + np.concatenate([u + v[..., 1:2], u[..., 1:2] + v], axis=-1)]
     cones = [_pair_cone(model, a, b) for a, b in pairs]
-    codes = _homogeneity_codes(model, pairs, cones, draws(rng, m, samples * width), samples)
+    slot = {cone: s for s, cone in enumerate(dict.fromkeys(cones))}
+    in_cone = np.array([slot[cone] for cone in cones])
+    codes = np.empty_like(found)  # (pair, sample, 2m)
+    for cone, s in slot.items():
+        codes[in_cone == s] = chart(model, cone).lookup_keys(found[in_cone == s])
     if (codes < 0).any():
         raise RuntimeError("commutator left the unipotent group of its cone")
     cols = []  # per coordinate: (pair, its digit's weight in a chart code, i, j)

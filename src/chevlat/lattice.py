@@ -629,8 +629,7 @@ def _simple_rel_roots(model: GroupModel) -> list[Vec]:
 def _commuting(model: GroupModel, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
     """Whether each matrix of the (k, n, n) stack xs commutes with every
     matrix of the stack ys: a (k,) bool array from one stack of products."""
-    xs, ys = xs[:, None], ys[None]
-    return (xs @ ys % model.m == ys @ xs % model.m).all(axis=(1, 2, 3))
+    return (model.mul(xs[:, None], ys[None]) == model.mul(ys[None], xs[:, None])).all((1, 2, 3))
 
 
 def verify_u_cent_field(ctx: GroupContext) -> dict:
@@ -689,10 +688,10 @@ def verify_small_levi_b(model: GroupModel) -> dict:
         multiples = calculus._multiple_cone(model, beta)
         up = calculus.chart(model, multiples)
         down = calculus.chart(model, tuple(tuple(-c for c in a) for a in multiples))
-        x = (up.mats[:, None, None] @ levi[None, :, None] % m @ down.mats[None, None] % m
-             ).reshape(-1, n, n)
+        x = model.mul(up.mats[:, None, None], levi[None, :, None],
+                      down.mats[None, None]).reshape(-1, n, n)
         x = x[_commuting(model, x, calculus._root_elements(model, beta))]
-        allowed = calculus._root_elements(model, multiples[-1])[:, None] @ levi[None] % m
+        allowed = model.mul(calculus._root_elements(model, multiples[-1])[:, None], levi[None])
         inside = np.isin(matrix_keys(x, m), matrix_keys(allowed, m))
         results["checked"] += len(x)
         results["failures"] += [{"beta": beta} for _ in range(int((~inside).sum()))]
@@ -717,11 +716,10 @@ def verify_centralizer_lemmas(ctx: GroupContext) -> dict:
 
 def gauss_brute_force_agrees(model: GroupModel, table: ElementTable) -> bool:
     """Cell membership verdicts against direct enumeration of U L U^-."""
-    m = model.m
     u = calculus.radical_chart(model, negative=False).mats[:, None, None]
     l = np.stack(model.levi_elements())[None, :, None]
     v = calculus.radical_chart(model, negative=True).mats[None, None]
-    cell = _element_indices(table, (u @ l % m) @ v % m, "a product u*l*v of the main cell")
+    cell = _element_indices(table, model.mul(u, l, v), "a product u*l*v of the main cell")
     members = np.zeros(table.N, dtype=bool)
     members[cell] = True
     return bool((gauss_cell_factors(model, table.mat(np.arange(table.N)))[0] == members).all())

@@ -201,10 +201,12 @@ class GroupModel:
             g[ri.start:ri.stop, rj.start:rj.stop] = block % self.m
             return g
         fiber = _fiber_order(self._sp_relative.fiber(alpha), rootsys.is_positive(alpha))
-        g = self.identity()
-        for t, delta in enumerate(fiber):
-            g = mat_mul(g, self.identity() + (v[t] % self.m) * SP4_ROOT_MATS[delta], self.m)
-        return g
+        return self.mul(*(self.identity() + (v[t] % self.m) * SP4_ROOT_MATS[delta]
+                          for t, delta in enumerate(fiber)))
+
+    def mul(self, *mats) -> np.ndarray:
+        """The product mod m of a chain of matrices or stacks (rings.mat_mul)."""
+        return mat_mul(*mats, m=self.m, what=f"{self.name()}: a matrix product")
 
     def elementary_generator(self, position, t: int) -> np.ndarray:
         """A single one-parameter generator: e + t*e_ij for SL_n, the root
@@ -247,7 +249,7 @@ class GroupModel:
         g = np.asarray(g, dtype=np.int64)
         if self.kind == "SL":
             return adjugate_int(g) % self.m  # det = 1
-        return (-SP4_FORM @ g.swapaxes(-1, -2) @ SP4_FORM) % self.m
+        return self.mul(-SP4_FORM, g.swapaxes(-1, -2), SP4_FORM)
 
     # -- membership ----------------------------------------------------------
 
@@ -258,8 +260,7 @@ class GroupModel:
         if self.kind == "SL":
             ok = det_int(g) % self.m == 1
         else:
-            lhs = (g.swapaxes(-1, -2) @ SP4_FORM @ g) % self.m
-            ok = (lhs == SP4_FORM % self.m).all(axis=(-2, -1))
+            ok = (self.mul(g.swapaxes(-1, -2), SP4_FORM, g) == SP4_FORM % self.m).all(axis=(-2, -1))
         return bool(ok) if g.ndim == 2 else ok
 
     @cached_property
@@ -355,7 +356,7 @@ def _sp_scan(m: int, support: np.ndarray):
     n = len(support)
     cols = [_fill(np.arange(m ** support[:, a].sum()), np.flatnonzero(support[:, a]), m, n)
             for a in range(n)]  # every filling of each column
-    pairs = [(a, b, (cols[a] @ SP4_FORM @ cols[b].T) % m == SP4_FORM[a, b] % m)
+    pairs = [(a, b, mat_mul(cols[a], SP4_FORM, cols[b].T, m=m) == SP4_FORM[a, b] % m)
              for a, b in itertools.combinations(range(n), 2)]
     # entry (r, a) weighs m**(r n + a): the key of each filling of column a
     col_keys = [c @ m ** (np.arange(n, dtype=np.int64) * n + a) for a, c in enumerate(cols)]
@@ -382,35 +383,26 @@ def gauss_cell_factors(model: GroupModel, mats: np.ndarray):
     (equivalently of the trailing principal minors); the factorization is
     the block Schur elimination anchored at the bottom-right corner.
     """
-    m = model.m
-    n = model.degree
-    sizes = model.block_sizes
-    starts = model._block_starts
+    m, sizes, starts, b = model.m, model.block_sizes, model._block_starts, model._block_index
     g = np.asarray(mats, dtype=np.int64) % m
     S = g.copy()
-    u = np.broadcast_to(identity_mat(n), g.shape).copy()
+    u = np.broadcast_to(identity_mat(model.degree), g.shape).copy()
     v = u.copy()
     member = np.ones(len(g), dtype=bool)
-    l = np.zeros_like(g)
     for t in range(len(sizes) - 1, 0, -1):
         s, e = starts[t], starts[t] + sizes[t]
         D = S[:, s:e, s:e]
         dinv = unit_inverses(m)[det_int(D) % m]  # 0 marks a non-unit
         member &= dinv != 0
         Dinv = (adjugate_int(D) * dinv[:, None, None]) % m
-        B = S[:, 0:s, s:e]
-        C = S[:, s:e, 0:s]
-        U = np.broadcast_to(identity_mat(n), g.shape).copy()
-        U[:, 0:s, s:e] = (B @ Dinv) % m
-        V = np.broadcast_to(identity_mat(n), g.shape).copy()
-        V[:, s:e, 0:s] = (Dinv @ C) % m
-        u = mat_mul(u, U, m)
-        v = mat_mul(V, v, m)
-        l[:, s:e, s:e] = D
-        S[:, 0:s, 0:s] = (S[:, 0:s, 0:s] - B @ Dinv @ C) % m
-    l[:, 0:starts[1], 0:starts[1]] = S[:, 0:starts[1], 0:starts[1]]
+        BD, DC = model.mul(S[:, 0:s, s:e], Dinv), model.mul(Dinv, S[:, s:e, 0:s])
+        # u U and V v, U and V the identity with BD and DC in their blocks
+        u[:, :, s:e] = (u[:, :, s:e] + model.mul(u[:, :, 0:s], BD)) % m
+        v[:, s:e] = (v[:, s:e] + model.mul(DC, v[:, 0:s])) % m
+        S[:, 0:s, 0:s] = (S[:, 0:s, 0:s] - model.mul(BD, S[:, s:e, 0:s])) % m
+    l = S * (b[:, None] == b)  # the pivots D and the last Schur complement, block by block
     cell = u[member], l[member], v[member]
-    assert (mat_mul(mat_mul(cell[0], cell[1], m), cell[2], m) == g[member]).all()
+    assert (model.mul(*cell) == g[member]).all()
     if model.kind == "Sp":
         # the GL-level factors of a symplectic point must land in the group
         for f in cell:
@@ -434,9 +426,9 @@ def sampled_gauss_roundtrip_check(model: GroupModel, samples: int, rng) -> bool:
     m, stack = model.m, model.generator_stack
     ok = gauss_cell_membership(model, model.identity()) is not None
     gens = stack[draws(rng, len(stack), samples, 4), draws(rng, m, samples, 4)]
-    g = gens[:, 0] @ gens[:, 1] % m @ gens[:, 2] % m @ gens[:, 3] % m
+    g = model.mul(*gens.swapaxes(0, 1))
     member, u, l, v = gauss_cell_factors(model, g)
-    return ok and bool((mat_mul(mat_mul(u[member], l[member], m), v[member], m) == g[member]).all())
+    return ok and bool((model.mul(u[member], l[member], v[member]) == g[member]).all())
 
 
 @dataclass(frozen=True)

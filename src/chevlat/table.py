@@ -59,6 +59,7 @@ import numpy as np
 
 from .errors import SizeCapError, TableBoundError
 from .models import GroupModel, check_key_bound, order_formula, scan_on
+from .rings import residues
 from .rootsys import sorted_find
 
 DEFAULT_CAP = 2_000_000
@@ -90,8 +91,8 @@ def matrix_keys(mats, m: int) -> np.ndarray:
     """The keys of a (..., n, n) stack of matrices: the entries reduced mod m
     and read as n*n base-m digits, row by row, first entry least significant."""
     mats = np.asarray(mats, dtype=np.int64)
-    n = mats.shape[-1]
-    return mats.reshape(*mats.shape[:-2], n * n) % m @ m ** np.arange(n * n, dtype=np.int64)
+    k = mats.shape[-1] ** 2
+    return residues(mats.reshape(*mats.shape[:-2], k), m) @ m ** np.arange(k, dtype=np.int64)
 
 
 class ElementTable:
@@ -198,18 +199,19 @@ class ElementTable:
         """inv[x] for every x: walking from x up the BFS tree through the
         generators e_d, ..., e_1 of its path, the identity times e_d^-1 ...
         e_1^-1, one step for all unfinished elements at a time.  A step goes
-        in stacks of CHUNK elements, each gathered in place into the suffix."""
+        in stacks of at most CHUNK and N / 8 elements, gathered in place."""
         N, flat = self.N, right_inv.reshape(-1)
         offset = gen.astype(np.int64)  # x -> the offset of row gen[x] in flat
         offset *= N
-        at = np.empty(min(CHUNK, N), dtype=np.int64)  # a stack's positions in flat
+        step = min(CHUNK, -(-N // 8))  # a stack's int64 temporaries stay a fraction of the table
+        at = np.empty(step, dtype=np.int64)  # a stack's positions in flat
         inv = np.zeros(N, dtype=np.int32)  # the identity's index
         node = np.arange(N, dtype=np.int32)
         lo = 1  # the unfinished elements, deeper than the steps taken so far, are [lo, N)
         while lo < N:
             # mode "clip": the indices are in range, and "raise" would buffer out
-            for a in range(lo, N, CHUNK):
-                b = min(a + CHUNK, N)
+            for a in range(lo, N, step):
+                b = min(a + step, N)
                 offset.take(node[a:b], out=at[:b - a], mode="clip")
                 at[:b - a] += inv[a:b]
                 flat.take(at[:b - a], out=inv[a:b], mode="clip")
@@ -240,8 +242,7 @@ class ElementTable:
     def row_tables(self, mats: np.ndarray) -> np.ndarray:
         """Row tables of a stack of k matrices g, shape (k, m**n): entry v is
         the row key of (row with key v) times g."""
-        g = np.asarray(mats, dtype=np.int64).reshape(-1, self.n, self.n)
-        return (self.row_vecs @ g) % self.m @ self._digit
+        return self.model.mul(self.row_vecs, np.reshape(mats, (-1, self.n, self.n))) @ self._digit
 
     def product_keys(self, idx: np.ndarray, tables: np.ndarray) -> np.ndarray:
         """Keys of x g, shape (k, len(idx)), for the elements x in idx and

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from chevlat import calculus, lattice, models, relroots
-from chevlat.rings import adjugate_int, det_int, mat_mul, unit_inverses
+from chevlat.rings import adjugate_int, det_int, unit_inverses
 
 
 # The models on which the stacked calculus and centralizer readers are
@@ -193,7 +193,7 @@ def reference_chart(model, roots):
     for combo in itertools.product(*[list(model.v_tuples(a)) for a in ordered]):
         g = model.identity()
         for alpha, v in zip(ordered, combo):
-            g = mat_mul(g, model.x(alpha, v), model.m)
+            g = g @ model.x(alpha, v) % model.m
         key = tuple(int(x) for x in g.flatten())
         if key in by_key:
             raise RuntimeError(f"product map not injective over {ordered}")
@@ -233,7 +233,7 @@ def reference_cone_degrees(model, alpha, beta):
 def commutator(x, y, model):
     """[x, y] = x^-1 y^-1 x y of two elements or of two (..., n, n) stacks."""
     m = model.m
-    return mat_mul(mat_mul(model.inverse(x), model.inverse(y), m), mat_mul(x, y, m), m)
+    return model.inverse(x) @ model.inverse(y) % m @ x % m @ y % m
 
 
 def chevalley_commutator_decompose(model, alpha, u, beta, v):
@@ -267,7 +267,7 @@ def reference_levi_conjugation_decompose(model, g, alpha, v):
     if not model.in_levi(g):
         raise ValueError("conjugator must lie in the Levi subgroup")
     cone = calculus._multiple_cone(model, alpha)
-    conj = mat_mul(mat_mul(g, model.x(alpha, v), model.m), model.inverse(g), model.m)
+    conj = g @ model.x(alpha, v) % model.m @ model.inverse(g) % model.m
     ordered, comps = _reference_components(model, cone, conj)
     if comps is None:
         raise RuntimeError("Levi conjugation left the unipotent group")
@@ -302,7 +302,26 @@ def reference_lemma_const_check(model, alpha, beta):
                 if comp is not None:
                     values.append(comp)
     m, d = model.m, model.v_dim(target)
-    return calculus._additive_closure(values, d, m) == m ** d
+    return additive_closure(values, d, m) == m ** d
+
+
+def additive_closure(values, dim, m):
+    """Order of the subgroup of (Z/m)^dim generated by a set of tuples, by a
+    BFS over tuples."""
+    zero = (0,) * dim
+    seen = {zero}
+    frontier = [zero]
+    gens = {tuple(x % m for x in v) for v in values}
+    while frontier:
+        nxt = []
+        for a in frontier:
+            for g in gens:
+                s = tuple((x + y) % m for x, y in zip(a, g))
+                if s not in seen:
+                    seen.add(s)
+                    nxt.append(s)
+        frontier = nxt
+    return len(seen)
 
 
 def reference_pairing_sweep(model):

@@ -3,14 +3,15 @@ import random
 import numpy as np
 import pytest
 
-from chevlat import calculus
+from chevlat import calculus, cli
 from chevlat.errors import SizeCapError, TableBoundError
 from chevlat.models import GroupModel
 from chevlat.rings import draws
+from chevlat.table import matrix_keys
 
 from conftest import (
-    REFERENCE_MODELS, chevalley_commutator_decompose, commutator, component_at, reference_chart,
-    reference_cone_degrees, reference_levi_conjugation_check, reference_pair_cone,
+    REFERENCE_MODELS, additive_closure, chevalley_commutator_decompose, commutator, component_at,
+    reference_chart, reference_cone_degrees, reference_levi_conjugation_check, reference_pair_cone,
     reference_pairing_sweep, unipotent_factor,
 )
 
@@ -496,3 +497,43 @@ def test_pair_values_match_per_element_decompositions(model):
                 zero = (0,) * model.v_dim(target)
                 assert got.tolist() == [[list(component_at(chevalley_commutator_decompose(
                     model, a, u, b, v), target) or zero) for v in vs] for u in us]
+
+
+COMMUTATOR_TABLE_MODELS = [spec.build() for spec in cli.DEFAULT_MODELS] + [
+    sl(4, 2, (2, 1, 1)), sp(3, "borel")]
+
+
+@pytest.mark.parametrize("model", COMMUTATOR_TABLE_MODELS, ids=lambda mo: mo.name())
+def test_commutator_table_matches_per_pair_commutators(model, monkeypatch):
+    # pair by pair in the order of model.rel_roots, u by u, v by v: the keys of
+    # x^-1 y^-1 x y formed per pair from the root elements
+    start, keys = calculus._commutator_table(model)
+    assert list(start) == _pairs(model)
+    at = 0
+    for alpha, beta in _pairs(model):
+        xa = np.stack([model.x(alpha, u) for u in model.v_tuples(alpha)])[:, None]
+        xb = np.stack([model.x(beta, v) for v in model.v_tuples(beta)])[None]
+        want = matrix_keys(commutator(xa, xb, model), model.m).ravel()
+        assert start[alpha, beta] == at
+        assert keys[at:at + want.size].tolist() == want.tolist()
+        at += want.size
+    assert at == len(keys)
+    monkeypatch.setattr(calculus, "CHUNK", 7)  # stacks of 7 commutators build the same keys
+    assert np.array_equal(calculus._commutator_table.__wrapped__(model)[1], keys)
+
+
+def test_the_default_models_have_1910_commutators():
+    # SL3 over Z/2, Z/3, Z/4: 30 pairs of m**2; SL4(Z/2): 132 pairs of 4;
+    # Sp4(Z/2) borel: 56 pairs of 4; Sp4(Z/3) line: 8 pairs, 288 keys
+    assert [len(calculus._commutator_table(spec.build())[1]) for spec in cli.DEFAULT_MODELS] == [
+        120, 270, 480, 528, 224, 288]
+
+
+@pytest.mark.parametrize("m, d", [(2, 1), (4, 1), (6, 1), (4, 2), (6, 2), (9, 2), (8, 3)])
+def test_additive_closure_matches_a_tuple_bfs(m, d):
+    # generators in random ideals, so that proper subgroups come up too
+    rng = np.random.default_rng(10 * m + d)
+    for k in (1, 2, 3, 5, 8):
+        ideal = rng.choice([q for q in range(1, m + 1) if m % q == 0], size=(k, 1))
+        values = ideal * rng.integers(0, m, size=(k, d)) % m
+        assert calculus._additive_closure(values, m) == additive_closure(values.tolist(), d, m)

@@ -21,7 +21,7 @@ from chevlat.models import (
     scan_on,
     scheme_center_elements,
 )
-from chevlat.rings import det_int, draws, mat_mul
+from chevlat.rings import det_int, draws
 from chevlat.table import _SCAN_LIMIT, matrix_keys
 
 from conftest import mat_inverse_mod, reference_elements_on, units
@@ -284,11 +284,11 @@ def loop_gauss_roundtrip(model, samples, rng):
     for k in range(samples):
         g = model.identity()
         for step in range(4):
-            g = mat_mul(g, model.elementary_generator(positions[at[k, step]], params[k, step]), m)
+            g = g @ model.elementary_generator(positions[at[k, step]], params[k, step]) % m
         fac = gauss_cell_membership(model, g)
         if fac is not None:
             u, l, v = fac
-            ok &= bool((mat_mul(mat_mul(u, l, m), v, m) == g).all())
+            ok &= bool((u @ l % m @ v % m == g).all())
     return ok
 
 

@@ -6,6 +6,7 @@ case, which a check over part of its cases would miss.  The wrong-degree
 fault of the Levi conjugation check, at every case, is in test_calculus."""
 
 import dataclasses
+import functools
 import inspect
 
 import numpy as np
@@ -13,6 +14,7 @@ import pytest
 
 from chevlat import calculus, cli, lattice, models, relroots, rootsys
 from chevlat.models import GroupModel
+from chevlat.table import matrix_keys
 
 from conftest import adjacent_ok, reference_adjacent_ok
 
@@ -282,11 +284,11 @@ def test_a_chain_walk_one_step_short_is_a_gap_of_the_sweep(monkeypatch):
 HOLDING = [spec.build().name() for spec in cli.DEFAULT_MODELS if not spec.expect_violation]
 
 
-def _sandwich_run():
-    """The sandwich suite on the default models, with its exit code and the
-    models on which each record fails.  Each model's context is built by its
-    suite, so no data cached before the fault was planted is read."""
-    report, code = cli.run(cli.RunConfig(suite="sandwich"))
+def _sandwich_run(suite="sandwich"):
+    """The sandwich suite (or another) on the default models, with its exit
+    code and the models on which each record fails.  Each model's context is
+    built by its suite, so no data cached before the fault was planted is read."""
+    report, code = cli.run(cli.RunConfig(suite=suite))
     failing = {}
     for check in report["checks"]:
         if check["verdict"] == "fail":
@@ -392,3 +394,53 @@ def test_a_join_that_skips_its_products_ends_the_run(monkeypatch, capsys):
     assert cli.main(["sandwich", "--model", "SL2", "--mod", "12"]) == 3
     assert (capsys.readouterr().err.splitlines()[-1]
             == "internal error: join of E-normal subgroups is not E-normal")
+
+
+# -- the shared commutator table ----------------------------------------------
+
+def _plant_block(monkeypatch, block):
+    """Every model's commutator table with one wrong block: at the last pair,
+    in the sweep's order, whose sum is a root, every key is block(model,
+    alpha, beta)."""
+    true = calculus._commutator_table
+
+    @functools.lru_cache(maxsize=None)
+    def planted(model):
+        start, keys = true(model)
+        alpha, beta = [p for p in start if model.is_rel_root(calculus._vadd(*p))][-1]
+        size = model.m ** (model.v_dim(alpha) + model.v_dim(beta))
+        keys = keys.copy()
+        keys[start[alpha, beta]:start[alpha, beta] + size] = block(model, alpha, beta)
+        return start, keys
+
+    monkeypatch.setattr(calculus, "_commutator_table", planted)
+
+
+def test_the_identity_in_a_commutator_block_fails_only_the_pairing_witness(monkeypatch):
+    # every commutator of the pair is trivial: Lemma ABe finds no witness at
+    # the pair's first u, so the sweep stops before its Lemma const, which
+    # then counts one pair less; the homogeneity check reads the block too,
+    # but the identity's components are all zero, which every degree allows.
+    # The Sp4(Z/2) control already stops earlier, so its records do not move.
+    code, failing, clean = _sandwich_run("group")
+    assert (code, failing) == (0, {})
+    _plant_block(monkeypatch, lambda model, a, b: matrix_keys(model.identity(), model.m))
+    code, failing, checks = _sandwich_run("group")
+    assert (code, failing) == (1, {"pairing_witness": HOLDING})
+    moved = [(a, b) for a, b in zip(clean, checks) if a != b]
+    assert {(b["name"], b["model"]) for _, b in moved} == {
+        (name, model) for name in ("pairing_witness", "leading_values_generate")
+        for model in HOLDING}
+    assert all(b["verdict"] == "pass" and b["witness"]["checked"] == a["witness"]["checked"] - 1
+               for a, b in moved if b["name"] == "leading_values_generate")
+
+
+def test_a_commutator_block_in_the_ideal_2_fails_the_leading_values(monkeypatch):
+    # SL3(Z/4): every commutator of the last pair is X_{alpha+beta}(2), which
+    # has a witness for every u but generates only the ideal (2), and does
+    # not scale with u and v
+    spec = _default_spec("SL3(Z/4)[(1, 1, 1)]")
+    assert _failing_group_records(spec) == set()
+    _plant_block(monkeypatch, lambda model, a, b: matrix_keys(
+        model.x(calculus._vadd(a, b), (2,)), model.m))
+    assert _failing_group_records(spec) == {"leading_values_generate", "chevalley_homogeneity"}

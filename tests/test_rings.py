@@ -1,14 +1,20 @@
+import ast
 import itertools
+import math
 import random
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import chevlat
+from chevlat.errors import TableBoundError
 from chevlat.models import GroupModel
 from chevlat.rings import (
-    adjugate_int, det_int, divisors, draws, jacobson_radical, scalar_inverse,
+    adjugate_int, det_int, divisors, draws, jacobson_radical, mat_mul, residues, scalar_inverse,
 )
 
 from conftest import ideal_generated_by, mat_inverse_mod
@@ -134,3 +140,109 @@ def test_matrix_inverse_mod(m, data):
         assert ((stack @ invs) % m == np.eye(3, dtype=np.int64)).all()
 
 
+
+
+# -- the modular product kernel ------------------------------------------------
+
+def exact_chain(mats, m):
+    """The product of a chain mod m in exact integers: np.remainder of
+    object arrays of Python ints after every product."""
+    out = np.remainder(np.asarray(mats[0]).astype(object), m)
+    for a in mats[1:]:
+        out = np.remainder(out @ np.asarray(a).astype(object), m)
+    return out.astype(np.int64)
+
+
+def extreme_entries(rng, m, shape):
+    """Entries drawn from (-m, m), with -(m - 1), 0 and m - 1 in every operand."""
+    a = rng.integers(-(m - 1), m, size=shape, dtype=np.int64)
+    a.reshape(-1)[:3] = [-(m - 1), 0, m - 1]
+    return a
+
+
+@pytest.mark.parametrize("m", [2, 3, 4, 6, 8, 9])
+@pytest.mark.parametrize("length", range(2, 7))
+def test_mat_mul_matches_exact_remainders(m, length):
+    rng = np.random.default_rng(10 * m + length)
+    for n in (2, 4):
+        mats = [extreme_entries(rng, m, (40, n, n)) for _ in range(length)]
+        got = mat_mul(*mats, m=m)
+        assert got.dtype == np.int64 and np.array_equal(got, exact_chain(mats, m))
+        # broadcast stacks, and a chain of rectangular operands (the scan's pairings)
+        first, last = mats[0][:, None], mats[-1][None, :5]
+        assert np.array_equal(mat_mul(first, last, m=m), exact_chain([first, last], m))
+        rows, cols = mats[0][0, :1], mats[1][0, :, :1]
+        assert np.array_equal(mat_mul(rows, *mats[2:], cols, m=m),
+                              exact_chain([rows, *mats[2:], cols], m))
+    assert np.array_equal(mat_mul(mats[0], m=m), np.remainder(mats[0], m))  # one operand
+
+
+@pytest.mark.parametrize("n", [2, 4])
+def test_mat_mul_matches_exact_remainders_near_the_int64_bound(n):
+    # the largest m with n (m - 1)**2 below 2**63, the one before it and a
+    # power of two below both: each product is reduced before the next
+    top = math.isqrt((2**63 - 1) // n) + 1
+    rng = np.random.default_rng(n)
+    for m in (top, top - 1, 2**30):
+        mats = [extreme_entries(rng, m, (8, n, n)) for _ in range(4)]
+        assert np.array_equal(mat_mul(*mats, m=m), exact_chain(mats, m))
+    eye = np.eye(n, dtype=np.int64)
+    with pytest.raises(TableBoundError, match="past the int64 bound"):
+        mat_mul(eye, eye, m=top + 1)
+
+
+def test_mat_mul_guard_names_the_model():
+    # two 2x2 operands over Z/2**40 reach 2 (2**40 - 1)**2, past int64: refused
+    # before anything is multiplied
+    model = GroupModel("SL", 2, 2**40, (1, 1))
+    eye = np.eye(2, dtype=np.int64)
+    with pytest.raises(TableBoundError, match=re.escape(
+            "SL2(Z/1099511627776)[(1, 1)]: a matrix product mod 1099511627776 has entries "
+            "up to 2 * (1099511627776 - 1)**2, past the int64 bound 2**63 - 1")) as err:
+        model.mul(eye, eye)
+    assert (err.value.needed, err.value.cap) == (2 * (2**40 - 1)**2, 2**63 - 1)
+
+
+@pytest.mark.parametrize("m", [2, 3, 4, 6, 8, 9, 2**31 - 1, 2**31])
+@pytest.mark.parametrize("size", [10, 5000])  # either side of the switch from % to a // m
+def test_residues_match_remainder_without_changing_their_input(m, size):
+    edges = [-(2**62), -m - 1, -m, -1, 0, 1, m - 1, m, m + 1, 2**62]
+    a = np.concatenate([edges, np.random.default_rng(m).integers(-(2**62), 2**62, size - 10)])
+    before = a.copy()
+    assert np.array_equal(residues(a, m), np.remainder(a, m))
+    assert np.array_equal(a, before)
+
+
+def reduced_products(source: str) -> list[int]:
+    """The lines of products taken mod something outside the kernel: a % or
+    an np.remainder / np.mod whose operand holds an @."""
+    def holds_matmul(node):
+        return any(isinstance(sub, ast.BinOp) and isinstance(sub.op, ast.MatMult)
+                   for sub in ast.walk(node))
+
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mod):
+            hit = holds_matmul(node.left)
+        elif isinstance(node, ast.Call) and getattr(node.func, "attr", "") in ("remainder", "mod"):
+            hit = any(holds_matmul(arg) for arg in node.args)
+        else:
+            continue
+        if hit:
+            lines.append(node.lineno)
+    return sorted(lines)
+
+
+def test_the_source_scan_finds_products_mod_m():
+    source = ("a = x @ y % m\nb = (x @ y) % m\nc = x @ y % m @ z % m\n"
+              "d = np.remainder(x @ y, m)\ne = f(x @ y)[0] % m\n"
+              "keys = x % m @ weights\nf = mat_mul(x, y, m=m)\ng = x @ weights\n")
+    assert reduced_products(source) == [1, 2, 3, 3, 4, 5]
+
+
+def test_products_mod_m_go_through_the_kernel():
+    # rings.mat_mul is the one modular product kernel; table.py's row tables use it too
+    src = Path(chevlat.__file__).parent
+    found = {path.name: reduced_products(path.read_text()) for path in sorted(src.glob("*.py"))
+             if path.name not in ("rings.py", "table.py")}
+    assert {name: lines for name, lines in found.items() if lines} == {}

@@ -281,6 +281,19 @@ def test_table_build_peak_memory():
     assert peak <= 6.5 * 2**20
 
 
+def test_table_inverses_peak_memory():
+    # the tree walk gathers in stacks of at most an eighth of N, so reading
+    # inv keeps the traced peak of the build (6.07 MiB); stacks of N took 6.53
+    model = GroupModel("Sp", 4, 3, "line")
+    tracemalloc.start()
+    try:
+        ElementTable(model).inv
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 6.5 * 2**20
+
+
 def test_size_cap_names_cap():
     model = GroupModel("SL", 3, 7, (1, 1, 1))
     with pytest.raises(SizeCapError) as err:
