@@ -20,5 +20,15 @@ class TableBoundError(SizeCapError):
         RuntimeError.__init__(self, message)
 
 
+class ShortEnumerationError(RuntimeError):
+    """Raised when an element table's BFS ends with fewer elements than the
+    order formula gives: its generators do not generate the whole group."""
+
+    def __init__(self, found: int, expected: int, message: str):
+        self.found = found
+        self.expected = expected
+        super().__init__(message)
+
+
 class ConfigError(ValueError):
     """Malformed run configuration."""

@@ -256,7 +256,8 @@ class _ClosureRegistry:
         conjugate from the table's conjugations, so all of them are one
         stacked matrix product and one lookup."""
         table, reps = self.table, np.asarray(self.orbits().reps)
-        prods = table.mat(table.inv.take(reps)) @ table.mat(table.conj.take(reps, axis=1))
+        prods = table.model.mul(table.mat(table.inv.take(reps)),
+                                table.mat(table.conj.take(reps, axis=1)))
         return _element_indices(table, prods, "a commutator [x, y]").reshape(len(table.conj), -1)
 
     def _certified(self, member: np.ndarray | Subgroup, error: str) -> Subgroup:

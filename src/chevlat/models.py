@@ -232,6 +232,19 @@ class GroupModel:
         same subgroup as the full one-parameter families."""
         return [self.elementary_generator(p, 1) for p in self.generator_positions()]
 
+    def simple_generator_mats(self) -> list[np.ndarray]:
+        """The generators of generator_mats at the simple roots and their
+        negatives, 2 * rank of them: (i, i + 1) and (i + 1, i) for SL_n, (+-1, 0)
+        and (0, +-1) for Sp_4.  They generate the same subgroup E(R): w_alpha(1)
+        lies in <x_{+-alpha}(1)> and moves them onto every root, and x_alpha(t)
+        = x_alpha(1)**t over Z/m (Steinberg, Lectures on Chevalley Groups,
+        1968, §3)."""
+        if self.kind == "SL":
+            simple = {p for i in range(self.degree - 1) for p in ((i, i + 1), (i + 1, i))}
+        else:
+            simple = {(1, 0), (0, 1), (-1, 0), (0, -1)}
+        return [self.elementary_generator(p, 1) for p in self.generator_positions() if p in simple]
+
     @cached_property
     def generator_stack(self) -> np.ndarray:
         """[i, t]: elementary_generator(p, t), p the i-th position; shared, so read-only."""

@@ -6,20 +6,26 @@ the row keys read as base m**n digits, the same as the matrix read as n*n
 base-m digits.  Matrices are read through `mat`, which decodes the row
 keys of the indices asked for.
 
-The enumeration is a BFS from the identity over right multiplication by
-the k elementary generators e.  It scans each level in chunks of at most
-CHUNK products (max(CHUNK, N) on the sorted index below) and hands each
-chunk to a key index, which recognizes the elements seen so far, numbers
-the chunk's new keys in scan order after those of the chunks before it,
-and is the table's lookup afterwards.  The elements are numbered as by
-whole levels, and besides its output and the key index the build holds
-one chunk's arrays.  When there are at most _SCAN_LIMIT possible keys
-(m**(n*n), at most 1.6 MB of int32) the index is dense, `where[key]` the
-index or -1: a chunk gathers `where` at its products, `np.minimum.at`
-over the unseen products' scan ranks finds each new key's first
-occurrence, and a lookup is one gather.  Above that bound a chunk is
-deduplicated by one sort of its L products' composites key * L + scan
-position, its new keys are merged into the sorted keys, and these,
+The enumeration is a BFS from the identity over right multiplication by k
+generators e of E(R): by default all the elementary generators of
+`generator_mats`, whose order of discovery fixes every element index the
+lattice, its pinned digests and the reports' seed indices rest on.  A
+caller that reads only N and lookups may pass a smaller generating set:
+the group suite passes the 2 * rank of `simple_generator_mats` (4 of 6 on
+SL_3, 6 of 12 on SL_4, 4 of 8 on Sp_4), so its table numbers the same
+elements in another order than the sandwich suite's.  The BFS scans each
+level in chunks of at most CHUNK products (max(CHUNK, N) on the sorted
+index below) and hands each chunk to a key index, which recognizes the
+elements seen so far, numbers the chunk's new keys in scan order after
+those of the chunks before it, and is the table's lookup afterwards.  The
+elements are numbered as by whole levels, and besides its output and the
+key index the build holds one chunk's arrays.  When there are at most
+_SCAN_LIMIT possible keys (m**(n*n), at most 1.6 MB of int32) the index is
+dense, `where[key]` the index or -1: a chunk gathers `where` at its
+products, `np.minimum.at` over the unseen products' scan ranks finds each
+new key's first occurrence, and a lookup is one gather.  Above that bound
+a chunk is deduplicated by one sort of its L products' composites key * L
++ scan position, its new keys are merged into the sorted keys, and these,
 searched by binary search, are the lookup arrays.
 
 The BFS keeps x -> x e, one int32 row per generator, and its spanning tree
@@ -28,7 +34,7 @@ e^-1 inverts x -> x e, and x = e_1 ... e_d on the tree has x^-1 = e_d^-1
 ... e_1^-1, so the inverses are one vectorized walk up the tree (the
 Schreier-vector trick; Butler, Fundamental Algorithms for Permutation
 Groups, LNCS 559), which then drops the tree.  `conj`: conjugation by each
-E generator, x -> e^-1 x e, one (k, N) int32 array written over x -> x e,
+generator, x -> e^-1 x e, one (k, N) int32 array written over x -> x e,
 the one thing the lattice needs of the generators; its closures run
 entirely on indices.
 The group suite reads neither.
@@ -48,7 +54,9 @@ scan that decides every n x n matrix by its defining equation
 (`models.scan_on` with every entry supported: det through first-row
 cofactors shared between matrices for SL_n, column pairings for Sp_4): the
 scan's keys must be N, each of them in the table.  The BFS's N keys are
-distinct, so the two sets are equal.
+distinct, so the two sets are equal.  A BFS that ends short of the order
+formula raises ShortEnumerationError with both counts: its generators do
+not generate the group.
 """
 
 from __future__ import annotations
@@ -57,7 +65,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import SizeCapError, TableBoundError
+from .errors import ShortEnumerationError, SizeCapError, TableBoundError
 from .models import GroupModel, check_key_bound, order_formula, scan_on
 from .rings import residues
 from .rootsys import sorted_find
@@ -68,10 +76,11 @@ _SCAN_LIMIT = 400_000  # m**(n*n) bound for the dense key index and the predicat
 _INDEX_BOUND = 2**31 - 1  # permutation entries are int32
 
 
-def check_bounds(model: GroupModel, cap: int = DEFAULT_CAP) -> int:
+def check_bounds(model: GroupModel, cap: int = DEFAULT_CAP, k: int | None = None) -> int:
     """The group's order by the order formula, once its table is known to fit: SizeCapError
     above the element cap, TableBoundError past the int64 key, the int32 index or the
-    uint64 bound of the BFS's composites (below m**(n*n) k N for k generators)."""
+    uint64 bound of the BFS's composites (below m**(n*n) k N for k generators, by default
+    all of generator_mats)."""
     expected = order_formula(model)
     if expected > cap:
         raise SizeCapError(expected, cap, model.name())
@@ -80,7 +89,8 @@ def check_bounds(model: GroupModel, cap: int = DEFAULT_CAP) -> int:
         raise TableBoundError(
             expected, _INDEX_BOUND,
             f"{model.name()} has {expected} elements, past the int32 index bound 2**31 - 1")
-    keys, k = model.m ** (model.degree ** 2), len(model.generator_positions())
+    keys = model.m ** (model.degree ** 2)
+    k = len(model.generator_positions()) if k is None else k
     if keys * k * expected > 2**64:
         raise TableBoundError(keys * k * expected, 2**64, f"{model.name()}: BFS composites reach "
                               f"{keys} keys x {k} generators x {expected} elements, past 2**64")
@@ -96,11 +106,14 @@ def matrix_keys(mats, m: int) -> np.ndarray:
 
 
 class ElementTable:
-    def __init__(self, model: GroupModel, cap: int = DEFAULT_CAP):
+    def __init__(self, model: GroupModel, cap: int = DEFAULT_CAP, generators=None):
+        """The table of the group the generators generate, by default all of
+        generator_mats; see the module notes."""
         self.model = model
         self.n = n = model.degree
         self.m = m = model.m
-        expected = check_bounds(model, cap)
+        gens = np.stack(model.generator_mats() if generators is None else generators)
+        expected = check_bounds(model, cap, len(gens))
 
         self._digit = m ** np.arange(n, dtype=np.int64)  # entry weights in a row key
         self._row_w = (m ** n) ** np.arange(n, dtype=np.int64)  # row-key weights in a key
@@ -109,7 +122,7 @@ class ElementTable:
         identity = int(self._digit @ self._row_w)  # row i of the identity has key m**i
         # the key index holds the identity at index 0; the BFS fills in the rest
         self._index = _DenseIndex(m ** (n * n), identity) if small else _SortedIndex(identity)
-        self.rows, self._right, self._parent, self._gen = self._bfs(expected)
+        self.rows, self._right, self._parent, self._gen = self._bfs(expected, gens)
         self.N = expected
         self.identity_idx = 0  # the BFS starts from the identity
         self.gen_idxs = self._right[:, 0].astype(np.int64)
@@ -131,7 +144,7 @@ class ElementTable:
 
     @cached_property
     def conj(self) -> np.ndarray:
-        """The (k, N) int32 conjugations by the E generators: row j, x ->
+        """The (k, N) int32 conjugations by the generators: row j, x ->
         e_j^-1 x e_j, as x -> x^-1 e_j -> e_j^-1 x -> e_j^-1 x e_j, written over
         the BFS's x -> x e_j (np.take gathers these int32 indices faster than
         fancy indexing)."""
@@ -147,18 +160,18 @@ class ElementTable:
         """The rows (one more trailing axis of n entries) of row keys."""
         return row_keys[..., None] // self._digit % self.m
 
-    def _bfs(self, expected: int):
-        """Breadth-first enumeration from the identity, as row keys, filling
-        the key index.  Each level keeps the products not seen before, in
-        order of first occurrence, so an element's index is its position in
-        the scan of frontier x generator products.  The scan goes in chunks
-        of at most CHUNK products, or max(CHUNK, N) on the sorted index,
-        which copies its keys at every chunk: chunks that large keep that
-        to about k + levels copies.  Also returns the (k, N) int32 array
-        whose entry [j, x] is the index of x e_j and the spanning tree: each
-        element's parent and the j of the e_j that reached it, -1 for the
-        identity."""
-        tables = self.row_tables(np.stack(self.model.generator_mats()))
+    def _bfs(self, expected: int, gens: np.ndarray):
+        """Breadth-first enumeration from the identity over the generators
+        gens, as row keys, filling the key index.  Each level keeps the
+        products not seen before, in order of first occurrence, so an
+        element's index is its position in the scan of frontier x generator
+        products.  The scan goes in chunks of at most CHUNK products, or
+        max(CHUNK, N) on the sorted index, which copies its keys at every
+        chunk: chunks that large keep that to about k + levels copies.  Also
+        returns the (k, N) int32 array whose entry [j, x] is the index of x
+        e_j and the spanning tree: each element's parent and the j of the e_j
+        that reached it, -1 for the identity."""
+        tables = self.row_tables(gens)
         k = len(tables)
         # weighted[i][v, j]: the key digits of row i of x e_j when row i of x has key v
         weighted = [(w * tables.T).view(np.uint64) for w in self._row_w.tolist()]
@@ -190,8 +203,8 @@ class ElementTable:
                 end = new
             lo, hi = hi, end
         if hi != expected:
-            raise RuntimeError(f"{self.model.name()}: enumerated {hi} elements, "
-                               f"order formula gives {expected}")
+            raise ShortEnumerationError(hi, expected, f"{self.model.name()}: enumerated {hi} "
+                                        f"elements, order formula gives {expected}")
         return rows, right, parent, gen
 
     def _tree_inverses(self, right_inv: np.ndarray, parent: np.ndarray,
@@ -257,8 +270,8 @@ class ElementTable:
         return self.lookup_keys(keys).astype(np.int32)
 
     def conj_perm(self, g_idx: int) -> np.ndarray:
-        """Index permutation of x -> g^-1 x g for an E generator g, built
-        with the table; a ValueError for any other element."""
+        """Index permutation of x -> g^-1 x g for a generator g of the BFS,
+        built with the table; a ValueError for any other element."""
         j = self._gen_pos.get(int(g_idx))
         if j is None:
             raise ValueError(f"{self.model.name()}: element {g_idx} is not an E generator")

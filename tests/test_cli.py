@@ -147,6 +147,23 @@ def test_main_exit_codes(tmp_path, monkeypatch, capsys):
         "config error", "config error", "cannot write report"]
 
 
+@pytest.mark.parametrize("argv", [[], ["nosuch"], ["roots", "group"], ["roots", "--cap", "x"],
+                                  ["roots", "--bogus"]])
+def test_main_refuses_bad_usage_with_exit_two(argv, capsys):
+    with pytest.raises(SystemExit) as err:
+        cli.main(argv)
+    assert err.value.code == 2
+    assert "usage: chevlat" in capsys.readouterr().err
+
+
+def test_main_takes_the_options_on_either_side_of_the_suite(tmp_path):
+    outs = [tmp_path / "a.json", tmp_path / "b.json"]
+    assert cli.main(["--model", "SL3", "--mod", "2", "group", "--out", str(outs[0])]) == 0
+    assert cli.main(["group", "--model", "SL3", "--mod", "2", "--out", str(outs[1])]) == 0
+    a, b = (json.loads(out.read_text()) for out in outs)
+    assert a.pop("timing") and b.pop("timing") and a == b
+
+
 def test_main_refuses_table_past_key_bound(capsys):
     # a raised cap lets SL2(Z/2**16) past the element cap; its 2x2 keys reach 2**64
     assert cli.main(["sandwich", "--model", "SL2", "--mod", str(2**16), "--cap", str(10**15)]) == 2

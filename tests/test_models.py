@@ -44,6 +44,32 @@ def test_elementary_generator_examples():
         m.elementary_generator((1, 1), 1)
 
 
+def _simple_root_coordinates(model, position):
+    """A generator position as a root in simple-root coordinates: e_i - e_j of
+    A_{n-1} for SL_n, the C_2 coordinates themselves for Sp_4."""
+    if model.kind == "Sp":
+        return position
+    i, j = position
+    sign, lo, hi = (1, i, j) if i < j else (-1, j, i)
+    return tuple(sign if lo <= t < hi else 0 for t in range(model.degree - 1))
+
+
+@pytest.mark.parametrize("model", [sl(2, 5), sl(3, 2), sl(4, 3), sl(5, 2), sp(2), sp(3, "line")],
+                         ids=lambda mo: mo.name())
+def test_simple_generators_are_the_e_generators_at_the_simple_roots(model):
+    rank = model.degree - 1 if model.kind == "SL" else 2
+    simple = [p for p in model.generator_positions()
+              if sorted(map(abs, _simple_root_coordinates(model, p))) == [0] * (rank - 1) + [1]]
+    got = model.simple_generator_mats()
+    assert len(got) == len(simple) == 2 * rank
+    assert {tuple(_simple_root_coordinates(model, p)) for p in simple} == {
+        tuple(s * (t == u) for t in range(rank)) for u in range(rank) for s in (1, -1)}
+    want = [model.elementary_generator(p, 1) for p in simple]
+    assert all(np.array_equal(g, w) for g, w in zip(got, want))
+    every = model.generator_mats()
+    assert all(any(np.array_equal(g, e) for e in every) for g in got)
+
+
 def test_sp4_generators_preserve_form():
     for mod in (2, 3, 5):
         model = sp(mod)

@@ -147,6 +147,24 @@ def test_wrong_degrees_at_the_last_pair_fail_only_the_homogeneity_record(name, m
     assert _failing_group_records(spec) == {"chevalley_homogeneity"}
 
 
+def test_a_simple_generator_dropped_fails_only_the_elementary_subgroup(monkeypatch, capsys):
+    # without x_21 the BFS of SL3(Z/2) ends at the 24 matrices with last row
+    # (0, 0, 1): Theorem EE's record fails with both counts, and the brute
+    # force that needs the whole table is skipped
+    spec = _default_spec("SL3(Z/2)[(1, 1, 1)]")
+    clean = _group_records(spec)
+    assert {record[2] for record in clean} == {True}
+    true = GroupModel.simple_generator_mats
+    monkeypatch.setattr(GroupModel, "simple_generator_mats", lambda self: true(self)[:-1])
+    records = _group_records(spec)
+    assert {record[0] for record in records if record[2] is False} == {"elementary_subgroup_full"}
+    assert [r[0] for r in records] == [r[0] for r in clean if r[0] != "gauss_cell_brute_force"]
+    assert {r[0]: r[4] for r in records}["elementary_subgroup_full"] == {
+        "order": 24, "order_formula": 168}
+    assert cli.main(["group", "--model", "SL3", "--mod", "2"]) == 1
+    capsys.readouterr()
+
+
 def _wrong_l_at_the_last_member(member, l):
     l[np.flatnonzero(member)[-1:], 0, 0] += 1
 

@@ -6,7 +6,7 @@ import pytest
 
 from chevlat import table as table_mod
 from chevlat.cli import DEFAULT_MODELS
-from chevlat.errors import SizeCapError, TableBoundError
+from chevlat.errors import ShortEnumerationError, SizeCapError, TableBoundError
 from chevlat.models import GroupModel
 from chevlat.table import ElementTable, check_bounds, matrix_keys
 
@@ -191,6 +191,41 @@ def test_dense_and_sorted_index_agree(spec, monkeypatch):
         assert np.array_equal(got, want)
     assert np.array_equal(dense.lookup_keys(keys), np.arange(dense.N))
     assert dense.lookup_keys(np.array([-1, m ** (degree * degree)])).tolist() == [-1, -1]
+
+
+# Every accepted spec of at most 51,840 elements: SL2(Z/m) for m <= 16,
+# SL3(Z/2..4), SL4(Z/2) and Sp4(Z/2..3) under each parabolic
+SMALL_SPECS = ([("SL", 2, m, (1, 1)) for m in range(2, 17)]
+               + [("SL", 3, m, (1, 1, 1)) for m in (2, 3, 4)] + [("SL", 4, 2, (1, 1, 1, 1))]
+               + [("Sp", 4, m, b) for m in (2, 3) for b in ("borel", "line", "siegel")])
+
+
+def _sorted_keys(t):
+    return np.sort(matrix_keys(t.mat(np.arange(t.N)), t.m))
+
+
+@pytest.mark.parametrize("spec", SMALL_SPECS, ids=lambda s: f"{s[0]}{s[1]}(Z/{s[2]})[{s[3]}]")
+def test_simple_root_generators_enumerate_the_whole_group(spec):
+    # the 2 * rank generators of the group suite's table reach the order
+    # formula and the elements of the table over every E generator
+    model = GroupModel(*spec)
+    if spec in [(s.kind, s.degree, s.modulus, s.blocks) for s in DEFAULT_MODELS]:
+        full = ctx_for(*spec).table  # shared with the other tests
+    else:
+        full = ElementTable(model)
+    t = ElementTable(model, generators=model.simple_generator_mats())
+    assert len(t.gen_idxs) == len(model.simple_generator_mats())
+    assert t.N == check_bounds(model) == full.N
+    assert np.array_equal(_sorted_keys(t), _sorted_keys(full))
+
+
+def test_a_short_enumeration_carries_both_counts():
+    model = GroupModel("SL", 3, 2, (1, 1, 1))
+    # x_01, x_10 and x_12 fix the last row (0, 0, 1): 168 / 7 matrices
+    with pytest.raises(ShortEnumerationError, match="enumerated 24 elements, order formula "
+                                                   "gives 168") as err:
+        ElementTable(model, generators=model.simple_generator_mats()[:-1])
+    assert (err.value.found, err.value.expected) == (24, 168)
 
 
 def test_table_refuses_a_scan_that_misses_an_element(monkeypatch):
