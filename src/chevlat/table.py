@@ -14,19 +14,18 @@ caller that reads only N and lookups may pass a smaller generating set:
 the group suite passes the 2 * rank of `simple_generator_mats` (4 of 6 on
 SL_3, 6 of 12 on SL_4, 4 of 8 on Sp_4), so its table numbers the same
 elements in another order than the sandwich suite's.  The BFS scans each
-level in chunks of at most CHUNK products (max(CHUNK, N) on the sorted
-index below) and hands each chunk to a key index, which recognizes the
-elements seen so far, numbers the chunk's new keys in scan order after
-those of the chunks before it, and is the table's lookup afterwards.  The
-elements are numbered as by whole levels, and besides its output and the
-key index the build holds one chunk's arrays.  When there are at most
-_SCAN_LIMIT possible keys (m**(n*n), at most 1.6 MB of int32) the index is
-dense, `where[key]` the index or -1: a chunk gathers `where` at its
-products, `np.minimum.at` over the unseen products' scan ranks finds each
-new key's first occurrence, and a lookup is one gather.  Above that bound
-a chunk is deduplicated by one sort of its L products' composites key * L
-+ scan position, its new keys are merged into the sorted keys, and these,
-searched by binary search, are the lookup arrays.
+level in chunks of at most CHUNK products (CHUNK / 2 on the hash index)
+and hands each chunk to a key index, which recognizes the elements seen
+so far, numbers the chunk's new keys in scan order after those of the
+chunks before it, and is the table's lookup afterwards: the elements are
+numbered as by whole levels, and the build holds one chunk's arrays at a
+time.  With at most _SCAN_LIMIT possible keys (m**(n*n), at most 1.6 MB of
+int32) the index is dense, `where[key]` the index or -1: `np.minimum.at`
+over a chunk's unseen products' scan ranks finds each new key's first
+occurrence, and a lookup is one gather.  Above that bound it is a chained
+hash sized by the group (12 to 16 B per int32 key): a lookup walks its
+keys' chains comparing stored keys, so a non-member finds none, and a
+chunk deduplicates its unseen products by one sort of composites.
 
 The BFS keeps x -> x e, one int32 row per generator, and its spanning tree
 (parent and generator); the rest is built on first read.  `inv`: x -> x
@@ -68,7 +67,6 @@ import numpy as np
 from .errors import ShortEnumerationError, SizeCapError, TableBoundError
 from .models import GroupModel, check_key_bound, order_formula, scan_on
 from .rings import residues
-from .rootsys import sorted_find
 
 DEFAULT_CAP = 2_000_000
 CHUNK = 65536  # products per stack of a BFS level, a closure or an exhaustive check
@@ -118,10 +116,11 @@ class ElementTable:
         self._digit = m ** np.arange(n, dtype=np.int64)  # entry weights in a row key
         self._row_w = (m ** n) ** np.arange(n, dtype=np.int64)  # row-key weights in a key
         self.row_vecs = self._decode(np.arange(m ** n, dtype=np.int64))  # every row, by key
-        small = m ** (n * n) <= _SCAN_LIMIT
+        small = (keyspace := m ** (n * n)) <= _SCAN_LIMIT
         identity = int(self._digit @ self._row_w)  # row i of the identity has key m**i
         # the key index holds the identity at index 0; the BFS fills in the rest
-        self._index = _DenseIndex(m ** (n * n), identity) if small else _SortedIndex(identity)
+        self._index = (_DenseIndex(keyspace, identity) if small
+                       else _HashIndex(expected, identity, keyspace))
         self.rows, self._right, self._parent, self._gen = self._bfs(expected, gens)
         self.N = expected
         self.identity_idx = 0  # the BFS starts from the identity
@@ -165,11 +164,10 @@ class ElementTable:
         gens, as row keys, filling the key index.  Each level keeps the
         products not seen before, in order of first occurrence, so an
         element's index is its position in the scan of frontier x generator
-        products.  The scan goes in chunks of at most CHUNK products, or
-        max(CHUNK, N) on the sorted index, which copies its keys at every
-        chunk: chunks that large keep that to about k + levels copies.  Also
-        returns the (k, N) int32 array whose entry [j, x] is the index of x
-        e_j and the spanning tree: each element's parent and the j of the e_j
+        products.  The scan goes in chunks of at most CHUNK products, or CHUNK
+        / 2 on the hash index, whose lookup holds a few temporaries per product.
+        Also returns the (k, N) int32 array whose entry [j, x] is the index of
+        x e_j and the spanning tree: each element's parent and the j of the e_j
         that reached it, -1 for the identity."""
         tables = self.row_tables(gens)
         k = len(tables)
@@ -179,8 +177,7 @@ class ElementTable:
         right = np.empty((k, expected), dtype=np.int32)
         parent, gen = np.full((2, expected), -1, dtype=np.int32)
         rows[0] = self._digit  # the identity
-        size = CHUNK if isinstance(self._index, _DenseIndex) else max(CHUNK, expected)
-        step = max(1, size // k)  # frontier elements per chunk
+        step = max(1, (CHUNK if isinstance(self._index, _DenseIndex) else CHUNK // 2) // k)
         lo, hi = 0, 1  # the frontier is [lo, hi); the elements found so far are [0, end)
         end = 1
         while lo < hi:
@@ -244,7 +241,7 @@ class ElementTable:
     def lookup_keys(self, keys: np.ndarray) -> np.ndarray:
         """Indices (int64) of the elements with these keys, in their shape;
         -1 where none."""
-        return self._index.lookup(keys)
+        return self._index.lookup(keys).astype(np.int64, copy=False)
 
     def mat(self, idx) -> np.ndarray:
         """The int64 matrix of an index, or the (k, n, n) stack of an index array."""
@@ -310,49 +307,67 @@ class _DenseIndex:
         return np.where(inside, self.where.take(keys, mode="clip"), np.int64(-1))
 
 
-class _SortedIndex:
-    """The key index of a larger table: the element keys in increasing
-    order (`keys`) and the index of each (`order`).  A lookup is one binary
-    search of the sorted queries over the keys."""
+class _HashIndex:
+    """The key index of a larger table: keys[x], the key of element x (int32 if
+    every key fits), head[s], the last element pushed onto slot s of 2**b for N
+    of b bits, and next[x], the one pushed onto x's slot before x; -1 ends a chain."""
 
-    def __init__(self, identity: int):
-        self.keys = np.array([identity], dtype=np.int64)
-        self.order = np.zeros(1, dtype=np.int32)
+    def __init__(self, size: int, identity: int, keyspace: int):
+        self.bits = size.bit_length()
+        self.head = np.full(1 << self.bits, -1, dtype=np.int32)
+        self.next = np.empty(size, dtype=np.int32)
+        self.keys = np.full(size, identity, dtype=np.int32 if keyspace <= 2**31 else np.int64)
+        self._push(0, 1)
 
     def add(self, keys: np.ndarray, found: int):
-        """As `_DenseIndex.add`, deduplicating the chunk by one sort
-        (`_dedupe`) and inserting its new keys into the sorted keys."""
-        keys, first, where = _dedupe(keys)
-        keys = keys.view(np.int64)
-        at = np.searchsorted(self.keys, keys)
-        hit = np.minimum(at, len(self.keys) - 1)
-        fresh = np.flatnonzero(self.keys[hit] != keys)
-        idx = self.order[hit]  # the index of every key seen before; the fresh are set below
-        born = np.sort(first[fresh])  # scan positions of the new elements, in order
-        idx[where[born]] = np.arange(found, found + len(born), dtype=np.int32)
-        put = at[fresh] + np.arange(len(fresh))  # the fresh keys' places in the grown arrays
-        old = np.ones(len(self.keys) + len(fresh), dtype=bool)
-        old[put] = False
-        self.keys = _spread(self.keys, keys[fresh], old, put)
-        self.order = _spread(self.order, idx[fresh], old, put)
-        return idx.take(where), born
+        """As `_DenseIndex.add`: the unseen products are deduplicated (`_dedupe`) and pushed."""
+        idx = self.lookup(keys.view(np.int64))
+        unseen = np.flatnonzero(idx < 0)
+        _, first, where = _dedupe(keys[unseen])
+        order = np.argsort(first)  # the new keys in scan order
+        number = np.empty(len(order), dtype=np.int32)
+        number[order] = np.arange(found, found + len(order), dtype=np.int32)
+        idx[unseen] = number.take(where)
+        born, stop = unseen.take(first.take(order)), found + len(order)
+        self.keys[found:stop] = keys.take(born)
+        self._push(found, stop)
+        return idx, born
+
+    def _push(self, start: int, stop: int):
+        """Pushes the elements [start, stop) onto their chains in rounds: of those
+        written to one slot of `head`, the one left there is pushed, the rest retry."""
+        x = np.arange(start, stop, dtype=np.int32)
+        slot = _slots(self.keys[start:stop], self.bits)
+        while len(x):
+            self.next[x] = self.head.take(slot)
+            self.head[slot] = x
+            left = self.head.take(slot) != x
+            x, slot = x[left], slot[left]
 
     def lookup(self, keys: np.ndarray) -> np.ndarray:
-        """The queries are searched in sorted order, which keeps the binary
-        search cache-friendly on large tables."""
-        flat = keys.ravel()
-        sort = np.argsort(flat)
-        idx = np.empty(flat.size, dtype=np.int64)
-        idx[sort] = sorted_find(self.keys, flat[sort], self.order)
+        """int32 indices: walks the chain of each key's slot, one link for all
+        unfinished keys at a time, comparing stored keys (-1 if on no chain)."""
+        flat = keys.reshape(-1)
+        node = self.head.take(_slots(flat, self.bits))
+        live = node >= 0
+        hit = (self.keys.take(node) == flat) & live  # node -1 reads the last key, masked
+        idx = np.where(hit, node, np.int32(-1))
+        at = np.flatnonzero(live ^ hit)  # the keys on a chain, not found yet
+        node = node.take(at)
+        while len(at):
+            node = self.next.take(node)
+            at, node = at[node >= 0], node[node >= 0]
+            hit = self.keys.take(node) == flat.take(at)
+            idx[at[hit]] = node[hit]
+            at, node = at[~hit], node[~hit]
         return idx.reshape(keys.shape)
 
 
-def _spread(a: np.ndarray, add: np.ndarray, old: np.ndarray, put: np.ndarray) -> np.ndarray:
-    """One array of a's entries where `old` is set and add's at `put` (np.insert,
-    with the places computed once for both of the sorted index's arrays)."""
-    grown = np.empty(len(old), dtype=a.dtype)
-    grown[old], grown[put] = a, add
-    return grown
+def _slots(keys: np.ndarray, bits: int) -> np.ndarray:
+    """The slots of int keys among 2**bits: the top bits of key * 0x9E3779B97F4A7C15
+    mod 2**64 (Fibonacci hashing; Knuth, TAOCP Vol. 3, 6.4)."""
+    spread = keys.astype(np.int64, copy=False).view(np.uint64) * np.uint64(0x9E3779B97F4A7C15)
+    return np.right_shift(spread, np.uint64(64 - bits), out=spread).view(np.int64)
 
 
 def _dedupe(keys: np.ndarray):
@@ -367,7 +382,7 @@ def _dedupe(keys: np.ndarray):
     pos = np.empty(len(keys), dtype=np.int32)
     np.remainder(keys, size, out=pos, casting="unsafe")
     keys //= size
-    head = np.concatenate(([True], keys[1:] != keys[:-1]))  # the first of each run
+    head = np.concatenate(([True], keys[1:] != keys[:-1]))[:len(keys)]  # the first of each run
     where = np.empty(len(keys), dtype=np.int32)
     where[pos] = np.cumsum(head, dtype=np.int32) - 1
     starts = np.flatnonzero(head)
