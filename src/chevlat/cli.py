@@ -5,10 +5,10 @@ produces a single JSON report with a stable key order, so re-running an
 identical configuration reproduces the report byte for byte apart from the
 timing block.  Exit codes: 0 all asserted checks passed, 1 a theorem-level
 check failed (a counterexample), 2 configuration, size or file error (an
-unreadable --config; an --out whose directory does not exist, refused before
-anything runs; a report that cannot be written), 3 internal error (a
-RuntimeError, AssertionError, ValueError or MemoryError inside the run; no
-report is written).
+unreadable --config; an --out that is a directory or whose directory does not
+exist, refused before anything runs; a report that cannot be written), 3
+internal error (a RuntimeError, AssertionError, ValueError or MemoryError
+inside the run; no report is written).
 """
 
 from __future__ import annotations
@@ -438,6 +438,8 @@ def main(argv=None) -> int:
             cfg.cap = args.cap
         if args.out is not None:
             cfg.out = args.out
+        if cfg.out and os.path.isdir(cfg.out):
+            raise ConfigError(f"cannot write the report to {cfg.out}: it is a directory")
         if cfg.out and not os.path.isdir(os.path.dirname(os.path.abspath(cfg.out))):
             raise ConfigError(f"cannot write the report to {cfg.out}: no such directory")
         report, code = run(cfg)

@@ -621,10 +621,8 @@ def join_compatibility(ctx: GroupContext, pairs: int, rng) -> dict:
 # -- centralizer lemmas -------------------------------------------------------
 
 def _simple_rel_roots(model: GroupModel) -> list[Vec]:
-    """Positive relative roots that are not sums of two positive ones."""
-    pos = model.positive_rel_roots
-    sums = {tuple(x + y for x, y in zip(b, c)) for b in pos for c in pos}
-    return [a for a in pos if a not in sums]
+    """The simple relative roots: the unit vectors, the positive roots whose coordinates sum to 1."""
+    return [a for a in model.positive_rel_roots if sum(a) == 1]
 
 
 def _commuting(model: GroupModel, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:

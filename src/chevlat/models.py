@@ -1,10 +1,10 @@
 """Matrix models of SL_n and Sp_4 over Z/m with block-parabolic data.
 
-Relative roots are integer vectors.  For SL_n with a block composition
-(n_1, ..., n_K) the relative root of block pair (i, j), i < j, is the 0/1
-vector supported on the crossed block boundaries i..j-1, which matches the
-projection of A_{n-1} killing the interior simple roots.  For Sp_4 the
-relative data is taken from the abstract projection of C_2.
+Relative roots are integer vectors, for both kinds the projection
+(`relroots`) of the absolute type killing the simple roots inside the
+blocks.  For SL_n with a block composition (n_1, ..., n_K) the relative root
+of block pair (i, j), i < j, is the 0/1 vector supported on the crossed
+block boundaries i..j-1, and -1 on them for (j, i).
 
 The parabolic P is its block composition alone, as one block number per row
 and column: P, its opposite P^- and the Levi subgroup L_P are the elements
@@ -69,9 +69,16 @@ SP4_PARABOLICS = {
 
 
 @lru_cache(maxsize=None)
-def _c2_relative(j: frozenset) -> relroots.RelativeRootSystem:
-    c2 = rootsys.build_root_system(rootsys.RootSystemType("C", 2))
-    return relroots.build_relative(relroots.RelativeDatum(c2, j, ((0, 1),)))
+def _relative_system(rtype: rootsys.RootSystemType, J: frozenset) -> relroots.RelativeRootSystem:
+    return relroots.build_relative(relroots.RelativeDatum(rootsys.build_root_system(rtype), J, ()))
+
+
+def _block_pair(alpha: Vec) -> tuple[int, int]:
+    """The block pair (i, j) of an SL_n relative root alpha: alpha is 1 on the
+    block boundaries i..j-1 when i < j, -1 on j..i-1 when i > j."""
+    lo = next(t for t, c in enumerate(alpha) if c)
+    hi = lo + sum(map(abs, alpha))
+    return (lo, hi) if alpha[lo] > 0 else (hi, lo)
 
 
 def _fiber_order(fiber, positive: bool) -> list[Vec]:
@@ -138,44 +145,27 @@ class GroupModel:
         return range(s, s + self.block_sizes[i])
 
     @cached_property
-    def _sl_pairs(self) -> dict[Vec, tuple[int, int]]:
-        k = len(self.blocks)
-        out = {}
-        for i in range(k):
-            for j in range(k):
-                if i == j:
-                    continue
-                if i < j:
-                    vec = tuple(1 if i <= t < j else 0 for t in range(k - 1))
-                else:
-                    vec = tuple(-1 if j <= t < i else 0 for t in range(k - 1))
-                out[vec] = (i, j)
-        return out
-
-    @cached_property
-    def _sp_relative(self) -> relroots.RelativeRootSystem:
-        return _c2_relative(SP4_PARABOLICS[self.blocks]["J"])
+    def _relative(self) -> relroots.RelativeRootSystem:
+        """The projection of the absolute type killing the simple roots inside the blocks."""
+        if self.kind == "SL":
+            J = frozenset(s - 1 for s in self._block_starts[1:])
+        else:
+            J = SP4_PARABOLICS[self.blocks]["J"]
+        return _relative_system(self.absolute_type, J)
 
     @property
     def rel_roots(self) -> list[Vec]:
-        if self.kind == "SL":
-            return sorted(self._sl_pairs, key=lambda v: (sum(v), v))
-        return sorted(self._sp_relative.rel_roots, key=lambda v: (sum(v), v))
+        return sorted(self._relative.rel_roots, key=lambda v: (sum(v), v))
 
     @property
     def positive_rel_roots(self) -> list[Vec]:
         return [a for a in self.rel_roots if rootsys.is_positive(a)]
 
     def is_rel_root(self, v: Vec) -> bool:
-        if self.kind == "SL":
-            return v in self._sl_pairs
-        return v in self._sp_relative.rel_roots
+        return v in self._relative.rel_roots
 
     def v_dim(self, alpha: Vec) -> int:
-        if self.kind == "SL":
-            i, j = self._sl_pairs[alpha]
-            return self.blocks[i] * self.blocks[j]
-        return len(self._sp_relative.fiber(alpha))
+        return len(self._relative.fiber(alpha))
 
     def v_tuples(self, alpha: Vec, d: int = 1):
         return itertools.product(range(0, self.m, d), repeat=self.v_dim(alpha))
@@ -194,13 +184,13 @@ class GroupModel:
         if not self.is_rel_root(alpha):
             raise ValueError(f"{alpha} is not a relative root of {self.name()}")
         if self.kind == "SL":
-            i, j = self._sl_pairs[alpha]
+            i, j = _block_pair(alpha)
             g = self.identity()
             ri, rj = self.block_range(i), self.block_range(j)
             block = np.array(v, dtype=np.int64).reshape(len(ri), len(rj))
             g[ri.start:ri.stop, rj.start:rj.stop] = block % self.m
             return g
-        fiber = _fiber_order(self._sp_relative.fiber(alpha), rootsys.is_positive(alpha))
+        fiber = _fiber_order(self._relative.fiber(alpha), rootsys.is_positive(alpha))
         return self.mul(*(self.identity() + (v[t] % self.m) * SP4_ROOT_MATS[delta]
                           for t, delta in enumerate(fiber)))
 
@@ -239,10 +229,10 @@ class GroupModel:
         lies in <x_{+-alpha}(1)> and moves them onto every root, and x_alpha(t)
         = x_alpha(1)**t over Z/m (Steinberg, Lectures on Chevalley Groups,
         1968, §3)."""
-        if self.kind == "SL":
-            simple = {p for i in range(self.degree - 1) for p in ((i, i + 1), (i + 1, i))}
-        else:
-            simple = {(1, 0), (0, 1), (-1, 0), (0, -1)}
+        rank = self.absolute_type.rank
+        simple = {tuple(s * (t == u) for t in range(rank)) for u in range(rank) for s in (1, -1)}
+        if self.kind == "SL":  # e_i - e_j at position (i, j): a block pair of 1 x 1 blocks
+            simple = set(map(_block_pair, simple))
         return [self.elementary_generator(p, 1) for p in self.generator_positions() if p in simple]
 
     @cached_property
@@ -468,7 +458,7 @@ def hypothesis_check(model: GroupModel) -> HypothesisReport:
     sys = rootsys.build_root_system(model.absolute_type)
     primes = sorted(rootsys.structure_constant_primes(sys))
     invertible = all(math.gcd(p, model.m) == 1 for p in primes)
-    rank = model.degree - 1 if model.kind == "SL" else 2
+    rank = model.absolute_type.rank
     # the residue fields of Z/m are F_p for p | m; F_2 is fatal for C_2/G_2
     residue_two = model.m % 2 == 0
     perfect_ok = rank >= 2 and not (model.absolute_type.family in "CG" and residue_two)
@@ -503,15 +493,7 @@ def _prime_power_order(model: GroupModel, p: int, k: int) -> int:
 
 
 def scheme_center_elements(model: GroupModel) -> list[np.ndarray]:
-    """Points of the center subscheme: scalars with det 1 for SL_n, +-1 for Sp_4."""
-    m = model.m
-    if model.kind == "SL":
-        return [
-            (lam * identity_mat(model.degree)) % m
-            for lam in range(1, m)
-            if math.gcd(lam, m) == 1 and pow(lam, model.degree, m) == 1
-        ]
-    out = [identity_mat(4)]
-    if (-1) % m != 1:
-        out.append((-identity_mat(4)) % m)
-    return out
+    """Points of the center subscheme: the scalars lambda * 1 in the group,
+    lambda**n = 1 for SL_n and lambda**2 = 1 for Sp_4, in increasing lambda."""
+    scalars = np.arange(1, model.m)[:, None, None] * identity_mat(model.degree)
+    return list(scalars[model.is_element(scalars)])

@@ -69,6 +69,25 @@ def relative_simple_roots(rel):
     return set(map(tuple, idx.coords[idx.simple].tolist()))
 
 
+def sl_block_pairs(blocks):
+    """The relative roots of SL_n with a block composition, each with its block
+    pair (i, j): 1 on the crossed boundaries i..j-1 for i < j, -1 on j..i-1
+    for i > j."""
+    k = len(blocks)
+    out = {}
+    for i, j in itertools.permutations(range(k), 2):
+        lo, hi, sign = (i, j, 1) if i < j else (j, i, -1)
+        out[tuple(sign if lo <= t < hi else 0 for t in range(k - 1))] = (i, j)
+    return out
+
+
+def not_sums(roots):
+    """The positive roots that are not sums of two positive ones, in the given order."""
+    pos = [a for a in roots if any(a) and min(a) >= 0]
+    sums = {tuple(x + y for x, y in zip(b, c)) for b in pos for c in pos}
+    return [a for a in pos if a not in sums]
+
+
 def project(rel, v):
     """The relative coordinates of an absolute root-lattice vector."""
     return tuple(sum(row[i] * v[i] for i in range(len(v))) for row in rel.projection)

@@ -137,14 +137,17 @@ def test_main_exit_codes(tmp_path, monkeypatch, capsys):
     assert cli.main(["group", "--config", str(tmp_path / "missing.ini")]) == 2
     ran = []
     monkeypatch.setattr(cli, "suite_roots", ran.append)
-    # an --out without a directory is refused before the run, a failed write after it
+    # an --out without a directory, or that is one, is refused before the run,
+    # a failed write (here a file name past the name length limit) after it
     assert cli.main(["roots", "--out", str(tmp_path / "missing" / "r.json")]) == 2
-    assert not ran
     assert cli.main(["roots", "--out", str(tmp_path)]) == 2
+    assert not ran
+    assert cli.main(["roots", "--out", str(tmp_path / ("r" * 300))]) == 2
     assert len(ran) == 1
     err = capsys.readouterr().err.splitlines()
     assert [line.split(":")[0] for line in err[-3:]] == [
         "config error", "config error", "cannot write report"]
+    assert err[-2].endswith(f"{tmp_path}: it is a directory")
 
 
 @pytest.mark.parametrize("argv", [[], ["nosuch"], ["roots", "group"], ["roots", "--cap", "x"],

@@ -5,6 +5,7 @@ import random
 import numpy as np
 import pytest
 
+from chevlat import lattice
 from chevlat import models as models_mod
 from chevlat.cli import DEFAULT_MODELS
 from chevlat.errors import SizeCapError, TableBoundError
@@ -24,7 +25,7 @@ from chevlat.models import (
 from chevlat.rings import det_int, draws
 from chevlat.table import _SCAN_LIMIT, matrix_keys
 
-from conftest import mat_inverse_mod, reference_elements_on, units
+from conftest import mat_inverse_mod, not_sums, reference_elements_on, sl_block_pairs, units
 
 
 def sl(n, m, blocks=None):
@@ -68,6 +69,65 @@ def test_simple_generators_are_the_e_generators_at_the_simple_roots(model):
     assert all(np.array_equal(g, w) for g, w in zip(got, want))
     every = model.generator_mats()
     assert all(any(np.array_equal(g, e) for e in every) for g in got)
+
+
+def _compositions(n):
+    """The compositions of n into at least two positive parts."""
+    for k in range(1, n):
+        for cuts in itertools.combinations(range(1, n), k):
+            bounds = (0, *cuts, n)
+            yield tuple(b - a for a, b in zip(bounds, bounds[1:]))
+
+
+def _simple_positions(model):
+    """The positions of the simple-root generators, listed per kind."""
+    if model.kind == "SL":
+        return {p for i in range(model.degree - 1) for p in ((i, i + 1), (i + 1, i))}
+    return {(1, 0), (0, 1), (-1, 0), (0, -1)}
+
+
+def _check_simple_roots_and_generators(model):
+    assert lattice._simple_rel_roots(model) == not_sums(model.rel_roots)
+    want = [model.elementary_generator(p, 1) for p in model.generator_positions()
+            if p in _simple_positions(model)]
+    got = model.simple_generator_mats()
+    assert len(got) == len(want) and all(np.array_equal(g, w) for g, w in zip(got, want))
+
+
+@pytest.mark.parametrize("blocks", [b for n in range(2, 7) for b in _compositions(n)], ids=str)
+def test_sl_relative_roots_match_the_block_pair_formula(blocks):
+    model, pairs, k = sl(sum(blocks), 97, blocks), sl_block_pairs(blocks), len(blocks)
+    assert set(model.rel_roots) == set(pairs)
+    others = [(0,) * (k - 1), (2,) + (0,) * (k - 2), (1,) * k, (-2,) * (k - 1)]
+    if k >= 3:  # mixed signs
+        others.append((1, -1) + (0,) * (k - 3))
+    if k >= 4:  # a gap between two crossed boundaries
+        others.append((1,) + (0,) * (k - 3) + (1,))
+    assert not any(model.is_rel_root(v) or v in pairs for v in others)
+    starts = list(itertools.accumulate(blocks, initial=0))
+    for alpha, (i, j) in pairs.items():
+        assert model.v_dim(alpha) == blocks[i] * blocks[j]
+        v = tuple(range(1, blocks[i] * blocks[j] + 1))
+        want = np.eye(sum(blocks), dtype=np.int64)
+        want[starts[i]:starts[i + 1], starts[j]:starts[j + 1]] = np.reshape(v, (blocks[i], blocks[j]))
+        assert np.array_equal(model.x(alpha, v), want)
+    _check_simple_roots_and_generators(model)
+
+
+@pytest.mark.parametrize("blocks", ["borel", "line", "siegel"])
+def test_sp4_simple_roots_and_generators_match_the_listed_ones(blocks):
+    _check_simple_roots_and_generators(sp(3, blocks))
+
+
+@pytest.mark.parametrize("m, count", [(2, 1), (3, 2), (4, 2), (8, 4), (15, 4), (24, 8)])
+def test_sp4_center_points_are_the_square_roots_of_one(m, count):
+    model = sp(m, "line")
+    points = scheme_center_elements(model)
+    assert len(points) == count
+    assert {int(z[0, 0]) for z in points} == {lam for lam in range(1, m) if lam * lam % m == 1}
+    for z in points:
+        assert np.array_equal(z, z[0, 0] * np.eye(4, dtype=np.int64)) and model.is_element(z)
+        assert all(np.array_equal(model.mul(z, g), model.mul(g, z)) for g in model.generator_mats())
 
 
 def test_sp4_generators_preserve_form():
