@@ -8,7 +8,8 @@ Decompositions factor whole stacks through a chart and read the polynomial
 values off numerically.  Three cached tables per model serve the root-pair
 checks: every root element with its inverse, every pair's cone and degrees,
 and the key of every commutator [X_alpha(u), X_beta(v)] of roots that are
-not opposed multiples, which the checks gather and look up in a cone's chart.
+not opposed multiples.  The homogeneity check and the pairing sweep (Lemmas
+ABe and const) read it for every pair in one batch, one lookup per cone.
 The root-element, sum-formula, Levi-conjugation and radical round-trip
 checks cover every case; the identity and homogeneity checks sample, each
 drawing its values in bulk from the rng it is given (rings.draws), and every
@@ -284,72 +285,99 @@ def _values(model: GroupModel, alpha: Vec) -> np.ndarray:
     return _digits(np.arange(model.m ** d), model.m, d)
 
 
-def _pair_values(model: GroupModel, alpha: Vec, beta: Vec, us, vs, target: Vec) -> np.ndarray:
-    """The components at the root target of [X_alpha(u), X_beta(v)] for value
-    arrays us (..., d_alpha) and vs (..., d_beta) in [0, m) that broadcast:
-    one gather from the commutator table and one lookup in the cone's chart."""
-    m, (start, keys) = model.m, _commutator_table(model)
-    at = start[alpha, beta] + _codes(us, m) * m ** model.v_dim(beta) + _codes(vs, m)
-    ch = chart(model, _pair_cone(model, alpha, beta))
-    values = ch.factor(keys[at], "commutator left the expected unipotent group")
-    return values[ch.roots.index(target)]
+def _target_values(model: GroupModel, segments) -> tuple[np.ndarray, np.ndarray]:
+    """The target's component of [X_alpha(u), X_beta(v)], as a base-m code, per
+    segment (alpha, beta, target) and every u, v of its block of the commutator
+    table: one array, -1 off the chart, and the segments' offsets.  One lookup
+    per distinct cone; a component is code // m**(total - end) % m**d."""
+    m, (start, keys), table = model.m, _commutator_table(model), _pair_table(model)
+    cones = [table[a, b][0] for a, b, _ in segments]
+    slot = {cone: s for s, cone in enumerate(dict.fromkeys(cones))}
+    charts, rows = [chart(model, cone) for cone in slot], []
+    for (a, b, target), cone in zip(segments, cones):
+        ch = charts[slot[cone]]
+        rows.append((start[a, b], m ** (model.v_dim(a) + model.v_dim(b)), slot[cone],
+                     m ** sum(ch.dims[ch.roots.index(target) + 1:]), m ** model.v_dim(target)))
+    first, size, in_cone, weight, modulus = np.array(rows, dtype=np.int64).T
+    offsets = np.cumsum(size) - size
+    found = keys[np.repeat(first - offsets, size) + np.arange(size.sum())]
+    of_cone, codes = np.repeat(in_cone, size), np.empty(found.shape, dtype=np.int64)
+    for s, ch in enumerate(charts):
+        codes[of_cone == s] = ch.lookup_keys(found[of_cone == s])
+    values = codes // np.repeat(weight, size) % np.repeat(modulus, size)
+    return np.where(codes < 0, -1, values), offsets
 
 
-def _check_pair(model: GroupModel, alpha: Vec, beta: Vec) -> Vec:
-    target = _vadd(alpha, beta)
-    if not model.is_rel_root(target) or opposed_multiples(alpha, beta):
+def _additive_closure(gens: np.ndarray, m: int, d: int) -> np.ndarray:
+    """Per row of a (k, m**d) bool array marking codes of (Z/m)^d: the order
+    of the subgroup they generate.  A round adds every mark to every code
+    reached, in all rows at once, through an (m**d, m**d) addition table,
+    until a round adds none."""
+    digits = _digits(np.arange(m ** d), m, d)
+    row, mark = np.nonzero(gens)
+    to = row[:, None] * m ** d + _codes((digits[:, None] + digits) % m, m)[mark]  # row, code + mark
+    seen = np.tile(np.arange(m ** d) == 0, len(gens))  # every row's codes, row after row
+    while not seen[(reached := to[seen.reshape(gens.shape)[row]])].all():
+        seen[reached] = True
+    return seen.reshape(gens.shape).sum(axis=1)
+
+
+def _lemma_tables(model: GroupModel, pairs):
+    """Lemmas ABe and const on pairs (alpha, beta), not opposed, that sum to a
+    root, from one _target_values call.  Returns hit (pair, i, u): whether
+    N_{alpha,beta,1,1}(e_i, u) != 0, u of V_beta by code; per pair, whether the
+    leading values generate V_{alpha+beta}, with those of (alpha-beta, 2*beta)
+    and (alpha-beta, beta) where roots; off (2, pair): an ABe, a const commutator off chart."""
+    m, segments, owner = model.m, [], []
+    for p, (alpha, beta) in enumerate(pairs):
+        diff, two_beta = tuple(a - b for a, b in zip(alpha, beta)), tuple(2 * b for b in beta)
+        extra = [(diff, two_beta)] * model.is_rel_root(two_beta) + [(diff, beta)]
+        read = [(alpha, beta)] + extra * model.is_rel_root(diff)
+        segments += [(a, b, _vadd(alpha, beta)) for a, b in read]
+        owner += [p] * len(read)
+    values, offsets = _target_values(model, segments)
+    da, nb, dt = np.array([(model.v_dim(a), m ** model.v_dim(b), model.v_dim(_vadd(a, b)))
+                           for a, b in pairs], dtype=np.int64).T[..., None, None]
+    i, u = np.arange(da.max())[:, None], np.arange(nb.max())
+    at = offsets[np.searchsorted(owner, np.arange(len(pairs)))][:, None, None]  # own block
+    at = at + m ** np.maximum(da - 1 - i, 0) * nb + u  # row e_i: code m**(d_alpha - 1 - i)
+    got = np.where((i < da) & (u < nb), values[np.minimum(at, values.size - 1)], 0)
+    pair_of, on = np.repeat(owner, np.diff(offsets, append=values.size)), values >= 0
+    gens = np.zeros((len(pairs), m ** dt.max()), dtype=bool)
+    gens[pair_of[on], values[on]] = True
+    off = [(got < 0).any(axis=(1, 2)), np.bincount(pair_of[~on], minlength=len(pairs)) > 0]
+    return got > 0, _additive_closure(gens, m, int(dt.max())) == m ** dt.ravel(), np.array(off)
+
+
+def _reached_off_chart(off: np.ndarray, stop: int):
+    """RuntimeError where a sweep that stops at pair `stop` reads a commutator
+    off its chart: Lemma ABe's up to that pair, Lemma const's before it."""
+    if off[0, :stop + 1].any() or off[1, :stop].any():
+        raise RuntimeError("commutator left the expected unipotent group")
+
+
+def _one_pair(model: GroupModel, alpha: Vec, beta: Vec, stop: int):
+    if not model.is_rel_root(_vadd(alpha, beta)) or opposed_multiples(alpha, beta):
         raise ValueError("need alpha+beta a relative root and no opposition")
-    return target
+    hit, const_ok, off = _lemma_tables(model, [(alpha, beta)])
+    _reached_off_chart(off, stop)
+    return hit[0], bool(const_ok[0])
 
 
 def lemma_ABe_witness(model: GroupModel, alpha: Vec, beta: Vec, u):
-    """The least i such that the generator e_i of V_alpha has
-    N_{alpha,beta,1,1}(e_i, u) != 0, for one nonzero u of V_beta or for each
-    of a (k, d) stack of them, from one gather of commutator keys; -1 where
-    every generator gives zero, which refutes the statement on this model."""
+    """The least i such that e_i of V_alpha has N_{alpha,beta,1,1}(e_i, u) != 0,
+    for one nonzero u of V_beta or each of a (k, d) stack of them; -1 where every
+    generator gives zero, which refutes the statement.  The sweep's one-pair case."""
     us = np.asarray(u, dtype=np.int64) % model.m
     if not us.any(axis=-1).all():
         raise ValueError("u must be nonzero")
-    target = _check_pair(model, alpha, beta)
-    d = model.v_dim(alpha)
-    gens = np.eye(d, dtype=np.int64).reshape(d, *[1] * (us.ndim - 1), d)
-    hit = _pair_values(model, alpha, beta, gens, us, target).any(axis=-1)  # (generator, *u)
+    hit = _one_pair(model, alpha, beta, 0)[0][:, _codes(us, model.m)]  # (generator, *u)
     return np.where(hit.any(axis=0), np.argmax(hit, axis=0), -1)
 
 
-def _additive_closure(values: np.ndarray, m: int) -> int:
-    """Order of the subgroup of (Z/m)^d generated by the rows of a (k, d)
-    array: the codes reached from 0 by adding rows, until a round adds none."""
-    d = values.shape[-1]
-    seen = np.arange(m ** d) == 0
-    while True:
-        sums = _codes((_digits(np.flatnonzero(seen), m, d)[:, None] + values) % m, m)
-        if seen[sums].all():
-            return int(seen.sum())
-        seen[sums] = True
-
-
 def lemma_const_check(model: GroupModel, alpha: Vec, beta: Vec) -> bool:
-    """The leading commutator values generate V_{alpha+beta} additively.
-
-    When alpha-beta is also a relative root, the degree (1,1) values of
-    (alpha-beta, 2*beta) and the degree (1,2) values of (alpha-beta, beta)
-    contribute as well.  The commutators of each root pair over all of
-    V_a x V_b are one gather from the commutator table.
-    """
-    target = _check_pair(model, alpha, beta)
-    pairs = [(alpha, beta)]
-    diff = tuple(a - b for a, b in zip(alpha, beta))
-    if model.is_rel_root(diff):
-        two_beta = tuple(2 * b for b in beta)
-        if model.is_rel_root(two_beta):
-            pairs.append((diff, two_beta))
-        pairs.append((diff, beta))
-    d = model.v_dim(target)
-    values = np.concatenate([_pair_values(
-        model, a, b, _values(model, a)[:, None], _values(model, b), target).reshape(-1, d)
-        for a, b in pairs])
-    return _additive_closure(values, model.m) == model.m ** d
+    """Lemma const (the values read: _lemma_tables); the sweep's one-pair case."""
+    return _one_pair(model, alpha, beta, 1)[1]
 
 
 def pairing_sweep(model: GroupModel) -> tuple[bool, int, bool, int]:
@@ -357,21 +385,19 @@ def pairing_sweep(model: GroupModel) -> tuple[bool, int, bool, int]:
     pair (alpha, beta) of relative roots, in the order of model.rel_roots,
     that are not opposed multiples and sum to a relative root: (abe_ok,
     abe_checked, const_ok, const_checked).  The sweep ends at the first u
-    without a witness: abe_checked counts the u before it, const_checked
-    the pairs before its pair."""
-    abe_checked = const_checked = 0
-    const_ok = True
-    for alpha, beta in _commutator_table(model)[0]:  # the pairs that are not opposed multiples
-        if not model.is_rel_root(_vadd(alpha, beta)):
-            continue
-        us = _values(model, beta)[1:]  # the nonzero u, in the order of v_tuples
-        missing = np.flatnonzero(lemma_ABe_witness(model, alpha, beta, us) < 0)
-        if missing.size:
-            return False, abe_checked + int(missing[0]), const_ok, const_checked
-        abe_checked += len(us)
-        const_checked += 1
-        const_ok &= lemma_const_check(model, alpha, beta)
-    return True, abe_checked, const_ok, const_checked
+    without a witness: abe_checked counts the u before it, const_checked and
+    const_ok the pairs before its pair.  All pairs are one batch; a commutator
+    off its chart raises where a pair-by-pair sweep would read it."""
+    pairs = [pair for pair in _commutator_table(model)[0] if model.is_rel_root(_vadd(*pair))]
+    if not pairs:
+        return True, 0, True, 0
+    hit, const_ok, off = _lemma_tables(model, pairs)
+    count = model.m ** np.array([model.v_dim(b) for _, b in pairs]) - 1  # the nonzero u
+    witnessed = hit.any(axis=1)[:, 1:] | (np.arange(hit.shape[2] - 1) >= count[:, None])
+    missing = np.flatnonzero(~witnessed)  # pair by pair, u by u
+    stop, at = divmod(int(missing[0]), witnessed.shape[1]) if missing.size else (len(pairs), 0)
+    _reached_off_chart(off, stop)
+    return not missing.size, int(count[:stop].sum()) + at, bool(const_ok[:stop].all()), stop
 
 
 def cone_degrees(model: GroupModel, alpha: Vec, beta: Vec) -> dict[Vec, tuple[int, int]]:

@@ -64,12 +64,9 @@ order of G(R/q).
 
 The sandwich classification checks, for one seed per conjugation orbit,
 which ideals q satisfy E(R,q) <= closure <= C(R,q); on a model satisfying
-the main hypotheses exactly one ideal must pass.  Every E-normal subgroup is
-the join of the orbit closures of its elements, so closing the distinct
-orbit closures under joins gives the whole lattice (`enormal_lattice`), and
-the sandwich can be checked on every member of it directly.  Many orbits
-share one closure, so the ideals of a closure's sandwich and its level
-report are computed once per closure, not once per orbit.
+the main hypotheses exactly one ideal must pass.  Many orbits share one
+closure, so the ideals of a closure's sandwich and its level report are
+computed once per closure, not once per orbit.
 """
 
 from __future__ import annotations
@@ -446,29 +443,6 @@ def sandwich_classify(ctx: GroupContext) -> list[SandwichResult]:
     orbits = ctx.orbits()
     return [SandwichResult(rep, size, sub.order, ctx.sandwich_ideals(sub)) for rep, size, sub
             in zip(orbits.reps, orbits.sizes.tolist(), map(ctx.orbit_closure, orbits.reps))]
-
-
-def enormal_lattice(ctx: GroupContext) -> list[tuple[Subgroup, list[int]]]:
-    """Every subgroup normalized by E, smallest first, with the ideals whose
-    sandwich holds it.
-
-    Every E-normal subgroup is the join of the orbit closures of its
-    elements, so closing the distinct orbit closures under joins until
-    nothing new appears gives the whole lattice."""
-    # the registry hands out one object per subgroup
-    members = {id(sub): sub for sub in map(ctx.orbit_closure, ctx.orbits().reps)}
-    frontier = list(members.values())
-    while frontier:
-        new = []
-        for a in frontier:
-            for b in list(members.values()):
-                joined = ctx.closures.join(a, b)
-                if id(joined) not in members:
-                    members[id(joined)] = joined
-                    new.append(joined)
-        frontier = new
-    ordered = sorted(members.values(), key=lambda sub: sub.order)
-    return [(sub, ctx.sandwich_ideals(sub)) for sub in ordered]
 
 
 def verify_level_theorem(ctx: GroupContext, sub: Subgroup, d: int,

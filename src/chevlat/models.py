@@ -422,16 +422,16 @@ def gauss_cell_membership(model: GroupModel, g: np.ndarray):
 
 
 def sampled_gauss_roundtrip_check(model: GroupModel, samples: int, rng) -> bool:
-    """The identity lies in the main cell, and every sampled product of four
-    random elementary generators that lies in it is the product u*l*v of its
-    factors, factored as one stack.  The generators' positions and their
-    parameters are two draws from rng."""
+    """Whether the identity lies in the main cell.  Every sampled product of
+    four random elementary generators is factored as one stack, and the
+    round trip u*l*v = g on each that lies in the cell is the assert of
+    gauss_cell_factors, which ends the run where it fails.  The generators'
+    positions and their parameters are two draws from rng."""
     m, stack = model.m, model.generator_stack
     ok = gauss_cell_membership(model, model.identity()) is not None
     gens = stack[draws(rng, len(stack), samples, 4), draws(rng, m, samples, 4)]
-    g = model.mul(*gens.swapaxes(0, 1))
-    member, u, l, v = gauss_cell_factors(model, g)
-    return ok and bool((model.mul(u[member], l[member], v[member]) == g[member]).all())
+    gauss_cell_factors(model, model.mul(*gens.swapaxes(0, 1)))
+    return ok
 
 
 @dataclass(frozen=True)

@@ -262,8 +262,14 @@ def chevalley_commutator_decompose(model, alpha, u, beta, v):
         raise ValueError("alpha and beta must be relative roots")
     if calculus.opposed_multiples(alpha, beta):
         raise ValueError("opposite multiples are excluded")
+    return cone_decompose(model, alpha, beta, commutator(model.x(alpha, u), model.x(beta, v), model))
+
+
+def cone_decompose(model, alpha, beta, c):
+    """A matrix c factored over the cone {i*alpha + j*beta}: (root, value)
+    pairs with nonzero value, in canonical order; RuntimeError off the cone's
+    unipotent group."""
     cone = calculus._pair_cone(model, alpha, beta)
-    c = commutator(model.x(alpha, u), model.x(beta, v), model)
     if not cone:
         if not (c == model.identity()).all():
             raise RuntimeError("commutator is not trivial over an empty cone")
@@ -656,3 +662,26 @@ def sp4_2():
 @pytest.fixture(scope="session")
 def sp4_3():
     return ctx_for("Sp", 4, 3, "line")
+
+
+def enormal_lattice(ctx):
+    """Every subgroup normalized by E, smallest first, with the ideals whose
+    sandwich holds it.
+
+    Every E-normal subgroup is the join of the orbit closures of its
+    elements, so closing the distinct orbit closures under joins until
+    nothing new appears gives the whole lattice."""
+    # the registry hands out one object per subgroup
+    members = {id(sub): sub for sub in map(ctx.orbit_closure, ctx.orbits().reps)}
+    frontier = list(members.values())
+    while frontier:
+        new = []
+        for a in frontier:
+            for b in list(members.values()):
+                joined = ctx.closures.join(a, b)
+                if id(joined) not in members:
+                    members[id(joined)] = joined
+                    new.append(joined)
+        frontier = new
+    ordered = sorted(members.values(), key=lambda sub: sub.order)
+    return [(sub, ctx.sandwich_ideals(sub)) for sub in ordered]

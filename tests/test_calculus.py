@@ -11,8 +11,8 @@ from chevlat.table import matrix_keys
 
 from conftest import (
     REFERENCE_MODELS, additive_closure, chevalley_commutator_decompose, commutator, component_at,
-    reference_chart, reference_cone_degrees, reference_levi_conjugation_check, reference_pair_cone,
-    reference_pairing_sweep, unipotent_factor,
+    reference_chart, reference_cone_degrees, reference_lemma_ABe_witness, reference_lemma_const_check,
+    reference_levi_conjugation_check, reference_pair_cone, reference_pairing_sweep, unipotent_factor,
 )
 
 
@@ -482,21 +482,63 @@ def test_exhaustive_stacks_hold_at_most_chunk_cases(monkeypatch):
 
 @pytest.mark.parametrize("model", REFERENCE_MODELS, ids=lambda mo: mo.name())
 def test_pair_values_match_per_element_decompositions(model):
-    # the values Lemma const reads at alpha + beta, the degree (1, 2) values
-    # of (alpha - beta, beta) included where alpha - beta is a root (Sp4)
+    # the values Lemma const reads at alpha + beta, those of (alpha - beta,
+    # 2 beta) and (alpha - beta, beta) included where these are roots (only
+    # the latter occurs here, on Sp4 borel), every segment in one call
+    m, segments = model.m, []
     for alpha in model.rel_roots:
         for beta in model.rel_roots:
             target = calculus._vadd(alpha, beta)
             if calculus.opposed_multiples(alpha, beta) or not model.is_rel_root(target):
                 continue
-            diff = tuple(a - b for a, b in zip(alpha, beta))
-            for a, b in [(alpha, beta)] + [(diff, beta)] * model.is_rel_root(diff):
-                us, vs = list(model.v_tuples(a)), list(model.v_tuples(b))
-                got = calculus._pair_values(model, a, b, np.array(us)[:, None], np.array(vs),
-                                            target)
-                zero = (0,) * model.v_dim(target)
-                assert got.tolist() == [[list(component_at(chevalley_commutator_decompose(
-                    model, a, u, b, v), target) or zero) for v in vs] for u in us]
+            diff, two_beta = tuple(a - b for a, b in zip(alpha, beta)), tuple(2 * b for b in beta)
+            extra = [(diff, two_beta)] * model.is_rel_root(two_beta) + [(diff, beta)]
+            segments += [(a, b, target) for a, b in [(alpha, beta)] + extra * model.is_rel_root(diff)]
+    values, offsets = calculus._target_values(model, segments)
+    assert len(values) == sum(m ** (model.v_dim(a) + model.v_dim(b)) for a, b, _ in segments)
+    for (a, b, target), lo in zip(segments, offsets):
+        zero = (0,) * model.v_dim(target)
+        want = [int(calculus._codes(np.array(component_at(chevalley_commutator_decompose(
+            model, a, u, b, v), target) or zero), m))
+            for u in model.v_tuples(a) for v in model.v_tuples(b)]
+        assert values[lo:lo + len(want)].tolist() == want
+
+
+OTHER_PARABOLICS = [sl(4, 2, (2, 1, 1)), sl(4, 2, (1, 2, 1)), sp(3, "line"), sp(4, "line")]
+
+
+@pytest.mark.parametrize("model", OTHER_PARABOLICS, ids=lambda mo: mo.name())
+def test_lemmas_match_per_element_references_past_dimension_one(model):
+    # V_alpha of dimension 2: Lemma ABe reads two generator rows of a block;
+    # Sp4(Z/4) line has u without a witness, so its sweep stops inside its
+    # first pair
+    assert calculus.pairing_sweep(model) == reference_pairing_sweep(model)
+    for alpha, beta in _pairs(model):
+        if not model.is_rel_root(calculus._vadd(alpha, beta)):
+            continue
+        us = [u for u in model.v_tuples(beta) if any(u)]
+        assert calculus.lemma_ABe_witness(model, alpha, beta, us).tolist() == [
+            reference_lemma_ABe_witness(model, alpha, beta, u) for u in us]
+        assert calculus.lemma_const_check(model, alpha, beta) is reference_lemma_const_check(
+            model, alpha, beta)
+
+
+def test_pairing_sweep_looks_up_each_cone_once(monkeypatch):
+    # SL4(Z/2): 48 pairs, every commutator of their blocks looked up once,
+    # one lookup per distinct cone
+    model = sl(4, 2)
+    assert calculus.pairing_sweep(model) == (True, 48, True, 48)  # warm: table and charts built
+    pairs = [p for p in _pairs(model) if model.is_rel_root(calculus._vadd(*p))]
+    true, calls = calculus.UnipotentChart.lookup_keys, []
+
+    def counted(chart, keys):
+        calls.append(len(keys))
+        return true(chart, keys)
+
+    monkeypatch.setattr(calculus.UnipotentChart, "lookup_keys", counted)
+    assert calculus.pairing_sweep(model) == (True, 48, True, 48)
+    assert len(pairs) == 48 and sum(calls) == 48 * 4
+    assert 0 < len(calls) <= len({calculus._pair_cone(model, *p) for p in pairs})
 
 
 COMMUTATOR_TABLE_MODELS = [spec.build() for spec in cli.DEFAULT_MODELS] + [
@@ -531,9 +573,15 @@ def test_the_default_models_have_1910_commutators():
 
 @pytest.mark.parametrize("m, d", [(2, 1), (4, 1), (6, 1), (4, 2), (6, 2), (9, 2), (8, 3)])
 def test_additive_closure_matches_a_tuple_bfs(m, d):
-    # generators in random ideals, so that proper subgroups come up too
+    # generators in random ideals, so that proper subgroups come up too; one
+    # row of marked codes per generator set, all rows closed in one call
     rng = np.random.default_rng(10 * m + d)
+    sets = []
     for k in (1, 2, 3, 5, 8):
         ideal = rng.choice([q for q in range(1, m + 1) if m % q == 0], size=(k, 1))
-        values = ideal * rng.integers(0, m, size=(k, d)) % m
-        assert calculus._additive_closure(values, m) == additive_closure(values.tolist(), d, m)
+        sets.append(ideal * rng.integers(0, m, size=(k, d)) % m)
+    gens = np.zeros((len(sets), m ** d), dtype=bool)
+    for row, values in enumerate(sets):
+        gens[row, calculus._codes(values, m)] = True
+    assert calculus._additive_closure(gens, m, d).tolist() == [
+        additive_closure(values.tolist(), d, m) for values in sets]

@@ -9,7 +9,8 @@ from chevlat.models import GroupModel
 from chevlat.table import ElementTable
 
 from conftest import (
-    REFERENCE_MODELS, BitsetSubgroup, bfs_orbits, ctx_for, generating_set, index_of, is_enormal,
+    REFERENCE_MODELS, BitsetSubgroup, bfs_orbits, ctx_for, enormal_lattice, generating_set, index_of,
+    is_enormal,
     plain_normal_closure, reference_center, reference_centralizer_beta, reference_closure_of,
     reference_congruence, reference_full_congruence, reference_normal_closure,
     reference_products, reference_small_levi_b, reference_subgroup_closure,
@@ -470,7 +471,7 @@ def test_gauss_brute_force(sl3_2, sl3_3):
 
 
 def test_enormal_lattice_sl3_4(sl3_4):
-    members = lattice.enormal_lattice(sl3_4)
+    members = enormal_lattice(sl3_4)
     assert [sub.order for sub, _ in members] == [1, 256, 43008]
     assert all(len(adm) == 1 for _, adm in members)
     level = {sub.mask.tobytes(): adm[0] for sub, adm in members}
@@ -483,7 +484,7 @@ def test_enormal_lattice_sl3_4(sl3_4):
 def test_enormal_lattice_sl3_6():
     # Z/6 has the incomparable ideals (2) and (3) on a rank-2 group
     ctx = ctx_for("SL", 3, 6, (1, 1, 1))
-    members = lattice.enormal_lattice(ctx)
+    members = enormal_lattice(ctx)
     assert [sub.order for sub, _ in members] == [1, 168, 5616, 943488]
     assert [adm for _, adm in members] == [[6], [3], [2], [1]]
     level = {sub.mask.tobytes(): adm[0] for sub, adm in members}
@@ -494,7 +495,7 @@ def test_enormal_lattice_sl3_6():
 
 
 def test_enormal_lattice_sp4_2_has_non_unique_member(sp4_2):
-    members = lattice.enormal_lattice(sp4_2)
+    members = enormal_lattice(sp4_2)
     assert all(is_enormal(sp4_2.table, sub) for sub, _ in members)
     assert any(len(adm) != 1 for _, adm in members)
 
@@ -503,7 +504,7 @@ def test_enormal_lattice_sp4_2_has_non_unique_member(sp4_2):
 def test_is_enormal_holds_on_the_lattice_and_fails_on_a_root_subgroup(name, request):
     # is_enormal checks the bitset, so a bitset without gens gets the same verdict
     ctx = request.getfixturevalue(name)
-    for sub, _ in lattice.enormal_lattice(ctx):
+    for sub, _ in enormal_lattice(ctx):
         assert sub.order == int(sub.member.sum())
         assert is_enormal(ctx.table, sub)
         assert is_enormal(ctx.table, BitsetSubgroup(sub.member))
@@ -583,7 +584,7 @@ def test_registry_join_matches_plain_engine(name, request):
     # representatives in their masks: there joins are not inclusions
     ctx = request.getfixturevalue(name)
     if name == "sl2_12":
-        subs = [(sub, reps_in(sub)) for sub, _ in lattice.enormal_lattice(ctx)]
+        subs = [(sub, reps_in(sub)) for sub, _ in enormal_lattice(ctx)]
     else:
         reps = {}
         for rep in ctx.orbits()[1]:
@@ -727,7 +728,7 @@ def test_subgroups_keep_no_array_over_the_table(sl3_4):
     # only the orbit ids, one array the registry owns, have the table's length
     ctx = sl3_4.sibling(sl3_4.model.blocks)  # a fresh context cache on the shared registry
     lattice.verify_structure_theorems(ctx)
-    lattice.enormal_lattice(ctx)
+    enormal_lattice(ctx)
     lattice.verify_commutator_formula(ctx)  # every bound of every ideal
     orbits = ctx.orbits()
     held = [*ctx.closures._by_mask.values(), *ctx.closures._by_orbit.values(),

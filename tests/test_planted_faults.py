@@ -8,6 +8,7 @@ fault of the Levi conjugation check, at every case, is in test_calculus."""
 import dataclasses
 import functools
 import inspect
+import random
 
 import numpy as np
 import pytest
@@ -16,7 +17,8 @@ from chevlat import calculus, cli, lattice, models, relroots, rootsys
 from chevlat.models import GroupModel
 from chevlat.table import matrix_keys
 
-from conftest import adjacent_ok, reference_adjacent_ok
+import conftest
+from conftest import adjacent_ok, reference_adjacent_ok, reference_pairing_sweep
 
 
 def sl(n, m):
@@ -166,23 +168,10 @@ def test_a_simple_generator_dropped_fails_only_the_elementary_subgroup(monkeypat
 
 
 def _wrong_l_at_the_last_member(member, l):
+    """A wrong Levi factor l at the last member of the main cell.  Only the
+    assert of gauss_cell_factors compares u*l*v with g, so the fault can
+    only end the run."""
     l[np.flatnonzero(member)[-1:], 0, 0] += 1
-
-
-def test_a_wrong_gauss_factor_after_the_elimination_fails_the_roundtrip(monkeypatch):
-    # The record compares u*l*v with g at every cell member, the product
-    # that gauss_cell_factors already asserts before it returns: only factors
-    # altered after the function returns reach it (see the next test).
-    spec = _default_spec("SL3(Z/4)[(1, 1, 1)]")
-    true = models.gauss_cell_factors
-
-    def wrong_at_last(model, mats):
-        member, u, l, v = true(model, mats)
-        _wrong_l_at_the_last_member(member, l)
-        return member, u, l, v
-
-    monkeypatch.setattr(models, "gauss_cell_factors", wrong_at_last)
-    assert _failing_group_records(spec) == {"gauss_cell_roundtrip"}
 
 
 def test_a_wrong_gauss_factor_inside_the_elimination_ends_the_run(monkeypatch, capsys):
@@ -462,3 +451,114 @@ def test_a_commutator_block_in_the_ideal_2_fails_the_leading_values(monkeypatch)
     _plant_block(monkeypatch, lambda model, a, b: matrix_keys(
         model.x(calculus._vadd(a, b), (2,)), model.m))
     assert _failing_group_records(spec) == {"leading_values_generate", "chevalley_homogeneity"}
+
+
+def _plant_commutators(monkeypatch, model, plants):
+    """One model's commutator table and the reference decomposition of
+    conftest, both with planted commutators: plants maps a pair (alpha, beta)
+    to (u, v, mat), and every [X_alpha(u'), X_beta(v')] with u' of code u and
+    v' of code v (any code where u or v is None) is then mat."""
+    m, true, decompose = model.m, calculus._commutator_table, conftest.chevalley_commutator_decompose
+    every = slice(None)
+
+    @functools.lru_cache(maxsize=None)
+    def planted(mo):
+        start, keys = true(mo)
+        if mo != model:
+            return start, keys
+        keys = keys.copy()
+        for (a, b), (u, v, mat) in plants.items():
+            nb = m ** mo.v_dim(b)
+            block = keys[start[a, b]:start[a, b] + m ** mo.v_dim(a) * nb].reshape(-1, nb)
+            block[every if u is None else u, every if v is None else v] = matrix_keys(mat, m)
+        return start, keys
+
+    def planted_decompose(mo, a, u_, b, v_):
+        if mo == model and (a, b) in plants:
+            u, v, mat = plants[a, b]
+            if u in (None, calculus._codes(np.array(u_), m)) and v in (
+                    None, calculus._codes(np.array(v_), m)):
+                return conftest.cone_decompose(mo, a, b, mat)
+        return decompose(mo, a, u_, b, v_)
+
+    monkeypatch.setattr(calculus, "_commutator_table", planted)
+    monkeypatch.setattr(conftest, "chevalley_commutator_decompose", planted_decompose)
+
+
+def _sweep_pairs(model):
+    return [p for p in calculus._commutator_table(model)[0] if model.is_rel_root(calculus._vadd(*p))]
+
+
+def _pairing_records(spec):
+    """The (ok, checked) of the pairing_witness and leading_values_generate records."""
+    return [(r[2], r[4]["checked"]) for r in _group_records(spec)
+            if r[0] in ("pairing_witness", "leading_values_generate")]
+
+
+OFF_CHART = np.zeros((4, 4), dtype=np.int64)  # in no chart: every chart holds unipotents
+
+
+def _unread_by_homogeneity(monkeypatch, model, pair):
+    """The first nonzero code u of V_beta whose commutator with e_0 of V_alpha
+    the homogeneity check does not read at the group suite's draws (8
+    samples, RNG_SEED): planted off the chart there, the check still runs."""
+    e0 = model.m ** (model.v_dim(pair[0]) - 1)
+    for u in range(1, model.m ** model.v_dim(pair[1])):
+        with monkeypatch.context() as mp:
+            _plant_commutators(mp, model, {pair: (e0, u, OFF_CHART)})
+            try:
+                calculus.check_chevalley_homogeneity(model, 8, random.Random(cli.RNG_SEED))
+                return e0, u
+            except RuntimeError:
+                pass
+    raise AssertionError("the homogeneity check reads every commutator of e_0")
+
+
+def test_a_missing_witness_at_a_later_u_stops_the_sweep_inside_its_pair(monkeypatch):
+    # SL3(Z/3): the fifth pair's commutators with the last u = 2 of V_beta are
+    # trivial, so the sweep stops at the second u of that pair: 4 pairs of 2 u,
+    # plus 1, and Lemma const counts the 4 pairs before it.  The commutators
+    # with u = 1 keep their values, which u = 2 no longer scales, so the
+    # homogeneity check fails too
+    spec = _default_spec("SL3(Z/3)[(1, 1, 1)]")
+    model = spec.build()
+    assert _pairing_records(spec) == [(True, 24), (True, 12)]
+    _plant_commutators(monkeypatch, model, {_sweep_pairs(model)[4]: (None, 2, model.identity())})
+    assert calculus.pairing_sweep(model) == reference_pairing_sweep(model) == (False, 9, True, 4)
+    assert _failing_group_records(spec) == {"pairing_witness", "chevalley_homogeneity"}
+    assert _pairing_records(spec) == [(False, 9), (True, 4)]
+
+
+def test_a_commutator_off_the_chart_past_the_stop_leaves_the_records(monkeypatch):
+    # Sp4(Z/3) line: trivial commutators at the first of its two pairs stop
+    # the sweep there, so a commutator off the chart at the second pair, where
+    # the homogeneity check does not read, is never reached: the same records
+    # as with the first fault alone, and no internal error
+    spec = _default_spec("Sp4(Z/3)[line]")
+    model = spec.build()
+    first, second = _sweep_pairs(model)
+    off = {second: (*_unread_by_homogeneity(monkeypatch, model, second), OFF_CHART)}
+    with monkeypatch.context() as mp:
+        _plant_commutators(mp, model, {first: (None, None, model.identity())})
+        alone = _pairing_records(spec)
+    assert alone == [(False, 0), (True, 0)]
+    _plant_commutators(monkeypatch, model, {first: (None, None, model.identity()), **off})
+    assert calculus.pairing_sweep(model) == reference_pairing_sweep(model) == (False, 0, True, 0)
+    assert _pairing_records(spec) == alone
+
+
+def test_a_commutator_off_the_chart_before_the_stop_ends_the_run(monkeypatch, capsys):
+    # Sp4(Z/3) line: a commutator off the chart at the first pair, where the
+    # homogeneity check does not read, and trivial commutators at the second:
+    # Lemma ABe reads the first pair's block before the sweep stops, so the
+    # run ends with exit 3, as the reference raises
+    model = _default_spec("Sp4(Z/3)[line]").build()
+    first, second = _sweep_pairs(model)
+    off = {first: (*_unread_by_homogeneity(monkeypatch, model, first), OFF_CHART)}
+    _plant_commutators(monkeypatch, model, {second: (None, None, model.identity()), **off})
+    message = "commutator left the expected unipotent group"
+    for sweep in (calculus.pairing_sweep, reference_pairing_sweep):
+        with pytest.raises(RuntimeError, match=message):
+            sweep(model)
+    assert cli.main(["group", "--model", "Sp4", "--mod", "3", "--blocks", "line"]) == 3
+    assert capsys.readouterr().err.splitlines()[-1] == f"internal error: {message}"
