@@ -240,18 +240,18 @@ def sum_formula_decompose(model: GroupModel, alpha: Vec, v, w):
     return tuple(first.tolist()), {i: tuple(val.tolist()) for i, val in higher.items() if val.any()}
 
 
-def levi_conjugation_decompose(model: GroupModel, g, alpha: Vec, v):
+def levi_conjugation_decompose(model: GroupModel, g, alpha: Vec, v, inverse=None):
     """g X_alpha(v) g^-1 = prod_i X_{i alpha}(phi_i(v)) for Levi g, as
     {i: phi_i(v)}.  g may be a (..., n, n) stack and v a (..., d) array of
     values that broadcast against it; then each phi_i(v) is a (..., d_i)
-    array of the values of every conjugation, formed as one stack."""
+    array of the values of every conjugation, formed as one stack; given inverse, g is Levi."""
     g = np.asarray(g, dtype=np.int64)
-    if not np.all(model.in_levi(g)):
+    if inverse is None and not np.all(model.in_levi(g)):
         raise ValueError("conjugator must lie in the Levi subgroup")
-    m = model.m
+    m, inverse = model.m, model.inverse(g) if inverse is None else inverse
     ch = chart(model, _multiple_cone(model, alpha))
     x = _x_stack(model, alpha, np.asarray(v, dtype=np.int64) % m)
-    values = ch.factor(matrix_keys(model.mul(g, x, model.inverse(g)), m),
+    values = ch.factor(matrix_keys(model.mul(g, x, inverse), m),
                        "Levi conjugation left the unipotent group")
     ratio = [sum(gamma) // sum(alpha) for gamma in ch.roots]
     if g.ndim == 2 and np.ndim(v) == 1:
@@ -261,17 +261,19 @@ def levi_conjugation_decompose(model: GroupModel, g, alpha: Vec, v):
 
 def levi_conjugation_check(model: GroupModel, levis) -> bool:
     """Lemma rootels (ii), phi_i(r v) = r^i phi_i(v), for every g in levis,
-    relative root alpha, v of V_alpha and r in Z/m: phi once per (g, v), read
-    at the code of r v, in stacks of at most CHUNK (g, v): there are at most
-    |G| per alpha, as (g, v) -> g X_alpha(v) is injective into P."""
-    m = model.m
-    levis = np.stack(levis)
+    relative root alpha, v of V_alpha and r in Z/m: phi once per (g, v), read at
+    the code of r v, the levis checked and inverted once, in stacks of at most
+    CHUNK (g, v): at most |G| per alpha, as (g, v) -> g X_alpha(v) is injective."""
+    m, levis = model.m, np.stack(levis)
+    if not model.in_levi(levis).all():
+        raise ValueError("conjugator must lie in the Levi subgroup")
+    g, g_inv = levis[:, None], model.inverse(levis)[:, None]
     for alpha in model.rel_roots:
         vs = _values(model, alpha)
         at = _codes(np.arange(m)[:, None, None] * vs % m, m)  # (r, v): the code of r v
         step = max(1, CHUNK // len(vs))
         for lo in range(0, len(levis), step):
-            phi = levi_conjugation_decompose(model, levis[lo:lo + step, None], alpha, vs)
+            phi = levi_conjugation_decompose(model, g[lo:lo + step], alpha, vs, g_inv[lo:lo + step])
             for i, val in phi.items():  # (g, v, d_i)
                 power = np.array([pow(r, i, m) for r in range(m)])[:, None, None]
                 if (val[:, at] != power * val[:, None] % m).any():
@@ -323,11 +325,11 @@ def _additive_closure(gens: np.ndarray, m: int, d: int) -> np.ndarray:
 
 
 def _lemma_tables(model: GroupModel, pairs):
-    """Lemmas ABe and const on pairs (alpha, beta), not opposed, that sum to a
-    root, from one _target_values call.  Returns hit (pair, i, u): whether
-    N_{alpha,beta,1,1}(e_i, u) != 0, u of V_beta by code; per pair, whether the
-    leading values generate V_{alpha+beta}, with those of (alpha-beta, 2*beta)
-    and (alpha-beta, beta) where roots; off (2, pair): an ABe, a const commutator off chart."""
+    """Lemmas ABe and const on pairs (alpha, beta), not opposed, that sum to a root, from
+    one _target_values call.  Returns hit (pair, i, u): whether N_{alpha,beta,1,1}(e_i, u) != 0,
+    u of V_beta by code; const(k): per pair of the first k, whether the leading values generate
+    V_{alpha+beta}, with those of (alpha-beta, 2*beta) and (alpha-beta, beta) where roots;
+    off (2, pair): an ABe, a const commutator off chart."""
     m, segments, owner = model.m, [], []
     for p, (alpha, beta) in enumerate(pairs):
         diff, two_beta = tuple(a - b for a, b in zip(alpha, beta)), tuple(2 * b for b in beta)
@@ -346,7 +348,8 @@ def _lemma_tables(model: GroupModel, pairs):
     gens = np.zeros((len(pairs), m ** dt.max()), dtype=bool)
     gens[pair_of[on], values[on]] = True
     off = [(got < 0).any(axis=(1, 2)), np.bincount(pair_of[~on], minlength=len(pairs)) > 0]
-    return got > 0, _additive_closure(gens, m, int(dt.max())) == m ** dt.ravel(), np.array(off)
+    const = lambda k: _additive_closure(gens[:k], m, int(dt.max())) == m ** dt.ravel()[:k]
+    return got > 0, const, np.array(off)
 
 
 def _reached_off_chart(off: np.ndarray, stop: int):
@@ -359,9 +362,9 @@ def _reached_off_chart(off: np.ndarray, stop: int):
 def _one_pair(model: GroupModel, alpha: Vec, beta: Vec, stop: int):
     if not model.is_rel_root(_vadd(alpha, beta)) or opposed_multiples(alpha, beta):
         raise ValueError("need alpha+beta a relative root and no opposition")
-    hit, const_ok, off = _lemma_tables(model, [(alpha, beta)])
+    hit, const, off = _lemma_tables(model, [(alpha, beta)])
     _reached_off_chart(off, stop)
-    return hit[0], bool(const_ok[0])
+    return hit[0], bool(const(1)[0])
 
 
 def lemma_ABe_witness(model: GroupModel, alpha: Vec, beta: Vec, u):
@@ -386,18 +389,18 @@ def pairing_sweep(model: GroupModel) -> tuple[bool, int, bool, int]:
     that are not opposed multiples and sum to a relative root: (abe_ok,
     abe_checked, const_ok, const_checked).  The sweep ends at the first u
     without a witness: abe_checked counts the u before it, const_checked and
-    const_ok the pairs before its pair.  All pairs are one batch; a commutator
-    off its chart raises where a pair-by-pair sweep would read it."""
+    const_ok the pairs before its pair.  All pairs are one batch, Lemma const's closure
+    those before the stop; a commutator off its chart raises where a pair-by-pair sweep would."""
     pairs = [pair for pair in _commutator_table(model)[0] if model.is_rel_root(_vadd(*pair))]
     if not pairs:
         return True, 0, True, 0
-    hit, const_ok, off = _lemma_tables(model, pairs)
+    hit, const, off = _lemma_tables(model, pairs)
     count = model.m ** np.array([model.v_dim(b) for _, b in pairs]) - 1  # the nonzero u
     witnessed = hit.any(axis=1)[:, 1:] | (np.arange(hit.shape[2] - 1) >= count[:, None])
     missing = np.flatnonzero(~witnessed)  # pair by pair, u by u
     stop, at = divmod(int(missing[0]), witnessed.shape[1]) if missing.size else (len(pairs), 0)
     _reached_off_chart(off, stop)
-    return not missing.size, int(count[:stop].sum()) + at, bool(const_ok[:stop].all()), stop
+    return not missing.size, int(count[:stop].sum()) + at, bool(const(stop).all()), stop
 
 
 def cone_degrees(model: GroupModel, alpha: Vec, beta: Vec) -> dict[Vec, tuple[int, int]]:

@@ -5,14 +5,14 @@ the orbits of a diagram automorphism group Gamma acting on J.  The image of
 the root set, minus zero, is the relative root system; it may be non-reduced
 (BC type).  `RelativeRootSystem.index` looks its roots up as a `VectorIndex`;
 the roots and fibers as tuples, which `models` reads, are built from it.
+A datum checks Gamma once per (base, Gamma) and its J on every construction.
 
-The checks run on all data of one base at once (`_Stack`): one sort of keys
-`d * span + key` numbers the relative roots of every datum d, and one sorted
-search answers the label, unit-vector, negation and sum queries, the sums
-over the pairs of one datum only.  Fiber additivity and the sigma sets are
-products of `diff` and `pair2` with one-hot labels, batched in float32 over
-slots padded to the largest datum (exact: a product sums at most 240 integers
-of size at most 12); every reduction reads real slots only.
+The checks run on all data at once (`_Stack`), those of each base in one
+run: one sort of keys `d * span + key` numbers the relative roots of every
+datum d, and one sorted search answers the label, unit-vector, negation and
+sum queries, the sums over the pairs a <= b of one datum only.  Fiber
+additivity and the sigma sets are float32 products of a base's `diff` and
+`pair2` with one-hot labels, one batch per run, exact below 2**24 (guarded).
 """
 
 from __future__ import annotations
@@ -28,14 +28,12 @@ from .rootsys import (
     Coords,
     Perm,
     RootSystem,
-    RootIndex,
     RootSystemType,
     VectorIndex,
     automorphism_subgroups,
     build_root_system,
     diagram_automorphisms,
     perm_compose,
-    perm_on_root,
     sorted_find,
 )
 
@@ -48,10 +46,9 @@ def _gamma_orbits(indices: frozenset[int], gamma: tuple[Perm, ...]) -> list[tupl
 
 def _generated_group(gen: Perm) -> tuple[Perm, ...]:
     """The cyclic group generated by one permutation, sorted."""
-    group, p = [tuple(range(len(gen)))], gen
-    while p != group[0]:
+    group = [tuple(range(len(gen)))]
+    while (p := perm_compose(gen, group[-1])) != group[0]:
         group.append(p)
-        p = perm_compose(gen, p)
     return tuple(sorted(group))
 
 
@@ -63,21 +60,25 @@ class RelativeDatum:
 
     def __post_init__(self):
         gamma = tuple(sorted(set(self.gamma) | {tuple(range(self.base.rank))}))
-        object.__setattr__(self, "gamma", gamma)
-        autos = set(diagram_automorphisms(self.base))
-        if bad := [p for p in gamma if p not in autos]:
-            raise ValueError(f"{bad[0]} is not a diagram automorphism of {self.base.rtype}")
-        if any(perm_compose(a, b) not in gamma for a in gamma for b in gamma):
-            raise ValueError("gamma is not closed under composition")
-        if bad := [p for p in gamma if {p[i] for i in self.J} != set(self.J)]:
+        object.__setattr__(self, "gamma", _checked_group(self.base, gamma))
+        if bad := [p for p in gamma if {p[i] for i in self.J} != self.J]:
             raise ValueError(f"J={sorted(self.J)} is not invariant under {bad[0]}")
+
+
+@lru_cache(maxsize=None)
+def _checked_group(base: RootSystem, gamma: tuple[Perm, ...]) -> tuple[Perm, ...]:
+    """gamma, a group of diagram automorphisms of base; keyed by the base's value."""
+    if bad := [p for p in gamma if p not in diagram_automorphisms(base)]:
+        raise ValueError(f"{bad[0]} is not a diagram automorphism of {base.rtype}")
+    if any(perm_compose(a, b) not in gamma for a in gamma for b in gamma):
+        raise ValueError("gamma is not closed under composition")
+    return gamma
 
 
 @dataclass(frozen=True)
 class RelativeRootSystem:
     datum: RelativeDatum
     orbits: tuple[tuple[int, ...], ...]
-    projection: tuple[tuple[int, ...], ...]  # k x rank integer matrix
 
     @property
     def rank(self) -> int:
@@ -107,9 +108,9 @@ class RelativeIndex(VectorIndex):
     simple the ids of the relative simple roots, the unit vectors, one per orbit."""
 
     def __init__(self, rel: RelativeRootSystem):
-        datum = rel.datum
+        datum, r = rel.datum, rel.datum.base.rank
         self.base = datum.base.index
-        proj = np.array(rel.projection, dtype=np.int64).reshape(rel.rank, datum.base.rank)
+        proj = np.array([[i in o for i in range(r)] for o in rel.orbits], dtype=bool).reshape(-1, r)
         image = self.base.coords @ proj.T
         over = image.any(axis=1)
         # A relative coordinate sums the absolute coefficients over one orbit.
@@ -121,24 +122,19 @@ class RelativeIndex(VectorIndex):
 
 
 def build_relative(datum: RelativeDatum) -> RelativeRootSystem:
-    orbits = _gamma_orbits(datum.J, datum.gamma)
-    proj = tuple(tuple(int(i in orb) for i in range(datum.base.rank)) for orb in orbits)
-    return RelativeRootSystem(datum=datum, orbits=tuple(orbits), projection=proj)
+    return RelativeRootSystem(datum=datum, orbits=tuple(_gamma_orbits(datum.J, datum.gamma)))
 
 
 # Simply-laced covers of the multiply-laced families.  The automorphism
 # listed generates the folding group on the cover's diagram (0-based).
 def _unfold_recipe(rtype: RootSystemType) -> tuple[RootSystemType, Perm]:
     f, r = rtype.family, rtype.rank
-    if f == "B":  # swap the two end nodes of D_{r+1}
-        return RootSystemType("D", r + 1), (*range(r - 1), r, r - 1)
-    if f == "C":
-        return RootSystemType("A", 2 * r - 1), tuple(reversed(range(2 * r - 1)))
-    if f == "F":
-        return RootSystemType("E", 6), (5, 1, 4, 3, 2, 0)
-    if f == "G":
-        return RootSystemType("D", 4), (2, 1, 3, 0)
-    raise ValueError(f"{rtype} is simply laced, nothing to unfold")
+    if f not in "BCFG":
+        raise ValueError(f"{rtype} is simply laced, nothing to unfold")
+    cover, gen = {"B": (("D", r + 1), (*range(r - 1), r, r - 1)),  # swap the two end nodes
+                  "C": (("A", 2 * r - 1), tuple(reversed(range(2 * r - 1)))),
+                  "F": (("E", 6), (5, 1, 4, 3, 2, 0)), "G": (("D", 4), (2, 1, 3, 0))}[f]
+    return RootSystemType(*cover), gen
 
 
 def fold(simply_laced: RootSystem, gamma: tuple[Perm, ...]) -> RelativeRootSystem:
@@ -146,18 +142,20 @@ def fold(simply_laced: RootSystem, gamma: tuple[Perm, ...]) -> RelativeRootSyste
     automorphism group acting on the full simple set."""
     if not simply_laced.is_simply_laced():
         raise ValueError("fold expects a simply-laced base")
-    datum = RelativeDatum(simply_laced, frozenset(range(simply_laced.rank)), gamma)
-    return build_relative(datum)
+    return build_relative(RelativeDatum(simply_laced, frozenset(range(simply_laced.rank)), gamma))
 
 
 def match_coordinates(rel_roots: frozenset[Coords], target: RootSystem) -> Perm | None:
-    """A coordinate permutation identifying a relative root set with the
-    root set of a target system, if one exists."""
-    k = target.rank
-    if not rel_roots or len(next(iter(rel_roots))) != k:
+    """The first coordinate permutation p, in itertools order, identifying a relative root
+    set with the root set of a target, if any: the keys of the images (p . v)[p[i]] = v[i] under
+    every p are one search in the target's index; p matches if all are roots (same sizes)."""
+    if len(rel_roots) != len(target.roots) or len(next(iter(rel_roots))) != target.rank:
         return None
-    return next((p for p in itertools.permutations(range(k))
-                 if {perm_on_root(p, v) for v in rel_roots} == target.roots), None)
+    vecs, idx = np.array(list(rel_roots)), target.index
+    perms = np.array(list(itertools.permutations(range(target.rank))))
+    found = sorted_find(idx.keys, (vecs + idx.bound) @ idx.weights[perms].T) >= 0  # v_i at p[i]
+    hit = found.all(axis=0) & (np.abs(vecs).max() <= idx.bound)  # no p maps v out of range
+    return next((tuple(p) for p, ok in zip(perms.tolist(), hit) if ok), None)
 
 
 @lru_cache(maxsize=None)
@@ -169,14 +167,12 @@ def _unfolded(rtype: RootSystemType) -> tuple[RootSystem, tuple[Perm, ...], Perm
     cover_type, generator = _unfold_recipe(rtype)
     cover = build_root_system(cover_type)
     gamma = _generated_group(generator)
-    p = match_coordinates(fold(cover, gamma).rel_roots, build_root_system(rtype))
+    rel = fold(cover, gamma)
+    p = match_coordinates(rel.rel_roots, build_root_system(rtype))
     if p is None:
         raise RuntimeError(f"folding {cover_type} did not reproduce {rtype}")
-    # fold orbit t of the cover becomes simple root p[t]
-    to_base = np.zeros((rtype.rank, cover.rank), dtype=np.int64)
-    for t, orb in enumerate(_gamma_orbits(frozenset(range(cover.rank)), gamma)):
-        to_base[p[t], list(orb)] = 1
-    return cover, gamma, p, cover.index.coords @ to_base.T
+    # fold coordinate t becomes simple root p[t]; no cover root folds to 0
+    return cover, gamma, p, rel.index.coords[rel.index.label][:, np.argsort(p)]
 
 
 def _invariant_subsets(rank: int, gamma) -> list[frozenset[int]]:
@@ -210,85 +206,115 @@ def _key_space(name: str, rank: int, bound: int, count: int) -> tuple[np.ndarray
     return weights, digits ** rank, np.arange(count) * digits ** rank + bound * int(weights.sum())
 
 
+def _exact_in_float32(name: str, bound: int, terms: int):
+    """A float32 sum of `terms` integers of size at most `bound` is exact below 2**24."""
+    if bound * terms > 2 ** 24:
+        raise ValueError(f"{name}: {terms} float32 terms of size {bound} could pass 2**24")
+
+
 class _Stack:
-    """D data on one base: datum d has the relative root ids start[d]:start[d+1],
-    ordered as in its RelativeIndex; local[i] is id i's slot in it (-1 for
-    id -1, no root).  label and cover hold the ids under each base and cover
-    root, simple those of the unit vectors (-1 past the rank), neg those of -a,
-    and (pa, pb, ps) every pair of one datum whose sum ps is a root."""
+    """D data in runs (base, cover, cover roots in base coordinates, lo, hi) of one base:
+    datum d has the relative root ids start[d]:start[d+1], ordered as in its RelativeIndex;
+    local[i] is id i's slot in it (-1 for id -1, no root).  label and cover hold the ids under each
+    base and cover root (-1 past its run's roots), simple those of the unit vectors (-1 past the
+    rank), neg those of -a, (pa, pb, ps) each root-sum pair of a datum, moved Gamma's failures."""
 
     def __init__(self, rels: list[RelativeRootSystem]):
-        self.rels, base = rels, rels[0].datum.base
-        idx, r, D = base.index, base.rank, len(rels)
-        self.proj = np.zeros((D, r, r), dtype=np.int64)  # zero rows past the rank
-        for d, rel in enumerate(rels):
-            if rel.rank:
-                self.proj[d, :rel.rank] = rel.projection
-        cover, folded = base, idx.coords
-        if not base.is_simply_laced():
-            cover, *_, folded = _unfolded(base.rtype)
-        self.pair2 = cover.index.pair2.astype(np.float32)
-        image, cover_image = (x @ self.proj.transpose(0, 2, 1) for x in (idx.coords, folded))
-        # twice the largest |coordinate|: a sum of two images keeps its digits
-        bound = 2 * max(int(np.abs(image).max(initial=1)), int(np.abs(cover_image).max(initial=1)))
-        weights, span, origin = _key_space(str(base.rtype), r, bound, D)
-        key = origin[:, None] + image @ weights
-        keys = np.sort(key[image.any(axis=2)])
+        self.rels, bases = rels, [rel.datum.base for rel in rels]
+        D, R = len(rels), max(base.rank for base in bases)
+        cuts = [d for d in range(1, D) if bases[d] is not bases[d - 1]]
+        self.runs = [(b, *((b, b.index.coords) if b.is_simply_laced() else
+                           _unfolded(b.rtype)[::3]), lo, hi)
+                     for lo, hi in zip([0, *cuts], [*cuts, D]) for b in [bases[lo]]]
+        proj = np.zeros((D, R, R), dtype=np.int64)  # proj[d, t, i]: i in orbit t
+        at = [(d, t, i) for d, rel in enumerate(rels) for t, o in enumerate(rel.orbits) for i in o]
+        proj[tuple(np.array(at, dtype=np.int64).reshape(-1, 3).T)] = 1
+        # a coordinate sums at most |orbit| coefficients, a sum of two twice that
+        bound = 2 * COEFF_BOUND * max((len(orb) for rel in rels for orb in rel.orbits), default=1)
+        weights, span, origin = _key_space(", ".join(str(run[0].rtype) for run in self.runs),
+                                           R, bound, D)
+        # the keys of every base (cover) root in every datum, that of 0 past its run's
+        width = max(len(b.roots) for b, *_ in self.runs), max(len(f) for _, _, f, *_ in self.runs)
+        key, cover_key = (np.repeat(origin[:, None], n, axis=1) for n in width)
+        self.moved = np.zeros(D, dtype=np.int64)
+        for base, _, folded, lo, hi in self.runs:
+            w = weights @ proj[lo:hi, :, :base.rank]  # w[d, i]: the weight of simple root i
+            key[lo:hi, :len(base.roots)] += w @ base.index.coords.T
+            cover_key[lo:hi, :len(folded)] += w @ folded.T
+            # project(p . mu) != project(mu), (p . mu)[p[i]] = mu[i], iff their keys differ
+            g, perm = map(np.array, zip(*[(d - lo, p) for d in range(lo, hi)
+                                          for p in rels[d].datum.gamma]))
+            moves = np.take_along_axis(w[g], perm, axis=1) - w[g]
+            self.moved[lo:hi] = np.bincount(g, (base.index.coords @ moves.T != 0).sum(0), hi - lo)
+        keys = np.sort(key[key != origin[:, None]])
         keys = keys[np.diff(keys, prepend=-1) != 0]  # the first of each run; keys are >= 0
         self.start = keys.searchsorted(np.arange(D + 1) * span)
         self.dat = np.repeat(np.arange(D), np.diff(self.start))
-        self.local = np.append(np.arange(len(keys)) - self.start[self.dat], -1)
-        n, own = np.diff(self.start)[self.dat], keys - origin[self.dat]  # own: key in the datum
-        self.first = np.cumsum(n) - n  # the pair (a, first root of a's datum), a-major
-        a = np.repeat(np.arange(len(keys)), n)
-        b = np.arange(len(a)) - np.repeat(self.first - self.start[self.dat], n)
-        queries = [key, origin[:, None] + weights, origin[:, None] + cover_image @ weights,
-                   own[a] + keys[b], origin[self.dat] - own]
+        ids, own = np.arange(len(keys)), keys - origin[self.dat]  # own: key in the datum
+        self.local = np.append(ids - self.start[self.dat], -1)
+        self.first = np.cumsum(n := self.start[self.dat + 1] - ids) - n  # pairs a <= b, a-major
+        a = np.repeat(ids, n)
+        b = np.arange(len(a)) - np.repeat(self.first - ids, n)
+        queries = [key, origin[:, None] + weights, cover_key, own[a] + keys[b],
+                   origin[self.dat] - own]
         found = sorted_find(keys, np.concatenate([q.ravel() for q in queries]))
         self.label, self.simple, self.cover, self.sums, self.neg = (
             f.reshape(q.shape)
             for q, f in zip(queries, np.split(found, np.cumsum([q.size for q in queries])[:-1])))
-        self.pa, self.pb, self.ps = a[self.sums >= 0], b[self.sums >= 0], self.sums[self.sums >= 0]
-        if (self.cover[cover_image.any(axis=2)] < 0).any() or not np.bincount(
+        hit = np.flatnonzero(self.sums >= 0)
+        a, b, ps, swap = a[hit], b[hit], self.sums[hit], a[hit] != b[hit]
+        self.pa, self.pb, self.ps = (np.concatenate([x, y[swap]])
+                                     for x, y in ((a, b), (b, a), (ps, ps)))
+        if (self.cover[cover_key != origin[:, None]] < 0).any() or not np.bincount(
                 self.cover.ravel() + 1, minlength=len(keys) + 1)[1:].all():
             raise RuntimeError("cover projection disagrees with the direct one")
 
     def add(self, x, y) -> np.ndarray:
         """The ids of x + y, for ids x, y of one datum."""
-        return self.sums[self.first[x] + self.local[y]]
+        return self.sums[self.first[np.minimum(x, y)] + np.abs(x - y)]
 
-    def onehot(self, ids: np.ndarray) -> np.ndarray:
-        """over[..., mu, s] = 1 when root mu lies over slot s, in float32."""
-        slots = np.arange(np.diff(self.start).max(initial=0))
-        return (self.local[ids][..., None] == slots).astype(np.float32)
+    def onehot(self, ids: np.ndarray, lo: int, hi: int, bound: int) -> np.ndarray:
+        """over[d, mu, s] = 1 in float32 when root mu of datum lo + d lies over slot s (the
+        last: no root), for products with a table of entries at most bound, to be exact."""
+        _exact_in_float32(str(self.rels[lo].datum.base.rtype), bound, ids.shape[1])
+        return np.eye(np.diff(self.start[lo:hi + 1]).max() + 1, dtype=np.float32)[self.local[ids]]
 
     def unsplit(self) -> np.ndarray:
         """unsplit[d, s, a] for slots of datum d: some root over s is not a root
         over a plus a root, read from the base's difference table."""
-        over = self.onehot(self.label)
-        return over.transpose(0, 2, 1) @ (self.rels[0].datum.base.index.diff @ over == 0) > 0
+        out = np.zeros((len(self.rels),) + 2 * (np.diff(self.start).max() + 1,), dtype=bool)
+        for base, _, _, lo, hi in self.runs:
+            over = self.onehot(self.label[lo:hi, :len(base.roots)], lo, hi, 1)
+            split = base.index.diff.astype(np.float32) @ over == 0
+            out[lo:hi, :over.shape[2], :over.shape[2]] = over.transpose(0, 2, 1) @ split > 0
+        return out
 
     def sigma_masks(self) -> tuple[np.ndarray, np.ndarray]:
-        """(T, r) masks of the sigma sets: root a is in that of its datum's unit
+        """(T, R) masks of the sigma sets: root a is in that of its datum's unit
         vector j when all (some) of its fiber pairs nonnegatively with j's."""
-        over, lab = self.onehot(self.cover), self.local[self.cover]
-        over_j = (lab[..., None] == self.local[self.simple][:, None]).astype(np.float32)
-        count = over.transpose(0, 2, 1) @ (self.pair2 @ over_j >= 0)
-        at = self.dat, self.local[:-1]
-        return (count == over.sum(axis=1)[..., None])[at], (count > 0)[at]
+        count = np.zeros(self.simple[self.dat].shape, dtype=np.float32)
+        for base, cover, _, lo, hi in self.runs:
+            pair2, rows = cover.index.pair2, slice(self.start[lo], self.start[hi])
+            over = self.onehot(self.cover[lo:hi, :len(pair2)], lo, hi, np.abs(pair2).max())
+            over_j = np.take_along_axis(over, self.local[self.simple[lo:hi]][:, None], axis=2)
+            count[rows] = (over.transpose(0, 2, 1) @ (pair2.astype(np.float32) @ over_j >= 0))[
+                self.dat[rows] - lo, self.local[rows]]
+        fiber = np.bincount(self.cover.ravel() + 1, minlength=len(self.dat) + 1)[1:]
+        return count == fiber[:, None], count > 0
 
     def sigma_checks(self, inside: np.ndarray) -> dict[str, np.ndarray]:
-        """The properties a sigma set must satisfy, each checked exhaustively, on
-        (T, r) masks of the sets of every unit vector: (D, r) verdicts."""
-        D, a, b, s = len(self.rels), self.pa, self.pb, self.ps
-        ids, simple = np.arange(len(self.dat))[:, None], self.simple[self.dat]
+        """The properties a sigma set must satisfy, each checked exhaustively, on (T, R) masks
+        of the sets of every unit vector: (D, R) verdicts (padded unit vectors read root 0)."""
+        (D, R), a, b, s = self.simple.shape, self.pa, self.pb, self.ps
+        m = inside @ (bits := 1 << np.arange(R))  # a row of a mask as the bits of one integer
+        ids, simple = np.arange(len(self.dat))[:, None], np.maximum(self.simple[self.dat], 0)
         # a + b is not a root and not 0 (a = -b is excluded)
-        required = (self.add(ids, simple) < 0) & (ids != self.neg[simple])
+        required = ((self.add(ids, simple) < 0) & (ids != self.neg[simple])) @ bits
         return {
-            "additively_closed": ~_flagged(self.dat[a], inside[a] & inside[b] & ~inside[s], D),
-            "covers_with_negation": ~_flagged(self.dat, ~(inside | inside[self.neg]), D),
-            "proper": _flagged(self.dat, ~inside, D),
-            "contains_non_addable": ~_flagged(self.dat, required & ~inside, D),
+            "additively_closed": ~_flagged(self.dat[a], m[a] & m[b] & ~m[s], D, R),
+            "covers_with_negation": ~_flagged(self.dat, ~(m | m[self.neg]), D, R),
+            "proper": _flagged(self.dat, ~m, D, R),
+            "contains_non_addable": ~_flagged(self.dat, required & ~m, D, R),
         }
 
 
@@ -303,52 +329,48 @@ def _chains_ok(add, ia: np.ndarray, ib: np.ndarray) -> np.ndarray:
     return ok
 
 
-def _flagged(rows: np.ndarray, bad: np.ndarray, count: int) -> np.ndarray:
-    """flag[d, j]: bad[i, j] for some i with rows[i] = d."""
-    (i, j), width = bad.nonzero(), bad.shape[1]
-    return np.bincount(rows[i] * width + j, minlength=count * width).reshape(count, width) > 0
+def _flagged(rows: np.ndarray, bits: np.ndarray, count: int, width: int) -> np.ndarray:
+    """flag[d, j]: bit j < width of bits[i] is set for some i with rows[i] = d."""
+    out, some = np.zeros(count, dtype=np.int64), np.flatnonzero(bits)
+    np.bitwise_or.at(out, rows[some], bits[some])
+    return (out[:, None] >> np.arange(width) & 1).astype(bool)
 
 
 def check_datum(rels):
-    """Run every combinatorial check a relative datum supports, on one relative
-    system (giving its counters) or a list (a list), in one stacked pass per
-    base.  A nonzero failure count is a counterexample to a verified statement."""
+    """Run every combinatorial check a relative datum supports, on one relative system
+    (giving its counters) or a list (a list), in one stacked pass, the data of each base
+    in one run.  A nonzero failure count is a counterexample to a verified statement."""
     if isinstance(rels, RelativeRootSystem):
         return check_datum([rels])[0]
-    stacks: dict[RootSystem, list[int]] = {}
-    for k, rel in enumerate(rels):
-        stacks.setdefault(rel.datum.base, []).append(k)
-    out = [{}] * len(rels)
-    for ks in stacks.values():
-        st = _Stack([rels[k] for k in ks])
-        (D, r), base, valid = st.simple.shape, st.rels[0].datum.base, st.simple >= 0
-        # project(p . mu) - project(mu) for every p in gamma, (p . mu)[p[i]] = mu[i]
-        gd, perm = map(np.array, zip(*[(d, p) for d, rel in enumerate(st.rels)
-                                       for p in rel.datum.gamma]))
-        coords = base.index.coords
-        moved = st.proj[gd] @ (coords[:, perm.argsort(axis=1)] - coords[:, None]).transpose(1, 2, 0)
-        i, j = np.nonzero(~np.eye(r, dtype=bool))  # the distinct unit vectors with a root sum
-        sa, sb = st.simple[:, i].ravel(), st.simple[:, j].ravel()
-        keep = np.flatnonzero((sa >= 0) & (sb >= 0))
-        keep = keep[st.add(sa[keep], sb[keep]) >= 0]
-        sa, sb, ad = sa[keep], sb[keep], keep // (r * r - r)
-        fd, (every, some), laced = st.dat[st.pa], st.sigma_masks(), base.is_simply_laced()
-        ok = reduce(np.logical_and, st.sigma_checks(every).values())
-        counters = {
-            "adjacent_checked": np.bincount(ad, minlength=D),
-            "adjacent_failed": np.bincount(ad[~_chains_ok(st.add, sa, sb)], minlength=D),
-            "fiber_checked": np.bincount(fd, minlength=D),
-            "fiber_failed": np.bincount(fd[st.unsplit()[fd, st.local[st.ps], st.local[st.pa]]],
-                                        minlength=D),
-            "sigma_checked": valid.sum(axis=1),
-            "sigma_failed": (valid & ~ok).sum(axis=1),
-            "sigma_forms_checked": valid.sum(axis=1) * laced,
-            "sigma_forms_failed": (valid & _flagged(st.dat, every != some, D)).sum(axis=1) * laced,
-            "gamma_invariance_failed": np.bincount(gd, moved.any(axis=1).sum(axis=1), D),
-        }
-        for k, row in zip(ks, zip(*counters.values())):
-            out[k] = dict(zip(counters, map(int, row)))
-    return out
+    if not rels:
+        return []
+    first: dict[int, int] = {}  # the first datum of each base object, whose run it starts
+    ks = sorted(range(len(rels)), key=lambda k: first.setdefault(id(rels[k].datum.base), k))
+    st = _Stack([rels[k] for k in ks])
+    (D, r), valid = st.simple.shape, st.simple >= 0
+    i, j = np.nonzero(~np.eye(r, dtype=bool))  # the distinct unit vectors with a root sum
+    sa, sb = st.simple[:, i].ravel(), st.simple[:, j].ravel()
+    keep = np.flatnonzero((sa >= 0) & (sb >= 0))
+    keep = keep[st.add(sa[keep], sb[keep]) >= 0]
+    sa, sb, ad = sa[keep], sb[keep], keep // (r * r - r)
+    fd, (every, some) = st.dat[st.pa], st.sigma_masks()
+    ok = reduce(np.logical_and, st.sigma_checks(every).values())
+    laced = np.array([rel.datum.base.is_simply_laced() for rel in st.rels])
+    counters = {
+        "adjacent_checked": np.bincount(ad, minlength=D),
+        "adjacent_failed": np.bincount(ad[~_chains_ok(st.add, sa, sb)], minlength=D),
+        "fiber_checked": np.bincount(fd, minlength=D),
+        "fiber_failed": np.bincount(fd[st.unsplit()[fd, st.local[st.ps], st.local[st.pa]]],
+                                    minlength=D),
+        "sigma_checked": valid.sum(axis=1),
+        "sigma_failed": (valid & ~ok).sum(axis=1),
+        "sigma_forms_checked": valid.sum(axis=1) * laced,
+        "sigma_forms_failed": (valid & _flagged(st.dat, (every != some) @ (1 << np.arange(r)), D,
+                                                r)).sum(axis=1) * laced,
+        "gamma_invariance_failed": st.moved,
+    }
+    rows = dict(zip(ks, zip(*(count.tolist() for count in counters.values()))))
+    return [dict(zip(counters, rows[k])) for k in range(len(rels))]
 
 
 def sweep_totals(max_rank: int = 5) -> dict[str, int]:

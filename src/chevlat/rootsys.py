@@ -308,14 +308,6 @@ def check_root_system(sys: RootSystem) -> tuple[bool, dict]:
     return count_ok and stable and preserve, witness
 
 
-def perm_on_root(perm: Perm, coords: Coords) -> Coords:
-    """Action of a simple-root permutation on a root-lattice vector."""
-    out = [0] * len(coords)
-    for i, c in enumerate(coords):
-        out[perm[i]] = c
-    return tuple(out)
-
-
 def perm_compose(p: Perm, q: Perm) -> Perm:
     """p after q."""
     return tuple(p[q[i]] for i in range(len(p)))
@@ -363,18 +355,10 @@ def _cartan_automorphisms(C: tuple[tuple[int, ...], ...]) -> tuple[Perm, ...]:
 
 
 def automorphism_subgroups(autos: list[Perm]) -> list[tuple[Perm, ...]]:
-    """All subgroups of a (small) diagram automorphism group."""
-    rank = len(autos[0])
-    identity = tuple(range(rank))
-    groups = set()
-    for size in range(len(autos) + 1):
-        for subset in itertools.combinations(autos, size):
-            elems = set(subset) | {identity}
-            closed = all(
-                perm_compose(a, b) in elems and perm_inverse(a) in elems
-                for a in elems
-                for b in elems
-            )
-            if closed:
-                groups.add(tuple(sorted(elems)))
-    return sorted(groups, key=lambda g: (len(g), g))
+    """All subgroups of a (small) diagram automorphism group: the sets of its
+    elements with the identity closed under composition (inverses are powers)."""
+    identity = tuple(range(len(autos[0])))
+    sets = {tuple(sorted({identity, *subset})) for size in range(len(autos) + 1)
+            for subset in itertools.combinations(autos, size)}
+    return sorted((g for g in sets if all(perm_compose(a, b) in g for a in g for b in g)),
+                  key=lambda g: (len(g), g))

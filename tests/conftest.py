@@ -88,9 +88,18 @@ def not_sums(roots):
     return [a for a in pos if a not in sums]
 
 
+def perm_on_root(perm, coords):
+    """Action of a simple-root permutation on a root-lattice vector:
+    (p . v)[p[i]] = v[i]."""
+    out = [0] * len(coords)
+    for i, c in enumerate(coords):
+        out[perm[i]] = c
+    return tuple(out)
+
+
 def project(rel, v):
     """The relative coordinates of an absolute root-lattice vector."""
-    return tuple(sum(row[i] * v[i] for i in range(len(v))) for row in rel.projection)
+    return tuple(sum(v[i] for i in orb) for orb in rel.orbits)
 
 
 def root_ids(rel, vecs):

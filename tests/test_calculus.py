@@ -445,6 +445,32 @@ def test_levi_conjugation_check_matches_per_element_reference(model):
     assert all(np.array_equal(a, b) for a, b in zip(levis, model.levi_elements()))  # unchanged
 
 
+def test_levi_conjugation_check_checks_and_inverts_the_levi_elements_once(monkeypatch):
+    # one in_levi and one inverse call over all Levi elements, not one per
+    # relative root; a non-Levi element among them is refused as before
+    model, calls = sl(3, 3), []
+    levis = model.levi_elements()
+    for name in ("in_levi", "inverse"):
+        true = getattr(GroupModel, name)
+        monkeypatch.setattr(GroupModel, name, lambda self, g, name=name, true=true: (
+            calls.append((name, len(g))), true(self, g))[1])
+    assert calculus.levi_conjugation_check(model, levis)
+    assert calls == [("in_levi", len(levis)), ("inverse", len(levis))]
+    with pytest.raises(ValueError, match="conjugator must lie in the Levi subgroup"):
+        calculus.levi_conjugation_check(model, [*levis, model.elementary_generator((0, 1), 1)])
+
+
+def test_pairing_sweep_closes_only_the_pairs_before_its_stop(monkeypatch):
+    # Sp4(Z/2) borel stops at its third pair of 24: Lemma const's additive
+    # closure runs on the two pairs before it, and the result is the reference's
+    model, rows = sp(2, "borel"), []
+    true = calculus._additive_closure
+    monkeypatch.setattr(calculus, "_additive_closure",
+                        lambda gens, m, d: (rows.append(len(gens)), true(gens, m, d))[1])
+    assert calculus.pairing_sweep(model) == reference_pairing_sweep(model) == (False, 2, True, 2)
+    assert rows == [2]
+
+
 def test_levi_conjugation_check_finds_a_wrong_degree(monkeypatch):
     # claim phi_i has degree i + 1: every nontrivial conjugation then fails
     model = sl(3, 3)
@@ -465,9 +491,9 @@ def test_exhaustive_stacks_hold_at_most_chunk_cases(monkeypatch):
         pairs.append(len(v))
         return true_sum(model, alpha, v, w)
 
-    def counted_levi(model, g, alpha, v):
+    def counted_levi(model, g, alpha, v, *inverse):
         conjugations.append((len(g) * len(v), len(v)))
-        return true_levi(model, g, alpha, v)
+        return true_levi(model, g, alpha, v, *inverse)
 
     monkeypatch.setattr(calculus, "sum_formula_decompose", counted_sum)
     monkeypatch.setattr(calculus, "levi_conjugation_decompose", counted_levi)

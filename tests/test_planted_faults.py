@@ -95,9 +95,9 @@ def test_levi_conjugation_fails_on_a_shift_at_the_last_element(monkeypatch):
     assert calculus.levi_conjugation_check(model, levis)
     true = calculus.levi_conjugation_decompose
 
-    def shifted_at_last(model, g, alpha, v):
+    def shifted_at_last(model, g, alpha, v, *inverse):
         last = (g == levis[-1]).all(axis=(-2, -1))[..., None]
-        return {i: (val + last) % model.m for i, val in true(model, g, alpha, v).items()}
+        return {i: (val + last) % model.m for i, val in true(model, g, alpha, v, *inverse).items()}
 
     monkeypatch.setattr(calculus, "levi_conjugation_decompose", shifted_at_last)
     assert not calculus.levi_conjugation_check(model, levis)
@@ -527,6 +527,18 @@ def test_a_missing_witness_at_a_later_u_stops_the_sweep_inside_its_pair(monkeypa
     assert calculus.pairing_sweep(model) == reference_pairing_sweep(model) == (False, 9, True, 4)
     assert _failing_group_records(spec) == {"pairing_witness", "chevalley_homogeneity"}
     assert _pairing_records(spec) == [(False, 9), (True, 4)]
+
+
+def test_a_stop_inside_the_fifth_pair_closes_only_the_four_before_it(monkeypatch):
+    # the planted stop above: Lemma const's additive closure runs on the 4
+    # pairs before the stop, not on all 12, and the sweep equals the reference
+    model, rows = _default_spec("SL3(Z/3)[(1, 1, 1)]").build(), []
+    _plant_commutators(monkeypatch, model, {_sweep_pairs(model)[4]: (None, 2, model.identity())})
+    true = calculus._additive_closure
+    monkeypatch.setattr(calculus, "_additive_closure",
+                        lambda gens, m, d: (rows.append(len(gens)), true(gens, m, d))[1])
+    assert calculus.pairing_sweep(model) == reference_pairing_sweep(model) == (False, 9, True, 4)
+    assert rows == [4] and len(_sweep_pairs(model)) == 12
 
 
 def test_a_commutator_off_the_chart_past_the_stop_leaves_the_records(monkeypatch):

@@ -2,6 +2,7 @@ import dataclasses
 import functools
 import itertools
 import os
+import random
 import subprocess
 import sys
 
@@ -13,8 +14,8 @@ from chevlat.relroots import RelativeDatum, build_relative, fold
 from chevlat.rootsys import RootSystemType, build_root_system
 
 from conftest import (
-    adjacent_ok, check_adjacent_simple, check_fiber_additivity, project, reference_adjacent_ok,
-    relative_simple_roots, sigma_masks, sigma_properties, sigma_set, unfold,
+    adjacent_ok, check_adjacent_simple, check_fiber_additivity, perm_on_root, project,
+    reference_adjacent_ok, relative_simple_roots, sigma_masks, sigma_properties, sigma_set, unfold,
 )
 
 
@@ -90,9 +91,9 @@ def ref_sigma_set(rel, b, mode="all"):
         sorted_j.index(coord_perm[next(i for i, o in enumerate(fold_orbits) if orb[0] in o)])
         for orb in rel2.orbits
     )
-    assert {rootsys.perm_on_root(as_perm, v) for v in rel2.rel_roots} == rel.rel_roots
-    b2 = rootsys.perm_on_root(rootsys.perm_inverse(as_perm), b)
-    return frozenset(rootsys.perm_on_root(as_perm, v) for v in _ref_sigma_direct(rel2, b2, mode))
+    assert {perm_on_root(as_perm, v) for v in rel2.rel_roots} == rel.rel_roots
+    b2 = perm_on_root(rootsys.perm_inverse(as_perm), b)
+    return frozenset(perm_on_root(as_perm, v) for v in _ref_sigma_direct(rel2, b2, mode))
 
 
 def ref_sigma_properties(rel, b, sigma):
@@ -117,7 +118,7 @@ def ref_check_datum(rel):
     base = rel.datum.base
     for p in rel.datum.gamma:
         for mu in base.roots:
-            if project(rel, rootsys.perm_on_root(p, mu)) != project(rel, mu):
+            if project(rel, perm_on_root(p, mu)) != project(rel, mu):
                 counts["gamma_invariance_failed"] += 1
     simples = {
         a for a in (project(rel, e) for i, e in enumerate(base.simple_roots) if i in rel.datum.J)
@@ -185,7 +186,7 @@ def test_projection_is_linear_and_gamma_invariant():
                 x + y for x, y in zip(project(rel, mu), project(rel, nu))
             )
         for p in rel.datum.gamma:
-            assert project(rel, rootsys.perm_on_root(p, mu)) == project(rel, mu)
+            assert project(rel, perm_on_root(p, mu)) == project(rel, mu)
 
 
 def test_fibers_partition_roots():
@@ -373,7 +374,7 @@ def test_unfold_consistency():
         sys = sys_of(family, rank)
         cover, gamma, perm = unfold(sys)
         rel = fold(cover, gamma)
-        mapped = {rootsys.perm_on_root(perm, v) for v in rel.rel_roots}
+        mapped = {perm_on_root(perm, v) for v in rel.rel_roots}
         assert mapped == sys.roots
 
 
@@ -447,19 +448,89 @@ def test_each_base_as_one_stack_matches_tuple_reference():
             assert st.label[d].tolist() == np.where(label >= 0, label + st.start[d], -1).tolist()
 
 
-def test_sweep_makes_one_stacked_call_per_base(monkeypatch):
-    calls = []
+def test_sweep_makes_one_stacked_call_in_runs_of_one_base(monkeypatch):
+    # all 344 data in one stack, in 19 runs, one per base, each run the
+    # contiguous data of its base
+    stacks = []
     true = relroots._Stack
 
     def counted(rels):
-        calls.append(rels)
-        return true(rels)
+        stacks.append(true(rels))
+        return stacks[-1]
 
     monkeypatch.setattr(relroots, "_Stack", counted)
     relroots.sweep_totals(5)
-    assert len(calls) == len({rels[0].datum.base for rels in calls}) == 19
-    assert sum(map(len, calls)) == 344
-    assert all(len({rel.datum.base for rel in rels}) == 1 for rels in calls)
+    (st,) = stacks
+    assert len(st.rels) == 344 and len(st.runs) == len({id(run[0]) for run in st.runs}) == 19
+    assert [lo for *_, lo, _ in st.runs] == [0] + [hi for *_, hi in st.runs][:-1]
+    assert st.runs[-1][-1] == 344
+    assert all(rel.datum.base is base for base, *_, lo, hi in st.runs for rel in st.rels[lo:hi])
+
+
+def test_interleaved_bases_come_back_in_input_order():
+    # data of four bases, interleaved: one stack groups them in runs, and the
+    # counters come back in the order of the list, each as its own reference
+    data = [d for d in relroots.sweep_data(3) if str(d.base.rtype) in ("A2", "B2", "C2", "G2")]
+    random.Random(7).shuffle(data)
+    assert sum(d.base is not e.base for d, e in zip(data, data[1:])) > 10
+    got = relroots.check_datum([build_relative(d) for d in data])
+    assert got == [reference_counts(d) for d in data]
+
+
+def test_sweep_checks_gamma_once_per_base_and_group():
+    # 344 data, 30 distinct (base, gamma): a base of the same type with other
+    # roots is checked on its own
+    relroots._checked_group.cache_clear()
+    data = relroots.sweep_data(5)
+    info = relroots._checked_group.cache_info()
+    assert len({(d.base, d.gamma) for d in data}) == info.misses == 30
+    assert info.hits == 344 - 30
+    b3 = sys_of("B", 3)
+    RelativeDatum(dataclasses.replace(b3, roots=b3.roots - {(0, 1, 1), (0, -1, -1)}),
+                  frozenset({2}), ())
+    assert relroots._checked_group.cache_info().misses == 31
+
+
+def test_gamma_errors_are_raised_on_every_construction():
+    # a refused gamma is not cached: the second construction raises the same error
+    a3, d4 = sys_of("A", 3), sys_of("D", 4)
+    for _ in range(2):
+        with pytest.raises(ValueError, match=r"^\(1, 0, 2\) is not a diagram automorphism of A3$"):
+            RelativeDatum(a3, frozenset({0, 1, 2}), ((1, 0, 2),))
+        with pytest.raises(ValueError, match="^gamma is not closed under composition$"):
+            RelativeDatum(d4, frozenset(range(4)), ((2, 1, 3, 0),))  # a 3-cycle without its square
+        with pytest.raises(ValueError, match=r"^J=\[0\] is not invariant under \(2, 1, 0\)$"):
+            RelativeDatum(a3, frozenset({0}), (REV3,))
+
+
+def test_a_gamma_moving_the_projection_is_counted_as_the_reference():
+    # the reversal of A3 planted past the datum's checks, over orbits made
+    # without it: the projections of p . mu and mu differ for the 8 roots
+    # whose first and third coefficients differ, as the tuple reference counts
+    rel = build_relative(RelativeDatum(sys_of("A", 3), frozenset({0}), ()))
+    object.__setattr__(rel.datum, "gamma", rel.datum.gamma + (REV3,))
+    got = relroots.check_datum(rel)
+    assert got["gamma_invariance_failed"] == 8 and got == ref_check_datum(rel)
+
+
+def test_match_coordinates_matches_the_permutation_search():
+    # the first permutation, in itertools order, against a search over
+    # permuted tuple sets: folds, permuted root sets, a set with one root
+    # moved and one with a coefficient out of the key digit range
+    def reference(rel_roots, target):
+        return next((p for p in itertools.permutations(range(target.rank))
+                     if {perm_on_root(p, v) for v in rel_roots} == target.roots), None)
+
+    f4, b4 = sys_of("F", 4), sys_of("B", 4)
+    cases = [(fold(sys_of(*base), closed_group(sys_of(*base).rank, [gen])).rel_roots,
+              sys_of(*target)) for base, target, gen in relroots.FOLDS]
+    cases += [(frozenset(perm_on_root(p, v) for v in sys.roots), sys)
+              for sys, p in ((f4, (2, 0, 3, 1)), (b4, (3, 1, 0, 2)), (sys_of("G", 2), (1, 0)))]
+    cases += [(b4.roots - {(1, 1, 1, 1)} | {v}, b4) for v in ((1, 0, 1, 1), (7, 0, 0, 0))]
+    cases += [(b4.roots, f4), (sys_of("C", 4).roots, b4)]
+    found = [relroots.match_coordinates(*case) for case in cases]
+    assert found == [reference(*case) for case in cases]
+    assert {p is None for p in found} == {True, False}
 
 
 def test_stacked_keys_refuse_an_overflowing_composite():
@@ -473,6 +544,18 @@ def test_stacked_keys_refuse_an_overflowing_composite():
     assert origin.tolist() == [d * span + 8 * sum(weights.tolist()) for d in range(16)]
 
 
+def test_stacked_float32_products_refuse_an_inexact_sum(monkeypatch):
+    # float32 sums are exact below 2**24: 240 terms of size 2**20 could pass
+    # it, and the guard names the base; the sweep's products stay far below
+    with pytest.raises(ValueError, match=r"^E8: 240 float32 terms of size 1048576 could pass"):
+        relroots._exact_in_float32("E8", 2 ** 20, 240)
+    relroots._exact_in_float32("E8", 2 ** 16, 256)  # exactly 2**24: still exact
+    calls = []
+    monkeypatch.setattr(relroots, "_exact_in_float32", lambda *args: calls.append(args))
+    relroots.check_datum(build_relative(RelativeDatum(sys_of("B", 5), frozenset({0, 4}), ())))
+    assert sorted(calls) == [("B5", 1, 50), ("B5", 4, 60)]  # D6 covers B5
+
+
 def test_split_table_catches_a_partial_fiber_failure():
     rel = broken_b3()
     assert rel.fiber((2,)) == {(0, 1, 2), (1, 1, 2), (1, 2, 2)}
@@ -483,22 +566,24 @@ def test_split_table_catches_a_partial_fiber_failure():
     assert counts == ref_check_datum(rel)
 
 
-def test_a_modified_base_is_stacked_apart(monkeypatch):
+def test_a_modified_base_gets_a_run_of_its_own(monkeypatch):
     # the broken B3 has the type of the real B3 but other roots, so one
-    # check_datum call over both checks it in a stack of its own
+    # check_datum call over both checks it in a run of its own
     stacks = []
     true = relroots._Stack
 
     def counted(rels):
-        stacks.append(rels)
-        return true(rels)
+        stacks.append(true(rels))
+        return stacks[-1]
 
     monkeypatch.setattr(relroots, "_Stack", counted)
     real = [build_relative(d) for d in relroots.sweep_data(3)
             if d.base.rtype == RootSystemType("B", 3)]
     rels = [*real[:4], broken_b3(), *real[4:]]
     got = relroots.check_datum(rels)
-    assert [len(s) for s in stacks] == [8, 1] and stacks[1][0] is rels[4]
+    (st,) = stacks
+    assert [hi - lo for *_, lo, hi in st.runs] == [8, 1] and st.rels[8] is rels[4]
+    assert st.runs[1][0] is rels[4].datum.base
     assert got == [ref_check_datum(rel) for rel in rels]
     assert got[4]["fiber_failed"] > 0
 

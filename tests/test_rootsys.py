@@ -10,6 +10,8 @@ from hypothesis import strategies as st
 from chevlat import cli, rootsys
 from chevlat.rootsys import RootSystemType, build_root_system
 
+from conftest import perm_on_root
+
 
 ALL_TYPES = [
     ("A", 1), ("A", 2), ("A", 3), ("A", 4), ("A", 5), ("A", 8),
@@ -188,8 +190,8 @@ def reference_root_system_verdict(sys):
     the pairing with the simple roots."""
     stable = all(reflect(sys, a, b) in sys.roots for a in sys.roots for b in sys.roots)
     preserve = all(
-        rootsys.perm_on_root(p, a) in sys.roots and all(
-            pairing2(sys, rootsys.perm_on_root(p, a), rootsys.perm_on_root(p, b))
+        perm_on_root(p, a) in sys.roots and all(
+            pairing2(sys, perm_on_root(p, a), perm_on_root(p, b))
             == pairing2(sys, a, b) for b in sys.simple_roots)
         for p in rootsys.diagram_automorphisms(sys) for a in sys.roots)
     return len(sys.roots) == classical_count(sys.rtype.family, sys.rtype.rank) and stable and preserve
@@ -319,10 +321,10 @@ def test_automorphisms_preserve_roots_and_pairing(family, rank):
     sys = build_root_system(RootSystemType(family, rank))
     for p in rootsys.diagram_automorphisms(sys):
         for a in sys.roots:
-            pa = rootsys.perm_on_root(p, a)
+            pa = perm_on_root(p, a)
             assert pa in sys.roots
             for b in sys.simple_roots:
-                assert pairing2(sys, pa, rootsys.perm_on_root(p, b)) == pairing2(sys, a, b)
+                assert pairing2(sys, pa, perm_on_root(p, b)) == pairing2(sys, a, b)
 
 
 def test_gram_matches_cartan():
