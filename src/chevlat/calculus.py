@@ -7,19 +7,19 @@ bijectivity, asserted on construction, is the parametrization statement.
 Decompositions factor whole stacks through a chart and read the polynomial
 values off numerically.  Three cached tables per model serve the root-pair
 checks: every root element with its inverse, every pair's cone and degrees,
-and the key of every commutator [X_alpha(u), X_beta(v)] of roots that are
-not opposed multiples.  The homogeneity check and the pairing sweep (Lemmas
-ABe and const) read it for every pair in one batch, one lookup per cone.
-The root-element, sum-formula, Levi-conjugation and radical round-trip
-checks cover every case; the identity and homogeneity checks sample, each
-drawing its values in bulk from the rng it is given (rings.draws), and every
-check returns a verdict: none raises on a counterexample.
+and the chart code, in its pair's cone, of every commutator [X_alpha(u),
+X_beta(v)] of roots that are not opposed multiples, decoded with one lookup
+per cone.  The homogeneity check and the pairing sweep (Lemmas ABe and
+const) read the codes for every pair in one batch and look nothing up.
+The root-element, sum-formula, Levi-conjugation, homogeneity and radical
+round-trip checks cover every case; the identity check samples, drawing its
+triples in bulk from the rng it is given (rings.draws), and every check
+returns a verdict: none raises on a counterexample.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import accumulate
 
 import numpy as np
 
@@ -287,27 +287,26 @@ def _values(model: GroupModel, alpha: Vec) -> np.ndarray:
     return _digits(np.arange(model.m ** d), model.m, d)
 
 
+def _digits_after(model: GroupModel, cone: tuple[Vec, ...], gamma: Vec) -> int:
+    """The digits of a chart code over cone after gamma's: gamma's component
+    is code // m**this % m**d_gamma."""
+    return sum(model.v_dim(g) for g in cone[cone.index(gamma) + 1:])
+
+
 def _target_values(model: GroupModel, segments) -> tuple[np.ndarray, np.ndarray]:
     """The target's component of [X_alpha(u), X_beta(v)], as a base-m code, per
     segment (alpha, beta, target) and every u, v of its block of the commutator
-    table: one array, -1 off the chart, and the segments' offsets.  One lookup
-    per distinct cone; a component is code // m**(total - end) % m**d."""
-    m, (start, keys), table = model.m, _commutator_table(model), _pair_table(model)
-    cones = [table[a, b][0] for a, b, _ in segments]
-    slot = {cone: s for s, cone in enumerate(dict.fromkeys(cones))}
-    charts, rows = [chart(model, cone) for cone in slot], []
-    for (a, b, target), cone in zip(segments, cones):
-        ch = charts[slot[cone]]
-        rows.append((start[a, b], m ** (model.v_dim(a) + model.v_dim(b)), slot[cone],
-                     m ** sum(ch.dims[ch.roots.index(target) + 1:]), m ** model.v_dim(target)))
-    first, size, in_cone, weight, modulus = np.array(rows, dtype=np.int64).T
+    table: one array, -1 off the chart, and the segments' offsets.  One gather
+    from the table's codes, each decoded by _digits_after."""
+    m, (start, codes) = model.m, _commutator_table(model)
+    first, size, weight, modulus = np.array([
+        (start[a, b], m ** (model.v_dim(a) + model.v_dim(b)),
+         m ** _digits_after(model, _pair_cone(model, a, b), target), m ** model.v_dim(target))
+        for a, b, target in segments], dtype=np.int64).T
     offsets = np.cumsum(size) - size
-    found = keys[np.repeat(first - offsets, size) + np.arange(size.sum())]
-    of_cone, codes = np.repeat(in_cone, size), np.empty(found.shape, dtype=np.int64)
-    for s, ch in enumerate(charts):
-        codes[of_cone == s] = ch.lookup_keys(found[of_cone == s])
-    values = codes // np.repeat(weight, size) % np.repeat(modulus, size)
-    return np.where(codes < 0, -1, values), offsets
+    found = codes[np.repeat(first - offsets, size) + np.arange(size.sum())]
+    values = found // np.repeat(weight, size) % np.repeat(modulus, size)
+    return np.where(found < 0, -1, values), offsets
 
 
 def _additive_closure(gens: np.ndarray, m: int, d: int) -> np.ndarray:
@@ -352,37 +351,6 @@ def _lemma_tables(model: GroupModel, pairs):
     return got > 0, const, np.array(off)
 
 
-def _reached_off_chart(off: np.ndarray, stop: int):
-    """RuntimeError where a sweep that stops at pair `stop` reads a commutator
-    off its chart: Lemma ABe's up to that pair, Lemma const's before it."""
-    if off[0, :stop + 1].any() or off[1, :stop].any():
-        raise RuntimeError("commutator left the expected unipotent group")
-
-
-def _one_pair(model: GroupModel, alpha: Vec, beta: Vec, stop: int):
-    if not model.is_rel_root(_vadd(alpha, beta)) or opposed_multiples(alpha, beta):
-        raise ValueError("need alpha+beta a relative root and no opposition")
-    hit, const, off = _lemma_tables(model, [(alpha, beta)])
-    _reached_off_chart(off, stop)
-    return hit[0], bool(const(1)[0])
-
-
-def lemma_ABe_witness(model: GroupModel, alpha: Vec, beta: Vec, u):
-    """The least i such that e_i of V_alpha has N_{alpha,beta,1,1}(e_i, u) != 0,
-    for one nonzero u of V_beta or each of a (k, d) stack of them; -1 where every
-    generator gives zero, which refutes the statement.  The sweep's one-pair case."""
-    us = np.asarray(u, dtype=np.int64) % model.m
-    if not us.any(axis=-1).all():
-        raise ValueError("u must be nonzero")
-    hit = _one_pair(model, alpha, beta, 0)[0][:, _codes(us, model.m)]  # (generator, *u)
-    return np.where(hit.any(axis=0), np.argmax(hit, axis=0), -1)
-
-
-def lemma_const_check(model: GroupModel, alpha: Vec, beta: Vec) -> bool:
-    """Lemma const (the values read: _lemma_tables); the sweep's one-pair case."""
-    return _one_pair(model, alpha, beta, 1)[1]
-
-
 def pairing_sweep(model: GroupModel) -> tuple[bool, int, bool, int]:
     """Lemma ABe on every nonzero u of V_beta, then Lemma const, for each
     pair (alpha, beta) of relative roots, in the order of model.rel_roots,
@@ -399,7 +367,8 @@ def pairing_sweep(model: GroupModel) -> tuple[bool, int, bool, int]:
     witnessed = hit.any(axis=1)[:, 1:] | (np.arange(hit.shape[2] - 1) >= count[:, None])
     missing = np.flatnonzero(~witnessed)  # pair by pair, u by u
     stop, at = divmod(int(missing[0]), witnessed.shape[1]) if missing.size else (len(pairs), 0)
-    _reached_off_chart(off, stop)
+    if off[0, :stop + 1].any() or off[1, :stop].any():  # Lemma ABe's up to the stop, const's before
+        raise RuntimeError("commutator left the expected unipotent group")
     return not missing.size, int(count[:stop].sum()) + at, bool(const(stop).all()), stop
 
 
@@ -436,11 +405,12 @@ def _root_table(model: GroupModel) -> tuple[dict[Vec, int], np.ndarray, np.ndarr
 
 @lru_cache(maxsize=None)
 def _commutator_table(model: GroupModel) -> tuple[dict[tuple[Vec, Vec], int], np.ndarray]:
-    """The keys (table.matrix_keys) of [X_alpha(u), X_beta(v)] for every ordered pair
-    of relative roots that are not opposed multiples, in the order of model.rel_roots,
-    and every u, v: each pair's offset and one array, where a pair's block holds
-    m**d_beta keys per u (u, v as base-m numbers), formed from the root table in
-    stacks of at most CHUNK.  A check looks the keys it reads up in their cone's chart."""
+    """The chart code, in its pair's cone, of [X_alpha(u), X_beta(v)] for every ordered
+    pair of relative roots that are not opposed multiples, in the order of model.rel_roots,
+    and every u, v: each pair's offset and one array, -1 off the chart, where a pair's
+    block holds m**d_beta codes per u (u, v as base-m numbers).  The keys
+    (table.matrix_keys) are formed from the root table in stacks of at most CHUNK, then
+    decoded with one lookup per distinct cone."""
     (offsets, mats, inv), m, roots = _root_table(model), model.m, model.rel_roots
     pairs = [(a, b) for a in roots for b in roots if not opposed_multiples(a, b)]
     xa, xb, na, nb = np.array([(offsets[a], offsets[b], m ** model.v_dim(a), m ** model.v_dim(b))
@@ -453,61 +423,51 @@ def _commutator_table(model: GroupModel) -> tuple[dict[tuple[Vec, Vec], int], np
         u, v = np.divmod(at - starts[p], nb[p])
         x, y = xa[p] + u, xb[p] + v
         keys[lo:lo + CHUNK] = matrix_keys(model.mul(inv[x], inv[y], mats[x], mats[y]), m)
-    return dict(zip(pairs, starts.tolist())), keys
+    cones = [_pair_cone(model, a, b) for a, b in pairs]
+    slot = {cone: s for s, cone in enumerate(dict.fromkeys(cones))}
+    of_cone, codes = np.repeat([slot[cone] for cone in cones], na * nb), np.empty_like(keys)
+    for cone, s in slot.items():
+        codes[of_cone == s] = chart(model, cone).lookup_keys(keys[of_cone == s])
+    return dict(zip(pairs, starts.tolist())), codes
 
 
-def check_chevalley_homogeneity(model: GroupModel, samples: int, rng) -> tuple[bool, int]:
+def check_chevalley_homogeneity(model: GroupModel) -> tuple[bool, int]:
     """eq. (eq:Chev) on every pair (alpha, beta) of relative roots that are
     not opposed multiples: scaling u by r multiplies the (i,j) component of
     [X_alpha(u), X_beta(v)] by r^i, and scaling v by r multiplies it by r^j,
-    for every r in Z/m on `samples` drawn (u, v) per pair.  Returns (ok,
-    samples * m * pairs).
+    for every u, v and every r in Z/m.  Returns (ok, cases), a case being one
+    (pair, u, v, r): m times the commutator table's length.
 
-    The values are one draw from rng: pair by pair in the order of
-    model.rel_roots, sample by sample, u before v.  The keys of every
-    [X_alpha(r u), X_beta(v)] and [X_alpha(u), X_beta(r v)] are one gather
-    from the commutator table, looked up cone by cone; the degrees, read
-    through cone_degrees, are compared as arrays, one column per coordinate.
-    A commutator off its cone's chart is a RuntimeError.
+    The codes of [X_alpha(r u), X_beta(v)] and [X_alpha(u), X_beta(r v)] are
+    gathers from the commutator table through the code of r u, in stacks of at
+    most CHUNK cases; a digit of a code is compared where cone_degrees gives
+    its root one (i, j).  A commutator off its cone's chart is a RuntimeError.
     """
-    m, (start, keys) = model.m, _commutator_table(model)
-    pairs = list(start)  # the pairs that are not opposed multiples
-    da, db, first = np.array([(model.v_dim(a), model.v_dim(b), start[a, b]) for a, b in pairs],
-                             dtype=np.int64).T
-    width = da + db
-    values = draws(rng, m, samples * int(width.sum()))
-    rows = (np.cumsum(width) - width)[:, None] * samples + width[:, None] * np.arange(samples)
-    pad = np.arange(max(da.max(), db.max()))  # every value is padded in front with zeros
-
-    def scaled(at, d):
-        """Codes (pair, sample, r) of r w, w the d values from at on."""
-        t = pad - (pad.size - d)[:, None, None]  # negative in the padding
-        w = np.where(t < 0, 0, values[np.maximum(at[..., None] + t, 0)])
-        return _codes(np.arange(m)[:, None] * w[:, :, None] % m, m)
-
-    u, v = scaled(rows, da) * m ** db[:, None, None], scaled(rows + da[:, None], db)
-    found = keys[first[:, None, None] + np.concatenate([u + v[..., 1:2], u[..., 1:2] + v], axis=-1)]
-    cones = [_pair_cone(model, a, b) for a, b in pairs]
-    slot = {cone: s for s, cone in enumerate(dict.fromkeys(cones))}
-    in_cone = np.array([slot[cone] for cone in cones])
-    codes = np.empty_like(found)  # (pair, sample, 2m)
-    for cone, s in slot.items():
-        codes[in_cone == s] = chart(model, cone).lookup_keys(found[in_cone == s])
+    m, (start, codes) = model.m, _commutator_table(model)
     if (codes < 0).any():
         raise RuntimeError("commutator left the unipotent group of its cone")
-    cols = []  # per coordinate: (pair, its digit's weight in a chart code, i, j)
+    pairs, starts = list(start), np.array(list(start.values()), dtype=np.int64)
+    cones = [_pair_cone(model, a, b) for a, b in pairs]
+    width = max(sum(model.v_dim(g) for g in cone) for cone in cones)
+    degree = np.zeros((len(pairs), 2, width), dtype=np.int64)  # (pair, side, digit)
+    read = np.zeros((len(pairs), width), dtype=bool)
     for p, (pair, cone) in enumerate(zip(pairs, cones)):
-        ch = chart(model, cone)
-        ends, total = dict(zip(ch.roots, accumulate(ch.dims))), sum(ch.dims)
-        for gamma, (i, j) in cone_degrees(model, *pair).items():
-            cols += [(p, m ** (total - 1 - e), i, j)
-                     for e in range(ends[gamma] - model.v_dim(gamma), ends[gamma])]
-    checked = len(pairs) * samples * m
-    if not cols:
-        return True, checked
-    at, weight, i, j = np.array(cols, dtype=np.int64).T
-    got = (codes[at] // weight[:, None, None] % m).reshape(len(at), samples, 2, m)
-    degree = np.stack([i, j], axis=-1)  # (column, side)
-    power = np.array([[pow(r, e, m) for r in range(m)] for e in range(degree.max() + 1)])
-    want = power[degree][:, None] * got[..., :1, 1:2] % m  # r^degree times the value at r = 1
-    return bool((got == want).all()), checked
+        for gamma, ij in cone_degrees(model, *pair).items():
+            end = width - _digits_after(model, cone, gamma)
+            digits = slice(end - model.v_dim(gamma), end)
+            degree[p, :, digits], read[p, digits] = np.array(ij)[:, None], True
+    dim = max(model.v_dim(a) for a in model.rel_roots)  # scale[u, r]: the code of r u, any d_u
+    scale = _codes(_digits(np.arange(m ** dim), m, dim)[:, None] * np.arange(m)[:, None] % m, m)
+    power = np.array([[pow(r, e, m) for r in range(m)] for e in range(degree.max(initial=0) + 1)])
+    nb = m ** np.array([model.v_dim(b) for _, b in pairs], dtype=np.int64)
+    step, ok = max(1, CHUNK // m), True
+    for lo in range(0, len(codes), step):
+        at = np.arange(lo, min(lo + step, len(codes)))
+        p = np.searchsorted(starts, at, side="right") - 1
+        u, v = np.divmod(at - starts[p], nb[p])
+        scaled = np.stack([(at - u * nb[p])[:, None] + scale[u] * nb[p][:, None],
+                           (at - v)[:, None] + scale[v]], axis=1)  # (case, side, r)
+        value = _digits(codes[at], m, width)[:, None, None]  # (case, 1, 1, digit): at r = 1
+        want = power[degree[p][:, :, None], np.arange(m)[:, None]] * value % m  # times r^degree
+        ok &= bool(((_digits(codes[scaled], m, width) == want) | ~read[p][:, None, None]).all())
+    return ok, len(codes) * m

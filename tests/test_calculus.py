@@ -7,7 +7,6 @@ from chevlat import calculus, cli
 from chevlat.errors import SizeCapError, TableBoundError
 from chevlat.models import GroupModel
 from chevlat.rings import draws
-from chevlat.table import matrix_keys
 
 from conftest import (
     REFERENCE_MODELS, additive_closure, chevalley_commutator_decompose, commutator, component_at,
@@ -238,37 +237,48 @@ def test_commutator_identity_random():
     assert calculus.commutator_identity_check(model, e, e, e)
 
 
+def _one_pair(model, alpha, beta):
+    """Lemma ABe and Lemma const on one pair, read from _lemma_tables: per u
+    of V_beta by code, the least i with N_{alpha,beta,1,1}(e_i, u) != 0 (-1
+    where there is none), and Lemma const's verdict."""
+    hit, const, off = calculus._lemma_tables(model, [(alpha, beta)])
+    assert not off.any()
+    return np.where(hit[0].any(axis=0), hit[0].argmax(axis=0), -1), bool(const(1)[0])
+
+
+def _witness(model, alpha, beta, u):
+    return int(_one_pair(model, alpha, beta)[0][calculus._codes(np.array(u), model.m)])
+
+
 def test_lemma_abe_witness_examples():
-    model = sl(3, 4)
-    idx = calculus.lemma_ABe_witness(model, (1, 0), (0, 1), (2,))
-    assert idx == 0  # N((1), (2)) = 2 != 0 mod 4
-    model6 = sl(3, 6)
-    assert calculus.lemma_ABe_witness(model6, (1, 0), (0, 1), (3,)) == 0
+    assert _witness(sl(3, 4), (1, 0), (0, 1), (2,)) == 0  # N((1), (2)) = 2 != 0 mod 4
+    assert _witness(sl(3, 6), (1, 0), (0, 1), (3,)) == 0
     model42 = sl(4, 2, (1, 1, 2))
-    assert calculus.lemma_ABe_witness(model42, (1, 0), (0, 1), (1, 0)) is not None
+    assert _witness(model42, (1, 0), (0, 1), (1, 0)) == reference_lemma_ABe_witness(
+        model42, (1, 0), (0, 1), (1, 0)) >= 0
 
 
 def test_lemma_abe_fails_on_sp4_mod2():
     # the short-short commutator carries the constant 2, which dies mod 2:
-    # no witness, -1, one u or a stack of them, and no exception
+    # no witness, -1, for u = 0 and for the one nonzero u, and no exception
     model = sp(2, "borel")
-    assert calculus.lemma_ABe_witness(model, (1, 0), (1, 1), (1,)) == -1
-    assert calculus.lemma_ABe_witness(model, (1, 0), (1, 1), [[1]]).tolist() == [-1]
+    assert _one_pair(model, (1, 0), (1, 1))[0].tolist() == [-1, -1]
+    assert reference_lemma_ABe_witness(model, (1, 0), (1, 1), (1,)) == -1
 
 
 def test_lemma_const_examples():
-    assert calculus.lemma_const_check(sl(3, 4), (1, 0), (0, 1))
-    assert calculus.lemma_const_check(sl(4, 2, (2, 1, 1)), (1, 0), (0, 1))
-    assert calculus.lemma_const_check(sp(3, "borel"), (1, 0), (0, 1))
+    assert _one_pair(sl(3, 4), (1, 0), (0, 1))[1]
+    assert _one_pair(sl(4, 2, (2, 1, 1)), (1, 0), (0, 1))[1]
+    assert _one_pair(sp(3, "borel"), (1, 0), (0, 1))[1]
     # BC pair with alpha = beta: contributions of case (2) needed
-    assert calculus.lemma_const_check(sp(3, "line"), (1,), (1,))
+    assert _one_pair(sp(3, "line"), (1,), (1,))[1]
 
 
-def test_chevalley_homogeneity_sampled():
-    # samples times every scale r in Z/m, on every non-opposed pair
+def test_chevalley_homogeneity_is_exhaustive():
+    # every (u, v) of every non-opposed pair times every scale r in Z/m
     for model in (sl(3, 4), sp(3, "line")):
-        assert calculus.check_chevalley_homogeneity(model, 4, random.Random(23)) == (
-            True, 4 * model.m * len(_pairs(model)))
+        assert calculus.check_chevalley_homogeneity(model) == (True, model.m * sum(
+            model.m ** (model.v_dim(a) + model.v_dim(b)) for a, b in _pairs(model)))
 
 
 def test_cone_degrees():
@@ -277,33 +287,34 @@ def test_cone_degrees():
     assert degs == {(1, 1): (1, 1), (2, 1): (2, 1)}
 
 
-def _scalar_homogeneity(model, samples, rng):
-    """check_chevalley_homogeneity sample by sample, one commutator
-    decomposition per (u, v, r), on the values it draws from rng: one draw,
-    pair by pair, sample by sample, u before v.  (ok, samples * m * pairs)."""
-    m, pairs = model.m, _pairs(model)
-    width = sum(model.v_dim(a) + model.v_dim(b) for a, b in pairs)
-    values = iter(draws(rng, m, samples * width).tolist())
+def _scalar_homogeneity(model):
+    """check_chevalley_homogeneity case by case: every (u, v) of every pair
+    decomposed once, then each (u, v, r) compared through the decompositions
+    at (r u, v) and (u, r v).  (ok, cases)."""
+    m, ok, cases = model.m, True, 0
 
     def scale(r, v):
         return tuple((r * x) % m for x in v)
 
-    ok = True
-    for alpha, beta in pairs:
+    for alpha, beta in _pairs(model):
         degrees = calculus.cone_degrees(model, alpha, beta)
-        for _ in range(samples):
-            u = tuple(next(values) for _ in range(model.v_dim(alpha)))
-            v = tuple(next(values) for _ in range(model.v_dim(beta)))
-            base = dict(chevalley_commutator_decompose(model, alpha, u, beta, v))
+        decomposed = {(u, v): dict(chevalley_commutator_decompose(model, alpha, u, beta, v))
+                      for u in model.v_tuples(alpha) for v in model.v_tuples(beta)}
+        for (u, v), base in decomposed.items():
             for r in range(m):
-                left = dict(chevalley_commutator_decompose(model, alpha, scale(r, u), beta, v))
-                right = dict(chevalley_commutator_decompose(model, alpha, u, beta, scale(r, v)))
+                left, right = decomposed[scale(r, u), v], decomposed[u, scale(r, v)]
                 for gamma, (i, j) in degrees.items():
                     zero = (0,) * model.v_dim(gamma)
                     base_val = base.get(gamma, zero)
                     ok &= left.get(gamma, zero) == scale(pow(r, i, m), base_val)
                     ok &= right.get(gamma, zero) == scale(pow(r, j, m), base_val)
-    return ok, samples * m * len(pairs)
+                cases += 1
+    return ok, cases
+
+
+def _cases(model):
+    """The (pair, u, v, r) of the homogeneity check: m per commutator of the table."""
+    return model.m * len(calculus._commutator_table(model)[1])
 
 
 def _pairs(model):
@@ -331,20 +342,18 @@ HOMOGENEITY_MODELS = [sl(3, 4), sp(3, "line"), sp(2, "borel")]
 
 @pytest.mark.parametrize("model", HOMOGENEITY_MODELS, ids=lambda mo: mo.name())
 def test_stacked_homogeneity_matches_scalar_reference(model):
-    stacked = calculus.check_chevalley_homogeneity(model, 6, random.Random(41))
-    assert stacked == _scalar_homogeneity(model, 6, random.Random(41))
-    assert stacked == (True, 6 * model.m * len(_pairs(model)))
+    stacked = calculus.check_chevalley_homogeneity(model)
+    assert stacked == _scalar_homogeneity(model) == (True, _cases(model))
 
 
 @pytest.mark.parametrize("model", HOMOGENEITY_MODELS, ids=lambda mo: mo.name())
 def test_stacked_homogeneity_failure_matches_scalar_reference(model, monkeypatch):
     # degree 0 in the first argument at every pair claims
-    # [X_alpha(0), X_beta(v)] = base, which fails at a sample with a nonzero
-    # base component; checked still counts every pair
+    # [X_alpha(0), X_beta(v)] = base, which fails at a case with a nonzero
+    # base component; the cases still count every pair
     _wrong_degrees_at(monkeypatch)
-    stacked = calculus.check_chevalley_homogeneity(model, 6, random.Random(43))
-    assert stacked == _scalar_homogeneity(model, 6, random.Random(43))
-    assert stacked == (False, 6 * model.m * len(_pairs(model)))
+    stacked = calculus.check_chevalley_homogeneity(model)
+    assert stacked == _scalar_homogeneity(model) == (False, _cases(model))
 
 
 PAIR_TABLE_MODELS = [
@@ -365,12 +374,12 @@ def test_pair_table_matches_tuple_loops(model):
 @pytest.mark.parametrize("model", HOMOGENEITY_MODELS, ids=lambda mo: mo.name())
 def test_whole_model_homogeneity_matches_per_pair_loop(model, monkeypatch):
     # wrong degrees at the last pair whose commutators move only: the verdict
-    # fails as the scalar loop's does, and checked counts every pair
-    pairs, checked = _pairs(model), 6 * model.m * len(_pairs(model))
+    # fails as the scalar loop's does, and the cases count every pair
+    pairs = _pairs(model)
     last = max(p for p in _moving_pairs(model) if calculus.cone_degrees(model, *pairs[p]))
     _wrong_degrees_at(monkeypatch, pairs[last])
-    stacked = calculus.check_chevalley_homogeneity(model, 6, random.Random(47))
-    assert stacked == _scalar_homogeneity(model, 6, random.Random(47)) == (False, checked)
+    stacked = calculus.check_chevalley_homogeneity(model)
+    assert stacked == _scalar_homogeneity(model) == (False, _cases(model))
 
 
 def _empty_cone_at(monkeypatch, pair, true_cone=calculus._pair_cone):
@@ -379,14 +388,23 @@ def _empty_cone_at(monkeypatch, pair, true_cone=calculus._pair_cone):
                         else true_cone(model, a, b))
 
 
+@pytest.fixture
+def fresh_commutator_table():
+    """Commutator tables decoded after the fault is planted, and none kept after it."""
+    calculus._commutator_table.cache_clear()
+    yield
+    calculus._commutator_table.cache_clear()
+
+
 @pytest.mark.parametrize("model", HOMOGENEITY_MODELS, ids=lambda mo: mo.name())
-def test_off_chart_commutator_is_an_error_whatever_else_fails(model, monkeypatch):
+def test_off_chart_commutator_is_an_error_whatever_else_fails(model, monkeypatch,
+                                                              fresh_commutator_table):
     pairs, moving = _pairs(model), _moving_pairs(model)
     # off its chart at the last moving pair, with or without a wrong degree at the first
     _empty_cone_at(monkeypatch, pairs[moving[-1]])
     for _ in range(2):
         with pytest.raises(RuntimeError, match="commutator left the unipotent group of its cone"):
-            calculus.check_chevalley_homogeneity(model, 6, random.Random(53))
+            calculus.check_chevalley_homogeneity(model)
         _wrong_degrees_at(monkeypatch, pairs[moving[0]])
 
 
@@ -542,19 +560,19 @@ def test_lemmas_match_per_element_references_past_dimension_one(model):
     for alpha, beta in _pairs(model):
         if not model.is_rel_root(calculus._vadd(alpha, beta)):
             continue
-        us = [u for u in model.v_tuples(beta) if any(u)]
-        assert calculus.lemma_ABe_witness(model, alpha, beta, us).tolist() == [
-            reference_lemma_ABe_witness(model, alpha, beta, u) for u in us]
-        assert calculus.lemma_const_check(model, alpha, beta) is reference_lemma_const_check(
-            model, alpha, beta)
+        witness, const = _one_pair(model, alpha, beta)
+        assert witness[1:].tolist() == [  # the nonzero u, by code
+            reference_lemma_ABe_witness(model, alpha, beta, u) for u in model.v_tuples(beta)][1:]
+        assert const is reference_lemma_const_check(model, alpha, beta)
 
 
 def test_pairing_sweep_looks_up_each_cone_once(monkeypatch):
-    # SL4(Z/2): 48 pairs, every commutator of their blocks looked up once,
-    # one lookup per distinct cone
-    model = sl(4, 2)
-    assert calculus.pairing_sweep(model) == (True, 48, True, 48)  # warm: table and charts built
-    pairs = [p for p in _pairs(model) if model.is_rel_root(calculus._vadd(*p))]
+    # SL4(Z/2): a cold commutator table decodes its 528 commutators with one
+    # lookup per distinct cone, each key once; a warm sweep, 48 pairs, looks
+    # nothing up, whether it stops early or not
+    model, control = sl(4, 2), sp(2, "borel")
+    warm = calculus.pairing_sweep(control)  # table and charts built
+    assert calculus.pairing_sweep(model) == (True, 48, True, 48) and not warm[0]
     true, calls = calculus.UnipotentChart.lookup_keys, []
 
     def counted(chart, keys):
@@ -562,9 +580,13 @@ def test_pairing_sweep_looks_up_each_cone_once(monkeypatch):
         return true(chart, keys)
 
     monkeypatch.setattr(calculus.UnipotentChart, "lookup_keys", counted)
+    start, codes = calculus._commutator_table.__wrapped__(model)
+    assert len(calls) == len({calculus._pair_cone(model, *p) for p in start})
+    assert sum(calls) == len(codes) == 528
+    calls.clear()
     assert calculus.pairing_sweep(model) == (True, 48, True, 48)
-    assert len(pairs) == 48 and sum(calls) == 48 * 4
-    assert 0 < len(calls) <= len({calculus._pair_cone(model, *p) for p in pairs})
+    assert calculus.pairing_sweep(control) == warm  # stops early
+    assert calls == []
 
 
 COMMUTATOR_TABLE_MODELS = [spec.build() for spec in cli.DEFAULT_MODELS] + [
@@ -573,28 +595,34 @@ COMMUTATOR_TABLE_MODELS = [spec.build() for spec in cli.DEFAULT_MODELS] + [
 
 @pytest.mark.parametrize("model", COMMUTATOR_TABLE_MODELS, ids=lambda mo: mo.name())
 def test_commutator_table_matches_per_pair_commutators(model, monkeypatch):
-    # pair by pair in the order of model.rel_roots, u by u, v by v: the keys of
-    # x^-1 y^-1 x y formed per pair from the root elements
-    start, keys = calculus._commutator_table(model)
+    # pair by pair in the order of model.rel_roots, u by u, v by v: the chart
+    # codes, in the pair's cone, of x^-1 y^-1 x y formed per pair from the
+    # root elements, none off its chart
+    start, codes = calculus._commutator_table(model)
     assert list(start) == _pairs(model)
     at = 0
     for alpha, beta in _pairs(model):
         xa = np.stack([model.x(alpha, u) for u in model.v_tuples(alpha)])[:, None]
         xb = np.stack([model.x(beta, v) for v in model.v_tuples(beta)])[None]
-        want = matrix_keys(commutator(xa, xb, model), model.m).ravel()
+        ch = calculus.chart(model, calculus._pair_cone(model, alpha, beta))
+        want = ch.lookup(commutator(xa, xb, model)).ravel()
         assert start[alpha, beta] == at
-        assert keys[at:at + want.size].tolist() == want.tolist()
+        assert codes[at:at + want.size].tolist() == want.tolist()
         at += want.size
-    assert at == len(keys)
-    monkeypatch.setattr(calculus, "CHUNK", 7)  # stacks of 7 commutators build the same keys
-    assert np.array_equal(calculus._commutator_table.__wrapped__(model)[1], keys)
+    assert at == len(codes) and (codes >= 0).all()
+    monkeypatch.setattr(calculus, "CHUNK", 7)  # stacks of 7 commutators decode the same codes
+    assert np.array_equal(calculus._commutator_table.__wrapped__(model)[1], codes)
 
 
 def test_the_default_models_have_1910_commutators():
     # SL3 over Z/2, Z/3, Z/4: 30 pairs of m**2; SL4(Z/2): 132 pairs of 4;
-    # Sp4(Z/2) borel: 56 pairs of 4; Sp4(Z/3) line: 8 pairs, 288 keys
-    assert [len(calculus._commutator_table(spec.build())[1]) for spec in cli.DEFAULT_MODELS] == [
+    # Sp4(Z/2) borel: 56 pairs of 4; Sp4(Z/3) line: 8 pairs, 288 codes.
+    # The homogeneity check reads each at every r in Z/m: 5,338 cases
+    models = [spec.build() for spec in cli.DEFAULT_MODELS]
+    assert [len(calculus._commutator_table(model)[1]) for model in models] == [
         120, 270, 480, 528, 224, 288]
+    assert [calculus.check_chevalley_homogeneity(model)[1] for model in models] == [
+        240, 810, 1920, 1056, 448, 864]
 
 
 @pytest.mark.parametrize("m, d", [(2, 1), (4, 1), (6, 1), (4, 2), (6, 2), (9, 2), (8, 3)])

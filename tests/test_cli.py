@@ -332,12 +332,20 @@ def test_main_internal_error_exit_code(monkeypatch, capsys, tmp_path, exc):
 
 def test_all_suite_report_is_pinned():
     # any change to a verdict, a witness or the record order of `chevlat all`
-    # on the default models changes this digest
+    # on the default models changes the second digest.  The first leaves out
+    # the chevalley_homogeneity records, whose `checked` moved when the check
+    # became exhaustive: it is the digest of the sampled check's report too
     report, code = cli.run(cli.RunConfig(suite="all"))
     assert code == 0
-    text = json.dumps({"checks": report["checks"], "summary": report["summary"]}, sort_keys=True)
-    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == (
-        "bd76134d1ce931594d18bb79cf94e307e1d7abce9a0b16a3e21144ba5280421c")
+
+    def digest(checks):
+        text = json.dumps({"checks": checks, "summary": report["summary"]}, sort_keys=True)
+        return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+    assert digest([c for c in report["checks"] if c["name"] != "chevalley_homogeneity"]) == (
+        "9b94dff126c0f1fb743a27e2618956233ee213069cac130118dc880903e321b9")
+    assert digest(report["checks"]) == (
+        "ede948be9da19efe2b7f212f6e75cc1bfb38ac966c85e913c54a5a56ea89d74f")
 
 
 def test_timing_has_the_seconds_of_every_record():

@@ -347,6 +347,20 @@ def test_parabolic_independence(sl3_4, sl4_2):
     assert all(r["equal"] for r in out2)
 
 
+@pytest.mark.parametrize("m", [2, 3, 4])
+def test_relative_elementary_agrees_across_the_sp4_parabolics(m):
+    # Lemma E_P on Sp4, which verify_parabolic_independence refuses: E(R,q)
+    # of every ideal is one subgroup whether read off the root elements of
+    # the borel, the line or the siegel parabolic.  Sp4(Z/4) has 737,280
+    # elements; its table is not kept for later tests
+    model = GroupModel("Sp", 4, m, "borel")
+    ctx = lattice.GroupContext(model) if m == 4 else ctx_for("Sp", 4, m, "borel")
+    for blocks in ("line", "siegel"):
+        sibling = ctx.sibling(blocks)
+        assert [sibling.relative_elementary(d) == ctx.relative_elementary(d)
+                for d in ctx.ideals] == [True] * len(ctx.ideals)
+
+
 def test_structure_theorems(sl3_2, sp4_2):
     st = lattice.verify_structure_theorems(sl3_2)
     assert st["e_normal"] and st["perfect"] and st["centralizer_matches_center"]

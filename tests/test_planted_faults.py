@@ -8,14 +8,12 @@ fault of the Levi conjugation check, at every case, is in test_calculus."""
 import dataclasses
 import functools
 import inspect
-import random
 
 import numpy as np
 import pytest
 
 from chevlat import calculus, cli, lattice, models, relroots, rootsys
 from chevlat.models import GroupModel
-from chevlat.table import matrix_keys
 
 import conftest
 from conftest import adjacent_ok, reference_adjacent_ok, reference_pairing_sweep
@@ -379,6 +377,24 @@ def test_a_probe_that_skips_its_containment_check_fails_the_sandwich_records(mon
     assert moved == [("commutator_formula", "Sp4(Z/2)[borel]", "expected-exception", "info")]
 
 
+def test_a_center_with_one_extra_orbit_fails_only_the_centralizer_record(monkeypatch):
+    # the last orbit outside the center counted as central: the points of the
+    # center subscheme no longer match, and the checks that read the center
+    # only to skip its orbits (unipotent extraction, simplicity) see one
+    # noncentral orbit less, which fails nowhere
+    assert _sandwich_run()[:2] == (0, {})
+    true = lattice.GroupContext.center
+
+    def one_extra_orbit(ctx):
+        center = true(ctx)
+        mask = center.mask.copy()
+        mask[np.flatnonzero(~mask)[-1]] = True
+        return lattice.Subgroup(center.orbits, mask)
+
+    monkeypatch.setattr(lattice.GroupContext, "center", one_extra_orbit)
+    assert _sandwich_run()[:2] == (1, {"centralizer_is_center": HOLDING})
+
+
 def test_a_join_that_skips_its_products_ends_the_run(monkeypatch, capsys):
     # Planted in the source of join, the product loop never runs, so a join
     # that is not an inclusion comes out as the mask of A cup B.  No join of
@@ -405,20 +421,26 @@ def test_a_join_that_skips_its_products_ends_the_run(monkeypatch, capsys):
 
 # -- the shared commutator table ----------------------------------------------
 
+def _code(model, pair, mat):
+    """The code of a matrix in the chart of the pair's cone, -1 off the chart."""
+    return calculus.chart(model, calculus._pair_cone(model, *pair)).lookup(mat)
+
+
 def _plant_block(monkeypatch, block):
     """Every model's commutator table with one wrong block: at the last pair,
-    in the sweep's order, whose sum is a root, every key is block(model,
-    alpha, beta)."""
+    in the sweep's order, whose sum is a root, every commutator is the matrix
+    block(model, alpha, beta), planted as its code."""
     true = calculus._commutator_table
 
     @functools.lru_cache(maxsize=None)
     def planted(model):
-        start, keys = true(model)
+        start, codes = true(model)
         alpha, beta = [p for p in start if model.is_rel_root(calculus._vadd(*p))][-1]
         size = model.m ** (model.v_dim(alpha) + model.v_dim(beta))
-        keys = keys.copy()
-        keys[start[alpha, beta]:start[alpha, beta] + size] = block(model, alpha, beta)
-        return start, keys
+        codes = codes.copy()
+        codes[start[alpha, beta]:start[alpha, beta] + size] = _code(
+            model, (alpha, beta), block(model, alpha, beta))
+        return start, codes
 
     monkeypatch.setattr(calculus, "_commutator_table", planted)
 
@@ -431,7 +453,7 @@ def test_the_identity_in_a_commutator_block_fails_only_the_pairing_witness(monke
     # The Sp4(Z/2) control already stops earlier, so its records do not move.
     code, failing, clean = _sandwich_run("group")
     assert (code, failing) == (0, {})
-    _plant_block(monkeypatch, lambda model, a, b: matrix_keys(model.identity(), model.m))
+    _plant_block(monkeypatch, lambda model, a, b: model.identity())
     code, failing, checks = _sandwich_run("group")
     assert (code, failing) == (1, {"pairing_witness": HOLDING})
     moved = [(a, b) for a, b in zip(clean, checks) if a != b]
@@ -448,8 +470,7 @@ def test_a_commutator_block_in_the_ideal_2_fails_the_leading_values(monkeypatch)
     # not scale with u and v
     spec = _default_spec("SL3(Z/4)[(1, 1, 1)]")
     assert _failing_group_records(spec) == set()
-    _plant_block(monkeypatch, lambda model, a, b: matrix_keys(
-        model.x(calculus._vadd(a, b), (2,)), model.m))
+    _plant_block(monkeypatch, lambda model, a, b: model.x(calculus._vadd(a, b), (2,)))
     assert _failing_group_records(spec) == {"leading_values_generate", "chevalley_homogeneity"}
 
 
@@ -457,21 +478,22 @@ def _plant_commutators(monkeypatch, model, plants):
     """One model's commutator table and the reference decomposition of
     conftest, both with planted commutators: plants maps a pair (alpha, beta)
     to (u, v, mat), and every [X_alpha(u'), X_beta(v')] with u' of code u and
-    v' of code v (any code where u or v is None) is then mat."""
+    v' of code v (any code where u or v is None) is then mat, planted in the
+    table as its code."""
     m, true, decompose = model.m, calculus._commutator_table, conftest.chevalley_commutator_decompose
     every = slice(None)
 
     @functools.lru_cache(maxsize=None)
     def planted(mo):
-        start, keys = true(mo)
+        start, codes = true(mo)
         if mo != model:
-            return start, keys
-        keys = keys.copy()
+            return start, codes
+        codes = codes.copy()
         for (a, b), (u, v, mat) in plants.items():
             nb = m ** mo.v_dim(b)
-            block = keys[start[a, b]:start[a, b] + m ** mo.v_dim(a) * nb].reshape(-1, nb)
-            block[every if u is None else u, every if v is None else v] = matrix_keys(mat, m)
-        return start, keys
+            block = codes[start[a, b]:start[a, b] + m ** mo.v_dim(a) * nb].reshape(-1, nb)
+            block[every if u is None else u, every if v is None else v] = _code(mo, (a, b), mat)
+        return start, codes
 
     def planted_decompose(mo, a, u_, b, v_):
         if mo == model and (a, b) in plants:
@@ -495,23 +517,18 @@ def _pairing_records(spec):
             if r[0] in ("pairing_witness", "leading_values_generate")]
 
 
-OFF_CHART = np.zeros((4, 4), dtype=np.int64)  # in no chart: every chart holds unipotents
+OFF_CHART = np.zeros((4, 4), dtype=np.int64)  # in no chart, code -1: every chart holds unipotents
 
 
-def _unread_by_homogeneity(monkeypatch, model, pair):
-    """The first nonzero code u of V_beta whose commutator with e_0 of V_alpha
-    the homogeneity check does not read at the group suite's draws (8
-    samples, RNG_SEED): planted off the chart there, the check still runs."""
-    e0 = model.m ** (model.v_dim(pair[0]) - 1)
-    for u in range(1, model.m ** model.v_dim(pair[1])):
-        with monkeypatch.context() as mp:
-            _plant_commutators(mp, model, {pair: (e0, u, OFF_CHART)})
-            try:
-                calculus.check_chevalley_homogeneity(model, 8, random.Random(cli.RNG_SEED))
-                return e0, u
-            except RuntimeError:
-                pass
-    raise AssertionError("the homogeneity check reads every commutator of e_0")
+def _first_generator_row(model, pair):
+    """(u, v) of [X_alpha(e_0), X_beta(v)], v of code 1: a commutator Lemma ABe reads."""
+    return model.m ** (model.v_dim(pair[0]) - 1), 1
+
+
+def _assert_ends_the_run(capsys, message):
+    """The group suite on Sp4(Z/3) line ends with exit 3 and this message."""
+    assert cli.main(["group", "--model", "Sp4", "--mod", "3", "--blocks", "line"]) == 3
+    assert capsys.readouterr().err.splitlines()[-1] == f"internal error: {message}"
 
 
 def test_a_missing_witness_at_a_later_u_stops_the_sweep_inside_its_pair(monkeypatch):
@@ -541,36 +558,53 @@ def test_a_stop_inside_the_fifth_pair_closes_only_the_four_before_it(monkeypatch
     assert rows == [4] and len(_sweep_pairs(model)) == 12
 
 
-def test_a_commutator_off_the_chart_past_the_stop_leaves_the_records(monkeypatch):
+def test_a_commutator_off_the_chart_past_the_stop_leaves_the_sweep(monkeypatch, capsys):
     # Sp4(Z/3) line: trivial commutators at the first of its two pairs stop
-    # the sweep there, so a commutator off the chart at the second pair, where
-    # the homogeneity check does not read, is never reached: the same records
-    # as with the first fault alone, and no internal error
+    # the sweep there, so a commutator off the chart at the second pair, in a
+    # row Lemma ABe would read, is never reached: the sweep gives what it gives
+    # with the first fault alone, with no error.  The homogeneity check reads
+    # every commutator, so the group suite ends the run before the sweep
     spec = _default_spec("Sp4(Z/3)[line]")
     model = spec.build()
     first, second = _sweep_pairs(model)
-    off = {second: (*_unread_by_homogeneity(monkeypatch, model, second), OFF_CHART)}
+    off = {second: (*_first_generator_row(model, second), OFF_CHART)}
     with monkeypatch.context() as mp:
         _plant_commutators(mp, model, {first: (None, None, model.identity())})
         alone = _pairing_records(spec)
     assert alone == [(False, 0), (True, 0)]
     _plant_commutators(monkeypatch, model, {first: (None, None, model.identity()), **off})
     assert calculus.pairing_sweep(model) == reference_pairing_sweep(model) == (False, 0, True, 0)
-    assert _pairing_records(spec) == alone
+    _assert_ends_the_run(capsys, "commutator left the unipotent group of its cone")
 
 
 def test_a_commutator_off_the_chart_before_the_stop_ends_the_run(monkeypatch, capsys):
-    # Sp4(Z/3) line: a commutator off the chart at the first pair, where the
-    # homogeneity check does not read, and trivial commutators at the second:
-    # Lemma ABe reads the first pair's block before the sweep stops, so the
-    # run ends with exit 3, as the reference raises
+    # Sp4(Z/3) line: a commutator off the chart at the first pair, in a row
+    # Lemma ABe reads, and trivial commutators at the second: the sweep reads
+    # the first pair's block before it stops, so it raises, as the reference
+    # does.  In the group suite the homogeneity check meets it first
     model = _default_spec("Sp4(Z/3)[line]").build()
     first, second = _sweep_pairs(model)
-    off = {first: (*_unread_by_homogeneity(monkeypatch, model, first), OFF_CHART)}
+    off = {first: (*_first_generator_row(model, first), OFF_CHART)}
     _plant_commutators(monkeypatch, model, {second: (None, None, model.identity()), **off})
-    message = "commutator left the expected unipotent group"
     for sweep in (calculus.pairing_sweep, reference_pairing_sweep):
-        with pytest.raises(RuntimeError, match=message):
+        with pytest.raises(RuntimeError, match="commutator left the expected unipotent group"):
             sweep(model)
-    assert cli.main(["group", "--model", "Sp4", "--mod", "3", "--blocks", "line"]) == 3
-    assert capsys.readouterr().err.splitlines()[-1] == f"internal error: {message}"
+    _assert_ends_the_run(capsys, "commutator left the unipotent group of its cone")
+
+
+@pytest.mark.parametrize("name", ["SL3(Z/4)[(1, 1, 1)]", "Sp4(Z/3)[line]"])
+def test_a_wrong_commutator_at_the_last_case_fails_only_the_homogeneity_record(name, monkeypatch):
+    # at the last (u, v) of the last pair whose commutators move, the next
+    # element of the pair's chart: a case a sampled check need not reach.
+    # Lemma ABe reads only the rows of the generators e_i, and the other
+    # values Lemma const reads still generate
+    spec = _default_spec(name)
+    assert _failing_group_records(spec) == set()
+    model = spec.build()
+    start, codes = calculus._commutator_table(model)
+    sizes = {(a, b): model.m ** (model.v_dim(a) + model.v_dim(b)) for a, b in start}
+    pair = [p for p in start if codes[start[p]:start[p] + sizes[p]].any()][-1]
+    ch, last = calculus.chart(model, calculus._pair_cone(model, *pair)), start[pair] + sizes[pair] - 1
+    u, v = divmod(sizes[pair] - 1, model.m ** model.v_dim(pair[1]))
+    _plant_commutators(monkeypatch, model, {pair: (u, v, ch.mats[(codes[last] + 1) % len(ch)])})
+    assert _failing_group_records(spec) == {"chevalley_homogeneity"}
