@@ -250,10 +250,10 @@ class _ClosureRegistry:
     def _rep_commutators(self) -> np.ndarray:
         """[r, e] for every orbit representative r and E generator e, a (k,
         orbits) index array.  Each [r, e] = r^-1 (e^-1 r e) reads the
-        conjugate from the table's conjugations, so all of them are one
-        stacked matrix product and one lookup."""
+        conjugate from the table's conjugations and r^-1 from `model.inverse`,
+        so all of them are one stacked matrix product and one lookup."""
         table, reps = self.table, np.asarray(self.orbits().reps)
-        prods = table.model.mul(table.mat(table.inv.take(reps)),
+        prods = table.model.mul(table.model.inverse(table.mat(reps)),
                                 table.mat(table.conj.take(reps, axis=1)))
         return _element_indices(table, prods, "a commutator [x, y]").reshape(len(table.conj), -1)
 

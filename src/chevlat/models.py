@@ -308,10 +308,11 @@ def scan_on(model: GroupModel, support: np.ndarray) -> np.ndarray:
     """The int64 keys (`table.matrix_keys`) of the group elements that are 0
     off an (n, n) bool support, in scan order.  All m**s fillings of the s
     supported entries are decided exactly, in blocks that bound memory: SL_n
-    by det g = sum_j g_0j C_0j, the C_0j once per filling of rows 1..n-1, a
-    key the first row's plus the other rows'; Sp_4 by (g^T J g)_ab = c_a^T J
-    c_b, a table of column fillings per pair a < b (c^T J c = 0 = J_aa), a
-    key the sum of its columns'.  Refused up front: more than SCAN_BOUND
+    by det g = sum_j g_0j C_0j, the C_0j once per filling of rows 1..n-1, the
+    first rows of det 1 once per class of C_0j that occurs (O(m**(n(n-1)) + N)
+    in all), a key the first row's plus the other rows'; Sp_4 by (g^T J g)_ab
+    = c_a^T J c_b, a table of column fillings per pair a < b (c^T J c = 0 =
+    J_aa), a key the sum of its columns'.  Refused up front: more than SCAN_BOUND
     fillings (SizeCapError), then keys past int64 (TableBoundError)."""
     m, n = model.m, model.degree
     pos = np.flatnonzero(support)
@@ -338,20 +339,30 @@ def _fill(codes: np.ndarray, pos: np.ndarray, m: int, size: int) -> np.ndarray:
 
 
 def _sl_scan(m: int, n: int, pos: np.ndarray):
-    """Blocks of the keys of the fillings of the supported positions pos with det = 1."""
+    """Blocks of the keys of the fillings of pos with det = 1: a stack of
+    fillings of rows 1..n-1 sorted by their first-row cofactors C, the tops of
+    det 1 found per C, each (C, top) pair taking its C's run by segment arithmetic."""
     first, rest = pos[pos < n], pos[pos >= n]
     n_first, n_rest = m ** len(first), m ** len(rest)
     digit = m ** np.arange(n * n, dtype=np.int64)  # entry weights in a key, row by row
-    unit_det = np.arange(n * (m - 1) ** 2 + 1) % m == 1  # every value top @ cof can take
-    for lo in range(0, n_rest, _CHUNK):
-        lower = _fill(np.arange(lo, min(lo + _CHUNK, n_rest)), rest, m, n * n)
-        cof = first_row_cofactors(lower.reshape(-1, n, n)).T % m  # row 0 is 0 and is not read
-        lower_keys = lower @ digit
-        step = max(1, _BLOCK // len(lower))
+    chunk = max(1, min(_CHUNK, _BLOCK // n_first))  # a stack's pairs stay within _BLOCK
+    for lo in range(0, n_rest, chunk):
+        lower = _fill(np.arange(lo, min(lo + chunk, n_rest)), rest, m, n * n)
+        cof = first_row_cofactors(lower.reshape(-1, n, n)) % m  # row 0 is 0 and is not read
+        codes = cof @ digit[:n]  # C read as a number
+        order = np.argsort(codes)
+        _, start, count = np.unique(codes[order], return_index=True, return_counts=True)
+        classes, lower_keys = cof[order[start]], (lower @ digit)[order]
+        step = max(1, _BLOCK // len(classes))
         for f_lo in range(0, n_first, step):
             top = _fill(np.arange(f_lo, min(f_lo + step, n_first)), first, m, n)
-            i, j = np.divmod(np.flatnonzero(unit_det[top @ cof]), len(lower))
-            yield (top @ digit[:n])[i] + lower_keys[j]
+            det = classes @ top.T
+            det %= m
+            c, i = np.divmod(np.flatnonzero(det == 1), len(top))
+            del det  # before the next block's
+            reps = count[c]  # pair (c, i) takes lower_keys[start[c]:][:count[c]]
+            at = np.repeat(start[c] - np.cumsum(reps) + reps, reps) + np.arange(reps.sum())
+            yield np.repeat(top[i] @ digit[:n], reps) + lower_keys[at]
 
 
 def _sp_scan(m: int, support: np.ndarray):

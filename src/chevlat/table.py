@@ -27,16 +27,17 @@ hash sized by the group (12 to 16 B per int32 key): a lookup walks its
 keys' chains comparing stored keys, so a non-member finds none, and a
 chunk deduplicates its unseen products by one sort of composites.
 
-The BFS keeps x -> x e, one int32 row per generator, and its spanning tree
-(parent and generator); the rest is built on first read.  `inv`: x -> x
-e^-1 inverts x -> x e, and x = e_1 ... e_d on the tree has x^-1 = e_d^-1
-... e_1^-1, so the inverses are one vectorized walk up the tree (the
-Schreier-vector trick; Butler, Fundamental Algorithms for Permutation
-Groups, LNCS 559), which then drops the tree.  `conj`: conjugation by each
-generator, x -> e^-1 x e, one (k, N) int32 array written over x -> x e,
-the one thing the lattice needs of the generators; its closures run
-entirely on indices.
-The group suite reads neither.
+The BFS keeps x -> x e, one int32 row per generator; its spanning tree
+(parent and generator) lives only in the chunk that finds each element.  `conj`, conjugation by
+each generator, x -> e^-1 x e, is built on first read as one (k, N) int32
+array written over x -> x e, the one thing the lattice needs of the
+generators; its closures run entirely on indices.  It needs no inverse:
+with T the transpose permutation x -> x^T and f the generator e^T (x_ij
+and x_ji for SL_n, x_alpha and x_-alpha for Sp_4), e^-1 x e =
+R_e(T(R_f^-1(T(x)))) for R_e: x -> x e.  T is one lookup of the
+transposes' keys, summed from one digit table per row (row i of x is
+column i of x^T); T R_f^-1 T is one scatter of T R_f, and the rows are
+rewritten a transpose pair at a time.  The group suite reads no conjugation.
 
 `right_mult` is the one entry point for products, and it has one path for
 every g, resting on row_i(x g) = row_i(x) g: a row table of g, with one
@@ -121,7 +122,7 @@ class ElementTable:
         # the key index holds the identity at index 0; the BFS fills in the rest
         self._index = (_DenseIndex(keyspace, identity) if small
                        else _HashIndex(expected, identity, keyspace))
-        self.rows, self._right, self._parent, self._gen = self._bfs(expected, gens)
+        self.rows, self._right = self._bfs(expected, gens)
         self.N = expected
         self.identity_idx = 0  # the BFS starts from the identity
         self.gen_idxs = self._right[:, 0].astype(np.int64)
@@ -132,24 +133,24 @@ class ElementTable:
                 raise RuntimeError(f"{model.name()}: BFS and predicate scan disagree")
 
     @cached_property
-    def inv(self) -> np.ndarray:
-        """inv[x], the index of x^-1, from the BFS's tree, which it then drops."""
-        right = self._right
-        right_inv = np.empty_like(right)  # x -> x e^-1 inverts x -> x e
-        right_inv[np.arange(len(right))[:, None], right] = np.arange(self.N, dtype=np.int32)
-        inv = self._tree_inverses(right_inv, self._parent, self._gen)
-        del self._parent, self._gen
-        return inv
-
-    @cached_property
     def conj(self) -> np.ndarray:
-        """The (k, N) int32 conjugations by the generators: row j, x ->
-        e_j^-1 x e_j, as x -> x^-1 e_j -> e_j^-1 x -> e_j^-1 x e_j, written over
-        the BFS's x -> x e_j (np.take gathers these int32 indices faster than
-        fancy indexing)."""
-        right, inv = self._right, self.inv
-        for r in right:
-            r[:] = r.take(inv.take(r.take(inv)))
+        """The (k, N) int32 conjugations by the generators: row j, x -> e_j^-1
+        x e_j = R_j(T(R_f^-1(T(x)))) for the partner f = e_j^T (module notes),
+        written over the BFS's x -> x e_j a transpose pair at a time (np.take
+        gathers these int32 indices faster than fancy indexing).  A ValueError
+        when some e_j^T is not a generator."""
+        right, t = self._right, self._transpose()
+        partner = [self._gen_pos.get(x) for x in t.take(self.gen_idxs).tolist()]
+        if None in partner:
+            raise ValueError(f"{self.model.name()}: the transpose of generator "
+                             f"{partner.index(None)} is not a generator")
+        swap = np.empty((2, self.N), dtype=np.int32)  # T R_f^-1 T and T R_j^-1 T
+        for j, f in enumerate(partner):
+            if j <= f:
+                swap[0][t.take(right[f])] = t  # T R_f^-1 T maps T(x f) to T(x)
+                swap[1][t.take(right[j])] = t
+                right[j] = right[j].take(swap[0])
+                right[f] = right[f].take(swap[1]) if f != j else right[j]
         del self._right
         return right
 
@@ -167,15 +168,14 @@ class ElementTable:
         products.  The scan goes in chunks of at most CHUNK products, or CHUNK
         / 2 on the hash index, whose lookup holds a few temporaries per product.
         Also returns the (k, N) int32 array whose entry [j, x] is the index of
-        x e_j and the spanning tree: each element's parent and the j of the e_j
-        that reached it, -1 for the identity."""
+        x e_j.  A chunk's new elements are its tree edges' ends: each one's
+        parent times the generator that reached it."""
         tables = self.row_tables(gens)
         k = len(tables)
         # weighted[i][v, j]: the key digits of row i of x e_j when row i of x has key v
         weighted = [(w * tables.T).view(np.uint64) for w in self._row_w.tolist()]
         rows = np.empty((expected, self.n), dtype=np.int32)  # filled chunk by chunk
         right = np.empty((k, expected), dtype=np.int32)
-        parent, gen = np.full((2, expected), -1, dtype=np.int32)
         rows[0] = self._digit  # the identity
         step = max(1, (CHUNK if isinstance(self._index, _DenseIndex) else CHUNK // 2) // k)
         lo, hi = 0, 1  # the frontier is [lo, hi); the elements found so far are [0, end)
@@ -193,44 +193,31 @@ class ElementTable:
                     raise RuntimeError(f"{self.model.name()}: enumerated more elements, "
                                        f"order formula gives {expected}")
                 right[:, a:b] = idx.reshape(-1, k).T
-                parent[end:new], gen[end:new] = np.divmod(born, k)
-                parent[end:new] += a
-                rows[end:new] = tables[gen[end:new, None], np.take(rows, parent[end:new], axis=0)]
-                del idx, born  # before the next chunk's products
+                parent, gen = np.divmod(born, k)
+                rows[end:new] = tables[gen[:, None], np.take(rows, parent + a, axis=0)]
+                del idx, born, parent, gen  # before the next chunk's products
                 end = new
             lo, hi = hi, end
         if hi != expected:
             raise ShortEnumerationError(hi, expected, f"{self.model.name()}: enumerated {hi} "
                                         f"elements, order formula gives {expected}")
-        return rows, right, parent, gen
+        return rows, right
 
-    def _tree_inverses(self, right_inv: np.ndarray, parent: np.ndarray,
-                       gen: np.ndarray) -> np.ndarray:
-        """inv[x] for every x: walking from x up the BFS tree through the
-        generators e_d, ..., e_1 of its path, the identity times e_d^-1 ...
-        e_1^-1, one step for all unfinished elements at a time.  A step goes
-        in stacks of at most CHUNK and N / 8 elements, gathered in place."""
-        N, flat = self.N, right_inv.reshape(-1)
-        offset = gen.astype(np.int64)  # x -> the offset of row gen[x] in flat
-        offset *= N
-        step = min(CHUNK, -(-N // 8))  # a stack's int64 temporaries stay a fraction of the table
-        at = np.empty(step, dtype=np.int64)  # a stack's positions in flat
-        inv = np.zeros(N, dtype=np.int32)  # the identity's index
-        node = np.arange(N, dtype=np.int32)
-        lo = 1  # the unfinished elements, deeper than the steps taken so far, are [lo, N)
-        while lo < N:
-            # mode "clip": the indices are in range, and "raise" would buffer out
-            for a in range(lo, N, step):
-                b = min(a + step, N)
-                offset.take(node[a:b], out=at[:b - a], mode="clip")
-                at[:b - a] += inv[a:b]
-                flat.take(at[:b - a], out=inv[a:b], mode="clip")
-                parent.take(node[a:b], out=node[a:b], mode="clip")
-            # one level deeper: parents are nondecreasing in BFS order, so the
-            # elements whose parent is unfinished are again a suffix (an int32
-            # key, as a Python int would copy parent to int64)
-            lo = int(parent.searchsorted(np.int32(lo)))
-        return inv
+    def _transpose(self) -> np.ndarray:
+        """T[x], the index of x^T, an int32 array: row i of x is column i of
+        x^T, so the key of x^T sums one digit table per row, looked up in
+        stacks of CHUNK; a RuntimeError if some x^T is not an element."""
+        n, m = self.n, self.m
+        # digits[i, v]: the key digits of x^T from row i of x, when that row has key v
+        digits = (self.row_vecs @ m ** (np.arange(n, dtype=np.int64)[:, None] * n + np.arange(n))).T
+        t = np.empty(self.N, dtype=np.int32)
+        for a in range(0, self.N, CHUNK):
+            rows = self.rows[a:a + CHUNK]
+            t[a:a + len(rows)] = self.lookup_keys(sum(d.take(r) for d, r in zip(digits, rows.T)))
+        if (t < 0).any():
+            raise RuntimeError(f"{self.model.name()}: the transpose of element "
+                               f"{int(np.argmax(t < 0))} is not in the table")
+        return t
 
     # -- lookup ---------------------------------------------------------------
 

@@ -7,6 +7,7 @@ import pytest
 
 from chevlat import calculus, lattice, models, relroots
 from chevlat.rings import adjugate_int, det_int, unit_inverses
+from chevlat.table import CHUNK
 
 
 # The models on which the stacked calculus and centralizer readers are
@@ -41,6 +42,16 @@ def index_of(table, mat):
     """Table index of one matrix, None if it is not a group element."""
     idx = int(table.lookup(np.asarray(mat)[None])[0])
     return None if idx < 0 else idx
+
+
+def table_inverses(table, idx=None):
+    """The indices of the inverses of the elements idx (by default all of the
+    table), `model.inverse` looked up in stacks of CHUNK."""
+    idx = np.arange(table.N) if idx is None else np.asarray(idx)
+    inv = np.concatenate([table.lookup(table.model.inverse(table.mat(idx[a:a + CHUNK])))
+                          for a in range(0, len(idx), CHUNK)])
+    assert (inv >= 0).all()
+    return inv
 
 
 def mat_inverse_mod(mat, m):

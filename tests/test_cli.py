@@ -248,18 +248,18 @@ def test_group_suite_computes_no_orbits(monkeypatch):
 
 
 def test_group_suite_builds_no_conjugations(monkeypatch):
-    # the group suite reads neither the inverses nor the conjugations of the
-    # tables it builds, so they never walk their BFS trees
+    # the group suite reads no conjugation of the tables it builds, so they
+    # never form their transpose permutations
     def refuse(*args):
-        raise AssertionError("the group suite built the inverses")
+        raise AssertionError("the group suite built the transposes")
 
-    monkeypatch.setattr(ElementTable, "_tree_inverses", refuse)
+    monkeypatch.setattr(ElementTable, "_transpose", refuse)
     for spec in cli.DEFAULT_MODELS:
         records = {name: verdict
                    for name, _, verdict, _, _ in cli.group_records(spec, cli.DEFAULT_CAP)}
         assert records["element_table"] and records["elementary_subgroup_full"]
-    # the patch is live: the first conjugation read walks the tree
-    with pytest.raises(AssertionError, match="built the inverses"):
+    # the patch is live: the first conjugation read forms the transposes
+    with pytest.raises(AssertionError, match="built the transposes"):
         ElementTable(cli.DEFAULT_MODELS[0].build()).conj
 
 

@@ -13,7 +13,7 @@ from conftest import (
     is_enormal,
     plain_normal_closure, reference_center, reference_centralizer_beta, reference_closure_of,
     reference_congruence, reference_full_congruence, reference_normal_closure,
-    reference_products, reference_small_levi_b, reference_subgroup_closure,
+    reference_products, reference_small_levi_b, reference_subgroup_closure, table_inverses,
 )
 
 
@@ -78,7 +78,7 @@ def test_products_match_unique_reference(name, request):
     t, rng = ctx.table, np.random.default_rng(7)
     other = [int(i) for i in rng.choice(t.N, 3, replace=False)]  # mostly not generators
     egens = t.gen_idxs.tolist()
-    for gen_idxs in (egens, sorted(set(egens) | {int(t.inv[g]) for g in egens}), other,
+    for gen_idxs in (egens, sorted(set(egens) | set(table_inverses(t, egens).tolist())), other,
                      [egens[0], *other]):
         for size in (1, 50, 30_000):  # 30,000 spans several chunks
             frontier = rng.choice(t.N, min(size, t.N), replace=False)

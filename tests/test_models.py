@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -487,6 +488,35 @@ def test_elements_on_refuses_too_many_fillings_up_front():
     # exactly SCAN_BOUND fillings pass: the diagonal of SL2(Z/2048), a d = 1
     assert SCAN_BOUND == 2048**2
     assert len(elements_on(sl(2, 2048), np.eye(2, dtype=bool))) == 1024
+
+
+def test_scan_refuses_too_many_fillings_before_any_work(monkeypatch):
+    monkeypatch.setattr(models_mod, "_sl_scan", lambda *args: pytest.fail("the scan started"))
+    with pytest.raises(SizeCapError, match="scan has 18446744073709551616 fillings"):
+        scan_on(sl(2, 2**16), np.ones((2, 2), dtype=bool))
+
+
+@pytest.mark.parametrize("model", [sl(2, 4), sl(3, 4), sl(4, 2)], ids=lambda m: m.name())
+def test_scan_with_no_class_admitting_a_first_row_is_empty(model):
+    # with the last row 0 every first-row cofactor is 0, so no class of
+    # cofactors has a first row of det 1
+    support = np.ones((model.degree, model.degree), dtype=bool)
+    support[-1] = False
+    keys = scan_on(model, support)
+    assert keys.dtype == np.int64 and keys.shape == (0,)
+
+
+def test_scan_of_the_sl2_2048_diagonal_stays_within_its_blocks():
+    # 2048 classes of cofactors against 2048 first rows, decided in blocks of
+    # at most _BLOCK int64 determinants (8 MiB): a traced peak of 9.1 MiB,
+    # where a table of every value of det took 128 MiB
+    tracemalloc.start()
+    try:
+        keys = scan_on(sl(2, 2048), np.eye(2, dtype=bool))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(keys) == 1024 and peak <= 10 * 2**20
 
 
 def test_scan_refuses_keys_past_int64_up_front(monkeypatch):

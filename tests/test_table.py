@@ -10,7 +10,7 @@ from chevlat.errors import ShortEnumerationError, SizeCapError, TableBoundError
 from chevlat.models import GroupModel
 from chevlat.table import ElementTable, check_bounds, matrix_keys
 
-from conftest import ctx_for, index_of, reference_dedupe
+from conftest import ctx_for, index_of, reference_dedupe, table_inverses
 
 
 def test_orders_match_frozen_counts(sl3_2, sl3_4, sp4_2, sl4_2, sp4_3, sl3_3):
@@ -34,12 +34,13 @@ def test_congruence_kernel_count_oracle(sl3_4):
 
 
 def test_inverses(sl3_2, sl3_3, sl3_4, sl4_2, sp4_2, sp4_3):
-    # exhaustive: every element times its tree-walk inverse, as one stacked product
+    # exhaustive: every element times its looked-up model inverse, as one stacked product
     for ctx in (sl3_2, sl3_3, sl3_4, sl4_2, sp4_2, sp4_3):
         t = ctx.table
-        prods = (t.mat(np.arange(t.N)) @ t.mat(t.inv)) % t.m
+        inv = table_inverses(t)
+        prods = (t.mat(np.arange(t.N)) @ t.mat(inv)) % t.m
         assert (prods == np.eye(t.n, dtype=np.int64)).all()
-        assert np.array_equal(t.inv[t.inv], np.arange(t.N))
+        assert np.array_equal(inv[inv], np.arange(t.N))
 
 
 @pytest.mark.parametrize("name", ["sl3_2", "sl3_3", "sl3_4", "sl4_2", "sp4_2", "sp4_3"])
@@ -50,8 +51,8 @@ def test_cached_generator_perms_match_kernel(name, request):
     t = request.getfixturevalue(name).table
     everything = np.arange(t.N)
     want = {}
-    for g in t.gen_idxs.tolist():
-        for h in (g, int(t.inv[g])):
+    for g, g_inv in zip(t.gen_idxs.tolist(), table_inverses(t, t.gen_idxs).tolist()):
+        for h in (g, g_inv):
             want[h] = t.lookup(t.mat(everything) @ t.mat(h) % t.m)
     assert np.array_equal(t.gen_idxs, t.lookup(np.stack(t.model.generator_mats())))
     for h, right in want.items():
@@ -84,7 +85,7 @@ def test_conj_perm_matches_direct(sl3_4, sp4_3, sl4_2):
         for g_idx in t.gen_idxs.tolist():
             perm = t.conj_perm(g_idx)
             g = t.mat(g_idx)
-            ginv = t.mat(int(t.inv[g_idx]))
+            ginv = t.mat(table_inverses(t, [g_idx])[0])
             for i in xs[:32]:
                 expect = (ginv @ t.mat(int(i)) @ g) % t.m
                 assert int(perm[int(i)]) == index_of(t, expect)
@@ -108,31 +109,70 @@ def _held(t):
 @pytest.mark.parametrize("spec", [("SL", 3, 4, (1, 1, 1)), ("Sp", 4, 3, "line")],
                          ids=["sl3_4", "sp4_3"])
 def test_table_keeps_only_the_generator_conjugations(spec):
-    # a fresh table holds the rows and the BFS's three arrays: right
-    # multiplication by each E generator and the tree's parents and
-    # generators.  Once the conjugations are read it holds the rows, the
-    # inverses and one (k, N) int32 array, conjugation by each E generator,
-    # and no right multiplication; its conjugations match the matrix products
+    # a fresh table holds the rows and the BFS's right multiplication by
+    # each E generator, and no spanning tree.  Once the conjugations are
+    # read it holds the rows and one (k, N) int32 array, conjugation by each
+    # E generator, and no right multiplication, inverse or transpose; its
+    # conjugations match the matrix products e^-1 x e
     kind, degree, m, blocks = spec
     t = ElementTable(GroupModel(kind, degree, m, blocks))
     k = len(t.gen_idxs)
-    assert _held(t) == {"rows": (t.N, t.n), "_right": (k, t.N), "_parent": (t.N,), "_gen": (t.N,)}
+    assert _held(t) == {"rows": (t.N, t.n), "_right": (k, t.N)}
     perms = t.conj
-    assert _held(t) == {"rows": (t.N, t.n), "inv": (t.N,), "conj": (k, t.N)}
+    assert _held(t) == {"rows": (t.N, t.n), "conj": (k, t.N)}
     everything = t.mat(np.arange(t.N))
-    want = np.stack([t.lookup(t.mat(int(t.inv[g])) @ everything @ t.mat(g) % t.m)
-                     for g in t.gen_idxs.tolist()])
+    want = np.stack([t.lookup(t.mat(g_inv) @ everything @ t.mat(g) % t.m) for g, g_inv
+                     in zip(t.gen_idxs.tolist(), table_inverses(t, t.gen_idxs).tolist())])
     assert perms.dtype == np.int32 and np.array_equal(perms, want)
 
 
-def test_first_inverse_read_drops_the_tree():
-    # the inverses alone leave right multiplication as the BFS wrote it
-    t = ElementTable(GroupModel("SL", 3, 2, (1, 1, 1)))
-    right = t._right.copy()
-    inv = t.inv
-    assert _held(t) == {"rows": (t.N, t.n), "_right": right.shape, "inv": (t.N,)}
-    assert np.array_equal(t._right, right) and t.inv is inv
-    assert ((t.mat(np.arange(t.N)) @ t.mat(inv)) % t.m == np.eye(t.n)).all()
+@pytest.mark.parametrize("spec", [("SL", 3, 4, (1, 1, 1)), ("Sp", 4, 3, "line")],
+                         ids=["sl3_4", "sp4_3"])
+def test_transpose_is_an_involution_and_the_transposes_lookup(spec):
+    # T[x] is the index of x^T on the dense and the hash index alike
+    t = ctx_for(*spec).table
+    T = t._transpose()
+    assert T.dtype == np.int32 and np.array_equal(T[T], np.arange(t.N))
+    assert np.array_equal(T, t.lookup(t.mat(np.arange(t.N)).swapaxes(-1, -2)))
+
+
+def test_conjugations_refuse_a_generator_without_a_transpose_partner():
+    # every off-diagonal position but (2, 0): the whole group, but x_20(1),
+    # the transpose of x_02(1), is not one of the generators
+    model = GroupModel("SL", 3, 2, (1, 1, 1))
+    gens = [g for p, g in zip(model.generator_positions(), model.generator_mats()) if p != (2, 0)]
+    t = ElementTable(model, generators=gens)
+    assert t.N == 168
+    with pytest.raises(ValueError, match=r"SL3\(Z/2\).*: the transpose of generator 1 is not a "
+                                         r"generator"):
+        t.conj
+
+
+@pytest.mark.parametrize("spec", DEFAULT_MODELS, ids=lambda s: s.build().name())
+def test_simple_root_generators_have_transpose_partners(spec):
+    # the group suite's generators x_{+-alpha}(1) at the simple roots are
+    # closed under transposition, so their conjugations need no inverse
+    model = spec.build()
+    gens = np.stack(model.simple_generator_mats())
+    keys = matrix_keys(gens, model.m).tolist()
+    assert sorted(matrix_keys(gens.swapaxes(-1, -2), model.m).tolist()) == sorted(keys)
+    if model.m == 2:  # and the conjugations of the smallest tables match the products
+        t = ElementTable(model, generators=gens)
+        everything = t.mat(np.arange(t.N))
+        want = np.stack([t.lookup(model.inverse(g) @ everything @ g % t.m) for g in gens])
+        assert np.array_equal(t.conj, want)
+
+
+def test_conjugations_refuse_a_transpose_missing_from_the_table(monkeypatch):
+    # a lookup that no longer finds the key of one element's transpose
+    t = ElementTable(GroupModel("Sp", 4, 2, "borel"))
+    x = t.N - 1
+    missing = matrix_keys(t.mat(x).T, t.m)
+    lookup = t.lookup_keys
+    monkeypatch.setattr(t, "lookup_keys", lambda keys: np.where(keys == missing, -1, lookup(keys)))
+    with pytest.raises(RuntimeError, match=rf"Sp4\(Z/2\).*: the transpose of element {x} is not "
+                                           rf"in the table"):
+        t.conj
 
 
 def _arrays(t):
@@ -203,7 +243,7 @@ def test_dense_and_hash_index_agree(spec, monkeypatch):
     assert isinstance(dense._index, table_mod._DenseIndex)
     assert isinstance(hashed._index, table_mod._HashIndex)
     assert hashed._index.keys.dtype == np.int32  # m**(n*n) <= 2**31
-    for a, b in ((dense.rows, hashed.rows), (dense.inv, hashed.inv),
+    for a, b in ((dense.rows, hashed.rows), (table_inverses(dense), table_inverses(hashed)),
                  (dense.gen_idxs, hashed.gen_idxs)):
         assert a.dtype == b.dtype and np.array_equal(a, b)
     assert np.array_equal(dense.conj, hashed.conj)
@@ -275,7 +315,7 @@ def test_hash_index_survives_collisions(spec, slots, monkeypatch):
     hashed = ElementTable(model)
     assert isinstance(hashed._index, table_mod._HashIndex)
     assert (hashed._index.head >= 0).sum() == {"one": 1, "two": 2}[slots]
-    for a, b in ((dense.rows, hashed.rows), (dense.inv, hashed.inv),
+    for a, b in ((dense.rows, hashed.rows), (table_inverses(dense), table_inverses(hashed)),
                  (dense.conj, hashed.conj), (dense.gen_idxs, hashed.gen_idxs)):
         assert a.dtype == b.dtype and np.array_equal(a, b)
     keys = matrix_keys(dense.mat(np.arange(dense.N)), model.m)
@@ -355,8 +395,17 @@ def test_table_refuses_a_count_off_the_order_formula(monkeypatch, shift, found):
 
 
 def _bfs_arrays(t):
-    """The BFS's arrays, then the inverses and conjugations built from them."""
-    return [t.rows, t._right.copy(), t._parent, t._gen, t.inv, t.conj]
+    """The BFS's arrays, then the inverses and conjugations read from them."""
+    return [t.rows, t._right.copy(), table_inverses(t), t.conj]
+
+
+def _bfs_parents(t):
+    """The BFS tree's parent of every element but the identity, from a fresh
+    table's right multiplications: the least element whose product with a
+    generator reaches it, as the level scan meets it first."""
+    parent = np.full(t.N, t.N)
+    np.minimum.at(parent, t._right.reshape(-1), np.tile(np.arange(t.N), len(t._right)))
+    return parent
 
 
 @pytest.mark.parametrize("chunk", ["1", "k", "2k + 1", "37"])
@@ -383,10 +432,11 @@ def test_table_refuses_a_count_passed_in_a_later_chunk_of_a_level(monkeypatch):
     # in a level's later chunk
     model = GroupModel("SL", 3, 2, (1, 1, 1))
     t = ElementTable(model)
+    parents = _bfs_parents(t)
     depth = np.zeros(t.N, dtype=np.int64)
     for x in range(1, t.N):
-        depth[x] = depth[t._parent[x]] + 1
-    parent = int(t._parent[-1])
+        depth[x] = depth[parents[x]] + 1
+    parent = int(parents[-1])
     assert depth[parent - 1] == depth[parent]
     monkeypatch.setattr(table_mod, "CHUNK", len(t.gen_idxs))
     monkeypatch.setattr(table_mod, "order_formula", lambda model: t.N - 1)
@@ -408,23 +458,11 @@ def test_table_build_peak_memory():
     assert peak <= 6.5 * 2**20
 
 
-def test_table_inverses_peak_memory():
-    # the tree walk gathers in stacks of at most an eighth of N, so reading
-    # inv keeps the traced peak of the build (6.07 MiB); stacks of N took 6.53
-    model = GroupModel("Sp", 4, 3, "line")
-    tracemalloc.start()
-    try:
-        ElementTable(model).inv
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 6.5 * 2**20
-
-
 def test_table_conjugations_peak_memory():
-    # the hash index (int32 keys, 2**16 slots for 51,840 elements, chunks of
-    # 32,768 products) keeps the traced peak through the conjugations at
-    # 5.89 MiB, against 6.07 on the sorted index it replaced
+    # the conjugations read the transpose permutation and two N-entry
+    # temporaries, and no inverse table: the traced peak through them is
+    # 4.46 MiB (the build alone 4.38), against 5.89 with the inverses'
+    # k x N scatter and tree walk; the bound leaves 0.24 MiB of margin
     model = GroupModel("Sp", 4, 3, "line")
     tracemalloc.start()
     try:
@@ -432,7 +470,7 @@ def test_table_conjugations_peak_memory():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 6.1 * 2**20
+    assert peak <= 4.7 * 2**20
 
 
 def test_size_cap_names_cap():
@@ -495,7 +533,7 @@ def test_dedupe_matches_np_unique(seed):
         assert all(np.array_equal(w, g) for w, g in zip(want, got))
 
 
-# SHA-256 of rows, inv, gen_idxs, the index of every element key in
+# SHA-256 of rows, the inverses, gen_idxs, the index of every element key in
 # increasing key order, those keys, and the right multiplications (by
 # generator index), each cast to int64
 TABLE_DIGESTS = {
@@ -531,9 +569,9 @@ def test_table_arrays_are_pinned(spec):
     # Cayley graph, rebuilt through the row kernel
     everything = np.arange(t.N)
     right = (t.right_mult(everything, t.row_tables(t.mat(g)))[0]
-             for g in sorted({*t.gen_idxs.tolist(), *t.inv[t.gen_idxs].tolist()}))
+             for g in sorted({*t.gen_idxs.tolist(), *table_inverses(t, t.gen_idxs).tolist()}))
     digest = hashlib.sha256()
-    for a in (t.rows, t.inv, t.gen_idxs, *_order_and_sorted_keys(t), *right):
+    for a in (t.rows, table_inverses(t), t.gen_idxs, *_order_and_sorted_keys(t), *right):
         digest.update(np.ascontiguousarray(a, dtype=np.int64).tobytes())
     assert digest.hexdigest() == TABLE_DIGESTS[spec]
 
