@@ -4,7 +4,7 @@ with exhaustive desk-scale verification of the sandwich normal structure."""
 from .rootsys import RootSystem, RootSystemType, build_root_system
 from .relroots import RelativeDatum, RelativeRootSystem, build_relative, fold
 from .rings import divisors, jacobson_radical
-from .models import GroupModel, gauss_cell_membership, hypothesis_check
+from .models import GroupModel, hypothesis_check
 from .table import ElementTable
 from .lattice import GroupContext, Subgroup, sandwich_classify
 
@@ -21,7 +21,6 @@ __all__ = [
     "divisors",
     "jacobson_radical",
     "GroupModel",
-    "gauss_cell_membership",
     "hypothesis_check",
     "ElementTable",
     "GroupContext",

@@ -60,7 +60,10 @@ G(R,q) keeps r = 1 mod d; C(R,q) keeps r when g^-1 r g = r mod d for every
 E generator g, read through g's conjugation permutation; the center is
 C(R,q) of d = m.  That is the preimage of the center of G(R/q), with no
 table of G(R/q), because the image of G(R) has N / |G(R,q)| elements, the
-order of G(R/q).
+order of G(R/q).  The root elements X_alpha(v), v in model.values(alpha),
+are one array of table indices with one mask per ideal of the v in qV_alpha:
+E(R,q) is the closure of those v != 0, and H cap X_alpha(V_alpha) =
+X_alpha(qV_alpha) compares H's mask, read at them, with that mask.
 
 The sandwich classification checks, for one seed per conjugation orbit,
 which ideals q satisfy E(R,q) <= closure <= C(R,q); on a model satisfying
@@ -81,6 +84,7 @@ import numpy as np
 from . import calculus
 from .models import (
     GroupModel,
+    Vec,
     gauss_cell_factors,
     hypothesis_check,
     order_formula,
@@ -88,8 +92,6 @@ from .models import (
 )
 from .rings import divisors, factorize, jacobson_radical
 from .table import CHUNK, DEFAULT_CAP, ElementTable, matrix_keys
-
-Vec = tuple[int, ...]
 
 
 class EOrbits(NamedTuple):
@@ -385,23 +387,26 @@ class GroupContext:
 
         return self._memo(("full_congruence", d), build)
 
-    def root_element_indices(self) -> dict[Vec, tuple[list[Vec], np.ndarray]]:
-        """For each relative root, all values v with the index of X_alpha(v)."""
+    def root_element_indices(self) -> dict[Vec, np.ndarray]:
+        """Per relative root alpha, the index of X_alpha(v) for each v of model.values(alpha)."""
+        return self._memo("root_elements", lambda: {a: _element_indices(
+            self.table, calculus._root_elements(self.model, a), "a root element")
+            for a in self.model.rel_roots})
 
-        def build():
-            model = self.model
-            return {a: (list(model.v_tuples(a)), _element_indices(
-                        self.table, calculus._root_elements(model, a), "a root element"))
-                    for a in model.rel_roots}
-
-        return self._memo("root_elements", build)
+    def root_elements_in(self, d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """root_element_indices as one array, roots in order, each root's offset into it,
+        and whether each v lies in q V_alpha, q = (d), each v tested once per ideal."""
+        idx = self.root_element_indices()
+        return self._memo(("in_ideal", d), lambda: (
+            np.concatenate(list(idx.values())), np.cumsum([0] + list(map(len, idx.values())))[:-1],
+            np.concatenate([~(self.model.values(a) % d).any(axis=1) for a in idx])))
 
     def relative_elementary(self, d: int) -> Subgroup:
         """E(R,q) of q = (d): the normal closure in E of the relative root
-        elements with values in (d), read off the cached root elements."""
-        return self._memo(("relative_elementary", d), lambda: self.closure_of([
-            i for vs, idxs in self.root_element_indices().values()
-            for v, i in zip(vs, idxs.tolist()) if any(v) and not any(c % d for c in v)]))
+        elements X_alpha(v), v in q V_alpha nonzero, read off the cached root elements."""
+        idx, _, inside = self.root_elements_in(d)
+        return self._memo(("relative_elementary", d), lambda: self.closure_of(
+            idx[inside & (idx != self.table.identity_idx)]))  # X_alpha(0) = 1
 
     def sandwich_ideals(self, sub: Subgroup) -> list[int]:
         """Generators d of the ideals q with E(R,q) <= sub <= C(R,q), decided
@@ -423,7 +428,7 @@ class GroupContext:
         of their orbits, largest first, each distinct closure once."""
         orbits = self.orbits()
         closures = [self.orbit_closure(orbits.reps[k])
-                    for k in sorted({int(orbits.ids[s]) for s in seeds})]
+                    for k in sorted(set(orbits.ids[seeds].tolist()))]
         closures = {id(c): c for c in closures}.values()
         sub = self.orbit_closure(self.table.identity_idx)
         for closure in sorted(closures, key=lambda c: -c.order):
@@ -434,7 +439,7 @@ class GroupContext:
         """[X, E(R)] for an E-normal X: the normal closure of the registry's
         [r, e] of the orbit representatives r in X with the E generators e
         (see the module notes)."""
-        return self.closure_of(self.closures._rep_commutators[:, x.mask].ravel().tolist())
+        return self.closure_of(self.closures._rep_commutators[:, x.mask].ravel())
 
 
 # -- sandwich classification -------------------------------------------------
@@ -452,15 +457,10 @@ def verify_level_theorem(ctx: GroupContext, sub: Subgroup, d: int,
     fresh per_root list."""
 
     def build():
-        ids = ctx.orbits().ids
-        per_root = []
-        equal = True
-        for alpha, (vs, idxs) in ctx.root_element_indices().items():
-            got = {v for v, inside in zip(vs, sub.mask[ids.take(idxs)]) if inside}
-            want = set(ctx.model.v_tuples(alpha, d))
-            per_root.append((str(alpha), len(got), len(want)))
-            equal &= got == want
-        return per_root, equal
+        idx, starts, want = ctx.root_elements_in(d)
+        got = sub.mask[ctx.orbits().ids.take(idx)]
+        counts = (np.add.reduceat(x, starts, dtype=np.int64).tolist() for x in (got, want))
+        return list(zip(map(str, ctx.root_element_indices()), *counts)), np.array_equal(got, want)
 
     per_root, equal = ctx._memo(("level", sub.mask.tobytes(), d), build)
     return LevelReport(seed_index=seed_index, level=d, per_root=list(per_root), equal=equal)
@@ -535,31 +535,29 @@ def verify_structure_theorems(ctx: GroupContext) -> dict:
 
 
 def extract_unipotent(ctx: GroupContext, sub: Subgroup):
-    """A nontrivial relative root element of the subgroup, if any."""
-    for alpha, (vs, idxs) in ctx.root_element_indices().items():
-        for v, i in zip(vs, idxs):
-            if any(v) and i in sub:
-                return alpha, v
+    """A nontrivial relative root element X_alpha(v) of the subgroup, the
+    first in the order of root_element_indices, as (alpha, v); None if none."""
+    for alpha, idx in ctx.root_element_indices().items():
+        hit = sub.mask[ctx.orbits().ids.take(idx)]
+        hit[0] = False  # idx[0] is X_alpha(0) = 1
+        if hit.any():
+            return alpha, ctx.model.values(alpha)[hit.argmax()]
     return None
 
 
 def verify_unipotent_extraction(ctx: GroupContext) -> dict:
-    """Every noncentral orbit closure contains a root unipotent.  The
-    `radical_failures`, the failures whose closure meets the radical
-    congruence subgroup noncentrally, are a subset of the `failures` and
-    witness data only."""
+    """Every noncentral orbit closure contains a root unipotent, looked for
+    once per distinct closure.  The `radical_failures`, the failures whose
+    closure meets the radical congruence subgroup noncentrally, are a subset
+    of the `failures` and witness data only."""
     center = ctx.center().mask
     rad = ctx.congruence(jacobson_radical(ctx.model.m)).mask
     reps = np.asarray(ctx.orbits().reps)[~center].tolist()
-    failures, rad_failures = [], []
-    for rep in reps:
-        sub = ctx.orbit_closure(rep)
-        if extract_unipotent(ctx, sub) is None:
-            failures.append(rep)
-            if (sub.mask & rad & ~center).any():
-                rad_failures.append(rep)
-    return {"noncentral_closures": len(reps), "failures": failures,
-            "radical_failures": rad_failures}
+    subs = [ctx.orbit_closure(rep) for rep in reps]
+    lacking = {k for k, s in {id(s): s for s in subs}.items() if extract_unipotent(ctx, s) is None}
+    failures = [(rep, s) for rep, s in zip(reps, subs) if id(s) in lacking]
+    return {"noncentral_closures": len(reps), "failures": [rep for rep, _ in failures],
+            "radical_failures": [rep for rep, s in failures if (s.mask & rad & ~center).any()]}
 
 
 def simplicity_check(ctx: GroupContext) -> dict:
@@ -613,7 +611,8 @@ def verify_u_cent_field(ctx: GroupContext) -> dict:
     is commuting with all of it.  Those generators are E generators, so the
     centralizer is the common fixed points of their conjugation permutations."""
     model, table = ctx.model, ctx.table
-    gens = [model.x(a, e) for a in model.positive_rel_roots for e in model.v_basis(a)]
+    gens = np.concatenate([model.x(a, np.eye(model.v_dim(a), dtype=np.int64))
+                           for a in model.positive_rel_roots])
     fixed = np.arange(table.N)
     member = np.ones(table.N, dtype=bool)
     for g in _element_indices(table, gens, "a radical generator").tolist():
@@ -655,7 +654,7 @@ def verify_small_levi_b(model: GroupModel) -> dict:
     if len(_simple_rel_roots(model)) < 2:
         raise ValueError("needs an irreducible relative system of rank >= 2")
     m, n = model.m, model.degree
-    levi = np.stack(model.levi_elements())
+    levi = model.levi_elements()
     results = {"checked": 0, "failures": []}
     for beta in _simple_rel_roots(model):
         multiples = calculus._multiple_cone(model, beta)
@@ -690,7 +689,7 @@ def verify_centralizer_lemmas(ctx: GroupContext) -> dict:
 def gauss_brute_force_agrees(model: GroupModel, table: ElementTable) -> bool:
     """Cell membership verdicts against direct enumeration of U L U^-."""
     u = calculus.radical_chart(model, negative=False).mats[:, None, None]
-    l = np.stack(model.levi_elements())[None, :, None]
+    l = model.levi_elements()[None, :, None]
     v = calculus.radical_chart(model, negative=True).mats[None, None]
     cell = _element_indices(table, model.mul(u, l, v), "a product u*l*v of the main cell")
     members = np.zeros(table.N, dtype=bool)

@@ -14,10 +14,12 @@ and decoded by `elements_on`, for L_P); it decides every filling of the
 support by the defining equation, factored so that fillings share work: the
 first-row cofactors of det for SL_n, a pairing table per column pair for Sp_4.
 
-A relative root element X_alpha(v) is the product, in a fixed order, of the
-one-parameter root elements of the fiber of alpha; any polynomial
-corrections appearing in products and commutators are read off numerically
-from the matrices rather than carried symbolically.
+The values v of V_alpha are the rows of `values(alpha)`, in base-m order;
+`x` maps any (..., d) array of them to the stack of the X_alpha(v): v fills
+alpha's block for SL_n, and for Sp_4 X_alpha(v) is the product, in a fixed
+order, of the one-parameter root elements of the fiber of alpha.  Membership
+tests take stacks and return bool arrays, 0-d for one matrix.  Polynomial
+corrections in products and commutators are read off numerically.
 """
 
 from __future__ import annotations
@@ -32,8 +34,8 @@ import numpy as np
 from . import relroots, rootsys
 from .errors import SizeCapError, TableBoundError
 from .rings import (
-    adjugate_int, det_int, draws, factorize, first_row_cofactors, identity_mat, mat_mul,
-    unit_inverses,
+    adjugate_int, det_int, draws, factorize, first_row_cofactors, from_digits, identity_mat,
+    mat_mul, to_digits, unit_inverses,
 )
 
 Vec = tuple[int, ...]
@@ -167,31 +169,30 @@ class GroupModel:
     def v_dim(self, alpha: Vec) -> int:
         return len(self._relative.fiber(alpha))
 
-    def v_tuples(self, alpha: Vec, d: int = 1):
-        return itertools.product(range(0, self.m, d), repeat=self.v_dim(alpha))
-
-    def v_basis(self, alpha: Vec) -> list[Vec]:
-        d = self.v_dim(alpha)
-        return [tuple(1 if t == s else 0 for t in range(d)) for s in range(d)]
+    @lru_cache(maxsize=None)
+    def values(self, alpha: Vec) -> np.ndarray:
+        """Every v of V_alpha, an (m**d, d) array in base-m order: code 0 is v = 0; read-only."""
+        vs = to_digits(np.arange(self.m ** self.v_dim(alpha)), self.m, self.v_dim(alpha))
+        vs.flags.writeable = False
+        return vs
 
     # -- matrices ------------------------------------------------------------
 
     def identity(self) -> np.ndarray:
         return identity_mat(self.degree)
 
-    def x(self, alpha: Vec, v: Vec) -> np.ndarray:
-        """Relative root element X_alpha(v)."""
+    def x(self, alpha: Vec, v) -> np.ndarray:
+        """Relative root elements X_alpha(v) of a (..., d) array of values, a (..., n, n) stack."""
         if not self.is_rel_root(alpha):
             raise ValueError(f"{alpha} is not a relative root of {self.name()}")
+        v, n = np.asarray(v, dtype=np.int64) % self.m, self.degree
         if self.kind == "SL":
-            i, j = _block_pair(alpha)
-            g = self.identity()
-            ri, rj = self.block_range(i), self.block_range(j)
-            block = np.array(v, dtype=np.int64).reshape(len(ri), len(rj))
-            g[ri.start:ri.stop, rj.start:rj.stop] = block % self.m
+            (ri, rj), lead = map(self.block_range, _block_pair(alpha)), v.shape[:-1]
+            g = np.broadcast_to(self.identity(), (*lead, n, n)).copy()
+            g[..., ri.start:ri.stop, rj.start:rj.stop] = v.reshape(*lead, len(ri), len(rj))
             return g
         fiber = _fiber_order(self._relative.fiber(alpha), rootsys.is_positive(alpha))
-        return self.mul(*(self.identity() + (v[t] % self.m) * SP4_ROOT_MATS[delta]
+        return self.mul(*(self.identity() + v[..., t, None, None] * SP4_ROOT_MATS[delta]
                           for t, delta in enumerate(fiber)))
 
     def mul(self, *mats) -> np.ndarray:
@@ -243,9 +244,9 @@ class GroupModel:
         stack.flags.writeable = False
         return stack
 
-    def all_elementary_generators(self) -> list[np.ndarray]:
-        """The generators with t != 0, position by position."""
-        return list(self.generator_stack[:, 1:].reshape(-1, self.degree, self.degree))
+    def all_elementary_generators(self) -> np.ndarray:
+        """The generators with t != 0, position by position, as one stack."""
+        return self.generator_stack[:, 1:].reshape(-1, self.degree, self.degree)
 
     def inverse(self, g: np.ndarray) -> np.ndarray:
         """Inverse of one group element or of a (..., n, n) stack of them."""
@@ -256,39 +257,34 @@ class GroupModel:
 
     # -- membership ----------------------------------------------------------
 
-    def is_element(self, g: np.ndarray):
-        """Membership of one matrix (a bool) or of a (..., n, n) stack (a
-        bool array)."""
+    def is_element(self, g: np.ndarray) -> np.ndarray:
+        """Membership of a (..., n, n) stack, a bool (...) array (0-d for one matrix)."""
         g = np.asarray(g, dtype=np.int64)
         if self.kind == "SL":
-            ok = det_int(g) % self.m == 1
-        else:
-            ok = (self.mul(g.swapaxes(-1, -2), SP4_FORM, g) == SP4_FORM % self.m).all(axis=(-2, -1))
-        return bool(ok) if g.ndim == 2 else ok
+            return np.asarray(det_int(g) % self.m == 1)
+        ok = self.mul(g.swapaxes(-1, -2), SP4_FORM, g) == SP4_FORM % self.m
+        return np.asarray(ok.all(axis=(-2, -1)))
 
     @cached_property
     def _block_index(self) -> np.ndarray:
         """Block number of each row and column index."""
         return np.repeat(np.arange(len(self.block_sizes)), self.block_sizes)
 
-    def in_parabolic(self, g: np.ndarray, negative: bool = False):
-        """Membership of P (of the opposite P^- when negative): a group
-        element with no nonzero entry below (above) the block diagonal.  One
-        matrix gives a bool, a (..., n, n) stack a bool array."""
-        g = np.asarray(g, dtype=np.int64)
-        b = self._block_index
-        outside = b[:, None] < b[None, :] if negative else b[:, None] > b[None, :]
-        ok = self.is_element(g) & ~(g % self.m * outside).any(axis=(-2, -1))
-        return bool(ok) if g.ndim == 2 else ok
+    def in_parabolic(self, g: np.ndarray, negative: bool = False) -> np.ndarray:
+        """Membership of P (of the opposite P^- when negative) of a (..., n, n)
+        stack, a bool (...) array: group elements with no nonzero entry below
+        (above) the block diagonal."""
+        g, b = np.asarray(g, dtype=np.int64), self._block_index
+        outside = b[:, None] < b if negative else b[:, None] > b
+        return np.asarray(self.is_element(g) & ~(g % self.m * outside).any(axis=(-2, -1)))
 
-    def in_levi(self, g: np.ndarray):
-        return self.in_parabolic(g) & self.in_parabolic(g, negative=True)
+    def in_levi(self, g: np.ndarray) -> np.ndarray:
+        return np.asarray(self.in_parabolic(g) & self.in_parabolic(g, negative=True))
 
-    def levi_elements(self) -> list[np.ndarray]:
+    def levi_elements(self) -> np.ndarray:
         """Full enumeration of the Levi subgroup: the group elements on the
-        block diagonal."""
-        b = self._block_index
-        return list(elements_on(self, b[:, None] == b[None, :]))
+        block diagonal, as one stack."""
+        return elements_on(self, self._block_index[:, None] == self._block_index)
 
 
 SCAN_BOUND = 1 << 22  # fillings scan_on decides; a larger scan is refused up front
@@ -325,16 +321,15 @@ def scan_on(model: GroupModel, support: np.ndarray) -> np.ndarray:
 def elements_on(model: GroupModel, support: np.ndarray) -> np.ndarray:
     """scan_on's keys decoded, in lexicographic order of the supported entries, row by row."""
     m, n, pos = model.m, model.degree, np.flatnonzero(support)
-    mats = scan_on(model, support)[:, None] // m ** np.arange(n * n, dtype=np.int64) % m
-    codes = mats[:, pos] @ m ** np.arange(len(pos) - 1, -1, -1)
-    return mats[np.argsort(codes)].reshape(-1, n, n)
+    mats = to_digits(scan_on(model, support), m, n * n)[:, ::-1]  # a key's entry 0 is least
+    return mats[np.argsort(from_digits(mats[:, pos], m))].reshape(-1, n, n)
 
 
 def _fill(codes: np.ndarray, pos: np.ndarray, m: int, size: int) -> np.ndarray:
     """The (k, size) arrays holding the base-m digits of codes at the
     positions pos, first position most significant, and 0 elsewhere."""
     out = np.zeros((len(codes), size), dtype=np.int64)
-    out[:, pos] = codes[:, None] // m ** np.arange(len(pos) - 1, -1, -1, dtype=np.int64) % m
+    out[:, pos] = to_digits(codes, m, len(pos))
     return out
 
 
@@ -425,13 +420,6 @@ def gauss_cell_factors(model: GroupModel, mats: np.ndarray):
     return member, u, l, v
 
 
-def gauss_cell_membership(model: GroupModel, g: np.ndarray):
-    """Factor one matrix g = u * l * v over the main cell U_P L_P U_{P^-}, or
-    None when g is outside it; see gauss_cell_factors."""
-    member, u, l, v = gauss_cell_factors(model, np.asarray(g)[None, :, :])
-    return (u[0], l[0], v[0]) if member[0] else None
-
-
 def sampled_gauss_roundtrip_check(model: GroupModel, samples: int, rng) -> bool:
     """Whether the identity lies in the main cell.  Every sampled product of
     four random elementary generators is factored as one stack, and the
@@ -439,7 +427,7 @@ def sampled_gauss_roundtrip_check(model: GroupModel, samples: int, rng) -> bool:
     gauss_cell_factors, which ends the run where it fails.  The generators'
     positions and their parameters are two draws from rng."""
     m, stack = model.m, model.generator_stack
-    ok = gauss_cell_membership(model, model.identity()) is not None
+    ok = bool(gauss_cell_factors(model, model.identity()[None])[0][0])
     gens = stack[draws(rng, len(stack), samples, 4), draws(rng, m, samples, 4)]
     gauss_cell_factors(model, model.mul(*gens.swapaxes(0, 1)))
     return ok
@@ -503,8 +491,8 @@ def _prime_power_order(model: GroupModel, p: int, k: int) -> int:
     return base * p ** ((k - 1) * 10)
 
 
-def scheme_center_elements(model: GroupModel) -> list[np.ndarray]:
-    """Points of the center subscheme: the scalars lambda * 1 in the group,
-    lambda**n = 1 for SL_n and lambda**2 = 1 for Sp_4, in increasing lambda."""
+def scheme_center_elements(model: GroupModel) -> np.ndarray:
+    """Points of the center subscheme, as one stack: the scalars lambda * 1 in the
+    group, lambda**n = 1 for SL_n and lambda**2 = 1 for Sp_4, in increasing lambda."""
     scalars = np.arange(1, model.m)[:, None, None] * identity_mat(model.degree)
-    return list(scalars[model.is_element(scalars)])
+    return scalars[model.is_element(scalars)]

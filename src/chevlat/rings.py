@@ -44,6 +44,17 @@ def draws(rng, n: int, *shape: int) -> np.ndarray:
     return (words % n).astype(np.int64).reshape(shape)
 
 
+def to_digits(codes, m: int, width: int) -> np.ndarray:
+    """The base-m digits of codes along one more trailing axis, first most significant."""
+    return np.asarray(codes, dtype=np.int64)[..., None] // m ** np.arange(
+        width - 1, -1, -1, dtype=np.int64) % m
+
+
+def from_digits(digits, m: int) -> np.ndarray:
+    """The base-m numbers of int64 digits along the last axis, first most significant."""
+    return digits @ m ** np.arange(digits.shape[-1] - 1, -1, -1, dtype=np.int64)
+
+
 # -- exact matrix arithmetic mod m ------------------------------------------
 
 def identity_mat(n: int) -> np.ndarray:
@@ -104,11 +115,10 @@ def first_row_cofactors(a: np.ndarray) -> np.ndarray:
     return signs[0] * _det(a[..., rows[0], cols[0]])
 
 
-def det_int(mat):
-    """Exact integer determinant of one matrix (an int) or of a (..., n, n)
-    stack (an int64 array), by Laplace expansion along the first row."""
-    d = _det(np.asarray(mat, dtype=np.int64))
-    return int(d) if d.ndim == 0 else d
+def det_int(mat) -> np.ndarray:
+    """Exact integer determinants of a (..., n, n) stack, an int64 (...) array
+    (0-d for one matrix), by Laplace expansion along the first row."""
+    return np.asarray(_det(np.asarray(mat, dtype=np.int64)))
 
 
 def adjugate_int(mat) -> np.ndarray:

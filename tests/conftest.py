@@ -38,6 +38,12 @@ def ctx_for(kind, degree, m, blocks):
     return lattice.GroupContext(models.GroupModel(kind, degree, m, blocks))
 
 
+def v_tuples(model, alpha, d=1):
+    """Every v of V_alpha with entries in the ideal (d), as tuples in the order
+    of itertools.product: the reference enumeration of model.values(alpha)."""
+    return itertools.product(range(0, model.m, d), repeat=model.v_dim(alpha))
+
+
 def index_of(table, mat):
     """Table index of one matrix, None if it is not a group element."""
     idx = int(table.lookup(np.asarray(mat)[None])[0])
@@ -229,7 +235,7 @@ def reference_chart(model, roots):
     itertools.product (first root most significant)."""
     ordered = tuple(calculus.canonical_root_order(roots))
     by_key = {}
-    for combo in itertools.product(*[list(model.v_tuples(a)) for a in ordered]):
+    for combo in itertools.product(*[list(v_tuples(model, a)) for a in ordered]):
         g = model.identity()
         for alpha, v in zip(ordered, combo):
             g = g @ model.x(alpha, v) % model.m
@@ -322,7 +328,7 @@ def reference_levi_conjugation_decompose(model, g, alpha, v):
 def reference_lemma_ABe_witness(model, alpha, beta, u):
     """Lemma ABe for one u, generator by generator; -1 without a witness."""
     target = tuple(a + b for a, b in zip(alpha, beta))
-    for i, e in enumerate(model.v_basis(alpha)):
+    for i, e in enumerate(np.eye(model.v_dim(alpha), dtype=np.int64)):
         comp = component_at(chevalley_commutator_decompose(model, alpha, e, beta, u), target)
         if comp is not None and any(comp):
             return i
@@ -341,8 +347,8 @@ def reference_lemma_const_check(model, alpha, beta):
         pairs.append((diff, beta))
     values = []
     for a, b in pairs:
-        for u in model.v_tuples(a):
-            for v in model.v_tuples(b):
+        for u in v_tuples(model, a):
+            for v in v_tuples(model, b):
                 comp = component_at(chevalley_commutator_decompose(model, a, u, b, v), target)
                 if comp is not None:
                     values.append(comp)
@@ -378,7 +384,7 @@ def reference_pairing_sweep(model):
             s = tuple(a + b for a, b in zip(alpha, beta))
             if calculus.opposed_multiples(alpha, beta) or not model.is_rel_root(s):
                 continue
-            for u in model.v_tuples(beta):
+            for u in v_tuples(model, beta):
                 if any(u):
                     if reference_lemma_ABe_witness(model, alpha, beta, u) < 0:
                         return False, abe_checked, const_ok, const_checked
@@ -396,7 +402,7 @@ def reference_levi_conjugation_check(model, levis):
     for g in levis:
         for alpha in model.rel_roots:
             phi = {v: reference_levi_conjugation_decompose(model, g, alpha, v)
-                   for v in model.v_tuples(alpha)}
+                   for v in v_tuples(model, alpha)}
             for v, phi_v in phi.items():
                 for r in range(m):
                     phi_r = phi[tuple(r * c % m for c in v)]
@@ -416,7 +422,7 @@ def reference_centralizer_beta(model):
     results = {"checked": 0, "failures": []}
     roots = set(model.rel_roots)
     for beta in lattice._simple_rel_roots(model):
-        beta_mats = [model.x(beta, v) for v in model.v_tuples(beta)]
+        beta_mats = [model.x(beta, v) for v in v_tuples(model, beta)]
         for negative in (False, True):
             ordered, by_key = reference_chart(model, calculus.radical_roots(model, negative))
             for key, comps in by_key.items():
@@ -445,9 +451,9 @@ def reference_small_levi_b(model):
         neg_multiples = tuple(tuple(-c for c in a) for a in multiples)
         up = reference_chart(model, multiples)[1]
         down = reference_chart(model, neg_multiples)[1]
-        beta_mats = [model.x(beta, v) for v in model.v_tuples(beta)]
+        beta_mats = [model.x(beta, v) for v in v_tuples(model, beta)]
         allowed = set()
-        for w in model.v_tuples(top):
+        for w in v_tuples(model, top):
             for l in levi:
                 g = (model.x(top, w).astype(np.int64) @ l) % m
                 allowed.add(tuple(int(t) for t in g.flatten()))

@@ -14,6 +14,7 @@ from conftest import (
     plain_normal_closure, reference_center, reference_centralizer_beta, reference_closure_of,
     reference_congruence, reference_full_congruence, reference_normal_closure,
     reference_products, reference_small_levi_b, reference_subgroup_closure, table_inverses,
+    v_tuples,
 )
 
 
@@ -260,8 +261,8 @@ def test_level_theorem_example(sl3_4):
     rep = lattice.verify_level_theorem(sl3_4, sub, 2)
     assert rep.equal
     # H cap X_(1,2)(V) = {0, 2} as values
-    vs, idxs = sl3_4.root_element_indices()[(1, 0)]
-    got = {v for v, i in zip(vs, idxs) if sub.member[i]}
+    idxs = sl3_4.root_element_indices()[(1, 0)]
+    got = {tuple(v) for v, i in zip(sl3_4.model.values((1, 0)).tolist(), idxs) if sub.member[i]}
     assert got == {(0,), (2,)}
 
 
@@ -376,7 +377,7 @@ def test_extract_unipotent(sl3_4):
     found = lattice.extract_unipotent(sl3_4, sub)
     assert found is not None
     alpha, v = found
-    assert any(v)
+    assert any(v) and index_of(sl3_4.table, sl3_4.model.x(alpha, v)) in sub
     center = sl3_4.center()
     assert lattice.extract_unipotent(sl3_4, center) is None
 
@@ -385,6 +386,27 @@ def test_unipotent_extraction_all_orbits(sl3_4):
     out = lattice.verify_unipotent_extraction(sl3_4)
     assert not out["failures"] and not out["radical_failures"]
     assert out["noncentral_closures"] > 0
+
+
+def test_unipotent_extraction_looks_once_per_distinct_closure(monkeypatch):
+    # the 100 noncentral orbit representatives of the six default models
+    # share 8 distinct closures: extract_unipotent runs once on each
+    calls, reps = [], 0
+    true = lattice.extract_unipotent
+
+    def counted(ctx, sub):
+        calls.append((ctx.model.name(), sub.mask.tobytes()))
+        return true(ctx, sub)
+
+    monkeypatch.setattr(lattice, "extract_unipotent", counted)
+    for spec in cli.DEFAULT_MODELS:
+        ctx = ctx_for(spec.kind, spec.degree, spec.modulus, spec.blocks)
+        ctx = ctx.sibling(ctx.model.blocks)  # a fresh context cache on the shared registry
+        reps += lattice.verify_unipotent_extraction(ctx)["noncentral_closures"]
+        noncentral = np.asarray(ctx.orbits().reps)[~ctx.center().mask].tolist()
+        distinct = {ctx.orbit_closure(r).mask.tobytes() for r in noncentral}
+        assert sorted(k for name, k in calls if name == ctx.model.name()) == sorted(distinct)
+    assert len(calls) == len(set(calls)) == 8 and reps == 100
 
 
 def test_simplicity(sl3_2, sl3_3):
@@ -439,7 +461,7 @@ def test_radical_centralizer_from_generators(spec):
     # the whole radical, taken here by matrix products over the table
     ctx = ctx_for(*spec)
     model = ctx.model
-    radical = [model.x(a, v) for a in model.positive_rel_roots for v in model.v_tuples(a)]
+    radical = [model.x(a, v) for a in model.positive_rel_roots for v in v_tuples(model, a)]
     full = matmul_centralizer(ctx.table, radical)
     idx = np.flatnonzero(full)
     outside = idx[~model.in_parabolic(ctx.table.mat(idx))].tolist()
@@ -577,12 +599,31 @@ def test_orbit_closure_gens_are_the_representative(registry_ctx):
         assert plain_normal_closure(ctx.table, reps_in(sub)) == sub
 
 
+@pytest.mark.parametrize("spec", [("SL", 3, 4, (1, 1, 1)), ("SL", 3, 4, (1, 2)), ("SL", 2, 6, (1, 1)),
+                                  ("Sp", 4, 3, "line")])
+def test_root_elements_in_an_ideal_match_the_tuple_reference(spec):
+    # the one index array and its in-ideal masks, per root in order: the
+    # index of X_alpha(v) for every tuple v, and whether v has its entries in (d)
+    ctx = ctx_for(*spec)
+    model = ctx.model
+    for d in ctx.ideals:
+        idx, starts, inside = ctx.root_elements_in(d)
+        want_idx, want_inside, want_starts = [], [], []
+        for alpha in model.rel_roots:
+            want_starts.append(len(want_idx))
+            for v in v_tuples(model, alpha):
+                want_idx.append(index_of(ctx.table, model.x(alpha, v)))
+                want_inside.append(not any(c % d for c in v))
+        assert idx.tolist() == want_idx and inside.tolist() == want_inside
+        assert starts.tolist() == want_starts and ctx.root_elements_in(d)[2] is inside
+
+
 def test_registry_relative_elementary_matches_plain_engine(registry_ctx):
     ctx = registry_ctx
     for d in ctx.ideals:
         seeds = [index_of(ctx.table, ctx.model.x(alpha, v))
                  for alpha in ctx.model.rel_roots
-                 for v in ctx.model.v_tuples(alpha, d) if any(v)]
+                 for v in v_tuples(ctx.model, alpha, d) if any(v)]
         assert plain_normal_closure(ctx.table, seeds) == ctx.relative_elementary(d)
 
 
@@ -727,6 +768,7 @@ def test_level_reports_are_computed_once_per_closure(sl3_4, monkeypatch):
         raise AssertionError("the level report was computed again")
 
     monkeypatch.setattr(ctx, "root_element_indices", recomputed)
+    monkeypatch.setattr(ctx, "root_elements_in", recomputed)
     b = lattice.verify_level_theorem(ctx, sub, d, second.seed_index)
     assert (a.seed_index, b.seed_index) == (first.seed_index, second.seed_index)
     assert {**a.as_dict(), "seed_index": None} == {**b.as_dict(), "seed_index": None}

@@ -16,7 +16,6 @@ from chevlat.models import (
     SP4_FORM,
     elements_on,
     gauss_cell_factors,
-    gauss_cell_membership,
     hypothesis_check,
     order_formula,
     sampled_gauss_roundtrip_check,
@@ -26,7 +25,9 @@ from chevlat.models import (
 from chevlat.rings import det_int, draws
 from chevlat.table import _SCAN_LIMIT, matrix_keys
 
-from conftest import mat_inverse_mod, not_sums, reference_elements_on, sl_block_pairs, units
+from conftest import (
+    mat_inverse_mod, not_sums, reference_elements_on, sl_block_pairs, units, v_tuples,
+)
 
 
 def sl(n, m, blocks=None):
@@ -156,6 +157,24 @@ def test_relative_root_element_sl4_blocks22():
     assert (g == expect).all()
 
 
+VALUE_MODELS = [spec.build() for spec in DEFAULT_MODELS] + [sl(4, 2, (2, 1, 1)), sp(4, "line")]
+
+
+@pytest.mark.parametrize("model", VALUE_MODELS, ids=lambda mo: mo.name())
+def test_values_and_root_elements_match_the_tuple_reference(model):
+    # every relative root: model.values in the order of itertools.product,
+    # cached and read-only, and X_alpha of the whole array, or of any stack of
+    # values, the matrices of the values one by one
+    for alpha in model.rel_roots:
+        values, tuples = model.values(alpha), list(v_tuples(model, alpha))
+        assert values is model.values(alpha) and not values.flags.writeable
+        assert values.dtype == np.int64 and values.tolist() == [list(v) for v in tuples]
+        stack = model.x(alpha, values)
+        assert np.array_equal(stack, np.stack([model.x(alpha, v) for v in tuples]))
+        assert np.array_equal(model.x(alpha, values[::-1].reshape(1, -1, values.shape[1]))[0],
+                              stack[::-1])
+
+
 def test_sp4_line_sum_formula_has_double_term():
     model = sp(3, "line")
     v, w = (0, 1), (1, 0)
@@ -194,19 +213,29 @@ def test_hypothesis_check():
     assert not h5.main_ok  # 2 not invertible mod 4
 
 
+def one_cell_factor(model, g):
+    """gauss_cell_factors of the one-matrix stack g[None]: (u, l, v), or None
+    when g is outside the main cell."""
+    member, u, l, v = gauss_cell_factors(model, np.asarray(g)[None])
+    return (u[0], l[0], v[0]) if member[0] else None
+
+
+def is_0d_bool(result):
+    return isinstance(result, np.ndarray) and result.shape == () and result.dtype == bool
+
+
 def test_gauss_cell_identity_and_weyl():
     m = sl(3, 4)
-    assert gauss_cell_membership(m, m.identity()) is not None
     w = np.array([[0, 0, 1], [0, 3, 0], [1, 0, 0]], dtype=np.int64)
     assert det_int(w) % 4 == 1
-    assert gauss_cell_membership(m, w) is None
+    assert gauss_cell_factors(m, np.stack([m.identity(), w]))[0].tolist() == [True, False]
 
 
 def test_gauss_cell_lower_unipotent():
     m = sl(3, 5)
     g = np.eye(3, dtype=np.int64)
     g[1, 0] = 1
-    u, l, v = gauss_cell_membership(m, g)
+    u, l, v = one_cell_factor(m, g)
     assert (u == np.eye(3, dtype=np.int64)).all()
     assert (l == np.eye(3, dtype=np.int64)).all()
     assert (v == g).all()
@@ -220,7 +249,7 @@ def test_gauss_cell_roundtrip_random():
             g = model.identity()
             for _k in range(5):
                 g = (g @ mats[rng.integers(len(mats))]) % model.m
-            fac = gauss_cell_membership(model, g)
+            fac = one_cell_factor(model, g)
             if fac is not None:
                 u, l, v = fac
                 assert ((u @ l @ v) % model.m == g).all()
@@ -238,7 +267,7 @@ def test_gauss_cell_factors_of_a_stack_match_one_by_one():
         member, u, l, v = gauss_cell_factors(model, stack)
         assert member.any() and not member.all()
         for i, g in enumerate(stack):
-            fac = gauss_cell_membership(model, g)
+            fac = one_cell_factor(model, g)
             assert member[i] == (fac is not None)
             if fac is not None:
                 assert all((a == b).all() for a, b in zip(fac, (u[i], l[i], v[i])))
@@ -333,7 +362,7 @@ def loop_in_parabolic(model, g, negative=False):
     """Per-entry reference: a group element whose entries vanish in every
     block below (above, when negative) the diagonal blocks."""
     block = [b for b, size in enumerate(model.block_sizes) for _ in range(size)]
-    return model.is_element(g) and not any(
+    return bool(model.is_element(g)) and not any(
         (block[r] < block[c] if negative else block[r] > block[c]) and g[r, c] % model.m
         for r in range(model.degree) for c in range(model.degree)
     )
@@ -357,7 +386,7 @@ def test_stacked_parabolic_tests_match_the_entry_loop(model):
     assert levi.tolist() == [loop_in_parabolic(model, g) and loop_in_parabolic(model, g, True)
                              for g in stack]
     assert levi.any() and not levi.all()
-    assert type(model.in_parabolic(stack[0])) is bool and type(model.in_levi(stack[0])) is bool
+    assert is_0d_bool(model.in_parabolic(stack[0])) and is_0d_bool(model.in_levi(stack[0]))
 
 
 def loop_gauss_roundtrip(model, samples, rng):
@@ -367,12 +396,12 @@ def loop_gauss_roundtrip(model, samples, rng):
     m = model.m
     positions = model.generator_positions()
     at, params = draws(rng, len(positions), samples, 4), draws(rng, m, samples, 4)
-    ok = gauss_cell_membership(model, model.identity()) is not None
+    ok = one_cell_factor(model, model.identity()) is not None
     for k in range(samples):
         g = model.identity()
         for step in range(4):
             g = g @ model.elementary_generator(positions[at[k, step]], params[k, step]) % m
-        fac = gauss_cell_membership(model, g)
+        fac = one_cell_factor(model, g)
         if fac is not None:
             u, l, v = fac
             ok &= bool((u @ l % m @ v % m == g).all())
@@ -613,8 +642,8 @@ def test_inverse_and_membership_on_stacks(sl3_4, sp4_3):
         stack = np.stack([elements, others])  # a (2, 24, n, n) stack
         member = model.is_element(stack)
         assert member.shape == (2, 24) and member[0].all()
-        assert member.tolist() == [[model.is_element(g) for g in row] for row in stack]
-        assert all(type(model.is_element(g)) is bool for g in others)
+        assert member.tolist() == [[bool(model.is_element(g)) for g in row] for row in stack]
+        assert all(is_0d_bool(model.is_element(g)) for g in others)
         inv = model.inverse(elements)
         for g, gi in zip(elements, inv):
             assert (gi == model.inverse(g)).all()

@@ -14,6 +14,8 @@ import pytest
 
 from chevlat import calculus, cli, lattice, models, relroots, rootsys
 from chevlat.models import GroupModel
+from chevlat.rings import from_digits
+from chevlat.table import matrix_keys
 
 import conftest
 from conftest import adjacent_ok, reference_adjacent_ok, reference_pairing_sweep
@@ -76,8 +78,8 @@ def test_generators_in_group_fails_on_a_singular_root_element(monkeypatch, fresh
 
     def singular_at_last(self, a, v):
         g = true(self, a, v)
-        if (a, tuple(v)) == (alpha, (2,)):
-            g[0, 0] = 0
+        if a == alpha:  # X_alpha(2), the last root element, in any stack of them
+            g[(np.asarray(v) == 2).all(axis=-1), 0, 0] = 0
         return g
 
     monkeypatch.setattr(GroupModel, "x", singular_at_last)
@@ -315,8 +317,15 @@ def test_a_missing_ideal_fails_the_sandwich_records(drop, failing, monkeypatch):
 
 
 def test_v_tuples_ignoring_the_ideal_fails_the_level_computation(monkeypatch):
-    true = GroupModel.v_tuples
-    monkeypatch.setattr(GroupModel, "v_tuples", lambda self, alpha, d=1: true(self, alpha))
+    # planted in the source of verify_level_theorem: its in-ideal mask is the
+    # one of the unit ideal, every v of V_alpha; E(R,q) keeps its own reading
+    source = inspect.getsource(lattice.verify_level_theorem)
+    anchor = "ctx.root_elements_in(d)"
+    assert source.count(anchor) == 1
+    namespace = dict(vars(lattice))
+    exec(compile(source.replace(anchor, "ctx.root_elements_in(1)"), lattice.__file__, "exec"),
+         namespace)
+    monkeypatch.setattr(lattice, "verify_level_theorem", namespace["verify_level_theorem"])
     assert _sandwich_run()[:2] == (1, {"level_computation": HOLDING})
 
 
@@ -478,32 +487,37 @@ def _plant_commutators(monkeypatch, model, plants):
     """One model's commutator table and the reference decomposition of
     conftest, both with planted commutators: plants maps a pair (alpha, beta)
     to (u, v, mat), and every [X_alpha(u'), X_beta(v')] with u' of code u and
-    v' of code v (any code where u or v is None) is then mat, planted in the
-    table as its code."""
-    m, true, decompose = model.m, calculus._commutator_table, conftest.chevalley_commutator_decompose
+    v' of code v (any code where u or v is None) is then mat.  Planted in the
+    source of _commutator_table, as mat's key before the keys are decoded, so
+    the table decodes and checks it as it would a computed commutator."""
+    m, decompose = model.m, conftest.chevalley_commutator_decompose
     every = slice(None)
 
-    @functools.lru_cache(maxsize=None)
-    def planted(mo):
-        start, codes = true(mo)
+    def plant(mo, start, keys):
         if mo != model:
-            return start, codes
-        codes = codes.copy()
+            return keys
         for (a, b), (u, v, mat) in plants.items():
             nb = m ** mo.v_dim(b)
-            block = codes[start[a, b]:start[a, b] + m ** mo.v_dim(a) * nb].reshape(-1, nb)
-            block[every if u is None else u, every if v is None else v] = _code(mo, (a, b), mat)
-        return start, codes
+            block = keys[start[a, b]:start[a, b] + m ** mo.v_dim(a) * nb].reshape(-1, nb)
+            block[every if u is None else u, every if v is None else v] = matrix_keys(mat, m)
+        return keys
+
+    source = inspect.getsource(calculus._commutator_table.__wrapped__)
+    anchor = "    cones = [_pair_cone(model, a, b) for a, b in pairs]\n"
+    assert source.count(anchor) == 1
+    namespace = {**vars(calculus), "plant": plant}
+    exec(compile(source.replace(anchor, "    keys = plant(model, dict(zip(pairs, starts.tolist())), "
+                                "keys)\n" + anchor), calculus.__file__, "exec"), namespace)
 
     def planted_decompose(mo, a, u_, b, v_):
         if mo == model and (a, b) in plants:
             u, v, mat = plants[a, b]
-            if u in (None, calculus._codes(np.array(u_), m)) and v in (
-                    None, calculus._codes(np.array(v_), m)):
+            if u in (None, from_digits(np.array(u_), m)) and v in (
+                    None, from_digits(np.array(v_), m)):
                 return conftest.cone_decompose(mo, a, b, mat)
         return decompose(mo, a, u_, b, v_)
 
-    monkeypatch.setattr(calculus, "_commutator_table", planted)
+    monkeypatch.setattr(calculus, "_commutator_table", namespace["_commutator_table"])
     monkeypatch.setattr(conftest, "chevalley_commutator_decompose", planted_decompose)
 
 
@@ -561,9 +575,9 @@ def test_a_stop_inside_the_fifth_pair_closes_only_the_four_before_it(monkeypatch
 def test_a_commutator_off_the_chart_past_the_stop_leaves_the_sweep(monkeypatch, capsys):
     # Sp4(Z/3) line: trivial commutators at the first of its two pairs stop
     # the sweep there, so a commutator off the chart at the second pair, in a
-    # row Lemma ABe would read, is never reached: the sweep gives what it gives
-    # with the first fault alone, with no error.  The homogeneity check reads
-    # every commutator, so the group suite ends the run before the sweep
+    # row Lemma ABe would read, is never reached by the pair-by-pair reference.
+    # The commutator table checks every commutator where it is built, so the
+    # sweep, and the group suite before it, end on the table's error
     spec = _default_spec("Sp4(Z/3)[line]")
     model = spec.build()
     first, second = _sweep_pairs(model)
@@ -573,22 +587,25 @@ def test_a_commutator_off_the_chart_past_the_stop_leaves_the_sweep(monkeypatch, 
         alone = _pairing_records(spec)
     assert alone == [(False, 0), (True, 0)]
     _plant_commutators(monkeypatch, model, {first: (None, None, model.identity()), **off})
-    assert calculus.pairing_sweep(model) == reference_pairing_sweep(model) == (False, 0, True, 0)
+    assert reference_pairing_sweep(model) == (False, 0, True, 0)
+    with pytest.raises(RuntimeError, match="commutator left the unipotent group of its cone"):
+        calculus.pairing_sweep(model)
     _assert_ends_the_run(capsys, "commutator left the unipotent group of its cone")
 
 
 def test_a_commutator_off_the_chart_before_the_stop_ends_the_run(monkeypatch, capsys):
     # Sp4(Z/3) line: a commutator off the chart at the first pair, in a row
-    # Lemma ABe reads, and trivial commutators at the second: the sweep reads
-    # the first pair's block before it stops, so it raises, as the reference
-    # does.  In the group suite the homogeneity check meets it first
+    # Lemma ABe reads, and trivial commutators at the second: the reference
+    # reads the first pair's block before it stops, so it raises.  The sweep,
+    # and the group suite before it, end on the commutator table's error
     model = _default_spec("Sp4(Z/3)[line]").build()
     first, second = _sweep_pairs(model)
     off = {first: (*_first_generator_row(model, first), OFF_CHART)}
     _plant_commutators(monkeypatch, model, {second: (None, None, model.identity()), **off})
-    for sweep in (calculus.pairing_sweep, reference_pairing_sweep):
-        with pytest.raises(RuntimeError, match="commutator left the expected unipotent group"):
-            sweep(model)
+    with pytest.raises(RuntimeError, match="commutator left the expected unipotent group"):
+        reference_pairing_sweep(model)
+    with pytest.raises(RuntimeError, match="commutator left the unipotent group of its cone"):
+        calculus.pairing_sweep(model)
     _assert_ends_the_run(capsys, "commutator left the unipotent group of its cone")
 
 

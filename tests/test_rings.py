@@ -14,10 +14,11 @@ import chevlat
 from chevlat.errors import TableBoundError
 from chevlat.models import GroupModel
 from chevlat.rings import (
-    adjugate_int, det_int, divisors, draws, jacobson_radical, mat_mul, residues, scalar_inverse,
+    adjugate_int, det_int, divisors, draws, from_digits, jacobson_radical, mat_mul, residues,
+    scalar_inverse, to_digits,
 )
 
-from conftest import ideal_generated_by, mat_inverse_mod
+from conftest import ideal_generated_by, mat_inverse_mod, v_tuples
 
 
 def test_ring_ideals():
@@ -64,10 +65,27 @@ def test_ideal_membership_and_elements():
     # V_alpha(q) for q = (d) has its entries in range(0, m, d); SL3 with
     # blocks (1, 2) has a 2-dimensional V_alpha at alpha = (1,)
     model = GroupModel("SL", 3, 12, (1, 2))
-    vs = list(model.v_tuples((1,), 4))
+    vs = list(v_tuples(model, (1,), 4))
     assert {c for v in vs for c in v} == {0, 4, 8} and len(vs) == 9
-    assert list(model.v_tuples((1,), 12)) == [(0, 0)]  # d = m is the zero ideal
-    assert len(list(model.v_tuples((1,)))) == 144  # d = 1 is the unit ideal
+    assert list(v_tuples(model, (1,), 12)) == [(0, 0)]  # d = m is the zero ideal
+    assert len(list(v_tuples(model, (1,)))) == 144  # d = 1 is the unit ideal
+    # model.values in base-m order: the values in (d) are its rows with every entry in (d)
+    values = model.values((1,))
+    assert values.shape == (144, 2) and not values.flags.writeable
+    for d in (1, 4, 12):
+        assert [tuple(v) for v in values.tolist() if not any(c % d for c in v)] == list(
+            v_tuples(model, (1,), d))
+
+
+@pytest.mark.parametrize("m, width", [(2, 1), (2, 5), (3, 3), (4, 2), (9, 2), (12, 2)])
+def test_base_m_digits_are_itertools_product_order(m, width):
+    # code c is the c-th tuple of itertools.product: first digit most significant
+    digits = to_digits(np.arange(m ** width), m, width)
+    assert digits.tolist() == [list(t) for t in itertools.product(range(m), repeat=width)]
+    assert np.array_equal(from_digits(digits, m), np.arange(m ** width))
+    stack = to_digits(np.arange(m ** width).reshape(-1, m), m, width)  # one more axis, any shape
+    assert stack.shape == (m ** (width - 1), m, width)
+    assert np.array_equal(from_digits(stack, m), np.arange(m ** width).reshape(-1, m))
 
 
 def test_ideal_generated_by():
@@ -100,7 +118,9 @@ def test_det_matches_leibniz(n, data):
         [[data.draw(st.integers(-5, 5)) for _ in range(n)] for _ in range(n)]
         for _ in range(2)
     )
-    assert det_int(mat) == det_by_permutations(mat)
+    one = det_int(mat)  # one matrix: a 0-d int64 array
+    assert isinstance(one, np.ndarray) and one.shape == () and one.dtype == np.int64
+    assert one == det_by_permutations(mat)
     stacked = det_int([[mat], [other]])  # a (2, 1, n, n) stack
     assert stacked.shape == (2, 1)
     assert stacked[:, 0].tolist() == [det_by_permutations(mat), det_by_permutations(other)]
@@ -129,7 +149,7 @@ def test_matrix_inverse_mod(m, data):
         dtype=np.int64,
     )
     inv = mat_inverse_mod(mat, m)
-    unit = scalar_inverse(det_int(mat), m) is not None
+    unit = scalar_inverse(int(det_int(mat)), m) is not None
     stack = np.stack([np.eye(3, dtype=np.int64), mat, mat.T])
     invs = mat_inverse_mod(stack, m)
     if not unit:
@@ -238,6 +258,35 @@ def test_the_source_scan_finds_products_mod_m():
               "d = np.remainder(x @ y, m)\ne = f(x @ y)[0] % m\n"
               "keys = x % m @ weights\nf = mat_mul(x, y, m=m)\ng = x @ weights\n")
     assert reduced_products(source) == [1, 2, 3, 3, 4, 5]
+
+
+def hand_decodes(source: str) -> list[int]:
+    """The lines of hand-written base-m decodes, x // m ** np.arange(...) % m."""
+    def is_arange_power(node):  # m ** np.arange(...) or m ** arange(...)
+        return (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow)
+                and isinstance(node.right, ast.Call)
+                and "arange" in (getattr(node.right.func, "attr", ""),
+                                 getattr(node.right.func, "id", "")))
+
+    return sorted(node.lineno for node in ast.walk(ast.parse(source))
+                  if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mod)
+                  and isinstance(node.left, ast.BinOp) and isinstance(node.left.op, ast.FloorDiv)
+                  and is_arange_power(node.left.right))
+
+
+def test_the_source_scan_finds_hand_written_decodes():
+    source = ("a = c // m ** np.arange(k) % m\nb = c[:, None] // m ** np.arange(k, -1, -1) % m\n"
+              "d = c // 4 ** arange(3) % 4\ne = c // w % m\nf = to_digits(c, m, k)\n"
+              "g = m ** np.arange(k) % m\n")
+    assert hand_decodes(source) == [1, 2, 3]
+
+
+def test_base_m_decodes_go_through_the_codec():
+    # rings.to_digits is the one base-m decode
+    src = Path(chevlat.__file__).parent
+    found = {path.name: hand_decodes(path.read_text()) for path in sorted(src.glob("*.py"))
+             if path.name != "rings.py"}
+    assert {name: lines for name, lines in found.items() if lines} == {}
 
 
 def test_products_mod_m_go_through_the_kernel():
